@@ -1,4 +1,4 @@
-"""Small shared helpers (seed derivation, percentile conventions)."""
+"""Small shared helpers (seed derivation)."""
 
 from __future__ import annotations
 
@@ -23,7 +23,3 @@ def derive_seed(seed: int, *tokens) -> int:
             words.append(zlib.crc32(str(t).encode("utf-8")))
     ss = np.random.SeedSequence(words)
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def rng_for(seed: int, *tokens) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(seed, *tokens))

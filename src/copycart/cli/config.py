@@ -10,21 +10,8 @@ from typing import Optional, Union
 import yaml
 
 from ..errors import ConfigError
+from ..estimate import GROUPINGS
 from ..matching import AdjustmentSpec
-
-_SUBGROUP_KEYS = (
-    "partner_status",
-    "focal_status",
-    "partner_gender",
-    "focal_gender",
-    "partner_age",
-    "focal_age",
-    "daypart",
-    "shop",
-    "addition_item",
-    "year",
-    "tie_strength",
-)
 
 
 def _default_adjustment() -> AdjustmentSpec:
@@ -80,8 +67,8 @@ class RunConfig:
             raise ConfigError("threads must be positive")
         self.subgroups = tuple(self.subgroups)
         for g in self.subgroups:
-            if g not in _SUBGROUP_KEYS:
-                raise ConfigError(f"unknown subgroup {g!r}; choose from {_SUBGROUP_KEYS}")
+            if g not in GROUPINGS:
+                raise ConfigError(f"unknown subgroup {g!r}; choose from {GROUPINGS}")
         if isinstance(self.adjustment, dict):
             self.adjustment = AdjustmentSpec(**self.adjustment)
 
@@ -91,7 +78,8 @@ class RunConfig:
             if p is not None and not os.path.exists(p):
                 raise ConfigError(f"{name} path does not exist: {p}")
         if self.demographics is None and (
-            self.infer_status or any(g.endswith(("status", "gender", "age")) for g in self.subgroups)
+            self.infer_status
+            or any(w in g for g in self.subgroups for w in ("status", "gender", "age"))
         ):
             raise ConfigError("demographics input required for status/gender/age analyses")
 

@@ -1,22 +1,22 @@
 """Outcome analysis over matched pairs.
 
 Risk difference and risk ratio come from the paired contingency table;
-uncertainty from a percentile bootstrap over pairs; the paired test is
-McNemar's chi-square with an exact binomial p-value at small discordant
-counts.  Subgroup, anchor-attribute, and dose-response analyses reuse the
-same estimator on restricted pair sets.
+uncertainty from a percentile bootstrap over pairs, drawn as multinomial
+resamples of the four paired cells; the paired test is McNemar's chi-square
+with an exact binomial p-value at small discordant counts.  Subgroup,
+anchor-attribute, and dose-response analyses reuse the same estimator on
+restricted pair sets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import stats as sps
 
-from . import _kernels as K
 from ._util import derive_seed
 from .context import ContextStats
 from .dyads import DyadSet, tie_strength_per_dyad
@@ -124,55 +124,6 @@ def paired_chi2(counts: PairedCounts, exact_below: int = 25) -> tuple[Optional[f
     return (float(stat), float(p))
 
 
-# ---------------------------------------------------------------------------
-# bootstrap
-# ---------------------------------------------------------------------------
-
-
-def _bootstrap_tables(pairs_or_outcomes, n_rep: int, seed: int):
-    if isinstance(pairs_or_outcomes, MatchedPairSet):
-        o_t, o_c = pairs_or_outcomes.outcomes()
-    else:
-        o_t, o_c = pairs_or_outcomes
-        o_t = np.asarray(o_t, np.uint8)
-        o_c = np.asarray(o_c, np.uint8)
-    n = o_t.shape[0]
-    n11, n10, n01 = K.bootstrap_paired_counts(o_t, o_c, n_rep, seed)
-    return n, n11, n10, n01
-
-
-def bootstrap_statistics(pairs, statistic: str, n_rep: int, seed: int) -> np.ndarray:
-    """Per-replicate bootstrap values of 'rd' or 'rr' (rr may contain NaN)."""
-    n, n11, n10, n01 = _bootstrap_tables(pairs, n_rep, seed)
-    if statistic == "rd":
-        return (n10 - n01) / n
-    if statistic == "rr":
-        denom = n11 + n01
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(denom > 0, (n11 + n10) / denom, np.nan)
-    raise ValueError(f"unknown statistic {statistic!r}")
-
-
-def bootstrap_ci(
-    pairs,
-    statistic: str = "rd",
-    n_rep: int = 1000,
-    seed: int = 0,
-    levels: tuple[float, float] = (2.5, 97.5),
-) -> Optional[tuple[float, float]]:
-    """Percentile bootstrap interval over resampled pairs.
-
-    For the risk ratio, replicates with an empty control arm are dropped;
-    if more than 5% of replicates are undefined the interval is None.
-    """
-    vals = bootstrap_statistics(pairs, statistic, n_rep, seed)
-    ok = vals[~np.isnan(vals)]
-    if ok.shape[0] < 0.95 * n_rep or ok.shape[0] == 0:
-        return None
-    lo, hi = np.percentile(ok, list(levels), method="linear")
-    return (float(lo), float(hi))
-
-
 @dataclass
 class EffectEstimate:
     item: str
@@ -205,17 +156,31 @@ class EffectEstimate:
 def effect_estimate(
     pairs: MatchedPairSet, n_rep: int = 1000, seed: int = 0
 ) -> EffectEstimate:
-    """Point estimates, bootstrap CIs, and the paired test for one pair set."""
+    """Point estimates, bootstrap CIs, and the paired test for one pair set.
+
+    Resampling the n pairs with replacement is a Multinomial(n, cell shares)
+    draw over (n11, n10, n01, n00), so one draw of `n_rep` tables gives both
+    intervals.  Replicates with an empty control arm have no risk ratio; if
+    more than 5% of them do, the ratio's interval is None.
+    """
     counts = paired_counts(pairs)
     rd = risk_difference(counts)
     rr = risk_ratio(counts)
-    rd_vals = bootstrap_statistics(pairs, "rd", n_rep, derive_seed(seed, "rd"))
-    ci_rd = (
-        float(np.percentile(rd_vals, 2.5, method="linear")),
-        float(np.percentile(rd_vals, 97.5, method="linear")),
-    )
+    n = counts.n_pairs
+    cells = np.array([counts.n11, counts.n10, counts.n01, counts.n00]) / n
+    rng = np.random.default_rng(derive_seed(seed, "boot"))
+    n11, n10, n01, _n00 = rng.multinomial(n, cells, size=n_rep).T
+    rd_vals = (n10 - n01) / n
+    lo, hi = np.percentile(rd_vals, [2.5, 97.5], method="linear")
+    ci_rd = (float(lo), float(hi))
     se_rd = float(np.std(rd_vals, ddof=1)) if n_rep > 1 else None
-    ci_rr = bootstrap_ci(pairs, "rr", n_rep, derive_seed(seed, "rr"))
+    denom = n11 + n01
+    defined = denom > 0
+    ci_rr = None
+    if defined.sum() >= 0.95 * n_rep:
+        rr_vals = (n11[defined] + n10[defined]) / denom[defined]
+        lo, hi = np.percentile(rr_vals, [2.5, 97.5], method="linear")
+        ci_rr = (float(lo), float(hi))
     chi2, p = paired_chi2(counts)
     return EffectEstimate(
         item=pairs.item,

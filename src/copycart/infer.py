@@ -17,7 +17,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import _kernels as K
 from .errors import InsufficientLabelsError
 from .model import TransactionLog
 
@@ -99,6 +98,33 @@ def extract_features(log: TransactionLog, person_id: str) -> FeatureVector:
 # ---------------------------------------------------------------------------
 
 
+def _best_split(x: np.ndarray, y: np.ndarray) -> tuple[float, int]:
+    """Best threshold on one feature column sorted ascending, labels carried.
+
+    Returns (score, i): split after position i, maximizing
+    sum_side (n_side1^2 + n_side0^2) / n_side, an affine transform of the
+    negated weighted Gini impurity.  (-inf, -1) when no split separates
+    distinct values.
+    """
+    n = x.shape[0]
+    if n < 2:
+        return (-np.inf, -1)
+    c1 = np.cumsum(y[:-1], dtype=np.int64)
+    nl = np.arange(1, n, dtype=np.int64)
+    l0 = nl - c1
+    tot1 = int(np.sum(y, dtype=np.int64))
+    tot0 = n - tot1
+    r1 = tot1 - c1
+    r0 = tot0 - l0
+    nr = n - nl
+    score = (c1 * c1 + l0 * l0) / nl + (r1 * r1 + r0 * r0) / nr
+    score = np.where(x[:-1] < x[1:], score, -np.inf)
+    i = int(np.argmax(score))
+    if not np.isfinite(score[i]):
+        return (-np.inf, -1)
+    return (float(score[i]), i)
+
+
 def _grow_tree(
     X: np.ndarray,
     y: np.ndarray,
@@ -127,7 +153,7 @@ def _grow_tree(
         for f in cand:
             xv = X[rows, f]
             srt = np.argsort(xv, kind="stable")
-            score, idx = K.best_split(np.ascontiguousarray(xv[srt]), np.ascontiguousarray(y[rows][srt]))
+            score, idx = _best_split(xv[srt], y[rows][srt])
             if idx >= 0 and score > best_score:
                 best_score = score
                 best = (int(f), float(xv[srt[idx]]))

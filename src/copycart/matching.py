@@ -19,7 +19,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import _kernels as K
 from .context import ContextStats
 from .dyads import DyadSet
 from .errors import NoPairsError
@@ -195,6 +194,50 @@ class MatchedPairSet:
                 source.close()
 
 
+def _greedy_caliper_match(
+    t_start: np.ndarray,
+    c_start: np.ndarray,
+    t_pop: np.ndarray,
+    c_pop: np.ndarray,
+    caliper: float,
+    relative: bool,
+) -> np.ndarray:
+    """Greedy 1:1 caliper matching within pre-built strata.
+
+    Treated and control popularities arrive flattened and grouped by
+    stratum: slice s is t_pop[t_start[s]:t_start[s+1]] and
+    c_pop[c_start[s]:c_start[s+1]].  Inside a stratum treated rows come in
+    processing order and control rows in tie-break order, so each treated
+    row takes the first unused control at minimal distance.  Returns the
+    matched control index per treated row, -1 where none is in the caliper.
+    """
+    out = np.full(t_pop.shape[0], -1, np.int64)
+    used = np.zeros(c_pop.shape[0], bool)
+    for s in range(t_start.shape[0] - 1):
+        c0 = int(c_start[s])
+        c1 = int(c_start[s + 1])
+        if c1 == c0:
+            continue
+        cp = c_pop[c0:c1]
+        u = used[c0:c1]
+        for i in range(int(t_start[s]), int(t_start[s + 1])):
+            pt = t_pop[i]
+            d = np.abs(pt - cp)
+            if relative:
+                m = np.maximum(pt, cp)
+                safe = np.where(m > 0.0, m, 1.0)
+                ok = np.where(m > 0.0, d / safe <= caliper, d == 0.0)
+            else:
+                ok = d <= caliper
+            ok &= ~u
+            if not ok.any():
+                continue
+            j = int(np.argmin(np.where(ok, d, np.inf)))
+            u[j] = True
+            out[i] = c0 + j
+    return out
+
+
 def build_matched_pairs(
     dyads: DyadSet, item: str, context: ContextStats, spec: AdjustmentSpec = AdjustmentSpec()
 ) -> MatchedPairSet:
@@ -260,9 +303,9 @@ def build_matched_pairs(
     t_start = np.searchsorted(s_t, np.arange(n_strata + 1)).astype(np.int64)
     c_start = np.searchsorted(s_c, np.arange(n_strata + 1)).astype(np.int64)
 
-    t_pop = np.ascontiguousarray(pop[t_rows])
-    c_pop = np.ascontiguousarray(pop[c_rows])
-    hit = K.greedy_caliper_match(
+    t_pop = pop[t_rows]
+    c_pop = pop[c_rows]
+    hit = _greedy_caliper_match(
         t_start, c_start, t_pop, c_pop, float(spec.caliper), not spec.caliper_absolute
     )
 

@@ -15,7 +15,11 @@ from copycart.cli.main import main
 from copycart.cli.pipeline import load_schema, run_pipeline
 from copycart.cli.plots import emit_plots
 from copycart.errors import ConfigError
+from copycart.estimate import GROUPINGS, subgroup_estimates
+from copycart.model import Demographics, PersonRecord
 from copycart.sim import SimulationConfig, simulate, write_simulation
+
+from test_estimate import pairs_from_outcomes
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -105,6 +109,24 @@ def test_config_nested_sections_and_overrides():
     assert cfg.n_boot == 50 and cfg.baseline is False
     assert cfg.subgroups == ("daypart",)
     assert cfg.adjustment.match_focal_identity is True
+
+
+def test_config_subgroups_all_run():
+    cfg = RunConfig(transactions="t.csv", catalog="c.csv", seed=1, subgroups=GROUPINGS)
+    pairs = pairs_from_outcomes([1, 0, 1, 1], [0, 0, 1, 0], partner_persons=["PA", "PB"] * 2)
+    demo = Demographics([
+        PersonRecord("PA", gender="f", status="student", birth_year=1995),
+        PersonRecord("PB", gender="m", status="staff", birth_year=1970),
+        PersonRecord("FB", gender="f", status="staff", birth_year=1980),
+    ])
+    for grouping in cfg.subgroups:
+        subs = subgroup_estimates(pairs, grouping, demo, n_rep=10, seed=0, min_pairs=1)
+        assert sum(e.n_pairs for e in subs.values()) == pairs.n, grouping
+    with pytest.raises(ConfigError, match="tie_strength"):
+        RunConfig(transactions="t.csv", catalog="c.csv", seed=1, subgroups=["tie_strength"])
+    no_demo = RunConfig(transactions=__file__, catalog=__file__, seed=1, subgroups=["status_pair"])
+    with pytest.raises(ConfigError, match="demographics"):
+        no_demo.validate_paths()
 
 
 def test_load_yaml_requires_mapping(tmp_path):

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from copycart import model as M
+from copycart._util import derive_seed
 from copycart.dyads import extract_dyads, reconstruct_queues
 from copycart.errors import InsufficientBinsError, NoPairsError
 from copycart.estimate import (
     EffectEstimate,
     PairedCounts,
     anchor_mimicry,
-    bootstrap_ci,
-    bootstrap_statistics,
     dose_response,
     effect_estimate,
     naive_risk_difference,
@@ -181,30 +180,52 @@ def test_zero_discordant_has_no_test():
 
 
 def test_bootstrap_deterministic_and_seed_sensitive():
-    o_t = np.asarray([1, 0, 1, 1, 0, 1, 0, 1] * 8, np.uint8)
-    o_c = np.asarray([0, 0, 1, 0, 1, 0, 0, 1] * 8, np.uint8)
-    a = bootstrap_statistics((o_t, o_c), "rd", 400, seed=9)
-    b = bootstrap_statistics((o_t, o_c), "rd", 400, seed=9)
-    assert np.array_equal(a, b)
-    c = bootstrap_statistics((o_t, o_c), "rd", 400, seed=10)
-    assert not np.array_equal(a, c)
+    pairs = pairs_from_outcomes([1, 0, 1, 1, 0, 1, 0, 1] * 8, [0, 0, 1, 0, 1, 0, 0, 1] * 8)
+    a = effect_estimate(pairs, n_rep=400, seed=9)
+    b = effect_estimate(pairs, n_rep=400, seed=9)
+    assert (a.ci_rd, a.ci_rr, a.se_rd) == (b.ci_rd, b.ci_rr, b.se_rd)
+    c = effect_estimate(pairs, n_rep=400, seed=10)
+    assert (a.ci_rd, a.se_rd) != (c.ci_rd, c.se_rd)
 
 
 def test_bootstrap_degenerate_pairs_zero_width():
     pairs = pairs_from_outcomes([1] * 12, [0] * 12)
-    assert bootstrap_ci(pairs, "rd", 200, seed=1) == (1.0, 1.0)
     est = effect_estimate(pairs, n_rep=200, seed=1)
+    assert est.ci_rd == (1.0, 1.0)
     assert est.rd == 1.0 and est.se_rd == 0.0
 
 
 def test_bootstrap_rr_undefined_interval():
     pairs = pairs_from_outcomes([1, 1, 1], [0, 0, 0])
-    assert bootstrap_ci(pairs, "rr", 100, seed=2) is None
+    est = effect_estimate(pairs, n_rep=100, seed=2)
+    assert est.rr is None and est.ci_rr is None
+    assert est.ci_rd == (1.0, 1.0)
 
 
-def test_bootstrap_unknown_statistic():
-    with pytest.raises(ValueError):
-        bootstrap_statistics((np.zeros(3, np.uint8), np.zeros(3, np.uint8)), "xx", 10, 0)
+def test_bootstrap_replicates_match_multinomial_moments():
+    # Resampling pairs is a Multinomial(n, p) draw over (n11, n10, n01, n00):
+    # replicate cell means are n*p, and the RD replicates have the analytic
+    # SD sqrt((p10 + p01 - (p10 - p01)^2) / n).  Tolerances come from the
+    # standard errors of those moments at 4000 replicates: a cell-count mean
+    # has SE <= sqrt(n/4/4000) = 0.05 at n=40, so 0.3 is six SEs; the RD's
+    # SD has relative SE about 1/sqrt(2*4000) = 1.1%, so 5% is over four.
+    o_t = [1] * 9 + [1] * 14 + [0] * 6 + [0] * 11
+    o_c = [1] * 9 + [0] * 14 + [1] * 6 + [0] * 11
+    pairs = pairs_from_outcomes(o_t, o_c)
+    n, n_rep = 40, 4000
+    est = effect_estimate(pairs, n_rep=n_rep, seed=5)
+    # the one draw the estimate takes all its intervals from
+    rng = np.random.default_rng(derive_seed(5, "boot"))
+    cells = rng.multinomial(n, np.array([9, 14, 6, 11]) / n, size=n_rep)
+    assert (cells.sum(axis=1) == n).all()
+    assert np.allclose(cells.mean(axis=0), [9, 14, 6, 11], atol=0.3)
+    rd_vals = (cells[:, 1] - cells[:, 2]) / n
+    assert est.ci_rd == tuple(np.percentile(rd_vals, [2.5, 97.5]).tolist())
+    assert est.se_rd == float(np.std(rd_vals, ddof=1))
+    rr_vals = (cells[:, 0] + cells[:, 1]) / (cells[:, 0] + cells[:, 2])
+    assert est.ci_rr == tuple(np.percentile(rr_vals, [2.5, 97.5]).tolist())
+    p10, p01 = 14 / n, 6 / n
+    assert est.se_rd == pytest.approx(math.sqrt((p10 + p01 - (p10 - p01) ** 2) / n), rel=0.05)
 
 
 # -- full estimate -----------------------------------------------------------

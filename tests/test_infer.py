@@ -12,6 +12,7 @@ from copycart.infer import (
     N_FEATURES,
     FeatureVector,
     StatusModel,
+    _best_split,
     extract_features,
     feature_matrix,
     predict_status,
@@ -195,3 +196,47 @@ def test_predictions_csv():
     buf = io.StringIO()
     write_predictions_csv(buf, ["P1", "P2"], ["student", "staff"], [0.9, 0.65])
     assert buf.getvalue() == "person_id,label,confidence\nP1,student,0.9\nP2,staff,0.65\n"
+
+
+# -- split search against exact fractions -------------------------------------
+
+
+def _split_oracle(x, y):
+    # exhaustive scan with exact fractions
+    from fractions import Fraction
+
+    n = len(x)
+    best, besti = None, -1
+    for i in range(n - 1):
+        if not x[i] < x[i + 1]:
+            continue
+        l = list(y[: i + 1])
+        r = list(y[i + 1 :])
+        l1, l0 = sum(l), len(l) - sum(l)
+        r1, r0 = sum(r), len(r) - sum(r)
+        score = Fraction(l1 * l1 + l0 * l0, len(l)) + Fraction(r1 * r1 + r0 * r0, len(r))
+        if best is None or score > best:
+            best, besti = score, i
+    return besti
+
+
+def test_best_split_matches_exact_oracle():
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        n = int(rng.integers(2, 40))
+        x = np.sort(rng.integers(0, 10, n).astype(np.float64))
+        y = rng.integers(0, 2, n).astype(np.int8)
+        score, i = _best_split(x, y)
+        # integer counts keep the float scores exact, so indices must agree
+        assert i == _split_oracle(x.tolist(), y.tolist())
+
+
+def test_best_split_trivial_cases():
+    x = np.array([1.0, 1.0, 1.0])
+    y = np.array([0, 1, 0], np.int8)
+    score, i = _best_split(x, y)
+    assert i == -1
+    x = np.array([0.0, 1.0])
+    y = np.array([0, 1], np.int8)
+    score, i = _best_split(x, y)
+    assert i == 0 and score == 2.0

@@ -1,13 +1,12 @@
-"""Backend parity and correctness of the hot kernels."""
+"""The bootstrap's replicate tables: the one multinomial draw behind every interval."""
 
 import numpy as np
 import pytest
 
-from copycart import _kernels as K
+from copycart._util import derive_seed
+from copycart.estimate import effect_estimate, paired_counts, risk_difference, risk_ratio
 
-pytestmark = []
-
-needs_numba = pytest.mark.skipif(not K.HAVE_NUMBA, reason="numba not available")
+from test_estimate import pairs_from_outcomes
 
 
 def _random_outcomes(rng, n):
@@ -16,201 +15,40 @@ def _random_outcomes(rng, n):
     return o_t, o_c
 
 
-def test_counter_indices_range_and_determinism():
-    idx = K.counter_indices_numpy(12345, 0, 5000, 37)
-    assert idx.min() >= 0 and idx.max() < 37
-    again = K.counter_indices_numpy(12345, 0, 5000, 37)
-    assert np.array_equal(idx, again)
-    shifted = K.counter_indices_numpy(12345, 1, 4999, 37)
-    assert np.array_equal(idx[1:], shifted)
-
-
-def test_counter_indices_roughly_uniform():
-    n = 16
-    idx = K.counter_indices_numpy(777, 0, 160000, n)
-    counts = np.bincount(idx, minlength=n)
-    assert counts.min() > 0.9 * 10000
-    assert counts.max() < 1.1 * 10000
-
-
-@needs_numba
-def test_counter_indices_backend_parity():
-    for seed in (0, 1, 2**63, 2**64 - 1):
-        a = K.counter_indices_numpy(seed, 3, 1000, 101)
-        b = K.counter_indices_numba(seed, 3, 1000, 101)
-        assert np.array_equal(a, b)
+def _replicate_tables(pairs, n_rep, seed):
+    # the draw effect_estimate makes, rebuilt from its documented seed
+    c = paired_counts(pairs)
+    n = c.n_pairs
+    cells = np.array([c.n11, c.n10, c.n01, c.n00]) / n
+    return np.random.default_rng(derive_seed(seed, "boot")).multinomial(n, cells, size=n_rep)
 
 
 def test_bootstrap_counts_consistency():
     rng = np.random.default_rng(0)
-    o_t, o_c = _random_outcomes(rng, 500)
-    n11, n10, n01 = K.bootstrap_paired_counts_numpy(o_t, o_c, 200, 42)
-    assert (n11 >= 0).all() and (n10 >= 0).all() and (n01 >= 0).all()
-    assert (n11 + n10 + n01 <= 500).all()
+    pairs = pairs_from_outcomes(*_random_outcomes(rng, 500))
+    tables = _replicate_tables(pairs, 200, 42)
+    assert tables.shape == (200, 4)
+    assert (tables >= 0).all()
+    assert (tables.sum(axis=1) == 500).all()
+    rd_vals = (tables[:, 1] - tables[:, 2]) / 500
+    est = effect_estimate(pairs, n_rep=200, seed=42)
+    assert rd_vals.min() <= est.ci_rd[0] <= est.ci_rd[1] <= rd_vals.max()
 
 
 def test_bootstrap_counts_brute_force_first_replicate():
-    # replicate 0 must equal the directly reconstructed resample
+    # replicate 0 must equal the estimate computed on its resample written out
+    # pair by pair, and must not depend on how many replicates are drawn
     rng = np.random.default_rng(3)
-    o_t, o_c = _random_outcomes(rng, 97)
-    n11, n10, n01 = K.bootstrap_paired_counts_numpy(o_t, o_c, 1, 9)
-    j = K.counter_indices_numpy(9, 0, 97, 97)
-    tj = o_t[j].astype(int)
-    cj = o_c[j].astype(int)
-    assert n11[0] == int((tj & cj).sum())
-    assert n10[0] == int(tj.sum()) - n11[0]
-    assert n01[0] == int(cj.sum()) - n11[0]
-
-
-@needs_numba
-def test_bootstrap_backend_parity():
-    rng = np.random.default_rng(5)
-    o_t, o_c = _random_outcomes(rng, 1234)
-    a = K.bootstrap_paired_counts_numpy(o_t, o_c, 100, 2024)
-    b = K.bootstrap_paired_counts_numba(o_t, o_c, 100, 2024)
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
-
-
-def _random_strata(rng, n_strata, relative=True):
-    t_pop, c_pop = [], []
-    t_start = [0]
-    c_start = [0]
-    for _ in range(n_strata):
-        nt = int(rng.integers(0, 6))
-        nc = int(rng.integers(0, 8))
-        t_pop.extend(rng.random(nt).round(2))
-        c_pop.extend(rng.random(nc).round(2))
-        t_start.append(len(t_pop))
-        c_start.append(len(c_pop))
-    return (
-        np.asarray(t_start, np.int64),
-        np.asarray(c_start, np.int64),
-        np.asarray(t_pop, np.float64),
-        np.asarray(c_pop, np.float64),
-    )
-
-
-def _match_oracle(t_start, c_start, t_pop, c_pop, caliper, relative):
-    # independent greedy reimplementation in plain python
-    out = [-1] * len(t_pop)
-    used = set()
-    for s in range(len(t_start) - 1):
-        for i in range(t_start[s], t_start[s + 1]):
-            pt = t_pop[i]
-            best, bestd = -1, float("inf")
-            for j in range(c_start[s], c_start[s + 1]):
-                if j in used:
-                    continue
-                d = abs(pt - c_pop[j])
-                m = max(pt, c_pop[j])
-                if relative:
-                    if m > 0:
-                        if d / m > caliper:
-                            continue
-                    elif d != 0:
-                        continue
-                elif d > caliper:
-                    continue
-                if d < bestd:
-                    bestd, best = d, j
-            if best >= 0:
-                used.add(best)
-                out[i] = best
-    return np.asarray(out, np.int64)
-
-
-@pytest.mark.parametrize("relative", [True, False])
-def test_match_kernel_against_oracle(relative):
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        t_start, c_start, t_pop, c_pop = _random_strata(rng, 8)
-        got = K.greedy_caliper_match_numpy(t_start, c_start, t_pop, c_pop, 0.3, relative)
-        want = _match_oracle(t_start, c_start, t_pop, c_pop, 0.3, relative)
-        assert np.array_equal(got, want)
-
-
-def test_match_no_reuse_and_caliper():
-    rng = np.random.default_rng(13)
-    t_start, c_start, t_pop, c_pop = _random_strata(rng, 30)
-    got = K.greedy_caliper_match_numpy(t_start, c_start, t_pop, c_pop, 0.1, True)
-    taken = got[got >= 0]
-    assert len(set(taken.tolist())) == len(taken)
-    for i, j in enumerate(got):
-        if j >= 0:
-            d = abs(t_pop[i] - c_pop[j])
-            m = max(t_pop[i], c_pop[j])
-            assert (m > 0 and d / m <= 0.1) or (m == 0 and d == 0)
-
-
-@needs_numba
-def test_match_backend_parity():
-    rng = np.random.default_rng(17)
-    for caliper, relative in [(0.1, True), (0.25, True), (0.05, False)]:
-        t_start, c_start, t_pop, c_pop = _random_strata(rng, 40)
-        a = K.greedy_caliper_match_numpy(t_start, c_start, t_pop, c_pop, caliper, relative)
-        b = K.greedy_caliper_match_numba(t_start, c_start, t_pop, c_pop, caliper, relative)
-        assert np.array_equal(a, b)
-
-
-def _split_oracle(x, y):
-    # exhaustive scan with exact fractions
-    from fractions import Fraction
-
-    n = len(x)
-    best, besti = None, -1
-    for i in range(n - 1):
-        if not x[i] < x[i + 1]:
-            continue
-        l = list(y[: i + 1])
-        r = list(y[i + 1 :])
-        l1, l0 = sum(l), len(l) - sum(l)
-        r1, r0 = sum(r), len(r) - sum(r)
-        score = Fraction(l1 * l1 + l0 * l0, len(l)) + Fraction(r1 * r1 + r0 * r0, len(r))
-        if best is None or score > best:
-            best, besti = score, i
-    return besti
-
-
-def test_best_split_matches_exact_oracle():
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        n = int(rng.integers(2, 40))
-        x = np.sort(rng.integers(0, 10, n).astype(np.float64))
-        y = rng.integers(0, 2, n).astype(np.int8)
-        score, i = K.best_split_numpy(x, y)
-        want = _split_oracle(x.tolist(), y.tolist())
-        if want == -1:
-            assert i == -1
-        else:
-            # float scoring may tie where fractions differ imperceptibly;
-            # integer arithmetic keeps them exact, so indices must agree
-            assert i == want
-
-
-def test_best_split_trivial_cases():
-    x = np.array([1.0, 1.0, 1.0])
-    y = np.array([0, 1, 0], np.int8)
-    score, i = K.best_split_numpy(x, y)
-    assert i == -1
-    x = np.array([0.0, 1.0])
-    y = np.array([0, 1], np.int8)
-    score, i = K.best_split_numpy(x, y)
-    assert i == 0 and score == 2.0
-
-
-@needs_numba
-def test_best_split_backend_parity():
-    rng = np.random.default_rng(29)
-    for _ in range(100):
-        n = int(rng.integers(2, 200))
-        if rng.random() < 0.5:
-            x = np.sort(np.repeat(rng.random((n + 2) // 3), 3))[:n]
-        else:
-            x = np.sort(rng.random(n))
-        y = rng.integers(0, 2, n).astype(np.int8)
-        a = K.best_split_numpy(x, y)
-        b = K.best_split_numba(x, y)
-        assert a[1] == b[1]
-        if a[1] != -1:
-            assert a[0] == b[0]
+    pairs = pairs_from_outcomes(*_random_outcomes(rng, 97))
+    n11, n10, n01, n00 = _replicate_tables(pairs, 1, 9)[0]
+    assert np.array_equal(_replicate_tables(pairs, 50, 9)[0], [n11, n10, n01, n00])
+    o_t = [1] * n11 + [1] * n10 + [0] * n01 + [0] * n00
+    o_c = [1] * n11 + [0] * n10 + [1] * n01 + [0] * n00
+    resample = paired_counts(pairs_from_outcomes(o_t, o_c))
+    assert (resample.n11, resample.n10, resample.n01, resample.n00) == (n11, n10, n01, n00)
+    est = effect_estimate(pairs, n_rep=1, seed=9)
+    rd0 = risk_difference(resample)
+    assert est.ci_rd == pytest.approx((rd0, rd0), abs=1e-12)
+    rr0 = risk_ratio(resample)
+    assert rr0 is not None and est.ci_rr == pytest.approx((rr0, rr0), abs=1e-12)
+    assert est.se_rd is None

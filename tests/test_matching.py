@@ -13,6 +13,7 @@ from copycart.errors import NoPairsError
 from copycart.matching import (
     AdjustmentSpec,
     MatchedPairSet,
+    _greedy_caliper_match,
     balance_report,
     build_matched_pairs,
     smd,
@@ -376,3 +377,77 @@ def test_exclude_own_transactions_uses_leave_dyad_out_popularity():
     )
     assert loo.n == 1
     assert loo.pop_t[0] == loo.pop_c[0] == pytest.approx(0.5)
+
+
+# -- greedy matcher against a brute-force oracle ------------------------------
+
+
+def _random_strata(rng, n_strata):
+    t_pop, c_pop = [], []
+    t_start = [0]
+    c_start = [0]
+    for _ in range(n_strata):
+        nt = int(rng.integers(0, 6))
+        nc = int(rng.integers(0, 8))
+        t_pop.extend(rng.random(nt).round(2))
+        c_pop.extend(rng.random(nc).round(2))
+        t_start.append(len(t_pop))
+        c_start.append(len(c_pop))
+    return (
+        np.asarray(t_start, np.int64),
+        np.asarray(c_start, np.int64),
+        np.asarray(t_pop, np.float64),
+        np.asarray(c_pop, np.float64),
+    )
+
+
+def _match_oracle(t_start, c_start, t_pop, c_pop, caliper, relative):
+    # independent greedy reimplementation in plain python
+    out = [-1] * len(t_pop)
+    used = set()
+    for s in range(len(t_start) - 1):
+        for i in range(t_start[s], t_start[s + 1]):
+            pt = t_pop[i]
+            best, bestd = -1, float("inf")
+            for j in range(c_start[s], c_start[s + 1]):
+                if j in used:
+                    continue
+                d = abs(pt - c_pop[j])
+                m = max(pt, c_pop[j])
+                if relative:
+                    if m > 0:
+                        if d / m > caliper:
+                            continue
+                    elif d != 0:
+                        continue
+                elif d > caliper:
+                    continue
+                if d < bestd:
+                    bestd, best = d, j
+            if best >= 0:
+                used.add(best)
+                out[i] = best
+    return np.asarray(out, np.int64)
+
+
+@pytest.mark.parametrize("relative", [True, False])
+def test_greedy_match_against_oracle(relative):
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        t_start, c_start, t_pop, c_pop = _random_strata(rng, 8)
+        got = _greedy_caliper_match(t_start, c_start, t_pop, c_pop, 0.3, relative)
+        want = _match_oracle(t_start, c_start, t_pop, c_pop, 0.3, relative)
+        assert np.array_equal(got, want)
+
+
+def test_greedy_match_no_reuse_and_caliper():
+    rng = np.random.default_rng(13)
+    t_start, c_start, t_pop, c_pop = _random_strata(rng, 30)
+    got = _greedy_caliper_match(t_start, c_start, t_pop, c_pop, 0.1, True)
+    taken = got[got >= 0]
+    assert len(set(taken.tolist())) == len(taken)
+    for i, j in enumerate(got):
+        if j >= 0:
+            d = abs(t_pop[i] - c_pop[j])
+            m = max(t_pop[i], c_pop[j])
+            assert (m > 0 and d / m <= 0.1) or (m == 0 and d == 0)
