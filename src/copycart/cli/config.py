@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -12,6 +13,10 @@ import yaml
 from ..errors import ConfigError
 from ..estimate import GROUPINGS
 from ..matching import AdjustmentSpec
+
+
+_INTEGER_FIELDS = ("max_gap_s", "min_pair_count", "n_boot", "min_stratum", "threads")
+_NUMBER_FIELDS = ("min_fraction", "alpha")
 
 
 def _default_adjustment() -> AdjustmentSpec:
@@ -52,9 +57,20 @@ class RunConfig:
     def __post_init__(self):
         if self.seed is None:
             raise ConfigError("seed is mandatory; there is no wall-clock default")
-        self.seed = int(self.seed)
+        try:
+            self.seed = int(self.seed)
+        except (TypeError, ValueError):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}") from None
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must be a u64")
+        for names, kind, what in (
+            (_INTEGER_FIELDS, numbers.Integral, "an integer"),
+            (_NUMBER_FIELDS, numbers.Real, "a number"),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ConfigError(f"{name} must be {what}, got {value!r}")
         if self.n_boot < 1:
             raise ConfigError("n_boot must be positive")
         if not (0.0 < self.alpha < 1.0):
@@ -65,12 +81,19 @@ class RunConfig:
             raise ConfigError("min_pair_count must be positive")
         if self.threads < 1:
             raise ConfigError("threads must be positive")
+        if not isinstance(self.subgroups, (list, tuple)):
+            raise ConfigError(f"subgroups must be a list, got {self.subgroups!r}")
         self.subgroups = tuple(self.subgroups)
         for g in self.subgroups:
             if g not in GROUPINGS:
                 raise ConfigError(f"unknown subgroup {g!r}; choose from {GROUPINGS}")
         if isinstance(self.adjustment, dict):
-            self.adjustment = AdjustmentSpec(**self.adjustment)
+            try:
+                self.adjustment = AdjustmentSpec(**self.adjustment)
+            except (TypeError, ValueError) as err:
+                raise ConfigError(f"adjustment: {err}") from None
+        elif not isinstance(self.adjustment, AdjustmentSpec):
+            raise ConfigError(f"adjustment must be a mapping, got {self.adjustment!r}")
 
     def validate_paths(self) -> None:
         for name in ("transactions", "catalog", "demographics"):
@@ -110,8 +133,6 @@ class RunConfig:
                     if k not in sections[key]:
                         raise ConfigError(f"unknown key {k!r} in config section {key!r}")
                     flat[k] = v
-            elif key == "adjustment":
-                flat["adjustment"] = AdjustmentSpec(**value)
             elif key in known:
                 flat[key] = value
             else:

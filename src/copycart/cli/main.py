@@ -3,6 +3,9 @@
 `copycart run` executes the whole pipeline; the other subcommands rerun one
 stage from the dumps a previous stage left in the output directory, which
 keeps long analyses resumable and lets any stage be reproduced in isolation.
+Each subcommand calls the same stage function in `pipeline.py` that `run`
+does.  An analysis that `run` records as a status (no discordant pairs, too
+few delay bins or repeat encounters) fails the subcommand instead.
 Exit codes: 0 success, 1 module error, 2 usage error, 3 balance gate failed.
 """
 
@@ -16,19 +19,14 @@ import sys
 
 import click
 
-from .. import baseline as B
-from .. import estimate as E
-from .. import sensitivity as S
-from ..context import compute_context
-from ..dyads import DyadSet, extract_dyads, filter_frequent_pairs, reconstruct_queues, select_additions
+from ..dyads import DyadSet
 from ..errors import CopycartError
-from ..infer import feature_matrix, train_status_model, write_predictions_csv
-from ..matching import MatchedPairSet, build_matched_pairs
+from ..estimate import paired_counts
+from ..matching import MatchedPairSet
 from ..model import serialize_transactions
 from ..sim import SimulationConfig, simulate, write_simulation
-from .._util import derive_seed
+from . import pipeline
 from .config import ConfigError, RunConfig, load_yaml
-from .pipeline import ingest_inputs, run_pipeline
 from .plots import emit_plots
 
 EXIT_BALANCE = 3
@@ -84,13 +82,8 @@ def _run_config(ctx, **extra) -> RunConfig:
         raise _fail(err) from err
 
 
-def _stage_inputs(cfg: RunConfig):
-    cfg.validate_paths()
-    return ingest_inputs(cfg)
-
-
 def _load_dyads(cfg: RunConfig, log) -> DyadSet:
-    path = os.path.join(cfg.out, "dyads.csv")
+    path = os.path.join(cfg.out, pipeline.DUMPS["dyads"])
     if not os.path.exists(path):
         raise click.ClickException(f"missing stage dump {path}; run `copycart dyads` first")
     return DyadSet.from_csv(path, log)
@@ -99,7 +92,7 @@ def _load_dyads(cfg: RunConfig, log) -> DyadSet:
 def _load_pairs(cfg: RunConfig, log, items) -> dict:
     dyads = _load_dyads(cfg, log)
     out = {}
-    for path in sorted(glob.glob(os.path.join(cfg.out, "matched_pairs", "*.csv"))):
+    for path in sorted(glob.glob(os.path.join(cfg.out, pipeline.DUMPS["pairs_dir"], "*.csv"))):
         out.update(MatchedPairSet.from_csv(path, dyads))
     if items:
         missing = [i for i in items if i not in out]
@@ -151,7 +144,7 @@ def simulate_cmd(ctx, sim_config, assignments):
 def ingest(ctx):
     """Parse and validate the transaction log; write the canonical dump."""
     cfg = _run_config(ctx)
-    log, _catalog, _demo = _stage_inputs(cfg)
+    log, _catalog, _demo = pipeline.ingest_inputs(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     dest = os.path.join(cfg.out, "transactions.csv")
     serialize_transactions(log, dest)
@@ -167,28 +160,15 @@ def ingest(ctx):
 def dyads(ctx):
     """Extract adjacent-transaction dyads and keep recurring pairs."""
     cfg = _run_config(ctx)
-    log, catalog, _demo = _stage_inputs(cfg)
-    os.makedirs(cfg.out, exist_ok=True)
-    ctx_stats = compute_context(log, catalog)
-    ctx_stats.to_csv(os.path.join(cfg.out, "context.csv"))
-    raw = extract_dyads(reconstruct_queues(log), max_gap_s=cfg.max_gap_s,
-                        require_anchor=cfg.require_anchor)
-    kept = filter_frequent_pairs(raw, cfg.min_pair_count)
-    kept.to_csv(os.path.join(cfg.out, "dyads.csv"))
-    click.echo(f"dyads_raw: {raw.n}")
+    log, catalog, _demo = pipeline.ingest_inputs(cfg)
+    _ctx, n_raw, kept = pipeline.dyad_stage(log, catalog, cfg)
+    click.echo(f"dyads_raw: {n_raw}")
     click.echo(f"dyads_kept: {kept.n}")
 
 
 def _item_option(fn):
     return click.option("--item", "items", multiple=True,
                         help="Focus item key; repeatable. Default: every selected item.")(fn)
-
-
-def _selected_items(cfg, dyads_set, catalog, items):
-    if items:
-        return sorted(items)
-    per = select_additions(dyads_set, catalog, cfg.min_fraction)
-    return sorted({i for lst in per.values() for i in lst})
 
 
 @main.command()
@@ -198,17 +178,15 @@ def _selected_items(cfg, dyads_set, catalog, items):
 def match(ctx, items):
     """Build matched treated/control pairs for each focus item."""
     cfg = _run_config(ctx)
-    log, catalog, _demo = _stage_inputs(cfg)
-    ctx_stats = compute_context(log, catalog)
+    log, catalog, _demo = pipeline.ingest_inputs(cfg)
+    ctx_stats = pipeline.context_stage(log, catalog)
     dyads_set = _load_dyads(cfg, log)
-    pair_dir = os.path.join(cfg.out, "matched_pairs")
-    os.makedirs(pair_dir, exist_ok=True)
-    for item in _selected_items(cfg, dyads_set, catalog, items):
-        pairs = build_matched_pairs(dyads_set, item, ctx_stats, cfg.adjustment)
+    os.makedirs(os.path.join(cfg.out, pipeline.DUMPS["pairs_dir"]), exist_ok=True)
+    for item in pipeline.select_items(dyads_set, catalog, cfg, items):
+        pairs = pipeline.match_item(dyads_set, item, ctx_stats, cfg)
         if pairs.n == 0:
             click.echo(f"{item}: no_pairs")
             continue
-        pairs.to_csv(os.path.join(pair_dir, f"{item}.csv"))
         click.echo(f"{item}: {pairs.n} pairs ({pairs.n_unmatched} unmatched treated)")
 
 
@@ -219,10 +197,9 @@ def match(ctx, items):
 def estimate(ctx, items):
     """Matched-pair effect estimates from dumped pairs."""
     cfg = _run_config(ctx)
-    log, _catalog, _demo = _stage_inputs(cfg)
+    log, _catalog, _demo = pipeline.ingest_inputs(cfg)
     for item, pairs in sorted(_load_pairs(cfg, log, items).items()):
-        est = E.effect_estimate(pairs, cfg.n_boot, int(derive_seed(cfg.seed, "item", item)))
-        _echo_json(est.to_dict())
+        _echo_json(pipeline.item_effect(pairs, item, cfg).to_dict())
 
 
 @main.command()
@@ -232,18 +209,11 @@ def estimate(ctx, items):
 def baseline(ctx, items):
     """Re-estimate after shuffling partners within comparable queues."""
     cfg = _run_config(ctx)
-    log, catalog, _demo = _stage_inputs(cfg)
-    ctx_stats = compute_context(log, catalog)
+    log, catalog, _demo = pipeline.ingest_inputs(cfg)
+    ctx_stats = pipeline.context_stage(log, catalog)
     dyads_set = _load_dyads(cfg, log)
-    for item in _selected_items(cfg, dyads_set, catalog, items):
-        rnd = B.randomize_partners(dyads_set, int(derive_seed(cfg.seed, "item", item, "shuffle")))
-        pairs = build_matched_pairs(rnd, item, ctx_stats, cfg.adjustment)
-        if pairs.n == 0:
-            _echo_json({"item": item, "status": "no_pairs"})
-            continue
-        est = E.effect_estimate(pairs, cfg.n_boot,
-                                int(derive_seed(cfg.seed, "item", item, "baseline")))
-        _echo_json(est.to_dict(stratum="baseline"))
+    for item in pipeline.select_items(dyads_set, catalog, cfg, items):
+        _echo_json({"item": item, **pipeline.item_baseline(dyads_set, item, ctx_stats, cfg)})
 
 
 @main.command()
@@ -253,9 +223,9 @@ def baseline(ctx, items):
 def sensitivity(ctx, items):
     """Hidden-bias severity needed to overturn each significant estimate."""
     cfg = _run_config(ctx)
-    log, _catalog, _demo = _stage_inputs(cfg)
+    log, _catalog, _demo = pipeline.ingest_inputs(cfg)
     for item, pairs in sorted(_load_pairs(cfg, log, items).items()):
-        _echo_json(S.sensitivity_result(E.paired_counts(pairs), cfg.alpha, item).to_dict())
+        _echo_json(pipeline.item_sensitivity(paired_counts(pairs), item, cfg))
 
 
 @main.command()
@@ -265,11 +235,9 @@ def sensitivity(ctx, items):
 def dose(ctx, items):
     """Effect by partner-to-focal delay bin, with the fitted trend."""
     cfg = _run_config(ctx)
-    log, _catalog, _demo = _stage_inputs(cfg)
+    log, _catalog, _demo = pipeline.ingest_inputs(cfg)
     for item, pairs in sorted(_load_pairs(cfg, log, items).items()):
-        res = E.dose_response(pairs, n_rep=cfg.n_boot,
-                              seed=int(derive_seed(cfg.seed, "item", item, "dose")))
-        _echo_json(res.to_dict())
+        _echo_json(pipeline.item_dose(pairs, item, cfg))
 
 
 @main.command()
@@ -279,12 +247,10 @@ def dose(ctx, items):
 def coordinate(ctx, items):
     """Compare focal uptake when the pair leader orders first versus second."""
     cfg = _run_config(ctx)
-    log, catalog, _demo = _stage_inputs(cfg)
+    log, catalog, _demo = pipeline.ingest_inputs(cfg)
     dyads_set = _load_dyads(cfg, log)
-    for item in _selected_items(cfg, dyads_set, catalog, items):
-        res = B.coordination_test(dyads_set, item,
-                                  seed=int(derive_seed(cfg.seed, "item", item, "coordination")))
-        _echo_json(res.to_dict())
+    for item in pipeline.select_items(dyads_set, catalog, cfg, items):
+        _echo_json(pipeline.item_coordination(dyads_set, item, cfg))
 
 
 @main.command("infer-status")
@@ -293,27 +259,12 @@ def coordinate(ctx, items):
 def infer_status(ctx):
     """Train the status classifier and predict unlabeled persons."""
     cfg = _run_config(ctx)
-    log, _catalog, demo = _stage_inputs(cfg)
+    log, _catalog, demo = pipeline.ingest_inputs(cfg)
     if demo is None:
         raise click.ClickException("infer-status needs a demographics input")
-    in_log = set(log.persons)
-    labeled = [r.person_id for r in demo.records()
-               if r.status in ("student", "staff") and r.person_id in in_log]
-    ids, X = feature_matrix(log, labeled)
-    model = train_status_model(X, [demo.status_of(p) for p in ids],
-                               seed=int(derive_seed(cfg.seed, "infer")))
-    unknown = [p for p in log.persons if demo.status_of(p) is None]
-    os.makedirs(cfg.out, exist_ok=True)
-    dest = os.path.join(cfg.out, "predictions.csv")
-    if unknown:
-        u_ids, u_X = feature_matrix(log, unknown)
-        labels, conf = model.predict(u_X)
-        write_predictions_csv(dest, list(u_ids), list(labels), conf.tolist())
-    else:
-        write_predictions_csv(dest, [], [], [])
-    _echo_json({"classes": model.classes, "metrics": model.metrics,
-                "n_labeled": len(ids), "n_predicted": len(unknown)})
-    click.echo(f"predictions: {dest}")
+    _demo, summary = pipeline._status_stage(log, cfg, demo)
+    _echo_json(summary)
+    click.echo(f"predictions: {os.path.join(cfg.out, pipeline.DUMPS['predictions'])}")
 
 
 @main.command()
@@ -322,7 +273,7 @@ def infer_status(ctx):
 def run(ctx):
     """Execute every stage and write the full report."""
     cfg = _run_config(ctx)
-    report = run_pipeline(cfg)
+    report = pipeline.run_pipeline(cfg)
     click.echo(f"results: {report.paths['results']}")
     for it in report.results["items"]:
         if it["status"] != "ok":

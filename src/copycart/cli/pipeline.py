@@ -1,9 +1,11 @@
 """Full analysis pipeline: ingest through results.json, CSVs, and plots.
 
-Every stage writes its intermediate dump so any sub-stage can be rerun from
-disk and reproduce downstream outputs byte for byte.  All randomness derives
-from the single config seed and the analysis's name, never from scheduling,
-so per-item threads cannot change any number.
+Each stage and each per-item analysis is one function here.  `run_pipeline`
+chains them, and every staged subcommand in `main.py` calls the same function
+on the dumps an earlier stage wrote, so a staged rerun reproduces a run byte
+for byte.  All randomness derives from the single config seed and the
+analysis's name, never from scheduling, so per-item threads cannot change any
+number.
 """
 
 from __future__ import annotations
@@ -23,27 +25,32 @@ import numpy as np
 from .. import baseline as B
 from .. import estimate as E
 from .. import sensitivity as S
-from ..context import compute_context
-from ..dyads import extract_dyads, filter_frequent_pairs, reconstruct_queues, select_additions
+from ..context import ContextStats, compute_context
+from ..dyads import DyadSet, extract_dyads, filter_frequent_pairs, reconstruct_queues, select_additions
 from ..errors import (
     InsufficientBinsError,
     InsufficientDataError,
     NoPairsError,
 )
 from ..infer import feature_matrix, train_status_model, write_predictions_csv
-from ..matching import balance_report, build_matched_pairs
-from ..model import (
-    Demographics,
-    ItemCatalog,
-    PersonRecord,
-    TransactionLog,
-    parse_transactions,
-)
+from ..matching import MatchedPairSet, balance_report, build_matched_pairs
+from ..model import Demographics, ItemCatalog, TransactionLog, parse_transactions
 from .._util import derive_seed
 from .config import RunConfig
 from .plots import emit_plots
 
 RESULTS_VERSION = 1
+
+# what a run writes under --out; the staged subcommands read the dumps back
+DUMPS = {
+    "results": "results.json",
+    "estimates": "estimates.csv",
+    "context": "context.csv",
+    "dyads": "dyads.csv",
+    "pairs_dir": "matched_pairs",
+    "plots_dir": "plots",
+    "predictions": "predictions.csv",
+}
 
 
 def _jsonable(value):
@@ -66,14 +73,50 @@ def load_schema() -> dict:
 
 
 def ingest_inputs(cfg: RunConfig) -> tuple[TransactionLog, ItemCatalog, Optional[Demographics]]:
+    cfg.validate_paths()
     catalog = ItemCatalog.from_csv(cfg.catalog)
     log = parse_transactions(cfg.transactions, catalog)
     demo = Demographics.from_csv(cfg.demographics) if cfg.demographics else None
     return log, catalog, demo
 
 
-def _status_stage(log, cfg: RunConfig, demo: Demographics):
-    """Train on labeled student/staff persons, predict the rest.
+def context_stage(
+    log: TransactionLog, catalog: ItemCatalog, cfg: Optional[RunConfig] = None
+) -> ContextStats:
+    """Per-cell popularity and availability; written to context.csv when `cfg` is given."""
+    ctx = compute_context(log, catalog)
+    if cfg is not None:
+        ctx.to_csv(os.path.join(cfg.out, DUMPS["context"]))
+    return ctx
+
+
+def dyad_stage(
+    log: TransactionLog, catalog: ItemCatalog, cfg: RunConfig
+) -> tuple[ContextStats, int, DyadSet]:
+    """Context, queues and dyads; writes context.csv and dyads.csv.
+
+    Returns (context, raw dyad count, dyads kept by the frequent-pair filter).
+    """
+    os.makedirs(cfg.out, exist_ok=True)
+    ctx = context_stage(log, catalog, cfg)
+    raw = extract_dyads(
+        reconstruct_queues(log), max_gap_s=cfg.max_gap_s, require_anchor=cfg.require_anchor
+    )
+    dyads = filter_frequent_pairs(raw, cfg.min_pair_count)
+    dyads.to_csv(os.path.join(cfg.out, DUMPS["dyads"]))
+    return ctx, raw.n, dyads
+
+
+def select_items(dyads: DyadSet, catalog: ItemCatalog, cfg: RunConfig, items=()) -> list[str]:
+    """The focus items: `items` when given, else every selected addition item."""
+    if items:
+        return sorted(items)
+    per_daypart = select_additions(dyads, catalog, cfg.min_fraction)
+    return sorted({i for lst in per_daypart.values() for i in lst})
+
+
+def _status_stage(log, cfg: RunConfig, demo: Demographics) -> tuple[Demographics, dict]:
+    """Train on labeled student/staff persons, predict the rest; writes predictions.csv.
 
     Predicted labels fill only missing statuses; persons labeled with a
     non-studied status keep their label.
@@ -89,43 +132,70 @@ def _status_stage(log, cfg: RunConfig, demo: Demographics):
         X, [demo.status_of(p) for p in ids], seed=int(derive_seed(cfg.seed, "infer"))
     )
     unknown = [p for p in log.persons if demo.status_of(p) is None]
-    predictions = ([], [], [])
-    overrides = {}
+    u_ids, labels, conf = [], [], []
     if unknown:
         u_ids, u_X = feature_matrix(log, unknown)
         labels, conf = model.predict(u_X)
-        predictions = (list(u_ids), list(labels), conf.tolist())
-        overrides = dict(zip(u_ids, labels))
-    records = []
-    for r in demo.records():
-        records.append(r)
-    known_ids = {r.person_id for r in records}
-    merged = [
-        r
-        if r.status is not None or r.person_id not in overrides
-        else PersonRecord(r.person_id, r.gender, overrides[r.person_id], r.birth_year)
-        for r in records
-    ]
-    merged += [
-        PersonRecord(pid, None, overrides[pid], None)
-        for pid in sorted(set(overrides) - known_ids)
-    ]
+    os.makedirs(cfg.out, exist_ok=True)
+    write_predictions_csv(os.path.join(cfg.out, DUMPS["predictions"]), u_ids, labels, conf)
     summary = {
         "classes": model.classes,
         "metrics": model.metrics,
         "n_labeled": len(ids),
-        "n_predicted": len(predictions[0]),
+        "n_predicted": len(u_ids),
     }
-    return Demographics(merged), summary, predictions, model
+    return demo.with_status_overrides(dict(zip(u_ids, labels))), summary
 
 
-def _analyze_item(item, dyads, ctx, demo, cfg: RunConfig) -> tuple[dict, object]:
-    """All enabled analyses for one focus item; returns (report, pairs)."""
-    seed = cfg.seed
+# Per-item analyses. Each derives its own seed from the run seed and the
+# item, so `run` and the staged subcommands draw the same numbers.
+
+
+def match_item(dyads: DyadSet, item: str, ctx: ContextStats, cfg: RunConfig) -> MatchedPairSet:
+    """Matched pairs for one focus item, dumped to matched_pairs/<item>.csv when any."""
     pairs = build_matched_pairs(dyads, item, ctx, cfg.adjustment)
+    if pairs.n:
+        pairs.to_csv(os.path.join(cfg.out, DUMPS["pairs_dir"], f"{item}.csv"))
+    return pairs
+
+
+def item_effect(pairs: MatchedPairSet, item: str, cfg: RunConfig) -> E.EffectEstimate:
+    return E.effect_estimate(pairs, cfg.n_boot, int(derive_seed(cfg.seed, "item", item)))
+
+
+def item_baseline(dyads: DyadSet, item: str, ctx: ContextStats, cfg: RunConfig) -> dict:
+    """Effect after shuffling partners within comparable queues."""
+    rnd = B.randomize_partners(dyads, int(derive_seed(cfg.seed, "item", item, "shuffle")))
+    pairs = build_matched_pairs(rnd, item, ctx, cfg.adjustment)
     if pairs.n == 0:
-        return {"item": item, "status": "no_pairs", "n_treated_total": pairs.n_treated_total}, None
-    est = E.effect_estimate(pairs, cfg.n_boot, int(derive_seed(seed, "item", item)))
+        return {"status": "no_pairs"}
+    est = E.effect_estimate(pairs, cfg.n_boot, int(derive_seed(cfg.seed, "item", item, "baseline")))
+    return est.to_dict(stratum="baseline")
+
+
+def item_sensitivity(counts: E.PairedCounts, item: str, cfg: RunConfig) -> dict:
+    return S.sensitivity_result(counts, cfg.alpha, item).to_dict()
+
+
+def item_dose(pairs: MatchedPairSet, item: str, cfg: RunConfig) -> dict:
+    seed = int(derive_seed(cfg.seed, "item", item, "dose"))
+    return E.dose_response(pairs, n_rep=cfg.n_boot, seed=seed).to_dict()
+
+
+def item_coordination(dyads: DyadSet, item: str, cfg: RunConfig) -> dict:
+    seed = int(derive_seed(cfg.seed, "item", item, "coordination"))
+    return B.coordination_test(dyads, item, seed=seed).to_dict()
+
+
+def _analyze_item(item, dyads, ctx, demo, cfg: RunConfig) -> dict:
+    """All enabled analyses for one focus item.
+
+    An analysis that cannot run records its status instead of failing the run.
+    """
+    pairs = match_item(dyads, item, ctx, cfg)
+    if pairs.n == 0:
+        return {"item": item, "status": "no_pairs", "n_treated_total": pairs.n_treated_total}
+    est = item_effect(pairs, item, cfg)
     report = {
         "item": item,
         "status": "ok",
@@ -141,32 +211,20 @@ def _analyze_item(item, dyads, ctx, demo, cfg: RunConfig) -> tuple[dict, object]
         "subgroups": None,
     }
     if cfg.baseline:
-        rnd = B.randomize_partners(dyads, int(derive_seed(seed, "item", item, "shuffle")))
-        rnd_pairs = build_matched_pairs(rnd, item, ctx, cfg.adjustment)
-        if rnd_pairs.n == 0:
-            report["baseline"] = {"status": "no_pairs"}
-        else:
-            b_est = E.effect_estimate(
-                rnd_pairs, cfg.n_boot, int(derive_seed(seed, "item", item, "baseline"))
-            )
-            report["baseline"] = b_est.to_dict(stratum="baseline")
+        report["baseline"] = item_baseline(dyads, item, ctx, cfg)
     if cfg.sensitivity:
         try:
-            report["sensitivity"] = S.sensitivity_result(est.counts, cfg.alpha, item).to_dict()
+            report["sensitivity"] = item_sensitivity(est.counts, item, cfg)
         except NoPairsError:
             report["sensitivity"] = {"status": "no_discordant"}
     if cfg.dose_response:
         try:
-            report["dose_response"] = E.dose_response(
-                pairs, n_rep=cfg.n_boot, seed=int(derive_seed(seed, "item", item, "dose"))
-            ).to_dict()
+            report["dose_response"] = item_dose(pairs, item, cfg)
         except (NoPairsError, InsufficientBinsError) as err:
             report["dose_response"] = {"status": type(err).__name__, "detail": str(err)}
     if cfg.coordination:
         try:
-            report["coordination"] = B.coordination_test(
-                dyads, item, seed=int(derive_seed(seed, "item", item, "coordination"))
-            ).to_dict()
+            report["coordination"] = item_coordination(dyads, item, cfg)
         except InsufficientDataError as err:
             report["coordination"] = {"status": "insufficient_data", "detail": str(err)}
     if cfg.subgroups:
@@ -177,14 +235,14 @@ def _analyze_item(item, dyads, ctx, demo, cfg: RunConfig) -> tuple[dict, object]
                 grouping,
                 demographics=demo,
                 n_rep=cfg.n_boot,
-                seed=int(derive_seed(seed, "item", item, "subgroup")),
+                seed=int(derive_seed(cfg.seed, "item", item, "subgroup")),
                 min_pairs=cfg.min_stratum,
             )
             groups[grouping] = {
                 label: e.to_dict(stratum=f"{grouping}:{label}") for label, e in ests.items()
             }
         report["subgroups"] = groups
-    return report, pairs
+    return report
 
 
 def _write_estimates_csv(path, results: dict) -> None:
@@ -233,53 +291,26 @@ class RunReport:
 
 
 def run_pipeline(cfg: RunConfig) -> RunReport:
-    cfg.validate_paths()
-    os.makedirs(cfg.out, exist_ok=True)
-    paths = {k: os.path.join(cfg.out, v) for k, v in {
-        "results": "results.json",
-        "estimates": "estimates.csv",
-        "context": "context.csv",
-        "dyads": "dyads.csv",
-        "pairs_dir": "matched_pairs",
-        "plots_dir": "plots",
-        "predictions": "predictions.csv",
-    }.items()}
-
     log, catalog, demo = ingest_inputs(cfg)
-    ctx = compute_context(log, catalog)
-    ctx.to_csv(paths["context"])
-
-    raw = extract_dyads(
-        reconstruct_queues(log), max_gap_s=cfg.max_gap_s, require_anchor=cfg.require_anchor
-    )
-    dyads = filter_frequent_pairs(raw, cfg.min_pair_count)
-    dyads.to_csv(paths["dyads"])
+    paths = {k: os.path.join(cfg.out, v) for k, v in DUMPS.items()}
+    ctx, n_raw, dyads = dyad_stage(log, catalog, cfg)
 
     status_summary = None
     if cfg.infer_status:
-        demo, status_summary, predictions, _model = _status_stage(log, cfg, demo)
-        write_predictions_csv(paths["predictions"], *predictions)
+        demo, status_summary = _status_stage(log, cfg, demo)
 
-    per_daypart = select_additions(dyads, catalog, cfg.min_fraction)
-    items = sorted({i for lst in per_daypart.values() for i in lst})
+    items = select_items(dyads, catalog, cfg)
+    os.makedirs(paths["pairs_dir"], exist_ok=True)
 
     def job(item):
         return _analyze_item(item, dyads, ctx, demo, cfg)
 
     if cfg.threads > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            analyzed = list(pool.map(job, items))
+            item_reports = list(pool.map(job, items))
     else:
-        analyzed = [job(item) for item in items]
-
-    os.makedirs(paths["pairs_dir"], exist_ok=True)
-    item_reports = []
-    balance_ok = True
-    for (report, pairs), item in zip(analyzed, items):
-        item_reports.append(report)
-        if pairs is not None:
-            pairs.to_csv(os.path.join(paths["pairs_dir"], f"{item}.csv"))
-            balance_ok &= bool(report["balance"]["pass"])
+        item_reports = [job(item) for item in items]
+    balance_ok = all(r["balance"]["pass"] for r in item_reports if r["status"] == "ok")
 
     anchor = None
     if cfg.anchor_mimicry:
@@ -300,7 +331,7 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
         "counts": {
             "n_transactions": log.n,
             "n_persons": len(log.persons),
-            "n_dyads_raw": raw.n,
+            "n_dyads_raw": n_raw,
             "n_dyads": dyads.n,
             "n_rejected_records": log.report.n_rejected,
         },

@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import context as ctx
-from .errors import EmptyMatrixError, UndefinedPairError
+from .errors import EmptyMatrixError, IngestError, UndefinedPairError
 from .model import (
     DAYPART_BY_LABEL,
     Daypart,
@@ -193,8 +193,14 @@ class DyadSet:
             for row in reader:
                 if not row:
                     continue
-                partner.append(log.index_of(row[0]))
-                focal.append(log.index_of(row[1]))
+                try:
+                    partner.append(log.index_of(row[0]))
+                    focal.append(log.index_of(row[1]))
+                except KeyError as err:
+                    dump = getattr(source, "name", "dyad dump")
+                    raise IngestError(
+                        f"{dump} names tx id {err.args[0]!r}, which the transaction log lacks"
+                    ) from None
                 delay.append(int(row[6]))
             return cls(
                 log,

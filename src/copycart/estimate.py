@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import stdtr
 
 from ._util import derive_seed
 from .context import ContextStats
@@ -383,7 +383,7 @@ def ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
     if se == 0.0:
         return (slope, intercept, 1.0 if slope == 0.0 else 0.0, 0.0)
     t = slope / se
-    p = 2.0 * float(sps.t.sf(abs(t), n - 2))
+    p = 2.0 * float(stdtr(n - 2, -abs(t)))  # two-sided Student-t tail
     return (slope, intercept, p, se)
 
 

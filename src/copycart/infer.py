@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -29,26 +28,6 @@ FEATURE_NAMES = (
     + [f"hour_{h:02d}" for h in range(24)]
 )
 N_FEATURES = len(FEATURE_NAMES)  # 45
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    person_id: str
-    total_tx: int
-    years_active: float
-    month_dist: tuple
-    weekday_dist: tuple
-    hour_dist: tuple
-
-    def to_array(self) -> np.ndarray:
-        return np.concatenate(
-            (
-                [float(self.total_tx), self.years_active],
-                self.month_dist,
-                self.weekday_dist,
-                self.hour_dist,
-            )
-        )
 
 
 def feature_matrix(
@@ -78,19 +57,6 @@ def feature_matrix(
         X[r, 14:21] = np.bincount(weekday[rows], minlength=7) / n
         X[r, 21:45] = np.bincount(hour[rows], minlength=24) / n
     return list(person_ids), X
-
-
-def extract_features(log: TransactionLog, person_id: str) -> FeatureVector:
-    _, X = feature_matrix(log, [person_id])
-    row = X[0]
-    return FeatureVector(
-        person_id=person_id,
-        total_tx=int(row[0]),
-        years_active=float(row[1]),
-        month_dist=tuple(row[2:14]),
-        weekday_dist=tuple(row[14:21]),
-        hour_dist=tuple(row[21:45]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +296,6 @@ def train_status_model(
     y_pred = np.asarray([classes.index(l) for l in pred_labels], np.uint8)
     model.metrics = _per_class_metrics(y[test], y_pred, classes)
     return model
-
-
-def predict_status(model: StatusModel, features: Union[FeatureVector, np.ndarray]) -> tuple[str, float]:
-    if isinstance(features, FeatureVector):
-        features = features.to_array()
-    labels, conf = model.predict(np.asarray(features, np.float64).reshape(1, -1))
-    return labels[0], float(conf[0])
 
 
 def write_predictions_csv(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .context import ContextStats
 from .dyads import DyadSet
-from .errors import NoPairsError
+from .errors import IngestError, NoPairsError
 from .model import anchor_code_arrays, anchor_mask_arrays
 
 
@@ -171,6 +171,16 @@ class MatchedPairSet:
             where = {}
             for k in range(dyads.n):
                 where[(int(dyads.partner_i[k]), int(dyads.focal_i[k]))] = k
+
+            def dyad_at(partner_tx: str, focal_tx: str) -> int:
+                try:
+                    return where[(log.index_of(partner_tx), log.index_of(focal_tx))]
+                except KeyError:
+                    dump = getattr(source, "name", "matched-pair dump")
+                    raise IngestError(
+                        f"{dump} names dyad ({partner_tx}, {focal_tx}), which the dyad set lacks"
+                    ) from None
+
             reader = csv.reader(source)
             next(reader, None)
             rows: dict[str, list] = {}
@@ -178,8 +188,8 @@ class MatchedPairSet:
                 if not row:
                     continue
                 item = row[0]
-                t = where[(log.index_of(row[1]), log.index_of(row[2]))]
-                c = where[(log.index_of(row[3]), log.index_of(row[4]))]
+                t = dyad_at(row[1], row[2])
+                c = dyad_at(row[3], row[4])
                 rows.setdefault(item, []).append((t, c, float(row[5]), float(row[6])))
             out = {}
             for item, lst in rows.items():

@@ -1,8 +1,7 @@
 """Domain model: dayparts, item taxonomy, transaction log, demographics.
 
 The log is stored column-wise (numpy arrays over interned id vocabularies)
-because every downstream stage works on whole-log vectors.  Row-level access
-is provided through lightweight :class:`Transaction` views.
+because every downstream stage works on whole-log vectors.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -228,18 +227,6 @@ def anchor_of(basket: Iterable[str], daypart: Daypart, catalog: ItemCatalog) -> 
     return None
 
 
-def anchor_key_for_daypart(mask: int, daypart: int) -> Optional[str]:
-    """Category key of the basket's anchor under the given daypart code."""
-    if daypart == Daypart.LUNCH.value:
-        return "meal" if mask & (1 << BIT_MEAL) else None
-    if daypart in (Daypart.BREAKFAST.value, Daypart.AFTERNOON.value):
-        if mask & (1 << BIT_COFFEE):
-            return "coffee"
-        if mask & (1 << BIT_TEA):
-            return "tea"
-    return None
-
-
 def anchor_mask_arrays(mask: np.ndarray, daypart: np.ndarray) -> np.ndarray:
     """Boolean array: basket contains the anchor appropriate to its daypart."""
     meal = (mask & np.uint16(1 << BIT_MEAL)) != 0
@@ -283,16 +270,6 @@ def _parse_timestamp(text: str) -> int:
     if t.tzinfo is not None:
         raise ValueError("timezone-aware timestamps are not supported")
     return int((t - _EPOCH).total_seconds())
-
-
-@dataclass(frozen=True)
-class Transaction:
-    tx_id: str
-    person_id: str
-    timestamp: dt.datetime
-    shop_id: str
-    register_id: str
-    basket: tuple[str, ...]
 
 
 @dataclass
@@ -427,19 +404,6 @@ class TransactionLog:
 
     def timestamp(self, i: int) -> dt.datetime:
         return _EPOCH + dt.timedelta(seconds=int(self.ts[i]))
-
-    def transaction(self, i: int) -> Transaction:
-        return Transaction(
-            tx_id=self.tx_ids[i],
-            person_id=self.persons[self.person_idx[i]],
-            timestamp=self.timestamp(i),
-            shop_id=self.shops[self.shop_idx[i]],
-            register_id=self.registers[self.register_idx[i]],
-            basket=self.baskets[i],
-        )
-
-    def __iter__(self) -> Iterator[Transaction]:
-        return (self.transaction(i) for i in range(self.n))
 
     def index_of(self, tx_id: str) -> int:
         if not hasattr(self, "_tx_index"):

@@ -3,12 +3,16 @@
 import io
 import json
 import os
+import shutil
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 import yaml
 from click.testing import CliRunner
 
+import copycart
 import copycart.cli.pipeline as pipeline_mod
 from copycart.cli.config import RunConfig, load_yaml
 from copycart.cli.main import main
@@ -146,6 +150,40 @@ def test_run_without_seed_fails(workdir):
     assert "seed" in res.output
 
 
+@pytest.mark.parametrize("patch", [
+    {"threads": "two"},
+    {"estimation": {"n_boot": "ten"}},
+    {"estimation": {"alpha": "x"}},
+    {"dyads": {"max_gap_s": None}},
+    {"adjustment": {"caliper": 1.5}},
+    {"adjustment": 5},
+    {"adjustment": {"bogus": 1}},
+], ids=["threads", "n_boot", "alpha", "max_gap_s", "caliper", "adjustment_scalar",
+        "adjustment_key"])
+def test_config_type_errors_exit_cleanly(workdir, tmp_path, patch):
+    conf = yaml.safe_load((workdir / "run.yaml").read_text())
+    for key, value in patch.items():
+        if isinstance(value, dict) and key in conf:
+            conf[key].update(value)
+        else:
+            conf[key] = value
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(conf), encoding="utf-8")
+    res = invoke("--config", path, "--out", tmp_path / "o", "run")
+    assert res.exit_code == 1
+    assert "[errors.ConfigError]" in res.output
+    assert isinstance(res.exception, SystemExit)  # a message, not a traceback
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats costs about a second of every CLI start; stdtr suffices
+    src = os.path.dirname(os.path.dirname(copycart.__file__))
+    code = "import sys, copycart.cli.main; sys.exit('scipy.stats' in sys.modules)"
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 # -- full pipeline -----------------------------------------------------------
 
 
@@ -238,13 +276,97 @@ def test_match_stage_rerun_reproduces_pairs(workdir, first_run):
             (out_a / "matched_pairs" / name).read_bytes()
 
 
-def test_estimate_stage_matches_pipeline(workdir, first_run):
+def _json_objects(text):
+    """The JSON documents a staged subcommand prints one after another."""
+    decoder, objs, i = json.JSONDecoder(), [], 0
+    text = text.strip()
+    while i < len(text):
+        obj, i = decoder.raw_decode(text, i)
+        objs.append(obj)
+        while i < len(text) and text[i].isspace():
+            i += 1
+    return objs
+
+
+# staged subcommand -> where its printed JSON sits in each item of results.json
+STAGE_JSON = {
+    "estimate": "estimate",
+    "sensitivity": "sensitivity",
+    "dose": "dose_response",
+    "baseline": "baseline",
+}
+
+
+@pytest.mark.parametrize(
+    "stage", ["dyads", "match", "estimate", "sensitivity", "dose", "baseline", "infer-status"]
+)
+def test_estimate_stage_matches_pipeline(workdir, first_run, stage):
+    # each staged subcommand, given the dumps `run` left, rewrites those
+    # dumps byte for byte and prints what results.json reports
     results, out_a = first_run
-    res = invoke("--config", workdir / "run.yaml", "--out", out_a, "estimate",
-                 "--item", "dessert")
+    pairs = {os.path.join("matched_pairs", n) for n in os.listdir(out_a / "matched_pairs")}
+    reads = {"dyads": set(), "match": {"dyads.csv"}, "infer-status": set()}.get(
+        stage, {"dyads.csv"} | pairs)
+    writes = {"dyads": {"context.csv", "dyads.csv"}, "match": pairs,
+              "infer-status": {"predictions.csv"}}.get(stage, set())
+    staged = workdir / f"staged_{stage}"
+    shutil.rmtree(staged, ignore_errors=True)
+    for name in reads:
+        os.makedirs((staged / name).parent, exist_ok=True)
+        shutil.copyfile(out_a / name, staged / name)
+    res = invoke("--config", workdir / "run.yaml", "--out", staged, stage)
     assert res.exit_code == 0, res.output
-    pooled = next(it for it in results["items"] if it["item"] == "dessert")["estimate"]
-    assert json.loads(res.output) == pooled
+    got = tree_bytes(staged)
+    assert set(got) == reads | writes
+    for name in writes:
+        assert got[name] == (out_a / name).read_bytes(), name
+
+    items = {it["item"]: it for it in results["items"]}
+    ok = sorted(i for i, it in items.items() if it["status"] == "ok")
+    if stage == "dyads":
+        counts = results["counts"]
+        assert res.output.splitlines() == [
+            f"dyads_raw: {counts['n_dyads_raw']}", f"dyads_kept: {counts['n_dyads']}"]
+    elif stage == "match":
+        assert res.output.splitlines() == [
+            f"{i}: {it['estimate']['n_pairs']} pairs ({it['n_unmatched']} unmatched treated)"
+            if it["status"] == "ok" else f"{i}: no_pairs"
+            for i, it in sorted(items.items())
+        ]
+    elif stage == "infer-status":
+        summary, tail = res.output.split("predictions:")
+        assert _json_objects(summary) == [results["status_inference"]]
+        assert tail.strip() == str(staged / "predictions.csv")
+    else:
+        printed = _json_objects(res.output)
+        assert [o["item"] for o in printed] == ok
+        for obj in printed:
+            assert pipeline_mod._jsonable(obj) == items[obj["item"]][STAGE_JSON[stage]]
+        one = invoke("--config", workdir / "run.yaml", "--out", staged, stage, "--item", "dessert")
+        assert one.exit_code == 0, one.output
+        assert _json_objects(one.output) == [o for o in printed if o["item"] == "dessert"]
+
+
+def test_stage_dumps_must_match_the_log(workdir, first_run):
+    _results, out_a = first_run
+    sub = workdir / "mismatched"
+    sub.mkdir(exist_ok=True)
+    header, first, *rest = (out_a / "dyads.csv").read_text().splitlines(keepends=True)
+    bogus = "NO_SUCH_TX" + first[first.index(","):]
+    (sub / "dyads.csv").write_text(header + bogus + "".join(rest), encoding="utf-8")
+    res = invoke("--config", workdir / "run.yaml", "--out", sub, "match")
+    assert res.exit_code == 1
+    assert "[errors.IngestError]" in res.output and "NO_SUCH_TX" in res.output
+
+    (sub / "dyads.csv").write_bytes((out_a / "dyads.csv").read_bytes())
+    (sub / "matched_pairs").mkdir(exist_ok=True)
+    header, first, *_rest = (out_a / "matched_pairs" / "dessert.csv").read_text().splitlines(True)
+    fields = first.split(",")
+    fields[1] = "NO_SUCH_TX"
+    (sub / "matched_pairs" / "dessert.csv").write_text(header + ",".join(fields), encoding="utf-8")
+    res = invoke("--config", workdir / "run.yaml", "--out", sub, "estimate")
+    assert res.exit_code == 1
+    assert "[errors.IngestError]" in res.output and "NO_SUCH_TX" in res.output
 
 
 def test_coordinate_subcommand(workdir, first_run):

@@ -10,12 +10,9 @@ from copycart.errors import InsufficientLabelsError
 from copycart.infer import (
     FEATURE_NAMES,
     N_FEATURES,
-    FeatureVector,
     StatusModel,
     _best_split,
-    extract_features,
     feature_matrix,
-    predict_status,
     train_status_model,
     write_predictions_csv,
 )
@@ -31,15 +28,20 @@ def test_feature_layout():
     assert FEATURE_NAMES[21] == "hour_00" and FEATURE_NAMES[44] == "hour_23"
 
 
+def person_features(log, person_id):
+    ids, X = feature_matrix(log, [person_id])
+    assert ids == [person_id] and X.shape == (1, N_FEATURES)
+    return X[0]
+
+
 def test_single_transaction_features():
     log = parse_csv("T1,P,2018-03-07T12:30:00,S1,R1,MEALV\n")  # a Wednesday
-    fv = extract_features(log, "P")
-    assert fv.total_tx == 1 and fv.years_active == 0.0
-    assert fv.month_dist[2] == 1.0 and sum(fv.month_dist) == 1.0
-    assert fv.weekday_dist[2] == 1.0
-    assert fv.hour_dist[12] == 1.0
-    arr = fv.to_array()
-    assert arr.shape == (45,) and arr[0] == 1.0
+    row = person_features(log, "P")
+    assert row[0] == 1.0 and row[1] == 0.0
+    month, weekday, hour = row[2:14], row[14:21], row[21:45]
+    assert month[2] == 1.0 and month.sum() == 1.0
+    assert weekday[2] == 1.0
+    assert hour[12] == 1.0
 
 
 def test_hand_computed_two_year_fixture():
@@ -50,16 +52,17 @@ def test_hand_computed_two_year_fixture():
     for d in range(1, 5):
         rows.append(f"B{d},P,2019-07-{d:02d}T08:40:00,S1,R1,COF")
     log = parse_csv("\n".join(rows) + "\n")
-    fv = extract_features(log, "P")
-    assert fv.total_tx == 10
+    row = person_features(log, "P")
+    month, weekday, hour = row[2:14], row[14:21], row[21:45]
+    assert row[0] == 10
     span_s = (np.datetime64("2019-07-04T08:40:00") - np.datetime64("2018-03-01T12:05:00")) / np.timedelta64(1, "s")
-    assert fv.years_active == pytest.approx(float(span_s) / (365.25 * 86400))
-    assert fv.month_dist[2] == pytest.approx(0.6)
-    assert fv.month_dist[6] == pytest.approx(0.4)
-    assert fv.hour_dist[12] == pytest.approx(0.6)
-    assert fv.hour_dist[8] == pytest.approx(0.4)
+    assert row[1] == pytest.approx(float(span_s) / (365.25 * 86400))
+    assert month[2] == pytest.approx(0.6)
+    assert month[6] == pytest.approx(0.4)
+    assert hour[12] == pytest.approx(0.6)
+    assert hour[8] == pytest.approx(0.4)
     # 2018-03-01..06 = Thu..Tue, 2019-07-01..04 = Mon..Thu
-    assert fv.weekday_dist == pytest.approx((0.2, 0.2, 0.1, 0.2, 0.1, 0.1, 0.1))
+    assert tuple(weekday) == pytest.approx((0.2, 0.2, 0.1, 0.2, 0.1, 0.1, 0.1))
 
 
 def test_distributions_sum_to_one():
@@ -76,7 +79,7 @@ def test_distributions_sum_to_one():
     for sl in (slice(2, 14), slice(14, 21), slice(21, 45)):
         np.testing.assert_allclose(X[:, sl].sum(axis=1), 1.0, atol=1e-9)
     with pytest.raises(KeyError):
-        extract_features(log, "nobody")
+        feature_matrix(log, ["nobody"])
 
 
 def test_features_ignore_basket_content():
@@ -178,18 +181,17 @@ def test_model_roundtrip(tmp_path):
 def test_single_tree_exemplar_confidence():
     X, labels = signal_population(seed=8)
     model = train_status_model(X, labels, seed=1, n_trees=1, min_split=2)
-    label, conf = predict_status(model, X[0])
-    assert conf == 1.0
-    assert label == labels[0]
+    got, conf = model.predict(X[:1])
+    assert conf[0] == 1.0
+    assert got[0] == labels[0]
 
 
 def test_predict_status_on_feature_vector():
     X, labels = signal_population(seed=10)
     model = train_status_model(X, labels, seed=7, n_trees=10)
     log = parse_csv("T1,P,2018-03-07T09:30:00,S1,R1,MEALV\n")
-    fv = extract_features(log, "P")
-    label, conf = predict_status(model, fv)
-    assert label in ("student", "staff") and 0.5 <= conf <= 1.0
+    got, conf = model.predict(person_features(log, "P").reshape(1, -1))
+    assert got[0] in ("student", "staff") and 0.5 <= conf[0] <= 1.0
 
 
 def test_predictions_csv():
