@@ -1,8 +1,12 @@
-"""Small shared helpers (seed derivation)."""
+"""Small shared helpers (seed derivation, text streams)."""
 
 from __future__ import annotations
 
+import io
+import os
 import zlib
+from contextlib import contextmanager
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -23,3 +27,16 @@ def derive_seed(seed: int, *tokens) -> int:
             words.append(zlib.crc32(str(t).encode("utf-8")))
     ss = np.random.SeedSequence(words)
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+@contextmanager
+def text_stream(
+    target: Union[str, os.PathLike, io.TextIOBase], mode: str = "r"
+) -> Iterator[io.TextIOBase]:
+    """A path opened as UTF-8 text with ``newline=""`` (as the csv module
+    wants) and closed on exit; a stream is passed through and left open."""
+    if isinstance(target, (str, os.PathLike)):
+        with open(target, mode, encoding="utf-8", newline="") as fh:
+            yield fh
+    else:
+        yield target

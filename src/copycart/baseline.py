@@ -30,23 +30,19 @@ def _with_partners(dyads: DyadSet, partner_rows: np.ndarray, sel: np.ndarray) ->
     log = dyads.log
     focal = dyads.focal_i[sel]
     partner = partner_rows[sel]
-    return DyadSet(log, partner, focal, log.ts[focal] - log.ts[partner], randomized=True)
+    return DyadSet(log, partner, focal, log.ts[focal] - log.ts[partner])
 
 
-def randomize_partners(
-    dyads: DyadSet, seed: int, drop_if_no_candidate: bool = True
-) -> DyadSet:
+def randomize_partners(dyads: DyadSet, seed: int) -> DyadSet:
     """Re-draw every partner uniformly from the focal transaction's cell.
 
-    With no eligible candidate the dyad is dropped (default) or kept with
-    its original partner.  The draw is a single uniform index per dyad
-    mapped over the excluded rows, so no rejection loop is involved.
+    A dyad with no eligible candidate is dropped.  The draw is a single
+    uniform index per dyad mapped over the excluded rows, so no rejection
+    loop is involved.  The new partners break queue adjacency by design.
     """
     log = dyads.log
     if dyads.n == 0:
-        return DyadSet(
-            log, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64), True
-        )
+        return DyadSet(log, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64))
     cells_all = ctx.encode_cells(log.shop_idx, log.date_ord, log.daypart)
     cell_order = np.argsort(cells_all, kind="stable").astype(np.int64)
     sorted_cells = cells_all[cell_order]
@@ -79,8 +75,7 @@ def randomize_partners(
                 j += 1
         new_partner[k] = members[j]
 
-    sel = ok if drop_if_no_candidate else np.ones(dyads.n, bool)
-    return _with_partners(dyads, new_partner, sel)
+    return _with_partners(dyads, new_partner, ok)
 
 
 def welch_t(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:

@@ -17,6 +17,26 @@ from ..matching import AdjustmentSpec
 
 _INTEGER_FIELDS = ("max_gap_s", "min_pair_count", "n_boot", "min_stratum", "threads")
 _NUMBER_FIELDS = ("min_fraction", "alpha")
+_BOOLEAN_FIELDS = (
+    "require_anchor", "baseline", "sensitivity", "dose_response", "coordination",
+    "anchor_mimicry", "infer_status", "require_balance",
+)
+_ADJUSTMENT_BOOLEANS = (
+    "match_focal_identity", "match_exact_anchor", "caliper_absolute", "exclude_own_transactions",
+)
+
+
+def _check_types(obj, names, kind, what: str, where: str = "") -> None:
+    """ConfigError unless each named field of `obj` is a `kind`; a bool
+    counts as neither an integer nor a number."""
+    for name in names:
+        value = getattr(obj, name)
+        if kind is bool:
+            ok = isinstance(value, bool)
+        else:
+            ok = isinstance(value, kind) and not isinstance(value, bool)
+        if not ok:
+            raise ConfigError(f"{where}{name} must be {what}, got {value!r}")
 
 
 def _default_adjustment() -> AdjustmentSpec:
@@ -63,14 +83,9 @@ class RunConfig:
             raise ConfigError(f"seed must be an integer, got {self.seed!r}") from None
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must be a u64")
-        for names, kind, what in (
-            (_INTEGER_FIELDS, numbers.Integral, "an integer"),
-            (_NUMBER_FIELDS, numbers.Real, "a number"),
-        ):
-            for name in names:
-                value = getattr(self, name)
-                if isinstance(value, bool) or not isinstance(value, kind):
-                    raise ConfigError(f"{name} must be {what}, got {value!r}")
+        _check_types(self, _INTEGER_FIELDS, numbers.Integral, "an integer")
+        _check_types(self, _NUMBER_FIELDS, numbers.Real, "a number")
+        _check_types(self, _BOOLEAN_FIELDS, bool, "true or false")
         if self.n_boot < 1:
             raise ConfigError("n_boot must be positive")
         if not (0.0 < self.alpha < 1.0):
@@ -88,10 +103,12 @@ class RunConfig:
             if g not in GROUPINGS:
                 raise ConfigError(f"unknown subgroup {g!r}; choose from {GROUPINGS}")
         if isinstance(self.adjustment, dict):
+            # the keys given override the CLI defaults, not the library's
             try:
-                self.adjustment = AdjustmentSpec(**self.adjustment)
+                self.adjustment = dataclasses.replace(_default_adjustment(), **self.adjustment)
             except (TypeError, ValueError) as err:
                 raise ConfigError(f"adjustment: {err}") from None
+            _check_types(self.adjustment, _ADJUSTMENT_BOOLEANS, bool, "true or false", "adjustment: ")
         elif not isinstance(self.adjustment, AdjustmentSpec):
             raise ConfigError(f"adjustment must be a mapping, got {self.adjustment!r}")
 

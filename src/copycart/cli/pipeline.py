@@ -76,7 +76,9 @@ def ingest_inputs(cfg: RunConfig) -> tuple[TransactionLog, ItemCatalog, Optional
     cfg.validate_paths()
     catalog = ItemCatalog.from_csv(cfg.catalog)
     log = parse_transactions(cfg.transactions, catalog)
-    demo = Demographics.from_csv(cfg.demographics) if cfg.demographics else None
+    demo = None
+    if cfg.demographics:
+        demo = Demographics.from_csv(cfg.demographics).validated_against(log)
     return log, catalog, demo
 
 
@@ -179,7 +181,7 @@ def item_sensitivity(counts: E.PairedCounts, item: str, cfg: RunConfig) -> dict:
 
 def item_dose(pairs: MatchedPairSet, item: str, cfg: RunConfig) -> dict:
     seed = int(derive_seed(cfg.seed, "item", item, "dose"))
-    return E.dose_response(pairs, n_rep=cfg.n_boot, seed=seed).to_dict()
+    return E.dose_response(pairs, max_delay_s=cfg.max_gap_s, n_rep=cfg.n_boot, seed=seed).to_dict()
 
 
 def item_coordination(dyads: DyadSet, item: str, cfg: RunConfig) -> dict:

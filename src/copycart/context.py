@@ -8,13 +8,13 @@ category is available in the cell iff its popularity is positive.
 from __future__ import annotations
 
 import csv
-import datetime as dt
 import io
 import os
 from typing import Union
 
 import numpy as np
 
+from ._util import text_stream
 from .model import CATEGORY_BIT, CATEGORY_KEYS, Daypart, ItemCatalog, TransactionLog
 
 # cell key packing: (shop_idx << 40) | (date_ord << 2) | daypart
@@ -38,40 +38,10 @@ class ContextStats:
         self._n = n_tx
         self._pop = pop  # [n_cells, len(CATEGORY_KEYS)]
         self._shops = list(shops)
-        self._shop_index = {s: i for i, s in enumerate(shops)}
 
     @property
     def n_cells(self) -> int:
         return self._keys.shape[0]
-
-    def _locate(self, key: int) -> int:
-        i = int(np.searchsorted(self._keys, key))
-        if i < self._keys.shape[0] and self._keys[i] == key:
-            return i
-        return -1
-
-    def _key_of(self, shop_id: str, date, daypart: Daypart) -> int:
-        shop = self._shop_index.get(shop_id)
-        if shop is None:
-            return -1
-        if isinstance(date, str):
-            date = dt.date.fromisoformat(date)
-        if isinstance(date, (dt.date, dt.datetime)):
-            date_ord = (dt.date(date.year, date.month, date.day) - dt.date(1970, 1, 1)).days
-        else:
-            date_ord = int(date)
-        return (shop << _SHOP_SHIFT) | (date_ord << _DATE_SHIFT) | int(daypart)
-
-    def popularity(self, shop_id: str, date, daypart: Daypart, category: str) -> float:
-        i = self._locate(self._key_of(shop_id, date, daypart))
-        return float(self._pop[i, CATEGORY_BIT[category]]) if i >= 0 else 0.0
-
-    def available(self, shop_id: str, date, daypart: Daypart, category: str) -> bool:
-        return self.popularity(shop_id, date, daypart, category) > 0.0
-
-    def n_transactions(self, shop_id: str, date, daypart: Daypart) -> int:
-        i = self._locate(self._key_of(shop_id, date, daypart))
-        return int(self._n[i]) if i >= 0 else 0
 
     def popularity_for_cells(self, cell_keys: np.ndarray, category: str) -> np.ndarray:
         """Vectorized popularity lookup; absent cells give 0.0."""
@@ -99,12 +69,8 @@ class ContextStats:
         return n, cnt
 
     def to_csv(self, dest: Union[str, os.PathLike, io.TextIOBase]) -> None:
-        close = False
-        if isinstance(dest, (str, os.PathLike)):
-            dest = open(dest, "w", encoding="utf-8", newline="")
-            close = True
-        try:
-            w = csv.writer(dest, lineterminator="\n")
+        with text_stream(dest, "w") as fh:
+            w = csv.writer(fh, lineterminator="\n")
             w.writerow(["shop_id", "date", "daypart", "category", "popularity", "available", "n"])
             date_ord = (self._keys >> _DATE_SHIFT) & ((1 << (_SHOP_SHIFT - _DATE_SHIFT)) - 1)
             dates = np.datetime_as_string(date_ord.astype("datetime64[D]"))
@@ -114,9 +80,6 @@ class ContextStats:
                 for cat in CATEGORY_KEYS:
                     p = float(self._pop[i, CATEGORY_BIT[cat]])
                     w.writerow([shop, dates[i], daypart, cat, repr(p), str(p > 0.0).lower(), int(self._n[i])])
-        finally:
-            if close:
-                dest.close()
 
 
 def compute_context(log: TransactionLog, catalog: ItemCatalog) -> ContextStats:

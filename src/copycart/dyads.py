@@ -12,21 +12,22 @@ import csv
 import io
 import os
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 from . import context as ctx
-from .errors import EmptyMatrixError, IngestError, UndefinedPairError
+from ._util import text_stream
+from .errors import EmptyMatrixError, IngestError
 from .model import (
-    DAYPART_BY_LABEL,
     Daypart,
     ADDITION_KEYS,
     CATEGORY_BIT,
     Demographics,
     ItemCatalog,
     TransactionLog,
-    anchor_mask_arrays,
+    anchor_code_arrays,
+    person_attribute,
 )
 
 
@@ -37,13 +38,6 @@ class Queues:
     log: TransactionLog
     order: np.ndarray  # row indices, grouped by queue then (ts, tx_id)
     start: np.ndarray  # queue q spans order[start[q]:start[q+1]]
-
-    @property
-    def n_queues(self) -> int:
-        return self.start.shape[0] - 1
-
-    def sequences(self) -> list[np.ndarray]:
-        return [self.order[self.start[q] : self.start[q + 1]] for q in range(self.n_queues)]
 
 
 def reconstruct_queues(log: TransactionLog) -> Queues:
@@ -60,25 +54,15 @@ def reconstruct_queues(log: TransactionLog) -> Queues:
 
 
 class DyadSet:
-    """Columnar set of dyads over one log.
-
-    ``randomized`` marks baseline sets whose partner transactions were
-    re-drawn; those may break adjacency invariants by design.
-    """
+    """Columnar set of dyads over one log."""
 
     def __init__(
-        self,
-        log: TransactionLog,
-        partner_i: np.ndarray,
-        focal_i: np.ndarray,
-        delay_s: np.ndarray,
-        randomized: bool = False,
+        self, log: TransactionLog, partner_i: np.ndarray, focal_i: np.ndarray, delay_s: np.ndarray
     ):
         self.log = log
         self.partner_i = partner_i.astype(np.int64)
         self.focal_i = focal_i.astype(np.int64)
         self.delay_s = delay_s.astype(np.int64)
-        self.randomized = randomized
 
     @property
     def n(self) -> int:
@@ -132,30 +116,11 @@ class DyadSet:
         return lo * len(self.log.persons) + hi
 
     def subset(self, sel: np.ndarray) -> "DyadSet":
-        return DyadSet(
-            self.log, self.partner_i[sel], self.focal_i[sel], self.delay_s[sel], self.randomized
-        )
-
-    def validate(self) -> None:
-        """Assert the structural invariants (non-randomized sets only)."""
-        if self.randomized:
-            raise ValueError("randomized dyad sets do not satisfy adjacency invariants")
-        log = self.log
-        assert (log.ts[self.partner_i] <= log.ts[self.focal_i]).all()
-        assert (self.delay_s >= 0).all() and (self.delay_s <= 300).all()
-        assert (log.person_idx[self.partner_i] != log.person_idx[self.focal_i]).all()
-        assert (log.shop_idx[self.partner_i] == log.shop_idx[self.focal_i]).all()
-        assert (log.register_idx[self.partner_i] == log.register_idx[self.focal_i]).all()
-        assert (log.date_ord[self.partner_i] == log.date_ord[self.focal_i]).all()
-        assert (self.daypart != Daypart.OUT_OF_WINDOW.value).all()
+        return DyadSet(self.log, self.partner_i[sel], self.focal_i[sel], self.delay_s[sel])
 
     def to_csv(self, dest: Union[str, os.PathLike, io.TextIOBase]) -> None:
-        close = False
-        if isinstance(dest, (str, os.PathLike)):
-            dest = open(dest, "w", encoding="utf-8", newline="")
-            close = True
-        try:
-            w = csv.writer(dest, lineterminator="\n")
+        with text_stream(dest, "w") as fh:
+            w = csv.writer(fh, lineterminator="\n")
             w.writerow(["partner_tx", "focal_tx", "shop_id", "register_id", "date", "daypart", "delay_s"])
             log = self.log
             dates = np.datetime_as_string(self.date_ord.astype("datetime64[D]"))
@@ -174,20 +139,11 @@ class DyadSet:
                         int(self.delay_s[k]),
                     ]
                 )
-        finally:
-            if close:
-                dest.close()
 
     @classmethod
-    def from_csv(
-        cls, source: Union[str, os.PathLike, io.TextIOBase], log: TransactionLog, randomized: bool = False
-    ) -> "DyadSet":
-        close = False
-        if isinstance(source, (str, os.PathLike)):
-            source = open(source, "r", encoding="utf-8", newline="")
-            close = True
-        try:
-            reader = csv.reader(source)
+    def from_csv(cls, source: Union[str, os.PathLike, io.TextIOBase], log: TransactionLog) -> "DyadSet":
+        with text_stream(source) as fh:
+            reader = csv.reader(fh)
             header = next(reader, None)
             partner, focal, delay = [], [], []
             for row in reader:
@@ -197,21 +153,14 @@ class DyadSet:
                     partner.append(log.index_of(row[0]))
                     focal.append(log.index_of(row[1]))
                 except KeyError as err:
-                    dump = getattr(source, "name", "dyad dump")
+                    dump = getattr(fh, "name", "dyad dump")
                     raise IngestError(
                         f"{dump} names tx id {err.args[0]!r}, which the transaction log lacks"
                     ) from None
                 delay.append(int(row[6]))
-            return cls(
-                log,
-                np.asarray(partner, np.int64),
-                np.asarray(focal, np.int64),
-                np.asarray(delay, np.int64),
-                randomized,
-            )
-        finally:
-            if close:
-                source.close()
+        return cls(
+            log, np.asarray(partner, np.int64), np.asarray(focal, np.int64), np.asarray(delay, np.int64)
+        )
 
 
 def extract_dyads(queues: Queues, max_gap_s: int = 300, require_anchor: bool = True) -> DyadSet:
@@ -238,7 +187,7 @@ def extract_dyads(queues: Queues, max_gap_s: int = 300, require_anchor: bool = T
         & (log.daypart[a] != Daypart.OUT_OF_WINDOW.value)
     )
     if require_anchor:
-        anchored = anchor_mask_arrays(log.mask, log.daypart)
+        anchored = anchor_code_arrays(log.mask, log.daypart) != 0
         keep &= anchored[a] & anchored[b]
     return DyadSet(log, a[keep], b[keep], gap[keep])
 
@@ -274,36 +223,9 @@ def select_additions(
     return out
 
 
-@dataclass(frozen=True)
-class TieStrength:
-    pair: tuple[str, str]
-    strength: float
-    n_together: int
-    n_either: int
-
-
-def tie_strength(dyads: DyadSet, pair: tuple[str, str]) -> TieStrength:
-    """Fraction of dyads containing the pair among dyads containing either."""
-    a_id, b_id = sorted(pair)
-    persons = dyads.log.persons
-    index = {p: i for i, p in enumerate(persons)}
-    if a_id not in index or b_id not in index:
-        raise UndefinedPairError(f"pair ({a_id}, {b_id}) unknown to the log")
-    a = index[a_id]
-    b = index[b_id]
-    pp = dyads.partner_person
-    fp = dyads.focal_person
-    in_a = (pp == a) | (fp == a)
-    in_b = (pp == b) | (fp == b)
-    together = int((in_a & in_b).sum())
-    either = int((in_a | in_b).sum())
-    if either == 0:
-        raise UndefinedPairError(f"neither member of ({a_id}, {b_id}) appears in any dyad")
-    return TieStrength((a_id, b_id), together / either, together, either)
-
-
 def tie_strength_per_dyad(dyads: DyadSet) -> np.ndarray:
-    """Tie strength of each dyad's own unordered pair, vectorized."""
+    """Tie strength of each dyad's own unordered pair: the fraction of dyads
+    containing both persons among dyads containing either."""
     keys = dyads.pair_keys()
     uniq, inv, counts = np.unique(keys, return_inverse=True, return_counts=True)
     n_persons = len(dyads.log.persons)
@@ -325,15 +247,6 @@ class CoPurchaseMatrix:
     n_skipped: int
 
 
-def age_tercile_label(age: int, cuts: tuple[int, int] = (22, 32)) -> str:
-    lo, hi = cuts
-    if age <= lo:
-        return f"<={lo}"
-    if age <= hi:
-        return f"{lo + 1}-{hi}"
-    return f">{hi}"
-
-
 def _attribute_labels(attribute: str, cuts: tuple[int, int]) -> list[str]:
     if attribute == "gender":
         return ["female", "male"]
@@ -343,30 +256,6 @@ def _attribute_labels(attribute: str, cuts: tuple[int, int]) -> list[str]:
         lo, hi = cuts
         return [f"<={lo}", f"{lo + 1}-{hi}", f">{hi}"]
     raise ValueError(f"unknown attribute {attribute!r}")
-
-
-def _resolve_attribute(
-    dyads: DyadSet, demographics: Demographics, attribute: str, side: str, cuts: tuple[int, int]
-) -> list[Optional[str]]:
-    log = dyads.log
-    rows = dyads.partner_i if side == "partner" else dyads.focal_i
-    years = log.year
-    out: list[Optional[str]] = []
-    for i in rows:
-        pid = log.persons[log.person_idx[i]]
-        rec = demographics.get(pid)
-        if rec is None:
-            out.append(None)
-        elif attribute == "gender":
-            out.append(rec.gender)
-        elif attribute == "status":
-            out.append(rec.status)
-        else:
-            if rec.birth_year is None:
-                out.append(None)
-            else:
-                out.append(age_tercile_label(int(years[i]) - rec.birth_year, cuts))
-    return out
 
 
 def co_purchase_matrix(
@@ -379,8 +268,8 @@ def co_purchase_matrix(
     as percentages of all dyads where both sides are known."""
     labels = _attribute_labels(attribute, age_cuts)
     index = {lab: i for i, lab in enumerate(labels)}
-    pl = _resolve_attribute(dyads, demographics, attribute, "partner", age_cuts)
-    fl = _resolve_attribute(dyads, demographics, attribute, "focal", age_cuts)
+    pl = person_attribute(dyads.log, demographics, attribute, dyads.partner_i, age_cuts)
+    fl = person_attribute(dyads.log, demographics, attribute, dyads.focal_i, age_cuts)
     counts = np.zeros((len(labels), len(labels)), np.int64)
     skipped = 0
     for p, f in zip(pl, fl):

@@ -17,10 +17,6 @@ class NoPairsError(CopycartError):
     """An estimator was asked to run on an empty matched-pair or dyad set."""
 
 
-class UndefinedPairError(CopycartError):
-    """Tie strength requested for a pair with no dyad involvement at all."""
-
-
 class EmptyMatrixError(CopycartError):
     """Co-purchase matrix requested but no dyad has the attribute resolved."""
 

@@ -22,7 +22,7 @@ from .context import ContextStats
 from .dyads import DyadSet, tie_strength_per_dyad
 from .errors import InsufficientBinsError, NoPairsError
 from .matching import AdjustmentSpec, MatchedPairSet, build_matched_pairs
-from .model import Daypart, Demographics
+from .model import Daypart, Demographics, person_attribute
 
 RR_UNDEFINED = None  # sentinel for a zero control arm
 
@@ -248,27 +248,10 @@ def _pair_labels(
         return labels
     if demographics is None:
         raise ValueError(f"grouping {grouping!r} needs demographics")
-    years = log.year
 
     def attr(side_rows, kind):
-        out = []
-        for i in side_rows:
-            pid = log.persons[log.person_idx[i]]
-            rec = demographics.get(pid)
-            if rec is None:
-                out.append("unknown")
-            elif kind == "status":
-                out.append(rec.status or "unknown")
-            elif kind == "gender":
-                out.append(rec.gender or "unknown")
-            else:
-                if rec.birth_year is None:
-                    out.append("unknown")
-                else:
-                    from .dyads import age_tercile_label
-
-                    out.append(age_tercile_label(int(years[i]) - rec.birth_year, age_cuts))
-        return out
+        labels = person_attribute(log, demographics, kind, side_rows, age_cuts)
+        return [label or "unknown" for label in labels]
 
     partner_rows = d.partner_i[t]
     focal_rows = d.focal_i[t]
@@ -285,9 +268,9 @@ def _pair_labels(
     if grouping == "focal_gender":
         return attr(focal_rows, "gender")
     if grouping == "partner_age":
-        return attr(partner_rows, "age")
+        return attr(partner_rows, "age_tercile")
     if grouping == "focal_age":
-        return attr(focal_rows, "age")
+        return attr(focal_rows, "age_tercile")
     raise ValueError(f"unknown grouping {grouping!r}")
 
 

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from ._util import text_stream
 from .errors import InsufficientLabelsError
 from .model import TransactionLog
 
@@ -163,9 +163,6 @@ def _tree_votes(tree: dict, X: np.ndarray) -> np.ndarray:
 class StatusModel:
     """Bagged binary decision trees with majority-vote prediction."""
 
-    FORMAT = "copycart-status-model"
-    VERSION = 1
-
     def __init__(self, classes: list[str], trees: list[dict], metadata: dict, metrics: dict):
         self.classes = list(classes)
         self.trees = trees
@@ -183,42 +180,6 @@ class StatusModel:
         labels = [self.classes[1] if s else self.classes[0] for s in second]
         conf = np.where(second, votes, n_trees - votes) / n_trees
         return labels, conf
-
-    def to_json(self) -> dict:
-        return {
-            "format": self.FORMAT,
-            "version": self.VERSION,
-            "classes": self.classes,
-            "metadata": self.metadata,
-            "metrics": self.metrics,
-            "trees": [{k: v.tolist() for k, v in t.items()} for t in self.trees],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "StatusModel":
-        if data.get("format") != cls.FORMAT or data.get("version") != cls.VERSION:
-            raise ValueError("unrecognized status model file")
-        trees = [
-            {
-                "feat": np.asarray(t["feat"], np.int64),
-                "thr": np.asarray(t["thr"], np.float64),
-                "left": np.asarray(t["left"], np.int64),
-                "right": np.asarray(t["right"], np.int64),
-                "label": np.asarray(t["label"], np.int64),
-            }
-            for t in data["trees"]
-        ]
-        return cls(data["classes"], trees, data["metadata"], data["metrics"])
-
-    def save(self, path: Union[str, os.PathLike]) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, separators=(",", ":"), sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path: Union[str, os.PathLike]) -> "StatusModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
 
 
 def _per_class_metrics(y_true: np.ndarray, y_pred: np.ndarray, classes: list[str]) -> dict:
@@ -304,15 +265,8 @@ def write_predictions_csv(
     labels: Sequence[str],
     confidences: Sequence[float],
 ) -> None:
-    close = False
-    if isinstance(dest, (str, os.PathLike)):
-        dest = open(dest, "w", encoding="utf-8", newline="")
-        close = True
-    try:
-        w = csv.writer(dest, lineterminator="\n")
+    with text_stream(dest, "w") as fh:
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["person_id", "label", "confidence"])
         for pid, lab, c in zip(person_ids, labels, confidences):
             w.writerow([pid, lab, repr(float(c))])
-    finally:
-        if close:
-            dest.close()

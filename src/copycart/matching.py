@@ -19,10 +19,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from ._util import text_stream
 from .context import ContextStats
 from .dyads import DyadSet
 from .errors import IngestError, NoPairsError
-from .model import anchor_code_arrays, anchor_mask_arrays
+from .model import anchor_code_arrays
 
 
 @dataclass(frozen=True)
@@ -121,13 +122,9 @@ class MatchedPairSet:
         )
 
     def to_csv(self, dest: Union[str, os.PathLike, io.TextIOBase]) -> None:
-        close = False
-        if isinstance(dest, (str, os.PathLike)):
-            dest = open(dest, "w", encoding="utf-8", newline="")
-            close = True
-        try:
+        with text_stream(dest, "w") as fh:
             log = self.dyads.log
-            w = csv.writer(dest, lineterminator="\n")
+            w = csv.writer(fh, lineterminator="\n")
             w.writerow(
                 [
                     "item",
@@ -153,20 +150,13 @@ class MatchedPairSet:
                         repr(float(self.pop_c[k])),
                     ]
                 )
-        finally:
-            if close:
-                dest.close()
 
     @classmethod
     def from_csv(
         cls, source: Union[str, os.PathLike, io.TextIOBase], dyads: DyadSet
     ) -> dict[str, "MatchedPairSet"]:
         """Read a matched-pair dump back; returns one set per item found."""
-        close = False
-        if isinstance(source, (str, os.PathLike)):
-            source = open(source, "r", encoding="utf-8", newline="")
-            close = True
-        try:
+        with text_stream(source) as fh:
             log = dyads.log
             where = {}
             for k in range(dyads.n):
@@ -176,12 +166,12 @@ class MatchedPairSet:
                 try:
                     return where[(log.index_of(partner_tx), log.index_of(focal_tx))]
                 except KeyError:
-                    dump = getattr(source, "name", "matched-pair dump")
+                    dump = getattr(fh, "name", "matched-pair dump")
                     raise IngestError(
                         f"{dump} names dyad ({partner_tx}, {focal_tx}), which the dyad set lacks"
                     ) from None
 
-            reader = csv.reader(source)
+            reader = csv.reader(fh)
             next(reader, None)
             rows: dict[str, list] = {}
             for row in reader:
@@ -191,17 +181,14 @@ class MatchedPairSet:
                 t = dyad_at(row[1], row[2])
                 c = dyad_at(row[3], row[4])
                 rows.setdefault(item, []).append((t, c, float(row[5]), float(row[6])))
-            out = {}
-            for item, lst in rows.items():
-                ti = np.asarray([r[0] for r in lst], np.int64)
-                ci = np.asarray([r[1] for r in lst], np.int64)
-                pt = np.asarray([r[2] for r in lst], np.float64)
-                pc = np.asarray([r[3] for r in lst], np.float64)
-                out[item] = cls(dyads, item, ti, ci, pt, pc, len(lst), 0)
-            return out
-        finally:
-            if close:
-                source.close()
+        out = {}
+        for item, lst in rows.items():
+            ti = np.asarray([r[0] for r in lst], np.int64)
+            ci = np.asarray([r[1] for r in lst], np.int64)
+            pt = np.asarray([r[2] for r in lst], np.float64)
+            pc = np.asarray([r[3] for r in lst], np.float64)
+            out[item] = cls(dyads, item, ti, ci, pt, pc, len(lst), 0)
+        return out
 
 
 def _greedy_caliper_match(
@@ -259,8 +246,8 @@ def build_matched_pairs(
         return MatchedPairSet(dyads, item, empty, empty, np.empty(0), np.empty(0), 0, 0)
 
     treated = dyads.partner_has(item)
-    anchored = anchor_mask_arrays(log.mask, log.daypart)
-    ok = anchored[dyads.partner_i] & anchored[dyads.focal_i]
+    codes = anchor_code_arrays(log.mask, log.daypart)
+    ok = (codes[dyads.partner_i] != 0) & (codes[dyads.focal_i] != 0)
     pop = context.popularity_for_cells(dyads.cell_keys(), item)
     ok &= pop > 0.0  # item must be available in the dyad's cell
     if spec.exclude_own_transactions:
@@ -283,7 +270,6 @@ def build_matched_pairs(
         cols_t.append(dyads.focal_person[t_rows])
         cols_c.append(dyads.focal_person[c_rows])
     if spec.match_exact_anchor:
-        codes = anchor_code_arrays(log.mask, log.daypart)
         cols_t += [codes[dyads.partner_i[t_rows]], codes[dyads.focal_i[t_rows]]]
         cols_c += [codes[dyads.partner_i[c_rows]], codes[dyads.focal_i[c_rows]]]
 

@@ -18,6 +18,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from ._util import text_stream
 from .errors import IngestError
 
 # ---------------------------------------------------------------------------
@@ -37,41 +38,22 @@ class Daypart(IntEnum):
 
 
 _DAYPART_LABELS = ("breakfast", "lunch", "afternoon", "out_of_window")
-DAYPART_BY_LABEL = {lab: Daypart(i) for i, lab in enumerate(_DAYPART_LABELS)}
 
-# window boundaries in seconds of day; intervals are half-open [start, end)
-_BREAKFAST_START = 6 * 3600
-_LUNCH_START = 11 * 3600
-_AFTERNOON_START = 14 * 3600 + 1800
-_AFTERNOON_END = 20 * 3600
-
-STUDIED_DAYPARTS = (Daypart.BREAKFAST, Daypart.LUNCH, Daypart.AFTERNOON)
-
-
-def daypart_of_seconds(secs: int) -> Daypart:
-    """Daypart for a seconds-of-day value."""
-    if _BREAKFAST_START <= secs < _LUNCH_START:
-        return Daypart.BREAKFAST
-    if _LUNCH_START <= secs < _AFTERNOON_START:
-        return Daypart.LUNCH
-    if _AFTERNOON_START <= secs < _AFTERNOON_END:
-        return Daypart.AFTERNOON
-    return Daypart.OUT_OF_WINDOW
-
-
-def daypart_of(timestamp: dt.datetime) -> Daypart:
-    """Daypart of a timestamp; boundaries belong to the later window."""
-    return daypart_of_seconds(
-        timestamp.hour * 3600 + timestamp.minute * 60 + timestamp.second
-    )
+# studied windows in seconds of day; intervals are half-open [start, end), so
+# a boundary belongs to the later window
+DAYPART_WINDOWS = {
+    Daypart.BREAKFAST: (6 * 3600, 11 * 3600),
+    Daypart.LUNCH: (11 * 3600, 14 * 3600 + 1800),
+    Daypart.AFTERNOON: (14 * 3600 + 1800, 20 * 3600),
+}
 
 
 def dayparts_of_secs_array(secs: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`daypart_of_seconds`; returns int8 codes."""
+    """Int8 daypart code per seconds-of-day value; out of every window gives
+    ``OUT_OF_WINDOW``."""
     out = np.full(secs.shape, Daypart.OUT_OF_WINDOW.value, np.int8)
-    out[(secs >= _BREAKFAST_START) & (secs < _LUNCH_START)] = Daypart.BREAKFAST.value
-    out[(secs >= _LUNCH_START) & (secs < _AFTERNOON_START)] = Daypart.LUNCH.value
-    out[(secs >= _AFTERNOON_START) & (secs < _AFTERNOON_END)] = Daypart.AFTERNOON.value
+    for daypart, (start, end) in DAYPART_WINDOWS.items():
+        out[(secs >= start) & (secs < end)] = daypart.value
     return out
 
 
@@ -162,13 +144,9 @@ class ItemCatalog:
 
     @classmethod
     def from_csv(cls, source: Union[str, os.PathLike, io.TextIOBase]) -> "ItemCatalog":
-        close = False
-        if isinstance(source, (str, os.PathLike)):
-            source = open(source, "r", encoding="utf-8", newline="")
-            close = True
-        try:
-            categories: dict[str, ItemCategory] = {}
-            for lineno, row in enumerate(csv.reader(source), start=1):
+        categories: dict[str, ItemCategory] = {}
+        with text_stream(source) as fh:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
                 if not row or (lineno == 1 and row[0] == "item_code"):
                     continue
                 if len(row) < 2:
@@ -182,65 +160,26 @@ class ItemCatalog:
                     categories[code] = ItemCategory(kind, subtype)
                 except ValueError as e:
                     raise IngestError(f"catalog line {lineno}: {e}") from e
-            return cls(categories)
-        finally:
-            if close:
-                source.close()
+        return cls(categories)
 
     def to_csv(self, dest: Union[str, os.PathLike, io.TextIOBase]) -> None:
-        close = False
-        if isinstance(dest, (str, os.PathLike)):
-            dest = open(dest, "w", encoding="utf-8", newline="")
-            close = True
-        try:
-            w = csv.writer(dest, lineterminator="\n")
+        with text_stream(dest, "w") as fh:
+            w = csv.writer(fh, lineterminator="\n")
             w.writerow(["item_code", "category", "subtype"])
             for code in sorted(self._categories):
                 cat = self._categories[code]
                 w.writerow([code, cat.kind, cat.subtype or ""])
-        finally:
-            if close:
-                dest.close()
-
-
-def anchor_of(basket: Iterable[str], daypart: Daypart, catalog: ItemCatalog) -> Optional[ItemCategory]:
-    """Anchor category of a basket, if any.
-
-    Lunch anchors on a meal, breakfast/afternoon on coffee or tea.  With
-    several candidates precedence is meal > coffee > tea, and vegetarian
-    before non-vegetarian within meals.
-    """
-    if daypart == Daypart.OUT_OF_WINDOW:
-        raise ValueError("anchor undefined out of the studied windows")
-    cats = [c for c in (catalog.get(code) for code in basket) if c is not None]
-    if daypart == Daypart.LUNCH:
-        meals = [c for c in cats if c.kind == "anchor_meal"]
-        if not meals:
-            return None
-        veg = [c for c in meals if c.subtype == "vegetarian"]
-        return veg[0] if veg else meals[0]
-    bevs = [c for c in cats if c.kind == "anchor_beverage"]
-    for want in _BEVERAGE_SUBTYPES:
-        for c in bevs:
-            if c.subtype == want:
-                return c
-    return None
-
-
-def anchor_mask_arrays(mask: np.ndarray, daypart: np.ndarray) -> np.ndarray:
-    """Boolean array: basket contains the anchor appropriate to its daypart."""
-    meal = (mask & np.uint16(1 << BIT_MEAL)) != 0
-    bev = (mask & np.uint16((1 << BIT_COFFEE) | (1 << BIT_TEA))) != 0
-    out = np.zeros(mask.shape, bool)
-    out[daypart == Daypart.LUNCH.value] = meal[daypart == Daypart.LUNCH.value]
-    for dp in (Daypart.BREAKFAST.value, Daypart.AFTERNOON.value):
-        out[daypart == dp] = bev[daypart == dp]
-    return out
 
 
 def anchor_code_arrays(mask: np.ndarray, daypart: np.ndarray) -> np.ndarray:
-    """Int8 anchor subtype code per row: 0 none, 1 veg meal, 2 other meal,
-    3 coffee, 4 tea (precedence as in :func:`anchor_of`)."""
+    """Int8 anchor subtype code per basket: 0 none, 1 veg meal, 2 other meal,
+    3 coffee, 4 tea.
+
+    Lunch anchors on a meal, breakfast and afternoon on coffee or tea, and
+    nothing anchors out of the studied windows; a basket has its daypart's
+    anchor iff its code is nonzero.  With several candidates vegetarian
+    precedes other meals and coffee precedes tea.
+    """
     out = np.zeros(mask.shape, np.int8)
     lunch = daypart == Daypart.LUNCH.value
     bevpart = (daypart == Daypart.BREAKFAST.value) | (daypart == Daypart.AFTERNOON.value)
@@ -388,9 +327,6 @@ class TransactionLog:
     def hour(self) -> np.ndarray:
         return (self.secs // 3600).astype(np.int64)
 
-    def date_strings(self) -> np.ndarray:
-        return np.datetime_as_string(self.ts.astype("datetime64[s]").astype("datetime64[D]"))
-
     def person_transactions(self) -> tuple[np.ndarray, np.ndarray]:
         """(order, start): rows sorted by (person, ts); start[p]..start[p+1]
         slices the rows of person p."""
@@ -402,52 +338,10 @@ class TransactionLog:
 
     # -- row access ----------------------------------------------------------
 
-    def timestamp(self, i: int) -> dt.datetime:
-        return _EPOCH + dt.timedelta(seconds=int(self.ts[i]))
-
     def index_of(self, tx_id: str) -> int:
         if not hasattr(self, "_tx_index"):
             self._tx_index = {t: i for i, t in enumerate(self.tx_ids)}
         return self._tx_index[tx_id]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TransactionLog):
-            return NotImplemented
-        return (
-            self.tx_ids == other.tx_ids
-            and np.array_equal(self.ts, other.ts)
-            and self.baskets == other.baskets
-            and [self.persons[i] for i in self.person_idx]
-            == [other.persons[i] for i in other.person_idx]
-            and [self.shops[i] for i in self.shop_idx] == [other.shops[i] for i in other.shop_idx]
-            and [self.registers[i] for i in self.register_idx]
-            == [other.registers[i] for i in other.register_idx]
-        )
-
-    # -- validation ----------------------------------------------------------
-
-    def validate(self) -> None:
-        """Re-check structural invariants; raises IngestError on violation."""
-        if self.n == 0:
-            return
-        keys = list(
-            zip(
-                self.ts.tolist(),
-                (self.shops[i] for i in self.shop_idx),
-                (self.registers[i] for i in self.register_idx),
-                self.tx_ids,
-            )
-        )
-        if keys != sorted(keys):
-            raise IngestError("log not in canonical order")
-        if len(set(self.tx_ids)) != self.n:
-            raise IngestError("duplicate tx_id")
-        for b in self.baskets:
-            if len(b) == 0:
-                raise IngestError("empty basket")
-        expect = np.asarray([self.catalog.mask_of(b) for b in self.baskets], np.uint16)
-        if not np.array_equal(expect, self.mask):
-            raise IngestError("mask out of sync with baskets")
 
 
 def parse_transactions(
@@ -462,15 +356,11 @@ def parse_transactions(
     tx_id is fatal.  Item codes absent from the catalog degrade to the Other
     category and are tallied in the report.
     """
-    close = False
-    if isinstance(source, (str, os.PathLike)):
-        if fmt is None:
-            suffix = str(source).lower()
-            fmt = "jsonl" if suffix.endswith((".jsonl", ".ndjson", ".json")) else "csv"
-        source = open(source, "r", encoding="utf-8", newline="")
-        close = True
-    try:
-        lines = iter(source)
+    if fmt is None and isinstance(source, (str, os.PathLike)):
+        suffix = str(source).lower()
+        fmt = "jsonl" if suffix.endswith((".jsonl", ".ndjson", ".json")) else "csv"
+    with text_stream(source) as fh:
+        lines = iter(fh)
         report = IngestReport()
         tx_ids: list[str] = []
         person_ids: list[str] = []
@@ -523,13 +413,9 @@ def parse_transactions(
         else:
             _parse_jsonl(lines, accept)
 
-        log = TransactionLog(
-            tx_ids, person_ids, np.asarray(ts, np.int64), shop_ids, register_ids, baskets, catalog, report
-        )
-        return log
-    finally:
-        if close:
-            source.close()
+    return TransactionLog(
+        tx_ids, person_ids, np.asarray(ts, np.int64), shop_ids, register_ids, baskets, catalog, report
+    )
 
 
 def _parse_csv(lines: Iterable[str], accept) -> None:
@@ -587,14 +473,10 @@ def serialize_transactions(
     log: TransactionLog, dest: Union[str, os.PathLike, io.TextIOBase], fmt: str = "csv"
 ) -> None:
     """Write the log in its canonical persisted form (stable byte-for-byte)."""
-    close = False
-    if isinstance(dest, (str, os.PathLike)):
-        dest = open(dest, "w", encoding="utf-8", newline="")
-        close = True
-    try:
+    with text_stream(dest, "w") as fh:
         stamps = np.datetime_as_string(log.ts.astype("datetime64[s]"), unit="s")
         if fmt == "csv":
-            w = csv.writer(dest, lineterminator="\n")
+            w = csv.writer(fh, lineterminator="\n")
             w.writerow(TRANSACTION_COLUMNS)
             for i in range(log.n):
                 w.writerow(
@@ -617,12 +499,9 @@ def serialize_transactions(
                     "register_id": log.registers[log.register_idx[i]],
                     "items": list(log.baskets[i]),
                 }
-                dest.write(json.dumps(rec) + "\n")
+                fh.write(json.dumps(rec) + "\n")
         else:
             raise ValueError(f"unknown format {fmt!r}")
-    finally:
-        if close:
-            dest.close()
 
 
 # ---------------------------------------------------------------------------
@@ -660,17 +539,9 @@ class Demographics:
     def records(self) -> list[PersonRecord]:
         return [self._by_id[k] for k in sorted(self._by_id)]
 
-    def gender_of(self, person_id: str) -> Optional[str]:
-        r = self._by_id.get(person_id)
-        return r.gender if r else None
-
     def status_of(self, person_id: str) -> Optional[str]:
         r = self._by_id.get(person_id)
         return r.status if r else None
-
-    def birth_year_of(self, person_id: str) -> Optional[int]:
-        r = self._by_id.get(person_id)
-        return r.birth_year if r else None
 
     def with_status_overrides(self, overrides: dict[str, str]) -> "Demographics":
         """Copy where persons lacking a status take one from `overrides`."""
@@ -689,13 +560,10 @@ class Demographics:
 
     def validated_against(self, log: TransactionLog) -> "Demographics":
         """Drop birth years that would give a negative age at some transaction."""
-        min_year: dict[str, int] = {}
-        years = log.year
-        for i in range(log.n):
-            pid = log.persons[log.person_idx[i]]
-            y = int(years[i])
-            if pid not in min_year or y < min_year[pid]:
-                min_year[pid] = y
+        order, start = log.person_transactions()
+        # a person's rows are sorted by time, so the first row has the first year
+        first_rows = order[start[:-1]]
+        min_year = dict(zip(log.persons, log.year[first_rows].tolist()))
         out = []
         degraded = 0
         for r in self._by_id.values():
@@ -710,13 +578,9 @@ class Demographics:
 
     @classmethod
     def from_csv(cls, source: Union[str, os.PathLike, io.TextIOBase]) -> "Demographics":
-        close = False
-        if isinstance(source, (str, os.PathLike)):
-            source = open(source, "r", encoding="utf-8", newline="")
-            close = True
-        try:
+        with text_stream(source) as fh:
             records = []
-            reader = csv.reader(source)
+            reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
                 return cls([])
@@ -745,23 +609,51 @@ class Demographics:
                     except ValueError:
                         raise IngestError(f"demographics line {line_no}: bad birth_year {by_text!r}")
                 records.append(PersonRecord(pid, gender, status, birth_year))
-            return cls(records)
-        finally:
-            if close:
-                source.close()
+        return cls(records)
 
     def to_csv(self, dest: Union[str, os.PathLike, io.TextIOBase]) -> None:
-        close = False
-        if isinstance(dest, (str, os.PathLike)):
-            dest = open(dest, "w", encoding="utf-8", newline="")
-            close = True
-        try:
-            w = csv.writer(dest, lineterminator="\n")
+        with text_stream(dest, "w") as fh:
+            w = csv.writer(fh, lineterminator="\n")
             w.writerow(["person_id", "gender", "status", "birth_year"])
             for r in self.records():
                 w.writerow(
                     [r.person_id, r.gender or "", r.status or "", r.birth_year if r.birth_year is not None else ""]
                 )
-        finally:
-            if close:
-                dest.close()
+
+
+def age_tercile_label(age: int, cuts: tuple[int, int] = (22, 32)) -> str:
+    lo, hi = cuts
+    if age <= lo:
+        return f"<={lo}"
+    if age <= hi:
+        return f"{lo + 1}-{hi}"
+    return f">{hi}"
+
+
+def person_attribute(
+    log: TransactionLog,
+    demographics: Demographics,
+    attribute: str,
+    rows: np.ndarray,
+    age_cuts: tuple[int, int] = (22, 32),
+) -> list[Optional[str]]:
+    """``status``, ``gender`` or ``age_tercile`` of the person at each log row.
+
+    None where the person or the field is unknown; age is counted in the
+    calendar year of the row's transaction.
+    """
+    years = log.year
+    out: list[Optional[str]] = []
+    for i in rows:
+        rec = demographics.get(log.persons[log.person_idx[i]])
+        if rec is None:
+            out.append(None)
+        elif attribute == "status":
+            out.append(rec.status)
+        elif attribute == "gender":
+            out.append(rec.gender)
+        elif rec.birth_year is None:
+            out.append(None)
+        else:
+            out.append(age_tercile_label(int(years[i]) - rec.birth_year, age_cuts))
+    return out

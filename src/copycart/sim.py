@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import (
+    DAYPART_WINDOWS,
     Demographics,
     ItemCatalog,
     ItemCategory,
@@ -37,12 +38,9 @@ from .model import (
     serialize_transactions,
 )
 
-DAYPART_LABELS = ("breakfast", "lunch", "afternoon")
-_WINDOWS = {
-    "breakfast": (6 * 3600, 11 * 3600),
-    "lunch": (11 * 3600, 14 * 3600 + 1800),
-    "afternoon": (14 * 3600 + 1800, 20 * 3600),
-}
+# simulated daypart k is Daypart(k); _WINDOWS[k] is its [start, end) in seconds
+DAYPART_LABELS = tuple(d.label for d in DAYPART_WINDOWS)
+_WINDOWS = np.asarray(list(DAYPART_WINDOWS.values()))
 _ANCHOR_CODES = ("MEAL_V", "MEAL_NV", "COFFEE", "TEA")
 
 
@@ -294,8 +292,8 @@ class GroundTruth:
 
 def _visit_seconds(rng, daypart_idx, status_sig, is_staff, room):
     """Start second within the daypart window, leaving `room` for the gap."""
-    lo = np.asarray([_WINDOWS[DAYPART_LABELS[d]][0] for d in daypart_idx])
-    hi = np.asarray([_WINDOWS[DAYPART_LABELS[d]][1] for d in daypart_idx])
+    lo = _WINDOWS[daypart_idx, 0]
+    hi = _WINDOWS[daypart_idx, 1]
     span = hi - lo - room
     u = rng.random(daypart_idx.shape[0])
     if status_sig:

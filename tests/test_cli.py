@@ -1,5 +1,6 @@
 """CLI and pipeline: config parsing, determinism, stage reruns, plots."""
 
+import dataclasses
 import io
 import json
 import os
@@ -113,6 +114,8 @@ def test_config_nested_sections_and_overrides():
     assert cfg.n_boot == 50 and cfg.baseline is False
     assert cfg.subgroups == ("daypart",)
     assert cfg.adjustment.match_focal_identity is True
+    # keys left out of the section keep the CLI defaults
+    assert cfg.adjustment.exclude_own_transactions is True
 
 
 def test_config_subgroups_all_run():
@@ -158,8 +161,11 @@ def test_run_without_seed_fails(workdir):
     {"adjustment": {"caliper": 1.5}},
     {"adjustment": 5},
     {"adjustment": {"bogus": 1}},
+    {"analyses": {"baseline": "no"}},
+    {"dyads": {"require_anchor": "false"}},
+    {"adjustment": {"match_focal_identity": "no"}},
 ], ids=["threads", "n_boot", "alpha", "max_gap_s", "caliper", "adjustment_scalar",
-        "adjustment_key"])
+        "adjustment_key", "baseline_string", "require_anchor_string", "adjustment_bool_string"])
 def test_config_type_errors_exit_cleanly(workdir, tmp_path, patch):
     conf = yaml.safe_load((workdir / "run.yaml").read_text())
     for key, value in patch.items():
@@ -428,6 +434,33 @@ def _micro_inputs(tmp_path):
         out=str(tmp_path / "out"),
         n_boot=50,
     )
+
+
+def test_ingest_drops_birth_years_after_first_transaction(tmp_path):
+    cfg = _micro_inputs(tmp_path)
+    demo = tmp_path / "demographics.csv"
+    demo.write_text(
+        "person_id,gender,status,birth_year\nA,female,staff,1990\nB,male,student,2019\n",
+        encoding="utf-8",
+    )
+    _log, _catalog, people = pipeline_mod.ingest_inputs(
+        dataclasses.replace(cfg, demographics=str(demo))
+    )
+    assert people.get("A").birth_year == 1990
+    assert people.get("B").birth_year is None  # born after shopping in 2018
+    assert people.get("B").status == "student"
+    assert people.n_birth_year_degraded == 1
+
+
+def test_dose_bins_follow_max_gap():
+    # one pair per 30 s bin up to 600 s: the bins must reach the gap limit
+    delays = [30 * b + 15 for b in range(20)]
+    pairs = pairs_from_outcomes([1, 0] * 10, [0, 0, 1, 0] * 5, delays=delays, max_gap_s=600)
+    cfg = RunConfig(transactions="t.csv", catalog="c.csv", seed=1, max_gap_s=600, n_boot=10)
+    dose = pipeline_mod.item_dose(pairs, "dessert", cfg)
+    assert [b["midpoint_s"] for b in dose["bins"]] == [float(d) for d in delays]
+    assert [b["n_pairs"] for b in dose["bins"]] == [1] * 20
+    assert dose["bins"][-1]["stratum"] == "delay<= 600s"
 
 
 def test_no_pairs_item_still_succeeds(tmp_path):

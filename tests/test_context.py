@@ -10,6 +10,22 @@ from copycart.context import compute_context, encode_cells
 from test_model import CATALOG, CSV_HEADER, parse_csv
 
 
+def cell_key(log, shop, date, daypart):
+    """Encoded (shop, date, daypart) cell; an unknown shop gets an index
+    past the log's shops, so it names no cell."""
+    shop_i = log.shops.index(shop) if shop in log.shops else len(log.shops)
+    date_ord = np.datetime64(date, "D").astype(np.int64)
+    return encode_cells(np.asarray([shop_i]), np.asarray([date_ord]), np.asarray([daypart.value]))
+
+
+def popularity(stats, log, shop, date, daypart, category):
+    return float(stats.popularity_for_cells(cell_key(log, shop, date, daypart), category)[0])
+
+
+def n_transactions(stats, log, shop, date, daypart):
+    return int(stats.counts_for_cells(cell_key(log, shop, date, daypart), "meal")[0][0])
+
+
 def test_popularity_counted_by_hand():
     # one lunch cell with 4 transactions, 2 containing fruit
     log = parse_csv(
@@ -19,12 +35,12 @@ def test_popularity_counted_by_hand():
         "T4,P4,2018-01-05T12:15:00,S1,R2,MEALS;DES\n"
     )
     stats = compute_context(log, CATALOG)
-    assert stats.popularity("S1", log.timestamp(0).date(), M.Daypart.LUNCH, "fruit") == 0.5
-    assert stats.popularity("S1", log.timestamp(0).date(), M.Daypart.LUNCH, "meal") == 1.0
-    assert stats.popularity("S1", log.timestamp(0).date(), M.Daypart.LUNCH, "soup") == 0.0
-    assert not stats.available("S1", log.timestamp(0).date(), M.Daypart.LUNCH, "soup")
-    assert stats.available("S1", log.timestamp(0).date(), M.Daypart.LUNCH, "dessert")
-    assert stats.n_transactions("S1", log.timestamp(0).date(), M.Daypart.LUNCH) == 4
+    lunch = ("S1", "2018-01-05", M.Daypart.LUNCH)
+    assert popularity(stats, log, *lunch, "fruit") == 0.5
+    assert popularity(stats, log, *lunch, "meal") == 1.0
+    assert popularity(stats, log, *lunch, "soup") == 0.0  # so soup is unavailable
+    assert popularity(stats, log, *lunch, "dessert") > 0.0
+    assert n_transactions(stats, log, *lunch) == 4
 
 
 def test_cells_are_split_by_shop_date_daypart():
@@ -36,12 +52,12 @@ def test_cells_are_split_by_shop_date_daypart():
     )
     stats = compute_context(log, CATALOG)
     assert stats.n_cells == 4
-    d5 = log.timestamp(0).date()
-    assert stats.popularity("S1", d5, M.Daypart.BREAKFAST, "dessert") == 1.0
-    assert stats.popularity("S2", d5, M.Daypart.BREAKFAST, "dessert") == 0.0
+    d5 = "2018-01-05"
+    assert popularity(stats, log, "S1", d5, M.Daypart.BREAKFAST, "dessert") == 1.0
+    assert popularity(stats, log, "S2", d5, M.Daypart.BREAKFAST, "dessert") == 0.0
     # absent cell gives zero / unavailable
-    assert stats.popularity("S2", d5, M.Daypart.LUNCH, "meal") == 0.0
-    assert stats.n_transactions("S9", d5, M.Daypart.LUNCH) == 0
+    assert popularity(stats, log, "S2", d5, M.Daypart.LUNCH, "meal") == 0.0
+    assert n_transactions(stats, log, "S9", d5, M.Daypart.LUNCH) == 0
 
 
 def test_popularities_in_unit_interval_random():
@@ -57,13 +73,15 @@ def test_popularities_in_unit_interval_random():
     log = parse_csv("\n".join(rows) + "\n")
     stats = compute_context(log, CATALOG)
     assert (stats._pop >= 0).all() and (stats._pop <= 1).all()
-    # vectorized lookup agrees with scalar lookup on the log's own cells
+    # the lookup on the log's own cells agrees with a count over the rows
     keys = encode_cells(log.shop_idx, log.date_ord, log.daypart)
     vec = stats.popularity_for_cells(keys, "dessert")
+    n, cnt = stats.counts_for_cells(keys, "dessert")
+    has = np.asarray(["DES" in b for b in log.baskets])
     for i in range(0, log.n, 37):
-        shop = log.shops[log.shop_idx[i]]
-        got = stats.popularity(shop, int(log.date_ord[i]), M.Daypart(int(log.daypart[i])), "dessert")
-        assert vec[i] == got
+        same = keys == keys[i]
+        assert n[i] == same.sum() and cnt[i] == has[same].sum()
+        assert vec[i] == has[same].sum() / same.sum()
 
 
 def test_csv_dump_shape():

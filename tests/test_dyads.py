@@ -14,10 +14,9 @@ from copycart.dyads import (
     filter_frequent_pairs,
     reconstruct_queues,
     select_additions,
-    tie_strength,
     tie_strength_per_dyad,
 )
-from copycart.errors import EmptyMatrixError, UndefinedPairError
+from copycart.errors import EmptyMatrixError
 
 from test_model import CATALOG, parse_csv
 
@@ -33,24 +32,40 @@ def lunch_rows(entries, shop="S1", register="R1", day="2018-01-05"):
     return "\n".join(rows) + "\n"
 
 
+def sequences(queues):
+    """Row indices of each queue, in queue order."""
+    return [queues.order[a:b] for a, b in zip(queues.start[:-1], queues.start[1:])]
+
+
+def assert_dyad_invariants(d, max_gap_s=300):
+    """Adjacent-transaction invariants every extracted dyad set satisfies."""
+    log = d.log
+    assert (log.ts[d.partner_i] <= log.ts[d.focal_i]).all()
+    assert (d.delay_s >= 0).all() and (d.delay_s <= max_gap_s).all()
+    assert (log.person_idx[d.partner_i] != log.person_idx[d.focal_i]).all()
+    assert (log.shop_idx[d.partner_i] == log.shop_idx[d.focal_i]).all()
+    assert (log.register_idx[d.partner_i] == log.register_idx[d.focal_i]).all()
+    assert (log.date_ord[d.partner_i] == log.date_ord[d.focal_i]).all()
+    assert (d.daypart != M.Daypart.OUT_OF_WINDOW.value).all()
+
+
 def test_reconstruct_queues_empty_and_grouping():
     empty = M.parse_transactions(io.StringIO(""), CATALOG, fmt="csv")
     q = reconstruct_queues(empty)
-    assert q.n_queues == 0
+    assert sequences(q) == []
     log = parse_csv(
         lunch_rows([("T1", "P1", 0, "MEALV"), ("T3", "P3", 120, "MEALV")])
         + lunch_rows([("T2", "P2", 30, "MEALS"), ("T4", "P4", 200, "MEALS"), ("T5", "P5", 400, "MEALS")], register="R2")
     )
     q = reconstruct_queues(log)
-    assert q.n_queues == 2
-    seqs = [[log.tx_ids[i] for i in s] for s in q.sequences()]
+    seqs = [[log.tx_ids[i] for i in s] for s in sequences(q)]
     assert seqs == [["T1", "T3"], ["T2", "T4", "T5"]]
 
 
 def test_equal_timestamp_tiebreak_by_tx_id():
     log = parse_csv(lunch_rows([("TB", "P1", 0, "MEALV"), ("TA", "P2", 0, "MEALS")]))
     q = reconstruct_queues(log)
-    assert [log.tx_ids[i] for i in q.sequences()[0]] == ["TA", "TB"]
+    assert [log.tx_ids[i] for i in sequences(q)[0]] == ["TA", "TB"]
 
 
 def test_extract_dyads_gap_rule():
@@ -75,7 +90,16 @@ def test_extract_dyads_overlap_allowed():
     d = extract_dyads(reconstruct_queues(log))
     got = {(log.tx_ids[p], log.tx_ids[f]) for p, f in zip(d.partner_i, d.focal_i)}
     assert got == {("T1", "T2"), ("T2", "T3")}
-    d.validate()
+    assert_dyad_invariants(d)
+
+
+def test_extract_dyads_invariants_at_a_longer_gap():
+    log = parse_csv(
+        lunch_rows([("T1", "A", 0, "MEALV"), ("T2", "B", 450, "MEALS"), ("T3", "C", 1000, "MEALV")])
+    )
+    d = extract_dyads(reconstruct_queues(log), max_gap_s=600)
+    assert d.delay_s.tolist() == [450, 550]
+    assert_dyad_invariants(d, max_gap_s=600)
 
 
 def test_extract_dyads_anchor_requirement():
@@ -106,7 +130,7 @@ def test_dyad_count_bound_and_queue_boundaries():
     )
     q = reconstruct_queues(log)
     d = extract_dyads(q)
-    assert d.n <= log.n - q.n_queues
+    assert d.n <= log.n - len(sequences(q))
     got = {(log.tx_ids[p], log.tx_ids[f]) for p, f in zip(d.partner_i, d.focal_i)}
     assert got == {("T1", "T2"), ("T3", "T4")}
 
@@ -158,23 +182,30 @@ def test_select_additions():
     assert select_additions(d, CATALOG, min_fraction=0.03) == {}
 
 
+def tie_strength(dyads, pair):
+    """Brute-force reference: dyads containing both persons of the pair
+    over dyads containing either."""
+    index = {p: i for i, p in enumerate(dyads.log.persons)}
+    a, b = index[pair[0]], index[pair[1]]
+    pp, fp = dyads.partner_person, dyads.focal_person
+    in_a = (pp == a) | (fp == a)
+    in_b = (pp == b) | (fp == b)
+    return int((in_a & in_b).sum()) / int((in_a | in_b).sum())
+
+
 def test_tie_strength_cases():
     log = _pair_fixture({("A", "B"): 4, ("A", "C"): 4, ("B", "D"): 2})
     d = extract_dyads(reconstruct_queues(log))
-    t = tie_strength(d, ("A", "B"))
-    assert t.strength == pytest.approx(4 / 10)
+    assert tie_strength(d, ("A", "B")) == pytest.approx(4 / 10)
+    assert tie_strength(d, ("C", "D")) == 0.0  # both active, never together
+    per = tie_strength_per_dyad(d)
+    names = [(d.log.persons[p], d.log.persons[f]) for p, f in zip(d.partner_person, d.focal_person)]
+    assert [s for s, pair in zip(per, names) if pair == ("A", "B")] == pytest.approx([0.4] * 4)
+    for k in range(d.n):
+        assert per[k] == pytest.approx(tie_strength(d, names[k]))
     only = _pair_fixture({("A", "B"): 5})
     d2 = extract_dyads(reconstruct_queues(only))
-    assert tie_strength(d2, ("A", "B")).strength == 1.0
-    assert tie_strength(d, ("C", "D")).strength == 0.0  # both active, never together
-    with pytest.raises(UndefinedPairError):
-        tie_strength(d, ("A", "ZZ"))
-    per = tie_strength_per_dyad(d)
-    ab = (d.log.persons[0] == "A")  # sanity: per-dyad values match scalar API
-    for k in range(d.n):
-        pa = d.log.persons[d.partner_person[k]]
-        fb = d.log.persons[d.focal_person[k]]
-        assert per[k] == pytest.approx(tie_strength(d, (pa, fb)).strength)
+    assert tie_strength_per_dyad(d2).tolist() == [1.0] * 5
 
 
 def test_co_purchase_matrix_gender():

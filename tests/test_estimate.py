@@ -36,7 +36,7 @@ def _hms(sec):
     return f"{sec // 3600:02d}:{sec % 3600 // 60:02d}:{sec % 60:02d}"
 
 
-def pairs_from_outcomes(o_t, o_c, delays=None, partner_persons=None):
+def pairs_from_outcomes(o_t, o_c, delays=None, partner_persons=None, max_gap_s=300):
     """Fabricate a MatchedPairSet with fully controlled per-pair outcomes.
 
     Pair k gets its own date; the treated dyad sits at register R1, its
@@ -61,7 +61,7 @@ def pairs_from_outcomes(o_t, o_c, delays=None, partner_persons=None):
         rows.append(f"C{k:04d}P,{pp},{day}T{_hms(t0 + 1800)},S1,R2,MEALV")
         rows.append(f"C{k:04d}F,FB,{day}T{_hms(t0 + 1860)},S1,R2,{fc}")
     log = parse_csv("\n".join(rows) + "\n")
-    dyads = extract_dyads(reconstruct_queues(log))
+    dyads = extract_dyads(reconstruct_queues(log), max_gap_s=max_gap_s)
     assert dyads.n == 2 * n
     # queue order puts the R1 (treated) dyads first, R2 (control) after
     assert log.tx_ids[dyads.partner_i[0]] == "T0000P"

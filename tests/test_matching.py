@@ -19,6 +19,7 @@ from copycart.matching import (
     smd,
 )
 
+from test_context import cell_key
 from test_dyads import lunch_rows
 from test_model import CATALOG, parse_csv
 
@@ -338,7 +339,8 @@ def test_popularity_from_computed_context():
     rows.append(lunch_rows([("X2", "X", 3600, "MEALV;DES"), ("X3", "Y", 5400, "MEALS;DES")], day="2018-01-02"))
     log = parse_csv("".join(rows))
     ctx = compute_context(log, CATALOG)
-    assert ctx.popularity("S1", "2018-01-01", M.Daypart.LUNCH, "dessert") == pytest.approx(0.5)
+    cell = cell_key(log, "S1", "2018-01-01", M.Daypart.LUNCH)
+    assert ctx.popularity_for_cells(cell, "dessert")[0] == pytest.approx(0.5)
     dyads = extract_dyads(reconstruct_queues(log))
     sel = np.asarray([log.tx_ids[i].startswith(("P", "F")) for i in dyads.partner_i])
     dyads = dyads.subset(sel & np.asarray([log.tx_ids[i].startswith("F") for i in dyads.focal_i]))
