@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import stdtr
 
 from . import context as ctx
 from .dyads import DyadSet
@@ -37,8 +36,10 @@ def randomize_partners(dyads: DyadSet, seed: int) -> DyadSet:
     """Re-draw every partner uniformly from the focal transaction's cell.
 
     A dyad with no eligible candidate is dropped.  The draw is a single
-    uniform index per dyad mapped over the excluded rows, so no rejection
-    loop is involved.  The new partners break queue adjacency by design.
+    uniform index j per dyad into the cell's members with the excluded rows
+    left out: walking the excluded positions in ascending order, each one at
+    or below j moves j up by one.  No rejection loop is involved.  The new
+    partners break queue adjacency by design.
     """
     log = dyads.log
     if dyads.n == 0:
@@ -65,16 +66,34 @@ def randomize_partners(dyads: DyadSet, seed: int) -> DyadSet:
     if ok.any():
         draws[ok] = rng.integers(0, n_cand[ok])
 
-    new_partner = dyads.partner_i.copy()
-    for k in np.nonzero(ok)[0]:
-        members = cell_order[ms[k] : me[k]]  # ascending row ids
-        excluded = np.sort(np.append(cp_order[fs[k] : fe[k]], dyads.partner_i[k]))
-        j = int(draws[k])
-        for p in np.searchsorted(members, excluded):
-            if p <= j:
-                j += 1
-        new_partner[k] = members[j]
+    # position of a row among its cell's members (ascending row ids): one
+    # search over (dense cell rank, row) keys, which fit int64 for any log
+    cell_rank = np.cumsum(np.r_[0, sorted_cells[1:] != sorted_cells[:-1]])
+    member_key = cell_rank * log.n + cell_order
+    k_ok = np.nonzero(ok)[0]
+    ms_ok, fs_ok = ms[k_ok], fs[k_ok]
+    rank_ok = cell_rank[ms_ok]
 
+    def position(k_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return np.searchsorted(member_key, rank_ok[k_rows] * log.n + rows) - ms_ok[k_rows]
+
+    # excluded positions per dyad, padded past any draw: the focal person's
+    # rows in the cell, then the original partner
+    n_focal = fe[k_ok] - fs_ok
+    width = int(n_focal.max()) + 1 if k_ok.shape[0] else 1
+    excluded = np.full((k_ok.shape[0], width), log.n, np.int64)
+    k_rows = np.repeat(np.arange(k_ok.shape[0]), n_focal)
+    col = np.arange(k_rows.shape[0]) - np.repeat(np.cumsum(n_focal) - n_focal, n_focal)
+    excluded[k_rows, col] = position(k_rows, cp_order[fs_ok[k_rows] + col])
+    everyone = np.arange(k_ok.shape[0])
+    excluded[everyone, n_focal] = position(everyone, dyads.partner_i[k_ok])
+    excluded.sort(axis=1)
+
+    j = draws[k_ok]
+    for c in range(width):
+        j += excluded[:, c] <= j
+    new_partner = dyads.partner_i.copy()
+    new_partner[k_ok] = cell_order[ms_ok + j]
     return _with_partners(dyads, new_partner, ok)
 
 
@@ -96,6 +115,8 @@ def welch_t(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
         if m1 == m2:
             return (0.0, 1.0, float(n1 + n2 - 2))
         return (math.copysign(math.inf, m1 - m2), 0.0, float(n1 + n2 - 2))
+    from scipy.special import stdtr  # imported here: most CLI stages never run a t-test
+
     t = (m1 - m2) / math.sqrt(a + b)
     df = (a + b) ** 2 / (a * a / (n1 - 1) + b * b / (n2 - 1))
     p = 2.0 * float(stdtr(df, -abs(t)))  # two-sided Student-t tail

@@ -27,6 +27,7 @@ from .model import (
     ItemCatalog,
     TransactionLog,
     anchor_code_arrays,
+    labels_at,
     person_attribute,
 )
 
@@ -44,13 +45,16 @@ def reconstruct_queues(log: TransactionLog) -> Queues:
     """Group the log into queues; within a queue sort by time then tx_id."""
     if log.n == 0:
         return Queues(log, np.empty(0, np.int64), np.zeros(1, np.int64))
-    order = np.lexsort((log.txid_rank, log.ts, log.date_ord, log.register_idx, log.shop_idx))
+    order = np.lexsort((log.tx_idx, log.ts, log.date_ord, log.register_idx, log.shop_idx))
     shop = log.shop_idx[order]
     reg = log.register_idx[order]
     day = log.date_ord[order]
     brk = (shop[1:] != shop[:-1]) | (reg[1:] != reg[:-1]) | (day[1:] != day[:-1])
     starts = np.concatenate(([0], np.nonzero(brk)[0] + 1, [log.n]))
     return Queues(log, order.astype(np.int64), starts.astype(np.int64))
+
+
+DYAD_COLUMNS = ("partner_tx", "focal_tx", "shop_id", "register_id", "date", "daypart", "delay_s")
 
 
 class DyadSet:
@@ -119,48 +123,47 @@ class DyadSet:
         return DyadSet(self.log, self.partner_i[sel], self.focal_i[sel], self.delay_s[sel])
 
     def to_csv(self, dest: Union[str, os.PathLike, io.TextIOBase]) -> None:
+        log = self.log
+        columns = zip(
+            log.tx_ids_at(self.partner_i),
+            log.tx_ids_at(self.focal_i),
+            labels_at(log.shops, self.shop_idx),
+            labels_at(log.registers, self.register_idx),
+            np.datetime_as_string(self.date_ord.astype("datetime64[D]")).tolist(),
+            labels_at([d.label for d in Daypart], self.daypart),
+            self.delay_s.tolist(),
+        )
         with text_stream(dest, "w") as fh:
             w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["partner_tx", "focal_tx", "shop_id", "register_id", "date", "daypart", "delay_s"])
-            log = self.log
-            dates = np.datetime_as_string(self.date_ord.astype("datetime64[D]"))
-            shop = self.shop_idx
-            reg = self.register_idx
-            dp = self.daypart
-            for k in range(self.n):
-                w.writerow(
-                    [
-                        log.tx_ids[self.partner_i[k]],
-                        log.tx_ids[self.focal_i[k]],
-                        log.shops[shop[k]],
-                        log.registers[reg[k]],
-                        dates[k],
-                        Daypart(int(dp[k])).label,
-                        int(self.delay_s[k]),
-                    ]
-                )
+            w.writerow(DYAD_COLUMNS)
+            w.writerows(columns)
 
     @classmethod
     def from_csv(cls, source: Union[str, os.PathLike, io.TextIOBase], log: TransactionLog) -> "DyadSet":
         with text_stream(source) as fh:
+            dump = getattr(fh, "name", "dyad dump")
             reader = csv.reader(fh)
-            header = next(reader, None)
-            partner, focal, delay = [], [], []
-            for row in reader:
+            next(reader, None)
+            txs, delay = [], []
+            for line, row in enumerate(reader, start=2):
                 if not row:
                     continue
-                try:
-                    partner.append(log.index_of(row[0]))
-                    focal.append(log.index_of(row[1]))
-                except KeyError as err:
-                    dump = getattr(fh, "name", "dyad dump")
+                if len(row) != len(DYAD_COLUMNS):
                     raise IngestError(
-                        f"{dump} names tx id {err.args[0]!r}, which the transaction log lacks"
+                        f"{dump} line {line}: expected {len(DYAD_COLUMNS)} fields, got {len(row)}"
+                    )
+                try:
+                    delay.append(int(row[6]))
+                except ValueError:
+                    raise IngestError(
+                        f"{dump} line {line}: delay_s {row[6]!r} is not an integer"
                     ) from None
-                delay.append(int(row[6]))
-        return cls(
-            log, np.asarray(partner, np.int64), np.asarray(focal, np.int64), np.asarray(delay, np.int64)
-        )
+                txs += row[:2]
+        rows = log.rows_of(txs)
+        if (rows < 0).any():
+            missing = txs[int(np.argmax(rows < 0))]
+            raise IngestError(f"{dump} names tx id {missing!r}, which the transaction log lacks")
+        return cls(log, rows[0::2], rows[1::2], np.asarray(delay, np.int64))
 
 
 def extract_dyads(queues: Queues, max_gap_s: int = 300, require_anchor: bool = True) -> DyadSet:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import stdtr
 
 from ._util import derive_seed
 from .context import ContextStats
@@ -365,6 +364,8 @@ def ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
     se = math.sqrt(sse / (n - 2) / sxx)
     if se == 0.0:
         return (slope, intercept, 1.0 if slope == 0.0 else 0.0, 0.0)
+    from scipy.special import stdtr  # imported here: most CLI stages never test a slope
+
     t = slope / se
     p = 2.0 * float(stdtr(n - 2, -abs(t)))  # two-sided Student-t tail
     return (slope, intercept, p, se)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -58,6 +59,17 @@ def _group_key(columns: Sequence[np.ndarray]) -> np.ndarray:
         card = int(col.max()) - lo + 1 if col.shape[0] else 1
         key = key * card + (col - lo)
     return key
+
+
+PAIR_COLUMNS = (
+    "item",
+    "treated_partner_tx",
+    "treated_focal_tx",
+    "control_partner_tx",
+    "control_focal_tx",
+    "popularity_t",
+    "popularity_c",
+)
 
 
 class MatchedPairSet:
@@ -122,34 +134,20 @@ class MatchedPairSet:
         )
 
     def to_csv(self, dest: Union[str, os.PathLike, io.TextIOBase]) -> None:
+        d = self.dyads
+        columns = zip(
+            [self.item] * self.n,
+            d.log.tx_ids_at(d.partner_i[self.treated_idx]),
+            d.log.tx_ids_at(d.focal_i[self.treated_idx]),
+            d.log.tx_ids_at(d.partner_i[self.control_idx]),
+            d.log.tx_ids_at(d.focal_i[self.control_idx]),
+            map(repr, self.pop_t.tolist()),
+            map(repr, self.pop_c.tolist()),
+        )
         with text_stream(dest, "w") as fh:
-            log = self.dyads.log
             w = csv.writer(fh, lineterminator="\n")
-            w.writerow(
-                [
-                    "item",
-                    "treated_partner_tx",
-                    "treated_focal_tx",
-                    "control_partner_tx",
-                    "control_focal_tx",
-                    "popularity_t",
-                    "popularity_c",
-                ]
-            )
-            for k in range(self.n):
-                t = self.treated_idx[k]
-                c = self.control_idx[k]
-                w.writerow(
-                    [
-                        self.item,
-                        log.tx_ids[self.dyads.partner_i[t]],
-                        log.tx_ids[self.dyads.focal_i[t]],
-                        log.tx_ids[self.dyads.partner_i[c]],
-                        log.tx_ids[self.dyads.focal_i[c]],
-                        repr(float(self.pop_t[k])),
-                        repr(float(self.pop_c[k])),
-                    ]
-                )
+            w.writerow(PAIR_COLUMNS)
+            w.writerows(columns)
 
     @classmethod
     def from_csv(
@@ -157,37 +155,46 @@ class MatchedPairSet:
     ) -> dict[str, "MatchedPairSet"]:
         """Read a matched-pair dump back; returns one set per item found."""
         with text_stream(source) as fh:
-            log = dyads.log
-            where = {}
-            for k in range(dyads.n):
-                where[(int(dyads.partner_i[k]), int(dyads.focal_i[k]))] = k
-
-            def dyad_at(partner_tx: str, focal_tx: str) -> int:
-                try:
-                    return where[(log.index_of(partner_tx), log.index_of(focal_tx))]
-                except KeyError:
-                    dump = getattr(fh, "name", "matched-pair dump")
-                    raise IngestError(
-                        f"{dump} names dyad ({partner_tx}, {focal_tx}), which the dyad set lacks"
-                    ) from None
-
+            dump = getattr(fh, "name", "matched-pair dump")
             reader = csv.reader(fh)
             next(reader, None)
-            rows: dict[str, list] = {}
-            for row in reader:
+            items, txs, pops = [], [], []
+            for line, row in enumerate(reader, start=2):
                 if not row:
                     continue
-                item = row[0]
-                t = dyad_at(row[1], row[2])
-                c = dyad_at(row[3], row[4])
-                rows.setdefault(item, []).append((t, c, float(row[5]), float(row[6])))
+                if len(row) != len(PAIR_COLUMNS):
+                    raise IngestError(
+                        f"{dump} line {line}: expected {len(PAIR_COLUMNS)} fields, got {len(row)}"
+                    )
+                try:
+                    pops.append((float(row[5]), float(row[6])))
+                except ValueError:
+                    raise IngestError(
+                        f"{dump} line {line}: popularity {row[5:]!r} is not a number"
+                    ) from None
+                items.append(row[0])
+                txs.append(row[1:5])
+        log = dyads.log
+        # log rows of ((treated partner, treated focal), (control partner, control focal))
+        rows = log.rows_of([tx for four in txs for tx in four]).reshape(-1, 2, 2)
+        keys = np.where((rows >= 0).all(axis=2), rows[:, :, 0] * log.n + rows[:, :, 1], -1)
+        where = dict(zip((dyads.partner_i * log.n + dyads.focal_i).tolist(), range(dyads.n)))
+        dyad = np.fromiter(
+            map(where.get, keys.ravel().tolist(), itertools.repeat(-1)), np.int64, keys.size
+        ).reshape(-1, 2)
+        if (dyad < 0).any():
+            k = int(np.argmax(dyad.ravel() < 0))
+            partner_tx, focal_tx = txs[k // 2][2 * (k % 2) : 2 * (k % 2) + 2]
+            raise IngestError(
+                f"{dump} names dyad ({partner_tx}, {focal_tx}), which the dyad set lacks"
+            )
         out = {}
-        for item, lst in rows.items():
-            ti = np.asarray([r[0] for r in lst], np.int64)
-            ci = np.asarray([r[1] for r in lst], np.int64)
-            pt = np.asarray([r[2] for r in lst], np.float64)
-            pc = np.asarray([r[3] for r in lst], np.float64)
-            out[item] = cls(dyads, item, ti, ci, pt, pc, len(lst), 0)
+        items_arr = np.asarray(items, dtype=object)
+        pops_arr = np.asarray(pops, np.float64).reshape(-1, 2)
+        for item in dict.fromkeys(items):
+            sel = items_arr == item
+            ti, ci = dyad[sel, 0], dyad[sel, 1]
+            out[item] = cls(dyads, item, ti, ci, pops_arr[sel, 0], pops_arr[sel, 1], ti.shape[0], 0)
         return out
 
 
@@ -207,31 +214,44 @@ def _greedy_caliper_match(
     processing order and control rows in tie-break order, so each treated
     row takes the first unused control at minimal distance.  Returns the
     matched control index per treated row, -1 where none is in the caliper.
+
+    Strata share no controls, so the loop runs in rounds: round r lets the
+    r-th treated row of every stratum choose at once, which keeps each
+    stratum's order sequential and gives the row-by-row greedy result.
     """
     out = np.full(t_pop.shape[0], -1, np.int64)
     used = np.zeros(c_pop.shape[0], bool)
-    for s in range(t_start.shape[0] - 1):
-        c0 = int(c_start[s])
-        c1 = int(c_start[s + 1])
-        if c1 == c0:
-            continue
-        cp = c_pop[c0:c1]
-        u = used[c0:c1]
-        for i in range(int(t_start[s]), int(t_start[s + 1])):
-            pt = t_pop[i]
-            d = np.abs(pt - cp)
-            if relative:
-                m = np.maximum(pt, cp)
-                safe = np.where(m > 0.0, m, 1.0)
-                ok = np.where(m > 0.0, d / safe <= caliper, d == 0.0)
-            else:
-                ok = d <= caliper
-            ok &= ~u
-            if not ok.any():
-                continue
-            j = int(np.argmin(np.where(ok, d, np.inf)))
-            u[j] = True
-            out[i] = c0 + j
+    n_t = np.diff(t_start)
+    n_free = np.diff(c_start)
+    live = np.nonzero((n_t > 0) & (n_free > 0))[0]
+    r = 0
+    while live.shape[0]:
+        ti = t_start[live] + r
+        # every (treated, control) candidate of the live strata, flattened
+        width = c_start[live + 1] - c_start[live]
+        seg = np.repeat(np.arange(live.shape[0]), width)
+        cj = np.arange(seg.shape[0]) - np.repeat(np.cumsum(width) - width - c_start[live], width)
+        pt = t_pop[ti][seg]
+        cp = c_pop[cj]
+        d = np.abs(pt - cp)
+        if relative:
+            m = np.maximum(pt, cp)
+            safe = np.where(m > 0.0, m, 1.0)
+            ok = np.where(m > 0.0, d / safe <= caliper, d == 0.0)
+        else:
+            ok = d <= caliper
+        ok &= ~used[cj]
+        seg, cj, d = seg[ok], cj[ok], d[ok]
+        if seg.shape[0]:
+            # nearest control per treated row, ties to the lowest control index
+            order = np.lexsort((cj, d, seg))
+            s = seg[order]
+            first = order[np.r_[True, s[1:] != s[:-1]]]
+            out[ti[seg[first]]] = cj[first]
+            used[cj[first]] = True
+            n_free[live[seg[first]]] -= 1
+        r += 1
+        live = live[(n_t[live] > r) & (n_free[live] > 0)]
     return out
 
 
@@ -287,7 +307,7 @@ def build_matched_pairs(
     key_c_inv = c_in[c_valid]
 
     date = dyads.date_ord
-    rank = log.txid_rank[dyads.focal_i]
+    rank = log.tx_idx[dyads.focal_i]
     t_order = np.lexsort((rank[t_rows], date[t_rows], key_t_inv))
     c_order = np.lexsort((rank[c_rows], date[c_rows], key_c_inv))
     t_rows = t_rows[t_order]

@@ -9,12 +9,13 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
-import json
+import itertools
+import operator
 import os
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -130,9 +131,6 @@ class ItemCatalog:
     def get(self, code: str) -> Optional[ItemCategory]:
         return self._categories.get(code)
 
-    def codes(self) -> list[str]:
-        return sorted(self._categories)
-
     def mask_of(self, basket: Iterable[str]) -> int:
         """Basket mask; unknown codes contribute nothing."""
         m = 0
@@ -202,6 +200,9 @@ TRANSACTION_COLUMNS = ("tx_id", "person_id", "timestamp", "shop_id", "register_i
 
 _EPOCH = dt.datetime(1970, 1, 1)
 
+# records checked per step of the parser; bounds the field strings held at once
+_PARSE_CHUNK = 1 << 16
+
 
 def _parse_timestamp(text: str) -> int:
     """ISO timestamp -> epoch seconds; naive, truncated to seconds."""
@@ -209,6 +210,61 @@ def _parse_timestamp(text: str) -> int:
     if t.tzinfo is not None:
         raise ValueError("timezone-aware timestamps are not supported")
     return int((t - _EPOCH).total_seconds())
+
+
+# `YYYY-MM-DDTHH:MM:SS`, the form `serialize_transactions` writes
+_STAMP_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_STAMP_SEPARATORS = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":"}
+
+
+def _canonical_epochs(stamps: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(epoch seconds, decoded) per stamp, decoding `YYYY-MM-DDTHH:MM:SS` digits.
+
+    A stamp of any other form, or naming no real calendar day and time, is
+    left undecoded (epoch 0) for `_parse_timestamp` to judge.
+    """
+    n = len(stamps)
+    shaped = np.fromiter(map(len, stamps), np.int64, n) == 19
+    rows = np.nonzero(shaped)[0]
+    picked = stamps if rows.shape[0] == n else [stamps[i] for i in rows]
+    # one byte per character; "?" stands in for any character past latin-1
+    text = "".join(picked).encode("latin-1", errors="replace")
+    chars = np.frombuffer(text, np.uint8).reshape(-1, 19)
+    digits = chars[:, _STAMP_DIGITS].astype(np.int64) - ord("0")
+    ok = ((digits >= 0) & (digits <= 9)).all(axis=1)
+    for col, sep in _STAMP_SEPARATORS.items():
+        ok &= chars[:, col] == ord(sep)
+    digits[~ok] = 0
+    pairs = digits[:, 0::2] * 10 + digits[:, 1::2]
+    year = pairs[:, 0] * 100 + pairs[:, 1]
+    month, day, hour, minute, second = pairs[:, 2:].T
+    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+    ok &= (hour <= 23) & (minute <= 59) & (second <= 59)
+    # a real calendar day stays in its month after the round trip
+    months = np.where(ok, (year - 1970) * 12 + month - 1, 0)
+    days = months.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64) + day - 1
+    ok &= days.astype("datetime64[D]").astype("datetime64[M]").astype(np.int64) == months
+    epoch = np.zeros(n, np.int64)
+    decoded = np.zeros(n, bool)
+    epoch[rows] = np.where(ok, days * 86400 + hour * 3600 + minute * 60 + second, 0)
+    decoded[rows] = ok
+    return epoch, decoded
+
+
+def intern_codes(labels: Sequence[str], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Sorted vocabulary of the labels that `codes` uses, and each code's
+    index into it.  `codes` indexes the distinct strings `labels`."""
+    used = np.nonzero(np.bincount(codes, minlength=len(labels)))[0]
+    names = [labels[k] for k in used.tolist()]
+    perm = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.zeros(len(labels), np.int64)
+    rank[used[perm]] = np.arange(len(perm))
+    return [names[k] for k in perm], rank[codes]
+
+
+def labels_at(vocab: Sequence[str], idx: np.ndarray) -> list[str]:
+    """The vocabulary entry of each index, gathered in one step."""
+    return np.asarray(vocab, dtype=object)[idx].tolist()
 
 
 @dataclass
@@ -235,81 +291,69 @@ class IngestReport:
         }
 
 
+# a column of interned strings: (sorted distinct values, index per row)
+Interned = tuple[list[str], np.ndarray]
+
+
 class TransactionLog:
     """Validated, canonically ordered transaction log.
 
-    Canonical order is (timestamp, shop_id, register_id, tx_id); the log is
+    The constructor takes columns in any row order: int64 epoch seconds
+    `ts`; the tx, person, shop and register ids, each as a sorted vocabulary
+    plus an index per row; and the baskets as a table of normalized baskets
+    (sorted tuples of distinct item codes) plus an index per row.  Canonical
+    order is (timestamp, shop_id, register_id, tx_id), which is one lexsort
+    of the indices because the vocabularies are sorted.  The log is
     immutable after construction.
     """
 
     def __init__(
         self,
-        tx_ids: list[str],
-        person_ids: list[str],
         ts: np.ndarray,
-        shop_ids: list[str],
-        register_ids: list[str],
-        baskets: list[tuple[str, ...]],
+        tx: Interned,
+        person: Interned,
+        shop: Interned,
+        register: Interned,
+        basket: tuple[list[tuple[str, ...]], np.ndarray],
         catalog: ItemCatalog,
         report: Optional[IngestReport] = None,
     ):
-        n = len(tx_ids)
-        if not (len(person_ids) == len(shop_ids) == len(register_ids) == len(baskets) == n == ts.shape[0]):
+        n = ts.shape[0]
+        if not all(col[1].shape[0] == n for col in (tx, person, shop, register, basket)):
             raise ValueError("column length mismatch")
-        order = sorted(
-            range(n), key=lambda i: (int(ts[i]), shop_ids[i], register_ids[i], tx_ids[i])
-        )
-        self.tx_ids = [tx_ids[i] for i in order]
-        if len(set(self.tx_ids)) != n:
-            dup = Counter(self.tx_ids).most_common(1)[0][0]
-            raise IngestError(f"duplicate tx_id {dup!r}")
-        self.ts = np.asarray([int(ts[i]) for i in order], np.int64)
-        self.baskets = [tuple(sorted(set(baskets[i]))) for i in order]
-
-        def intern(values: list[str]) -> tuple[list[str], np.ndarray]:
-            vocab = sorted(set(values))
-            index = {v: k for k, v in enumerate(vocab)}
-            return vocab, np.asarray([index[v] for v in values], np.int32)
-
-        self.persons, self.person_idx = intern([person_ids[i] for i in order])
-        self.shops, self.shop_idx = intern([shop_ids[i] for i in order])
-        self.registers, self.register_idx = intern([register_ids[i] for i in order])
+        order = np.lexsort((tx[1], register[1], shop[1], ts))
+        self.txs, self.tx_idx = tx[0], tx[1][order].astype(np.int64)
+        if n:
+            seen = np.bincount(self.tx_idx)
+            if seen.max() > 1:
+                # the most frequent id, the first in canonical order on a tie
+                first = np.nonzero(seen[self.tx_idx] == seen.max())[0][0]
+                raise IngestError(f"duplicate tx_id {self.txs[self.tx_idx[first]]!r}")
+        self.ts = ts[order].astype(np.int64)
+        self.persons, self.person_idx = person[0], person[1][order].astype(np.int32)
+        self.shops, self.shop_idx = shop[0], shop[1][order].astype(np.int32)
+        self.registers, self.register_idx = register[0], register[1][order].astype(np.int32)
+        self.basket_table, self.basket_idx = basket[0], basket[1][order].astype(np.int64)
         self.catalog = catalog
-        self.mask = np.asarray([catalog.mask_of(b) for b in self.baskets], np.uint16)
+        table = self.basket_table
+        self.mask = np.asarray([catalog.mask_of(b) for b in table], np.uint16)[self.basket_idx]
+        self.basket_sizes = np.asarray([len(b) for b in table], np.int64)[self.basket_idx]
         self.report = report if report is not None else IngestReport(n_records=n, n_parsed=n)
 
         self.date_ord = self.ts // 86400
         self.secs = (self.ts % 86400).astype(np.int32)
         self.daypart = dayparts_of_secs_array(self.secs)
-        self._txid_rank: Optional[np.ndarray] = None
         self._person_txs: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self._basket_sizes: Optional[np.ndarray] = None
+        self._tx_ids: Optional[np.ndarray] = None  # tx id per row, built on first use
 
     # -- derived columns ----------------------------------------------------
 
     @property
     def n(self) -> int:
-        return len(self.tx_ids)
+        return self.ts.shape[0]
 
     def __len__(self) -> int:
         return self.n
-
-    @property
-    def txid_rank(self) -> np.ndarray:
-        """Rank of each tx_id in lexicographic order (deterministic tie-break)."""
-        if self._txid_rank is None:
-            arr = np.asarray(self.tx_ids)
-            order = np.argsort(arr, kind="stable")
-            rank = np.empty(self.n, np.int64)
-            rank[order] = np.arange(self.n)
-            self._txid_rank = rank
-        return self._txid_rank
-
-    @property
-    def basket_sizes(self) -> np.ndarray:
-        if self._basket_sizes is None:
-            self._basket_sizes = np.asarray([len(b) for b in self.baskets], np.int64)
-        return self._basket_sizes
 
     @property
     def year(self) -> np.ndarray:
@@ -336,172 +380,211 @@ class TransactionLog:
             self._person_txs = (order, start)
         return self._person_txs
 
-    # -- row access ----------------------------------------------------------
+    # -- tx ids ---------------------------------------------------------------
 
-    def index_of(self, tx_id: str) -> int:
-        if not hasattr(self, "_tx_index"):
-            self._tx_index = {t: i for i, t in enumerate(self.tx_ids)}
-        return self._tx_index[tx_id]
+    def tx_ids_at(self, rows: np.ndarray) -> list[str]:
+        """The tx id of each given row."""
+        if self._tx_ids is None:
+            self._tx_ids = np.asarray(self.txs, dtype=object)[self.tx_idx]
+        return self._tx_ids[rows].tolist()
+
+    def rows_of(self, tx_ids: Sequence[str]) -> np.ndarray:
+        """Row of each tx id; -1 where the log has no such transaction."""
+        row = dict(zip(self.tx_ids_at(np.arange(self.n)), range(self.n)))
+        return np.fromiter(map(row.get, tx_ids, itertools.repeat(-1)), np.int64, len(tx_ids))
+
+
+class _Column:
+    """A string column interned chunk by chunk; the codes index `index`'s keys."""
+
+    def __init__(self):
+        self.index: dict[str, int] = {}
+        self.codes: list[np.ndarray] = []
+
+    def add(self, values: Sequence[str]) -> None:
+        index = self.index
+        fresh = [v for v in dict.fromkeys(values) if v not in index]
+        index.update(zip(fresh, itertools.count(len(index))))
+        self.codes.append(np.fromiter(map(index.__getitem__, values), np.int64, len(values)))
+
+    def interned(self) -> Interned:
+        codes = np.concatenate(self.codes) if self.codes else np.empty(0, np.int64)
+        return intern_codes(list(self.index), codes)
+
+
+_ID_COLUMNS = ("tx_id", "person_id", "shop_id", "register_id")
+
+
+class _ChunkParser:
+    """Checks chunks of CSV records column by column and keeps the accepted
+    rows as arrays and interned columns."""
+
+    def __init__(self, catalog: ItemCatalog):
+        self.catalog = catalog
+        self.report = IngestReport()
+        self.ids = {name: _Column() for name in _ID_COLUMNS}
+        self.ts: list[np.ndarray] = []
+        self.baskets: list[np.ndarray] = []
+        self.basket_of: dict[str, int] = {}  # raw items field -> table index, -1 if empty
+        self.table: dict[tuple[str, ...], int] = {}  # normalized basket -> table index
+
+    def _basket_codes(self, items: Sequence[str]) -> np.ndarray:
+        """Table index per raw items field; each distinct field is normalized once."""
+        for raw in dict.fromkeys(items):
+            if raw not in self.basket_of:
+                basket = tuple(sorted({x for x in raw.split(";") if x}))
+                code = self.table.setdefault(basket, len(self.table)) if basket else -1
+                self.basket_of[raw] = code
+        return np.fromiter(map(self.basket_of.__getitem__, items), np.int64, len(items))
+
+    def add(self, columns: dict[str, Sequence[str]], lines: np.ndarray) -> None:
+        """One chunk: `columns` maps each CSV column to its fields, `lines`
+        gives each row's line number."""
+        n = lines.shape[0]
+        self.report.n_records += n
+        fields = {name: list(map(str.strip, columns[name])) for name in _ID_COLUMNS}
+        missing = np.zeros(n, bool)
+        for values in fields.values():
+            if "" in values:
+                missing |= np.fromiter(map(operator.not_, values), bool, n)
+        stamps = list(map(str.strip, columns["timestamp"]))
+        epoch, decoded = _canonical_epochs(stamps)
+        basket = self._basket_codes(columns["items"])
+
+        # reasons in priority order: missing field, timestamp, empty basket
+        rejected = dict.fromkeys(np.nonzero(missing)[0].tolist(), "missing required field")
+        for i in np.nonzero(~missing & ~decoded)[0].tolist():
+            try:
+                epoch[i] = _parse_timestamp(stamps[i])
+            except ValueError as e:
+                rejected[i] = f"malformed timestamp {stamps[i]!r}: {e}"
+        for i in np.nonzero(basket < 0)[0].tolist():
+            rejected.setdefault(i, "empty basket")
+        if rejected:
+            self.report.errors += [(int(lines[i]), rejected[i]) for i in sorted(rejected)]
+            self.report.n_rejected += len(rejected)
+            keep = np.ones(n, bool)
+            keep[list(rejected)] = False
+            fields = {name: list(itertools.compress(v, keep)) for name, v in fields.items()}
+            epoch, basket = epoch[keep], basket[keep]
+        self.report.n_parsed += epoch.shape[0]
+        for name, values in fields.items():
+            self.ids[name].add(values)
+        self.ts.append(epoch)
+        self.baskets.append(basket)
+
+    def log(self) -> TransactionLog:
+        table = list(self.table)
+        b_idx = np.concatenate(self.baskets) if self.baskets else np.empty(0, np.int64)
+        for basket, count in zip(table, np.bincount(b_idx, minlength=len(table)).tolist()):
+            for code in basket if count else ():
+                if code not in self.catalog:
+                    self.report.unknown_codes[code] += count
+        return TransactionLog(
+            np.concatenate(self.ts) if self.ts else np.empty(0, np.int64),
+            *(self.ids[name].interned() for name in _ID_COLUMNS),
+            (table, b_idx),
+            self.catalog,
+            self.report,
+        )
+
+
+def _record_chunks(text: str) -> Iterator[tuple[list[str], np.ndarray, np.ndarray]]:
+    """The records of a CSV text as `csv.reader` reads them, a chunk at a time:
+    (every field of the chunk in order, fields per record, blank-line mask).
+
+    Text free of quotes, carriage returns and NULs splits into the reader's
+    records on newlines and commas alone, with no Python object built per
+    record; a blank line then counts one empty field.  Other text goes
+    through `csv.reader`.
+    """
+    if '"' in text or "\r" in text or "\x00" in text:
+        # newline="" splits lines as a file opened for csv does
+        reader = csv.reader(io.StringIO(text, newline=""))
+        while True:
+            try:
+                chunk = list(itertools.islice(reader, _PARSE_CHUNK))
+            except csv.Error as e:
+                raise IngestError(f"transactions CSV line {reader.line_num}: {e}") from None
+            if not chunk:
+                return
+            widths = np.fromiter(map(len, chunk), np.int64, len(chunk))
+            yield list(itertools.chain.from_iterable(chunk)), widths, widths == 0
+    lines = text.split("\n")
+    del text
+    if lines[-1] == "":
+        lines.pop()  # the newline that ends the last record
+    while lines:
+        part = lines[:_PARSE_CHUNK]
+        del lines[:_PARSE_CHUNK]  # free each line once its chunk is done
+        commas = np.fromiter(map(str.count, part, itertools.repeat(",")), np.int64, len(part))
+        blank = np.fromiter(map(operator.not_, part), bool, len(part))
+        yield ",".join(part).split(","), commas + 1, blank
 
 
 def parse_transactions(
-    source: Union[str, os.PathLike, io.TextIOBase, Iterable[str]],
-    catalog: ItemCatalog,
-    fmt: Optional[str] = None,
+    source: Union[str, os.PathLike, io.TextIOBase], catalog: ItemCatalog
 ) -> TransactionLog:
-    """Parse CSV or JSON-lines transaction records into a validated log.
+    """Parse CSV transaction records into a validated log.
 
-    Malformed records (bad timestamp, empty basket, missing fields) are
-    rejected individually and reported with their line number; a duplicate
-    tx_id is fatal.  Item codes absent from the catalog degrade to the Other
-    category and are tallied in the report.
+    Malformed records are rejected individually and reported with their line
+    number, by the first check they fail: a missing field, then a bad
+    timestamp, then an empty basket.  A duplicate tx_id is fatal.  Item codes
+    absent from the catalog degrade to the Other category and are tallied in
+    the report.  Records are checked a chunk at a time, column by column;
+    only timestamps not in the `YYYY-MM-DDTHH:MM:SS` form that
+    `serialize_transactions` writes are parsed one by one.
     """
-    if fmt is None and isinstance(source, (str, os.PathLike)):
-        suffix = str(source).lower()
-        fmt = "jsonl" if suffix.endswith((".jsonl", ".ndjson", ".json")) else "csv"
     with text_stream(source) as fh:
-        lines = iter(fh)
-        report = IngestReport()
-        tx_ids: list[str] = []
-        person_ids: list[str] = []
-        ts: list[int] = []
-        shop_ids: list[str] = []
-        register_ids: list[str] = []
-        baskets: list[tuple[str, ...]] = []
-
-        def accept(line_no, tx_id, person_id, stamp, shop_id, register_id, items):
-            report.n_records += 1
-            if not tx_id or not person_id or not shop_id or not register_id:
-                report.n_rejected += 1
-                report.errors.append((line_no, "missing required field"))
-                return
-            try:
-                epoch = _parse_timestamp(stamp)
-            except ValueError as e:
-                report.n_rejected += 1
-                report.errors.append((line_no, f"malformed timestamp {stamp!r}: {e}"))
-                return
-            basket = tuple(sorted({x for x in items if x}))
-            if not basket:
-                report.n_rejected += 1
-                report.errors.append((line_no, "empty basket"))
-                return
-            for code in basket:
-                if code not in catalog:
-                    report.unknown_codes[code] += 1
-            tx_ids.append(tx_id)
-            person_ids.append(person_id)
-            ts.append(epoch)
-            shop_ids.append(shop_id)
-            register_ids.append(register_id)
-            baskets.append(basket)
-            report.n_parsed += 1
-
-        if fmt is None or fmt == "csv":
-            first = next(lines, None)
-            if first is None:
-                content: list[str] = []
-            else:
-                if fmt is None:
-                    fmt = "jsonl" if first.lstrip()[:1] == "{" else "csv"
-                content = [first]
-            content.extend(lines)
-            if fmt == "jsonl":
-                _parse_jsonl(content, accept)
-            else:
-                _parse_csv(content, accept)
-        else:
-            _parse_jsonl(lines, accept)
-
-    return TransactionLog(
-        tx_ids, person_ids, np.asarray(ts, np.int64), shop_ids, register_ids, baskets, catalog, report
-    )
-
-
-def _parse_csv(lines: Iterable[str], accept) -> None:
-    reader = csv.reader(lines)
-    header = next(reader, None)
-    if header is None:
-        return
-    header = [h.strip() for h in header]
-    if set(header) != set(TRANSACTION_COLUMNS):
-        raise IngestError(
-            f"transactions CSV header must contain exactly {TRANSACTION_COLUMNS}, got {header}"
-        )
-    col = {name: header.index(name) for name in TRANSACTION_COLUMNS}
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            accept(line_no, "", "", "", "", "", ())
-            continue
-        accept(
-            line_no,
-            row[col["tx_id"]].strip(),
-            row[col["person_id"]].strip(),
-            row[col["timestamp"]].strip(),
-            row[col["shop_id"]].strip(),
-            row[col["register_id"]].strip(),
-            row[col["items"]].split(";"),
-        )
-
-
-def _parse_jsonl(lines: Iterable[str], accept) -> None:
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError:
-            accept(line_no, "", "", "", "", "", ())
-            continue
-        items = rec.get("items", [])
-        if not isinstance(items, list):
-            items = []
-        accept(
-            line_no,
-            str(rec.get("tx_id", "")),
-            str(rec.get("person_id", "")),
-            str(rec.get("timestamp", "")),
-            str(rec.get("shop_id", "")),
-            str(rec.get("register_id", "")),
-            [str(x) for x in items],
-        )
-
-
-def serialize_transactions(
-    log: TransactionLog, dest: Union[str, os.PathLike, io.TextIOBase], fmt: str = "csv"
-) -> None:
-    """Write the log in its canonical persisted form (stable byte-for-byte)."""
-    with text_stream(dest, "w") as fh:
-        stamps = np.datetime_as_string(log.ts.astype("datetime64[s]"), unit="s")
-        if fmt == "csv":
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(TRANSACTION_COLUMNS)
-            for i in range(log.n):
-                w.writerow(
-                    [
-                        log.tx_ids[i],
-                        log.persons[log.person_idx[i]],
-                        stamps[i],
-                        log.shops[log.shop_idx[i]],
-                        log.registers[log.register_idx[i]],
-                        ";".join(log.baskets[i]),
-                    ]
+        chunks = _record_chunks(fh.read())
+    parser = _ChunkParser(catalog)
+    header: Optional[list[str]] = None
+    line = 1  # of the chunk's first record
+    for fields, widths, blank in chunks:
+        if header is None:
+            header = [] if blank[0] else [h.strip() for h in fields[: widths[0]]]
+            if set(header) != set(TRANSACTION_COLUMNS):
+                raise IngestError(
+                    f"transactions CSV header must contain exactly {TRANSACTION_COLUMNS}, got {header}"
                 )
-        elif fmt == "jsonl":
-            for i in range(log.n):
-                rec = {
-                    "tx_id": log.tx_ids[i],
-                    "person_id": log.persons[log.person_idx[i]],
-                    "timestamp": str(stamps[i]),
-                    "shop_id": log.shops[log.shop_idx[i]],
-                    "register_id": log.registers[log.register_idx[i]],
-                    "items": list(log.baskets[i]),
-                }
-                fh.write(json.dumps(rec) + "\n")
+            col = {name: header.index(name) for name in TRANSACTION_COLUMNS}
+            width = len(header)
+            fields, widths, blank = fields[widths[0] :], widths[1:], blank[1:]
+            line += 1
+        kept = np.nonzero(~blank)[0]  # a blank line holds no record
+        lines = kept + line
+        line += widths.shape[0]
+        if kept.shape[0] == 0:
+            continue
+        if kept.shape[0] == widths.shape[0] and (widths == width).all():
+            columns = [fields[k::width] for k in range(width)]
         else:
-            raise ValueError(f"unknown format {fmt!r}")
+            # a record of the wrong width lacks every field
+            starts = (np.cumsum(widths) - widths)[kept].tolist()
+            records = [
+                fields[s : s + width] if w == width else [""] * width
+                for s, w in zip(starts, widths[kept].tolist())
+            ]
+            columns = [list(c) for c in zip(*records)]
+        parser.add({name: columns[k] for name, k in col.items()}, lines)
+    return parser.log()
+
+
+def serialize_transactions(log: TransactionLog, dest: Union[str, os.PathLike, io.TextIOBase]) -> None:
+    """Write the log in its canonical persisted form (stable byte-for-byte)."""
+    stamps = np.datetime_as_string(log.ts.astype("datetime64[s]"), unit="s").tolist()
+    baskets = [";".join(b) for b in log.basket_table]
+    with text_stream(dest, "w") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(TRANSACTION_COLUMNS)
+        w.writerows(zip(
+            log.tx_ids_at(np.arange(log.n)),
+            labels_at(log.persons, log.person_idx),
+            stamps,
+            labels_at(log.shops, log.shop_idx),
+            labels_at(log.registers, log.register_idx),
+            labels_at(baskets, log.basket_idx),
+        ))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .model import (
     ItemCategory,
     PersonRecord,
     TransactionLog,
+    intern_codes,
     serialize_transactions,
 )
 
@@ -309,6 +310,14 @@ def _gaps(rng, config: SimulationConfig, size: int) -> np.ndarray:
     return np.clip(np.rint(raw), 1, config.gap_max_s).astype(np.int64)
 
 
+def _base_probs(config: SimulationConfig, item: str, dayparts: np.ndarray) -> np.ndarray:
+    """Base purchase probability of `item` per visit, looked up by daypart."""
+    table = np.zeros(len(DAYPART_LABELS))
+    for d in np.unique(dayparts).tolist():
+        table[d] = config.base_probs[DAYPART_LABELS[d]].get(item, 0.0)
+    return table[dayparts]
+
+
 def simulate_log(
     population: Population, config: SimulationConfig
 ) -> tuple[TransactionLog, GroundTruth]:
@@ -373,8 +382,7 @@ def simulate_log(
     focal = np.where(leader_first, follower, leader)
 
     def cell_prob(item_k: int, item: str, persons: np.ndarray) -> np.ndarray:
-        base_p = np.asarray([config.base_probs[DAYPART_LABELS[d]].get(item, 0.0) for d in v_dp])
-        p = base_p + config.propensity_sd * population.propensity_z[item][persons]
+        p = _base_probs(config, item, v_dp) + config.propensity_sd * population.propensity_z[item][persons]
         p = p + shock[v_shop, p_day, v_dp, item_k]
         p[~available[v_shop, p_day, v_dp, item_k]] = 0.0
         return np.clip(p, 0.0, 1.0)
@@ -460,8 +468,7 @@ def simulate_log(
     s_t = _visit_seconds(rng, s_dp, config.status_signatures, sidx[s_person] == staff_code, 2)
     solo_buys = {}
     for k, item in enumerate(items):
-        base_p = np.asarray([config.base_probs[DAYPART_LABELS[d]].get(item, 0.0) for d in s_dp])
-        p = base_p + config.propensity_sd * population.propensity_z[item][s_person]
+        p = _base_probs(config, item, s_dp) + config.propensity_sd * population.propensity_z[item][s_person]
         p = p + shock[s_shop, s_day, s_dp, k]
         p[~available[s_shop, s_day, s_dp, k]] = 0.0
         solo_buys[item] = rng.random(S) < np.clip(p, 0.0, 1.0)
@@ -485,41 +492,34 @@ def simulate_log(
     dp_rows = np.concatenate([v_dp, v_dp, s_dp])
     veg_rows = np.concatenate([veg_p, veg_f, veg_s])
     cof_rows = np.concatenate([cof_p, cof_f, cof_s])
-    buy_cols = np.stack(
-        [np.concatenate([partner_buys[i], focal_buys[i], solo_buys[i]]) for i in items],
-        axis=1,
-    )
 
     ts = (day0 + day_rows) * 86400 + secs_rows
-    order = np.lexsort((reg_rows, shop_rows, ts))
     N = ts.shape[0]
+    # tx ids number the rows in (ts, shop, register) order
+    tx_code = np.empty(N, np.int64)
+    tx_code[np.lexsort((reg_rows, shop_rows, ts))] = np.arange(N)
+    # basket code: the anchor's index in _ANCHOR_CODES, then one bit per item
+    anchor = np.where(dp_rows == 1, np.where(veg_rows, 0, 1), np.where(cof_rows, 2, 3))
+    basket_code = anchor << n_items
+    for k, item in enumerate(items):
+        bought = np.concatenate([partner_buys[item], focal_buys[item], solo_buys[item]])
+        basket_code |= bought.astype(np.int64) << k
     item_codes = [i.upper() for i in items]
-    shops_vocab = [f"S{j + 1:02d}" for j in range(config.n_shops)]
-    regs_vocab = [f"R{j + 1}" for j in range(config.n_registers_per_shop)]
-    tx_ids = [""] * N
-    person_col = [""] * N
-    shop_col = [""] * N
-    reg_col = [""] * N
-    baskets = [()] * N
-    pid = population.person_ids
-    for rank, r in enumerate(order):
-        tx_ids[rank] = f"T{rank:08d}"
-        person_col[rank] = pid[person_rows[r]]
-        shop_col[rank] = shops_vocab[shop_rows[r]]
-        reg_col[rank] = regs_vocab[reg_rows[r]]
-        if dp_rows[r] == 1:
-            basket = ["MEAL_V" if veg_rows[r] else "MEAL_NV"]
-        else:
-            basket = ["COFFEE" if cof_rows[r] else "TEA"]
-        row_buys = buy_cols[r]
-        for k in range(n_items):
-            if row_buys[k]:
-                basket.append(item_codes[k])
-        baskets[rank] = tuple(basket)
+    table = [
+        tuple(sorted([_ANCHOR_CODES[code >> n_items]]
+                     + [c for k, c in enumerate(item_codes) if code >> k & 1]))
+        for code in range(len(_ANCHOR_CODES) << n_items)
+    ]
 
     catalog = simulation_catalog(config)
     log = TransactionLog(
-        tx_ids, person_col, ts[order], shop_col, reg_col, baskets, catalog
+        ts,
+        intern_codes([f"T{k:08d}" for k in range(N)], tx_code),
+        intern_codes(population.person_ids, person_rows),
+        intern_codes([f"S{j + 1:02d}" for j in range(config.n_shops)], shop_rows),
+        intern_codes([f"R{j + 1}" for j in range(config.n_registers_per_shop)], reg_rows),
+        (table, basket_code),
+        catalog,
     )
     truth = GroundTruth(
         expected_rd={
@@ -561,7 +561,7 @@ def write_simulation(result: SimResult, out_dir: Union[str, os.PathLike]) -> dic
         "demographics": os.path.join(out_dir, "demographics.csv"),
         "ground_truth": os.path.join(out_dir, "ground_truth.json"),
     }
-    serialize_transactions(result.log, paths["transactions"], fmt="csv")
+    serialize_transactions(result.log, paths["transactions"])
     result.catalog.to_csv(paths["catalog"])
     result.demographics().to_csv(paths["demographics"])
     with open(paths["ground_truth"], "w", encoding="utf-8") as fh:

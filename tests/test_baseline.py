@@ -10,12 +10,13 @@ from copycart.baseline import (
     randomize_partners,
     welch_t,
 )
+from copycart.context import encode_cells
 from copycart.dyads import extract_dyads, reconstruct_queues
 from copycart.errors import InsufficientDataError
 from copycart.estimate import naive_risk_difference
 
 from test_dyads import lunch_rows
-from test_model import parse_csv
+from test_model import parse_csv, tx_ids
 
 
 def crowded_cell_fixture(n_extra=8):
@@ -37,13 +38,13 @@ def test_randomize_partner_exclusions_and_cell():
         r = randomize_partners(dyads, seed=seed)
         assert r.n == 1
         new = int(r.partner_i[0])
-        assert log.tx_ids[new] != "P0"  # never the original partner tx
+        assert tx_ids(log)[new] != "P0"  # never the original partner tx
         assert log.persons[log.person_idx[new]] != "B"  # never the focal person
         assert log.shop_idx[new] == dyads.shop_idx[0]
         assert log.date_ord[new] == dyads.date_ord[0]
         assert log.daypart[new] == dyads.daypart[0]
         assert r.delay_s[0] == log.ts[r.focal_i[0]] - log.ts[new]
-        seen.add(log.tx_ids[new])
+        seen.add(tx_ids(log)[new])
     # all 8 eligible candidates get drawn across seeds
     assert seen == {f"X{i}" for i in range(8)}
 
@@ -53,7 +54,7 @@ def test_randomize_partner_uniform_draw():
     counts = {f"X{i}": 0 for i in range(3)}
     for seed in range(300):
         r = randomize_partners(dyads, seed=seed)
-        counts[log.tx_ids[int(r.partner_i[0])]] += 1
+        counts[tx_ids(log)[int(r.partner_i[0])]] += 1
     for v in counts.values():
         assert 60 <= v <= 140  # ~100 each under uniformity
 
@@ -92,6 +93,68 @@ def test_randomization_preserves_measures_under_identity():
     assert naive_risk_difference(same, "dessert") == pytest.approx(
         naive_risk_difference(dyads, "dessert")
     )
+
+
+def randomize_oracle(dyads, seed):
+    """Scalar reference: the same draws, mapped past the excluded rows one
+    dyad at a time.  Returns (partner row per dyad, dyad kept)."""
+    log = dyads.log
+    cells = encode_cells(log.shop_idx, log.date_ord, log.daypart)
+    d_cell = dyads.cell_keys()
+    n_cand = np.zeros(dyads.n, np.int64)
+    members, excluded = [], []
+    for k in range(dyads.n):
+        in_cell = np.nonzero(cells == d_cell[k])[0]  # ascending row ids
+        focal_rows = in_cell[log.person_idx[in_cell] == dyads.focal_person[k]]
+        members.append(in_cell)
+        excluded.append(np.sort(np.append(focal_rows, dyads.partner_i[k])))
+        n_cand[k] = in_cell.shape[0] - focal_rows.shape[0] - 1
+    ok = n_cand >= 1
+    rng = np.random.default_rng(int(seed))
+    draws = np.zeros(dyads.n, np.int64)
+    if ok.any():
+        draws[ok] = rng.integers(0, n_cand[ok])
+    new_partner = dyads.partner_i.copy()
+    for k in np.nonzero(ok)[0]:
+        j = int(draws[k])
+        for p in np.searchsorted(members[k], excluded[k]):
+            if p <= j:
+                j += 1
+        new_partner[k] = members[k][j]
+    return new_partner, ok
+
+
+def busy_lunch_log(rng, n_rows=160):
+    """Few persons, shops and days, so focal persons hold several rows per cell."""
+    rows = []
+    for i in range(n_rows):
+        day = f"2018-01-0{rng.integers(1, 4)}"
+        secs = int(rng.integers(0, 2 * 3600))
+        rows.append(lunch_rows(
+            [(f"T{i:04d}", f"P{rng.integers(6)}", secs, "MEALV;DES" if rng.random() < 0.5 else "MEALS")],
+            shop=f"S{rng.integers(2)}", register=f"R{rng.integers(2)}", day=day,
+        ))
+    return parse_csv("".join(rows))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_randomize_partners_matches_scalar_reference(seed):
+    rng = np.random.default_rng(seed)
+    log = busy_lunch_log(rng)
+    dyads = extract_dyads(reconstruct_queues(log), max_gap_s=3600)
+    assert dyads.n > 20
+    # some focal persons hold several rows of their dyad's cell
+    n_p = len(log.persons)
+    row_keys = encode_cells(log.shop_idx, log.date_ord, log.daypart) * n_p + log.person_idx
+    keys, counts = np.unique(row_keys, return_counts=True)
+    focal_keys = dyads.cell_keys() * n_p + dyads.focal_person
+    assert counts[np.searchsorted(keys, focal_keys)].max() >= 3
+    for shuffle_seed in range(3):
+        got = randomize_partners(dyads, seed=shuffle_seed)
+        partner, ok = randomize_oracle(dyads, shuffle_seed)
+        assert np.array_equal(got.partner_i, partner[ok])
+        assert np.array_equal(got.focal_i, dyads.focal_i[ok])
+        assert np.array_equal(got.delay_s, log.ts[dyads.focal_i[ok]] - log.ts[partner[ok]])
 
 
 def test_randomize_empty_set():

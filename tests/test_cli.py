@@ -182,9 +182,13 @@ def test_config_type_errors_exit_cleanly(workdir, tmp_path, patch):
 
 
 def test_cli_import_skips_scipy_stats():
-    # scipy.stats costs about a second of every CLI start; stdtr suffices
+    # scipy.stats costs about a second of every CLI start, and stdtr suffices;
+    # scipy.special is imported only by the two tests that call stdtr
     src = os.path.dirname(os.path.dirname(copycart.__file__))
-    code = "import sys, copycart.cli.main; sys.exit('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, copycart.cli.main; "
+        "sys.exit('scipy.stats' in sys.modules or 'scipy.special' in sys.modules)"
+    )
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
@@ -373,6 +377,61 @@ def test_stage_dumps_must_match_the_log(workdir, first_run):
     res = invoke("--config", workdir / "run.yaml", "--out", sub, "estimate")
     assert res.exit_code == 1
     assert "[errors.IngestError]" in res.output and "NO_SUCH_TX" in res.output
+
+
+def _assert_ingest_error(res, *fragments):
+    assert res.exit_code == 1, res.output
+    assert "[errors.IngestError]" in res.output
+    assert isinstance(res.exception, SystemExit)  # a message, not a traceback
+    for fragment in fragments:
+        assert fragment in res.output
+
+
+@pytest.mark.parametrize("damage", ["short", "delay"])
+def test_malformed_dyad_dump_fails_cleanly(workdir, first_run, damage):
+    _results, out_a = first_run
+    sub = workdir / f"bad_dyads_{damage}"
+    sub.mkdir(exist_ok=True)
+    header, first, second, *rest = (out_a / "dyads.csv").read_text().splitlines(keepends=True)
+    fields = second.rstrip("\n").split(",")
+    bad = fields[:5] if damage == "short" else fields[:6] + ["soon"]
+    (sub / "dyads.csv").write_text(
+        header + first + ",".join(bad) + "\n" + "".join(rest), encoding="utf-8"
+    )
+    res = invoke("--config", workdir / "run.yaml", "--out", sub, "match")
+    _assert_ingest_error(res, "dyads.csv line 3")
+
+
+@pytest.mark.parametrize("damage", ["short", "popularity"])
+def test_malformed_pair_dump_fails_cleanly(workdir, first_run, damage):
+    _results, out_a = first_run
+    sub = workdir / f"bad_pairs_{damage}"
+    (sub / "matched_pairs").mkdir(parents=True, exist_ok=True)
+    (sub / "dyads.csv").write_bytes((out_a / "dyads.csv").read_bytes())
+    header, first, *rest = (out_a / "matched_pairs" / "dessert.csv").read_text().splitlines(True)
+    fields = first.rstrip("\n").split(",")
+    bad = fields[:4] if damage == "short" else fields[:6] + ["high"]
+    (sub / "matched_pairs" / "dessert.csv").write_text(
+        header + ",".join(bad) + "\n" + "".join(rest), encoding="utf-8"
+    )
+    res = invoke("--config", workdir / "run.yaml", "--out", sub, "estimate")
+    _assert_ingest_error(res, "dessert.csv line 2")
+
+
+def test_jsonl_input_is_rejected(workdir, tmp_path):
+    # the transaction log is CSV only; a JSON-lines file fails on its header
+    conf = yaml.safe_load((workdir / "run.yaml").read_text())
+    log = tmp_path / "transactions.jsonl"
+    log.write_text(
+        '{"tx_id": "T1", "person_id": "P1", "timestamp": "2018-01-05T09:00:00",'
+        ' "shop_id": "S1", "register_id": "R1", "items": ["COF"]}\n',
+        encoding="utf-8",
+    )
+    conf["input"]["transactions"] = str(log)
+    path = tmp_path / "jsonl.yaml"
+    path.write_text(yaml.safe_dump(conf), encoding="utf-8")
+    res = invoke("--config", path, "--out", tmp_path / "o", "ingest")
+    _assert_ingest_error(res, "header")
 
 
 def test_coordinate_subcommand(workdir, first_run):

@@ -7,7 +7,7 @@ import numpy as np
 from copycart import model as M
 from copycart.context import compute_context, encode_cells
 
-from test_model import CATALOG, CSV_HEADER, parse_csv
+from test_model import CATALOG, CODES, CSV_HEADER, baskets, parse_csv
 
 
 def cell_key(log, shop, date, daypart):
@@ -63,7 +63,7 @@ def test_cells_are_split_by_shop_date_daypart():
 def test_popularities_in_unit_interval_random():
     rng = np.random.default_rng(1)
     rows = []
-    codes = CATALOG.codes()
+    codes = CODES
     for i in range(300):
         items = ";".join(rng.choice(codes, size=rng.integers(1, 4)))
         rows.append(
@@ -77,7 +77,7 @@ def test_popularities_in_unit_interval_random():
     keys = encode_cells(log.shop_idx, log.date_ord, log.daypart)
     vec = stats.popularity_for_cells(keys, "dessert")
     n, cnt = stats.counts_for_cells(keys, "dessert")
-    has = np.asarray(["DES" in b for b in log.baskets])
+    has = np.asarray(["DES" in b for b in baskets(log)])
     for i in range(0, log.n, 37):
         same = keys == keys[i]
         assert n[i] == same.sum() and cnt[i] == has[same].sum()

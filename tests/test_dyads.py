@@ -18,7 +18,7 @@ from copycart.dyads import (
 )
 from copycart.errors import EmptyMatrixError
 
-from test_model import CATALOG, parse_csv
+from test_model import CATALOG, parse_csv, tx_ids
 
 
 def lunch_rows(entries, shop="S1", register="R1", day="2018-01-05"):
@@ -50,7 +50,7 @@ def assert_dyad_invariants(d, max_gap_s=300):
 
 
 def test_reconstruct_queues_empty_and_grouping():
-    empty = M.parse_transactions(io.StringIO(""), CATALOG, fmt="csv")
+    empty = M.parse_transactions(io.StringIO(""), CATALOG)
     q = reconstruct_queues(empty)
     assert sequences(q) == []
     log = parse_csv(
@@ -58,14 +58,14 @@ def test_reconstruct_queues_empty_and_grouping():
         + lunch_rows([("T2", "P2", 30, "MEALS"), ("T4", "P4", 200, "MEALS"), ("T5", "P5", 400, "MEALS")], register="R2")
     )
     q = reconstruct_queues(log)
-    seqs = [[log.tx_ids[i] for i in s] for s in sequences(q)]
+    seqs = [[tx_ids(log)[i] for i in s] for s in sequences(q)]
     assert seqs == [["T1", "T3"], ["T2", "T4", "T5"]]
 
 
 def test_equal_timestamp_tiebreak_by_tx_id():
     log = parse_csv(lunch_rows([("TB", "P1", 0, "MEALV"), ("TA", "P2", 0, "MEALS")]))
     q = reconstruct_queues(log)
-    assert [log.tx_ids[i] for i in sequences(q)[0]] == ["TA", "TB"]
+    assert [tx_ids(log)[i] for i in sequences(q)[0]] == ["TA", "TB"]
 
 
 def test_extract_dyads_gap_rule():
@@ -74,7 +74,7 @@ def test_extract_dyads_gap_rule():
     )
     d = extract_dyads(reconstruct_queues(log))
     assert d.n == 1
-    assert log.tx_ids[d.partner_i[0]] == "T1" and log.tx_ids[d.focal_i[0]] == "T2"
+    assert tx_ids(log)[d.partner_i[0]] == "T1" and tx_ids(log)[d.focal_i[0]] == "T2"
     assert d.delay_s[0] == 120
 
 
@@ -88,7 +88,7 @@ def test_extract_dyads_overlap_allowed():
         lunch_rows([("T1", "A", 0, "MEALV"), ("T2", "B", 100, "MEALS"), ("T3", "C", 250, "MEALV")])
     )
     d = extract_dyads(reconstruct_queues(log))
-    got = {(log.tx_ids[p], log.tx_ids[f]) for p, f in zip(d.partner_i, d.focal_i)}
+    got = {(tx_ids(log)[p], tx_ids(log)[f]) for p, f in zip(d.partner_i, d.focal_i)}
     assert got == {("T1", "T2"), ("T2", "T3")}
     assert_dyad_invariants(d)
 
@@ -131,7 +131,7 @@ def test_dyad_count_bound_and_queue_boundaries():
     q = reconstruct_queues(log)
     d = extract_dyads(q)
     assert d.n <= log.n - len(sequences(q))
-    got = {(log.tx_ids[p], log.tx_ids[f]) for p, f in zip(d.partner_i, d.focal_i)}
+    got = {(tx_ids(log)[p], tx_ids(log)[f]) for p, f in zip(d.partner_i, d.focal_i)}
     assert got == {("T1", "T2"), ("T3", "T4")}
 
 

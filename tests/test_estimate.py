@@ -29,7 +29,7 @@ from copycart.estimate import (
 from copycart.matching import MatchedPairSet
 
 from test_matching import make_context
-from test_model import CATALOG, parse_csv
+from test_model import CATALOG, parse_csv, tx_ids
 
 
 def _hms(sec):
@@ -64,8 +64,8 @@ def pairs_from_outcomes(o_t, o_c, delays=None, partner_persons=None, max_gap_s=3
     dyads = extract_dyads(reconstruct_queues(log), max_gap_s=max_gap_s)
     assert dyads.n == 2 * n
     # queue order puts the R1 (treated) dyads first, R2 (control) after
-    assert log.tx_ids[dyads.partner_i[0]] == "T0000P"
-    assert log.tx_ids[dyads.partner_i[n]] == "C0000P"
+    assert tx_ids(log)[dyads.partner_i[0]] == "T0000P"
+    assert tx_ids(log)[dyads.partner_i[n]] == "C0000P"
     return MatchedPairSet(
         dyads,
         "dessert",

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copycart import model as M
 from copycart.context import ContextStats, compute_context, encode_cells
@@ -21,7 +23,7 @@ from copycart.matching import (
 
 from test_context import cell_key
 from test_dyads import lunch_rows
-from test_model import CATALOG, parse_csv
+from test_model import CATALOG, parse_csv, tx_ids
 
 
 def make_context(log, cells):
@@ -70,7 +72,7 @@ def tx_pairs(pairs):
     log = pairs.dyads.log
     d = pairs.dyads
     return [
-        (log.tx_ids[d.partner_i[t]], log.tx_ids[d.partner_i[c]])
+        (tx_ids(log)[d.partner_i[t]], tx_ids(log)[d.partner_i[c]])
         for t, c in zip(pairs.treated_idx, pairs.control_idx)
     ]
 
@@ -342,8 +344,8 @@ def test_popularity_from_computed_context():
     cell = cell_key(log, "S1", "2018-01-01", M.Daypart.LUNCH)
     assert ctx.popularity_for_cells(cell, "dessert")[0] == pytest.approx(0.5)
     dyads = extract_dyads(reconstruct_queues(log))
-    sel = np.asarray([log.tx_ids[i].startswith(("P", "F")) for i in dyads.partner_i])
-    dyads = dyads.subset(sel & np.asarray([log.tx_ids[i].startswith("F") for i in dyads.focal_i]))
+    sel = np.asarray([tx_ids(log)[i].startswith(("P", "F")) for i in dyads.partner_i])
+    dyads = dyads.subset(sel & np.asarray([tx_ids(log)[i].startswith("F") for i in dyads.focal_i]))
     assert dyads.n == 2
     pairs = build_matched_pairs(dyads, "dessert", ctx)
     assert pairs.n == 1
@@ -364,7 +366,7 @@ def test_exclude_own_transactions_uses_leave_dyad_out_popularity():
     ctx = compute_context(log, CATALOG)
     dyads = extract_dyads(reconstruct_queues(log))
     sel = np.asarray(
-        [log.tx_ids[p].startswith("P") and log.tx_ids[f].startswith("F")
+        [tx_ids(log)[p].startswith("P") and tx_ids(log)[f].startswith("F")
          for p, f in zip(dyads.partner_i, dyads.focal_i)]
     )
     dyads = dyads.subset(sel)
@@ -453,3 +455,30 @@ def test_greedy_match_no_reuse_and_caliper():
             d = abs(t_pop[i] - c_pop[j])
             m = max(t_pop[i], c_pop[j])
             assert (m > 0 and d / m <= 0.1) or (m == 0 and d == 0)
+
+
+@st.composite
+def tied_strata(draw):
+    """Strata whose popularities take one or two distinct levels, so most
+    candidates tie on distance."""
+    levels = draw(st.lists(st.sampled_from([0.0, 0.05, 0.3, 0.31, 0.5, 1.0]), min_size=1, max_size=2))
+    sizes = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 8)), min_size=1, max_size=8))
+    t_pop = draw(st.lists(st.sampled_from(levels), min_size=sum(t for t, _ in sizes),
+                          max_size=sum(t for t, _ in sizes)))
+    c_pop = draw(st.lists(st.sampled_from(levels), min_size=sum(c for _, c in sizes),
+                          max_size=sum(c for _, c in sizes)))
+    return (
+        np.cumsum([0] + [t for t, _ in sizes]).astype(np.int64),
+        np.cumsum([0] + [c for _, c in sizes]).astype(np.int64),
+        np.asarray(t_pop, np.float64),
+        np.asarray(c_pop, np.float64),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_strata(), st.sampled_from([0.02, 0.1, 0.5]), st.booleans())
+def test_greedy_match_heavy_ties_against_oracle(strata, caliper, relative):
+    t_start, c_start, t_pop, c_pop = strata
+    got = _greedy_caliper_match(t_start, c_start, t_pop, c_pop, caliper, relative)
+    want = _match_oracle(t_start, c_start, t_pop, c_pop, caliper, relative)
+    assert np.array_equal(got, want)

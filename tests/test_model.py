@@ -1,7 +1,9 @@
 """Domain model: dayparts, catalog, parsing, round-trips, demographics."""
 
+import csv
 import io
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,22 +14,28 @@ from copycart import model as M
 from copycart.errors import IngestError
 
 
-def make_catalog():
-    return M.ItemCatalog(
-        {
-            "MEALV": M.ItemCategory("anchor_meal", "vegetarian"),
-            "MEALS": M.ItemCategory("anchor_meal", "non_vegetarian"),
-            "COF": M.ItemCategory("anchor_beverage", "coffee"),
-            "TEA": M.ItemCategory("anchor_beverage", "tea"),
-            "DES": M.ItemCategory("addition", "dessert"),
-            "FRU": M.ItemCategory("addition", "fruit"),
-            "SOUP": M.ItemCategory("addition", "soup"),
-            "MISC": M.ItemCategory("other"),
-        }
-    )
+CATEGORIES = {
+    "MEALV": M.ItemCategory("anchor_meal", "vegetarian"),
+    "MEALS": M.ItemCategory("anchor_meal", "non_vegetarian"),
+    "COF": M.ItemCategory("anchor_beverage", "coffee"),
+    "TEA": M.ItemCategory("anchor_beverage", "tea"),
+    "DES": M.ItemCategory("addition", "dessert"),
+    "FRU": M.ItemCategory("addition", "fruit"),
+    "SOUP": M.ItemCategory("addition", "soup"),
+    "MISC": M.ItemCategory("other"),
+}
+CATALOG = M.ItemCatalog(CATEGORIES)
+CODES = sorted(CATEGORIES)
 
 
-CATALOG = make_catalog()
+def tx_ids(log):
+    """The tx id of every row, in log order."""
+    return log.tx_ids_at(np.arange(log.n))
+
+
+def baskets(log):
+    """The normalized basket of every row, in log order."""
+    return [log.basket_table[k] for k in log.basket_idx]
 
 
 # -- dayparts ----------------------------------------------------------------
@@ -169,11 +177,11 @@ CSV_HEADER = "tx_id,person_id,timestamp,shop_id,register_id,items\n"
 
 
 def parse_csv(rows: str):
-    return M.parse_transactions(io.StringIO(CSV_HEADER + rows), CATALOG, fmt="csv")
+    return M.parse_transactions(io.StringIO(CSV_HEADER + rows), CATALOG)
 
 
 def test_parse_empty_stream():
-    log = M.parse_transactions(io.StringIO(""), CATALOG, fmt="csv")
+    log = M.parse_transactions(io.StringIO(""), CATALOG)
     assert log.n == 0 and log.report.warnings == 0
 
 
@@ -212,23 +220,13 @@ def test_parse_duplicate_tx_fatal():
         )
 
 
-def test_parse_jsonl_and_format_sniffing():
-    rec = (
-        '{"tx_id": "T1", "person_id": "P1", "timestamp": "2018-01-05T09:00:00",'
-        ' "shop_id": "S1", "register_id": "R1", "items": ["COF"]}\n'
-    )
-    log = M.parse_transactions(io.StringIO(rec), CATALOG)
-    assert log.n == 1
-    assert log.baskets[0] == ("COF",)
-
-
 def test_parse_sorts_canonically_and_dedupes_basket():
     log = parse_csv(
         "T2,P2,2018-01-05T09:00:00,S1,R1,TEA;TEA;COF\n"
         "T1,P1,2018-01-05T08:00:00,S1,R1,COF\n"
     )
-    assert log.tx_ids == ["T1", "T2"]
-    assert log.baskets[1] == ("COF", "TEA")
+    assert tx_ids(log) == ["T1", "T2"]
+    assert baskets(log)[1] == ("COF", "TEA")
 
 
 def test_equal_timestamps_ordered_by_tx_id():
@@ -236,11 +234,11 @@ def test_equal_timestamps_ordered_by_tx_id():
         "TB,P2,2018-01-05T09:00:00,S1,R1,COF\n"
         "TA,P1,2018-01-05T09:00:00,S1,R1,TEA\n"
     )
-    assert log.tx_ids == ["TA", "TB"]
+    assert tx_ids(log) == ["TA", "TB"]
 
 
 def _random_log(rng: np.random.Generator, n: int):
-    codes = list(CATALOG.codes())
+    codes = CODES
     rows = []
     for i in range(n):
         items = rng.choice(codes, size=rng.integers(1, 4), replace=True)
@@ -255,9 +253,9 @@ def _random_log(rng: np.random.Generator, n: int):
 def row_values(log):
     """Every row of a log as plain values, in log order."""
     return [
-        (log.tx_ids[i], log.persons[log.person_idx[i]], int(log.ts[i]),
-         log.shops[log.shop_idx[i]], log.registers[log.register_idx[i]], log.baskets[i])
-        for i in range(log.n)
+        (tx, log.persons[log.person_idx[i]], int(log.ts[i]),
+         log.shops[log.shop_idx[i]], log.registers[log.register_idx[i]], basket)
+        for i, (tx, basket) in enumerate(zip(tx_ids(log), baskets(log)))
     ]
 
 
@@ -266,24 +264,130 @@ def assert_log_invariants(log):
     non-empty baskets, and masks in sync with the baskets."""
     keys = [(ts, shop, reg, tx) for tx, _p, ts, shop, reg, _b in row_values(log)]
     assert keys == sorted(keys)
-    assert len(set(log.tx_ids)) == log.n
-    assert all(len(b) > 0 for b in log.baskets)
-    expect = np.asarray([log.catalog.mask_of(b) for b in log.baskets], np.uint16)
+    assert len(set(tx_ids(log))) == log.n
+    assert all(len(b) > 0 for b in baskets(log))
+    expect = np.asarray([log.catalog.mask_of(b) for b in baskets(log)], np.uint16)
     assert np.array_equal(expect, log.mask)
+    assert np.array_equal(log.basket_sizes, [len(b) for b in baskets(log)])
 
 
-@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-def test_serialize_roundtrip_byte_identical(fmt):
+def test_serialize_roundtrip_byte_identical():
     log = _random_log(np.random.default_rng(7), 60)
     buf = io.StringIO()
-    M.serialize_transactions(log, buf, fmt=fmt)
+    M.serialize_transactions(log, buf)
     text = buf.getvalue()
-    again = M.parse_transactions(io.StringIO(text), CATALOG, fmt=fmt)
+    again = M.parse_transactions(io.StringIO(text), CATALOG)
     assert row_values(again) == row_values(log)
     buf2 = io.StringIO()
-    M.serialize_transactions(again, buf2, fmt=fmt)
+    M.serialize_transactions(again, buf2)
     assert buf2.getvalue() == text
     assert_log_invariants(again)
+
+
+def _stamp_text(y, mo, d, h, mi, s):
+    return f"{y:04d}-{mo:02d}-{d:02d}T{h:02d}:{mi:02d}:{s:02d}"
+
+
+_fields = st.tuples(
+    st.integers(1, 9999), st.integers(0, 13), st.integers(0, 32),
+    st.integers(0, 24), st.integers(0, 60), st.integers(0, 60),
+)
+STAMPS = st.one_of(
+    _fields.map(lambda f: _stamp_text(*f)),  # canonical form, calendar-invalid ones included
+    _fields.map(lambda f: _stamp_text(*f).replace("T", " ")),
+    _fields.map(lambda f: _stamp_text(*f)[:10]),  # date only
+    _fields.map(lambda f: _stamp_text(*f) + ".250"),
+    _fields.map(lambda f: _stamp_text(*f) + "Z"),
+    _fields.map(lambda f: _stamp_text(*f) + "+01:00"),
+    _fields.map(lambda f: _stamp_text(*f).replace("-", "").replace(":", "")),  # compact
+    _fields.map(lambda f: " " + _stamp_text(*f) + " "),
+    st.sampled_from([
+        "", "NaT", "nat", "2018-13-01T09:00:00", "2018-04-31T12:00:00",
+        "2019-02-29T12:00:00", "2020-02-29T12:00:00", "1900-02-29T00:00:00",
+        "2000-02-29T23:59:59", "0000-01-01T00:00:00", "2018-01-05T24:00:00",
+        "2018-01-05T12:00:60", "2018-01-05t12:00:00", "2018-01-05T12:00:0",
+        "\uff12018-01-05T12:00:00", "2018-01-05T12:00:00\x00",
+    ]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=24),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(STAMPS, min_size=1, max_size=12))
+def test_column_parser_agrees_with_row_parser(stamps):
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(M.TRANSACTION_COLUMNS)
+    for i, stamp in enumerate(stamps):
+        w.writerow([f"T{i:03d}", "P1", stamp, "S1", "R1", "COF"])
+    log = M.parse_transactions(io.StringIO(buf.getvalue()), CATALOG)
+    accepted, errors = {}, []
+    for i, stamp in enumerate(stamps):
+        try:
+            accepted[f"T{i:03d}"] = M._parse_timestamp(stamp.strip())
+        except ValueError as e:
+            errors.append((i + 2, f"malformed timestamp {stamp.strip()!r}: {e}"))
+    assert dict(zip(tx_ids(log), log.ts.tolist())) == accepted
+    assert log.report.errors == errors
+
+
+def chunk_rows(text):
+    """The records `_record_chunks` finds, rebuilt one list per record."""
+    rows = []
+    for fields, widths, blank in M._record_chunks(text):
+        start = 0
+        for w, b in zip(widths.tolist(), blank.tolist()):
+            rows.append([] if b else fields[start : start + w])
+            start += w
+    return rows
+
+
+CSV_TEXT = st.text(st.sampled_from(list("ab ,\n") + ['"', "\r", "\x00", "é"]), max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CSV_TEXT, st.sampled_from([1, 2, 1000]))
+def test_record_chunks_read_as_csv_reader_does(text, chunk):
+    try:
+        want = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error:
+        want = None
+    with mock.patch.object(M, "_PARSE_CHUNK", chunk):
+        if want is None:
+            with pytest.raises(IngestError):
+                chunk_rows(text)
+        else:
+            assert chunk_rows(text) == want
+
+
+def test_unreadable_csv_is_an_ingest_error():
+    text = CSV_HEADER + 'T1,P1,"' + "x" * (csv.field_size_limit() + 1) + '",S1,R1,COF\n'
+    with pytest.raises(IngestError, match="line 2"):
+        M.parse_transactions(io.StringIO(text), CATALOG)
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_parse_is_independent_of_chunk_size(quoted):
+    rng = np.random.default_rng(5)
+    rows = []
+    for i in range(80):
+        basket = ";".join(rng.choice(CODES, size=rng.integers(0, 3)))
+        stamp = f"2018-0{rng.integers(1, 9)}-{rng.integers(10, 32)}T{rng.integers(6, 20):02d}:00:00"
+        if rng.random() < 0.1:
+            stamp = stamp.replace("T", " ")
+        row = [f"T{i:03d}", f"P{rng.integers(4)}" if rng.random() < 0.95 else "", stamp,
+               "S1", "R1", basket]
+        if rng.random() < 0.05:
+            row = row[:4]
+        rows.append(",".join(f'"{f}"' if quoted else f for f in row) if rng.random() < 0.95 else "")
+    text = CSV_HEADER + "\n".join(rows) + "\n"
+    whole = M.parse_transactions(io.StringIO(text), CATALOG)
+    assert whole.report.n_rejected > 0 and whole.n > 40
+    for chunk in (1, 7):
+        with mock.patch.object(M, "_PARSE_CHUNK", chunk):
+            chunked = M.parse_transactions(io.StringIO(text), CATALOG)
+        assert row_values(chunked) == row_values(whole)
+        assert chunked.report.to_dict() == whole.report.to_dict()
 
 
 def test_derived_columns():

@@ -122,7 +122,7 @@ def test_log_is_valid_and_well_formed():
     assert log.n > 500
     # one anchor per basket, matched to the daypart
     for i in range(0, log.n, 7):
-        basket = log.baskets[i]
+        basket = log.basket_table[log.basket_idx[i]]
         anchors = [c for c in basket if c.startswith(("MEAL", "COFFEE", "TEA"))]
         assert len(anchors) == 1
         if log.daypart[i] == M.Daypart.LUNCH.value:
@@ -130,13 +130,13 @@ def test_log_is_valid_and_well_formed():
         else:
             assert anchors[0] in ("COFFEE", "TEA")
     assert (log.daypart != M.Daypart.OUT_OF_WINDOW.value).all()
-    assert len(set(log.tx_ids)) == log.n
+    assert len(set(log.tx_ids_at(np.arange(log.n)))) == log.n
     # serialize/parse round trip preserves the log
     buf = io.StringIO()
     M.serialize_transactions(res.log, buf)
     again = M.parse_transactions(io.StringIO(buf.getvalue()), res.catalog)
     assert again.report.n_rejected == 0
-    assert again.tx_ids == log.tx_ids
+    assert again.tx_ids_at(np.arange(again.n)) == log.tx_ids_at(np.arange(log.n))
     assert (again.ts == log.ts).all()
 
 
