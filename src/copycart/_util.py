@@ -1,14 +1,23 @@
-"""Small shared helpers (seed derivation, text streams)."""
+"""Small shared helpers: seed derivation, the on-disk CSV table format, and
+the type checker for configuration values."""
 
 from __future__ import annotations
 
+import csv
 import io
+import itertools
+import numbers
+import operator
 import os
+import typing
 import zlib
-from contextlib import contextmanager
-from typing import Iterator, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
+
+from .errors import ConfigError, IngestError
+
+Source = Union[str, os.PathLike, io.TextIOBase]
 
 
 def derive_seed(seed: int, *tokens) -> int:
@@ -29,14 +38,141 @@ def derive_seed(seed: int, *tokens) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-@contextmanager
-def text_stream(
-    target: Union[str, os.PathLike, io.TextIOBase], mode: str = "r"
-) -> Iterator[io.TextIOBase]:
-    """A path opened as UTF-8 text with ``newline=""`` (as the csv module
-    wants) and closed on exit; a stream is passed through and left open."""
-    if isinstance(target, (str, os.PathLike)):
-        with open(target, mode, encoding="utf-8", newline="") as fh:
-            yield fh
-    else:
-        yield target
+def write_csv(dest: Source, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The header, then the rows, as CSV with "\\n" line ends; a path is
+    written as UTF-8."""
+    if isinstance(dest, (str, os.PathLike)):
+        with open(dest, "w", encoding="utf-8", newline="") as fh:
+            return write_csv(fh, header, rows)
+    w = csv.writer(dest, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+
+
+def read_text(source: Source, what: str) -> tuple[str, str]:
+    """(name, whole text) of a path read as UTF-8 or of a text stream; the
+    name is the path, else the stream's name, else `what`.  A path that
+    cannot be read or decoded is an IngestError naming it."""
+    if not isinstance(source, (str, os.PathLike)):
+        return getattr(source, "name", what), source.read()
+    name = os.fspath(source)
+    try:
+        with open(source, "rb") as fh:
+            data = fh.read()
+        return name, data.decode("utf-8")
+    except OSError as err:
+        raise IngestError(f"{name}: cannot read {what}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise IngestError(f"{name} line {line}: not UTF-8 text ({err.reason})") from None
+
+
+def header_order(got: Sequence[str], want: Sequence[str], name: str) -> dict[str, int]:
+    """Where each column of `want` sits in the header `got`; an IngestError
+    unless `got` names exactly those columns, in any order."""
+    got = [h.strip() for h in got]
+    if set(got) != set(want):
+        raise IngestError(f"{name} line 1: header must contain exactly {tuple(want)}, got {got}")
+    return {c: got.index(c) for c in want}
+
+
+class CsvTable:
+    """The non-blank records of a CSV file below its header, if it has one
+    (`index` maps each header column to its field position)."""
+
+    def __init__(self, name: str, records: list, index: Optional[dict] = None):
+        self.name, self.records, self.index = name, records, index
+        self.first = int(index is not None)
+        self.rows = list(filter(None, records[self.first :]))
+
+    def error(self, k: int, message: str) -> IngestError:
+        """An IngestError naming row k by its record number: blank lines and
+        the header count, so the first row under a header is line 2."""
+        numbered = itertools.islice(enumerate(self.records, 1), self.first, None)
+        line = next(itertools.islice((n for n, rec in numbered if rec), k, None))
+        return IngestError(f"{self.name} line {line}: {message}")
+
+    def column(self, name: str) -> list:
+        return list(map(operator.itemgetter(self.index[name]), self.rows))
+
+    def numeric(self, name: str, parse: type) -> np.ndarray:
+        """A column parsed by `int` or `float` into an int64 or float64 array;
+        an IngestError names the first field that is no such number."""
+        text = self.column(name)
+        fields = iter(text)
+        try:
+            return np.fromiter(map(parse, fields), np.int64 if parse is int else np.float64, len(text))
+        except (ValueError, OverflowError):
+            k = len(text) - sum(1 for _ in fields) - 1  # the fields left follow the one that failed
+            kind = "an integer" if parse is int else "a number"
+            raise self.error(k, f"{name} {text[k]!r} is not {kind}") from None
+
+
+def read_csv(source: Source, what: str, columns: Optional[Sequence[str]] = None) -> CsvTable:
+    """A CSV file read whole.  With `columns`, the first record is a header
+    naming exactly those columns and every other non-blank record is as wide
+    as it.  Undecodable bytes, a malformed record, a wrong header and a wrong
+    field count are IngestErrors naming the file and line."""
+    name, text = read_text(source, what)
+    records: list = []  # of tuples, which the garbage collector soon stops tracking
+    try:
+        records.extend(map(tuple, csv.reader(io.StringIO(text, newline=""))))
+    except csv.Error as err:
+        raise IngestError(f"{name} line {len(records) + 1}: {err}") from None
+    if columns is None:
+        return CsvTable(name, records)
+    header = records[0] if records else columns  # an empty file is a header alone
+    table = CsvTable(name, records, header_order(header, columns, name))
+    if set(map(len, table.rows)) - {len(header)}:
+        k = next(k for k, row in enumerate(table.rows) if len(row) != len(header))
+        raise table.error(k, f"expected {len(header)} fields, got {len(table.rows[k])}")
+    return table
+
+
+def config_seed(seed) -> int:
+    """The mandatory root seed as an int; ConfigError unless it is a u64."""
+    if seed is None:
+        raise ConfigError("seed is mandatory; there is no wall-clock default")
+    try:
+        seed = int(seed)
+    except (TypeError, ValueError):
+        raise ConfigError(f"seed must be an integer, got {seed!r}") from None
+    if not (0 <= seed < 2**64):
+        raise ConfigError("seed must be a u64")
+    return seed
+
+
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _is_a(value, hint) -> bool:
+    """Whether `value` has the annotated type `hint`.  A bool is neither an
+    integer nor a number, an integer is a number, and a list or a tuple
+    stands for either."""
+    if hint is int or hint is float:
+        kind = numbers.Integral if hint is int else numbers.Real
+        return isinstance(value, kind) and not isinstance(value, bool)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Union:
+        return any(_is_a(value, a) for a in args)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _is_a(k, args[0]) and _is_a(v, args[1]) for k, v in value.items()
+        )
+    if origin is list or origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        if origin is tuple and args[-1] is not Ellipsis:
+            return len(value) == len(args) and all(map(_is_a, value, args))
+        return all(_is_a(v, args[0]) for v in value)
+    return isinstance(value, hint)
+
+
+def check_types(cls: type, values: Mapping[str, object], where: str = "") -> None:
+    """ConfigError unless each value that names a field of dataclass `cls`
+    has the type the field is annotated with, nested entries included."""
+    hints = typing.get_type_hints(cls)
+    for name, value in values.items():
+        if name in hints and not _is_a(value, hints[name]):
+            kind = _KIND_NAMES.get(hints[name]) or str(hints[name]).replace("typing.", "")
+            raise ConfigError(f"{where}{name} must be {kind}, got {value!r}")

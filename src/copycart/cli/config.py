@@ -3,40 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
-import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import yaml
 
+from .._util import check_types, config_seed
 from ..errors import ConfigError
 from ..estimate import GROUPINGS
 from ..matching import AdjustmentSpec
-
-
-_INTEGER_FIELDS = ("max_gap_s", "min_pair_count", "n_boot", "min_stratum", "threads")
-_NUMBER_FIELDS = ("min_fraction", "alpha")
-_BOOLEAN_FIELDS = (
-    "require_anchor", "baseline", "sensitivity", "dose_response", "coordination",
-    "anchor_mimicry", "infer_status", "require_balance",
-)
-_ADJUSTMENT_BOOLEANS = (
-    "match_focal_identity", "match_exact_anchor", "caliper_absolute", "exclude_own_transactions",
-)
-
-
-def _check_types(obj, names, kind, what: str, where: str = "") -> None:
-    """ConfigError unless each named field of `obj` is a `kind`; a bool
-    counts as neither an integer nor a number."""
-    for name in names:
-        value = getattr(obj, name)
-        if kind is bool:
-            ok = isinstance(value, bool)
-        else:
-            ok = isinstance(value, kind) and not isinstance(value, bool)
-        if not ok:
-            raise ConfigError(f"{where}{name} must be {what}, got {value!r}")
 
 
 def _default_adjustment() -> AdjustmentSpec:
@@ -67,7 +43,7 @@ class RunConfig:
     sensitivity: bool = True
     dose_response: bool = False
     coordination: bool = False
-    subgroups: tuple = ()
+    subgroups: tuple[str, ...] = ()
     anchor_mimicry: bool = False
     infer_status: bool = False
     # execution
@@ -75,17 +51,17 @@ class RunConfig:
     require_balance: bool = False
 
     def __post_init__(self):
-        if self.seed is None:
-            raise ConfigError("seed is mandatory; there is no wall-clock default")
-        try:
-            self.seed = int(self.seed)
-        except (TypeError, ValueError):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}") from None
-        if not (0 <= self.seed < 2**64):
-            raise ConfigError("seed must be a u64")
-        _check_types(self, _INTEGER_FIELDS, numbers.Integral, "an integer")
-        _check_types(self, _NUMBER_FIELDS, numbers.Real, "a number")
-        _check_types(self, _BOOLEAN_FIELDS, bool, "true or false")
+        self.seed = config_seed(self.seed)
+        if isinstance(self.adjustment, dict):
+            # the keys given override the CLI defaults, not the library's
+            check_types(AdjustmentSpec, self.adjustment, "adjustment: ")
+            try:
+                self.adjustment = dataclasses.replace(_default_adjustment(), **self.adjustment)
+            except (TypeError, ValueError) as err:  # TypeError: an unknown key
+                raise ConfigError(f"adjustment: {err}") from None
+        elif not isinstance(self.adjustment, AdjustmentSpec):
+            raise ConfigError(f"adjustment must be a mapping, got {self.adjustment!r}")
+        check_types(RunConfig, vars(self))
         if self.n_boot < 1:
             raise ConfigError("n_boot must be positive")
         if not (0.0 < self.alpha < 1.0):
@@ -96,27 +72,13 @@ class RunConfig:
             raise ConfigError("min_pair_count must be positive")
         if self.threads < 1:
             raise ConfigError("threads must be positive")
-        if not isinstance(self.subgroups, (list, tuple)):
-            raise ConfigError(f"subgroups must be a list, got {self.subgroups!r}")
         self.subgroups = tuple(self.subgroups)
         for g in self.subgroups:
             if g not in GROUPINGS:
                 raise ConfigError(f"unknown subgroup {g!r}; choose from {GROUPINGS}")
-        if isinstance(self.adjustment, dict):
-            # the keys given override the CLI defaults, not the library's
-            try:
-                self.adjustment = dataclasses.replace(_default_adjustment(), **self.adjustment)
-            except (TypeError, ValueError) as err:
-                raise ConfigError(f"adjustment: {err}") from None
-            _check_types(self.adjustment, _ADJUSTMENT_BOOLEANS, bool, "true or false", "adjustment: ")
-        elif not isinstance(self.adjustment, AdjustmentSpec):
-            raise ConfigError(f"adjustment must be a mapping, got {self.adjustment!r}")
 
-    def validate_paths(self) -> None:
-        for name in ("transactions", "catalog", "demographics"):
-            p = getattr(self, name)
-            if p is not None and not os.path.exists(p):
-                raise ConfigError(f"{name} path does not exist: {p}")
+    def require_demographics(self) -> None:
+        """ConfigError unless demographics are given where an analysis needs them."""
         if self.demographics is None and (
             self.infer_status
             or any(w in g for g in self.subgroups for w in ("status", "gender", "age"))
@@ -162,15 +124,13 @@ class RunConfig:
             raise ConfigError(f"config is missing required keys: {sorted(missing)}")
         return cls(**flat)
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["subgroups"] = list(self.subgroups)
-        return d
-
 
 def load_yaml(path: Union[str, os.PathLike]) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as err:
+        raise ConfigError(f"cannot read config file {path}: {err}") from None
     if data is None:
         return {}
     if not isinstance(data, dict):

@@ -23,10 +23,9 @@ from ..dyads import DyadSet
 from ..errors import CopycartError
 from ..estimate import paired_counts
 from ..matching import MatchedPairSet
-from ..model import serialize_transactions
 from ..sim import SimulationConfig, simulate, write_simulation
 from . import pipeline
-from .config import ConfigError, RunConfig, load_yaml
+from .config import RunConfig, load_yaml
 from .plots import emit_plots
 
 EXIT_BALANCE = 3
@@ -66,20 +65,16 @@ def main(ctx, config_path, seed, out, threads, require_balance):
     )
 
 
-def _run_config(ctx, **extra) -> RunConfig:
+def _run_config(ctx) -> RunConfig:
     o = ctx.obj
     data = load_yaml(o["config_path"]) if o["config_path"] else {}
-    data.update({k: v for k, v in extra.items() if v is not None})
-    try:
-        return RunConfig.from_dict(
-            data,
-            seed=o["seed"],
-            out=o["out"],
-            threads=o["threads"],
-            require_balance=True if o["require_balance"] else None,
-        )
-    except ConfigError as err:
-        raise _fail(err) from err
+    return RunConfig.from_dict(
+        data,
+        seed=o["seed"],
+        out=o["out"],
+        threads=o["threads"],
+        require_balance=True if o["require_balance"] else None,
+    )
 
 
 def _load_dyads(cfg: RunConfig, log) -> DyadSet:
@@ -128,8 +123,6 @@ def simulate_cmd(ctx, sim_config, assignments):
             data[key] = raw
     if ctx.obj["seed"] is not None:
         data["seed"] = ctx.obj["seed"]
-    if "seed" not in data:
-        raise click.ClickException("simulate needs a seed (--seed or config)")
     out = ctx.obj["out"] or "out"
     result = simulate(SimulationConfig.from_dict(data))
     paths = write_simulation(result, out)
@@ -142,16 +135,12 @@ def simulate_cmd(ctx, sim_config, assignments):
 @click.pass_context
 @guarded
 def ingest(ctx):
-    """Parse and validate the transaction log; write the canonical dump."""
+    """Parse and validate the inputs; report what was read."""
     cfg = _run_config(ctx)
     log, _catalog, _demo = pipeline.ingest_inputs(cfg)
-    os.makedirs(cfg.out, exist_ok=True)
-    dest = os.path.join(cfg.out, "transactions.csv")
-    serialize_transactions(log, dest)
     click.echo(f"transactions: {log.n}")
     click.echo(f"persons: {len(log.persons)}")
     click.echo(f"rejected_records: {log.report.n_rejected}")
-    click.echo(f"canonical: {dest}")
 
 
 @main.command()

@@ -10,7 +10,6 @@ number.
 
 from __future__ import annotations
 
-import csv
 import importlib.resources
 import json
 import math
@@ -35,7 +34,7 @@ from ..errors import (
 from ..infer import feature_matrix, train_status_model, write_predictions_csv
 from ..matching import MatchedPairSet, balance_report, build_matched_pairs
 from ..model import Demographics, ItemCatalog, TransactionLog, parse_transactions
-from .._util import derive_seed
+from .._util import derive_seed, write_csv
 from .config import RunConfig
 from .plots import emit_plots
 
@@ -73,7 +72,7 @@ def load_schema() -> dict:
 
 
 def ingest_inputs(cfg: RunConfig) -> tuple[TransactionLog, ItemCatalog, Optional[Demographics]]:
-    cfg.validate_paths()
+    cfg.require_demographics()
     catalog = ItemCatalog.from_csv(cfg.catalog)
     log = parse_transactions(cfg.transactions, catalog)
     demo = None
@@ -267,22 +266,21 @@ def _write_estimates_csv(path, results: dict) -> None:
             fmt(naive), status,
         ]
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(cols)
-        for item in results["items"]:
-            if item["status"] != "ok":
-                w.writerow([item["item"], "pooled", 0] + [""] * 9 + ["no_pairs"])
-                continue
-            w.writerow(row(item["estimate"], naive=item["naive_rd"]))
-            if isinstance(item.get("baseline"), dict) and "rd" in (item["baseline"] or {}):
-                w.writerow(row(item["baseline"]))
-            for grouping in item.get("subgroups") or {}:
-                for est in item["subgroups"][grouping].values():
-                    w.writerow(row(est))
-        for attr, est in (results.get("anchor_mimicry") or {}).items():
-            if "rd" in est:
-                w.writerow(row(dict(est, stratum=f"anchor:{attr}")))
+    rows = []
+    for item in results["items"]:
+        if item["status"] != "ok":
+            rows.append([item["item"], "pooled", 0] + [""] * 9 + ["no_pairs"])
+            continue
+        rows.append(row(item["estimate"], naive=item["naive_rd"]))
+        if isinstance(item.get("baseline"), dict) and "rd" in (item["baseline"] or {}):
+            rows.append(row(item["baseline"]))
+        for grouping in item.get("subgroups") or {}:
+            for est in item["subgroups"][grouping].values():
+                rows.append(row(est))
+    for attr, est in (results.get("anchor_mimicry") or {}).items():
+        if "rd" in est:
+            rows.append(row(dict(est, stratum=f"anchor:{attr}")))
+    write_csv(path, cols, rows)
 
 
 @dataclass

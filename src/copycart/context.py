@@ -7,15 +7,10 @@ category is available in the cell iff its popularity is positive.
 
 from __future__ import annotations
 
-import csv
-import io
-import os
-from typing import Union
-
 import numpy as np
 
-from ._util import text_stream
-from .model import CATEGORY_BIT, CATEGORY_KEYS, Daypart, ItemCatalog, TransactionLog
+from ._util import Source, write_csv
+from .model import CATEGORY_BIT, CATEGORY_KEYS, Daypart, ItemCatalog, TransactionLog, labels_at
 
 # cell key packing: (shop_idx << 40) | (date_ord << 2) | daypart
 _DATE_SHIFT = 2
@@ -48,7 +43,7 @@ class ContextStats:
         pos = np.searchsorted(self._keys, cell_keys)
         pos = np.minimum(pos, max(self._keys.shape[0] - 1, 0))
         out = np.zeros(cell_keys.shape[0], np.float64)
-        if self._keys.shape[0] == 0:
+        if self.n_cells == 0:
             return out
         hit = self._keys[pos] == cell_keys
         out[hit] = self._pop[pos[hit], CATEGORY_BIT[category]]
@@ -58,7 +53,7 @@ class ContextStats:
         """Vectorized (cell size, category count) lookup; absent cells give 0."""
         n = np.zeros(cell_keys.shape[0], np.int64)
         cnt = np.zeros(cell_keys.shape[0], np.int64)
-        if self._keys.shape[0] == 0:
+        if self.n_cells == 0:
             return n, cnt
         pos = np.searchsorted(self._keys, cell_keys)
         pos = np.minimum(pos, self._keys.shape[0] - 1)
@@ -68,18 +63,20 @@ class ContextStats:
         cnt[hit] = np.rint(self._pop[pos[hit], CATEGORY_BIT[category]] * self._n[pos[hit]]).astype(np.int64)
         return n, cnt
 
-    def to_csv(self, dest: Union[str, os.PathLike, io.TextIOBase]) -> None:
-        with text_stream(dest, "w") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["shop_id", "date", "daypart", "category", "popularity", "available", "n"])
-            date_ord = (self._keys >> _DATE_SHIFT) & ((1 << (_SHOP_SHIFT - _DATE_SHIFT)) - 1)
-            dates = np.datetime_as_string(date_ord.astype("datetime64[D]"))
-            for i in range(self.n_cells):
-                shop = self._shops[int(self._keys[i] >> _SHOP_SHIFT)]
-                daypart = Daypart(int(self._keys[i] & 3)).label
-                for cat in CATEGORY_KEYS:
-                    p = float(self._pop[i, CATEGORY_BIT[cat]])
-                    w.writerow([shop, dates[i], daypart, cat, repr(p), str(p > 0.0).lower(), int(self._n[i])])
+    def to_csv(self, dest: Source) -> None:
+        date_ord = (self._keys >> _DATE_SHIFT) & ((1 << (_SHOP_SHIFT - _DATE_SHIFT)) - 1)
+        cells = zip(
+            labels_at(self._shops, self._keys >> _SHOP_SHIFT),
+            np.datetime_as_string(date_ord.astype("datetime64[D]")).tolist(),
+            labels_at([d.label for d in Daypart], self._keys & 3),
+            self._pop.tolist(),  # one popularity per CATEGORY_KEYS entry, in order
+            self._n.tolist(),
+        )
+        write_csv(dest, ("shop_id", "date", "daypart", "category", "popularity", "available", "n"), (
+            [shop, date, daypart, cat, repr(p), str(p > 0.0).lower(), n]
+            for shop, date, daypart, pops, n in cells
+            for cat, p in zip(CATEGORY_KEYS, pops)
+        ))
 
 
 def compute_context(log: TransactionLog, catalog: ItemCatalog) -> ContextStats:

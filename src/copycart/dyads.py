@@ -8,16 +8,13 @@ focal's the outcome side.
 
 from __future__ import annotations
 
-import csv
-import io
-import os
+import itertools
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from . import context as ctx
-from ._util import text_stream
+from ._util import Source, read_csv, write_csv
 from .errors import EmptyMatrixError, IngestError
 from .model import (
     Daypart,
@@ -122,7 +119,7 @@ class DyadSet:
     def subset(self, sel: np.ndarray) -> "DyadSet":
         return DyadSet(self.log, self.partner_i[sel], self.focal_i[sel], self.delay_s[sel])
 
-    def to_csv(self, dest: Union[str, os.PathLike, io.TextIOBase]) -> None:
+    def to_csv(self, dest: Source) -> None:
         log = self.log
         columns = zip(
             log.tx_ids_at(self.partner_i),
@@ -133,37 +130,19 @@ class DyadSet:
             labels_at([d.label for d in Daypart], self.daypart),
             self.delay_s.tolist(),
         )
-        with text_stream(dest, "w") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(DYAD_COLUMNS)
-            w.writerows(columns)
+        write_csv(dest, DYAD_COLUMNS, columns)
 
     @classmethod
-    def from_csv(cls, source: Union[str, os.PathLike, io.TextIOBase], log: TransactionLog) -> "DyadSet":
-        with text_stream(source) as fh:
-            dump = getattr(fh, "name", "dyad dump")
-            reader = csv.reader(fh)
-            next(reader, None)
-            txs, delay = [], []
-            for line, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(DYAD_COLUMNS):
-                    raise IngestError(
-                        f"{dump} line {line}: expected {len(DYAD_COLUMNS)} fields, got {len(row)}"
-                    )
-                try:
-                    delay.append(int(row[6]))
-                except ValueError:
-                    raise IngestError(
-                        f"{dump} line {line}: delay_s {row[6]!r} is not an integer"
-                    ) from None
-                txs += row[:2]
+    def from_csv(cls, source: Source, log: TransactionLog) -> "DyadSet":
+        table = read_csv(source, "dyad dump", DYAD_COLUMNS)
+        delay = table.numeric("delay_s", int)
+        # partner, focal, partner, focal, ... as the dump lists them
+        txs = list(itertools.chain.from_iterable(zip(*map(table.column, DYAD_COLUMNS[:2]))))
         rows = log.rows_of(txs)
         if (rows < 0).any():
             missing = txs[int(np.argmax(rows < 0))]
-            raise IngestError(f"{dump} names tx id {missing!r}, which the transaction log lacks")
-        return cls(log, rows[0::2], rows[1::2], np.asarray(delay, np.int64))
+            raise IngestError(f"{table.name} names tx id {missing!r}, which the transaction log lacks")
+        return cls(log, rows[0::2], rows[1::2], delay)
 
 
 def extract_dyads(queues: Queues, max_gap_s: int = 300, require_anchor: bool = True) -> DyadSet:

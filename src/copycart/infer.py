@@ -8,14 +8,11 @@ ensemble trained on the labeled subsample votes a status for everyone else.
 
 from __future__ import annotations
 
-import csv
-import io
-import os
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import text_stream
+from ._util import Source, write_csv
 from .errors import InsufficientLabelsError
 from .model import TransactionLog
 
@@ -260,13 +257,10 @@ def train_status_model(
 
 
 def write_predictions_csv(
-    dest: Union[str, os.PathLike, io.TextIOBase],
+    dest: Source,
     person_ids: Sequence[str],
     labels: Sequence[str],
     confidences: Sequence[float],
 ) -> None:
-    with text_stream(dest, "w") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["person_id", "label", "confidence"])
-        for pid, lab, c in zip(person_ids, labels, confidences):
-            w.writerow([pid, lab, repr(float(c))])
+    write_csv(dest, ("person_id", "label", "confidence"),
+              ([pid, lab, repr(float(c))] for pid, lab, c in zip(person_ids, labels, confidences)))

@@ -10,21 +10,18 @@ remaining control with the nearest popularity.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
-import os
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import text_stream
+from ._util import Source, read_csv, write_csv
 from .context import ContextStats
 from .dyads import DyadSet
 from .errors import IngestError, NoPairsError
-from .model import anchor_code_arrays
+from .model import CATEGORY_KEYS, anchor_code_arrays
 
 
 @dataclass(frozen=True)
@@ -133,7 +130,7 @@ class MatchedPairSet:
             n_unmatched=0,
         )
 
-    def to_csv(self, dest: Union[str, os.PathLike, io.TextIOBase]) -> None:
+    def to_csv(self, dest: Source) -> None:
         d = self.dyads
         columns = zip(
             [self.item] * self.n,
@@ -144,39 +141,24 @@ class MatchedPairSet:
             map(repr, self.pop_t.tolist()),
             map(repr, self.pop_c.tolist()),
         )
-        with text_stream(dest, "w") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(PAIR_COLUMNS)
-            w.writerows(columns)
+        write_csv(dest, PAIR_COLUMNS, columns)
 
     @classmethod
     def from_csv(
-        cls, source: Union[str, os.PathLike, io.TextIOBase], dyads: DyadSet
+        cls, source: Source, dyads: DyadSet
     ) -> dict[str, "MatchedPairSet"]:
         """Read a matched-pair dump back; returns one set per item found."""
-        with text_stream(source) as fh:
-            dump = getattr(fh, "name", "matched-pair dump")
-            reader = csv.reader(fh)
-            next(reader, None)
-            items, txs, pops = [], [], []
-            for line, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(PAIR_COLUMNS):
-                    raise IngestError(
-                        f"{dump} line {line}: expected {len(PAIR_COLUMNS)} fields, got {len(row)}"
-                    )
-                try:
-                    pops.append((float(row[5]), float(row[6])))
-                except ValueError:
-                    raise IngestError(
-                        f"{dump} line {line}: popularity {row[5:]!r} is not a number"
-                    ) from None
-                items.append(row[0])
-                txs.append(row[1:5])
+        table = read_csv(source, "matched-pair dump", PAIR_COLUMNS)
+        pop_t = table.numeric("popularity_t", float)
+        pop_c = table.numeric("popularity_c", float)
+        items = table.column("item")
+        if not set(items) <= set(CATEGORY_KEYS):
+            k = next(k for k, item in enumerate(items) if item not in CATEGORY_KEYS)
+            raise table.error(k, f"item {items[k]!r} is not one of {CATEGORY_KEYS}")
+        # per pair: treated partner, treated focal, control partner, control focal
+        txs = list(itertools.chain.from_iterable(zip(*map(table.column, PAIR_COLUMNS[1:5]))))
         log = dyads.log
-        # log rows of ((treated partner, treated focal), (control partner, control focal))
-        rows = log.rows_of([tx for four in txs for tx in four]).reshape(-1, 2, 2)
+        rows = log.rows_of(txs).reshape(-1, 2, 2)
         keys = np.where((rows >= 0).all(axis=2), rows[:, :, 0] * log.n + rows[:, :, 1], -1)
         where = dict(zip((dyads.partner_i * log.n + dyads.focal_i).tolist(), range(dyads.n)))
         dyad = np.fromiter(
@@ -184,17 +166,15 @@ class MatchedPairSet:
         ).reshape(-1, 2)
         if (dyad < 0).any():
             k = int(np.argmax(dyad.ravel() < 0))
-            partner_tx, focal_tx = txs[k // 2][2 * (k % 2) : 2 * (k % 2) + 2]
             raise IngestError(
-                f"{dump} names dyad ({partner_tx}, {focal_tx}), which the dyad set lacks"
+                f"{table.name} names dyad ({txs[2 * k]}, {txs[2 * k + 1]}), which the dyad set lacks"
             )
         out = {}
         items_arr = np.asarray(items, dtype=object)
-        pops_arr = np.asarray(pops, np.float64).reshape(-1, 2)
         for item in dict.fromkeys(items):
             sel = items_arr == item
             ti, ci = dyad[sel, 0], dyad[sel, 1]
-            out[item] = cls(dyads, item, ti, ci, pops_arr[sel, 0], pops_arr[sel, 1], ti.shape[0], 0)
+            out[item] = cls(dyads, item, ti, ci, pop_t[sel], pop_c[sel], ti.shape[0], 0)
         return out
 
 

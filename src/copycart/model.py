@@ -11,15 +11,14 @@ import datetime as dt
 import io
 import itertools
 import operator
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ._util import text_stream
+from ._util import Source, header_order, read_csv, read_text, write_csv
 from .errors import IngestError
 
 # ---------------------------------------------------------------------------
@@ -141,32 +140,29 @@ class ItemCatalog:
         return m
 
     @classmethod
-    def from_csv(cls, source: Union[str, os.PathLike, io.TextIOBase]) -> "ItemCatalog":
+    def from_csv(cls, source: Source) -> "ItemCatalog":
+        """Rows `item_code,category[,subtype]`, after an optional header."""
         categories: dict[str, ItemCategory] = {}
-        with text_stream(source) as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row or (lineno == 1 and row[0] == "item_code"):
-                    continue
-                if len(row) < 2:
-                    raise IngestError(f"catalog line {lineno}: expected item_code,category[,subtype]")
-                code = row[0].strip()
-                kind = row[1].strip()
-                subtype = row[2].strip() if len(row) > 2 and row[2].strip() else None
-                if code in categories:
-                    raise IngestError(f"catalog line {lineno}: duplicate item code {code!r}")
-                try:
-                    categories[code] = ItemCategory(kind, subtype)
-                except ValueError as e:
-                    raise IngestError(f"catalog line {lineno}: {e}") from e
+        table = read_csv(source, "catalog")
+        for k, row in enumerate(table.rows):
+            if row is table.records[0] and row[0] == "item_code":  # a header on line 1
+                continue
+            if len(row) < 2:
+                raise table.error(k, "expected item_code,category[,subtype]")
+            code, kind = row[0].strip(), row[1].strip()
+            subtype = row[2].strip() if len(row) > 2 and row[2].strip() else None
+            if code in categories:
+                raise table.error(k, f"duplicate item code {code!r}")
+            try:
+                categories[code] = ItemCategory(kind, subtype)
+            except ValueError as e:
+                raise table.error(k, str(e)) from e
         return cls(categories)
 
-    def to_csv(self, dest: Union[str, os.PathLike, io.TextIOBase]) -> None:
-        with text_stream(dest, "w") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["item_code", "category", "subtype"])
-            for code in sorted(self._categories):
-                cat = self._categories[code]
-                w.writerow([code, cat.kind, cat.subtype or ""])
+    def to_csv(self, dest: Source) -> None:
+        cats = self._categories
+        write_csv(dest, ("item_code", "category", "subtype"),
+                  ([code, cats[code].kind, cats[code].subtype or ""] for code in sorted(cats)))
 
 
 def anchor_code_arrays(mask: np.ndarray, daypart: np.ndarray) -> np.ndarray:
@@ -443,6 +439,10 @@ class _ChunkParser:
         n = lines.shape[0]
         self.report.n_records += n
         fields = {name: list(map(str.strip, columns[name])) for name in _ID_COLUMNS}
+        for name, values in fields.items():
+            if "\r" in "".join(values):  # write_csv leaves a "\r" unquoted
+                k = next(k for k, v in enumerate(values) if "\r" in v)
+                raise IngestError(f"transactions CSV line {lines[k]}: carriage return in {name} {values[k]!r}")
         missing = np.zeros(n, bool)
         for values in fields.values():
             if "" in values:
@@ -523,31 +523,29 @@ def _record_chunks(text: str) -> Iterator[tuple[list[str], np.ndarray, np.ndarra
 
 
 def parse_transactions(
-    source: Union[str, os.PathLike, io.TextIOBase], catalog: ItemCatalog
+    source: Source, catalog: ItemCatalog
 ) -> TransactionLog:
     """Parse CSV transaction records into a validated log.
 
     Malformed records are rejected individually and reported with their line
     number, by the first check they fail: a missing field, then a bad
-    timestamp, then an empty basket.  A duplicate tx_id is fatal.  Item codes
+    timestamp, then an empty basket.  A duplicate tx_id, or an id holding a
+    carriage return (which no CSV dump could keep), is fatal.  Item codes
     absent from the catalog degrade to the Other category and are tallied in
     the report.  Records are checked a chunk at a time, column by column;
     only timestamps not in the `YYYY-MM-DDTHH:MM:SS` form that
     `serialize_transactions` writes are parsed one by one.
     """
-    with text_stream(source) as fh:
-        chunks = _record_chunks(fh.read())
+    name, text = read_text(source, "transactions CSV")
+    chunks = _record_chunks(text)
+    del text
     parser = _ChunkParser(catalog)
     header: Optional[list[str]] = None
     line = 1  # of the chunk's first record
     for fields, widths, blank in chunks:
         if header is None:
-            header = [] if blank[0] else [h.strip() for h in fields[: widths[0]]]
-            if set(header) != set(TRANSACTION_COLUMNS):
-                raise IngestError(
-                    f"transactions CSV header must contain exactly {TRANSACTION_COLUMNS}, got {header}"
-                )
-            col = {name: header.index(name) for name in TRANSACTION_COLUMNS}
+            header = [] if blank[0] else fields[: widths[0]]
+            col = header_order(header, TRANSACTION_COLUMNS, name)
             width = len(header)
             fields, widths, blank = fields[widths[0] :], widths[1:], blank[1:]
             line += 1
@@ -566,31 +564,29 @@ def parse_transactions(
                 for s, w in zip(starts, widths[kept].tolist())
             ]
             columns = [list(c) for c in zip(*records)]
-        parser.add({name: columns[k] for name, k in col.items()}, lines)
+        parser.add({c: columns[k] for c, k in col.items()}, lines)
     return parser.log()
 
 
-def serialize_transactions(log: TransactionLog, dest: Union[str, os.PathLike, io.TextIOBase]) -> None:
+def serialize_transactions(log: TransactionLog, dest: Source) -> None:
     """Write the log in its canonical persisted form (stable byte-for-byte)."""
     stamps = np.datetime_as_string(log.ts.astype("datetime64[s]"), unit="s").tolist()
     baskets = [";".join(b) for b in log.basket_table]
-    with text_stream(dest, "w") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(TRANSACTION_COLUMNS)
-        w.writerows(zip(
-            log.tx_ids_at(np.arange(log.n)),
-            labels_at(log.persons, log.person_idx),
-            stamps,
-            labels_at(log.shops, log.shop_idx),
-            labels_at(log.registers, log.register_idx),
-            labels_at(baskets, log.basket_idx),
-        ))
+    write_csv(dest, TRANSACTION_COLUMNS, zip(
+        log.tx_ids_at(np.arange(log.n)),
+        labels_at(log.persons, log.person_idx),
+        stamps,
+        labels_at(log.shops, log.shop_idx),
+        labels_at(log.registers, log.register_idx),
+        labels_at(baskets, log.basket_idx),
+    ))
 
 
 # ---------------------------------------------------------------------------
 # demographics
 # ---------------------------------------------------------------------------
 
+DEMOGRAPHIC_COLUMNS = ("person_id", "gender", "status", "birth_year")
 _GENDERS = ("female", "male")
 _STATUSES = ("student", "staff", "other")
 
@@ -660,48 +656,31 @@ class Demographics:
         return d
 
     @classmethod
-    def from_csv(cls, source: Union[str, os.PathLike, io.TextIOBase]) -> "Demographics":
-        with text_stream(source) as fh:
-            records = []
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                return cls([])
-            header = [h.strip() for h in header]
-            want = ("person_id", "gender", "status", "birth_year")
-            if set(header) != set(want):
-                raise IngestError(f"demographics CSV header must contain exactly {want}")
-            col = {name: header.index(name) for name in want}
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                pid = row[col["person_id"]].strip()
-                if not pid:
-                    raise IngestError(f"demographics line {line_no}: empty person_id")
-                gender = row[col["gender"]].strip() or None
-                status = row[col["status"]].strip() or None
-                by_text = row[col["birth_year"]].strip()
-                if gender is not None and gender not in _GENDERS:
-                    raise IngestError(f"demographics line {line_no}: bad gender {gender!r}")
-                if status is not None and status not in _STATUSES:
-                    raise IngestError(f"demographics line {line_no}: bad status {status!r}")
-                birth_year = None
-                if by_text:
-                    try:
-                        birth_year = int(by_text)
-                    except ValueError:
-                        raise IngestError(f"demographics line {line_no}: bad birth_year {by_text!r}")
-                records.append(PersonRecord(pid, gender, status, birth_year))
+    def from_csv(cls, source: Source) -> "Demographics":
+        table = read_csv(source, "demographics", DEMOGRAPHIC_COLUMNS)
+        records = []
+        for k, row in enumerate(zip(*map(table.column, DEMOGRAPHIC_COLUMNS))):
+            pid, gender, status, by_text = (f.strip() for f in row)
+            if not pid:
+                raise table.error(k, "empty person_id")
+            if gender and gender not in _GENDERS:
+                raise table.error(k, f"bad gender {gender!r}")
+            if status and status not in _STATUSES:
+                raise table.error(k, f"bad status {status!r}")
+            birth_year = None
+            if by_text:
+                try:
+                    birth_year = int(by_text)
+                except ValueError:
+                    raise table.error(k, f"bad birth_year {by_text!r}") from None
+            records.append(PersonRecord(pid, gender or None, status or None, birth_year))
         return cls(records)
 
-    def to_csv(self, dest: Union[str, os.PathLike, io.TextIOBase]) -> None:
-        with text_stream(dest, "w") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["person_id", "gender", "status", "birth_year"])
-            for r in self.records():
-                w.writerow(
-                    [r.person_id, r.gender or "", r.status or "", r.birth_year if r.birth_year is not None else ""]
-                )
+    def to_csv(self, dest: Source) -> None:
+        write_csv(dest, DEMOGRAPHIC_COLUMNS, (
+            [r.person_id, r.gender or "", r.status or "", r.birth_year if r.birth_year is not None else ""]
+            for r in self.records()
+        ))
 
 
 def age_tercile_label(age: int, cuts: tuple[int, int] = (22, 32)) -> str:

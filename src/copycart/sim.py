@@ -18,17 +18,19 @@ fixed draw order; equal configs give byte-identical outputs.
 
 from __future__ import annotations
 
-import dataclasses
+import datetime as dt
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Union
 
 import numpy as np
 
+from ._util import check_types, config_seed
 from .errors import ConfigError
 from .model import (
+    ADDITION_KEYS,
     DAYPART_WINDOWS,
     Demographics,
     ItemCatalog,
@@ -57,28 +59,28 @@ class SimulationConfig:
     n_shops: int = 2
     n_registers_per_shop: int = 3
     n_days: int = 250
-    start_date: str = "2018-01-08"
+    start_date: Union[str, dt.date] = "2018-01-08"
     # population
-    status_mix: dict = field(
+    status_mix: dict[str, float] = field(
         default_factory=lambda: {"student": 0.65, "staff": 0.30, "other": 0.05}
     )
     demographics_known_fraction: float = 1.0
     pair_fraction: float = 0.8
-    pairs: Optional[list] = None  # explicit [(i, j), ...] person indices
+    pairs: Optional[list[tuple[int, int]]] = None  # explicit [(i, j), ...] person indices
     assortative_pairs: bool = True
     visit_rate: float = 0.4
     solo_rate: float = 0.2
-    daypart_weights: tuple = (0.25, 0.5, 0.25)
+    daypart_weights: tuple[float, float, float] = (0.25, 0.5, 0.25)
     status_signatures: bool = True
     # purchasing
-    base_probs: dict = field(default_factory=_default_base_probs)
+    base_probs: dict[str, dict[str, float]] = field(default_factory=_default_base_probs)
     veg_share: float = 0.35
     coffee_share: float = 0.65
     propensity_sd: float = 0.15
     homophily: float = 0.0
-    delta: dict = field(default_factory=dict)
+    delta: dict[str, float] = field(default_factory=dict)
     decay_tau: Optional[float] = None
-    anchor_delta: dict = field(default_factory=dict)
+    anchor_delta: dict[str, float] = field(default_factory=dict)
     coordination_mode: str = "none"
     leader_first_prob: float = 0.5
     susceptibility_asymmetry: float = 0.0
@@ -90,12 +92,16 @@ class SimulationConfig:
     gap_max_s: int = 300
 
     def __post_init__(self):
-        if self.seed is None:
-            raise ConfigError("seed is mandatory")
+        self.seed = config_seed(self.seed)
+        check_types(SimulationConfig, vars(self))
         if self.n_persons < 1 or self.n_shops < 1 or self.n_registers_per_shop < 1:
             raise ConfigError("population and shop counts must be positive")
         if self.n_days < 1:
             raise ConfigError("n_days must be positive")
+        try:
+            np.datetime64(self.start_date, "D")
+        except ValueError:
+            raise ConfigError(f"start_date must be a date, got {self.start_date!r}") from None
         for name in (
             "demographics_known_fraction",
             "pair_fraction",
@@ -113,10 +119,8 @@ class SimulationConfig:
                 raise ConfigError(f"{name} must lie in [0, 1], got {v}")
         if abs(sum(self.status_mix.values()) - 1.0) > 1e-9:
             raise ConfigError("status_mix must sum to 1")
-        if abs(sum(self.daypart_weights) - 1.0) > 1e-9 or len(self.daypart_weights) != 3:
-            raise ConfigError("daypart_weights must be 3 values summing to 1")
-        from .model import ADDITION_KEYS
-
+        if abs(sum(self.daypart_weights) - 1.0) > 1e-9:
+            raise ConfigError("daypart_weights must sum to 1")
         for dp, probs in self.base_probs.items():
             if dp not in DAYPART_LABELS:
                 raise ConfigError(f"unknown daypart {dp!r} in base_probs")
@@ -155,20 +159,12 @@ class SimulationConfig:
             keys.update(probs)
         return sorted(keys)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "SimulationConfig":
-        if "pairs" in data and data["pairs"] is not None:
-            data = dict(data, pairs=[tuple(p) for p in data["pairs"]])
-        if "daypart_weights" in data:
-            data = dict(data, daypart_weights=tuple(data["daypart_weights"]))
-        known = {f.name for f in dataclasses.fields(cls)}
-        extra = set(data) - known
+        extra = set(data) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigError(f"unknown simulation config keys: {sorted(extra)}")
-        return cls(**data)
+        return cls(**{"seed": None, **data})  # a missing seed is a ConfigError, not a TypeError
 
 
 def simulation_catalog(config: SimulationConfig) -> ItemCatalog:
@@ -281,15 +277,6 @@ class GroundTruth:
     decay_tau: Optional[float]
     coordination_mode: str
 
-    def to_dict(self) -> dict:
-        return {
-            "expected_rd": self.expected_rd,
-            "n_treated_events": self.n_treated_events,
-            "delta": self.delta,
-            "decay_tau": self.decay_tau,
-            "coordination_mode": self.coordination_mode,
-        }
-
 
 def _visit_seconds(rng, daypart_idx, status_sig, is_staff, room):
     """Start second within the daypart window, leaving `room` for the gap."""
@@ -311,10 +298,10 @@ def _gaps(rng, config: SimulationConfig, size: int) -> np.ndarray:
 
 
 def _base_probs(config: SimulationConfig, item: str, dayparts: np.ndarray) -> np.ndarray:
-    """Base purchase probability of `item` per visit, looked up by daypart."""
+    """Base purchase probability of `item` per visit by daypart; 0 where `base_probs` has none."""
     table = np.zeros(len(DAYPART_LABELS))
     for d in np.unique(dayparts).tolist():
-        table[d] = config.base_probs[DAYPART_LABELS[d]].get(item, 0.0)
+        table[d] = config.base_probs.get(DAYPART_LABELS[d], {}).get(item, 0.0)
     return table[dayparts]
 
 
@@ -565,6 +552,6 @@ def write_simulation(result: SimResult, out_dir: Union[str, os.PathLike]) -> dic
     result.catalog.to_csv(paths["catalog"])
     result.demographics().to_csv(paths["demographics"])
     with open(paths["ground_truth"], "w", encoding="utf-8") as fh:
-        json.dump(result.ground_truth.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(result.ground_truth), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return paths

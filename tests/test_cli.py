@@ -133,7 +133,7 @@ def test_config_subgroups_all_run():
         RunConfig(transactions="t.csv", catalog="c.csv", seed=1, subgroups=["tie_strength"])
     no_demo = RunConfig(transactions=__file__, catalog=__file__, seed=1, subgroups=["status_pair"])
     with pytest.raises(ConfigError, match="demographics"):
-        no_demo.validate_paths()
+        no_demo.require_demographics()
 
 
 def test_load_yaml_requires_mapping(tmp_path):
@@ -434,6 +434,65 @@ def test_jsonl_input_is_rejected(workdir, tmp_path):
     _assert_ingest_error(res, "header")
 
 
+def _inputs_with(workdir, tmp_path, name, damage):
+    """A config reading a copy of the simulated inputs whose file `name`
+    has been passed through `damage` (bytes -> bytes)."""
+    data = tmp_path / "data"
+    shutil.copytree(workdir / "data", data)
+    (data / name).write_bytes(damage((data / name).read_bytes()))
+    conf = yaml.safe_load((workdir / "run.yaml").read_text())
+    for key in conf["input"]:
+        conf["input"][key] = str(data / f"{key}.csv")
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(conf), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("name, damage, fragment", [
+    ("demographics.csv", lambda b: b + b"P99999,female\n", "expected 4 fields, got 2"),
+    ("transactions.csv", lambda b: b + b"T\xff,P1,2018-01-08T12:00:00,S01,R1,TEA\n", "UTF-8"),
+    ("catalog.csv", lambda b: b + b"CR\xe9PE,addition,dessert\n", "UTF-8"),
+    ("demographics.csv", lambda b: b + b"P\xe9,female,staff,1980\n", "UTF-8"),
+], ids=["demographics_short_row", "transactions_bytes", "catalog_bytes", "demographics_bytes"])
+def test_unreadable_input_fails_cleanly(workdir, tmp_path, name, damage, fragment):
+    config = _inputs_with(workdir, tmp_path, name, damage)
+    lines = damage((workdir / "data" / name).read_bytes()).count(b"\n")  # the damaged line is last
+    res = invoke("--config", config, "--out", tmp_path / "o", "ingest")
+    _assert_ingest_error(res, f"{name} line {lines}", fragment)
+
+
+@pytest.mark.parametrize("dump, stage", [
+    ("dyads.csv", "match"), (os.path.join("matched_pairs", "dessert.csv"), "estimate"),
+], ids=["dyads", "pairs"])
+@pytest.mark.parametrize("damage", ["header", "bytes"])
+def test_unreadable_dump_fails_cleanly(workdir, first_run, tmp_path, dump, stage, damage):
+    _results, out_a = first_run
+    sub = tmp_path / "sub"
+    (sub / "matched_pairs").mkdir(parents=True)
+    for name in ("dyads.csv", dump):
+        shutil.copyfile(out_a / name, sub / name)
+    header, *rows = (sub / dump).read_bytes().splitlines(keepends=True)
+    if damage == "header":
+        header, where = header.replace(b"_tx,", b",", 1), "line 1: header"
+    else:
+        rows[1], where = rows[1].replace(b",", b"\xff,", 1), "line 3: not UTF-8"
+    (sub / dump).write_bytes(header + b"".join(rows))
+    res = invoke("--config", workdir / "run.yaml", "--out", sub, stage)
+    _assert_ingest_error(res, f"{os.path.basename(dump)} {where}")
+
+
+def test_ingest_reports_counts_and_writes_nothing(workdir, first_run, tmp_path):
+    results, _out = first_run
+    res = invoke("--config", workdir / "run.yaml", "--out", tmp_path / "o", "ingest")
+    assert res.exit_code == 0, res.output
+    assert res.output.splitlines() == [
+        f"transactions: {results['counts']['n_transactions']}",
+        f"persons: {results['counts']['n_persons']}",
+        "rejected_records: 0",
+    ]
+    assert not (tmp_path / "o").exists()
+
+
 def test_coordinate_subcommand(workdir, first_run):
     # too few repeat encounters at this scale: the standalone command fails
     # loudly while the pipeline records the status and carries on
@@ -472,6 +531,45 @@ def test_simulate_needs_seed(tmp_path):
     res = invoke("--out", tmp_path / "d", "simulate")
     assert res.exit_code == 1
     assert "seed" in res.output
+
+
+@pytest.mark.parametrize("setting", [
+    "delta=dessert", "n_persons=sixty", 'delta={"dessert": "x"}',
+], ids=["delta_string", "n_persons_string", "delta_entry_string"])
+def test_simulate_setting_of_wrong_type_exits_cleanly(tmp_path, setting):
+    res = invoke("--seed", 3, "--out", tmp_path / "d", "simulate",
+                 "--set", "n_persons=60", "--set", setting)
+    assert res.exit_code == 1
+    assert "[errors.ConfigError]" in res.output
+    assert isinstance(res.exception, SystemExit)  # a message, not a traceback
+
+
+def test_simulate_base_probs_may_leave_out_a_daypart(tmp_path):
+    # a daypart left out of base_probs has no additions, as one mapped to {}
+    args = ("--seed", 3, "--out")
+    tail = ("simulate", "--set", "n_persons=60", "--set", "n_days=10", "--set")
+    res = invoke(*args, tmp_path / "a", *tail, 'base_probs={"lunch": {"dessert": 0.2}}')
+    assert res.exit_code == 0, res.output
+    res = invoke(*args, tmp_path / "b", *tail,
+                 'base_probs={"lunch": {"dessert": 0.2}, "breakfast": {}, "afternoon": {}}')
+    assert res.exit_code == 0, res.output
+    assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+
+
+@pytest.mark.parametrize("text, fragment", [
+    (b"input: {transactions: t.csv\n", "expected ',' or '}'"),
+    (b"seed: 1\n# caf\xe9\n", "can't decode byte 0xe9"),
+    (b"input: {transactions: [a], catalog: c.csv}\nseed: 1\n", "transactions must be a string"),
+], ids=["unclosed_brace", "not_utf8", "path_not_string"])
+def test_config_file_that_cannot_be_read_exits_cleanly(tmp_path, text, fragment):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(text)
+    res = invoke("--config", path, "--out", tmp_path / "o", "ingest")
+    assert res.exit_code == 1
+    assert "[errors.ConfigError]" in res.output and fragment in res.output
+    assert isinstance(res.exception, SystemExit)  # a message, not a traceback
+    if fragment != "transactions must be a string":
+        assert f"cannot read config file {path}" in res.output
 
 
 # -- degenerate inputs ---------------------------------------------------------

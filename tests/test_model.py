@@ -317,9 +317,11 @@ STAMPS = st.one_of(
 def test_column_parser_agrees_with_row_parser(stamps):
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
+    # a "\n" terminator leaves a "\r" unquoted, which would end the record
+    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
     w.writerow(M.TRANSACTION_COLUMNS)
     for i, stamp in enumerate(stamps):
-        w.writerow([f"T{i:03d}", "P1", stamp, "S1", "R1", "COF"])
+        (quoted if "\r" in stamp else w).writerow([f"T{i:03d}", "P1", stamp, "S1", "R1", "COF"])
     log = M.parse_transactions(io.StringIO(buf.getvalue()), CATALOG)
     accepted, errors = {}, []
     for i, stamp in enumerate(stamps):
@@ -363,6 +365,17 @@ def test_record_chunks_read_as_csv_reader_does(text, chunk):
 def test_unreadable_csv_is_an_ingest_error():
     text = CSV_HEADER + 'T1,P1,"' + "x" * (csv.field_size_limit() + 1) + '",S1,R1,COF\n'
     with pytest.raises(IngestError, match="line 2"):
+        M.parse_transactions(io.StringIO(text), CATALOG)
+
+
+@pytest.mark.parametrize("column", ["tx_id", "person_id", "shop_id", "register_id"])
+def test_id_with_carriage_return_is_an_ingest_error(column):
+    # the dumps write ids unquoted, and a bare "\r" there would end the record
+    row = dict(tx_id="T2", person_id="P1", shop_id="S1", register_id="R1")
+    row[column] = '"X\rY"'
+    text = (CSV_HEADER + "T1,P1,2018-01-05T12:00:00,S1,R1,COF\n"
+            + "{tx_id},{person_id},2018-01-05T12:00:30,{shop_id},{register_id},COF\n".format(**row))
+    with pytest.raises(IngestError, match=f"line 3: carriage return in {column}"):
         M.parse_transactions(io.StringIO(text), CATALOG)
 
 

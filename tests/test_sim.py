@@ -1,5 +1,6 @@
 """Synthetic queue generator: structure, injected effects, determinism."""
 
+import dataclasses
 import io
 import json
 
@@ -58,7 +59,7 @@ def test_config_rejects_infeasible_pair_graph():
 
 def test_config_round_trips_through_dict():
     cfg = small_config(delta={"dessert": 0.1}, decay_tau=90.0)
-    again = SimulationConfig.from_dict(cfg.to_dict())
+    again = SimulationConfig.from_dict(dataclasses.asdict(cfg))
     assert again == cfg
     with pytest.raises(ConfigError):
         SimulationConfig.from_dict({"seed": 1, "n_llamas": 3})
