@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import context as ctx
+from ._util import t_two_sided_p
 from .dyads import DyadSet
 from .errors import InsufficientDataError
 
@@ -115,11 +116,9 @@ def welch_t(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
         if m1 == m2:
             return (0.0, 1.0, float(n1 + n2 - 2))
         return (math.copysign(math.inf, m1 - m2), 0.0, float(n1 + n2 - 2))
-    from scipy.special import stdtr  # imported here: most CLI stages never run a t-test
-
     t = (m1 - m2) / math.sqrt(a + b)
     df = (a + b) ** 2 / (a * a / (n1 - 1) + b * b / (n2 - 1))
-    p = 2.0 * float(stdtr(df, -abs(t)))  # two-sided Student-t tail
+    p = t_two_sided_p(t, df)
     return (t, p, df)
 
 

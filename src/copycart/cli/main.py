@@ -23,7 +23,7 @@ from ..dyads import DyadSet
 from ..errors import CopycartError
 from ..estimate import paired_counts
 from ..matching import MatchedPairSet
-from ..sim import SimulationConfig, simulate, write_simulation
+from ..model import CATEGORY_KEYS
 from . import pipeline
 from .config import RunConfig, load_yaml
 from .plots import emit_plots
@@ -112,6 +112,8 @@ def _echo_json(obj) -> None:
 @guarded
 def simulate_cmd(ctx, sim_config, assignments):
     """Generate a synthetic transaction log with known ground truth."""
+    from ..sim import SimulationConfig, simulate, write_simulation  # only this command simulates
+
     data = load_yaml(sim_config) if sim_config else {}
     for item in assignments:
         key, _, raw = item.partition("=")
@@ -156,7 +158,7 @@ def dyads(ctx):
 
 
 def _item_option(fn):
-    return click.option("--item", "items", multiple=True,
+    return click.option("--item", "items", multiple=True, type=click.Choice(CATEGORY_KEYS),
                         help="Focus item key; repeatable. Default: every selected item.")(fn)
 
 
@@ -287,9 +289,7 @@ def plot(ctx):
     path = os.path.join(out, "results.json")
     if not os.path.exists(path):
         raise click.ClickException(f"missing {path}; run `copycart run` first")
-    with open(path, encoding="utf-8") as fh:
-        results = json.load(fh)
-    report = emit_plots(results, os.path.join(out, "plots"))
+    report = emit_plots(pipeline.load_results(path), os.path.join(out, "plots"))
     for name in sorted(report):
         click.echo(f"{name}: {report[name]}")
 

@@ -14,11 +14,9 @@ import importlib.resources
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-import jsonschema
 import numpy as np
 
 from .. import baseline as B
@@ -27,6 +25,7 @@ from .. import sensitivity as S
 from ..context import ContextStats, compute_context
 from ..dyads import DyadSet, extract_dyads, filter_frequent_pairs, reconstruct_queues, select_additions
 from ..errors import (
+    IngestError,
     InsufficientBinsError,
     InsufficientDataError,
     NoPairsError,
@@ -34,7 +33,7 @@ from ..errors import (
 from ..infer import feature_matrix, train_status_model, write_predictions_csv
 from ..matching import MatchedPairSet, balance_report, build_matched_pairs
 from ..model import Demographics, ItemCatalog, TransactionLog, parse_transactions
-from .._util import derive_seed, write_csv
+from .._util import derive_seed, read_text, write_csv
 from .config import RunConfig
 from .plots import emit_plots
 
@@ -69,6 +68,25 @@ def _jsonable(value):
 def load_schema() -> dict:
     ref = importlib.resources.files("copycart.cli") / "schema" / "results.schema.json"
     return json.loads(ref.read_text(encoding="utf-8"))
+
+
+def load_results(path: str) -> dict:
+    """A results.json read back and checked against the shipped schema; an
+    IngestError names the file when it is unreadable, not JSON or not a report."""
+    import jsonschema  # imported here: only `run` and `plot` check a report
+
+    name, text = read_text(path, "results")
+    try:
+        results = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise IngestError(f"{name} line {err.lineno}: not JSON ({err.msg})") from None
+    except RecursionError:
+        raise IngestError(f"{name}: JSON nested too deeply to read") from None
+    try:
+        jsonschema.validate(results, load_schema())
+    except jsonschema.ValidationError as err:
+        raise IngestError(f"{name}: not a copycart report: {err.json_path}: {err.message}") from None
+    return results
 
 
 def ingest_inputs(cfg: RunConfig) -> tuple[TransactionLog, ItemCatalog, Optional[Demographics]]:
@@ -306,6 +324,8 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
         return _analyze_item(item, dyads, ctx, demo, cfg)
 
     if cfg.threads > 1 and len(items) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             item_reports = list(pool.map(job, items))
     else:
@@ -340,6 +360,8 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
         "status_inference": status_summary,
         "balance_ok": balance_ok,
     })
+    import jsonschema  # imported here: only `run` and `plot` check a report
+
     jsonschema.validate(results, load_schema())
     with open(paths["results"], "w", encoding="utf-8") as fh:
         json.dump(results, fh, indent=2, sort_keys=True)

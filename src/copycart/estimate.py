@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import derive_seed
+from ._util import derive_seed, t_two_sided_p
 from .context import ContextStats
 from .dyads import DyadSet, tie_strength_per_dyad
 from .errors import InsufficientBinsError, NoPairsError
@@ -364,10 +364,8 @@ def ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
     se = math.sqrt(sse / (n - 2) / sxx)
     if se == 0.0:
         return (slope, intercept, 1.0 if slope == 0.0 else 0.0, 0.0)
-    from scipy.special import stdtr  # imported here: most CLI stages never test a slope
-
     t = slope / se
-    p = 2.0 * float(stdtr(n - 2, -abs(t)))  # two-sided Student-t tail
+    p = t_two_sided_p(t, n - 2)
     return (slope, intercept, p, se)
 
 

@@ -341,6 +341,7 @@ class TransactionLog:
         self.daypart = dayparts_of_secs_array(self.secs)
         self._person_txs: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._tx_ids: Optional[np.ndarray] = None  # tx id per row, built on first use
+        self._tx_rows: Optional[dict[str, int]] = None  # row per tx id, built on first use
 
     # -- derived columns ----------------------------------------------------
 
@@ -386,7 +387,9 @@ class TransactionLog:
 
     def rows_of(self, tx_ids: Sequence[str]) -> np.ndarray:
         """Row of each tx id; -1 where the log has no such transaction."""
-        row = dict(zip(self.tx_ids_at(np.arange(self.n)), range(self.n)))
+        if self._tx_rows is None:
+            self._tx_rows = dict(zip(self.tx_ids_at(np.arange(self.n)), range(self.n)))
+        row = self._tx_rows
         return np.fromiter(map(row.get, tx_ids, itertools.repeat(-1)), np.int64, len(tx_ids))
 
 

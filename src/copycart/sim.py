@@ -143,6 +143,10 @@ class SimulationConfig:
             raise ConfigError(f"unknown gap_dist {self.gap_dist!r}")
         if not (1 <= self.gap_max_s <= 300):
             raise ConfigError("gap_max_s must lie in [1, 300]")
+        if not 0.0 < self.gap_median_s < math.inf:
+            raise ConfigError(f"gap_median_s must be a positive number, got {self.gap_median_s}")
+        if not 0.0 <= self.gap_sigma < math.inf:
+            raise ConfigError(f"gap_sigma must be a non-negative number, got {self.gap_sigma}")
         if self.pairs is not None:
             seen = set()
             for a, b in self.pairs:

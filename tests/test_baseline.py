@@ -1,9 +1,13 @@
 """Partner randomization invariants and the order-asymmetry probe."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats as sps
+from scipy.special import stdtr
 
+from copycart._util import t_two_sided_p
 from copycart.baseline import (
     CoordinationResult,
     coordination_test,
@@ -174,6 +178,38 @@ def test_welch_t_matches_reference():
     ref = sps.ttest_ind(x, y, equal_var=False)
     assert t == pytest.approx(ref.statistic, rel=1e-12)
     assert p == pytest.approx(ref.pvalue, rel=1e-10)
+
+
+# df straddles 60, where log Γ(a+½)/Γ(a) switches to its asymptotic series
+T_DF = np.concatenate([np.geomspace(1.0, 1e5, 31), [1.5, 2.5, 7.3, 59.9, 60.0, 60.1, 99999.7]])
+
+
+def test_t_tail_matches_scipy():
+    checked = 0
+    for df in T_DF:
+        for t in np.geomspace(0.01, 1000.0, 41):
+            ref = 2.0 * float(stdtr(df, -t))
+            if ref < 1e-300:
+                continue
+            p = t_two_sided_p(t, df)
+            assert p == pytest.approx(ref, rel=1e-10), (df, t)
+            assert t_two_sided_p(-t, df) == p
+            checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("t", np.geomspace(0.01, 1000.0, 25))
+def test_t_tail_closed_forms(t):
+    # df = 1: 1 - (2/π)·atan|t|; df = 2: 1 - |t|/√(2+t²); both written here
+    # without the subtraction, which would cancel at large |t|
+    assert t_two_sided_p(t, 1.0) == pytest.approx(2.0 / math.pi * math.atan(1.0 / t), rel=1e-14)
+    r = math.sqrt(2.0 + t * t)
+    assert t_two_sided_p(t, 2.0) == pytest.approx(2.0 / (r * (r + t)), rel=1e-14)
+
+
+def test_t_tail_limits():
+    assert t_two_sided_p(0.0, 5.0) == 1.0
+    assert t_two_sided_p(math.inf, 5.0) == t_two_sided_p(-math.inf, 5.0) == 0.0
 
 
 def test_welch_t_degenerate_groups():

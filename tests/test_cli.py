@@ -181,17 +181,55 @@ def test_config_type_errors_exit_cleanly(workdir, tmp_path, patch):
     assert isinstance(res.exception, SystemExit)  # a message, not a traceback
 
 
+def python_c(code: str) -> subprocess.CompletedProcess:
+    """`code` run by a fresh interpreter that imports this copycart."""
+    src = os.path.dirname(os.path.dirname(copycart.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
 def test_cli_import_skips_scipy_stats():
     # scipy.stats costs about a second of every CLI start, and stdtr suffices;
     # scipy.special is imported only by the two tests that call stdtr
-    src = os.path.dirname(os.path.dirname(copycart.__file__))
     code = (
         "import sys, copycart.cli.main; "
         "sys.exit('scipy.stats' in sys.modules or 'scipy.special' in sys.modules)"
     )
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert python_c(code).returncode == 0
+
+
+def test_cli_loads_only_what_its_stage_runs(tmp_path):
+    # every CLI process pays for each import at its start: no stage needs
+    # scipy, only `run` and `plot` check a report against the schema, only
+    # `simulate` simulates and only `--threads` above 1 starts a pool.  Thirty
+    # habitual lunch-goers meet often enough for the coordination t-test.
+    cfg = SimulationConfig(
+        seed=5, n_persons=30, n_days=60, n_shops=1, n_registers_per_shop=1, pair_fraction=0.9,
+        visit_rate=1.0, solo_rate=0.05, daypart_weights=(0, 1, 0),
+        base_probs={"lunch": {"dessert": 0.5}}, delta={"dessert": 0.3},
+    )
+    write_simulation(simulate(cfg), tmp_path / "in")
+    conf = {
+        "input": {k: str(tmp_path / "in" / f"{k}.csv") for k in ("transactions", "catalog")},
+        "estimation": {"seed": 1, "n_boot": 50},
+    }
+    (tmp_path / "run.yaml").write_text(yaml.safe_dump(conf), encoding="utf-8")
+    args = ["--config", str(tmp_path / "run.yaml"), "--out", str(tmp_path / "out")]
+    assert invoke(*args, "run").exit_code == 0
+    code = f"""
+import sys
+import copycart.cli.main as cli
+def loaded():
+    return [m for m in ("scipy", "jsonschema", "copycart.sim", "concurrent.futures") if m in sys.modules]
+assert not loaded(), loaded()
+for stage in ("dose", "coordinate"):
+    cli.main.main(args={args!r} + [stage, "--item", "dessert"], standalone_mode=False)
+assert not loaded(), loaded()
+"""
+    res = python_c(code)
+    assert res.returncode == 0, res.stderr
+    assert '"p_rd":' in res.stdout and '"p":' in res.stdout  # both t tests ran
 
 
 # -- full pipeline -----------------------------------------------------------

@@ -1,12 +1,15 @@
-"""Fuzzing the CLI: a malformed input file, stage dump or config value ends
-in a documented exit code with a message, never in a traceback.
+"""Fuzzing the CLI: a malformed input file, stage dump, report, config value
+or command-line value ends in a documented exit code with a message, never in
+a traceback.
 
 Every command runs in-process through click's runner on a tiny simulated
 log.  The generated values are wrong types and malformed text only, never
 large magnitudes, so no example can ask for a big simulation.
 """
 
+import functools
 import json
+import operator
 import os
 import shutil
 import tempfile
@@ -40,7 +43,7 @@ def run_config(inputs) -> dict:
                   for name in ("transactions", "catalog", "demographics")},
         "dyads": {"min_pair_count": 2},
         "estimation": {"seed": 1, "n_boot": 20},
-        "analyses": {"baseline": False, "sensitivity": False},
+        "analyses": {"baseline": False, "sensitivity": True, "dose_response": True},
     }
 
 
@@ -70,6 +73,7 @@ FILES = {
     "in/demographics.csv": "ingest",
     "out/dyads.csv": "match",
     "out/matched_pairs/dessert.csv": "estimate",
+    "out/results.json": "plot",
 }
 
 TEXT = st.text(st.sampled_from('ab ,;:"{}[]\\é\r'), max_size=6)
@@ -186,3 +190,70 @@ def test_simulate_setting_of_wrong_type_exits_cleanly(key, value):
         res = invoke("--seed", 3, "--out", tmp, "simulate", "--set", "n_persons=60",
                      "--set", "n_days=10", "--set", f"{key}={value}")
         assert_clean_exit(res)
+
+
+# -- unusable command-line values and reports -----------------------------------
+
+
+@pytest.mark.parametrize(
+    "command", ["match", "estimate", "baseline", "sensitivity", "dose", "coordinate"]
+)
+def test_item_that_is_not_a_category_is_a_usage_error(base, command):
+    res = invoke("--config", base / "run.yaml", "--out", base / "out", command, "--item", "foo")
+    assert_clean_exit(res)
+    assert res.exit_code == 2
+    assert "'foo' is not one of" in res.output and "'dessert'" in res.output
+
+
+@pytest.mark.parametrize("setting", ["gap_sigma=-1", "gap_median_s=0", "gap_median_s=NaN"])
+def test_out_of_range_gap_setting_is_a_config_error(setting):
+    with tempfile.TemporaryDirectory() as tmp:
+        res = invoke("--seed", 3, "--out", tmp, "simulate", "--set", "n_persons=60",
+                     "--set", "n_days=10", "--set", setting)
+    assert_clean_exit(res)
+    assert res.exit_code == 1
+    assert "[errors.ConfigError] gap_" in res.output
+
+
+@pytest.mark.parametrize(
+    "text", ['{"items": [', "[]", "", "\ufeff{}", "[" * 100000],
+    ids=["unclosed", "list", "empty", "bom", "deep"],
+)
+def test_plot_of_a_report_that_is_not_one_is_an_ingest_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "results.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        res = invoke("--out", tmp, "plot")
+    assert_clean_exit(res)
+    assert res.exit_code == 1
+    assert f"[errors.IngestError] {path}" in res.output
+
+
+def json_paths(value, path=()):
+    """The path of every value inside a JSON document, the root's first."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from json_paths(child, path + (key,))
+
+
+DROP = object()
+
+
+@FUZZ
+@given(data=st.data())
+def test_plot_of_a_report_of_the_wrong_shape_exits_cleanly(base, data):
+    with open(base / "out" / "results.json", encoding="utf-8") as fh:
+        results = json.load(fh)
+    *parents, key = data.draw(st.sampled_from(list(json_paths(results))[1:]))
+    value = data.draw(st.one_of(st.just(DROP), WRONG, st.integers(-2, 2), st.floats()))
+    node = functools.reduce(operator.getitem, parents, results)
+    if value is DROP:
+        del node[key]
+    else:
+        node[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "results.json"), "w", encoding="utf-8") as fh:
+            json.dump(results, fh)
+        assert_clean_exit(invoke("--out", tmp, "plot"))
