@@ -25,6 +25,8 @@ from .errors import InsufficientDataError
 
 __all__ = ["randomize_partners", "coordination_test", "CoordinationResult", "welch_t"]
 
+MIN_PER_ORDER = 10  # treated dyads a pair needs in each direction to count
+
 
 def _with_partners(dyads: DyadSet, partner_rows: np.ndarray, sel: np.ndarray) -> DyadSet:
     log = dyads.log
@@ -151,13 +153,12 @@ class CoordinationResult:
 def coordination_test(
     dyads: DyadSet,
     item: str,
-    min_per_order: int = 10,
     sample_per_pair: Optional[int] = 10,
     seed: int = 0,
 ) -> CoordinationResult:
     """Order-asymmetry test over habitual pairs' treated dyads.
 
-    For each unordered person pair with at least ``min_per_order`` treated
+    For each unordered person pair with at least ``MIN_PER_ORDER`` treated
     dyads in each direction, the pair's leader is whoever goes first more
     often over ALL of the pair's dyads (ties broken by lexicographic person
     id), and the focal purchase rate is computed per direction over
@@ -177,10 +178,7 @@ def coordination_test(
     outcome = dyads.focal_has(item).astype(np.float64)
     persons = dyads.log.persons
     pp = dyads.partner_person.astype(np.int64)
-    fp = dyads.focal_person.astype(np.int64)
-    lo = np.minimum(pp, fp)
-    hi = np.maximum(pp, fp)
-    key = lo * len(persons) + hi
+    key = dyads.pair_keys()
     order = np.argsort(key, kind="stable")
     keys_sorted = key[order]
     starts = np.concatenate(
@@ -191,13 +189,12 @@ def coordination_test(
     n_lead = n_foll = n_pairs = 0
     for g in range(starts.shape[0] - 1):
         rows = order[starts[g] : starts[g + 1]]
-        a = int(lo[rows[0]])
-        b = int(hi[rows[0]])
+        a, b = divmod(int(key[rows[0]]), len(persons))
         a_first = pp[rows] == a
         t_rows = rows[treated[rows]]
         dir_a = t_rows[pp[t_rows] == a]
         dir_b = t_rows[pp[t_rows] != a]
-        if dir_a.shape[0] < min_per_order or dir_b.shape[0] < min_per_order:
+        if dir_a.shape[0] < MIN_PER_ORDER or dir_b.shape[0] < MIN_PER_ORDER:
             continue
         all_a = int(a_first.sum())
         all_b = rows.shape[0] - all_a
@@ -219,7 +216,7 @@ def coordination_test(
         n_pairs += 1
     if n_pairs < 2:
         raise InsufficientDataError(
-            f"need 2 pairs with {min_per_order} treated dyads in each direction, "
+            f"need 2 pairs with {MIN_PER_ORDER} treated dyads in each direction, "
             f"found {n_pairs}"
         )
     lead = np.asarray(lead_rates)

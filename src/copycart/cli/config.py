@@ -11,13 +11,8 @@ import yaml
 
 from .._util import check_types, config_seed
 from ..errors import ConfigError
-from ..estimate import GROUPINGS
+from ..estimate import DEMOGRAPHIC_GROUPINGS, GROUPINGS
 from ..matching import AdjustmentSpec
-
-
-def _default_adjustment() -> AdjustmentSpec:
-    # raw cell shares contain the dyad's own purchases; see AdjustmentSpec
-    return AdjustmentSpec(exclude_own_transactions=True)
 
 
 @dataclass
@@ -33,7 +28,7 @@ class RunConfig:
     require_anchor: bool = True
     min_fraction: float = 0.01
     # pairing
-    adjustment: AdjustmentSpec = field(default_factory=_default_adjustment)
+    adjustment: AdjustmentSpec = field(default_factory=AdjustmentSpec)
     # estimation
     n_boot: int = 1000
     alpha: float = 0.05
@@ -53,10 +48,9 @@ class RunConfig:
     def __post_init__(self):
         self.seed = config_seed(self.seed)
         if isinstance(self.adjustment, dict):
-            # the keys given override the CLI defaults, not the library's
             check_types(AdjustmentSpec, self.adjustment, "adjustment: ")
             try:
-                self.adjustment = dataclasses.replace(_default_adjustment(), **self.adjustment)
+                self.adjustment = AdjustmentSpec(**self.adjustment)
             except (TypeError, ValueError) as err:  # TypeError: an unknown key
                 raise ConfigError(f"adjustment: {err}") from None
         elif not isinstance(self.adjustment, AdjustmentSpec):
@@ -80,8 +74,7 @@ class RunConfig:
     def require_demographics(self) -> None:
         """ConfigError unless demographics are given where an analysis needs them."""
         if self.demographics is None and (
-            self.infer_status
-            or any(w in g for g in self.subgroups for w in ("status", "gender", "age"))
+            self.infer_status or any(g in DEMOGRAPHIC_GROUPINGS for g in self.subgroups)
         ):
             raise ConfigError("demographics input required for status/gender/age analyses")
 

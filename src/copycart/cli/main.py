@@ -86,14 +86,20 @@ def _load_dyads(cfg: RunConfig, log) -> DyadSet:
 
 def _load_pairs(cfg: RunConfig, log, items) -> dict:
     dyads = _load_dyads(cfg, log)
+    pairs_dir = os.path.join(cfg.out, pipeline.DUMPS["pairs_dir"])
     out = {}
-    for path in sorted(glob.glob(os.path.join(cfg.out, pipeline.DUMPS["pairs_dir"], "*.csv"))):
+    for path in sorted(glob.glob(os.path.join(pairs_dir, "*.csv"))):
         out.update(MatchedPairSet.from_csv(path, dyads))
     if items:
-        missing = [i for i in items if i not in out]
+        missing = ", ".join(i for i in items if i not in out)
+        if missing and not os.path.isdir(pairs_dir):
+            raise click.ClickException(
+                f"no matched pairs dumped for: {missing}; run `copycart match`"
+            )
         if missing:
             raise click.ClickException(
-                f"no matched pairs dumped for: {', '.join(missing)}; run `copycart match`"
+                f"`copycart match` dumped no pairs for: {missing}; it found none, "
+                "or ran without that --item"
             )
         out = {i: out[i] for i in items}
     return out

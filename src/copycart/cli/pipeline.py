@@ -273,7 +273,7 @@ def _write_estimates_csv(path, results: dict) -> None:
     def fmt(x):
         return "" if x is None else repr(float(x))
 
-    def row(est: dict, naive=None, status="ok"):
+    def row(est: dict, naive=None):
         rd_ci = est.get("rd_ci") or (None, None)
         rr_ci = est.get("rr_ci") or (None, None)
         return [
@@ -281,7 +281,7 @@ def _write_estimates_csv(path, results: dict) -> None:
             fmt(est["rd"]), fmt(rd_ci[0]), fmt(rd_ci[1]),
             fmt(est["rr"]), fmt(rr_ci[0]), fmt(rr_ci[1]),
             fmt(est["chi2"]), fmt(est["p"]),
-            fmt(naive), status,
+            fmt(naive), "ok",
         ]
 
     rows = []

@@ -40,15 +40,15 @@ class _Canvas:
             f'stroke="{stroke}" stroke-width="{_f(width)}"{d}/>'
         )
 
-    def rect(self, x, y, w, h, fill=_ACCENT):
+    def rect(self, x, y, w, h):
         self.parts.append(
-            f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" height="{_f(h)}" fill="{fill}"/>'
+            f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" height="{_f(h)}" fill="{_ACCENT}"/>'
         )
 
-    def circle(self, cx, cy, r, fill="none", stroke=_BASE):
+    def circle(self, cx, cy, r):
         self.parts.append(
-            f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(r)}" fill="{fill}" '
-            f'stroke="{stroke}" stroke-width="1.00"/>'
+            f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(r)}" fill="none" '
+            f'stroke="{_BASE}" stroke-width="1.00"/>'
         )
 
     def text(self, x, y, s, size=11, anchor="start", fill=_FG):
@@ -57,11 +57,10 @@ class _Canvas:
             f'text-anchor="{anchor}" fill="{fill}">{_esc(s)}</text>'
         )
 
-    def polyline(self, pts, stroke=_ACCENT, width=1.5):
+    def polyline(self, pts, stroke=_ACCENT):
         coords = " ".join(f"{_f(x)},{_f(y)}" for x, y in pts)
         self.parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{_f(width)}"/>'
+            f'<polyline points="{coords}" fill="none" stroke="{stroke}" stroke-width="1.50"/>'
         )
 
     def render(self) -> str:

@@ -28,26 +28,15 @@ def encode_cells(shop_idx: np.ndarray, date_ord: np.ndarray, daypart: np.ndarray
 class ContextStats:
     """Popularity/availability table over (shop, date, daypart) cells."""
 
-    def __init__(self, keys: np.ndarray, n_tx: np.ndarray, pop: np.ndarray, shops: list[str]):
+    def __init__(self, keys: np.ndarray, n_tx: np.ndarray, counts: np.ndarray, shops: list[str]):
         self._keys = keys  # sorted unique encoded cells
         self._n = n_tx
-        self._pop = pop  # [n_cells, len(CATEGORY_KEYS)]
+        self._counts = counts  # int64 [n_cells, len(CATEGORY_KEYS)]: transactions with the category
         self._shops = list(shops)
 
     @property
     def n_cells(self) -> int:
         return self._keys.shape[0]
-
-    def popularity_for_cells(self, cell_keys: np.ndarray, category: str) -> np.ndarray:
-        """Vectorized popularity lookup; absent cells give 0.0."""
-        pos = np.searchsorted(self._keys, cell_keys)
-        pos = np.minimum(pos, max(self._keys.shape[0] - 1, 0))
-        out = np.zeros(cell_keys.shape[0], np.float64)
-        if self.n_cells == 0:
-            return out
-        hit = self._keys[pos] == cell_keys
-        out[hit] = self._pop[pos[hit], CATEGORY_BIT[category]]
-        return out
 
     def counts_for_cells(self, cell_keys: np.ndarray, category: str) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized (cell size, category count) lookup; absent cells give 0."""
@@ -59,8 +48,7 @@ class ContextStats:
         pos = np.minimum(pos, self._keys.shape[0] - 1)
         hit = self._keys[pos] == cell_keys
         n[hit] = self._n[pos[hit]]
-        # popularity is stored as count/n; recover the integer count exactly
-        cnt[hit] = np.rint(self._pop[pos[hit], CATEGORY_BIT[category]] * self._n[pos[hit]]).astype(np.int64)
+        cnt[hit] = self._counts[pos[hit], CATEGORY_BIT[category]]
         return n, cnt
 
     def to_csv(self, dest: Source) -> None:
@@ -69,7 +57,7 @@ class ContextStats:
             labels_at(self._shops, self._keys >> _SHOP_SHIFT),
             np.datetime_as_string(date_ord.astype("datetime64[D]")).tolist(),
             labels_at([d.label for d in Daypart], self._keys & 3),
-            self._pop.tolist(),  # one popularity per CATEGORY_KEYS entry, in order
+            (self._counts / self._n[:, None]).tolist(),  # one popularity per CATEGORY_KEYS entry
             self._n.tolist(),
         )
         write_csv(dest, ("shop_id", "date", "daypart", "category", "popularity", "available", "n"), (
@@ -86,11 +74,12 @@ def compute_context(log: TransactionLog, catalog: ItemCatalog) -> ContextStats:
     itself is read from the masks the log already carries.
     """
     if log.n == 0:
-        return ContextStats(np.empty(0, np.int64), np.empty(0, np.int64), np.empty((0, len(CATEGORY_KEYS))), log.shops)
+        empty = np.empty(0, np.int64)
+        return ContextStats(empty, empty, np.empty((0, len(CATEGORY_KEYS)), np.int64), log.shops)
     cells = encode_cells(log.shop_idx, log.date_ord, log.daypart)
-    keys, inv, counts = np.unique(cells, return_inverse=True, return_counts=True)
-    pop = np.empty((keys.shape[0], len(CATEGORY_KEYS)), np.float64)
-    for cat, bit in CATEGORY_BIT.items():
-        has = ((log.mask >> np.uint16(bit)) & np.uint16(1)).astype(np.int64)
-        pop[:, bit] = np.bincount(inv, weights=has, minlength=keys.shape[0]) / counts
-    return ContextStats(keys, counts.astype(np.int64), pop, log.shops)
+    keys, inv, n_tx = np.unique(cells, return_inverse=True, return_counts=True)
+    counts = np.empty((keys.shape[0], len(CATEGORY_KEYS)), np.int64)
+    for bit in CATEGORY_BIT.values():
+        has = (log.mask >> np.uint16(bit)) & np.uint16(1)
+        counts[:, bit] = np.bincount(inv[has.astype(bool)], minlength=keys.shape[0])
+    return ContextStats(keys, n_tx.astype(np.int64), counts, log.shops)

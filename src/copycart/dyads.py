@@ -17,9 +17,12 @@ from . import context as ctx
 from ._util import Source, read_csv, write_csv
 from .errors import EmptyMatrixError, IngestError
 from .model import (
+    AGE_TERCILES,
     Daypart,
     ADDITION_KEYS,
     CATEGORY_BIT,
+    GENDERS,
+    STATUSES,
     Demographics,
     ItemCatalog,
     TransactionLog,
@@ -229,29 +232,20 @@ class CoPurchaseMatrix:
     n_skipped: int
 
 
-def _attribute_labels(attribute: str, cuts: tuple[int, int]) -> list[str]:
-    if attribute == "gender":
-        return ["female", "male"]
-    if attribute == "status":
-        return ["student", "staff", "other"]
-    if attribute == "age_tercile":
-        lo, hi = cuts
-        return [f"<={lo}", f"{lo + 1}-{hi}", f">{hi}"]
-    raise ValueError(f"unknown attribute {attribute!r}")
+_ATTRIBUTE_LABELS = {"gender": GENDERS, "status": STATUSES, "age_tercile": AGE_TERCILES}
 
 
 def co_purchase_matrix(
-    dyads: DyadSet,
-    demographics: Demographics,
-    attribute: str,
-    age_cuts: tuple[int, int] = (22, 32),
+    dyads: DyadSet, demographics: Demographics, attribute: str
 ) -> CoPurchaseMatrix:
     """Frequency matrix of (focal attribute x partner attribute) over dyads,
     as percentages of all dyads where both sides are known."""
-    labels = _attribute_labels(attribute, age_cuts)
+    if attribute not in _ATTRIBUTE_LABELS:
+        raise ValueError(f"unknown attribute {attribute!r}")
+    labels = list(_ATTRIBUTE_LABELS[attribute])
     index = {lab: i for i, lab in enumerate(labels)}
-    pl = person_attribute(dyads.log, demographics, attribute, dyads.partner_i, age_cuts)
-    fl = person_attribute(dyads.log, demographics, attribute, dyads.focal_i, age_cuts)
+    pl = person_attribute(dyads.log, demographics, attribute, dyads.partner_i)
+    fl = person_attribute(dyads.log, demographics, attribute, dyads.focal_i)
     counts = np.zeros((len(labels), len(labels)), np.int64)
     skipped = 0
     for p, f in zip(pl, fl):

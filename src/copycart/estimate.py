@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -24,6 +24,9 @@ from .matching import AdjustmentSpec, MatchedPairSet, build_matched_pairs
 from .model import Daypart, Demographics, person_attribute
 
 RR_UNDEFINED = None  # sentinel for a zero control arm
+EXACT_BELOW = 25  # fewer discordant pairs than this get the exact McNemar p
+TIE_EDGES = (0.25, 0.5, 0.75)  # inner edges of the tie-strength strata
+DOSE_BIN_S = 30  # width of a dose-response delay bin
 
 
 @dataclass(frozen=True)
@@ -104,10 +107,10 @@ def _binom_tail_half(k: int, n: int) -> float:
     return sum(math.comb(n, i) for i in range(k, n + 1)) / 2**n
 
 
-def paired_chi2(counts: PairedCounts, exact_below: int = 25) -> tuple[Optional[float], Optional[float]]:
+def paired_chi2(counts: PairedCounts) -> tuple[Optional[float], Optional[float]]:
     """McNemar test of no effect on the discordant pairs.
 
-    Returns (statistic, p).  Below `exact_below` discordant pairs the p-value
+    Returns (statistic, p).  Below `EXACT_BELOW` discordant pairs the p-value
     is the exact two-sided binomial tail; otherwise the 1-df chi-square
     survival function.  Zero discordant pairs give (None, None).
     """
@@ -115,7 +118,7 @@ def paired_chi2(counts: PairedCounts, exact_below: int = 25) -> tuple[Optional[f
     if d == 0:
         return (None, None)
     stat = (counts.n10 - counts.n01) ** 2 / d
-    if d < exact_below:
+    if d < EXACT_BELOW:
         p = min(1.0, 2.0 * _binom_tail_half(max(counts.n10, counts.n01), d))
     else:
         # survival function of chi-square with one degree of freedom
@@ -135,7 +138,6 @@ class EffectEstimate:
     chi2: Optional[float] = None
     p: Optional[float] = None
     counts: Optional[PairedCounts] = None
-    n_unmatched: int = 0
     insufficient: bool = False
 
     def to_dict(self, stratum: str = "pooled") -> dict:
@@ -192,7 +194,6 @@ def effect_estimate(
         chi2=chi2,
         p=p,
         counts=counts,
-        n_unmatched=pairs.n_unmatched,
     )
 
 
@@ -200,7 +201,8 @@ def effect_estimate(
 # subgroups
 # ---------------------------------------------------------------------------
 
-GROUPINGS = (
+# the groupings that read a person attribute, so need demographics
+DEMOGRAPHIC_GROUPINGS = (
     "partner_status",
     "focal_status",
     "status_pair",
@@ -208,6 +210,8 @@ GROUPINGS = (
     "focal_age",
     "partner_gender",
     "focal_gender",
+)
+GROUPINGS = DEMOGRAPHIC_GROUPINGS + (
     "year",
     "shop",
     "tie_strength_bins",
@@ -217,13 +221,13 @@ GROUPINGS = (
 
 
 def _pair_labels(
-    pairs: MatchedPairSet,
-    grouping: str,
-    demographics: Optional[Demographics],
-    age_cuts: tuple[int, int],
-    tie_edges: Sequence[float],
+    pairs: MatchedPairSet, grouping: str, demographics: Optional[Demographics]
 ) -> list[str]:
     """One stratum label per matched pair, resolved on the treated dyad."""
+    if grouping not in GROUPINGS:
+        raise ValueError(f"unknown grouping {grouping!r}")
+    if grouping in DEMOGRAPHIC_GROUPINGS and demographics is None:
+        raise ValueError(f"grouping {grouping!r} needs demographics")
     d = pairs.dyads
     log = d.log
     t = pairs.treated_idx
@@ -236,41 +240,18 @@ def _pair_labels(
     if grouping == "year":
         return [str(y) for y in log.year[d.focal_i[t]]]
     if grouping == "tie_strength_bins":
-        strengths = tie_strength_per_dyad(d)[t]
-        edges = list(tie_edges)
-        labels = []
-        for s in strengths:
-            k = int(np.searchsorted(edges, s, side="left"))
-            lo = 0.0 if k == 0 else edges[k - 1]
-            hi = edges[k] if k < len(edges) else 1.0
-            labels.append(f"({lo:g},{hi:g}]")
-        return labels
-    if demographics is None:
-        raise ValueError(f"grouping {grouping!r} needs demographics")
+        edges = (0.0,) + TIE_EDGES + (1.0,)
+        k = np.searchsorted(TIE_EDGES, tie_strength_per_dyad(d)[t], side="left")
+        return [f"({edges[i]:g},{edges[i + 1]:g}]" for i in k.tolist()]
 
-    def attr(side_rows, kind):
-        labels = person_attribute(log, demographics, kind, side_rows, age_cuts)
-        return [label or "unknown" for label in labels]
+    def attr(side, kind):
+        rows = d.partner_i[t] if side == "partner" else d.focal_i[t]
+        return [label or "unknown" for label in person_attribute(log, demographics, kind, rows)]
 
-    partner_rows = d.partner_i[t]
-    focal_rows = d.focal_i[t]
-    if grouping == "partner_status":
-        return attr(partner_rows, "status")
-    if grouping == "focal_status":
-        return attr(focal_rows, "status")
     if grouping == "status_pair":
-        return [
-            f"{a}-{b}" for a, b in zip(attr(partner_rows, "status"), attr(focal_rows, "status"))
-        ]
-    if grouping == "partner_gender":
-        return attr(partner_rows, "gender")
-    if grouping == "focal_gender":
-        return attr(focal_rows, "gender")
-    if grouping == "partner_age":
-        return attr(partner_rows, "age_tercile")
-    if grouping == "focal_age":
-        return attr(focal_rows, "age_tercile")
-    raise ValueError(f"unknown grouping {grouping!r}")
+        return [f"{a}-{b}" for a, b in zip(attr("partner", "status"), attr("focal", "status"))]
+    side, _, kind = grouping.partition("_")
+    return attr(side, "age_tercile" if kind == "age" else kind)
 
 
 def subgroup_estimates(
@@ -280,15 +261,13 @@ def subgroup_estimates(
     n_rep: int = 1000,
     seed: int = 0,
     min_pairs: int = 50,
-    age_cuts: tuple[int, int] = (22, 32),
-    tie_edges: Sequence[float] = (0.25, 0.5, 0.75),
 ) -> dict[str, EffectEstimate]:
     """Independent effect estimate per stratum of the grouping attribute.
 
     Strata smaller than `min_pairs` are reported with `insufficient=True`
     and carry no estimates.  Stratum labels partition the pair set.
     """
-    labels = np.asarray(_pair_labels(pairs, grouping, demographics, age_cuts, tie_edges))
+    labels = np.asarray(_pair_labels(pairs, grouping, demographics))
     out: dict[str, EffectEstimate] = {}
     for label in sorted(set(labels.tolist())):
         sel = labels == label
@@ -304,7 +283,6 @@ def anchor_mimicry(
     dyads: DyadSet,
     context: ContextStats,
     anchor_attribute: str,
-    value: Optional[str] = None,
     spec: AdjustmentSpec = AdjustmentSpec(),
     n_rep: int = 1000,
     seed: int = 0,
@@ -312,17 +290,15 @@ def anchor_mimicry(
     """Mimicry of an anchor attribute instead of an addition item.
 
     ``meal_vegetarian`` contrasts vegetarian vs other meals over lunch dyads;
-    ``beverage_kind`` contrasts the given kind (default coffee) vs the other
-    over breakfast/afternoon dyads.  Same matching + estimation path, with
-    the focus "item" being the attribute value's category key.
+    ``beverage_kind`` contrasts coffee vs tea over breakfast/afternoon dyads.
+    Same matching + estimation path, with the focus "item" being the
+    attribute value's category key.
     """
     if anchor_attribute == "meal_vegetarian":
         item = "meal_vegetarian"
         sel = dyads.daypart == Daypart.LUNCH.value
     elif anchor_attribute == "beverage_kind":
-        item = value or "coffee"
-        if item not in ("coffee", "tea"):
-            raise ValueError("beverage kind must be 'coffee' or 'tea'")
+        item = "coffee"
         sel = (dyads.daypart == Daypart.BREAKFAST.value) | (
             dyads.daypart == Daypart.AFTERNOON.value
         )
@@ -388,7 +364,7 @@ class DoseResponseResult:
             "slope_rr": self.slope_rr,
             "p_rr": self.p_rr,
             "bins": [
-                {"midpoint_s": mid, **est.to_dict(stratum=f"delay<= {mid + 15:g}s")}
+                {"midpoint_s": mid, **est.to_dict(stratum=f"delay<= {mid + DOSE_BIN_S / 2:g}s")}
                 for mid, est in self.bins
             ],
         }
@@ -396,24 +372,24 @@ class DoseResponseResult:
 
 def dose_response(
     pairs: MatchedPairSet,
-    bin_width_s: int = 30,
     max_delay_s: int = 300,
     n_rep: int = 1000,
     seed: int = 0,
 ) -> DoseResponseResult:
-    """Per-delay-bin effect estimates and the OLS trend over bin midpoints."""
+    """Effect estimates per `DOSE_BIN_S` delay bin and the OLS trend over bin
+    midpoints; delays past `max_delay_s` fold into the last bin."""
     delays = pairs.treated_delays()
     if pairs.n == 0:
         raise NoPairsError("dose-response needs matched pairs")
-    n_bins = max(1, int(math.ceil(max_delay_s / bin_width_s)))
-    idx = np.minimum(delays // bin_width_s, n_bins - 1).astype(np.int64)
+    n_bins = max(1, int(math.ceil(max_delay_s / DOSE_BIN_S)))
+    idx = np.minimum(delays // DOSE_BIN_S, n_bins - 1).astype(np.int64)
     bins = []
     mids, rds, rrs, rr_mids = [], [], [], []
     for b in range(n_bins):
         sel = idx == b
         if not sel.any():
             continue
-        mid = b * bin_width_s + bin_width_s / 2.0
+        mid = b * DOSE_BIN_S + DOSE_BIN_S / 2.0
         est = effect_estimate(pairs.subset(sel), n_rep, derive_seed(seed, "dose", b))
         bins.append((mid, est))
         mids.append(mid)

@@ -26,6 +26,11 @@ FEATURE_NAMES = (
 )
 N_FEATURES = len(FEATURE_NAMES)  # 45
 
+HOLDOUT = 0.2  # share of each class held out to measure the model
+MAX_DEPTH = 12
+N_CANDIDATES = 6  # features drawn at random for each split
+MIN_PER_CLASS = 50  # labeled persons each class needs before training
+
 
 def feature_matrix(
     log: TransactionLog, person_ids: Optional[Sequence[str]] = None
@@ -93,8 +98,6 @@ def _grow_tree(
     y: np.ndarray,
     rows: np.ndarray,
     rng: np.random.Generator,
-    max_depth: int,
-    n_candidates: int,
     min_split: int,
 ) -> dict:
     feat, thr, left, right, label = [], [], [], [], []
@@ -108,9 +111,9 @@ def _grow_tree(
         left.append(-1)
         right.append(-1)
         label.append(maj)
-        if depth >= max_depth or rows.shape[0] < min_split or ones in (0, rows.shape[0]):
+        if depth >= MAX_DEPTH or rows.shape[0] < min_split or ones in (0, rows.shape[0]):
             return node
-        cand = rng.choice(N_FEATURES, size=min(n_candidates, N_FEATURES), replace=False)
+        cand = rng.choice(N_FEATURES, size=N_CANDIDATES, replace=False)
         best_score = -np.inf
         best = None
         for f in cand:
@@ -160,11 +163,10 @@ def _tree_votes(tree: dict, X: np.ndarray) -> np.ndarray:
 class StatusModel:
     """Bagged binary decision trees with majority-vote prediction."""
 
-    def __init__(self, classes: list[str], trees: list[dict], metadata: dict, metrics: dict):
+    def __init__(self, classes: list[str], trees: list[dict]):
         self.classes = list(classes)
         self.trees = trees
-        self.metadata = dict(metadata)
-        self.metrics = dict(metrics)
+        self.metrics: dict = {}  # held-out per-class precision, recall and support
 
     def predict(self, X: np.ndarray) -> tuple[list[str], np.ndarray]:
         """(labels, confidences); confidence is the winning vote fraction."""
@@ -196,13 +198,9 @@ def _per_class_metrics(y_true: np.ndarray, y_pred: np.ndarray, classes: list[str
 def train_status_model(
     features: np.ndarray,
     labels: Sequence[str],
-    holdout: float = 0.2,
     seed: int = 0,
     n_trees: int = 100,
-    max_depth: int = 12,
-    n_candidates: int = 6,
     min_split: int = 10,
-    min_per_class: int = 50,
 ) -> StatusModel:
     """Train on a stratified split and report held-out per-class metrics."""
     X = np.asarray(features, np.float64)
@@ -214,16 +212,16 @@ def train_status_model(
         raise InsufficientLabelsError(f"need exactly 2 classes, got {classes}")
     y = np.asarray([classes.index(l) for l in labels], np.uint8)
     for c, name in enumerate(classes):
-        if int((y == c).sum()) < min_per_class:
+        if int((y == c).sum()) < MIN_PER_CLASS:
             raise InsufficientLabelsError(
-                f"class {name!r} has {(y == c).sum()} examples; need {min_per_class}"
+                f"class {name!r} has {(y == c).sum()} examples; need {MIN_PER_CLASS}"
             )
     rng = np.random.default_rng(int(seed))
     test_idx = []
     for c in range(2):
         rows = np.nonzero(y == c)[0]
         perm = rng.permutation(rows.shape[0])
-        n_hold = max(1, int(round(holdout * rows.shape[0])))
+        n_hold = max(1, int(round(HOLDOUT * rows.shape[0])))
         test_idx.append(rows[perm[:n_hold]])
     test = np.sort(np.concatenate(test_idx))
     train_mask = np.ones(X.shape[0], bool)
@@ -235,21 +233,9 @@ def train_status_model(
     trees = []
     for _ in range(n_trees):
         boot = rng.integers(0, Xt.shape[0], Xt.shape[0])
-        trees.append(_grow_tree(Xt, yt, boot, rng, max_depth, n_candidates, min_split))
+        trees.append(_grow_tree(Xt, yt, boot, rng, min_split))
 
-    model = StatusModel(
-        classes,
-        trees,
-        metadata={
-            "seed": int(seed),
-            "n_trees": n_trees,
-            "max_depth": max_depth,
-            "n_candidates": n_candidates,
-            "n_train": int(train.shape[0]),
-            "n_holdout": int(test.shape[0]),
-        },
-        metrics={},
-    )
+    model = StatusModel(classes, trees)
     pred_labels, _ = model.predict(X[test])
     y_pred = np.asarray([classes.index(l) for l in pred_labels], np.uint8)
     model.metrics = _per_class_metrics(y[test], y_pred, classes)

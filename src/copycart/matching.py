@@ -40,7 +40,7 @@ class AdjustmentSpec:
     match_exact_anchor: bool = False
     caliper: float = 0.10
     caliper_absolute: bool = False
-    exclude_own_transactions: bool = False
+    exclude_own_transactions: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.caliper < 1.0):
@@ -248,12 +248,13 @@ def build_matched_pairs(
     treated = dyads.partner_has(item)
     codes = anchor_code_arrays(log.mask, log.daypart)
     ok = (codes[dyads.partner_i] != 0) & (codes[dyads.focal_i] != 0)
-    pop = context.popularity_for_cells(dyads.cell_keys(), item)
-    ok &= pop > 0.0  # item must be available in the dyad's cell
+    n_cell, cnt = context.counts_for_cells(dyads.cell_keys(), item)
+    ok &= cnt > 0  # item must be available in the dyad's cell
     if spec.exclude_own_transactions:
-        n_cell, cnt = context.counts_for_cells(dyads.cell_keys(), item)
         own = treated.astype(np.int64) + dyads.focal_has(item).astype(np.int64)
         pop = (cnt - own) / np.maximum(n_cell - 2, 1)
+    else:
+        pop = cnt / np.maximum(n_cell, 1)
 
     t_rows = np.nonzero(treated & ok)[0]
     c_rows = np.nonzero(~treated & ok)[0]
@@ -343,13 +344,14 @@ def smd(treated_values: np.ndarray, control_values: np.ndarray) -> float:
     return (mt - mc) / pooled
 
 
-DEFAULT_BALANCE_COVARIATES = (
+BALANCE_COVARIATES = (
     "popularity",
     "delay_s",
     "time_of_day_s",
     "partner_basket_size",
     "focal_basket_size",
 )
+BALANCE_SMD_MAX = 0.2  # a matched covariate is balanced when |SMD| stays below this
 
 
 @dataclass
@@ -357,18 +359,17 @@ class BalanceReport:
     item: str
     n_pairs: int
     covariates: dict  # name -> {"before": smd, "after": smd}
-    threshold: float = 0.2
 
     @property
     def passed(self) -> bool:
         vals = [abs(v["after"]) for v in self.covariates.values() if not math.isnan(v["after"])]
-        return all(v < self.threshold for v in vals)
+        return all(v < BALANCE_SMD_MAX for v in vals)
 
     def to_dict(self) -> dict:
         return {
             "item": self.item,
             "n_pairs": self.n_pairs,
-            "threshold": self.threshold,
+            "threshold": BALANCE_SMD_MAX,
             "pass": self.passed,
             "covariates": {
                 k: {"before": v["before"], "after": v["after"]} for k, v in self.covariates.items()
@@ -389,18 +390,12 @@ def _covariate(pairs: MatchedPairSet, name: str, rows: np.ndarray, pop: np.ndarr
         # the focus item is the treatment itself, so it never counts here
         sizes = log.basket_sizes[d.partner_i[rows]].astype(np.float64)
         return sizes - d.partner_has(pairs.item)[rows]
-    if name == "focal_basket_size":
-        # likewise the outcome is removed from the focal basket count
-        sizes = log.basket_sizes[d.focal_i[rows]].astype(np.float64)
-        return sizes - d.focal_has(pairs.item)[rows]
-    raise ValueError(f"unknown balance covariate {name!r}")
+    # focal_basket_size: likewise the outcome is removed from the focal basket count
+    sizes = log.basket_sizes[d.focal_i[rows]].astype(np.float64)
+    return sizes - d.focal_has(pairs.item)[rows]
 
 
-def balance_report(
-    pairs: MatchedPairSet,
-    covariates: Sequence[str] = DEFAULT_BALANCE_COVARIATES,
-    threshold: float = 0.2,
-) -> BalanceReport:
+def balance_report(pairs: MatchedPairSet) -> BalanceReport:
     """SMD of each covariate before (all eligible dyads) and after matching."""
     if pairs.n == 0:
         raise NoPairsError(f"no matched pairs for {pairs.item!r}")
@@ -410,7 +405,7 @@ def balance_report(
     ec = pairs._eligible_control
     pop = pairs._eligible_pop
     out = {}
-    for name in covariates:
+    for name in BALANCE_COVARIATES:
         before = smd(
             _covariate(pairs, name, et, pop[et]), _covariate(pairs, name, ec, pop[ec])
         )
@@ -419,4 +414,4 @@ def balance_report(
             _covariate(pairs, name, pairs.control_idx, pairs.pop_c),
         )
         out[name] = {"before": before, "after": after}
-    return BalanceReport(pairs.item, pairs.n, out, threshold)
+    return BalanceReport(pairs.item, pairs.n, out)

@@ -6,6 +6,7 @@ because every downstream stage works on whole-log vectors.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as dt
 import io
@@ -590,8 +591,10 @@ def serialize_transactions(log: TransactionLog, dest: Source) -> None:
 # ---------------------------------------------------------------------------
 
 DEMOGRAPHIC_COLUMNS = ("person_id", "gender", "status", "birth_year")
-_GENDERS = ("female", "male")
-_STATUSES = ("student", "staff", "other")
+GENDERS = ("female", "male")
+STATUSES = ("student", "staff", "other")
+AGE_CUTS = (22, 32)  # the paper's age terciles: <=22, 23-32 and >32 years
+AGE_TERCILES = (f"<={AGE_CUTS[0]}", f"{AGE_CUTS[0] + 1}-{AGE_CUTS[1]}", f">{AGE_CUTS[1]}")
 
 
 @dataclass(frozen=True)
@@ -666,9 +669,9 @@ class Demographics:
             pid, gender, status, by_text = (f.strip() for f in row)
             if not pid:
                 raise table.error(k, "empty person_id")
-            if gender and gender not in _GENDERS:
+            if gender and gender not in GENDERS:
                 raise table.error(k, f"bad gender {gender!r}")
-            if status and status not in _STATUSES:
+            if status and status not in STATUSES:
                 raise table.error(k, f"bad status {status!r}")
             birth_year = None
             if by_text:
@@ -686,21 +689,8 @@ class Demographics:
         ))
 
 
-def age_tercile_label(age: int, cuts: tuple[int, int] = (22, 32)) -> str:
-    lo, hi = cuts
-    if age <= lo:
-        return f"<={lo}"
-    if age <= hi:
-        return f"{lo + 1}-{hi}"
-    return f">{hi}"
-
-
 def person_attribute(
-    log: TransactionLog,
-    demographics: Demographics,
-    attribute: str,
-    rows: np.ndarray,
-    age_cuts: tuple[int, int] = (22, 32),
+    log: TransactionLog, demographics: Demographics, attribute: str, rows: np.ndarray
 ) -> list[Optional[str]]:
     """``status``, ``gender`` or ``age_tercile`` of the person at each log row.
 
@@ -720,5 +710,5 @@ def person_attribute(
         elif rec.birth_year is None:
             out.append(None)
         else:
-            out.append(age_tercile_label(int(years[i]) - rec.birth_year, age_cuts))
+            out.append(AGE_TERCILES[bisect.bisect_left(AGE_CUTS, int(years[i]) - rec.birth_year)])
     return out

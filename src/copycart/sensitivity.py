@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,6 +20,8 @@ from .errors import NoPairsError, SensitivityDomainError
 from .estimate import PairedCounts
 
 EXACT_MAX_DISCORDANT = 200
+GAMMA_MAX = 100.0  # gamma_star searches [1, GAMMA_MAX]
+GAMMA_TOL = 1e-3  # and stops bisecting at this width
 
 
 def _binom_upper_tail(k: int, n: int, q: float) -> float:
@@ -42,7 +44,7 @@ def _binom_upper_tail_normal(k: int, n: int, q: float) -> float:
     return max(0.0, min(1.0, 0.5 * math.erfc(z / math.sqrt(2.0))))
 
 
-def worst_case_p(counts: PairedCounts, gamma: float, two_sided: bool = False) -> float:
+def worst_case_p(counts: PairedCounts, gamma: float) -> float:
     """Upper bound on the McNemar p-value at hidden-bias level gamma.
 
     One-sided in the direction of the observed excess; exact binomial tail
@@ -56,12 +58,8 @@ def worst_case_p(counts: PairedCounts, gamma: float, two_sided: bool = False) ->
     k = max(counts.n10, counts.n01)
     q = gamma / (1.0 + gamma)
     if d <= EXACT_MAX_DISCORDANT:
-        p = _binom_upper_tail(k, d, q)
-    else:
-        p = _binom_upper_tail_normal(k, d, q)
-    if two_sided:
-        p = min(1.0, 2.0 * p)
-    return p
+        return _binom_upper_tail(k, d, q)
+    return _binom_upper_tail_normal(k, d, q)
 
 
 @dataclass(frozen=True)
@@ -71,17 +69,9 @@ class GammaStar:
     baseline_significant: bool
     capped: bool = False
 
-    def __float__(self) -> float:
-        return self.value
 
-
-def gamma_star(
-    counts: PairedCounts,
-    alpha: float = 0.05,
-    gamma_max: float = 100.0,
-    tol: float = 1e-3,
-) -> GammaStar:
-    """Largest gamma in [1, gamma_max] keeping worst_case_p <= alpha.
+def gamma_star(counts: PairedCounts, alpha: float = 0.05) -> GammaStar:
+    """Largest gamma in [1, GAMMA_MAX] keeping worst_case_p <= alpha, to GAMMA_TOL.
 
     If the test is not significant even without hidden bias the sentinel
     value 1 is returned with baseline_significant=False.
@@ -89,10 +79,10 @@ def gamma_star(
     p1 = worst_case_p(counts, 1.0)
     if not p1 < alpha:
         return GammaStar(1.0, alpha, baseline_significant=False)
-    if worst_case_p(counts, gamma_max) <= alpha:
-        return GammaStar(gamma_max, alpha, baseline_significant=True, capped=True)
-    lo, hi = 1.0, gamma_max
-    while hi - lo > tol:
+    if worst_case_p(counts, GAMMA_MAX) <= alpha:
+        return GammaStar(GAMMA_MAX, alpha, baseline_significant=True, capped=True)
+    lo, hi = 1.0, GAMMA_MAX
+    while hi - lo > GAMMA_TOL:
         mid = 0.5 * (lo + hi)
         if worst_case_p(counts, mid) <= alpha:
             lo = mid
@@ -151,22 +141,14 @@ _LAMBDA_FACTORS = (1.1, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0)
 
 
 def sensitivity_result(
-    counts: PairedCounts,
-    alpha: float = 0.05,
-    item: str = "",
-    gamma_grid: Optional[Sequence[float]] = None,
-    lambda_grid: Optional[Sequence[float]] = None,
+    counts: PairedCounts, alpha: float = 0.05, item: str = ""
 ) -> SensitivityResult:
-    """Bundle gamma_star, the p(gamma) grid, and an amplification curve."""
+    """Bundle gamma_star, worst-case p on 25 gammas from 1 to max(3, 2 gamma_star),
+    and the amplification curve at gamma_star times `_LAMBDA_FACTORS`."""
     gs = gamma_star(counts, alpha)
-    if gamma_grid is None:
-        top = max(3.0, 2.0 * gs.value)
-        gamma_grid = np.linspace(1.0, top, 25)
+    gamma_grid = np.linspace(1.0, max(3.0, 2.0 * gs.value), 25)
     p_at = [(float(g), worst_case_p(counts, float(g))) for g in gamma_grid]
+    amp = []
     if gs.value > 1.0:
-        if lambda_grid is None:
-            lambda_grid = [gs.value * f for f in _LAMBDA_FACTORS]
-        amp = amplification_curve(gs.value, lambda_grid)
-    else:
-        amp = []
+        amp = amplification_curve(gs.value, [gs.value * f for f in _LAMBDA_FACTORS])
     return SensitivityResult(item, gs, alpha, p_at, amp)

@@ -353,8 +353,6 @@ def test_anchor_mimicry_vegetarian():
 def test_anchor_mimicry_validation():
     dyads, ctx = _anchor_fixture()
     with pytest.raises(ValueError):
-        anchor_mimicry(dyads, ctx, "beverage_kind", value="juice")
-    with pytest.raises(ValueError):
         anchor_mimicry(dyads, ctx, "spiciness")
     with pytest.raises(NoPairsError):
         # no breakfast/afternoon dyads at all
@@ -413,10 +411,11 @@ def test_dose_response_bins_and_errors():
         dose_response(pairs, n_rep=5, seed=0)
     # delays beyond the last edge fold into the final bin
     pairs2 = pairs_from_outcomes(
-        [1, 0, 1, 1, 0, 1], [0, 0, 1, 0, 1, 0], delays=[10, 10, 150, 150, 295, 295]
+        [1, 0, 1, 1, 0, 1], [0, 0, 1, 0, 1, 0], delays=[10, 10, 40, 40, 95, 295]
     )
-    res = dose_response(pairs2, bin_width_s=100, max_delay_s=300, n_rep=5, seed=0)
-    assert [mid for mid, _ in res.bins] == [50.0, 150.0, 250.0]
+    res = dose_response(pairs2, max_delay_s=90, n_rep=5, seed=0)
+    assert [mid for mid, _ in res.bins] == [15.0, 45.0, 75.0]
+    assert [est.n_pairs for _, est in res.bins] == [2, 2, 2]
     d = res.to_dict()
     assert {"item", "slope_rd", "p_rd", "slope_rr", "p_rr", "bins"} <= set(d)
 

@@ -205,6 +205,24 @@ def test_item_that_is_not_a_category_is_a_usage_error(base, command):
     assert "'foo' is not one of" in res.output and "'dessert'" in res.output
 
 
+def test_item_without_dumped_pairs_names_the_stage_that_ran(base):
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copy(base / "out" / "dyads.csv", tmp)
+        args = ("--config", base / "run.yaml", "--out", tmp)
+        for command in ("estimate", "sensitivity", "dose"):
+            res = invoke(*args, command, "--item", "meal")
+            assert res.exit_code == 1
+            assert "no matched pairs dumped for: meal; run `copycart match`" in res.output
+        res = invoke(*args, "match", "--item", "meal")
+        assert res.exit_code == 0 and "meal: no_pairs" in res.output
+        for command in ("estimate", "sensitivity", "dose"):
+            res = invoke(*args, command, "--item", "meal")
+            assert_clean_exit(res)
+            assert res.exit_code == 1
+            assert "`copycart match` dumped no pairs for: meal; it found none" in res.output
+            assert "run `copycart match`" not in res.output
+
+
 @pytest.mark.parametrize("setting", ["gap_sigma=-1", "gap_median_s=0", "gap_median_s=NaN"])
 def test_out_of_range_gap_setting_is_a_config_error(setting):
     with tempfile.TemporaryDirectory() as tmp:

