@@ -92,14 +92,12 @@ def _load_pairs(cfg: RunConfig, log, items) -> dict:
         out.update(MatchedPairSet.from_csv(path, dyads))
     if items:
         missing = ", ".join(i for i in items if i not in out)
-        if missing and not os.path.isdir(pairs_dir):
-            raise click.ClickException(
-                f"no matched pairs dumped for: {missing}; run `copycart match`"
-            )
         if missing:
             raise click.ClickException(
                 f"`copycart match` dumped no pairs for: {missing}; it found none, "
                 "or ran without that --item"
+                if os.path.isdir(pairs_dir)
+                else f"no matched pairs dumped for: {missing}; run `copycart match`"
             )
         out = {i: out[i] for i in items}
     return out

@@ -17,12 +17,10 @@ from . import context as ctx
 from ._util import Source, read_csv, write_csv
 from .errors import EmptyMatrixError, IngestError
 from .model import (
-    AGE_TERCILES,
+    ATTRIBUTE_LABELS,
     Daypart,
     ADDITION_KEYS,
     CATEGORY_BIT,
-    GENDERS,
-    STATUSES,
     Demographics,
     ItemCatalog,
     TransactionLog,
@@ -232,20 +230,15 @@ class CoPurchaseMatrix:
     n_skipped: int
 
 
-_ATTRIBUTE_LABELS = {"gender": GENDERS, "status": STATUSES, "age_tercile": AGE_TERCILES}
-
-
 def co_purchase_matrix(
     dyads: DyadSet, demographics: Demographics, attribute: str
 ) -> CoPurchaseMatrix:
     """Frequency matrix of (focal attribute x partner attribute) over dyads,
     as percentages of all dyads where both sides are known."""
-    if attribute not in _ATTRIBUTE_LABELS:
-        raise ValueError(f"unknown attribute {attribute!r}")
-    labels = list(_ATTRIBUTE_LABELS[attribute])
-    index = {lab: i for i, lab in enumerate(labels)}
     pl = person_attribute(dyads.log, demographics, attribute, dyads.partner_i)
     fl = person_attribute(dyads.log, demographics, attribute, dyads.focal_i)
+    labels = list(ATTRIBUTE_LABELS[attribute])
+    index = {lab: i for i, lab in enumerate(labels)}
     counts = np.zeros((len(labels), len(labels)), np.int64)
     skipped = 0
     for p, f in zip(pl, fl):

@@ -595,6 +595,8 @@ GENDERS = ("female", "male")
 STATUSES = ("student", "staff", "other")
 AGE_CUTS = (22, 32)  # the paper's age terciles: <=22, 23-32 and >32 years
 AGE_TERCILES = (f"<={AGE_CUTS[0]}", f"{AGE_CUTS[0] + 1}-{AGE_CUTS[1]}", f">{AGE_CUTS[1]}")
+# each person attribute and the labels it takes, in display order
+ATTRIBUTE_LABELS = {"gender": GENDERS, "status": STATUSES, "age_tercile": AGE_TERCILES}
 
 
 @dataclass(frozen=True)
@@ -697,6 +699,8 @@ def person_attribute(
     None where the person or the field is unknown; age is counted in the
     calendar year of the row's transaction.
     """
+    if attribute not in ATTRIBUTE_LABELS:
+        raise ValueError(f"unknown attribute {attribute!r}")
     years = log.year
     out: list[Optional[str]] = []
     for i in rows:

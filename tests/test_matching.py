@@ -2,6 +2,7 @@
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,12 +106,18 @@ def test_caliper_relative_boundary_and_absolute_mode():
     ]
     log, dyads = one_dyad_per_day(specs)
     ctx = dessert_cells(log, specs, [0.5, 0.45])
-    # |0.5-0.45| / max = 0.05/0.5 = 0.10: the boundary is inclusive
-    assert build_matched_pairs(dyads, "dessert", ctx).n == 1
-    tight = AdjustmentSpec(caliper=0.09)
+    # |0.5-0.45| / max = 0.05/0.5 = 0.10, the default caliper
+    assert build_matched_pairs(dyads, "dessert", ctx, RAW).n == 1
+    tight = replace(RAW, caliper=0.09)
     assert build_matched_pairs(dyads, "dessert", ctx, tight).n == 0
-    loose_abs = AdjustmentSpec(caliper=0.09, caliper_absolute=True)
+    loose_abs = replace(RAW, caliper=0.09, caliper_absolute=True)
     assert build_matched_pairs(dyads, "dessert", ctx, loose_abs).n == 1
+    # 0.05/0.5 rounds just below 0.1 in binary; 0.125/0.5 = 0.25 is exact,
+    # so these check that both boundaries are inclusive
+    ctx = dessert_cells(log, specs, [0.5, 0.375])
+    assert build_matched_pairs(dyads, "dessert", ctx, replace(RAW, caliper=0.25)).n == 1
+    exact_abs = replace(RAW, caliper=0.125, caliper_absolute=True)
+    assert build_matched_pairs(dyads, "dessert", ctx, exact_abs).n == 1
 
 
 def test_exact_keys_separate_strata():
