@@ -30,7 +30,7 @@ from ..errors import (
     InsufficientDataError,
     NoPairsError,
 )
-from ..infer import feature_matrix, train_status_model, write_predictions_csv
+from ..infer import STUDIED_STATUSES, feature_matrix, train_status_model, write_predictions_csv
 from ..matching import MatchedPairSet, balance_report, build_matched_pairs
 from ..model import Demographics, ItemCatalog, TransactionLog, parse_transactions
 from .._util import derive_seed, read_text, write_csv
@@ -144,7 +144,7 @@ def _status_stage(log, cfg: RunConfig, demo: Demographics) -> tuple[Demographics
     labeled = [
         r.person_id
         for r in demo.records()
-        if r.status in ("student", "staff") and r.person_id in in_log
+        if r.status in STUDIED_STATUSES and r.person_id in in_log
     ]
     ids, X = feature_matrix(log, labeled)
     model = train_status_model(

@@ -98,13 +98,14 @@ def naive_risk_difference(dyads: DyadSet, item: str) -> float:
     return float(outcome[treated].mean()) - float(outcome[~treated].mean())
 
 
-def _binom_tail_half(k: int, n: int) -> float:
-    """P(Bin(n, 1/2) >= k), exact."""
+def binom_upper_tail(k: int, n: int, q: float) -> float:
+    """P(Bin(n, q) >= k), exact float summation (n <= a few hundred)."""
     if k <= 0:
         return 1.0
     if k > n:
         return 0.0
-    return sum(math.comb(n, i) for i in range(k, n + 1)) / 2**n
+    terms = [math.comb(n, i) * q**i * (1.0 - q) ** (n - i) for i in range(k, n + 1)]
+    return min(1.0, math.fsum(terms))
 
 
 def paired_chi2(counts: PairedCounts) -> tuple[Optional[float], Optional[float]]:
@@ -119,7 +120,7 @@ def paired_chi2(counts: PairedCounts) -> tuple[Optional[float], Optional[float]]
         return (None, None)
     stat = (counts.n10 - counts.n01) ** 2 / d
     if d < EXACT_BELOW:
-        p = min(1.0, 2.0 * _binom_tail_half(max(counts.n10, counts.n01), d))
+        p = min(1.0, 2.0 * binom_upper_tail(max(counts.n10, counts.n01), d, 0.5))
     else:
         # survival function of chi-square with one degree of freedom
         p = math.erfc(math.sqrt(stat / 2.0))

@@ -17,21 +17,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NoPairsError, SensitivityDomainError
-from .estimate import PairedCounts
+from .estimate import PairedCounts, binom_upper_tail
 
 EXACT_MAX_DISCORDANT = 200
 GAMMA_MAX = 100.0  # gamma_star searches [1, GAMMA_MAX]
 GAMMA_TOL = 1e-3  # and stops bisecting at this width
-
-
-def _binom_upper_tail(k: int, n: int, q: float) -> float:
-    """P(Bin(n, q) >= k), exact float summation (n <= a few hundred)."""
-    if k <= 0:
-        return 1.0
-    if k > n:
-        return 0.0
-    terms = [math.comb(n, i) * q**i * (1.0 - q) ** (n - i) for i in range(k, n + 1)]
-    return min(1.0, math.fsum(terms))
 
 
 def _binom_upper_tail_normal(k: int, n: int, q: float) -> float:
@@ -58,7 +48,7 @@ def worst_case_p(counts: PairedCounts, gamma: float) -> float:
     k = max(counts.n10, counts.n01)
     q = gamma / (1.0 + gamma)
     if d <= EXACT_MAX_DISCORDANT:
-        return _binom_upper_tail(k, d, q)
+        return binom_upper_tail(k, d, q)
     return _binom_upper_tail_normal(k, d, q)
 
 

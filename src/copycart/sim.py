@@ -4,7 +4,8 @@ A population of persons (some joined into habitual pairs) visits shops over
 a span of days.  A pair visit serializes as partner-then-focal at one
 register with a configurable inter-transaction gap; solo visitors interleave
 and break some of those adjacencies, as strangers do in real queues.  The
-focal's purchase probability for item i is
+focal's probability of buying good i (an addition item or an anchor
+subtype, a vegetarian meal or coffee) is
 
     clip(p_i + delta_i * [partner bought i] * decay(gap) * susceptibility)
 
@@ -32,6 +33,8 @@ from .errors import ConfigError
 from .model import (
     ADDITION_KEYS,
     DAYPART_WINDOWS,
+    GENDERS,
+    STATUSES,
     Demographics,
     ItemCatalog,
     ItemCategory,
@@ -45,6 +48,8 @@ from .model import (
 DAYPART_LABELS = tuple(d.label for d in DAYPART_WINDOWS)
 _WINDOWS = np.asarray(list(DAYPART_WINDOWS.values()))
 _ANCHOR_CODES = ("MEAL_V", "MEAL_NV", "COFFEE", "TEA")
+# anchor subtypes drawn like additions: a vegetarian meal, coffee over tea
+ANCHORS = ("meal_vegetarian", "coffee")
 
 
 def _default_base_probs() -> dict:
@@ -62,7 +67,7 @@ class SimulationConfig:
     start_date: Union[str, dt.date] = "2018-01-08"
     # population
     status_mix: dict[str, float] = field(
-        default_factory=lambda: {"student": 0.65, "staff": 0.30, "other": 0.05}
+        default_factory=lambda: dict(zip(STATUSES, (0.65, 0.30, 0.05)))
     )
     demographics_known_fraction: float = 1.0
     pair_fraction: float = 0.8
@@ -117,6 +122,9 @@ class SimulationConfig:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ConfigError(f"{name} must lie in [0, 1], got {v}")
+        for name in self.status_mix:
+            if name not in STATUSES:
+                raise ConfigError(f"status_mix names {name!r}; choose from {STATUSES}")
         if abs(sum(self.status_mix.values()) - 1.0) > 1e-9:
             raise ConfigError("status_mix must sum to 1")
         if abs(sum(self.daypart_weights) - 1.0) > 1e-9:
@@ -132,9 +140,12 @@ class SimulationConfig:
         for item, d in {**self.delta, **self.anchor_delta}.items():
             if not (-1.0 <= d <= 1.0):
                 raise ConfigError(f"delta of {item!r} out of [-1, 1]: {d}")
+        for item in self.delta:
+            if item not in self.items:
+                raise ConfigError(f"delta names {item!r}; base_probs sells {self.items}")
         for key in self.anchor_delta:
-            if key not in ("meal_vegetarian", "coffee"):
-                raise ConfigError(f"anchor_delta keys are meal_vegetarian/coffee, got {key!r}")
+            if key not in ANCHORS:
+                raise ConfigError(f"anchor_delta keys are {'/'.join(ANCHORS)}, got {key!r}")
         if self.decay_tau is not None and not self.decay_tau > 0:
             raise ConfigError("decay_tau must be positive when set")
         if self.coordination_mode not in ("none", "pre_agreement"):
@@ -231,10 +242,10 @@ def generate_population(config: SimulationConfig) -> Population:
     statuses = list(config.status_mix)
     probs = np.asarray([config.status_mix[s] for s in statuses])
     status_idx = rng.choice(len(statuses), size=n, p=probs)
-    gender = ["female" if g else "male" for g in rng.random(n) < 0.5]
+    gender = [GENDERS[g] for g in (rng.random(n) >= 0.5).tolist()]
     birth_year = np.empty(n, np.int64)
     for s, name in enumerate(statuses):
-        lo, hi = _BIRTH_RANGES.get(name, (1950, 2000))
+        lo, hi = _BIRTH_RANGES[name]
         rows = status_idx == s
         birth_year[rows] = rng.integers(lo, hi + 1, int(rows.sum()))
 
@@ -258,7 +269,7 @@ def generate_population(config: SimulationConfig) -> Population:
     if pairs.shape[0]:
         in_pair[pairs[:, 0]] = np.arange(pairs.shape[0])
         in_pair[pairs[:, 1]] = np.arange(pairs.shape[0])
-    for item in config.items + ["meal_vegetarian", "coffee"]:
+    for item in config.items + list(ANCHORS):
         z_pair = rng.normal(size=max(pairs.shape[0], 1))
         eps = rng.normal(size=n)
         z = eps.copy()
@@ -301,14 +312,6 @@ def _gaps(rng, config: SimulationConfig, size: int) -> np.ndarray:
     return np.clip(np.rint(raw), 1, config.gap_max_s).astype(np.int64)
 
 
-def _base_probs(config: SimulationConfig, item: str, dayparts: np.ndarray) -> np.ndarray:
-    """Base purchase probability of `item` per visit by daypart; 0 where `base_probs` has none."""
-    table = np.zeros(len(DAYPART_LABELS))
-    for d in np.unique(dayparts).tolist():
-        table[d] = config.base_probs.get(DAYPART_LABELS[d], {}).get(item, 0.0)
-    return table[dayparts]
-
-
 def simulate_log(
     population: Population, config: SimulationConfig
 ) -> tuple[TransactionLog, GroundTruth]:
@@ -321,19 +324,26 @@ def simulate_log(
         % 12
         + 1
     )
+    summer = np.isin(month_of_day, (7, 8))
     items = config.items
     n_items = len(items)
+    # goods: the additions, then the anchor subtypes whose share can be mimicked
+    goods = items + list(ANCHORS)
+    deltas = {**config.delta, **config.anchor_delta}
     statuses = population.statuses
     student_code = statuses.index("student") if "student" in statuses else -1
     staff_code = statuses.index("staff") if "staff" in statuses else -1
+    sidx = population.status_idx
 
-    def month_factor(status_codes: np.ndarray, day_idx: np.ndarray) -> np.ndarray:
-        if not config.status_signatures or student_code < 0:
-            return np.ones(day_idx.shape[0])
-        summer = np.isin(month_of_day[day_idx], (7, 8))
-        return np.where((status_codes == student_code) & summer, 0.1, 1.0)
+    # base purchase probability per (daypart, good); an addition missing
+    # from `base_probs` is never bought there
+    base = np.asarray([
+        [config.base_probs.get(dp, {}).get(item, 0.0) for item in items]
+        + [config.veg_share, config.coffee_share]  # in ANCHORS order
+        for dp in DAYPART_LABELS
+    ])
 
-    # cell-level availability and popularity shocks, one value per
+    # addition-cell availability and popularity shocks, one value per
     # (shop, day, daypart, item)
     shock = np.zeros((config.n_shops, n_days, 3, n_items))
     if config.popularity_shock_sd > 0:
@@ -342,28 +352,35 @@ def simulate_log(
     if config.availability_dropout > 0:
         available = rng.random(available.shape) >= config.availability_dropout
 
-    pairs = population.pairs
-    n_pairs = pairs.shape[0]
-    sidx = population.status_idx
+    def visits(rate: float, status_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(unit, day) of every visit; students mostly stay away in summer."""
+        u = rng.random((status_codes.shape[0], n_days))
+        if config.status_signatures and student_code >= 0:
+            rate = rate * np.where((status_codes == student_code)[:, None] & summer, 0.1, 1.0)
+        return np.nonzero(u < rate)
 
-    # -- pair visits --------------------------------------------------------
-    if n_pairs:
-        base = rng.random((n_pairs, n_days))
-        rate = config.visit_rate * month_factor(
-            np.repeat(sidx[pairs[:, 0]], n_days),
-            np.tile(np.arange(n_days), n_pairs),
-        ).reshape(n_pairs, n_days)
-        p_vis, p_day = np.nonzero(base < rate)
-    else:
-        p_vis = p_day = np.empty(0, np.int64)
-    V = p_vis.shape[0]
-    leader = pairs[p_vis, 0] if V else np.empty(0, np.int64)
-    follower = pairs[p_vis, 1] if V else np.empty(0, np.int64)
-    v_shop = rng.integers(0, config.n_shops, V)
-    v_reg = rng.integers(0, config.n_registers_per_shop, V)
     dp_cum = np.cumsum(config.daypart_weights)
-    v_dp = np.searchsorted(dp_cum, rng.random(V), side="right").astype(np.int64)
-    v_dp = np.minimum(v_dp, 2)
+
+    def place(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Shop, register and daypart of `n` visits."""
+        shop = rng.integers(0, config.n_shops, n)
+        reg = rng.integers(0, config.n_registers_per_shop, n)
+        return shop, reg, np.minimum(np.searchsorted(dp_cum, rng.random(n), side="right"), 2)
+
+    def prob(k: int, persons: np.ndarray, shop, day, dp) -> np.ndarray:
+        """Probability that each visit buys good k."""
+        p = base[dp, k] + config.propensity_sd * population.propensity_z[goods[k]][persons]
+        if k < n_items:
+            p = p + shock[shop, day, dp, k]
+            p[~available[shop, day, dp, k]] = 0.0
+        return np.clip(p, 0.0, 1.0)
+
+    # -- pair visits: partner, then focal after a gap -------------------------
+    pairs = population.pairs
+    p_vis, p_day = visits(config.visit_rate, sidx[pairs[:, 0]])
+    V = p_vis.shape[0]
+    leader, follower = pairs[p_vis, 0], pairs[p_vis, 1]
+    v_shop, v_reg, v_dp = place(V)
     gaps = _gaps(rng, config, V)
     t_partner = _visit_seconds(
         rng, v_dp, config.status_signatures, sidx[leader] == staff_code, config.gap_max_s + 2
@@ -372,107 +389,46 @@ def simulate_log(
     partner = np.where(leader_first, leader, follower)
     focal = np.where(leader_first, follower, leader)
 
-    def cell_prob(item_k: int, item: str, persons: np.ndarray) -> np.ndarray:
-        p = _base_probs(config, item, v_dp) + config.propensity_sd * population.propensity_z[item][persons]
-        p = p + shock[v_shop, p_day, v_dp, item_k]
-        p[~available[v_shop, p_day, v_dp, item_k]] = 0.0
-        return np.clip(p, 0.0, 1.0)
-
+    # the source member buys first and lifts the other's probability by
+    # delta * decay * susceptibility.  In queue order the source is the
+    # partner; under pre_agreement it is a random member, fixed before queue
+    # order, and the gap and the leader play no part.
     decay = np.ones(V)
-    if config.decay_tau is not None:
-        decay = np.exp(-gaps / config.decay_tau)
-
-    partner_buys = {}
-    focal_buys = {}
-    gt_sum = {item: 0.0 for item in items}
-    gt_n = {item: 0 for item in items}
-    pre = config.coordination_mode == "pre_agreement"
-    if pre:
-        # agreement happens before queueing: uplift flows between members in
-        # a random internal direction, independent of eventual queue order
+    susct = np.ones(V)
+    if config.coordination_mode == "pre_agreement":
         src_is_partner = rng.random(V) < 0.5
-    susct = np.where(
-        leader_first, 1.0, 1.0 - config.susceptibility_asymmetry
-    )  # focal=follower when the leader goes first
-    for k, item in enumerate(items):
-        d = float(config.delta.get(item, 0.0))
-        p_partner = cell_prob(k, item, partner)
-        p_focal = cell_prob(k, item, focal)
-        if pre:
-            p_src = np.where(src_is_partner, p_partner, p_focal)
-            p_dst = np.where(src_is_partner, p_focal, p_partner)
-            b_src = rng.random(V) < p_src
-            p_dst_up = np.clip(p_dst + d * b_src, 0.0, 1.0)
-            b_dst = rng.random(V) < p_dst_up
-            b_p = np.where(src_is_partner, b_src, b_dst)
-            b_f = np.where(src_is_partner, b_dst, b_src)
-            treated = b_p & src_is_partner
-            gt_sum[item] += float(np.sum((p_dst_up - np.clip(p_dst, 0, 1))[treated]))
-            gt_n[item] += int(np.sum(b_p))
-        else:
-            b_p = rng.random(V) < p_partner
-            uplift = d * b_p * decay * susct
-            p_up = np.clip(p_focal + uplift, 0.0, 1.0)
-            b_f = rng.random(V) < p_up
-            gt_sum[item] += float(np.sum((p_up - p_focal)[b_p]))
-            gt_n[item] += int(np.sum(b_p))
-        partner_buys[item] = b_p
-        focal_buys[item] = b_f
+    else:
+        src_is_partner = np.ones(V, bool)
+        if config.decay_tau is not None:
+            decay = np.exp(-gaps / config.decay_tau)
+        # the focal is the follower when the leader goes first
+        susct = np.where(leader_first, 1.0, 1.0 - config.susceptibility_asymmetry)
+    bought = []  # per good: partner, focal, solo purchases
+    gt_sum, gt_n = [], []
+    for k, good in enumerate(goods):
+        d = float(deltas.get(good, 0.0))
+        p_partner = prob(k, partner, v_shop, p_day, v_dp)
+        p_focal = prob(k, focal, v_shop, p_day, v_dp)
+        p_src = np.where(src_is_partner, p_partner, p_focal)
+        p_dst = np.where(src_is_partner, p_focal, p_partner)
+        b_src = rng.random(V) < p_src
+        p_up = np.clip(p_dst + d * b_src * decay * susct, 0.0, 1.0)
+        b_dst = rng.random(V) < p_up
+        b_partner = np.where(src_is_partner, b_src, b_dst)
+        bought.append([b_partner, np.where(src_is_partner, b_dst, b_src)])
+        # ground truth: the focal's mean uplift over the visits whose partner
+        # bought, nil where the focal was the source
+        gt_sum.append(float(np.sum((p_up - p_dst)[b_src & src_is_partner])))
+        gt_n.append(int(np.sum(b_partner)))
 
-    # anchors: meals at lunch, a beverage otherwise; the anchor subtype can
-    # itself be mimicked (vegetarian meals, beverage kind)
-    def anchor_pair(base_share: float, z_key: str, delta_key: str):
-        d = float(config.anchor_delta.get(delta_key, 0.0))
-        zp = population.propensity_z[z_key][partner]
-        zf = population.propensity_z[z_key][focal]
-        pp = np.clip(base_share + config.propensity_sd * zp, 0.0, 1.0)
-        pf = np.clip(base_share + config.propensity_sd * zf, 0.0, 1.0)
-        if pre:
-            p_src = np.where(src_is_partner, pp, pf)
-            p_dst = np.where(src_is_partner, pf, pp)
-            b_src = rng.random(V) < p_src
-            b_dst = rng.random(V) < np.clip(p_dst + d * b_src, 0.0, 1.0)
-            return (
-                np.where(src_is_partner, b_src, b_dst),
-                np.where(src_is_partner, b_dst, b_src),
-            )
-        b_p = rng.random(V) < pp
-        b_f = rng.random(V) < np.clip(pf + d * b_p * decay * susct, 0.0, 1.0)
-        return b_p, b_f
-
-    veg_p, veg_f = anchor_pair(config.veg_share, "meal_vegetarian", "meal_vegetarian")
-    cof_p, cof_f = anchor_pair(config.coffee_share, "coffee", "coffee")
-
-    # -- solo visits ---------------------------------------------------------
-    n = population.n
-    s_base = rng.random((n, n_days))
-    s_rate = config.solo_rate * month_factor(
-        np.repeat(sidx, n_days), np.tile(np.arange(n_days), n)
-    ).reshape(n, n_days)
-    s_person, s_day = np.nonzero(s_base < s_rate)
+    # -- solo visits -----------------------------------------------------------
+    s_person, s_day = visits(config.solo_rate, sidx)
     S = s_person.shape[0]
-    s_shop = rng.integers(0, config.n_shops, S)
-    s_reg = rng.integers(0, config.n_registers_per_shop, S)
-    s_dp = np.minimum(
-        np.searchsorted(dp_cum, rng.random(S), side="right").astype(np.int64), 2
-    )
+    s_shop, s_reg, s_dp = place(S)
     s_t = _visit_seconds(rng, s_dp, config.status_signatures, sidx[s_person] == staff_code, 2)
-    solo_buys = {}
-    for k, item in enumerate(items):
-        p = _base_probs(config, item, s_dp) + config.propensity_sd * population.propensity_z[item][s_person]
-        p = p + shock[s_shop, s_day, s_dp, k]
-        p[~available[s_shop, s_day, s_dp, k]] = 0.0
-        solo_buys[item] = rng.random(S) < np.clip(p, 0.0, 1.0)
-    veg_s = rng.random(S) < np.clip(
-        config.veg_share + config.propensity_sd * population.propensity_z["meal_vegetarian"][s_person],
-        0.0,
-        1.0,
-    )
-    cof_s = rng.random(S) < np.clip(
-        config.coffee_share + config.propensity_sd * population.propensity_z["coffee"][s_person],
-        0.0,
-        1.0,
-    )
+    for k in range(len(goods)):
+        bought[k].append(rng.random(S) < prob(k, s_person, s_shop, s_day, s_dp))
+    bought = [np.concatenate(b) for b in bought]
 
     # -- assemble rows -------------------------------------------------------
     person_rows = np.concatenate([partner, focal, s_person])
@@ -481,20 +437,19 @@ def simulate_log(
     shop_rows = np.concatenate([v_shop, v_shop, s_shop])
     reg_rows = np.concatenate([v_reg, v_reg, s_reg])
     dp_rows = np.concatenate([v_dp, v_dp, s_dp])
-    veg_rows = np.concatenate([veg_p, veg_f, veg_s])
-    cof_rows = np.concatenate([cof_p, cof_f, cof_s])
 
     ts = (day0 + day_rows) * 86400 + secs_rows
     N = ts.shape[0]
     # tx ids number the rows in (ts, shop, register) order
     tx_code = np.empty(N, np.int64)
     tx_code[np.lexsort((reg_rows, shop_rows, ts))] = np.arange(N)
-    # basket code: the anchor's index in _ANCHOR_CODES, then one bit per item
+    # basket code: the anchor's index in _ANCHOR_CODES, then one bit per item;
+    # meals at lunch, a beverage otherwise
+    veg_rows, cof_rows = bought[n_items:]
     anchor = np.where(dp_rows == 1, np.where(veg_rows, 0, 1), np.where(cof_rows, 2, 3))
     basket_code = anchor << n_items
-    for k, item in enumerate(items):
-        bought = np.concatenate([partner_buys[item], focal_buys[item], solo_buys[item]])
-        basket_code |= bought.astype(np.int64) << k
+    for k in range(n_items):
+        basket_code |= bought[k].astype(np.int64) << k
     item_codes = [i.upper() for i in items]
     table = [
         tuple(sorted([_ANCHOR_CODES[code >> n_items]]
@@ -512,11 +467,9 @@ def simulate_log(
         (table, basket_code),
         catalog,
     )
-    truth = GroundTruth(
-        expected_rd={
-            item: (gt_sum[item] / gt_n[item] if gt_n[item] else 0.0) for item in items
-        },
-        n_treated_events=dict(gt_n),
+    truth = GroundTruth(  # the additions' effects; zip drops the anchors
+        expected_rd={item: (s / n if n else 0.0) for item, s, n in zip(items, gt_sum, gt_n)},
+        n_treated_events=dict(zip(items, gt_n)),
         delta={item: float(config.delta.get(item, 0.0)) for item in items},
         decay_tau=config.decay_tau,
         coordination_mode=config.coordination_mode,

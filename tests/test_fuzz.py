@@ -223,14 +223,18 @@ def test_item_without_dumped_pairs_names_the_stage_that_ran(base):
             assert "run `copycart match`" not in res.output
 
 
-@pytest.mark.parametrize("setting", ["gap_sigma=-1", "gap_median_s=0", "gap_median_s=NaN"])
+@pytest.mark.parametrize("setting", [
+    "gap_sigma=-1", "gap_median_s=0", "gap_median_s=NaN",
+    # a status `ingest` would reject, and an effect on an item that is never sold
+    'status_mix={"student": 0.5, "postdoc": 0.5}', 'delta={"desert": 0.15}',
+])
 def test_out_of_range_gap_setting_is_a_config_error(setting):
     with tempfile.TemporaryDirectory() as tmp:
         res = invoke("--seed", 3, "--out", tmp, "simulate", "--set", "n_persons=60",
                      "--set", "n_days=10", "--set", setting)
     assert_clean_exit(res)
     assert res.exit_code == 1
-    assert "[errors.ConfigError] gap_" in res.output
+    assert "[errors.ConfigError] " + setting.split("=")[0] in res.output
 
 
 @pytest.mark.parametrize(

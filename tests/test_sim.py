@@ -11,7 +11,7 @@ from copycart import model as M
 from copycart.context import compute_context
 from copycart.dyads import extract_dyads, filter_frequent_pairs, reconstruct_queues
 from copycart.errors import ConfigError
-from copycart.estimate import effect_estimate
+from copycart.estimate import anchor_mimicry, effect_estimate
 from copycart.matching import AdjustmentSpec, build_matched_pairs
 from copycart.sim import (
     Population,
@@ -46,6 +46,10 @@ def test_config_rejects_bad_values():
         SimulationConfig(seed=1, decay_tau=0.0)
     with pytest.raises(ConfigError):
         SimulationConfig(seed=1, status_mix={"student": 0.5, "staff": 0.4})
+    with pytest.raises(ConfigError, match="postdoc"):
+        SimulationConfig(seed=1, status_mix={"student": 0.5, "postdoc": 0.5})
+    with pytest.raises(ConfigError, match="desert"):
+        SimulationConfig(seed=1, delta={"desert": 0.15})
 
 
 def test_config_rejects_infeasible_pair_graph():
@@ -131,6 +135,10 @@ def test_log_is_valid_and_well_formed():
         else:
             assert anchors[0] in ("COFFEE", "TEA")
     assert (log.daypart != M.Daypart.OUT_OF_WINDOW.value).all()
+    # the anchor subtypes come in their configured shares
+    lunch = log.daypart == M.Daypart.LUNCH.value
+    assert abs(((log.mask >> M.BIT_MEAL_VEG) & 1)[lunch].mean() - res.config.veg_share) < 0.06
+    assert abs(((log.mask >> M.BIT_COFFEE) & 1)[~lunch].mean() - res.config.coffee_share) < 0.06
     assert len(set(log.tx_ids_at(np.arange(log.n)))) == log.n
     # serialize/parse round trip preserves the log
     buf = io.StringIO()
@@ -256,6 +264,23 @@ def test_matched_estimate_recovers_injected_effect():
     )
     est = effect_estimate(pairs, n_rep=400, seed=1)
     assert abs(est.rd - res.ground_truth.expected_rd["dessert"]) < 0.02
+
+
+@pytest.mark.parametrize(
+    "mimicked, attribute, other",
+    [("meal_vegetarian", "meal_vegetarian", "beverage_kind"),
+     ("coffee", "beverage_kind", "meal_vegetarian")],
+)
+def test_anchor_delta_lifts_only_its_anchor(mimicked, attribute, other):
+    cfg = SimulationConfig(seed=41, n_persons=600, n_days=120, anchor_delta={mimicked: 0.3})
+    res = simulate(cfg)
+    assert set(res.ground_truth.expected_rd) == set(cfg.items)  # anchors carry no truth
+    ctx = compute_context(res.log, res.catalog)
+    dyads = filter_frequent_pairs(extract_dyads(reconstruct_queues(res.log)), 10)
+    lifted = anchor_mimicry(dyads, ctx, attribute, n_rep=200, seed=1)
+    assert lifted.ci_rd[0] > 0.0
+    null = anchor_mimicry(dyads, ctx, other, n_rep=200, seed=1)
+    assert null.ci_rd[0] < 0.0 < null.ci_rd[1]
 
 
 def test_pre_agreement_outcome_ignores_queue_order():
