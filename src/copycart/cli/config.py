@@ -64,6 +64,10 @@ class RunConfig:
             raise ConfigError("max_gap_s must be positive")
         if self.min_pair_count < 1:
             raise ConfigError("min_pair_count must be positive")
+        if not (0.0 <= self.min_fraction <= 1.0):
+            raise ConfigError("min_fraction must lie in [0, 1]")
+        if self.min_stratum < 0:
+            raise ConfigError("min_stratum must not be negative")
         if self.threads < 1:
             raise ConfigError("threads must be positive")
         self.subgroups = tuple(self.subgroups)

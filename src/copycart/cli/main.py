@@ -143,7 +143,7 @@ def simulate_cmd(ctx, sim_config, assignments):
 def ingest(ctx):
     """Parse and validate the inputs; report what was read."""
     cfg = _run_config(ctx)
-    log, _catalog, _demo = pipeline.ingest_inputs(cfg)
+    log, _demo = pipeline.ingest_inputs(cfg)
     click.echo(f"transactions: {log.n}")
     click.echo(f"persons: {len(log.persons)}")
     click.echo(f"rejected_records: {log.report.n_rejected}")
@@ -155,8 +155,8 @@ def ingest(ctx):
 def dyads(ctx):
     """Extract adjacent-transaction dyads and keep recurring pairs."""
     cfg = _run_config(ctx)
-    log, catalog, _demo = pipeline.ingest_inputs(cfg)
-    _ctx, n_raw, kept = pipeline.dyad_stage(log, catalog, cfg)
+    log, _demo = pipeline.ingest_inputs(cfg)
+    _ctx, n_raw, kept = pipeline.dyad_stage(log, cfg)
     click.echo(f"dyads_raw: {n_raw}")
     click.echo(f"dyads_kept: {kept.n}")
 
@@ -173,11 +173,11 @@ def _item_option(fn):
 def match(ctx, items):
     """Build matched treated/control pairs for each focus item."""
     cfg = _run_config(ctx)
-    log, catalog, _demo = pipeline.ingest_inputs(cfg)
-    ctx_stats = pipeline.context_stage(log, catalog)
+    log, _demo = pipeline.ingest_inputs(cfg)
+    ctx_stats = pipeline.compute_context(log)
     dyads_set = _load_dyads(cfg, log)
     os.makedirs(os.path.join(cfg.out, pipeline.DUMPS["pairs_dir"]), exist_ok=True)
-    for item in pipeline.select_items(dyads_set, catalog, cfg, items):
+    for item in pipeline.select_items(dyads_set, cfg, items):
         pairs = pipeline.match_item(dyads_set, item, ctx_stats, cfg)
         if pairs.n == 0:
             click.echo(f"{item}: no_pairs")
@@ -192,7 +192,7 @@ def match(ctx, items):
 def estimate(ctx, items):
     """Matched-pair effect estimates from dumped pairs."""
     cfg = _run_config(ctx)
-    log, _catalog, _demo = pipeline.ingest_inputs(cfg)
+    log, _demo = pipeline.ingest_inputs(cfg)
     for item, pairs in sorted(_load_pairs(cfg, log, items).items()):
         _echo_json(pipeline.item_effect(pairs, item, cfg).to_dict())
 
@@ -204,10 +204,10 @@ def estimate(ctx, items):
 def baseline(ctx, items):
     """Re-estimate after shuffling partners within comparable queues."""
     cfg = _run_config(ctx)
-    log, catalog, _demo = pipeline.ingest_inputs(cfg)
-    ctx_stats = pipeline.context_stage(log, catalog)
+    log, _demo = pipeline.ingest_inputs(cfg)
+    ctx_stats = pipeline.compute_context(log)
     dyads_set = _load_dyads(cfg, log)
-    for item in pipeline.select_items(dyads_set, catalog, cfg, items):
+    for item in pipeline.select_items(dyads_set, cfg, items):
         _echo_json({"item": item, **pipeline.item_baseline(dyads_set, item, ctx_stats, cfg)})
 
 
@@ -218,7 +218,7 @@ def baseline(ctx, items):
 def sensitivity(ctx, items):
     """Hidden-bias severity needed to overturn each significant estimate."""
     cfg = _run_config(ctx)
-    log, _catalog, _demo = pipeline.ingest_inputs(cfg)
+    log, _demo = pipeline.ingest_inputs(cfg)
     for item, pairs in sorted(_load_pairs(cfg, log, items).items()):
         _echo_json(pipeline.item_sensitivity(paired_counts(pairs), item, cfg))
 
@@ -230,7 +230,7 @@ def sensitivity(ctx, items):
 def dose(ctx, items):
     """Effect by partner-to-focal delay bin, with the fitted trend."""
     cfg = _run_config(ctx)
-    log, _catalog, _demo = pipeline.ingest_inputs(cfg)
+    log, _demo = pipeline.ingest_inputs(cfg)
     for item, pairs in sorted(_load_pairs(cfg, log, items).items()):
         _echo_json(pipeline.item_dose(pairs, item, cfg))
 
@@ -242,9 +242,9 @@ def dose(ctx, items):
 def coordinate(ctx, items):
     """Compare focal uptake when the pair leader orders first versus second."""
     cfg = _run_config(ctx)
-    log, catalog, _demo = pipeline.ingest_inputs(cfg)
+    log, _demo = pipeline.ingest_inputs(cfg)
     dyads_set = _load_dyads(cfg, log)
-    for item in pipeline.select_items(dyads_set, catalog, cfg, items):
+    for item in pipeline.select_items(dyads_set, cfg, items):
         _echo_json(pipeline.item_coordination(dyads_set, item, cfg))
 
 
@@ -254,7 +254,7 @@ def coordinate(ctx, items):
 def infer_status(ctx):
     """Train the status classifier and predict unlabeled persons."""
     cfg = _run_config(ctx)
-    log, _catalog, demo = pipeline.ingest_inputs(cfg)
+    log, demo = pipeline.ingest_inputs(cfg)
     if demo is None:
         raise click.ClickException("infer-status needs a demographics input")
     _demo, summary = pipeline._status_stage(log, cfg, demo)
@@ -268,9 +268,9 @@ def infer_status(ctx):
 def run(ctx):
     """Execute every stage and write the full report."""
     cfg = _run_config(ctx)
-    report = pipeline.run_pipeline(cfg)
-    click.echo(f"results: {report.paths['results']}")
-    for it in report.results["items"]:
+    results = pipeline.run_pipeline(cfg)
+    click.echo(f"results: {os.path.join(cfg.out, pipeline.DUMPS['results'])}")
+    for it in results["items"]:
         if it["status"] != "ok":
             click.echo(f"{it['item']}: {it['status']}")
             continue
@@ -278,7 +278,7 @@ def run(ctx):
         ci = est["rd_ci"] or (float("nan"), float("nan"))
         click.echo(f"{it['item']}: rd {est['rd']:+.4f} [{ci[0]:+.4f}, {ci[1]:+.4f}] "
                    f"n_pairs {est['n_pairs']}")
-    if not report.balance_ok:
+    if not results["balance_ok"]:
         click.echo("balance: FAILED", err=True)
         if cfg.require_balance:
             sys.exit(EXIT_BALANCE)

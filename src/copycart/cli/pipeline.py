@@ -14,7 +14,6 @@ import importlib.resources
 import json
 import math
 import os
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,9 +29,9 @@ from ..errors import (
     InsufficientDataError,
     NoPairsError,
 )
-from ..infer import STUDIED_STATUSES, feature_matrix, train_status_model, write_predictions_csv
+from ..infer import feature_matrix, train_status_model, write_predictions_csv
 from ..matching import MatchedPairSet, balance_report, build_matched_pairs
-from ..model import Demographics, ItemCatalog, TransactionLog, parse_transactions
+from ..model import STUDIED_STATUSES, Demographics, ItemCatalog, TransactionLog, parse_transactions
 from .._util import derive_seed, read_text, write_csv
 from .config import RunConfig
 from .plots import emit_plots
@@ -89,35 +88,24 @@ def load_results(path: str) -> dict:
     return results
 
 
-def ingest_inputs(cfg: RunConfig) -> tuple[TransactionLog, ItemCatalog, Optional[Demographics]]:
+def ingest_inputs(cfg: RunConfig) -> tuple[TransactionLog, Optional[Demographics]]:
+    """The log, its baskets reduced to category masks by the catalog, and the demographics."""
     cfg.require_demographics()
-    catalog = ItemCatalog.from_csv(cfg.catalog)
-    log = parse_transactions(cfg.transactions, catalog)
+    log = parse_transactions(cfg.transactions, ItemCatalog.from_csv(cfg.catalog))
     demo = None
     if cfg.demographics:
         demo = Demographics.from_csv(cfg.demographics).validated_against(log)
-    return log, catalog, demo
+    return log, demo
 
 
-def context_stage(
-    log: TransactionLog, catalog: ItemCatalog, cfg: Optional[RunConfig] = None
-) -> ContextStats:
-    """Per-cell popularity and availability; written to context.csv when `cfg` is given."""
-    ctx = compute_context(log, catalog)
-    if cfg is not None:
-        ctx.to_csv(os.path.join(cfg.out, DUMPS["context"]))
-    return ctx
-
-
-def dyad_stage(
-    log: TransactionLog, catalog: ItemCatalog, cfg: RunConfig
-) -> tuple[ContextStats, int, DyadSet]:
+def dyad_stage(log: TransactionLog, cfg: RunConfig) -> tuple[ContextStats, int, DyadSet]:
     """Context, queues and dyads; writes context.csv and dyads.csv.
 
     Returns (context, raw dyad count, dyads kept by the frequent-pair filter).
     """
     os.makedirs(cfg.out, exist_ok=True)
-    ctx = context_stage(log, catalog, cfg)
+    ctx = compute_context(log)
+    ctx.to_csv(os.path.join(cfg.out, DUMPS["context"]))
     raw = extract_dyads(
         reconstruct_queues(log), max_gap_s=cfg.max_gap_s, require_anchor=cfg.require_anchor
     )
@@ -126,11 +114,11 @@ def dyad_stage(
     return ctx, raw.n, dyads
 
 
-def select_items(dyads: DyadSet, catalog: ItemCatalog, cfg: RunConfig, items=()) -> list[str]:
+def select_items(dyads: DyadSet, cfg: RunConfig, items=()) -> list[str]:
     """The focus items: `items` when given, else every selected addition item."""
     if items:
         return sorted(items)
-    per_daypart = select_additions(dyads, catalog, cfg.min_fraction)
+    per_daypart = select_additions(dyads, cfg.min_fraction)
     return sorted({i for lst in per_daypart.values() for i in lst})
 
 
@@ -301,23 +289,17 @@ def _write_estimates_csv(path, results: dict) -> None:
     write_csv(path, cols, rows)
 
 
-@dataclass
-class RunReport:
-    results: dict
-    paths: dict
-    balance_ok: bool
-
-
-def run_pipeline(cfg: RunConfig) -> RunReport:
-    log, catalog, demo = ingest_inputs(cfg)
+def run_pipeline(cfg: RunConfig) -> dict:
+    """Run every stage; write the dumps, plots and results.json; return the report."""
+    log, demo = ingest_inputs(cfg)
     paths = {k: os.path.join(cfg.out, v) for k, v in DUMPS.items()}
-    ctx, n_raw, dyads = dyad_stage(log, catalog, cfg)
+    ctx, n_raw, dyads = dyad_stage(log, cfg)
 
     status_summary = None
     if cfg.infer_status:
         demo, status_summary = _status_stage(log, cfg, demo)
 
-    items = select_items(dyads, catalog, cfg)
+    items = select_items(dyads, cfg)
     os.makedirs(paths["pairs_dir"], exist_ok=True)
 
     def job(item):
@@ -330,7 +312,6 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
             item_reports = list(pool.map(job, items))
     else:
         item_reports = [job(item) for item in items]
-    balance_ok = all(r["balance"]["pass"] for r in item_reports if r["status"] == "ok")
 
     anchor = None
     if cfg.anchor_mimicry:
@@ -358,7 +339,7 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
         "items": item_reports,
         "anchor_mimicry": anchor,
         "status_inference": status_summary,
-        "balance_ok": balance_ok,
+        "balance_ok": all(r["balance"]["pass"] for r in item_reports if r["status"] == "ok"),
     })
     import jsonschema  # imported here: only `run` and `plot` check a report
 
@@ -368,4 +349,4 @@ def run_pipeline(cfg: RunConfig) -> RunReport:
         fh.write("\n")
     _write_estimates_csv(paths["estimates"], results)
     emit_plots(results, paths["plots_dir"])
-    return RunReport(results=results, paths=paths, balance_ok=balance_ok)
+    return results

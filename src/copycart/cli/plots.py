@@ -82,6 +82,18 @@ def _scale(lo: float, hi: float, px_lo: float, px_hi: float):
     return to_px
 
 
+def _padded(lo: float, hi: float) -> tuple[float, float]:
+    """The range widened by 8% of its span (of 1 when empty) on each side."""
+    pad = 0.08 * (hi - lo if hi > lo else 1.0)
+    return lo - pad, hi + pad
+
+
+def _y_axis(c: _Canvas, to_px, lo, hi):
+    for i in range(5):
+        t = lo + (hi - lo) * i / 4.0
+        c.text(MARGIN_L - 8, to_px(t) + 3, f"{t:.3f}", size=9, anchor="end")
+
+
 def _x_axis(c: _Canvas, to_px, lo, hi, y, label):
     c.line(to_px(lo), y, to_px(hi), y, stroke=_FG)
     for i in range(5):
@@ -101,9 +113,7 @@ def forest_svg(rows, title, axis_label, ref_value, note=None) -> str:
         vals += [r["value"], r["lo"], r["hi"]]
         if r.get("overlay") is not None:
             vals.append(r["overlay"])
-    lo, hi = min(vals), max(vals)
-    pad = 0.08 * (hi - lo if hi > lo else 1.0)
-    lo, hi = lo - pad, hi + pad
+    lo, hi = _padded(min(vals), max(vals))
     to_px = _scale(lo, hi, MARGIN_L, WIDTH - MARGIN_R)
     axis_y = MARGIN_T + ROW_H * len(rows) + 6
     c.line(to_px(ref_value), MARGIN_T - 6, to_px(ref_value), axis_y, stroke=_GRID, dash="4,3")
@@ -115,7 +125,7 @@ def forest_svg(rows, title, axis_label, ref_value, note=None) -> str:
         if r.get("overlay") is not None:
             c.circle(to_px(r["overlay"]), y, 4.0)
     _x_axis(c, to_px, lo, hi, axis_y, axis_label)
-    legend_y = axis_y + 36 + (0 if note is None else 0)
+    legend_y = axis_y + 36
     c.rect(MARGIN_L, legend_y - 8, 7, 7)
     c.text(MARGIN_L + 12, legend_y, "matched estimate with 95% CI", size=9)
     c.circle(MARGIN_L + 220, legend_y - 4.5, 4.0)
@@ -142,10 +152,7 @@ def dose_svg(dose: dict) -> str:
     slope, icept = dose["slope_rd"], dose["intercept_rd"]
     x_min, x_max = 0.0, max(xs) + 15.0
     fit = [icept, icept + slope * x_max]
-    lo = min(y_lo + fit + [0.0])
-    hi = max(y_hi + fit)
-    pad = 0.08 * (hi - lo if hi > lo else 1.0)
-    lo, hi = lo - pad, hi + pad
+    lo, hi = _padded(min(y_lo + fit + [0.0]), max(y_hi + fit))
     to_x = _scale(x_min, x_max, MARGIN_L, WIDTH - MARGIN_R)
     to_y = _scale(lo, hi, height - MARGIN_B - 30, MARGIN_T)
     c.line(to_x(x_min), to_y(0.0), to_x(x_max), to_y(0.0), stroke=_GRID, dash="4,3")
@@ -154,9 +161,7 @@ def dose_svg(dose: dict) -> str:
         c.line(to_x(x), to_y(l), to_x(x), to_y(h), stroke=_ACCENT)
         c.rect(to_x(x) - 3.0, to_y(y) - 3.0, 6, 6)
     _x_axis(c, to_x, x_min, x_max, height - MARGIN_B - 30, "delay midpoint (s)")
-    for i in range(5):
-        t = lo + (hi - lo) * i / 4.0
-        c.text(MARGIN_L - 8, to_y(t) + 3, f"{t:.3f}", size=9, anchor="end")
+    _y_axis(c, to_y, lo, hi)
     c.text(MARGIN_L, height - 8,
            f"slope {slope:.6f} per s, p {dose['p_rd']:.4g}", size=10)
     return c.render()
@@ -170,12 +175,8 @@ def sensitivity_svg(sens: dict) -> str:
     c.text(WIDTH / 2.0, 20, f"hidden-bias boundary: {sens['item']}", size=13, anchor="middle")
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    pad_x = 0.08 * (x_hi - x_lo if x_hi > x_lo else 1.0)
-    pad_y = 0.08 * (y_hi - y_lo if y_hi > y_lo else 1.0)
-    x_lo, x_hi = x_lo - pad_x, x_hi + pad_x
-    y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
+    x_lo, x_hi = _padded(min(xs), max(xs))
+    y_lo, y_hi = _padded(min(ys), max(ys))
     to_x = _scale(x_lo, x_hi, MARGIN_L, WIDTH - MARGIN_R)
     to_y = _scale(y_lo, y_hi, height - MARGIN_B - 30, MARGIN_T)
     gamma = sens["gamma_star"]
@@ -186,9 +187,7 @@ def sensitivity_svg(sens: dict) -> str:
         c.rect(to_x(x) - 2.5, to_y(y) - 2.5, 5, 5)
     _x_axis(c, to_x, x_lo, x_hi, height - MARGIN_B - 30,
             "treatment-selection odds multiplier")
-    for i in range(5):
-        t = y_lo + (y_hi - y_lo) * i / 4.0
-        c.text(MARGIN_L - 8, to_y(t) + 3, f"{t:.3f}", size=9, anchor="end")
+    _y_axis(c, to_y, y_lo, y_hi)
     cap = " (capped)" if sens.get("capped") else ""
     c.text(MARGIN_L, height - 8, f"gamma_star {gamma:.3f}{cap}, alpha {sens['alpha']:g}",
            size=10)

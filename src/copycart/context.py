@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._util import Source, write_csv
-from .model import CATEGORY_BIT, CATEGORY_KEYS, Daypart, ItemCatalog, TransactionLog, labels_at
+from .model import CATEGORY_BIT, CATEGORY_KEYS, Daypart, TransactionLog, labels_at
 
 # cell key packing: (shop_idx << 40) | (date_ord << 2) | daypart
 _DATE_SHIFT = 2
@@ -67,12 +67,8 @@ class ContextStats:
         ))
 
 
-def compute_context(log: TransactionLog, catalog: ItemCatalog) -> ContextStats:
-    """Build the popularity table from a validated log.
-
-    The catalog argument fixes the studied category keys; basket membership
-    itself is read from the masks the log already carries.
-    """
+def compute_context(log: TransactionLog) -> ContextStats:
+    """Build the popularity table from the category masks a validated log carries."""
     if log.n == 0:
         empty = np.empty(0, np.int64)
         return ContextStats(empty, empty, np.empty((0, len(CATEGORY_KEYS)), np.int64), log.shops)

@@ -22,7 +22,6 @@ from .model import (
     ADDITION_KEYS,
     CATEGORY_BIT,
     Demographics,
-    ItemCatalog,
     TransactionLog,
     anchor_code_arrays,
     labels_at,
@@ -184,9 +183,7 @@ def filter_frequent_pairs(dyads: DyadSet, min_count: int = 10) -> DyadSet:
     return dyads.subset(counts[inv] >= min_count)
 
 
-def select_additions(
-    dyads: DyadSet, catalog: ItemCatalog, min_fraction: float = 0.01
-) -> dict[Daypart, list[str]]:
+def select_additions(dyads: DyadSet, min_fraction: float = 0.01) -> dict[Daypart, list[str]]:
     """Addition categories whose treated fraction reaches the threshold,
     per daypart (fraction of the daypart's dyads whose partner bought it)."""
     out: dict[Daypart, list[str]] = {}

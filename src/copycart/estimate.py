@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import derive_seed, t_two_sided_p
+from ._util import _beta_cf, derive_seed, t_two_sided_p
 from .context import ContextStats
 from .dyads import DyadSet, tie_strength_per_dyad
 from .errors import InsufficientBinsError, NoPairsError
@@ -25,6 +25,7 @@ from .model import Daypart, Demographics, person_attribute
 
 RR_UNDEFINED = None  # sentinel for a zero control arm
 EXACT_BELOW = 25  # fewer discordant pairs than this get the exact McNemar p
+SUM_MAX_TRIALS = 200  # binom_upper_tail sums terms up to this many trials
 TIE_EDGES = (0.25, 0.5, 0.75)  # inner edges of the tie-strength strata
 DOSE_BIN_S = 30  # width of a dose-response delay bin
 
@@ -99,13 +100,24 @@ def naive_risk_difference(dyads: DyadSet, item: str) -> float:
 
 
 def binom_upper_tail(k: int, n: int, q: float) -> float:
-    """P(Bin(n, q) >= k), exact float summation (n <= a few hundred)."""
+    """P(Bin(n, q) >= k): the float sum of its terms up to `SUM_MAX_TRIALS`
+    trials; above that the regularized incomplete beta I_q(k, n-k+1), from
+    the continued fraction the t tail uses, with the prefactor in logs."""
     if k <= 0:
         return 1.0
     if k > n:
         return 0.0
-    terms = [math.comb(n, i) * q**i * (1.0 - q) ** (n - i) for i in range(k, n + 1)]
-    return min(1.0, math.fsum(terms))
+    if n <= SUM_MAX_TRIALS:
+        terms = [math.comb(n, i) * q**i * (1.0 - q) ** (n - i) for i in range(k, n + 1)]
+        return min(1.0, math.fsum(terms))
+    a, b = k, n - k + 1
+    lead = math.exp(
+        a * math.log(q) + b * math.log1p(-q)
+        + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    )
+    if q <= (a + 1.0) / (a + b + 2.0):
+        return lead / a * _beta_cf(a, b, q)
+    return 1.0 - lead / b * _beta_cf(b, a, 1.0 - q)
 
 
 def paired_chi2(counts: PairedCounts) -> tuple[Optional[float], Optional[float]]:

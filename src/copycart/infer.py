@@ -30,7 +30,6 @@ HOLDOUT = 0.2  # share of each class held out to measure the model
 MAX_DEPTH = 12
 N_CANDIDATES = 6  # features drawn at random for each split
 MIN_PER_CLASS = 50  # labeled persons each class needs before training
-STUDIED_STATUSES = ("student", "staff")  # the two classes the model tells apart
 
 
 def feature_matrix(

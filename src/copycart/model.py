@@ -300,8 +300,9 @@ class TransactionLog:
     plus an index per row; and the baskets as a table of normalized baskets
     (sorted tuples of distinct item codes) plus an index per row.  Canonical
     order is (timestamp, shop_id, register_id, tx_id), which is one lexsort
-    of the indices because the vocabularies are sorted.  The log is
-    immutable after construction.
+    of the indices because the vocabularies are sorted.  The catalog turns
+    each basket into its category mask; the log keeps the masks, not the
+    catalog.  The log is immutable after construction.
     """
 
     def __init__(
@@ -331,7 +332,6 @@ class TransactionLog:
         self.shops, self.shop_idx = shop[0], shop[1][order].astype(np.int32)
         self.registers, self.register_idx = register[0], register[1][order].astype(np.int32)
         self.basket_table, self.basket_idx = basket[0], basket[1][order].astype(np.int64)
-        self.catalog = catalog
         table = self.basket_table
         self.mask = np.asarray([catalog.mask_of(b) for b in table], np.uint16)[self.basket_idx]
         self.basket_sizes = np.asarray([len(b) for b in table], np.int64)[self.basket_idx]
@@ -593,6 +593,7 @@ def serialize_transactions(log: TransactionLog, dest: Source) -> None:
 DEMOGRAPHIC_COLUMNS = ("person_id", "gender", "status", "birth_year")
 GENDERS = ("female", "male")
 STATUSES = ("student", "staff", "other")
+STUDIED_STATUSES = STATUSES[:2]  # the two the status model tells apart
 AGE_CUTS = (22, 32)  # the paper's age terciles: <=22, 23-32 and >32 years
 AGE_TERCILES = (f"<={AGE_CUTS[0]}", f"{AGE_CUTS[0] + 1}-{AGE_CUTS[1]}", f">{AGE_CUTS[1]}")
 # each person attribute and the labels it takes, in display order

@@ -10,7 +10,6 @@ gamma = (lambda*delta + 1)/(lambda + delta).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,26 +18,15 @@ import numpy as np
 from .errors import NoPairsError, SensitivityDomainError
 from .estimate import PairedCounts, binom_upper_tail
 
-EXACT_MAX_DISCORDANT = 200
 GAMMA_MAX = 100.0  # gamma_star searches [1, GAMMA_MAX]
 GAMMA_TOL = 1e-3  # and stops bisecting at this width
-
-
-def _binom_upper_tail_normal(k: int, n: int, q: float) -> float:
-    """Normal approximation with continuity correction."""
-    mean = n * q
-    sd = math.sqrt(n * q * (1.0 - q))
-    if sd == 0.0:
-        return 1.0 if k <= mean else 0.0
-    z = (k - 0.5 - mean) / sd
-    return max(0.0, min(1.0, 0.5 * math.erfc(z / math.sqrt(2.0))))
 
 
 def worst_case_p(counts: PairedCounts, gamma: float) -> float:
     """Upper bound on the McNemar p-value at hidden-bias level gamma.
 
-    One-sided in the direction of the observed excess; exact binomial tail
-    up to 200 discordant pairs, normal approximation above.
+    One-sided in the direction of the observed excess: the exact binomial
+    tail of the larger discordant count.
     """
     if gamma < 1.0:
         raise SensitivityDomainError(f"gamma must be >= 1, got {gamma}")
@@ -46,10 +34,7 @@ def worst_case_p(counts: PairedCounts, gamma: float) -> float:
     if d == 0:
         raise NoPairsError("sensitivity undefined without discordant pairs")
     k = max(counts.n10, counts.n01)
-    q = gamma / (1.0 + gamma)
-    if d <= EXACT_MAX_DISCORDANT:
-        return binom_upper_tail(k, d, q)
-    return _binom_upper_tail_normal(k, d, q)
+    return binom_upper_tail(k, d, gamma / (1.0 + gamma))
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .model import (
     DAYPART_WINDOWS,
     GENDERS,
     STATUSES,
+    STUDIED_STATUSES,
     Demographics,
     ItemCatalog,
     ItemCategory,
@@ -194,7 +195,8 @@ def simulation_catalog(config: SimulationConfig) -> ItemCatalog:
     return ItemCatalog(cats)
 
 
-_BIRTH_RANGES = {"student": (1992, 2000), "staff": (1958, 1990), "other": (1950, 2000)}
+# birth-year range per status, in STATUSES order
+_BIRTH_RANGES = dict(zip(STATUSES, ((1992, 2000), (1958, 1990), (1950, 2000))))
 
 
 @dataclass
@@ -331,8 +333,7 @@ def simulate_log(
     goods = items + list(ANCHORS)
     deltas = {**config.delta, **config.anchor_delta}
     statuses = population.statuses
-    student_code = statuses.index("student") if "student" in statuses else -1
-    staff_code = statuses.index("staff") if "staff" in statuses else -1
+    student_code, staff_code = (statuses.index(s) if s in statuses else -1 for s in STUDIED_STATUSES)
     sidx = population.status_idx
 
     # base purchase probability per (daypart, good); an addition missing

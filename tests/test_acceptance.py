@@ -48,7 +48,7 @@ def matched_estimate(cfg, item="dessert", randomize=None, n_boot=1000):
     dyads = filter_frequent_pairs(extract_dyads(reconstruct_queues(res.log)), 10)
     if randomize is not None:
         dyads = randomize_partners(dyads, randomize)
-    ctx = compute_context(res.log, res.catalog)
+    ctx = compute_context(res.log)
     pairs = build_matched_pairs(dyads, item, ctx, SPEC)
     est = effect_estimate(pairs, n_boot, seed=int(cfg.seed) + 77)
     return res, dyads, pairs, est
@@ -184,7 +184,7 @@ def test_6_dose_response_decay():
         res = simulate(cfg)
         dyads = filter_frequent_pairs(extract_dyads(reconstruct_queues(res.log)), 10)
         pairs = build_matched_pairs(
-            dyads, "dessert", compute_context(res.log, res.catalog), SPEC
+            dyads, "dessert", compute_context(res.log), SPEC
         )
         d = dose_response(pairs, n_rep=400, seed=seed + 9)
         rejections += d.slope_rd < 0.0 and d.p_rd < 0.01

@@ -164,8 +164,12 @@ def test_run_without_seed_fails(workdir):
     {"analyses": {"baseline": "no"}},
     {"dyads": {"require_anchor": "false"}},
     {"adjustment": {"match_focal_identity": "no"}},
+    {"dyads": {"min_fraction": 2}},
+    {"dyads": {"min_fraction": -0.5}},
+    {"estimation": {"min_stratum": -3}},
 ], ids=["threads", "n_boot", "alpha", "max_gap_s", "caliper", "adjustment_scalar",
-        "adjustment_key", "baseline_string", "require_anchor_string", "adjustment_bool_string"])
+        "adjustment_key", "baseline_string", "require_anchor_string", "adjustment_bool_string",
+        "min_fraction_above_1", "min_fraction_negative", "min_stratum_negative"])
 def test_config_type_errors_exit_cleanly(workdir, tmp_path, patch):
     conf = yaml.safe_load((workdir / "run.yaml").read_text())
     for key, value in patch.items():
@@ -638,7 +642,7 @@ def test_ingest_drops_birth_years_after_first_transaction(tmp_path):
         "person_id,gender,status,birth_year\nA,female,staff,1990\nB,male,student,2019\n",
         encoding="utf-8",
     )
-    _log, _catalog, people = pipeline_mod.ingest_inputs(
+    _log, people = pipeline_mod.ingest_inputs(
         dataclasses.replace(cfg, demographics=str(demo))
     )
     assert people.get("A").birth_year == 1990
@@ -659,11 +663,11 @@ def test_dose_bins_follow_max_gap():
 
 
 def test_no_pairs_item_still_succeeds(tmp_path):
-    report = run_pipeline(_micro_inputs(tmp_path))
-    jsonschema.validate(report.results, load_schema())
-    item = next(it for it in report.results["items"] if it["item"] == "dessert")
+    results = run_pipeline(_micro_inputs(tmp_path))
+    jsonschema.validate(results, load_schema())
+    item = next(it for it in results["items"] if it["item"] == "dessert")
     assert item["status"] == "no_pairs"
-    assert report.balance_ok is True  # vacuous: nothing estimable failed
+    assert results["balance_ok"] is True  # vacuous: nothing estimable failed
 
 
 def test_require_balance_exit_code(workdir, monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 from copycart import model as M
 from copycart.context import compute_context, encode_cells
 
-from test_model import CATALOG, CODES, CSV_HEADER, baskets, parse_csv
+from test_model import CODES, CSV_HEADER, baskets, parse_csv
 
 
 def cell_key(log, shop, date, daypart):
@@ -35,7 +35,7 @@ def test_popularity_counted_by_hand():
         "T3,P3,2018-01-05T12:10:00,S1,R2,MEALV;FRU\n"
         "T4,P4,2018-01-05T12:15:00,S1,R2,MEALS;DES\n"
     )
-    stats = compute_context(log, CATALOG)
+    stats = compute_context(log)
     lunch = ("S1", "2018-01-05", M.Daypart.LUNCH)
     assert popularity(stats, log, *lunch, "fruit") == 0.5
     assert popularity(stats, log, *lunch, "meal") == 1.0
@@ -51,7 +51,7 @@ def test_cells_are_split_by_shop_date_daypart():
         "T3,P3,2018-01-06T09:00:00,S1,R1,TEA\n"
         "T4,P4,2018-01-05T09:00:00,S2,R9,COF\n"
     )
-    stats = compute_context(log, CATALOG)
+    stats = compute_context(log)
     assert stats.n_cells == 4
     d5 = "2018-01-05"
     assert popularity(stats, log, "S1", d5, M.Daypart.BREAKFAST, "dessert") == 1.0
@@ -72,7 +72,7 @@ def test_popularities_in_unit_interval_random():
             f"T{rng.integers(6, 20):02d}:00:00,S{rng.integers(2)},R1,{items}"
         )
     log = parse_csv("\n".join(rows) + "\n")
-    stats = compute_context(log, CATALOG)
+    stats = compute_context(log)
     assert (stats._counts >= 0).all() and (stats._counts <= stats._n[:, None]).all()
     # the lookup on the log's own cells agrees with a count over the rows
     keys = encode_cells(log.shop_idx, log.date_ord, log.daypart)
@@ -85,7 +85,7 @@ def test_popularities_in_unit_interval_random():
 
 def test_csv_dump_shape():
     log = parse_csv("T1,P1,2018-01-05T12:00:00,S1,R1,MEALV\n")
-    stats = compute_context(log, CATALOG)
+    stats = compute_context(log)
     buf = io.StringIO()
     stats.to_csv(buf)
     lines = buf.getvalue().strip().split("\n")
@@ -102,7 +102,7 @@ def test_counts_for_cells_recover_integers():
         "T4,P4,2018-01-05T12:15:00,S1,R2,MEALS;DES\n"
         "T5,P5,2018-01-06T12:00:00,S1,R1,MEALS;FRU\n"
     )
-    stats = compute_context(log, CATALOG)
+    stats = compute_context(log)
     keys = encode_cells(log.shop_idx, log.date_ord, log.daypart)
     n, cnt = stats.counts_for_cells(keys[:1], "fruit")
     assert n[0] == 4 and cnt[0] == 2

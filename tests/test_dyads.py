@@ -177,9 +177,9 @@ def test_select_additions():
     log = parse_csv(rows)
     d = extract_dyads(reconstruct_queues(log))
     assert d.n == 50
-    sel = select_additions(d, CATALOG)
+    sel = select_additions(d)
     assert sel == {M.Daypart.LUNCH: ["soup"]}  # 1/50 = 2% >= 1%
-    assert select_additions(d, CATALOG, min_fraction=0.03) == {}
+    assert select_additions(d, min_fraction=0.03) == {}
 
 
 def tie_strength(dyads, pair):

@@ -24,7 +24,7 @@ from copycart.matching import (
 
 from test_context import popularity
 from test_dyads import lunch_rows
-from test_model import CATALOG, parse_csv, tx_ids
+from test_model import parse_csv, tx_ids
 
 # match on raw cell shares, the dyad's own baskets included (the default leaves them out)
 RAW = AdjustmentSpec(exclude_own_transactions=False)
@@ -351,7 +351,7 @@ def test_popularity_from_computed_context():
     rows.append(lunch_rows([("P1", "A", 0, "MEALV"), ("F1", "B", 60, "MEALS")], day="2018-01-02"))
     rows.append(lunch_rows([("X2", "X", 3600, "MEALV;DES"), ("X3", "Y", 5400, "MEALS;DES")], day="2018-01-02"))
     log = parse_csv("".join(rows))
-    ctx = compute_context(log, CATALOG)
+    ctx = compute_context(log)
     assert popularity(ctx, log, "S1", "2018-01-01", M.Daypart.LUNCH, "dessert") == 0.5
     dyads = extract_dyads(reconstruct_queues(log))
     sel = np.asarray([tx_ids(log)[i].startswith(("P", "F")) for i in dyads.partner_i])
@@ -373,7 +373,7 @@ def test_exclude_own_transactions_uses_leave_dyad_out_popularity():
     rows.append(lunch_rows([("P1", "A", 0, "MEALV"), ("F1", "B", 60, "MEALS")], day="2018-01-02"))
     rows.append(lunch_rows([("X2", "X", 3600, "MEALV;DES"), ("X3", "Y", 5400, "MEALS")], day="2018-01-02"))
     log = parse_csv("".join(rows))
-    ctx = compute_context(log, CATALOG)
+    ctx = compute_context(log)
     dyads = extract_dyads(reconstruct_queues(log))
     sel = np.asarray(
         [tx_ids(log)[p].startswith("P") and tx_ids(log)[f].startswith("F")

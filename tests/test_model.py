@@ -266,7 +266,7 @@ def assert_log_invariants(log):
     assert keys == sorted(keys)
     assert len(set(tx_ids(log))) == log.n
     assert all(len(b) > 0 for b in baskets(log))
-    expect = np.asarray([log.catalog.mask_of(b) for b in baskets(log)], np.uint16)
+    expect = np.asarray([CATALOG.mask_of(b) for b in baskets(log)], np.uint16)
     assert np.array_equal(expect, log.mask)
     assert np.array_equal(log.basket_sizes, [len(b) for b in baskets(log)])
 

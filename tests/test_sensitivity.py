@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from copycart.errors import NoPairsError, SensitivityDomainError
 from copycart.estimate import PairedCounts
@@ -64,7 +65,7 @@ def test_worst_case_p_monotone_in_gamma():
     for c in [
         PairedCounts(0, 15, 5, 0),
         PairedCounts(2, 40, 12, 9),
-        PairedCounts(0, 170, 130, 0),  # large-table normal path
+        PairedCounts(0, 170, 130, 0),  # above 200 discordant: the incomplete-beta tail
     ]:
         grid = np.linspace(1.0, 50.0, 50)
         ps = [worst_case_p(c, float(g)) for g in grid]
@@ -72,12 +73,17 @@ def test_worst_case_p_monotone_in_gamma():
         assert ps[-1] >= ps[0]
 
 
-def test_normal_path_tracks_exact_tail():
-    # 300 discordant pairs: approximation should be close to the exact value
-    c = PairedCounts(0, 170, 130, 0)
-    approx = worst_case_p(c, 1.0)
-    exact = exact_worst_case(170, 130, Fraction(1))
-    assert approx == pytest.approx(exact, abs=2e-3)
+def test_large_table_tail_is_exact():
+    # above 200 discordant pairs the tail is the incomplete beta, not a sum
+    for g in (Fraction(1), Fraction(3, 2), Fraction(7, 3)):
+        got = worst_case_p(PairedCounts(0, 170, 130, 0), float(g))
+        assert got == pytest.approx(exact_worst_case(170, 130, g), rel=1e-9)
+    # dessert's 3,580 discordant pairs on the benchmark log, and 20,000
+    for n10, n01 in ((2430, 1150), (10300, 9700), (11000, 9000)):
+        for gamma in (1.0, 1.5, 2.5, 100.0):
+            want = binom.sf(max(n10, n01) - 1, n10 + n01, gamma / (1.0 + gamma))
+            got = worst_case_p(PairedCounts(0, n10, n01, 0), gamma)
+            assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_worst_case_p_domain():

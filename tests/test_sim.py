@@ -257,7 +257,7 @@ def test_decay_lowers_expected_effect():
 
 def test_matched_estimate_recovers_injected_effect():
     res = simulate(SimulationConfig(seed=23, delta={"dessert": 0.15}))
-    ctx = compute_context(res.log, res.catalog)
+    ctx = compute_context(res.log)
     dyads = filter_frequent_pairs(extract_dyads(reconstruct_queues(res.log)), 10)
     pairs = build_matched_pairs(
         dyads, "dessert", ctx, AdjustmentSpec(exclude_own_transactions=True)
@@ -275,7 +275,7 @@ def test_anchor_delta_lifts_only_its_anchor(mimicked, attribute, other):
     cfg = SimulationConfig(seed=41, n_persons=600, n_days=120, anchor_delta={mimicked: 0.3})
     res = simulate(cfg)
     assert set(res.ground_truth.expected_rd) == set(cfg.items)  # anchors carry no truth
-    ctx = compute_context(res.log, res.catalog)
+    ctx = compute_context(res.log)
     dyads = filter_frequent_pairs(extract_dyads(reconstruct_queues(res.log)), 10)
     lifted = anchor_mimicry(dyads, ctx, attribute, n_rep=200, seed=1)
     assert lifted.ci_rd[0] > 0.0

@@ -9,6 +9,9 @@ so a local variable of the same name does not hide an unused method.
 
 A defaulted parameter that no call passes is a constant; it belongs beside
 the code that reads it as a named module constant.
+
+A parameter that its own function never reads is one that callers pass for
+nothing; the name checks above cannot see it, since some call passes it.
 """
 
 import ast
@@ -142,3 +145,30 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                 if name not in args and "**" not in args and not by_position:
                     never.append(f"{path.relative_to(PACKAGE)}:{fn.lineno} {callee}({name})")
     assert not never, "defaulted parameters that no call passes:\n" + "\n".join(never)
+
+
+def test_every_parameter_is_read_in_its_function():
+    unread = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            params = [
+                a.arg
+                for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+                if a is not None and a.arg not in ("self", "cls")
+            ]
+            loaded = {
+                node.id
+                for stmt in fn.body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            unread += [
+                f"{path.relative_to(PACKAGE)}:{fn.lineno} {fn.name}({name})"
+                for name in params
+                if name not in loaded
+            ]
+    assert not unread, "parameters that their function never reads:\n" + "\n".join(unread)
