@@ -13,7 +13,6 @@ asymmetry, person-to-person influence does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,7 +22,7 @@ from ._util import t_two_sided_p
 from .dyads import DyadSet
 from .errors import InsufficientDataError
 
-__all__ = ["randomize_partners", "coordination_test", "CoordinationResult", "welch_t"]
+__all__ = ["randomize_partners", "coordination_test", "welch_t"]
 
 MIN_PER_ORDER = 10  # treated dyads a pair needs in each direction to count
 
@@ -124,39 +123,14 @@ def welch_t(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return (t, p, df)
 
 
-@dataclass
-class CoordinationResult:
-    item: str
-    n_pairs: int
-    n_leader_first: int
-    n_follower_first: int
-    rate_leader_first: float
-    rate_follower_first: float
-    t: float
-    p: float
-    df: float
-
-    def to_dict(self) -> dict:
-        return {
-            "item": self.item,
-            "n_pairs": self.n_pairs,
-            "n_leader_first": self.n_leader_first,
-            "n_follower_first": self.n_follower_first,
-            "rate_leader_first": self.rate_leader_first,
-            "rate_follower_first": self.rate_follower_first,
-            "t": self.t,
-            "p": self.p,
-            "df": self.df,
-        }
-
-
 def coordination_test(
     dyads: DyadSet,
     item: str,
     sample_per_pair: Optional[int] = 10,
     seed: int = 0,
-) -> CoordinationResult:
-    """Order-asymmetry test over habitual pairs' treated dyads.
+) -> dict:
+    """Order-asymmetry test over habitual pairs' treated dyads, as the
+    `coordination` report of results.json.
 
     For each unordered person pair with at least ``MIN_PER_ORDER`` treated
     dyads in each direction, the pair's leader is whoever goes first more
@@ -222,14 +196,14 @@ def coordination_test(
     lead = np.asarray(lead_rates)
     foll = np.asarray(foll_rates)
     t, p, df = welch_t(lead, foll)
-    return CoordinationResult(
-        item=item,
-        n_pairs=n_pairs,
-        n_leader_first=int(n_lead),
-        n_follower_first=int(n_foll),
-        rate_leader_first=float(lead.mean()),
-        rate_follower_first=float(foll.mean()),
-        t=t,
-        p=p,
-        df=df,
-    )
+    return {
+        "item": item,
+        "n_pairs": n_pairs,
+        "n_leader_first": int(n_lead),
+        "n_follower_first": int(n_foll),
+        "rate_leader_first": float(lead.mean()),
+        "rate_follower_first": float(foll.mean()),
+        "t": t,
+        "p": p,
+        "df": df,
+    }

@@ -167,7 +167,8 @@ def match_item(dyads: DyadSet, item: str, ctx: ContextStats, cfg: RunConfig) -> 
 
 
 def item_effect(pairs: MatchedPairSet, item: str, cfg: RunConfig) -> E.EffectEstimate:
-    return E.effect_estimate(pairs, cfg.n_boot, int(derive_seed(cfg.seed, "item", item)))
+    seed = int(derive_seed(cfg.seed, "item", item))
+    return E.effect_estimate(pairs, cfg.n_boot, seed, cfg.alpha)
 
 
 def item_baseline(dyads: DyadSet, item: str, ctx: ContextStats, cfg: RunConfig) -> dict:
@@ -176,22 +177,25 @@ def item_baseline(dyads: DyadSet, item: str, ctx: ContextStats, cfg: RunConfig) 
     pairs = build_matched_pairs(rnd, item, ctx, cfg.adjustment)
     if pairs.n == 0:
         return {"status": "no_pairs"}
-    est = E.effect_estimate(pairs, cfg.n_boot, int(derive_seed(cfg.seed, "item", item, "baseline")))
+    seed = int(derive_seed(cfg.seed, "item", item, "baseline"))
+    est = E.effect_estimate(pairs, cfg.n_boot, seed, cfg.alpha)
     return est.to_dict(stratum="baseline")
 
 
 def item_sensitivity(counts: E.PairedCounts, item: str, cfg: RunConfig) -> dict:
-    return S.sensitivity_result(counts, cfg.alpha, item).to_dict()
+    return S.sensitivity_result(counts, cfg.alpha, item)
 
 
 def item_dose(pairs: MatchedPairSet, item: str, cfg: RunConfig) -> dict:
     seed = int(derive_seed(cfg.seed, "item", item, "dose"))
-    return E.dose_response(pairs, max_delay_s=cfg.max_gap_s, n_rep=cfg.n_boot, seed=seed).to_dict()
+    return E.dose_response(
+        pairs, max_delay_s=cfg.max_gap_s, n_rep=cfg.n_boot, seed=seed, alpha=cfg.alpha
+    )
 
 
 def item_coordination(dyads: DyadSet, item: str, cfg: RunConfig) -> dict:
     seed = int(derive_seed(cfg.seed, "item", item, "coordination"))
-    return B.coordination_test(dyads, item, seed=seed).to_dict()
+    return B.coordination_test(dyads, item, seed=seed)
 
 
 def _analyze_item(item, dyads, ctx, demo, cfg: RunConfig) -> dict:
@@ -210,7 +214,7 @@ def _analyze_item(item, dyads, ctx, demo, cfg: RunConfig) -> dict:
         "n_unmatched": pairs.n_unmatched,
         "estimate": est.to_dict(),
         "naive_rd": E.naive_risk_difference(dyads, item),
-        "balance": balance_report(pairs).to_dict(),
+        "balance": balance_report(pairs),
         "baseline": None,
         "sensitivity": None,
         "dose_response": None,
@@ -244,6 +248,7 @@ def _analyze_item(item, dyads, ctx, demo, cfg: RunConfig) -> dict:
                 n_rep=cfg.n_boot,
                 seed=int(derive_seed(cfg.seed, "item", item, "subgroup")),
                 min_pairs=cfg.min_stratum,
+                alpha=cfg.alpha,
             )
             groups[grouping] = {
                 label: e.to_dict(stratum=f"{grouping}:{label}") for label, e in ests.items()
@@ -319,7 +324,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
         for attr in ("meal_vegetarian", "beverage_kind"):
             try:
                 est = E.anchor_mimicry(
-                    dyads, ctx, attr, spec=cfg.adjustment, n_rep=cfg.n_boot, seed=cfg.seed
+                    dyads, ctx, attr, spec=cfg.adjustment, n_rep=cfg.n_boot, seed=cfg.seed,
+                    alpha=cfg.alpha,
                 )
                 anchor[attr] = est.to_dict(stratum=f"anchor:{attr}")
             except NoPairsError:

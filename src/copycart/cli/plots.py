@@ -103,8 +103,9 @@ def _x_axis(c: _Canvas, to_px, lo, hi, y, label):
     c.text((to_px(lo) + to_px(hi)) / 2.0, y + 32, label, size=10, anchor="middle")
 
 
-def forest_svg(rows, title, axis_label, ref_value, note=None) -> str:
-    """Point-and-interval chart, one row per estimate, optional overlay marker."""
+def forest_svg(rows, title, axis_label, ref_value, alpha, note=None) -> str:
+    """Point-and-interval chart, one row per estimate with its (1 - alpha)
+    interval, optional overlay marker."""
     height = MARGIN_T + ROW_H * len(rows) + MARGIN_B + (14 if note else 0)
     c = _Canvas(WIDTH, height)
     c.text(WIDTH / 2.0, 20, title, size=13, anchor="middle")
@@ -127,7 +128,7 @@ def forest_svg(rows, title, axis_label, ref_value, note=None) -> str:
     _x_axis(c, to_px, lo, hi, axis_y, axis_label)
     legend_y = axis_y + 36
     c.rect(MARGIN_L, legend_y - 8, 7, 7)
-    c.text(MARGIN_L + 12, legend_y, "matched estimate with 95% CI", size=9)
+    c.text(MARGIN_L + 12, legend_y, f"matched estimate with {100 * (1 - alpha):g}% CI", size=9)
     c.circle(MARGIN_L + 220, legend_y - 4.5, 4.0)
     c.text(MARGIN_L + 230, legend_y, "randomized-partner baseline", size=9)
     if note:
@@ -232,7 +233,8 @@ def emit_plots(results: dict, out_dir: str) -> dict:
     rd_rows, _ = _forest_rows(results, want_rr=False)
     if rd_rows:
         put("forest_rd.svg", forest_svg(
-            rd_rows, "matched risk difference by item", "risk difference", 0.0))
+            rd_rows, "matched risk difference by item", "risk difference", 0.0,
+            results["alpha"]))
     else:
         report["forest_rd.svg"] = "skipped: no estimable items"
     rr_rows, omitted = _forest_rows(results, want_rr=True)
@@ -241,7 +243,8 @@ def emit_plots(results: dict, out_dir: str) -> dict:
         if omitted:
             note = "undefined relative risk omitted: " + ", ".join(sorted(omitted))
         put("forest_rr.svg", forest_svg(
-            rr_rows, "matched relative risk by item", "relative risk", 1.0, note=note))
+            rr_rows, "matched relative risk by item", "relative risk", 1.0,
+            results["alpha"], note=note))
     else:
         report["forest_rr.svg"] = "skipped: no items with defined relative risk"
     for it in results["items"]:

@@ -11,7 +11,7 @@ restricted pair sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -151,7 +151,6 @@ class EffectEstimate:
     chi2: Optional[float] = None
     p: Optional[float] = None
     counts: Optional[PairedCounts] = None
-    insufficient: bool = False
 
     def to_dict(self, stratum: str = "pooled") -> dict:
         return {
@@ -168,9 +167,10 @@ class EffectEstimate:
 
 
 def effect_estimate(
-    pairs: MatchedPairSet, n_rep: int = 1000, seed: int = 0
+    pairs: MatchedPairSet, n_rep: int = 1000, seed: int = 0, alpha: float = 0.05
 ) -> EffectEstimate:
-    """Point estimates, bootstrap CIs, and the paired test for one pair set.
+    """Point estimates, (1 - alpha) bootstrap percentile CIs, and the paired
+    test for one pair set.
 
     Resampling the n pairs with replacement is a Multinomial(n, cell shares)
     draw over (n11, n10, n01, n00), so one draw of `n_rep` tables gives both
@@ -185,7 +185,8 @@ def effect_estimate(
     rng = np.random.default_rng(derive_seed(seed, "boot"))
     n11, n10, n01, _n00 = rng.multinomial(n, cells, size=n_rep).T
     rd_vals = (n10 - n01) / n
-    lo, hi = np.percentile(rd_vals, [2.5, 97.5], method="linear")
+    levels = [100 * alpha / 2, 100 * (1 - alpha / 2)]
+    lo, hi = np.percentile(rd_vals, levels, method="linear")
     ci_rd = (float(lo), float(hi))
     se_rd = float(np.std(rd_vals, ddof=1)) if n_rep > 1 else None
     denom = n11 + n01
@@ -193,7 +194,7 @@ def effect_estimate(
     ci_rr = None
     if defined.sum() >= 0.95 * n_rep:
         rr_vals = (n11[defined] + n10[defined]) / denom[defined]
-        lo, hi = np.percentile(rr_vals, [2.5, 97.5], method="linear")
+        lo, hi = np.percentile(rr_vals, levels, method="linear")
         ci_rr = (float(lo), float(hi))
     chi2, p = paired_chi2(counts)
     return EffectEstimate(
@@ -274,11 +275,12 @@ def subgroup_estimates(
     n_rep: int = 1000,
     seed: int = 0,
     min_pairs: int = 50,
+    alpha: float = 0.05,
 ) -> dict[str, EffectEstimate]:
     """Independent effect estimate per stratum of the grouping attribute.
 
-    Strata smaller than `min_pairs` are reported with `insufficient=True`
-    and carry no estimates.  Stratum labels partition the pair set.
+    Strata smaller than `min_pairs` carry only their pair count, no
+    estimates.  Stratum labels partition the pair set.
     """
     labels = np.asarray(_pair_labels(pairs, grouping, demographics))
     out: dict[str, EffectEstimate] = {}
@@ -286,9 +288,9 @@ def subgroup_estimates(
         sel = labels == label
         sub = pairs.subset(sel)
         if sub.n < min_pairs:
-            out[label] = EffectEstimate(item=pairs.item, n_pairs=sub.n, insufficient=True)
+            out[label] = EffectEstimate(item=pairs.item, n_pairs=sub.n)
         else:
-            out[label] = effect_estimate(sub, n_rep, derive_seed(seed, grouping, label))
+            out[label] = effect_estimate(sub, n_rep, derive_seed(seed, grouping, label), alpha)
     return out
 
 
@@ -299,6 +301,7 @@ def anchor_mimicry(
     spec: AdjustmentSpec = AdjustmentSpec(),
     n_rep: int = 1000,
     seed: int = 0,
+    alpha: float = 0.05,
 ) -> EffectEstimate:
     """Mimicry of an anchor attribute instead of an addition item.
 
@@ -321,7 +324,7 @@ def anchor_mimicry(
     pairs = build_matched_pairs(sub, item, context, spec)
     if pairs.n == 0:
         raise NoPairsError(f"no matched pairs for anchor attribute {anchor_attribute!r}")
-    return effect_estimate(pairs, n_rep, derive_seed(seed, "anchor", anchor_attribute))
+    return effect_estimate(pairs, n_rep, derive_seed(seed, "anchor", anchor_attribute), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -358,39 +361,16 @@ def ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
     return (slope, intercept, p, se)
 
 
-@dataclass
-class DoseResponseResult:
-    item: str
-    bins: list  # (midpoint_s, EffectEstimate)
-    slope_rd: float
-    p_rd: float
-    slope_rr: Optional[float]
-    p_rr: Optional[float]
-    intercept_rd: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "item": self.item,
-            "slope_rd": self.slope_rd,
-            "intercept_rd": self.intercept_rd,
-            "p_rd": self.p_rd,
-            "slope_rr": self.slope_rr,
-            "p_rr": self.p_rr,
-            "bins": [
-                {"midpoint_s": mid, **est.to_dict(stratum=f"delay<= {mid + DOSE_BIN_S / 2:g}s")}
-                for mid, est in self.bins
-            ],
-        }
-
-
 def dose_response(
     pairs: MatchedPairSet,
     max_delay_s: int = 300,
     n_rep: int = 1000,
     seed: int = 0,
-) -> DoseResponseResult:
-    """Effect estimates per `DOSE_BIN_S` delay bin and the OLS trend over bin
-    midpoints; delays past `max_delay_s` fold into the last bin."""
+    alpha: float = 0.05,
+) -> dict:
+    """The `dose_response` report of results.json: effect estimates per
+    `DOSE_BIN_S` delay bin and the OLS trend over bin midpoints; delays past
+    `max_delay_s` fold into the last bin."""
     delays = pairs.treated_delays()
     if pairs.n == 0:
         raise NoPairsError("dose-response needs matched pairs")
@@ -403,8 +383,9 @@ def dose_response(
         if not sel.any():
             continue
         mid = b * DOSE_BIN_S + DOSE_BIN_S / 2.0
-        est = effect_estimate(pairs.subset(sel), n_rep, derive_seed(seed, "dose", b))
-        bins.append((mid, est))
+        est = effect_estimate(pairs.subset(sel), n_rep, derive_seed(seed, "dose", b), alpha)
+        stratum = f"delay<= {mid + DOSE_BIN_S / 2:g}s"
+        bins.append({"midpoint_s": mid, **est.to_dict(stratum=stratum)})
         mids.append(mid)
         rds.append(est.rd)
         if est.rr is not None:
@@ -416,12 +397,12 @@ def dose_response(
     slope_rr = p_rr = None
     if len(rrs) >= 3:
         slope_rr, _, p_rr, _ = ols_line(np.asarray(rr_mids), np.asarray(rrs))
-    return DoseResponseResult(
-        item=pairs.item,
-        bins=bins,
-        slope_rd=slope_rd,
-        p_rd=p_rd,
-        slope_rr=slope_rr,
-        p_rr=p_rr,
-        intercept_rd=intercept_rd,
-    )
+    return {
+        "item": pairs.item,
+        "slope_rd": slope_rd,
+        "intercept_rd": intercept_rd,
+        "p_rd": p_rd,
+        "slope_rr": slope_rr,
+        "p_rr": p_rr,
+        "bins": bins,
+    }

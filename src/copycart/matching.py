@@ -354,29 +354,6 @@ BALANCE_COVARIATES = (
 BALANCE_SMD_MAX = 0.2  # a matched covariate is balanced when |SMD| stays below this
 
 
-@dataclass
-class BalanceReport:
-    item: str
-    n_pairs: int
-    covariates: dict  # name -> {"before": smd, "after": smd}
-
-    @property
-    def passed(self) -> bool:
-        vals = [abs(v["after"]) for v in self.covariates.values() if not math.isnan(v["after"])]
-        return all(v < BALANCE_SMD_MAX for v in vals)
-
-    def to_dict(self) -> dict:
-        return {
-            "item": self.item,
-            "n_pairs": self.n_pairs,
-            "threshold": BALANCE_SMD_MAX,
-            "pass": self.passed,
-            "covariates": {
-                k: {"before": v["before"], "after": v["after"]} for k, v in self.covariates.items()
-            },
-        }
-
-
 def _covariate(pairs: MatchedPairSet, name: str, rows: np.ndarray, pop: np.ndarray) -> np.ndarray:
     d = pairs.dyads
     log = d.log
@@ -395,8 +372,10 @@ def _covariate(pairs: MatchedPairSet, name: str, rows: np.ndarray, pop: np.ndarr
     return sizes - d.focal_has(pairs.item)[rows]
 
 
-def balance_report(pairs: MatchedPairSet) -> BalanceReport:
-    """SMD of each covariate before (all eligible dyads) and after matching."""
+def balance_report(pairs: MatchedPairSet) -> dict:
+    """The `balance` report of results.json: SMD of each covariate before (all
+    eligible dyads) and after matching; it passes when every defined |SMD|
+    after matching stays below `BALANCE_SMD_MAX`."""
     if pairs.n == 0:
         raise NoPairsError(f"no matched pairs for {pairs.item!r}")
     if pairs._eligible_treated is None:
@@ -414,4 +393,12 @@ def balance_report(pairs: MatchedPairSet) -> BalanceReport:
             _covariate(pairs, name, pairs.control_idx, pairs.pop_c),
         )
         out[name] = {"before": before, "after": after}
-    return BalanceReport(pairs.item, pairs.n, out)
+    return {
+        "item": pairs.item,
+        "n_pairs": pairs.n,
+        "threshold": BALANCE_SMD_MAX,
+        "pass": all(
+            abs(v["after"]) < BALANCE_SMD_MAX for v in out.values() if not math.isnan(v["after"])
+        ),
+        "covariates": out,
+    }

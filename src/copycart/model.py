@@ -122,15 +122,6 @@ class ItemCatalog:
     def __contains__(self, code: str) -> bool:
         return code in self._categories
 
-    def __getitem__(self, code: str) -> ItemCategory:
-        return self._categories[code]
-
-    def __len__(self) -> int:
-        return len(self._categories)
-
-    def get(self, code: str) -> Optional[ItemCategory]:
-        return self._categories.get(code)
-
     def mask_of(self, basket: Iterable[str]) -> int:
         """Basket mask; unknown codes contribute nothing."""
         m = 0
@@ -614,12 +605,6 @@ class Demographics:
     def __init__(self, records: Iterable[PersonRecord]):
         self._by_id = {r.person_id: r for r in records}
         self.n_birth_year_degraded = 0
-
-    def __contains__(self, person_id: str) -> bool:
-        return person_id in self._by_id
-
-    def __len__(self) -> int:
-        return len(self._by_id)
 
     def get(self, person_id: str) -> Optional[PersonRecord]:
         return self._by_id.get(person_id)

@@ -92,38 +92,24 @@ def amplification_curve(
     return out
 
 
-@dataclass
-class SensitivityResult:
-    item: str
-    gamma_star: GammaStar
-    alpha: float
-    p_at: list  # (gamma, worst-case p) over the evaluation grid
-    amplification: list  # (lambda, delta)
-
-    def to_dict(self) -> dict:
-        return {
-            "item": self.item,
-            "gamma_star": self.gamma_star.value,
-            "baseline_significant": self.gamma_star.baseline_significant,
-            "capped": self.gamma_star.capped,
-            "alpha": self.alpha,
-            "p_at": [[g, p] for g, p in self.p_at],
-            "curve": [[l, d] for l, d in self.amplification],
-        }
-
-
 _LAMBDA_FACTORS = (1.1, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0)
 
 
-def sensitivity_result(
-    counts: PairedCounts, alpha: float = 0.05, item: str = ""
-) -> SensitivityResult:
-    """Bundle gamma_star, worst-case p on 25 gammas from 1 to max(3, 2 gamma_star),
-    and the amplification curve at gamma_star times `_LAMBDA_FACTORS`."""
+def sensitivity_result(counts: PairedCounts, alpha: float = 0.05, item: str = "") -> dict:
+    """The `sensitivity` report of results.json: gamma_star, worst-case p on 25
+    gammas from 1 to max(3, 2 gamma_star), and the amplification curve at
+    gamma_star times `_LAMBDA_FACTORS`, as [x, y] lists."""
     gs = gamma_star(counts, alpha)
     gamma_grid = np.linspace(1.0, max(3.0, 2.0 * gs.value), 25)
-    p_at = [(float(g), worst_case_p(counts, float(g))) for g in gamma_grid]
-    amp = []
+    curve = []
     if gs.value > 1.0:
-        amp = amplification_curve(gs.value, [gs.value * f for f in _LAMBDA_FACTORS])
-    return SensitivityResult(item, gs, alpha, p_at, amp)
+        curve = amplification_curve(gs.value, [gs.value * f for f in _LAMBDA_FACTORS])
+    return {
+        "item": item,
+        "gamma_star": gs.value,
+        "baseline_significant": gs.baseline_significant,
+        "capped": gs.capped,
+        "alpha": alpha,
+        "p_at": [[float(g), worst_case_p(counts, float(g))] for g in gamma_grid],
+        "curve": [[lam, delta] for lam, delta in curve],
+    }

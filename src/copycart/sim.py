@@ -19,7 +19,6 @@ fixed draw order; equal configs give byte-identical outputs.
 
 from __future__ import annotations
 
-import datetime as dt
 import json
 import math
 import os
@@ -51,6 +50,9 @@ _WINDOWS = np.asarray(list(DAYPART_WINDOWS.values()))
 _ANCHOR_CODES = ("MEAL_V", "MEAL_NV", "COFFEE", "TEA")
 # anchor subtypes drawn like additions: a vegetarian meal, coffee over tea
 ANCHORS = ("meal_vegetarian", "coffee")
+START_DATE = "2018-01-08"  # day 0 of every simulated log, a Monday
+PROPENSITY_SD = 0.15  # spread of a person's purchase probability around the base
+GAP_MAX_S = 300  # the longest partner-to-focal gap, the dyad extractor's default
 
 
 def _default_base_probs() -> dict:
@@ -65,7 +67,6 @@ class SimulationConfig:
     n_shops: int = 2
     n_registers_per_shop: int = 3
     n_days: int = 250
-    start_date: Union[str, dt.date] = "2018-01-08"
     # population
     status_mix: dict[str, float] = field(
         default_factory=lambda: dict(zip(STATUSES, (0.65, 0.30, 0.05)))
@@ -73,16 +74,13 @@ class SimulationConfig:
     demographics_known_fraction: float = 1.0
     pair_fraction: float = 0.8
     pairs: Optional[list[tuple[int, int]]] = None  # explicit [(i, j), ...] person indices
-    assortative_pairs: bool = True
     visit_rate: float = 0.4
     solo_rate: float = 0.2
     daypart_weights: tuple[float, float, float] = (0.25, 0.5, 0.25)
-    status_signatures: bool = True
     # purchasing
     base_probs: dict[str, dict[str, float]] = field(default_factory=_default_base_probs)
     veg_share: float = 0.35
     coffee_share: float = 0.65
-    propensity_sd: float = 0.15
     homophily: float = 0.0
     delta: dict[str, float] = field(default_factory=dict)
     decay_tau: Optional[float] = None
@@ -95,7 +93,6 @@ class SimulationConfig:
     gap_dist: str = "lognormal"
     gap_median_s: float = 40.0
     gap_sigma: float = 0.75
-    gap_max_s: int = 300
 
     def __post_init__(self):
         self.seed = config_seed(self.seed)
@@ -104,10 +101,6 @@ class SimulationConfig:
             raise ConfigError("population and shop counts must be positive")
         if self.n_days < 1:
             raise ConfigError("n_days must be positive")
-        try:
-            np.datetime64(self.start_date, "D")
-        except ValueError:
-            raise ConfigError(f"start_date must be a date, got {self.start_date!r}") from None
         for name in (
             "demographics_known_fraction",
             "pair_fraction",
@@ -153,8 +146,6 @@ class SimulationConfig:
             raise ConfigError(f"unknown coordination_mode {self.coordination_mode!r}")
         if self.gap_dist not in ("lognormal", "uniform"):
             raise ConfigError(f"unknown gap_dist {self.gap_dist!r}")
-        if not (1 <= self.gap_max_s <= 300):
-            raise ConfigError("gap_max_s must lie in [1, 300]")
         if not 0.0 < self.gap_median_s < math.inf:
             raise ConfigError(f"gap_median_s must be a positive number, got {self.gap_median_s}")
         if not 0.0 <= self.gap_sigma < math.inf:
@@ -254,12 +245,9 @@ def generate_population(config: SimulationConfig) -> Population:
     if config.pairs is not None:
         pairs = np.asarray(config.pairs, np.int64).reshape(-1, 2)
     else:
+        # pairs form within a status
         chunks = []
-        if config.assortative_pairs:
-            groups = [np.nonzero(status_idx == s)[0] for s in range(len(statuses))]
-        else:
-            groups = [np.arange(n)]
-        for members in groups:
+        for members in (np.nonzero(status_idx == s)[0] for s in range(len(statuses))):
             perm = members[rng.permutation(members.shape[0])]
             take = int(perm.shape[0] * config.pair_fraction) // 2 * 2
             chunks.append(perm[:take].reshape(-1, 2))
@@ -295,23 +283,22 @@ class GroundTruth:
     coordination_mode: str
 
 
-def _visit_seconds(rng, daypart_idx, status_sig, is_staff, room):
-    """Start second within the daypart window, leaving `room` for the gap."""
+def _visit_seconds(rng, daypart_idx, is_staff, room):
+    """Start second within the daypart window, leaving `room` for the gap;
+    staff come early in the window, students late."""
     lo = _WINDOWS[daypart_idx, 0]
     hi = _WINDOWS[daypart_idx, 1]
     span = hi - lo - room
     u = rng.random(daypart_idx.shape[0])
-    if status_sig:
-        # staff come early in the window, students late
-        u = np.where(is_staff, u * 0.45, 0.55 + u * 0.45)
+    u = np.where(is_staff, u * 0.45, 0.55 + u * 0.45)
     return lo + np.floor(u * span).astype(np.int64)
 
 
 def _gaps(rng, config: SimulationConfig, size: int) -> np.ndarray:
     if config.gap_dist == "uniform":
-        return rng.integers(5, config.gap_max_s + 1, size)
+        return rng.integers(5, GAP_MAX_S + 1, size)
     raw = np.exp(rng.normal(math.log(config.gap_median_s), config.gap_sigma, size))
-    return np.clip(np.rint(raw), 1, config.gap_max_s).astype(np.int64)
+    return np.clip(np.rint(raw), 1, GAP_MAX_S).astype(np.int64)
 
 
 def simulate_log(
@@ -320,7 +307,7 @@ def simulate_log(
     """Generate the transaction log and the injected-effect bookkeeping."""
     rng = np.random.default_rng(int(config.seed) + 1)
     n_days = config.n_days
-    day0 = np.datetime64(config.start_date, "D").astype(np.int64)
+    day0 = np.datetime64(START_DATE, "D").astype(np.int64)
     month_of_day = (
         (day0 + np.arange(n_days)).astype("datetime64[D]").astype("datetime64[M]").astype(np.int64)
         % 12
@@ -356,7 +343,7 @@ def simulate_log(
     def visits(rate: float, status_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(unit, day) of every visit; students mostly stay away in summer."""
         u = rng.random((status_codes.shape[0], n_days))
-        if config.status_signatures and student_code >= 0:
+        if student_code >= 0:
             rate = rate * np.where((status_codes == student_code)[:, None] & summer, 0.1, 1.0)
         return np.nonzero(u < rate)
 
@@ -370,7 +357,7 @@ def simulate_log(
 
     def prob(k: int, persons: np.ndarray, shop, day, dp) -> np.ndarray:
         """Probability that each visit buys good k."""
-        p = base[dp, k] + config.propensity_sd * population.propensity_z[goods[k]][persons]
+        p = base[dp, k] + PROPENSITY_SD * population.propensity_z[goods[k]][persons]
         if k < n_items:
             p = p + shock[shop, day, dp, k]
             p[~available[shop, day, dp, k]] = 0.0
@@ -383,9 +370,7 @@ def simulate_log(
     leader, follower = pairs[p_vis, 0], pairs[p_vis, 1]
     v_shop, v_reg, v_dp = place(V)
     gaps = _gaps(rng, config, V)
-    t_partner = _visit_seconds(
-        rng, v_dp, config.status_signatures, sidx[leader] == staff_code, config.gap_max_s + 2
-    )
+    t_partner = _visit_seconds(rng, v_dp, sidx[leader] == staff_code, GAP_MAX_S + 2)
     leader_first = rng.random(V) < config.leader_first_prob
     partner = np.where(leader_first, leader, follower)
     focal = np.where(leader_first, follower, leader)
@@ -426,7 +411,7 @@ def simulate_log(
     s_person, s_day = visits(config.solo_rate, sidx)
     S = s_person.shape[0]
     s_shop, s_reg, s_dp = place(S)
-    s_t = _visit_seconds(rng, s_dp, config.status_signatures, sidx[s_person] == staff_code, 2)
+    s_t = _visit_seconds(rng, s_dp, sidx[s_person] == staff_code, 2)
     for k in range(len(goods)):
         bought[k].append(rng.random(S) < prob(k, s_person, s_shop, s_day, s_dp))
     bought = [np.concatenate(b) for b in bought]

@@ -6,7 +6,6 @@ conftest).  The heavy criteria run 100 seeded simulator replications each,
 so this module dominates suite runtime by design.
 """
 
-import json
 import os
 import time
 
@@ -119,7 +118,7 @@ def test_4_homophily_confound_removed_by_matching():
     cfg = SimulationConfig(seed=301, homophily=0.8)
     _res, dyads, pairs, est = matched_estimate(cfg)
     naive = naive_risk_difference(dyads, "dessert")
-    smd_after = balance_report(pairs).covariates["popularity"]["after"]
+    smd_after = balance_report(pairs)["covariates"]["popularity"]["after"]
     ok = naive > 0.05 and abs(est.rd) <= 0.02 and abs(smd_after) < 0.2
     assert record(
         4, ok,
@@ -153,10 +152,10 @@ def test_5_sensitivity_correctness():
 
     res = sensitivity_result(PairedCounts(n11=300, n10=900, n01=300, n00=1500))
     amp_err = max(
-        abs(gamma_of(lam, delta) - res.gamma_star.value)
-        for lam, delta in res.amplification
+        abs(gamma_of(lam, delta) - res["gamma_star"])
+        for lam, delta in res["curve"]
     )
-    amp_ok = amp_err <= 1e-9 and len(res.amplification) > 0
+    amp_ok = amp_err <= 1e-9 and len(res["curve"]) > 0
 
     point = gamma_of(5.0, 9.8)
     point_ok = abs(point - 3.378) <= 0.001
@@ -187,7 +186,7 @@ def test_6_dose_response_decay():
             dyads, "dessert", compute_context(res.log), SPEC
         )
         d = dose_response(pairs, n_rep=400, seed=seed + 9)
-        rejections += d.slope_rd < 0.0 and d.p_rd < 0.01
+        rejections += d["slope_rd"] < 0.0 and d["p_rd"] < 0.01
     ok = noiseless_ok and rejections >= 95
     assert record(
         6, ok,
@@ -206,7 +205,7 @@ def _coordination_p(seed, mode, asym, leader_first):
     res = simulate(cfg)
     dyads = filter_frequent_pairs(extract_dyads(reconstruct_queues(res.log)), 10)
     try:
-        return coordination_test(dyads, "dessert", seed=seed + 3).p
+        return coordination_test(dyads, "dessert", seed=seed + 3)["p"]
     except InsufficientDataError:
         return None
 

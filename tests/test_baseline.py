@@ -9,7 +9,6 @@ from scipy.special import stdtr
 
 from copycart._util import t_two_sided_p
 from copycart.baseline import (
-    CoordinationResult,
     coordination_test,
     randomize_partners,
     welch_t,
@@ -255,28 +254,28 @@ def test_coordination_detects_asymmetry():
     spec += asym_pair("C", "D", 20, 14, 12, 2)
     spec += asym_pair("E", "F", 20, 16, 10, 3)
     res = coordination_test(directed_dyads(spec), "dessert", sample_per_pair=None)
-    assert res.n_pairs == 3
-    assert res.n_leader_first == 60 and res.n_follower_first == 34
-    assert res.rate_leader_first == pytest.approx((0.75 + 0.70 + 0.80) / 3)
-    assert res.rate_follower_first == pytest.approx((3 / 12 + 2 / 12 + 3 / 10) / 3)
-    assert res.t > 0 and res.p < 0.05
+    assert res["n_pairs"] == 3
+    assert res["n_leader_first"] == 60 and res["n_follower_first"] == 34
+    assert res["rate_leader_first"] == pytest.approx((0.75 + 0.70 + 0.80) / 3)
+    assert res["rate_follower_first"] == pytest.approx((3 / 12 + 2 / 12 + 3 / 10) / 3)
+    assert res["t"] > 0 and res["p"] < 0.05
 
 
 def test_coordination_symmetric_rates_accept():
     # identical per-direction rates in every pair: t = 0, p = 1
     spec = asym_pair("A", "B", 20, 10, 20, 10) + asym_pair("C", "D", 20, 10, 20, 10)
     res = coordination_test(directed_dyads(spec), "dessert", sample_per_pair=None)
-    assert res.rate_leader_first == res.rate_follower_first == pytest.approx(0.5)
-    assert res.t == pytest.approx(0.0, abs=1e-12)
-    assert res.p == pytest.approx(1.0)
+    assert res["rate_leader_first"] == res["rate_follower_first"] == pytest.approx(0.5)
+    assert res["t"] == pytest.approx(0.0, abs=1e-12)
+    assert res["p"] == pytest.approx(1.0)
 
 
 def test_coordination_role_tiebreak_lexicographic():
     spec = asym_pair("A", "B", 10, 10, 10, 0) + asym_pair("C", "D", 10, 9, 10, 1)
     res = coordination_test(directed_dyads(spec), "dessert", sample_per_pair=None)
     # equal direction counts: lower id leads, so leader-first rates are (1, .9)
-    assert res.rate_leader_first == pytest.approx(0.95)
-    assert res.rate_follower_first == pytest.approx(0.05)
+    assert res["rate_leader_first"] == pytest.approx(0.95)
+    assert res["rate_follower_first"] == pytest.approx(0.05)
 
 
 def test_coordination_requires_both_directions():
@@ -303,10 +302,10 @@ def test_coordination_subsample_and_determinism():
     d = directed_dyads(spec)
     a = coordination_test(d, "dessert", sample_per_pair=10, seed=3)
     b = coordination_test(d, "dessert", sample_per_pair=10, seed=3)
-    assert a.to_dict() == b.to_dict()
-    assert a.n_leader_first == 20 and a.n_follower_first == 20
+    assert a == b
+    assert a["n_leader_first"] == 20 and a["n_follower_first"] == 20
     c = coordination_test(d, "dessert", sample_per_pair=10, seed=4)
-    assert c.to_dict() != a.to_dict()
+    assert c != a
 
 
 def test_coordination_untreated_dyads_set_roles_not_rates():
@@ -316,7 +315,7 @@ def test_coordination_untreated_dyads_set_roles_not_rates():
     d = directed_dyads(spec)
     tied_roles = coordination_test(d, "dessert", sample_per_pair=None)
     # direction counts tie on treated dyads alone: lexicographic leaders A, C
-    assert tied_roles.rate_leader_first == pytest.approx(0.95)
+    assert tied_roles["rate_leader_first"] == pytest.approx(0.95)
     rows = []
     base = np.datetime64("2019-01-01")
     for k, (p, f) in enumerate([("B", "A")] * 6 + [("D", "C")] * 6):
@@ -328,6 +327,6 @@ def test_coordination_untreated_dyads_set_roles_not_rates():
     assert bigger.n == len(spec) + 12
     flipped = coordination_test(bigger, "dessert", sample_per_pair=None)
     # same treated rates, but B and D now lead on all-dyad counts (16 vs 10)
-    assert flipped.n_pairs == 2
-    assert flipped.rate_leader_first == pytest.approx(0.05)
-    assert flipped.rate_follower_first == pytest.approx(0.95)
+    assert flipped["n_pairs"] == 2
+    assert flipped["rate_leader_first"] == pytest.approx(0.05)
+    assert flipped["rate_follower_first"] == pytest.approx(0.95)

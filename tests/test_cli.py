@@ -1,7 +1,6 @@
 """CLI and pipeline: config parsing, determinism, stage reruns, plots."""
 
 import dataclasses
-import io
 import json
 import os
 import shutil
@@ -316,6 +315,51 @@ def test_threads_do_not_change_results(workdir, first_run):
     assert all(a[k] == c[k] for k in a)
 
 
+def _intervals(results):
+    """Every estimate with a risk-difference interval, keyed by where it sits."""
+    for it in results["items"]:
+        if it["status"] != "ok":
+            continue
+        name = it["item"]
+        yield f"{name} estimate", it["estimate"]
+        if it["baseline"] and "rd" in it["baseline"]:
+            yield f"{name} baseline", it["baseline"]
+        for grouping, strata in (it["subgroups"] or {}).items():
+            for label, est in strata.items():
+                yield f"{name} {grouping}:{label}", est
+        for b in (it["dose_response"] or {}).get("bins", []):
+            yield f"{name} {b['stratum']}", b
+    for attr, est in (results["anchor_mimicry"] or {}).items():
+        yield f"anchor {attr}", est
+
+
+def test_alpha_sets_the_interval_level(workdir, first_run):
+    results_05, _out = first_run
+    conf = yaml.safe_load((workdir / "run.yaml").read_text())
+    conf["estimation"]["alpha"] = 0.1
+    path = workdir / "alpha.yaml"
+    path.write_text(yaml.safe_dump(conf), encoding="utf-8")
+    out = workdir / "out_alpha"
+    res = invoke("--config", path, "--out", out, "run")
+    assert res.exit_code == 0, res.output
+    with open(out / "results.json", encoding="utf-8") as fh:
+        results_10 = json.load(fh)
+    assert results_10["alpha"] == 0.1
+    wide, narrow = dict(_intervals(results_05)), dict(_intervals(results_10))
+    assert wide.keys() == narrow.keys()
+    ok_items = [it["item"] for it in results_10["items"] if it["status"] == "ok"]
+    assert ok_items
+    for where, est in narrow.items():
+        assert est["rd"] == wide[where]["rd"], where
+        if est["rd_ci"] is None:
+            continue
+        (lo, hi), (w_lo, w_hi) = est["rd_ci"], wide[where]["rd_ci"]
+        assert w_lo <= lo <= hi <= w_hi, where
+        if where.endswith(" estimate"):
+            assert hi - lo < w_hi - w_lo, where
+    assert "matched estimate with 90% CI" in (out / "plots" / "forest_rd.svg").read_text()
+
+
 def test_match_stage_rerun_reproduces_pairs(workdir, first_run):
     _results, out_a = first_run
     sub = workdir / "sub"
@@ -576,8 +620,8 @@ def test_simulate_needs_seed(tmp_path):
 
 
 @pytest.mark.parametrize("setting", [
-    "delta=dessert", "n_persons=sixty", 'delta={"dessert": "x"}',
-], ids=["delta_string", "n_persons_string", "delta_entry_string"])
+    "delta=dessert", "n_persons=sixty", 'delta={"dessert": "x"}', "start_date=2019-01-07",
+], ids=["delta_string", "n_persons_string", "delta_entry_string", "start_date_not_a_setting"])
 def test_simulate_setting_of_wrong_type_exits_cleanly(tmp_path, setting):
     res = invoke("--seed", 3, "--out", tmp_path / "d", "simulate",
                  "--set", "n_persons=60", "--set", setting)
@@ -671,12 +715,8 @@ def test_no_pairs_item_still_succeeds(tmp_path):
 
 
 def test_require_balance_exit_code(workdir, monkeypatch):
-    class _FailingBalance:
-        def to_dict(self):
-            return {"item": "x", "n_pairs": 1, "threshold": 0.2, "pass": False,
-                    "covariates": {}}
-
-    monkeypatch.setattr(pipeline_mod, "balance_report", lambda pairs: _FailingBalance())
+    failing = {"item": "x", "n_pairs": 1, "threshold": 0.2, "pass": False, "covariates": {}}
+    monkeypatch.setattr(pipeline_mod, "balance_report", lambda pairs: failing)
     res = invoke("--config", workdir / "run.yaml", "--out", workdir / "bal",
                  "--require-balance", "run")
     assert res.exit_code == 3
@@ -688,6 +728,7 @@ def test_require_balance_exit_code(workdir, monkeypatch):
 
 # Fixed input pinning the SVG serialization; goldens live in tests/golden/.
 GOLDEN_RESULTS = {
+    "alpha": 0.05,
     "items": [
         {
             "item": "dessert",

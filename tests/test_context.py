@@ -7,7 +7,7 @@ import numpy as np
 from copycart import model as M
 from copycart.context import compute_context, encode_cells
 
-from test_model import CODES, CSV_HEADER, baskets, parse_csv
+from test_model import CODES, baskets, parse_csv
 
 
 def cell_key(log, shop, date, daypart):

@@ -7,7 +7,6 @@ import pytest
 
 from copycart import model as M
 from copycart.dyads import (
-    CoPurchaseMatrix,
     DyadSet,
     co_purchase_matrix,
     extract_dyads,

@@ -13,7 +13,6 @@ from copycart._util import derive_seed
 from copycart.dyads import extract_dyads, reconstruct_queues
 from copycart.errors import InsufficientBinsError, NoPairsError
 from copycart.estimate import (
-    EffectEstimate,
     PairedCounts,
     anchor_mimicry,
     dose_response,
@@ -29,7 +28,7 @@ from copycart.estimate import (
 from copycart.matching import MatchedPairSet
 
 from test_matching import make_context
-from test_model import CATALOG, parse_csv, tx_ids
+from test_model import parse_csv, tx_ids
 
 
 def _hms(sec):
@@ -250,6 +249,25 @@ def test_effect_estimate_consistency():
     assert other.ci_rd != est.ci_rd or other.ci_rr != est.ci_rr
 
 
+def test_alpha_sets_the_interval_level():
+    rng = np.random.default_rng(42)
+    o_t = (rng.random(200) < 0.6).astype(np.uint8)
+    o_c = (rng.random(200) < 0.4).astype(np.uint8)
+    pairs = pairs_from_outcomes(o_t, o_c)
+    wide = effect_estimate(pairs, n_rep=500, seed=11, alpha=0.05)
+    narrow = effect_estimate(pairs, n_rep=500, seed=11, alpha=0.10)
+    assert (narrow.rd, narrow.rr, narrow.p) == (wide.rd, wide.rr, wide.p)
+    for ci in ("ci_rd", "ci_rr"):
+        (lo, hi), (w_lo, w_hi) = getattr(narrow, ci), getattr(wide, ci)
+        assert w_lo <= lo <= hi <= w_hi and hi - lo < w_hi - w_lo, ci
+    # the same draw, cut at the 5th and 95th percentiles
+    rng = np.random.default_rng(derive_seed(11, "boot"))
+    c = paired_counts(pairs)
+    cells = rng.multinomial(c.n_pairs, np.array([c.n11, c.n10, c.n01, c.n00]) / c.n_pairs, 500)
+    rd_vals = (cells[:, 1] - cells[:, 2]) / c.n_pairs
+    assert narrow.ci_rd == tuple(np.percentile(rd_vals, [5, 95]).tolist())
+
+
 def test_effect_estimate_dict_shape():
     pairs = pairs_from_outcomes([1, 0, 1, 1], [0, 0, 1, 0])
     d = effect_estimate(pairs, n_rep=50, seed=0).to_dict()
@@ -286,7 +304,7 @@ def test_subgroup_partner_status_partition():
     stu = pairs.subset(np.asarray([p == "ST1" for p in persons]))
     assert subs["student"].rd == risk_difference(paired_counts(stu))
     capped = subgroup_estimates(pairs, "partner_status", demo, n_rep=50, seed=4, min_pairs=5)
-    assert capped["student"].insufficient and capped["student"].rd is None
+    assert capped["student"].rd is None and capped["student"].n_pairs < 5
 
 
 def test_subgroup_unknown_without_demographics():
@@ -396,12 +414,12 @@ def test_dose_response_noiseless_slope():
         delays += [b * 30 + 15] * per_bin
     pairs = pairs_from_outcomes(o_t, o_c, delays=delays)
     res = dose_response(pairs, n_rep=10, seed=0)
-    assert len(res.bins) == 10
-    assert [est.n_pairs for _, est in res.bins] == [per_bin] * 10
-    assert res.slope_rd == pytest.approx(-0.0004, abs=1e-9)
-    assert res.intercept_rd == pytest.approx(0.806, abs=1e-9)
-    assert res.p_rd < 0.01
-    mids = [mid for mid, _ in res.bins]
+    assert len(res["bins"]) == 10
+    assert [b["n_pairs"] for b in res["bins"]] == [per_bin] * 10
+    assert res["slope_rd"] == pytest.approx(-0.0004, abs=1e-9)
+    assert res["intercept_rd"] == pytest.approx(0.806, abs=1e-9)
+    assert res["p_rd"] < 0.01
+    mids = [b["midpoint_s"] for b in res["bins"]]
     assert mids == [30 * b + 15.0 for b in range(10)]
 
 
@@ -414,10 +432,9 @@ def test_dose_response_bins_and_errors():
         [1, 0, 1, 1, 0, 1], [0, 0, 1, 0, 1, 0], delays=[10, 10, 40, 40, 95, 295]
     )
     res = dose_response(pairs2, max_delay_s=90, n_rep=5, seed=0)
-    assert [mid for mid, _ in res.bins] == [15.0, 45.0, 75.0]
-    assert [est.n_pairs for _, est in res.bins] == [2, 2, 2]
-    d = res.to_dict()
-    assert {"item", "slope_rd", "p_rd", "slope_rr", "p_rr", "bins"} <= set(d)
+    assert [b["midpoint_s"] for b in res["bins"]] == [15.0, 45.0, 75.0]
+    assert [b["n_pairs"] for b in res["bins"]] == [2, 2, 2]
+    assert {"item", "slope_rd", "p_rd", "slope_rr", "p_rr", "bins"} <= set(res)
 
 
 def test_dose_response_deterministic():
@@ -426,6 +443,6 @@ def test_dose_response_deterministic():
     o_c = (rng.random(90) < 0.3).astype(int)
     delays = rng.integers(0, 300, 90)
     pairs = pairs_from_outcomes(o_t, o_c, delays=delays)
-    a = dose_response(pairs, n_rep=40, seed=5).to_dict()
-    b = dose_response(pairs, n_rep=40, seed=5).to_dict()
+    a = dose_response(pairs, n_rep=40, seed=5)
+    b = dose_response(pairs, n_rep=40, seed=5)
     assert a == b

@@ -296,8 +296,7 @@ def test_balance_report_fields_and_failure():
     ctx = dessert_cells(log, specs, [0.20, 0.20, 0.20, 0.22])
     pairs = build_matched_pairs(dyads, "dessert", ctx, RAW)
     assert pairs.n == 2
-    rep = balance_report(pairs)
-    d = rep.to_dict()
+    d = balance_report(pairs)
     assert set(d["covariates"]) == {
         "popularity",
         "delay_s",
@@ -328,8 +327,7 @@ def test_balance_report_passing_case():
     ctx = dessert_cells(log, specs, [0.2] * 12)
     pairs = build_matched_pairs(dyads, "dessert", ctx, RAW)
     assert pairs.n == 6
-    rep = balance_report(pairs)
-    assert rep.passed
+    assert balance_report(pairs)["pass"]
     with pytest.raises(NoPairsError):
         balance_report(pairs.subset(np.zeros(pairs.n, bool)))
 

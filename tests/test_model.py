@@ -120,7 +120,7 @@ ANCHOR_CODE = {("anchor_meal", "vegetarian"): 1, ("anchor_meal", "non_vegetarian
                ("anchor_beverage", "coffee"): 3, ("anchor_beverage", "tea"): 4}
 
 
-def anchor_of(basket, daypart, catalog):
+def anchor_of(basket, daypart):
     """Scalar reference: the anchor category of one basket, or None.
 
     Lunch anchors on a meal, breakfast/afternoon on coffee or tea; vegetarian
@@ -128,7 +128,7 @@ def anchor_of(basket, daypart, catalog):
     """
     if daypart == M.Daypart.OUT_OF_WINDOW:
         return None
-    cats = [c for c in (catalog.get(code) for code in basket) if c is not None]
+    cats = [CATEGORIES[code] for code in basket if code in CATEGORIES]
     if daypart == M.Daypart.LUNCH:
         meals = [c for c in cats if c.kind == "anchor_meal"]
         veg = [c for c in meals if c.subtype == "vegetarian"]
@@ -164,7 +164,7 @@ def test_anchor_codes_match_scalar_reference():
     for daypart in M.Daypart:
         want = []
         for basket in baskets:
-            cat = anchor_of(basket, daypart, CATALOG)
+            cat = anchor_of(basket, daypart)
             want.append(0 if cat is None else ANCHOR_CODE[(cat.kind, cat.subtype)])
         masks = np.asarray([CATALOG.mask_of(b) for b in baskets], np.uint16)
         got = M.anchor_code_arrays(masks, np.full(len(baskets), daypart.value, np.int8))

@@ -144,8 +144,7 @@ def test_amplification_domain():
 
 
 def test_sensitivity_result_bundle():
-    res = sensitivity_result(PairedCounts(0, 90, 10, 0), alpha=0.05, item="dessert")
-    d = res.to_dict()
+    d = sensitivity_result(PairedCounts(0, 90, 10, 0), alpha=0.05, item="dessert")
     assert d["item"] == "dessert"
     assert d["gamma_star"] == pytest.approx(5.108, abs=2e-3)
     assert d["baseline_significant"] is True
@@ -155,4 +154,4 @@ def test_sensitivity_result_bundle():
     for lam, delta in d["curve"]:
         assert lam > d["gamma_star"] and delta > 0
     flat = sensitivity_result(PairedCounts(0, 3, 2, 0), item="x")
-    assert flat.to_dict()["curve"] == []
+    assert flat["curve"] == []

@@ -14,12 +14,9 @@ from copycart.errors import ConfigError
 from copycart.estimate import anchor_mimicry, effect_estimate
 from copycart.matching import AdjustmentSpec, build_matched_pairs
 from copycart.sim import (
-    Population,
     SimulationConfig,
     generate_population,
     simulate,
-    simulate_log,
-    simulation_catalog,
     write_simulation,
 )
 
@@ -108,7 +105,7 @@ def test_explicit_pair_list_is_used_verbatim():
 def test_demographics_cover_population_and_respect_known_fraction():
     pop = generate_population(small_config())
     demo = pop.demographics()
-    assert len(demo) == pop.n
+    assert len(demo.records()) == pop.n
     rec = demo.get("P00007")
     assert rec.status in ("student", "staff", "other")
     assert rec.gender in ("female", "male")
@@ -367,7 +364,7 @@ def test_written_files_parse_back(tmp_path):
     log = M.parse_transactions(paths["transactions"], catalog)
     assert log.report.n_rejected == 0 and log.n == res.log.n
     demo = M.Demographics.from_csv(paths["demographics"])
-    assert len(demo) == res.population.n
+    assert len(demo.records()) == res.population.n
     gt = json.load(open(paths["ground_truth"]))
     assert set(gt) == {
         "expected_rd",

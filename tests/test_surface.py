@@ -172,3 +172,34 @@ def test_every_parameter_is_read_in_its_function():
                 if name not in loaded
             ]
     assert not unread, "parameters that their function never reads:\n" + "\n".join(unread)
+
+
+def test_every_import_is_read():
+    unread = []
+    for path in sorted(PACKAGE.rglob("*.py")) + sorted(TESTS.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported: dict[str, int] = {}
+        exported: set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    # `import a.b` binds `a`
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported.setdefault(name, node.lineno)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported.update(ast.literal_eval(node.value))
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread += [
+            f"{path.relative_to(PACKAGE.parent.parent)}:{line} {name}"
+            for name, line in imported.items()
+            if name not in loaded | exported
+        ]
+    assert not unread, "imported names that their module never reads:\n" + "\n".join(unread)
