@@ -21,7 +21,6 @@ import click
 
 from ..dyads import DyadSet
 from ..errors import CopycartError
-from ..estimate import paired_counts
 from ..matching import MatchedPairSet
 from ..model import CATEGORY_KEYS
 from . import pipeline
@@ -194,7 +193,7 @@ def estimate(ctx, items):
     cfg = _run_config(ctx)
     log, _demo = pipeline.ingest_inputs(cfg)
     for item, pairs in sorted(_load_pairs(cfg, log, items).items()):
-        _echo_json(pipeline.item_effect(pairs, item, cfg).to_dict())
+        _echo_json(pipeline.item_effect(pairs, item, cfg))
 
 
 @main.command()
@@ -220,7 +219,7 @@ def sensitivity(ctx, items):
     cfg = _run_config(ctx)
     log, _demo = pipeline.ingest_inputs(cfg)
     for item, pairs in sorted(_load_pairs(cfg, log, items).items()):
-        _echo_json(pipeline.item_sensitivity(paired_counts(pairs), item, cfg))
+        _echo_json(pipeline.item_sensitivity(pairs, item, cfg))
 
 
 @main.command()
@@ -290,10 +289,10 @@ def run(ctx):
 def plot(ctx):
     """Re-render the SVG plots from an existing results.json."""
     out = ctx.obj["out"] or "out"
-    path = os.path.join(out, "results.json")
+    path = os.path.join(out, pipeline.DUMPS["results"])
     if not os.path.exists(path):
         raise click.ClickException(f"missing {path}; run `copycart run` first")
-    report = emit_plots(pipeline.load_results(path), os.path.join(out, "plots"))
+    report = emit_plots(pipeline.load_results(path), os.path.join(out, pipeline.DUMPS["plots_dir"]))
     for name in sorted(report):
         click.echo(f"{name}: {report[name]}")
 

@@ -166,7 +166,7 @@ def match_item(dyads: DyadSet, item: str, ctx: ContextStats, cfg: RunConfig) -> 
     return pairs
 
 
-def item_effect(pairs: MatchedPairSet, item: str, cfg: RunConfig) -> E.EffectEstimate:
+def item_effect(pairs: MatchedPairSet, item: str, cfg: RunConfig) -> dict:
     seed = int(derive_seed(cfg.seed, "item", item))
     return E.effect_estimate(pairs, cfg.n_boot, seed, cfg.alpha)
 
@@ -178,12 +178,11 @@ def item_baseline(dyads: DyadSet, item: str, ctx: ContextStats, cfg: RunConfig) 
     if pairs.n == 0:
         return {"status": "no_pairs"}
     seed = int(derive_seed(cfg.seed, "item", item, "baseline"))
-    est = E.effect_estimate(pairs, cfg.n_boot, seed, cfg.alpha)
-    return est.to_dict(stratum="baseline")
+    return E.effect_estimate(pairs, cfg.n_boot, seed, cfg.alpha, "baseline")
 
 
-def item_sensitivity(counts: E.PairedCounts, item: str, cfg: RunConfig) -> dict:
-    return S.sensitivity_result(counts, cfg.alpha, item)
+def item_sensitivity(pairs: MatchedPairSet, item: str, cfg: RunConfig) -> dict:
+    return S.sensitivity_result(E.paired_counts(pairs), cfg.alpha, item)
 
 
 def item_dose(pairs: MatchedPairSet, item: str, cfg: RunConfig) -> dict:
@@ -206,13 +205,12 @@ def _analyze_item(item, dyads, ctx, demo, cfg: RunConfig) -> dict:
     pairs = match_item(dyads, item, ctx, cfg)
     if pairs.n == 0:
         return {"item": item, "status": "no_pairs", "n_treated_total": pairs.n_treated_total}
-    est = item_effect(pairs, item, cfg)
     report = {
         "item": item,
         "status": "ok",
         "n_treated_total": pairs.n_treated_total,
         "n_unmatched": pairs.n_unmatched,
-        "estimate": est.to_dict(),
+        "estimate": item_effect(pairs, item, cfg),
         "naive_rd": E.naive_risk_difference(dyads, item),
         "balance": balance_report(pairs),
         "baseline": None,
@@ -225,7 +223,7 @@ def _analyze_item(item, dyads, ctx, demo, cfg: RunConfig) -> dict:
         report["baseline"] = item_baseline(dyads, item, ctx, cfg)
     if cfg.sensitivity:
         try:
-            report["sensitivity"] = item_sensitivity(est.counts, item, cfg)
+            report["sensitivity"] = item_sensitivity(pairs, item, cfg)
         except NoPairsError:
             report["sensitivity"] = {"status": "no_discordant"}
     if cfg.dose_response:
@@ -239,9 +237,8 @@ def _analyze_item(item, dyads, ctx, demo, cfg: RunConfig) -> dict:
         except InsufficientDataError as err:
             report["coordination"] = {"status": "insufficient_data", "detail": str(err)}
     if cfg.subgroups:
-        groups = {}
-        for grouping in cfg.subgroups:
-            ests = E.subgroup_estimates(
+        report["subgroups"] = {
+            grouping: E.subgroup_estimates(
                 pairs,
                 grouping,
                 demographics=demo,
@@ -250,10 +247,8 @@ def _analyze_item(item, dyads, ctx, demo, cfg: RunConfig) -> dict:
                 min_pairs=cfg.min_stratum,
                 alpha=cfg.alpha,
             )
-            groups[grouping] = {
-                label: e.to_dict(stratum=f"{grouping}:{label}") for label, e in ests.items()
-            }
-        report["subgroups"] = groups
+            for grouping in cfg.subgroups
+        }
     return report
 
 
@@ -283,14 +278,14 @@ def _write_estimates_csv(path, results: dict) -> None:
             rows.append([item["item"], "pooled", 0] + [""] * 9 + ["no_pairs"])
             continue
         rows.append(row(item["estimate"], naive=item["naive_rd"]))
-        if isinstance(item.get("baseline"), dict) and "rd" in (item["baseline"] or {}):
+        if isinstance(item.get("baseline"), dict) and "rd" in item["baseline"]:
             rows.append(row(item["baseline"]))
         for grouping in item.get("subgroups") or {}:
             for est in item["subgroups"][grouping].values():
                 rows.append(row(est))
-    for attr, est in (results.get("anchor_mimicry") or {}).items():
+    for est in (results.get("anchor_mimicry") or {}).values():
         if "rd" in est:
-            rows.append(row(dict(est, stratum=f"anchor:{attr}")))
+            rows.append(row(est))
     write_csv(path, cols, rows)
 
 
@@ -323,11 +318,10 @@ def run_pipeline(cfg: RunConfig) -> dict:
         anchor = {}
         for attr in ("meal_vegetarian", "beverage_kind"):
             try:
-                est = E.anchor_mimicry(
+                anchor[attr] = E.anchor_mimicry(
                     dyads, ctx, attr, spec=cfg.adjustment, n_rep=cfg.n_boot, seed=cfg.seed,
                     alpha=cfg.alpha,
                 )
-                anchor[attr] = est.to_dict(stratum=f"anchor:{attr}")
             except NoPairsError:
                 anchor[attr] = {"status": "no_pairs"}
 

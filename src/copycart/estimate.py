@@ -49,15 +49,6 @@ class PairedCounts:
         return self.n11 + self.n10 + self.n01 + self.n00
 
     @property
-    def marginal(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """((treated yes, treated no), (control yes, control no)); each row
-        totals the number of pairs."""
-        n = self.n_pairs
-        ty = self.n11 + self.n10
-        cy = self.n11 + self.n01
-        return ((ty, n - ty), (cy, n - cy))
-
-    @property
     def discordant(self) -> int:
         return self.n10 + self.n01
 
@@ -139,38 +130,15 @@ def paired_chi2(counts: PairedCounts) -> tuple[Optional[float], Optional[float]]
     return (float(stat), float(p))
 
 
-@dataclass
-class EffectEstimate:
-    item: str
-    n_pairs: int
-    rd: Optional[float] = None
-    rr: Optional[float] = None
-    ci_rd: Optional[tuple[float, float]] = None
-    ci_rr: Optional[tuple[float, float]] = None
-    se_rd: Optional[float] = None
-    chi2: Optional[float] = None
-    p: Optional[float] = None
-    counts: Optional[PairedCounts] = None
-
-    def to_dict(self, stratum: str = "pooled") -> dict:
-        return {
-            "item": self.item,
-            "stratum": stratum,
-            "n_pairs": self.n_pairs,
-            "rd": self.rd,
-            "rd_ci": list(self.ci_rd) if self.ci_rd else None,
-            "rr": self.rr,
-            "rr_ci": list(self.ci_rr) if self.ci_rr else None,
-            "chi2": self.chi2,
-            "p": self.p,
-        }
-
-
 def effect_estimate(
-    pairs: MatchedPairSet, n_rep: int = 1000, seed: int = 0, alpha: float = 0.05
-) -> EffectEstimate:
-    """Point estimates, (1 - alpha) bootstrap percentile CIs, and the paired
-    test for one pair set.
+    pairs: MatchedPairSet,
+    n_rep: int = 1000,
+    seed: int = 0,
+    alpha: float = 0.05,
+    stratum: str = "pooled",
+) -> dict:
+    """The estimate report of results.json for one pair set: point estimates,
+    (1 - alpha) bootstrap percentile CIs, and the paired test.
 
     Resampling the n pairs with replacement is a Multinomial(n, cell shares)
     draw over (n11, n10, n01, n00), so one draw of `n_rep` tables gives both
@@ -178,37 +146,30 @@ def effect_estimate(
     more than 5% of them do, the ratio's interval is None.
     """
     counts = paired_counts(pairs)
-    rd = risk_difference(counts)
-    rr = risk_ratio(counts)
     n = counts.n_pairs
     cells = np.array([counts.n11, counts.n10, counts.n01, counts.n00]) / n
     rng = np.random.default_rng(derive_seed(seed, "boot"))
     n11, n10, n01, _n00 = rng.multinomial(n, cells, size=n_rep).T
-    rd_vals = (n10 - n01) / n
     levels = [100 * alpha / 2, 100 * (1 - alpha / 2)]
-    lo, hi = np.percentile(rd_vals, levels, method="linear")
-    ci_rd = (float(lo), float(hi))
-    se_rd = float(np.std(rd_vals, ddof=1)) if n_rep > 1 else None
+    rd_ci = np.percentile((n10 - n01) / n, levels, method="linear").tolist()
     denom = n11 + n01
     defined = denom > 0
-    ci_rr = None
+    rr_ci = None
     if defined.sum() >= 0.95 * n_rep:
         rr_vals = (n11[defined] + n10[defined]) / denom[defined]
-        lo, hi = np.percentile(rr_vals, levels, method="linear")
-        ci_rr = (float(lo), float(hi))
+        rr_ci = np.percentile(rr_vals, levels, method="linear").tolist()
     chi2, p = paired_chi2(counts)
-    return EffectEstimate(
-        item=pairs.item,
-        n_pairs=pairs.n,
-        rd=rd,
-        rr=rr,
-        ci_rd=ci_rd,
-        ci_rr=ci_rr,
-        se_rd=se_rd,
-        chi2=chi2,
-        p=p,
-        counts=counts,
-    )
+    return {
+        "item": pairs.item,
+        "stratum": stratum,
+        "n_pairs": n,
+        "rd": risk_difference(counts),
+        "rd_ci": rd_ci,
+        "rr": risk_ratio(counts),
+        "rr_ci": rr_ci,
+        "chi2": chi2,
+        "p": p,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -276,21 +237,27 @@ def subgroup_estimates(
     seed: int = 0,
     min_pairs: int = 50,
     alpha: float = 0.05,
-) -> dict[str, EffectEstimate]:
-    """Independent effect estimate per stratum of the grouping attribute.
+) -> dict[str, dict]:
+    """Independent effect estimate per stratum of the grouping attribute,
+    each stamped `grouping:label`.
 
-    Strata smaller than `min_pairs` carry only their pair count, no
-    estimates.  Stratum labels partition the pair set.
+    Strata smaller than `min_pairs` carry only their pair count, every
+    estimate None.  Stratum labels partition the pair set.
     """
     labels = np.asarray(_pair_labels(pairs, grouping, demographics))
-    out: dict[str, EffectEstimate] = {}
+    out: dict[str, dict] = {}
     for label in sorted(set(labels.tolist())):
-        sel = labels == label
-        sub = pairs.subset(sel)
+        sub = pairs.subset(labels == label)
+        stratum = f"{grouping}:{label}"
         if sub.n < min_pairs:
-            out[label] = EffectEstimate(item=pairs.item, n_pairs=sub.n)
+            out[label] = {
+                "item": pairs.item, "stratum": stratum, "n_pairs": sub.n,
+                "rd": None, "rd_ci": None, "rr": None, "rr_ci": None, "chi2": None, "p": None,
+            }
         else:
-            out[label] = effect_estimate(sub, n_rep, derive_seed(seed, grouping, label), alpha)
+            out[label] = effect_estimate(
+                sub, n_rep, derive_seed(seed, grouping, label), alpha, stratum
+            )
     return out
 
 
@@ -302,7 +269,7 @@ def anchor_mimicry(
     n_rep: int = 1000,
     seed: int = 0,
     alpha: float = 0.05,
-) -> EffectEstimate:
+) -> dict:
     """Mimicry of an anchor attribute instead of an addition item.
 
     ``meal_vegetarian`` contrasts vegetarian vs other meals over lunch dyads;
@@ -324,7 +291,8 @@ def anchor_mimicry(
     pairs = build_matched_pairs(sub, item, context, spec)
     if pairs.n == 0:
         raise NoPairsError(f"no matched pairs for anchor attribute {anchor_attribute!r}")
-    return effect_estimate(pairs, n_rep, derive_seed(seed, "anchor", anchor_attribute), alpha)
+    seed = derive_seed(seed, "anchor", anchor_attribute)
+    return effect_estimate(pairs, n_rep, seed, alpha, f"anchor:{anchor_attribute}")
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +351,16 @@ def dose_response(
         if not sel.any():
             continue
         mid = b * DOSE_BIN_S + DOSE_BIN_S / 2.0
-        est = effect_estimate(pairs.subset(sel), n_rep, derive_seed(seed, "dose", b), alpha)
         stratum = f"delay<= {mid + DOSE_BIN_S / 2:g}s"
-        bins.append({"midpoint_s": mid, **est.to_dict(stratum=stratum)})
+        est = effect_estimate(
+            pairs.subset(sel), n_rep, derive_seed(seed, "dose", b), alpha, stratum
+        )
+        bins.append({"midpoint_s": mid, **est})
         mids.append(mid)
-        rds.append(est.rd)
-        if est.rr is not None:
+        rds.append(est["rd"])
+        if est["rr"] is not None:
             rr_mids.append(mid)
-            rrs.append(est.rr)
+            rrs.append(est["rr"])
     if len(bins) < 3:
         raise InsufficientBinsError(f"only {len(bins)} non-empty delay bins; need at least 3")
     slope_rd, intercept_rd, p_rd, _ = ols_line(np.asarray(mids), np.asarray(rds))

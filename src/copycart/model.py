@@ -263,21 +263,6 @@ class IngestReport:
     errors: list = field(default_factory=list)  # (line, message)
     unknown_codes: Counter = field(default_factory=Counter)
 
-    @property
-    def warnings(self) -> int:
-        """Number of basket entries that fell back to the Other category."""
-        return int(sum(self.unknown_codes.values()))
-
-    def to_dict(self) -> dict:
-        return {
-            "n_records": self.n_records,
-            "n_parsed": self.n_parsed,
-            "n_rejected": self.n_rejected,
-            "warnings": self.warnings,
-            "unknown_codes": dict(sorted(self.unknown_codes.items())),
-            "errors": [{"line": l, "message": m} for l, m in self.errors],
-        }
-
 
 # a column of interned strings: (sorted distinct values, index per row)
 Interned = tuple[list[str], np.ndarray]

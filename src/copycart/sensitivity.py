@@ -3,14 +3,13 @@
 ``worst_case_p`` bounds the one-sided McNemar p-value when an unobserved
 covariate may multiply the within-pair treatment odds by up to gamma: the
 discordant-pair successes are then at worst Binomial(D, gamma/(1+gamma)).
-``gamma_star`` locates the largest gamma at which significance survives, and
-the amplification map factors a gamma into (lambda, delta) pairs via
-gamma = (lambda*delta + 1)/(lambda + delta).
+``sensitivity_result`` locates gamma_star, the largest gamma at which
+significance survives, and the amplification map factors a gamma into
+(lambda, delta) pairs via gamma = (lambda*delta + 1)/(lambda + delta).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -35,40 +34,6 @@ def worst_case_p(counts: PairedCounts, gamma: float) -> float:
         raise NoPairsError("sensitivity undefined without discordant pairs")
     k = max(counts.n10, counts.n01)
     return binom_upper_tail(k, d, gamma / (1.0 + gamma))
-
-
-@dataclass(frozen=True)
-class GammaStar:
-    value: float
-    alpha: float
-    baseline_significant: bool
-    capped: bool = False
-
-
-def gamma_star(counts: PairedCounts, alpha: float = 0.05) -> GammaStar:
-    """Largest gamma in [1, GAMMA_MAX] keeping worst_case_p <= alpha, to GAMMA_TOL.
-
-    If the test is not significant even without hidden bias the sentinel
-    value 1 is returned with baseline_significant=False.
-    """
-    p1 = worst_case_p(counts, 1.0)
-    if not p1 < alpha:
-        return GammaStar(1.0, alpha, baseline_significant=False)
-    if worst_case_p(counts, GAMMA_MAX) <= alpha:
-        return GammaStar(GAMMA_MAX, alpha, baseline_significant=True, capped=True)
-    lo, hi = 1.0, GAMMA_MAX
-    while hi - lo > GAMMA_TOL:
-        mid = 0.5 * (lo + hi)
-        if worst_case_p(counts, mid) <= alpha:
-            lo = mid
-        else:
-            hi = mid
-    return GammaStar(lo, alpha, baseline_significant=True)
-
-
-def gamma_of(lam: float, delta: float) -> float:
-    """Hidden-bias level implied by a (lambda, delta) amplification point."""
-    return (lam * delta + 1.0) / (lam + delta)
 
 
 def amplification_curve(
@@ -96,19 +61,36 @@ _LAMBDA_FACTORS = (1.1, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0)
 
 
 def sensitivity_result(counts: PairedCounts, alpha: float = 0.05, item: str = "") -> dict:
-    """The `sensitivity` report of results.json: gamma_star, worst-case p on 25
-    gammas from 1 to max(3, 2 gamma_star), and the amplification curve at
-    gamma_star times `_LAMBDA_FACTORS`, as [x, y] lists."""
-    gs = gamma_star(counts, alpha)
-    gamma_grid = np.linspace(1.0, max(3.0, 2.0 * gs.value), 25)
+    """The `sensitivity` report of results.json.
+
+    gamma_star is the largest gamma in [1, GAMMA_MAX] keeping worst_case_p <=
+    alpha, bisected to GAMMA_TOL; `capped` when even GAMMA_MAX keeps it.  If
+    the test is not significant without hidden bias, gamma_star is the
+    sentinel 1 and baseline_significant is False.  Also reported: worst-case
+    p on 25 gammas from 1 to max(3, 2 gamma_star), and the amplification
+    curve at gamma_star times `_LAMBDA_FACTORS`, as [x, y] lists.
+    """
+    significant = worst_case_p(counts, 1.0) < alpha
+    capped = significant and worst_case_p(counts, GAMMA_MAX) <= alpha
+    gamma_star = GAMMA_MAX if capped else 1.0
+    if significant and not capped:
+        lo, hi = 1.0, GAMMA_MAX
+        while hi - lo > GAMMA_TOL:
+            mid = 0.5 * (lo + hi)
+            if worst_case_p(counts, mid) <= alpha:
+                lo = mid
+            else:
+                hi = mid
+        gamma_star = lo
+    gamma_grid = np.linspace(1.0, max(3.0, 2.0 * gamma_star), 25)
     curve = []
-    if gs.value > 1.0:
-        curve = amplification_curve(gs.value, [gs.value * f for f in _LAMBDA_FACTORS])
+    if gamma_star > 1.0:
+        curve = amplification_curve(gamma_star, [gamma_star * f for f in _LAMBDA_FACTORS])
     return {
         "item": item,
-        "gamma_star": gs.value,
-        "baseline_significant": gs.baseline_significant,
-        "capped": gs.capped,
+        "gamma_star": gamma_star,
+        "baseline_significant": significant,
+        "capped": capped,
         "alpha": alpha,
         "p_at": [[float(g), worst_case_p(counts, float(g))] for g in gamma_grid],
         "curve": [[lam, delta] for lam, delta in curve],

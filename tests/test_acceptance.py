@@ -32,13 +32,21 @@ from copycart.estimate import (
     risk_ratio,
 )
 from copycart.matching import AdjustmentSpec, balance_report, build_matched_pairs
-from copycart.sensitivity import gamma_of, sensitivity_result, worst_case_p
+from copycart.sensitivity import sensitivity_result, worst_case_p
 from copycart.infer import feature_matrix, train_status_model
 from copycart.sim import DAYPART_LABELS, SimulationConfig, simulate
+
+from test_estimate import marginal
+from test_kernels import replicate_tables
+from test_sensitivity import gamma_of
 
 pytestmark = pytest.mark.acceptance
 
 SPEC = AdjustmentSpec(exclude_own_transactions=True)
+
+
+def boot_seed(cfg) -> int:
+    return int(cfg.seed) + 77
 
 
 def matched_estimate(cfg, item="dessert", randomize=None, n_boot=1000):
@@ -49,14 +57,14 @@ def matched_estimate(cfg, item="dessert", randomize=None, n_boot=1000):
         dyads = randomize_partners(dyads, randomize)
     ctx = compute_context(res.log)
     pairs = build_matched_pairs(dyads, item, ctx, SPEC)
-    est = effect_estimate(pairs, n_boot, seed=int(cfg.seed) + 77)
+    est = effect_estimate(pairs, n_boot, seed=boot_seed(cfg))
     return res, dyads, pairs, est
 
 
 def test_1_published_contingency_fixture():
     t0 = time.perf_counter()
     counts = PairedCounts(n11=3042, n10=12119, n01=5221, n00=28111)
-    (ty, _), (cy, _) = counts.marginal
+    (ty, _), (cy, _) = marginal(counts)
     rd = risk_difference(counts)
     rr = risk_ratio(counts)
     ratio = counts.n10 / counts.n01
@@ -89,9 +97,9 @@ def test_2_simulator_oracle_recovery():
         res, _dyads, _pairs, est = matched_estimate(cfg)
         max_secs = max(max_secs, time.perf_counter() - t0)
         truth = res.ground_truth.expected_rd["dessert"]
-        in_range += 0.12 <= est.rd <= 0.18
-        covered += est.ci_rd[0] <= truth <= est.ci_rd[1]
-        worst_rd = (min(worst_rd[0], est.rd), max(worst_rd[1], est.rd))
+        in_range += 0.12 <= est["rd"] <= 0.18
+        covered += est["rd_ci"][0] <= truth <= est["rd_ci"][1]
+        worst_rd = (min(worst_rd[0], est["rd"]), max(worst_rd[1], est["rd"]))
     ok = in_range == 100 and covered >= 93 and max_secs < 60.0
     assert record(
         2, ok,
@@ -102,15 +110,20 @@ def test_2_simulator_oracle_recovery():
 
 
 def test_3_null_and_randomized_baseline():
-    _res, _dyads, _pairs, null_est = matched_estimate(SimulationConfig(seed=101))
-    null_ok = abs(null_est.rd) <= 3.0 * null_est.se_rd
+    null_cfg = SimulationConfig(seed=101)
+    _res, _dyads, null_pairs, null_est = matched_estimate(null_cfg)
+    # the bootstrap SE: the spread of the RD over the replicate tables the
+    # estimate's intervals come from
+    tables = replicate_tables(null_pairs, 1000, boot_seed(null_cfg))
+    null_se = float(np.std((tables[:, 1] - tables[:, 2]) / null_pairs.n, ddof=1))
+    null_ok = abs(null_est["rd"]) <= 3.0 * null_se
     cfg = SimulationConfig(seed=201, delta={"dessert": 0.15})
     _res, _dyads, _pairs, base_est = matched_estimate(cfg, randomize=206)
-    base_ok = abs(base_est.rd) <= 0.02
+    base_ok = abs(base_est["rd"]) <= 0.02
     assert record(
         3, null_ok and base_ok,
-        f"null rd {null_est.rd:+.4f} vs 3 se {3 * null_est.se_rd:.4f}; "
-        f"shuffled-partner rd {base_est.rd:+.4f}",
+        f"null rd {null_est['rd']:+.4f} vs 3 se {3 * null_se:.4f}; "
+        f"shuffled-partner rd {base_est['rd']:+.4f}",
     )
 
 
@@ -119,10 +132,10 @@ def test_4_homophily_confound_removed_by_matching():
     _res, dyads, pairs, est = matched_estimate(cfg)
     naive = naive_risk_difference(dyads, "dessert")
     smd_after = balance_report(pairs)["covariates"]["popularity"]["after"]
-    ok = naive > 0.05 and abs(est.rd) <= 0.02 and abs(smd_after) < 0.2
+    ok = naive > 0.05 and abs(est["rd"]) <= 0.02 and abs(smd_after) < 0.2
     assert record(
         4, ok,
-        f"naive excess {naive:+.4f}, matched rd {est.rd:+.4f}, "
+        f"naive excess {naive:+.4f}, matched rd {est['rd']:+.4f}, "
         f"popularity smd after {smd_after:+.3f}",
     )
 

@@ -16,9 +16,9 @@ import copycart
 import copycart.cli.pipeline as pipeline_mod
 from copycart.cli.config import RunConfig, load_yaml
 from copycart.cli.main import main
-from copycart.cli.pipeline import load_schema, run_pipeline
+from copycart.cli.pipeline import load_results, load_schema, run_pipeline
 from copycart.cli.plots import emit_plots
-from copycart.errors import ConfigError
+from copycart.errors import ConfigError, IngestError
 from copycart.estimate import GROUPINGS, subgroup_estimates
 from copycart.model import Demographics, PersonRecord
 from copycart.sim import SimulationConfig, simulate, write_simulation
@@ -127,7 +127,7 @@ def test_config_subgroups_all_run():
     ])
     for grouping in cfg.subgroups:
         subs = subgroup_estimates(pairs, grouping, demo, n_rep=10, seed=0, min_pairs=1)
-        assert sum(e.n_pairs for e in subs.values()) == pairs.n, grouping
+        assert sum(e["n_pairs"] for e in subs.values()) == pairs.n, grouping
     with pytest.raises(ConfigError, match="tie_strength"):
         RunConfig(transactions="t.csv", catalog="c.csv", seed=1, subgroups=["tie_strength"])
     no_demo = RunConfig(transactions=__file__, catalog=__file__, seed=1, subgroups=["status_pair"])
@@ -248,6 +248,36 @@ def test_results_validate_against_shipped_schema(first_run):
     items = [it["item"] for it in results["items"]]
     assert items == sorted(items)
     assert "dessert" in items
+
+
+# a coordination report whose Welch statistic is infinite, so `t` is null
+COORDINATION_REPORT = {
+    "item": "dessert", "n_pairs": 3, "n_leader_first": 30, "n_follower_first": 30,
+    "rate_leader_first": 1.0, "rate_follower_first": 0.0, "t": None, "p": 0.0, "df": 4.0,
+}
+
+
+@pytest.mark.parametrize("analysis, key", [("coordination", "p"), ("sensitivity", "p_at")])
+def test_schema_requires_every_report_key(tmp_path, first_run, analysis, key):
+    results, _out = first_run
+    path = tmp_path / "results.json"
+
+    def load(report):
+        path.write_text(json.dumps(report), encoding="utf-8")
+        return load_results(str(path))
+
+    damaged = json.loads(json.dumps(results))
+    item = next(it for it in damaged["items"] if it["item"] == "dessert")
+    # this run has too few habitual pairs for a coordination report of its own
+    item["coordination"] = dict(COORDINATION_REPORT)
+    report = item[analysis]
+    assert key in report and load(damaged) == damaged
+    item[analysis] = {"status": "insufficient_data", "detail": "too few"}
+    load(damaged)  # a status block in place of the report still passes
+    del report[key]
+    item[analysis] = report
+    with pytest.raises(IngestError, match=f"{analysis}: '{key}' is a required property"):
+        load(damaged)
 
 
 def test_run_outputs_exist(first_run):

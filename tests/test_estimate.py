@@ -31,6 +31,14 @@ from test_matching import make_context
 from test_model import parse_csv, tx_ids
 
 
+def marginal(c: PairedCounts) -> tuple[tuple[int, int], tuple[int, int]]:
+    """((treated yes, treated no), (control yes, control no)); each row
+    totals the number of pairs."""
+    ty = c.n11 + c.n10
+    cy = c.n11 + c.n01
+    return ((ty, c.n_pairs - ty), (cy, c.n_pairs - cy))
+
+
 def _hms(sec):
     return f"{sec // 3600:02d}:{sec % 3600 // 60:02d}:{sec % 60:02d}"
 
@@ -77,6 +85,9 @@ def pairs_from_outcomes(o_t, o_c, delays=None, partner_persons=None, max_gap_s=3
     )
 
 
+ESTIMATE_KEYS = {"item", "stratum", "n_pairs", "rd", "rd_ci", "rr", "rr_ci", "chi2", "p"}
+
+
 # -- paired table ------------------------------------------------------------
 
 
@@ -85,7 +96,7 @@ def test_paired_counts_from_outcomes():
     c = paired_counts(pairs)
     assert (c.n11, c.n10, c.n01, c.n00) == (1, 2, 1, 1)
     assert c.n_pairs == 5 and c.discordant == 3
-    assert c.marginal == ((3, 2), (2, 3))
+    assert marginal(c) == ((3, 2), (2, 3))
 
 
 def test_large_table_reference_values():
@@ -125,7 +136,7 @@ def test_table_identities(n11, n10, n01, n00):
     if n11 + n10 + n01 + n00 == 0:
         return
     c = PairedCounts(n11, n10, n01, n00)
-    (ty, tn), (cy, cn) = c.marginal
+    (ty, tn), (cy, cn) = marginal(c)
     assert ty + tn == cy + cn == c.n_pairs
     rd = risk_difference(c)
     assert rd == pytest.approx((n10 - n01) / c.n_pairs, abs=1e-12)
@@ -182,23 +193,23 @@ def test_bootstrap_deterministic_and_seed_sensitive():
     pairs = pairs_from_outcomes([1, 0, 1, 1, 0, 1, 0, 1] * 8, [0, 0, 1, 0, 1, 0, 0, 1] * 8)
     a = effect_estimate(pairs, n_rep=400, seed=9)
     b = effect_estimate(pairs, n_rep=400, seed=9)
-    assert (a.ci_rd, a.ci_rr, a.se_rd) == (b.ci_rd, b.ci_rr, b.se_rd)
+    assert a == b
     c = effect_estimate(pairs, n_rep=400, seed=10)
-    assert (a.ci_rd, a.se_rd) != (c.ci_rd, c.se_rd)
+    assert a["rd_ci"] != c["rd_ci"]
 
 
 def test_bootstrap_degenerate_pairs_zero_width():
     pairs = pairs_from_outcomes([1] * 12, [0] * 12)
     est = effect_estimate(pairs, n_rep=200, seed=1)
-    assert est.ci_rd == (1.0, 1.0)
-    assert est.rd == 1.0 and est.se_rd == 0.0
+    assert est["rd_ci"] == [1.0, 1.0]
+    assert est["rd"] == 1.0
 
 
 def test_bootstrap_rr_undefined_interval():
     pairs = pairs_from_outcomes([1, 1, 1], [0, 0, 0])
     est = effect_estimate(pairs, n_rep=100, seed=2)
-    assert est.rr is None and est.ci_rr is None
-    assert est.ci_rd == (1.0, 1.0)
+    assert est["rr"] is None and est["rr_ci"] is None
+    assert est["rd_ci"] == [1.0, 1.0]
 
 
 def test_bootstrap_replicates_match_multinomial_moments():
@@ -219,12 +230,12 @@ def test_bootstrap_replicates_match_multinomial_moments():
     assert (cells.sum(axis=1) == n).all()
     assert np.allclose(cells.mean(axis=0), [9, 14, 6, 11], atol=0.3)
     rd_vals = (cells[:, 1] - cells[:, 2]) / n
-    assert est.ci_rd == tuple(np.percentile(rd_vals, [2.5, 97.5]).tolist())
-    assert est.se_rd == float(np.std(rd_vals, ddof=1))
+    assert est["rd_ci"] == np.percentile(rd_vals, [2.5, 97.5]).tolist()
     rr_vals = (cells[:, 0] + cells[:, 1]) / (cells[:, 0] + cells[:, 2])
-    assert est.ci_rr == tuple(np.percentile(rr_vals, [2.5, 97.5]).tolist())
+    assert est["rr_ci"] == np.percentile(rr_vals, [2.5, 97.5]).tolist()
     p10, p01 = 14 / n, 6 / n
-    assert est.se_rd == pytest.approx(math.sqrt((p10 + p01 - (p10 - p01) ** 2) / n), rel=0.05)
+    se_rd = float(np.std(rd_vals, ddof=1))
+    assert se_rd == pytest.approx(math.sqrt((p10 + p01 - (p10 - p01) ** 2) / n), rel=0.05)
 
 
 # -- full estimate -----------------------------------------------------------
@@ -237,16 +248,17 @@ def test_effect_estimate_consistency():
     pairs = pairs_from_outcomes(o_t, o_c)
     est = effect_estimate(pairs, n_rep=500, seed=11)
     c = paired_counts(pairs)
-    assert est.counts == c
-    assert est.rd == risk_difference(c)
-    assert est.rr == risk_ratio(c)
-    assert est.ci_rd[0] <= est.rd <= est.ci_rd[1]
-    assert est.ci_rr[0] <= est.rr <= est.ci_rr[1]
-    assert est.se_rd > 0
+    assert est["n_pairs"] == c.n_pairs
+    assert (est["chi2"], est["p"]) == paired_chi2(c)
+    assert est["rd"] == risk_difference(c)
+    assert est["rr"] == risk_ratio(c)
+    assert est["rd_ci"][0] <= est["rd"] <= est["rd_ci"][1]
+    assert est["rr_ci"][0] <= est["rr"] <= est["rr_ci"][1]
+    assert est["rd_ci"][0] < est["rd_ci"][1]
     again = effect_estimate(pairs, n_rep=500, seed=11)
-    assert again.to_dict() == est.to_dict()
+    assert again == est
     other = effect_estimate(pairs, n_rep=500, seed=12)
-    assert other.ci_rd != est.ci_rd or other.ci_rr != est.ci_rr
+    assert other["rd_ci"] != est["rd_ci"] or other["rr_ci"] != est["rr_ci"]
 
 
 def test_alpha_sets_the_interval_level():
@@ -256,23 +268,26 @@ def test_alpha_sets_the_interval_level():
     pairs = pairs_from_outcomes(o_t, o_c)
     wide = effect_estimate(pairs, n_rep=500, seed=11, alpha=0.05)
     narrow = effect_estimate(pairs, n_rep=500, seed=11, alpha=0.10)
-    assert (narrow.rd, narrow.rr, narrow.p) == (wide.rd, wide.rr, wide.p)
-    for ci in ("ci_rd", "ci_rr"):
-        (lo, hi), (w_lo, w_hi) = getattr(narrow, ci), getattr(wide, ci)
+    assert (narrow["rd"], narrow["rr"], narrow["p"]) == (wide["rd"], wide["rr"], wide["p"])
+    for ci in ("rd_ci", "rr_ci"):
+        (lo, hi), (w_lo, w_hi) = narrow[ci], wide[ci]
         assert w_lo <= lo <= hi <= w_hi and hi - lo < w_hi - w_lo, ci
     # the same draw, cut at the 5th and 95th percentiles
     rng = np.random.default_rng(derive_seed(11, "boot"))
     c = paired_counts(pairs)
     cells = rng.multinomial(c.n_pairs, np.array([c.n11, c.n10, c.n01, c.n00]) / c.n_pairs, 500)
     rd_vals = (cells[:, 1] - cells[:, 2]) / c.n_pairs
-    assert narrow.ci_rd == tuple(np.percentile(rd_vals, [5, 95]).tolist())
+    assert narrow["rd_ci"] == np.percentile(rd_vals, [5, 95]).tolist()
 
 
 def test_effect_estimate_dict_shape():
     pairs = pairs_from_outcomes([1, 0, 1, 1], [0, 0, 1, 0])
-    d = effect_estimate(pairs, n_rep=50, seed=0).to_dict()
-    assert set(d) == {"item", "stratum", "n_pairs", "rd", "rd_ci", "rr", "rr_ci", "chi2", "p"}
+    d = effect_estimate(pairs, n_rep=50, seed=0)
+    assert set(d) == ESTIMATE_KEYS
     assert d["item"] == "dessert" and d["stratum"] == "pooled" and d["n_pairs"] == 4
+    assert effect_estimate(pairs, n_rep=50, seed=0, stratum="baseline") == dict(
+        d, stratum="baseline"
+    )
 
 
 def test_naive_risk_difference():
@@ -300,11 +315,17 @@ def test_subgroup_partner_status_partition():
     )
     subs = subgroup_estimates(pairs, "partner_status", demo, n_rep=50, seed=4, min_pairs=1)
     assert set(subs) == {"student", "staff"}
-    assert subs["student"].n_pairs + subs["staff"].n_pairs == pairs.n
+    assert subs["student"]["n_pairs"] + subs["staff"]["n_pairs"] == pairs.n
+    assert subs["student"]["stratum"] == "partner_status:student"
     stu = pairs.subset(np.asarray([p == "ST1" for p in persons]))
-    assert subs["student"].rd == risk_difference(paired_counts(stu))
+    assert subs["student"]["rd"] == risk_difference(paired_counts(stu))
     capped = subgroup_estimates(pairs, "partner_status", demo, n_rep=50, seed=4, min_pairs=5)
-    assert capped["student"].rd is None and capped["student"].n_pairs < 5
+    assert capped["student"]["rd"] is None and capped["student"]["n_pairs"] < 5
+    # an undersized stratum keeps the estimate's shape, every estimate None
+    assert set(capped["student"]) == ESTIMATE_KEYS
+    assert capped["student"]["stratum"] == "partner_status:student"
+    estimates = ESTIMATE_KEYS - {"item", "stratum", "n_pairs"}
+    assert all(capped["student"][k] is None for k in estimates)
 
 
 def test_subgroup_unknown_without_demographics():
@@ -326,7 +347,8 @@ def test_subgroup_structural_groupings():
     ]:
         subs = subgroup_estimates(pairs, grouping, None, n_rep=10, seed=0, min_pairs=1)
         assert list(subs) == [label], grouping
-        assert subs[label].n_pairs == 3
+        assert subs[label]["n_pairs"] == 3
+        assert subs[label]["stratum"] == f"{grouping}:{label}"
     with pytest.raises(ValueError):
         subgroup_estimates(pairs, "partner_status", None, min_pairs=1)
     with pytest.raises(ValueError):
@@ -337,7 +359,7 @@ def test_subgroup_seeds_are_stable():
     pairs = pairs_from_outcomes([1, 0, 1, 1, 0, 0], [0, 0, 1, 0, 1, 0])
     a = subgroup_estimates(pairs, "daypart", None, n_rep=100, seed=7, min_pairs=1)
     b = subgroup_estimates(pairs, "daypart", None, n_rep=100, seed=7, min_pairs=1)
-    assert a["lunch"].to_dict() == b["lunch"].to_dict()
+    assert a["lunch"] == b["lunch"]
 
 
 # -- anchor mimicry ----------------------------------------------------------
@@ -362,10 +384,11 @@ def _anchor_fixture():
 def test_anchor_mimicry_vegetarian():
     dyads, ctx = _anchor_fixture()
     est = anchor_mimicry(dyads, ctx, "meal_vegetarian", n_rep=50, seed=3)
-    assert est.item == "meal_vegetarian"
-    assert est.n_pairs == 4
+    assert est["item"] == "meal_vegetarian"
+    assert est["stratum"] == "anchor:meal_vegetarian"
+    assert est["n_pairs"] == 4
     # outcomes: veg-partner dyads have focal veg 1,0; controls 1,0: rd = 0
-    assert est.rd == 0.0
+    assert est["rd"] == 0.0
 
 
 def test_anchor_mimicry_validation():

@@ -9,13 +9,7 @@ from scipy.stats import binom
 
 from copycart.errors import NoPairsError, SensitivityDomainError
 from copycart.estimate import PairedCounts
-from copycart.sensitivity import (
-    amplification_curve,
-    gamma_of,
-    gamma_star,
-    sensitivity_result,
-    worst_case_p,
-)
+from copycart.sensitivity import amplification_curve, sensitivity_result, worst_case_p
 
 
 def exact_tail(k: int, n: int, q: Fraction) -> float:
@@ -26,6 +20,11 @@ def exact_tail(k: int, n: int, q: Fraction) -> float:
 def exact_worst_case(n10: int, n01: int, gamma: Fraction) -> float:
     q = gamma / (1 + gamma)
     return exact_tail(max(n10, n01), n10 + n01, q)
+
+
+def gamma_of(lam: float, delta: float) -> float:
+    """Hidden-bias level implied by a (lambda, delta) amplification point."""
+    return (lam * delta + 1.0) / (lam + delta)
 
 
 def test_worst_case_p_frozen_value():
@@ -95,29 +94,29 @@ def test_worst_case_p_domain():
 
 
 def test_gamma_star_matches_grid_oracle():
-    gs = gamma_star(PairedCounts(0, 90, 10, 0), alpha=0.05)
+    gs = sensitivity_result(PairedCounts(0, 90, 10, 0), alpha=0.05)
     # rational grid search at 1e-3 steps puts the breakdown at 5.108
-    assert gs.value == pytest.approx(5.108, abs=2e-3)
-    assert gs.baseline_significant and not gs.capped
-    assert worst_case_p(PairedCounts(0, 90, 10, 0), gs.value) <= 0.05
-    assert worst_case_p(PairedCounts(0, 90, 10, 0), gs.value + 5e-3) > 0.05
+    assert gs["gamma_star"] == pytest.approx(5.108, abs=2e-3)
+    assert gs["baseline_significant"] and not gs["capped"]
+    assert worst_case_p(PairedCounts(0, 90, 10, 0), gs["gamma_star"]) <= 0.05
+    assert worst_case_p(PairedCounts(0, 90, 10, 0), gs["gamma_star"] + 5e-3) > 0.05
 
 
 def test_gamma_star_scales_with_evidence():
-    small = gamma_star(PairedCounts(0, 90, 10, 0))
-    big = gamma_star(PairedCounts(0, 900, 100, 0))
-    assert big.value > small.value
+    small = sensitivity_result(PairedCounts(0, 90, 10, 0))
+    big = sensitivity_result(PairedCounts(0, 900, 100, 0))
+    assert big["gamma_star"] > small["gamma_star"]
 
 
 def test_gamma_star_insignificant_baseline():
-    gs = gamma_star(PairedCounts(0, 3, 2, 0))
-    assert gs.value == 1.0
-    assert not gs.baseline_significant and not gs.capped
+    gs = sensitivity_result(PairedCounts(0, 3, 2, 0))
+    assert gs["gamma_star"] == 1.0
+    assert not gs["baseline_significant"] and not gs["capped"]
 
 
 def test_gamma_star_caps_at_limit():
-    gs = gamma_star(PairedCounts(0, 5000, 20, 0))
-    assert gs.capped and gs.value == 100.0 and gs.baseline_significant
+    gs = sensitivity_result(PairedCounts(0, 5000, 20, 0))
+    assert gs["capped"] and gs["gamma_star"] == 100.0 and gs["baseline_significant"]
 
 
 def test_amplification_identity():

@@ -260,7 +260,7 @@ def test_matched_estimate_recovers_injected_effect():
         dyads, "dessert", ctx, AdjustmentSpec(exclude_own_transactions=True)
     )
     est = effect_estimate(pairs, n_rep=400, seed=1)
-    assert abs(est.rd - res.ground_truth.expected_rd["dessert"]) < 0.02
+    assert abs(est["rd"] - res.ground_truth.expected_rd["dessert"]) < 0.02
 
 
 @pytest.mark.parametrize(
@@ -275,9 +275,9 @@ def test_anchor_delta_lifts_only_its_anchor(mimicked, attribute, other):
     ctx = compute_context(res.log)
     dyads = filter_frequent_pairs(extract_dyads(reconstruct_queues(res.log)), 10)
     lifted = anchor_mimicry(dyads, ctx, attribute, n_rep=200, seed=1)
-    assert lifted.ci_rd[0] > 0.0
+    assert lifted["rd_ci"][0] > 0.0
     null = anchor_mimicry(dyads, ctx, other, n_rep=200, seed=1)
-    assert null.ci_rd[0] < 0.0 < null.ci_rd[1]
+    assert null["rd_ci"][0] < 0.0 < null["rd_ci"][1]
 
 
 def test_pre_agreement_outcome_ignores_queue_order():

@@ -25,10 +25,6 @@ TESTS = pathlib.Path(__file__).parent
 ALLOWED = {
     # a paper table that no stage reports yet; ROADMAP item 3 keeps it open
     "co_purchase_matrix",
-    # acceptance test 5 checks the amplification map against it
-    "gamma_of",
-    # acceptance test 1 reads the published table's margins through it
-    "marginal",
 }
 
 
