@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import _beta_cf, derive_seed, t_two_sided_p
+from ._util import _beta_fraction, derive_seed, t_two_sided_p
 from .context import ContextStats
 from .dyads import DyadSet, tie_strength_per_dyad
 from .errors import InsufficientBinsError, NoPairsError
@@ -107,8 +107,8 @@ def binom_upper_tail(k: int, n: int, q: float) -> float:
         + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
     )
     if q <= (a + 1.0) / (a + b + 2.0):
-        return lead / a * _beta_cf(a, b, q)
-    return 1.0 - lead / b * _beta_cf(b, a, 1.0 - q)
+        return lead / _beta_fraction(a, b, q, 1.0 - q)
+    return 1.0 - lead / _beta_fraction(b, a, 1.0 - q, q)
 
 
 def paired_chi2(counts: PairedCounts) -> tuple[Optional[float], Optional[float]]:

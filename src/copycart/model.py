@@ -11,13 +11,14 @@ import csv
 import datetime as dt
 import io
 import itertools
-import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, Iterator, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._util import Source, header_order, read_csv, read_text, write_csv
 from .errors import IngestError
@@ -74,9 +75,9 @@ BIT_MEAL_VEG = CATEGORY_BIT["meal_vegetarian"]
 BIT_COFFEE = CATEGORY_BIT["coffee"]
 BIT_TEA = CATEGORY_BIT["tea"]
 
-_MEAL_SUBTYPES = ("vegetarian", "non_vegetarian")
-_BEVERAGE_SUBTYPES = ("coffee", "tea")
-_KINDS = ("anchor_meal", "anchor_beverage", "addition", "other")
+# the subtypes each category kind takes; any other subtype of "other" becomes None
+_SUBTYPES = {"anchor_meal": ("vegetarian", "non_vegetarian"), "anchor_beverage": ("coffee", "tea"),
+             "addition": ADDITION_KEYS, "other": (None, "")}
 
 
 @dataclass(frozen=True)
@@ -87,30 +88,19 @@ class ItemCategory:
     subtype: Optional[str] = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _SUBTYPES:
             raise ValueError(f"unknown category kind {self.kind!r}")
-        if self.kind == "anchor_meal" and self.subtype not in _MEAL_SUBTYPES:
-            raise ValueError(f"anchor_meal subtype must be one of {_MEAL_SUBTYPES}")
-        if self.kind == "anchor_beverage" and self.subtype not in _BEVERAGE_SUBTYPES:
-            raise ValueError(f"anchor_beverage subtype must be one of {_BEVERAGE_SUBTYPES}")
-        if self.kind == "addition" and self.subtype not in ADDITION_KEYS:
-            raise ValueError(f"addition subtype must be one of {ADDITION_KEYS}")
-        if self.kind == "other" and self.subtype not in (None, ""):
+        if self.subtype not in _SUBTYPES[self.kind]:
+            if self.kind != "other":
+                raise ValueError(f"{self.kind} subtype must be one of {_SUBTYPES[self.kind]}")
             object.__setattr__(self, "subtype", None)
 
     @property
     def mask(self) -> int:
         """Contribution of one item of this category to a basket mask."""
         if self.kind == "anchor_meal":
-            bits = 1 << BIT_MEAL
-            if self.subtype == "vegetarian":
-                bits |= 1 << BIT_MEAL_VEG
-            return bits
-        if self.kind == "anchor_beverage":
-            return 1 << CATEGORY_BIT[self.subtype]
-        if self.kind == "addition":
-            return 1 << CATEGORY_BIT[self.subtype]
-        return 0
+            return 1 << BIT_MEAL | (self.subtype == "vegetarian") << BIT_MEAL_VEG
+        return 0 if self.kind == "other" else 1 << CATEGORY_BIT[self.subtype]
 
 
 class ItemCatalog:
@@ -188,8 +178,11 @@ TRANSACTION_COLUMNS = ("tx_id", "person_id", "timestamp", "shop_id", "register_i
 
 _EPOCH = dt.datetime(1970, 1, 1)
 
-# records checked per step of the parser; bounds the field strings held at once
-_PARSE_CHUNK = 1 << 16
+# records split and checked per parser step; bounds the offsets and bytes held
+_PARSE_CHUNK = 1 << 14
+
+# the ASCII bytes that `str.strip` takes off the ends of a field
+_SPACE = np.isin(np.arange(256), [9, 10, 11, 12, 13, 28, 29, 30, 31, 32])
 
 
 def _parse_timestamp(text: str) -> int:
@@ -200,30 +193,37 @@ def _parse_timestamp(text: str) -> int:
     return int((t - _EPOCH).total_seconds())
 
 
+# fields as the parser holds them: zero-padded fixed-width UTF-8 bytes, and lengths
+ByteColumn = tuple[np.ndarray, np.ndarray]
+
+
+def _texts(values: np.ndarray, lens: np.ndarray) -> list[str]:
+    """Each field of a byte column as a str."""
+    out = [v.decode("utf-8", "surrogatepass") for v in values.tolist()]
+    nuls = lens - np.strings.str_len(values)  # the trailing NULs that `tolist` drops
+    for k in np.flatnonzero(nuls).tolist():
+        out[k] += "\0" * int(nuls[k])
+    return out
+
+
 # `YYYY-MM-DDTHH:MM:SS`, the form `serialize_transactions` writes
 _STAMP_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
 _STAMP_SEPARATORS = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":"}
 
 
-def _canonical_epochs(stamps: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """(epoch seconds, decoded) per stamp, decoding `YYYY-MM-DDTHH:MM:SS` digits.
-
-    A stamp of any other form, or naming no real calendar day and time, is
-    left undecoded (epoch 0) for `_parse_timestamp` to judge.
-    """
-    n = len(stamps)
-    shaped = np.fromiter(map(len, stamps), np.int64, n) == 19
-    rows = np.nonzero(shaped)[0]
-    picked = stamps if rows.shape[0] == n else [stamps[i] for i in rows]
-    # one byte per character; "?" stands in for any character past latin-1
-    text = "".join(picked).encode("latin-1", errors="replace")
-    chars = np.frombuffer(text, np.uint8).reshape(-1, 19)
-    digits = chars[:, _STAMP_DIGITS].astype(np.int64) - ord("0")
-    ok = ((digits >= 0) & (digits <= 9)).all(axis=1)
+def _canonical_epochs(stamps: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(epoch seconds, decoded) per stamp of a byte column, decoding the
+    digits of `YYYY-MM-DDTHH:MM:SS` from a (rows, 19) view.  A stamp of any
+    other form, or naming no real calendar day and time, is left undecoded
+    (epoch 0) for `_parse_timestamp` to judge."""
+    rows = np.flatnonzero(lens == 19)
+    chars = stamps[rows].astype("S19").view(np.uint8).reshape(-1, 19)
+    digits = chars[:, _STAMP_DIGITS] - np.uint8(ord("0"))  # a byte below "0" wraps past 9
+    ok = (digits <= 9).all(axis=1)
     for col, sep in _STAMP_SEPARATORS.items():
         ok &= chars[:, col] == ord(sep)
     digits[~ok] = 0
-    pairs = digits[:, 0::2] * 10 + digits[:, 1::2]
+    pairs = (digits[:, 0::2] * 10 + digits[:, 1::2]).astype(np.int64)
     year = pairs[:, 0] * 100 + pairs[:, 1]
     month, day, hour, minute, second = pairs[:, 2:].T
     ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
@@ -232,22 +232,30 @@ def _canonical_epochs(stamps: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     months = np.where(ok, (year - 1970) * 12 + month - 1, 0)
     days = months.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64) + day - 1
     ok &= days.astype("datetime64[D]").astype("datetime64[M]").astype(np.int64) == months
-    epoch = np.zeros(n, np.int64)
-    decoded = np.zeros(n, bool)
+    epoch, decoded = np.zeros(lens.shape, np.int64), np.zeros(lens.shape, bool)
     epoch[rows] = np.where(ok, days * 86400 + hour * 3600 + minute * 60 + second, 0)
     decoded[rows] = ok
     return epoch, decoded
 
 
-def intern_codes(labels: Sequence[str], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """Sorted vocabulary of the labels that `codes` uses, and each code's
-    index into it.  `codes` indexes the distinct strings `labels`."""
-    used = np.nonzero(np.bincount(codes, minlength=len(labels)))[0]
-    names = [labels[k] for k in used.tolist()]
-    perm = sorted(range(len(names)), key=names.__getitem__)
-    rank = np.zeros(len(labels), np.int64)
-    rank[used[perm]] = np.arange(len(perm))
-    return [names[k] for k in perm], rank[codes]
+def _distinct(values: np.ndarray, lens: np.ndarray) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """(distinct, codes, first) of a byte column: its distinct fields in code
+    point order, one str each, each row's index into them, and the row where
+    each first occurs.  Rows sort stably by their bytes, which keeps that
+    order in UTF-8, then by length, since a tie differs only in trailing NULs."""
+    n = lens.shape[0]
+    key = values.view(np.uint8).reshape(n, values.itemsize)
+    if (lens != np.strings.str_len(values)).any():  # a field ends in NUL, as the padding does
+        size = (int(lens.max()).bit_length() + 7) // 8
+        key = np.hstack((key, lens.astype(">u8").view(np.uint8).reshape(n, 8)[:, 8 - size :]))
+    order = np.lexsort(key.T[::-1])  # a radix pass per byte column
+    rows = key[order].view(f"V{key.shape[1]}")[:, 0]
+    new = np.ones(n, bool)
+    new[1:] = rows[1:] != rows[:-1]
+    codes = np.empty(n, np.int64)
+    codes[order] = np.cumsum(new) - 1
+    first = order[new]
+    return _texts(values[first], lens[first]), codes, first
 
 
 def labels_at(vocab: Sequence[str], idx: np.ndarray) -> list[str]:
@@ -370,115 +378,112 @@ class TransactionLog:
         return np.fromiter(map(row.get, tx_ids, itertools.repeat(-1)), np.int64, len(tx_ids))
 
 
-class _Column:
-    """A string column interned chunk by chunk; the codes index `index`'s keys."""
-
-    def __init__(self):
-        self.index: dict[str, int] = {}
-        self.codes: list[np.ndarray] = []
-
-    def add(self, values: Sequence[str]) -> None:
-        index = self.index
-        fresh = [v for v in dict.fromkeys(values) if v not in index]
-        index.update(zip(fresh, itertools.count(len(index))))
-        self.codes.append(np.fromiter(map(index.__getitem__, values), np.int64, len(values)))
-
-    def interned(self) -> Interned:
-        codes = np.concatenate(self.codes) if self.codes else np.empty(0, np.int64)
-        return intern_codes(list(self.index), codes)
-
-
 _ID_COLUMNS = ("tx_id", "person_id", "shop_id", "register_id")
 
 
 class _ChunkParser:
-    """Checks chunks of CSV records column by column and keeps the accepted
-    rows as arrays and interned columns."""
+    """Checks chunks of records column by column and keeps the accepted
+    rows' timestamps, basket codes and id byte columns."""
 
     def __init__(self, catalog: ItemCatalog):
-        self.catalog = catalog
-        self.report = IngestReport()
-        self.ids = {name: _Column() for name in _ID_COLUMNS}
-        self.ts: list[np.ndarray] = []
-        self.baskets: list[np.ndarray] = []
-        self.basket_of: dict[str, int] = {}  # raw items field -> table index, -1 if empty
+        self.catalog, self.report = catalog, IngestReport()
+        self.ids = {name: [(np.empty(0, "S1"), np.empty(0, np.int64))] for name in _ID_COLUMNS}
+        self.ts, self.baskets = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
         self.table: dict[tuple[str, ...], int] = {}  # normalized basket -> table index
 
-    def _basket_codes(self, items: Sequence[str]) -> np.ndarray:
-        """Table index per raw items field; each distinct field is normalized once."""
-        for raw in dict.fromkeys(items):
-            if raw not in self.basket_of:
-                basket = tuple(sorted({x for x in raw.split(";") if x}))
-                code = self.table.setdefault(basket, len(self.table)) if basket else -1
-                self.basket_of[raw] = code
-        return np.fromiter(map(self.basket_of.__getitem__, items), np.int64, len(items))
+    def _basket_codes(self, items: ByteColumn) -> np.ndarray:
+        """Table index per row, -1 for an empty basket; each distinct items
+        field is normalized once, in the order the fields first occur."""
+        raw, codes, first = _distinct(*items)
+        code = np.empty(first.shape[0], np.int64)
+        for k in np.argsort(first).tolist():
+            basket = tuple(sorted({x for x in raw[k].split(";") if x}))
+            code[k] = self.table.setdefault(basket, len(self.table)) if basket else -1
+        return code[codes]
 
-    def add(self, columns: dict[str, Sequence[str]], lines: np.ndarray) -> None:
-        """One chunk: `columns` maps each CSV column to its fields, `lines`
-        gives each row's line number."""
+    def add(self, columns: dict[str, ByteColumn], lines: np.ndarray) -> None:
+        """One chunk: `columns` maps each CSV column to its byte column,
+        `lines` gives each row's line number."""
         n = lines.shape[0]
         self.report.n_records += n
-        fields = {name: list(map(str.strip, columns[name])) for name in _ID_COLUMNS}
-        for name, values in fields.items():
-            if "\r" in "".join(values):  # write_csv leaves a "\r" unquoted
-                k = next(k for k, v in enumerate(values) if "\r" in v)
-                raise IngestError(f"transactions CSV line {lines[k]}: carriage return in {name} {values[k]!r}")
+        ids = {name: columns[name] for name in _ID_COLUMNS}
         missing = np.zeros(n, bool)
-        for values in fields.values():
-            if "" in values:
-                missing |= np.fromiter(map(operator.not_, values), bool, n)
-        stamps = list(map(str.strip, columns["timestamp"]))
-        epoch, decoded = _canonical_epochs(stamps)
+        for name, (values, lens) in ids.items():
+            cr = values.view(np.uint8).reshape(n, -1) == ord("\r")
+            if cr.any():  # write_csv leaves a "\r" unquoted
+                k = cr.any(axis=1).nonzero()[0][:1]
+                raise IngestError(f"transactions CSV line {lines[k[0]]}: carriage return in "
+                                  f"{name} {_texts(values[k], lens[k])[0]!r}")
+            missing |= lens == 0
+        stamps, stamp_lens = columns["timestamp"]
+        epoch, decoded = _canonical_epochs(stamps, stamp_lens)
         basket = self._basket_codes(columns["items"])
-
         # reasons in priority order: missing field, timestamp, empty basket
-        rejected = dict.fromkeys(np.nonzero(missing)[0].tolist(), "missing required field")
-        for i in np.nonzero(~missing & ~decoded)[0].tolist():
+        rejected = dict.fromkeys(np.flatnonzero(missing).tolist(), "missing required field")
+        odd = np.flatnonzero(~missing & ~decoded)
+        for i, stamp in zip(odd.tolist(), _texts(stamps[odd], stamp_lens[odd])):
             try:
-                epoch[i] = _parse_timestamp(stamps[i])
+                epoch[i] = _parse_timestamp(stamp)
             except ValueError as e:
-                rejected[i] = f"malformed timestamp {stamps[i]!r}: {e}"
-        for i in np.nonzero(basket < 0)[0].tolist():
+                rejected[i] = f"malformed timestamp {stamp!r}: {e}"
+        for i in np.flatnonzero(basket < 0).tolist():
             rejected.setdefault(i, "empty basket")
-        if rejected:
-            self.report.errors += [(int(lines[i]), rejected[i]) for i in sorted(rejected)]
-            self.report.n_rejected += len(rejected)
-            keep = np.ones(n, bool)
-            keep[list(rejected)] = False
-            fields = {name: list(itertools.compress(v, keep)) for name, v in fields.items()}
-            epoch, basket = epoch[keep], basket[keep]
-        self.report.n_parsed += epoch.shape[0]
-        for name, values in fields.items():
-            self.ids[name].add(values)
-        self.ts.append(epoch)
-        self.baskets.append(basket)
+        self.report.errors += [(int(lines[i]), rejected[i]) for i in sorted(rejected)]
+        self.report.n_rejected += len(rejected)
+        self.report.n_parsed += n - len(rejected)
+        keep = np.ones(n, bool)
+        keep[list(rejected)] = False
+        for name, (values, lens) in ids.items():
+            self.ids[name].append((values[keep], lens[keep]))
+        self.ts.append(epoch[keep])
+        self.baskets.append(basket[keep])
 
     def log(self) -> TransactionLog:
         table = list(self.table)
-        b_idx = np.concatenate(self.baskets) if self.baskets else np.empty(0, np.int64)
+        b_idx = np.concatenate(self.baskets)
         for basket, count in zip(table, np.bincount(b_idx, minlength=len(table)).tolist()):
             for code in basket if count else ():
                 if code not in self.catalog:
                     self.report.unknown_codes[code] += count
-        return TransactionLog(
-            np.concatenate(self.ts) if self.ts else np.empty(0, np.int64),
-            *(self.ids[name].interned() for name in _ID_COLUMNS),
-            (table, b_idx),
-            self.catalog,
-            self.report,
-        )
+        ids = [_distinct(*map(np.concatenate, zip(*self.ids[name])))[:2] for name in _ID_COLUMNS]
+        return TransactionLog(np.concatenate(self.ts), *ids, (table, b_idx), self.catalog, self.report)
 
 
-def _record_chunks(text: str) -> Iterator[tuple[list[str], np.ndarray, np.ndarray]]:
+def _byte_column(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray,
+                 idx: np.ndarray, strip: bool) -> ByteColumn:
+    """The fields [start, stop) of `buf` numbered `idx`, gathered from a
+    strided view of `buf`; `strip` moves both offsets past ASCII whitespace."""
+    s, e = starts[idx], stops[idx]
+    for edge, step, at in ((s, 1, 0), (e, -1, -1)) if strip else ():
+        rows = np.flatnonzero((s < e) & _SPACE[buf[edge + at]])
+        while rows.shape[0]:
+            edge[rows] += step
+            rows = rows[(s[rows] < e[rows]) & _SPACE[buf[edge[rows] + at]]]
+    lens = e - s
+    width = max(int(lens.max(initial=0)), 1)
+    values = sliding_window_view(buf, width)[s]
+    short = np.flatnonzero(lens < width)  # the rows whose window runs past the field
+    values[short] *= np.arange(width) < lens[short, None]
+    return values.view(f"S{width}")[:, 0], lens
+
+
+def _str_column(fields: list[str], idx: np.ndarray, strip: bool) -> ByteColumn:
+    """The fields numbered `idx`, `str.strip`ped if `strip`, as a byte column."""
+    encoded = [(fields[i].strip() if strip else fields[i]).encode("utf-8", "surrogatepass")
+               for i in idx.tolist()]
+    return np.array(encoded, "S"), np.fromiter(map(len, encoded), np.int64, len(encoded))
+
+
+def _record_chunks(text: str) -> Iterator[tuple[Callable, np.ndarray, np.ndarray]]:
     """The records of a CSV text as `csv.reader` reads them, a chunk at a time:
-    (every field of the chunk in order, fields per record, blank-line mask).
-
-    Text free of quotes, carriage returns and NULs splits into the reader's
-    records on newlines and commas alone, with no Python object built per
-    record; a blank line then counts one empty field.  Other text goes
-    through `csv.reader`.
+    (column, fields per record, blank-line mask), where `column(idx, strip)`
+    gives the chunk's fields numbered `idx` (-1 is an empty field) as a byte
+    column, stripped as `str.strip` does if `strip`.  ASCII text free of
+    quotes, carriage returns and NULs is split on its bytes: a record ends at
+    a newline, a field at a comma, and a blank line counts one empty field.
+    Other text goes through `csv.reader`.
     """
-    if '"' in text or "\r" in text or "\x00" in text:
+    if not text.isascii() or '"' in text or "\r" in text or "\x00" in text:
         # newline="" splits lines as a file opened for csv does
         reader = csv.reader(io.StringIO(text, newline=""))
         while True:
@@ -489,22 +494,27 @@ def _record_chunks(text: str) -> Iterator[tuple[list[str], np.ndarray, np.ndarra
             if not chunk:
                 return
             widths = np.fromiter(map(len, chunk), np.int64, len(chunk))
-            yield list(itertools.chain.from_iterable(chunk)), widths, widths == 0
-    lines = text.split("\n")
+            yield partial(_str_column, [*itertools.chain.from_iterable(chunk), ""]), widths, widths == 0
+    data = text.encode("ascii")
     del text
-    if lines[-1] == "":
-        lines.pop()  # the newline that ends the last record
-    while lines:
-        part = lines[:_PARSE_CHUNK]
-        del lines[:_PARSE_CHUNK]  # free each line once its chunk is done
-        commas = np.fromiter(map(str.count, part, itertools.repeat(",")), np.int64, len(part))
-        blank = np.fromiter(map(operator.not_, part), bool, len(part))
-        yield ",".join(part).split(","), commas + 1, blank
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    if not data.endswith(b"\n") and data:
+        ends = np.append(ends, len(data))  # the last record lacks its newline
+    # a newline there, then room for a window as wide as any line
+    pad = bytes(int(np.diff(ends, prepend=-1).max(initial=0)))
+    buf = np.frombuffer(b"".join((data, b"\n", pad)), np.uint8)
+    del data
+    for a in range(0, ends.shape[0], _PARSE_CHUNK):
+        lo, hi = (ends[a - 1] + 1 if a else 0), ends[a : a + _PARSE_CHUNK][-1] + 1
+        stops = np.flatnonzero((buf[lo:hi] == ord(",")) | (buf[lo:hi] == ord("\n"))) + lo
+        last = np.flatnonzero(buf[stops] == ord("\n"))  # each record's last field
+        widths = np.diff(last, prepend=-1)
+        starts, stops = np.append(lo, stops + 1), np.append(stops, hi)  # field -1 is empty
+        blank = (widths == 1) & (starts[last] == stops[last])
+        yield partial(_byte_column, buf, starts, stops), widths, blank
 
 
-def parse_transactions(
-    source: Source, catalog: ItemCatalog
-) -> TransactionLog:
+def parse_transactions(source: Source, catalog: ItemCatalog) -> TransactionLog:
     """Parse CSV transaction records into a validated log.
 
     Malformed records are rejected individually and reported with their line
@@ -512,9 +522,7 @@ def parse_transactions(
     timestamp, then an empty basket.  A duplicate tx_id, or an id holding a
     carriage return (which no CSV dump could keep), is fatal.  Item codes
     absent from the catalog degrade to the Other category and are tallied in
-    the report.  Records are checked a chunk at a time, column by column;
-    only timestamps not in the `YYYY-MM-DDTHH:MM:SS` form that
-    `serialize_transactions` writes are parsed one by one.
+    the report.  Records are checked a chunk at a time, column by column.
     """
     name, text = read_text(source, "transactions CSV")
     chunks = _record_chunks(text)
@@ -522,29 +530,21 @@ def parse_transactions(
     parser = _ChunkParser(catalog)
     header: Optional[list[str]] = None
     line = 1  # of the chunk's first record
-    for fields, widths, blank in chunks:
+    for column, widths, blank in chunks:
+        first = np.cumsum(widths) - widths  # each record's first field
         if header is None:
-            header = [] if blank[0] else fields[: widths[0]]
+            header = [] if blank[0] else _texts(*column(np.arange(widths[0]), False))
             col = header_order(header, TRANSACTION_COLUMNS, name)
-            width = len(header)
-            fields, widths, blank = fields[widths[0] :], widths[1:], blank[1:]
+            first, widths, blank = first[1:], widths[1:], blank[1:]
             line += 1
-        kept = np.nonzero(~blank)[0]  # a blank line holds no record
+        kept = np.flatnonzero(~blank)  # a blank line holds no record
         lines = kept + line
         line += widths.shape[0]
-        if kept.shape[0] == 0:
-            continue
-        if kept.shape[0] == widths.shape[0] and (widths == width).all():
-            columns = [fields[k::width] for k in range(width)]
-        else:
-            # a record of the wrong width lacks every field
-            starts = (np.cumsum(widths) - widths)[kept].tolist()
-            records = [
-                fields[s : s + width] if w == width else [""] * width
-                for s, w in zip(starts, widths[kept].tolist())
-            ]
-            columns = [list(c) for c in zip(*records)]
-        parser.add({c: columns[k] for c, k in col.items()}, lines)
+        if kept.shape[0]:  # a record of the wrong width lacks every field
+            first = np.where(widths[kept] == len(col), first[kept], -1)
+            parser.add({c: column(np.where(first < 0, -1, first + k), c != "items")
+                        for c, k in col.items()}, lines)
+    column = None  # frees the split text before the log is built
     return parser.log()
 
 

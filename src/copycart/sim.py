@@ -23,7 +23,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, fields
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .model import (
     ItemCategory,
     PersonRecord,
     TransactionLog,
-    intern_codes,
     serialize_transactions,
 )
 
@@ -299,6 +298,17 @@ def _gaps(rng, config: SimulationConfig, size: int) -> np.ndarray:
         return rng.integers(5, GAP_MAX_S + 1, size)
     raw = np.exp(rng.normal(math.log(config.gap_median_s), config.gap_sigma, size))
     return np.clip(np.rint(raw), 1, GAP_MAX_S).astype(np.int64)
+
+
+def intern_codes(labels: Sequence[str], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Sorted vocabulary of the labels that `codes` uses, and each code's
+    index into it.  `codes` indexes the distinct strings `labels`."""
+    used = np.nonzero(np.bincount(codes, minlength=len(labels)))[0]
+    names = [labels[k] for k in used.tolist()]
+    perm = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.zeros(len(labels), np.int64)
+    rank[used[perm]] = np.arange(len(perm))
+    return [names[k] for k in perm], rank[codes]
 
 
 def simulate_log(

@@ -179,8 +179,9 @@ def test_welch_t_matches_reference():
     assert p == pytest.approx(ref.pvalue, rel=1e-10)
 
 
-# df straddles 60, where log Γ(a+½)/Γ(a) switches to its asymptotic series
-T_DF = np.concatenate([np.geomspace(1.0, 1e5, 31), [1.5, 2.5, 7.3, 59.9, 60.0, 60.1, 99999.7]])
+# df straddles 60, where log Γ(a+½)/Γ(a) switches to its asymptotic series,
+# and runs to 1e12, where x = df/(df+t²) is within 1e-12 of 1
+T_DF = np.concatenate([np.geomspace(1.0, 1e12, 67), [1.5, 2.5, 7.3, 59.9, 60.0, 60.1, 99999.7]])
 
 
 def test_t_tail_matches_scipy():

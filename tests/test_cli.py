@@ -216,10 +216,17 @@ def test_cli_loads_only_what_its_stage_runs(tmp_path):
     conf = {
         "input": {k: str(tmp_path / "in" / f"{k}.csv") for k in ("transactions", "catalog")},
         "estimation": {"seed": 1, "n_boot": 50},
+        "analyses": {"coordination": True},
     }
     (tmp_path / "run.yaml").write_text(yaml.safe_dump(conf), encoding="utf-8")
     args = ["--config", str(tmp_path / "run.yaml"), "--out", str(tmp_path / "out")]
     assert invoke(*args, "run").exit_code == 0
+    # the one validated report that holds a real coordination test
+    results = json.loads((tmp_path / "out" / "results.json").read_text(encoding="utf-8"))
+    jsonschema.validate(results, load_schema())
+    report = next(it for it in results["items"] if it["item"] == "dessert")["coordination"]
+    assert isinstance(report["p"], float) and 0.0 < report["p"] < 1.0
+    assert json.loads(invoke(*args, "coordinate", "--item", "dessert").output)["p"] == report["p"]
     code = f"""
 import sys
 import copycart.cli.main as cli

@@ -3,6 +3,7 @@
 import csv
 import io
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copycart import model as M
+from copycart.dyads import DYAD_COLUMNS, DyadSet
 from copycart.errors import IngestError
+from copycart.sim import SimulationConfig, simulate, simulation_catalog
 
 
 CATEGORIES = {
@@ -333,10 +336,13 @@ def test_column_parser_agrees_with_row_parser(stamps):
     assert log.report.errors == errors
 
 
-def chunk_rows(text):
-    """The records `_record_chunks` finds, rebuilt one list per record."""
+def chunk_rows(text, strip=False):
+    """The records `_record_chunks` finds, rebuilt one list per record from
+    the byte column of every field of each chunk."""
     rows = []
-    for fields, widths, blank in M._record_chunks(text):
+    for column, widths, blank in M._record_chunks(text):
+        assert M._texts(*column(np.array([-1]), strip)) == [""]
+        fields = M._texts(*column(np.arange(widths.sum()), strip))
         start = 0
         for w, b in zip(widths.tolist(), blank.tolist()):
             rows.append([] if b else fields[start : start + w])
@@ -344,7 +350,8 @@ def chunk_rows(text):
     return rows
 
 
-CSV_TEXT = st.text(st.sampled_from(list("ab ,\n") + ['"', "\r", "\x00", "é"]), max_size=60)
+CSV_TEXT = st.text(st.sampled_from(list("ab7 ,\n\t\v\x1f") + ['"', "\r", "\x00", "é", "\xa0"]),
+                   max_size=60)
 
 
 @settings(max_examples=300, deadline=None)
@@ -360,6 +367,7 @@ def test_record_chunks_read_as_csv_reader_does(text, chunk):
                 chunk_rows(text)
         else:
             assert chunk_rows(text) == want
+            assert chunk_rows(text, strip=True) == [[f.strip() for f in row] for row in want]
 
 
 def test_unreadable_csv_is_an_ingest_error():
@@ -401,6 +409,99 @@ def test_parse_is_independent_of_chunk_size(quoted):
             chunked = M.parse_transactions(io.StringIO(text), CATALOG)
         assert row_values(chunked) == row_values(whole)
         assert chunked.report == whole.report
+
+
+PAD = st.sampled_from(["", "", "", " ", "\t", " \v "])
+
+
+@st.composite
+def small_logs(draw):
+    """(records, final newline) of a small transactions CSV: a permuted and
+    padded header, then rows with blank lines, wrong widths, missing and
+    padded fields, empty baskets and stamps of every form."""
+    columns = draw(st.permutations(M.TRANSACTION_COLUMNS))
+    records = [[draw(PAD) + c + draw(PAD) for c in columns]]
+    for i in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "short", "long"]))
+        if kind == "blank":
+            records.append([])
+            continue
+        row = {
+            "tx_id": f"T{i}",
+            "person_id": draw(st.sampled_from(["P1", "P2", "P10", "P1", ""])),
+            "timestamp": draw(st.sampled_from([
+                f"2018-01-05T12:00:{i:02d}", f"2019-12-31T23:59:{i:02d}", f"2018-01-05 12:{i:02d}:00",
+                "2018-02-30T12:00:00", "", "20180105T120000", "2018-01-05"])),
+            "shop_id": draw(st.sampled_from(["S1", "S2", "S1", ""])),
+            "register_id": draw(st.sampled_from(["R1", "R2", "R1", ""])),
+            "items": draw(st.sampled_from(["COF", "DES;COF", "ZZZ;;FRU", " COF", "TEA ", "", ";"])),
+        }
+        fields = [row[c] if c in ("tx_id", "items") else draw(PAD) + row[c] + draw(PAD) for c in columns]
+        records.append({"row": fields, "short": fields[:-1], "long": fields + ["x"]}[kind])
+    return records, draw(st.booleans())
+
+
+def parse_outcome(text):
+    """The rows and report a parse gives, or the message of its IngestError."""
+    try:
+        log = M.parse_transactions(io.StringIO(text), CATALOG)
+    except IngestError as e:
+        return str(e)
+    return row_values(log), log.report
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_logs(), st.sampled_from([2, 1000]))
+def test_byte_split_parses_as_csv_reader_does(log, chunk):
+    # the same records with every field quoted go through `csv.reader`
+    records, final_newline = log
+    end = "\n" if final_newline else ""
+    text = "\n".join(",".join(r) for r in records) + end
+    quoted = "\n".join(",".join(f'"{f}"' for f in r) for r in records) + end
+    assert '"' not in text and text.isascii()
+    with mock.patch.object(M, "_PARSE_CHUNK", chunk):
+        assert parse_outcome(text) == parse_outcome(quoted)
+
+
+@pytest.mark.parametrize("read, columns, row", [
+    (lambda src: M.parse_transactions(src, CATALOG), M.TRANSACTION_COLUMNS,
+     "T2,P1,2018-01-05T12:00:30,S1,R1,,COF"),
+    (M.Demographics.from_csv, M.DEMOGRAPHIC_COLUMNS, "P1,female,staff,,1980"),
+    (lambda src: DyadSet.from_csv(src, parse_csv("T1,P1,2018-01-05T12:00:00,S1,R1,COF\n")),
+     DYAD_COLUMNS, "T1,T1,S1,R1,2018-01-05,lunch,,0"),
+], ids=["transactions", "demographics", "dyads"])
+def test_repeated_header_column_is_an_ingest_error(read, columns, row):
+    # the second copy of the last column would otherwise be ignored unseen
+    text = ",".join(columns + columns[-1:]) + "\n" + row + "\n"
+    with pytest.raises(IngestError, match=f"line 1: header repeats column '{columns[-1]}'"):
+        read(io.StringIO(text))
+
+
+def test_fields_that_differ_in_trailing_nuls_stay_apart():
+    # quoted text keeps a NUL, which the parser's fixed-width columns pad with
+    text = CSV_HEADER + ('T1,P1,2018-01-05T12:00:00,S1,R1,COF\n'
+                         'T2,"P1\x00",2018-01-05T12:00:01,S1,R1,"COF\x00"\n')
+    log = M.parse_transactions(io.StringIO(text), CATALOG)
+    assert log.persons == ["P1", "P1\x00"]
+    assert [row[1] for row in row_values(log)] == ["P1", "P1\x00"]
+    assert baskets(log) == [("COF",), ("COF\x00",)]
+    assert log.report.unknown_codes == {"COF\x00": 1}
+
+
+def test_parse_memory_stays_bounded(tmp_path):
+    # The parse of this 55k-row log peaked at 15.6 MB of traced memory when
+    # the bound was set; one Python str per field, or offsets and byte views
+    # built for the whole log at once, at least double that.
+    config = SimulationConfig(seed=3, n_persons=500)
+    M.serialize_transactions(simulate(config).log, tmp_path / "transactions.csv")
+    tracemalloc.start()
+    try:
+        log = M.parse_transactions(tmp_path / "transactions.csv", simulation_catalog(config))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert log.n > 50_000 and log.report.n_rejected == 0
+    assert peak < 32e6, f"parse peaked at {peak / 1e6:.1f} MB"
 
 
 def test_derived_columns():
