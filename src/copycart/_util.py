@@ -13,7 +13,7 @@ import os
 import typing
 import zlib
 from collections import Counter
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -100,33 +100,155 @@ def t_two_sided_p(t: float, df: float) -> float:
     return 1.0 - lead / _beta_fraction(0.5, a, y, x)
 
 
-def write_csv(dest: Source, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """The header, then the rows, as CSV with "\\n" line ends; a path is
-    written as UTF-8."""
-    if isinstance(dest, (str, os.PathLike)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            return write_csv(fh, header, rows)
-    w = csv.writer(dest, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
+class ByteColumn(NamedTuple):
+    """Fields as zero-padded fixed-width UTF-8 bytes, and the length of each:
+    a field may end in NUL, which the padding hides."""
+
+    values: np.ndarray
+    lens: np.ndarray
+
+    @classmethod
+    def of(cls, texts: Sequence[str]) -> "ByteColumn":
+        """Each str as UTF-8 bytes."""
+        data = list(map(str.encode, texts))
+        return cls(np.array(data, "S"), np.fromiter(map(len, data), np.int64, len(data)))
+
+    def texts(self) -> list[str]:
+        """Each field as a str."""
+        out = list(map(bytes.decode, self.values.tolist()))
+        nuls = self.lens - np.strings.str_len(self.values)  # the trailing NULs `tolist` drops
+        for k in np.flatnonzero(nuls).tolist():
+            out[k] += "\0" * int(nuls[k])
+        return out
+
+    def take(self, idx) -> "ByteColumn":
+        """The fields numbered `idx`."""
+        return ByteColumn(self.values[idx], self.lens[idx])
 
 
-def read_text(source: Source, what: str) -> tuple[str, str]:
-    """(name, whole text) of a path read as UTF-8 or of a text stream; the
+def decimal_digits(values: np.ndarray, width: int) -> np.ndarray:
+    """(rows, width) uint8 ASCII digits of non-negative ints below 10**width,
+    zero-padded on the left."""
+    out = np.empty((values.shape[0], width), np.uint8)
+    for col in range(width - 1, -1, -1):
+        values, out[:, col] = np.divmod(values, 10)
+    return out + np.uint8(ord("0"))
+
+
+# a column to write: (values, index), the field of row r being values[index[r]],
+# or values[r] when index is None
+Column = tuple[Union[ByteColumn, Sequence, np.ndarray], Optional[np.ndarray]]
+
+# bytes that can make csv.writer quote a field, or refuse it (NUL and "\r" it
+# writes bare today); each value holding one is written by csv.writer
+_SPECIAL = np.isin(np.arange(256), list(b',"\r\n\0'))
+_WRITE_BLOCK = 1 << 20  # bytes of (rows, width) block assembled per write
+
+
+def _rendered(values, sep: bytes, alone: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(block, lens): each value as csv.writer writes the field, then `sep`,
+    as a uint8 row of `block` holding `lens` bytes.  A str is written as it
+    is, None as an empty field, anything else as `str` gives it; `alone`
+    says the field is a whole row, so an empty one is written `""`."""
+    if not isinstance(values, ByteColumn):
+        values = ByteColumn.of(["" if v is None else str(v) for v in values])
+    chars, lens = values
+    n, width = lens.shape[0], chars.dtype.itemsize
+    chars = np.ascontiguousarray(chars).view(np.uint8).reshape(n, width)
+    special = alone & (lens == 0)
+    if chars.min(initial=255) <= ord(","):  # every special byte, and the NUL padding, is
+        special = special | (_SPECIAL[chars] & (np.arange(width) < lens[:, None])).any(axis=1)
+    quote = np.flatnonzero(special).tolist()
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    quoted = []
+    for field in values.take(quote).texts():
+        text.seek(0)
+        text.truncate()
+        writer.writerow([field])
+        quoted.append(text.getvalue()[:-1].encode())
+    block = np.zeros((n, max([width, *map(len, quoted)]) + 1), np.uint8)
+    block[:, :width] = chars
+    lens = lens.copy()
+    for k, field in zip(quote, quoted):
+        block[k, : len(field)] = np.frombuffer(field, np.uint8)
+        lens[k] = len(field)
+    block[np.arange(n), lens] = ord(sep)
+    return block, lens + 1
+
+
+def _csv_rows(parts: list, n: int) -> Iterator[bytes]:
+    """Rows 0..n-1 of the rendered columns `parts`, gathered into a bounded
+    (rows, width) block at a time and trimmed by the fields' lengths."""
+    parts = [(block, np.arange(block.shape[1]) < lens[:, None], index) for block, lens, index in parts]
+    width = sum(block.shape[1] for block, _, _ in parts)
+    step = max(1, _WRITE_BLOCK // max(width, 1))
+    for a in range(0, n, step):
+        rows = np.arange(a, min(a + step, n))
+        fields = np.empty((rows.shape[0], width), np.uint8)
+        keep = np.empty(fields.shape, bool)
+        at = 0
+        for block, inside, index in parts:
+            k, cols = rows if index is None else index[rows], slice(at, at + block.shape[1])
+            np.take(block, k, axis=0, out=fields[:, cols], mode="clip")  # "clip" takes unbuffered
+            np.take(inside, k, axis=0, out=keep[:, cols], mode="clip")
+            at = cols.stop
+        yield fields[keep].tobytes()
+
+
+def write_csv(dest: Source, header: Sequence[str], columns: Sequence[Column]) -> None:
+    """The header, then one row per entry of the columns, as CSV with "\\n"
+    line ends, byte for byte as csv.writer writes it; a path is written as
+    UTF-8.  Each value is rendered once, and a numeric array without an
+    index is first reduced to its distinct bit patterns."""
+
+    def part(c: int, values, index: Optional[np.ndarray]) -> tuple:
+        if isinstance(values, np.ndarray):  # numbers, written as Python writes them
+            if index is None:
+                bits, index = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+                values = bits.view(values.dtype)
+            values = values.tolist()
+        sep = b"\n" if c == len(header) - 1 else b","
+        return (*_rendered(values, sep, len(header) == 1), index)
+
+    head = [part(c, [h], None) for c, h in enumerate(header)]
+    body = [part(c, *column) for c, column in enumerate(columns)]
+    n = next((len(lens) if index is None else len(index) for _, lens, index in body), 0)
+    chunks = itertools.chain(_csv_rows(head, 1), _csv_rows(body, n))
+    if not isinstance(dest, (str, os.PathLike)):
+        dest.writelines(map(bytes.decode, chunks))
+        return
+    with open(dest, "wb") as fh:
+        fh.writelines(chunks)
+
+
+def read_bytes(source: Source, what: str) -> tuple[str, bytes]:
+    """(name, whole content) of a path, or of a text stream as UTF-8; the
     name is the path, else the stream's name, else `what`.  A path that
-    cannot be read or decoded is an IngestError naming it."""
+    cannot be read is an IngestError naming it."""
     if not isinstance(source, (str, os.PathLike)):
-        return getattr(source, "name", what), source.read()
+        return getattr(source, "name", what), source.read().encode("utf-8", "surrogatepass")
     name = os.fspath(source)
     try:
         with open(source, "rb") as fh:
-            data = fh.read()
-        return name, data.decode("utf-8")
+            return name, fh.read()
     except OSError as err:
         raise IngestError(f"{name}: cannot read {what}: {err.strerror}") from None
+
+
+def utf8_text(name: str, data: bytes) -> str:
+    """`data` as UTF-8 text; an IngestError names the file and line where it is not."""
+    try:
+        return data.decode("utf-8")
     except UnicodeDecodeError as err:
         line = data.count(b"\n", 0, err.start) + 1
         raise IngestError(f"{name} line {line}: not UTF-8 text ({err.reason})") from None
+
+
+def read_text(source: Source, what: str) -> tuple[str, str]:
+    """(name, whole text) of a path read as UTF-8 or of a text stream."""
+    name, data = read_bytes(source, what)
+    return name, utf8_text(name, data)
 
 
 def header_order(got: Sequence[str], want: Sequence[str], name: str) -> dict[str, int]:

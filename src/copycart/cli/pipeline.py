@@ -286,7 +286,7 @@ def _write_estimates_csv(path, results: dict) -> None:
     for est in (results.get("anchor_mimicry") or {}).values():
         if "rd" in est:
             rows.append(row(est))
-    write_csv(path, cols, rows)
+    write_csv(path, cols, [(column, None) for column in zip(*rows)])
 
 
 def run_pipeline(cfg: RunConfig) -> dict:

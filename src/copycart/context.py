@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._util import Source, write_csv
-from .model import CATEGORY_BIT, CATEGORY_KEYS, Daypart, TransactionLog, labels_at
+from .model import CATEGORY_BIT, CATEGORY_KEYS, Daypart, TransactionLog
 
 # cell key packing: (shop_idx << 40) | (date_ord << 2) | daypart
 _DATE_SHIFT = 2
@@ -52,19 +52,20 @@ class ContextStats:
         return n, cnt
 
     def to_csv(self, dest: Source) -> None:
-        date_ord = (self._keys >> _DATE_SHIFT) & ((1 << (_SHOP_SHIFT - _DATE_SHIFT)) - 1)
-        cells = zip(
-            labels_at(self._shops, self._keys >> _SHOP_SHIFT),
-            np.datetime_as_string(date_ord.astype("datetime64[D]")).tolist(),
-            labels_at([d.label for d in Daypart], self._keys & 3),
-            (self._counts / self._n[:, None]).tolist(),  # one popularity per CATEGORY_KEYS entry
-            self._n.tolist(),
-        )
-        write_csv(dest, ("shop_id", "date", "daypart", "category", "popularity", "available", "n"), (
-            [shop, date, daypart, cat, repr(p), str(p > 0.0).lower(), n]
-            for shop, date, daypart, pops, n in cells
-            for cat, p in zip(CATEGORY_KEYS, pops)
-        ))
+        # one row per (cell, CATEGORY_KEYS entry)
+        cell = np.repeat(np.arange(self.n_cells), len(CATEGORY_KEYS))
+        days, day = np.unique((self._keys >> _DATE_SHIFT) & ((1 << (_SHOP_SHIFT - _DATE_SHIFT)) - 1),
+                              return_inverse=True)
+        popularity = (self._counts / self._n[:, None]).ravel()
+        write_csv(dest, ("shop_id", "date", "daypart", "category", "popularity", "available", "n"), [
+            (self._shops, (self._keys >> _SHOP_SHIFT)[cell]),
+            (np.datetime_as_string(days.astype("datetime64[D]")).tolist(), day[cell]),
+            ([d.label for d in Daypart], (self._keys & 3)[cell]),
+            (CATEGORY_KEYS, np.tile(np.arange(len(CATEGORY_KEYS)), self.n_cells)),
+            (popularity, None),
+            (["false", "true"], (popularity > 0.0).astype(np.int64)),
+            (self._n, cell),
+        ])
 
 
 def compute_context(log: TransactionLog) -> ContextStats:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import context as ctx
-from ._util import Source, read_csv, write_csv
+from ._util import ByteColumn, Source, read_csv, write_csv
 from .errors import EmptyMatrixError, IngestError
 from .model import (
     ATTRIBUTE_LABELS,
@@ -24,7 +24,6 @@ from .model import (
     Demographics,
     TransactionLog,
     anchor_code_arrays,
-    labels_at,
     person_attribute,
 )
 
@@ -121,16 +120,16 @@ class DyadSet:
 
     def to_csv(self, dest: Source) -> None:
         log = self.log
-        columns = zip(
-            log.tx_ids_at(self.partner_i),
-            log.tx_ids_at(self.focal_i),
-            labels_at(log.shops, self.shop_idx),
-            labels_at(log.registers, self.register_idx),
-            np.datetime_as_string(self.date_ord.astype("datetime64[D]")).tolist(),
-            labels_at([d.label for d in Daypart], self.daypart),
-            self.delay_s.tolist(),
-        )
-        write_csv(dest, DYAD_COLUMNS, columns)
+        days, day = np.unique(self.date_ord, return_inverse=True)
+        write_csv(dest, DYAD_COLUMNS, [
+            (log.tx_ids_at(self.partner_i), None),
+            (log.tx_ids_at(self.focal_i), None),
+            (log.shops, self.shop_idx),
+            (log.registers, self.register_idx),
+            (np.datetime_as_string(days.astype("datetime64[D]")).tolist(), day),
+            ([d.label for d in Daypart], self.daypart),
+            (self.delay_s, None),
+        ])
 
     @classmethod
     def from_csv(cls, source: Source, log: TransactionLog) -> "DyadSet":
@@ -138,7 +137,7 @@ class DyadSet:
         delay = table.numeric("delay_s", int)
         # partner, focal, partner, focal, ... as the dump lists them
         txs = list(itertools.chain.from_iterable(zip(*map(table.column, DYAD_COLUMNS[:2]))))
-        rows = log.rows_of(txs)
+        rows = log.rows_of(ByteColumn.of(txs))
         if (rows < 0).any():
             missing = txs[int(np.argmax(rows < 0))]
             raise IngestError(f"{table.name} names tx id {missing!r}, which the transaction log lacks")

@@ -249,4 +249,4 @@ def write_predictions_csv(
     confidences: Sequence[float],
 ) -> None:
     write_csv(dest, ("person_id", "label", "confidence"),
-              ([pid, lab, repr(float(c))] for pid, lab, c in zip(person_ids, labels, confidences)))
+              [(person_ids, None), (labels, None), (np.asarray(confidences, np.float64), None)])

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import Source, read_csv, write_csv
+from ._util import ByteColumn, Source, read_csv, write_csv
 from .context import ContextStats
 from .dyads import DyadSet
 from .errors import IngestError, NoPairsError
@@ -132,16 +132,15 @@ class MatchedPairSet:
 
     def to_csv(self, dest: Source) -> None:
         d = self.dyads
-        columns = zip(
-            [self.item] * self.n,
-            d.log.tx_ids_at(d.partner_i[self.treated_idx]),
-            d.log.tx_ids_at(d.focal_i[self.treated_idx]),
-            d.log.tx_ids_at(d.partner_i[self.control_idx]),
-            d.log.tx_ids_at(d.focal_i[self.control_idx]),
-            map(repr, self.pop_t.tolist()),
-            map(repr, self.pop_c.tolist()),
-        )
-        write_csv(dest, PAIR_COLUMNS, columns)
+        write_csv(dest, PAIR_COLUMNS, [
+            ([self.item], np.zeros(self.n, np.int64)),
+            (d.log.tx_ids_at(d.partner_i[self.treated_idx]), None),
+            (d.log.tx_ids_at(d.focal_i[self.treated_idx]), None),
+            (d.log.tx_ids_at(d.partner_i[self.control_idx]), None),
+            (d.log.tx_ids_at(d.focal_i[self.control_idx]), None),
+            (self.pop_t, None),
+            (self.pop_c, None),
+        ])
 
     @classmethod
     def from_csv(
@@ -158,7 +157,7 @@ class MatchedPairSet:
         # per pair: treated partner, treated focal, control partner, control focal
         txs = list(itertools.chain.from_iterable(zip(*map(table.column, PAIR_COLUMNS[1:5]))))
         log = dyads.log
-        rows = log.rows_of(txs).reshape(-1, 2, 2)
+        rows = log.rows_of(ByteColumn.of(txs)).reshape(-1, 2, 2)
         keys = np.where((rows >= 0).all(axis=2), rows[:, :, 0] * log.n + rows[:, :, 1], -1)
         where = dict(zip((dyads.partner_i * log.n + dyads.focal_i).tolist(), range(dyads.n)))
         dyad = np.fromiter(

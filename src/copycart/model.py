@@ -15,12 +15,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import partial
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._util import Source, header_order, read_csv, read_text, write_csv
+from ._util import (ByteColumn, Source, decimal_digits, header_order, read_bytes, read_csv, utf8_text,
+                    write_csv)
 from .errors import IngestError
 
 # ---------------------------------------------------------------------------
@@ -142,9 +143,10 @@ class ItemCatalog:
         return cls(categories)
 
     def to_csv(self, dest: Source) -> None:
-        cats = self._categories
+        codes = sorted(self._categories)
+        cats = [self._categories[c] for c in codes]
         write_csv(dest, ("item_code", "category", "subtype"),
-                  ([code, cats[code].kind, cats[code].subtype or ""] for code in sorted(cats)))
+                  [(codes, None), ([c.kind for c in cats], None), ([c.subtype for c in cats], None)])
 
 
 def anchor_code_arrays(mask: np.ndarray, daypart: np.ndarray) -> np.ndarray:
@@ -193,19 +195,6 @@ def _parse_timestamp(text: str) -> int:
     return int((t - _EPOCH).total_seconds())
 
 
-# fields as the parser holds them: zero-padded fixed-width UTF-8 bytes, and lengths
-ByteColumn = tuple[np.ndarray, np.ndarray]
-
-
-def _texts(values: np.ndarray, lens: np.ndarray) -> list[str]:
-    """Each field of a byte column as a str."""
-    out = [v.decode("utf-8", "surrogatepass") for v in values.tolist()]
-    nuls = lens - np.strings.str_len(values)  # the trailing NULs that `tolist` drops
-    for k in np.flatnonzero(nuls).tolist():
-        out[k] += "\0" * int(nuls[k])
-    return out
-
-
 # `YYYY-MM-DDTHH:MM:SS`, the form `serialize_transactions` writes
 _STAMP_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
 _STAMP_SEPARATORS = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":"}
@@ -238,10 +227,10 @@ def _canonical_epochs(stamps: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray,
     return epoch, decoded
 
 
-def _distinct(values: np.ndarray, lens: np.ndarray) -> tuple[list[str], np.ndarray, np.ndarray]:
+def _distinct(values: np.ndarray, lens: np.ndarray) -> tuple[ByteColumn, np.ndarray, np.ndarray]:
     """(distinct, codes, first) of a byte column: its distinct fields in code
-    point order, one str each, each row's index into them, and the row where
-    each first occurs.  Rows sort stably by their bytes, which keeps that
+    point order, each row's index into them, and the row where each first
+    occurs.  Rows sort stably by their bytes, which keeps that
     order in UTF-8, then by length, since a tie differs only in trailing NULs."""
     n = lens.shape[0]
     key = values.view(np.uint8).reshape(n, values.itemsize)
@@ -255,12 +244,21 @@ def _distinct(values: np.ndarray, lens: np.ndarray) -> tuple[list[str], np.ndarr
     codes = np.empty(n, np.int64)
     codes[order] = np.cumsum(new) - 1
     first = order[new]
-    return _texts(values[first], lens[first]), codes, first
+    return ByteColumn(values[first], lens[first]), codes, first
 
 
-def labels_at(vocab: Sequence[str], idx: np.ndarray) -> list[str]:
-    """The vocabulary entry of each index, gathered in one step."""
-    return np.asarray(vocab, dtype=object)[idx].tolist()
+def iso_stamps(ts: np.ndarray) -> ByteColumn:
+    """`YYYY-MM-DDTHH:MM:SS` of each epoch second in years 1 to 9999: one
+    `datetime_as_string` per distinct day, and the time from its digits."""
+    days, secs = np.divmod(ts, 86400)
+    distinct, day = np.unique(days, return_inverse=True)
+    dates = np.datetime_as_string(distinct.astype("datetime64[D]")).astype("S10")
+    out = np.empty((ts.shape[0], 19), np.uint8)
+    out[:, :10] = dates.view(np.uint8).reshape(-1, 10)[day]
+    out[:, 10:] = np.frombuffer(b"T00:00:00", np.uint8)
+    hhmmss = secs // 3600 * 10000 + secs // 60 % 60 * 100 + secs % 60
+    out[:, [11, 12, 14, 15, 17, 18]] = decimal_digits(hhmmss, 6)
+    return ByteColumn(out.view("S19")[:, 0], np.full(ts.shape[0], 19))
 
 
 @dataclass
@@ -281,8 +279,9 @@ class TransactionLog:
 
     The constructor takes columns in any row order: int64 epoch seconds
     `ts`; the tx, person, shop and register ids, each as a sorted vocabulary
-    plus an index per row; and the baskets as a table of normalized baskets
-    (sorted tuples of distinct item codes) plus an index per row.  Canonical
+    (a byte column for the tx ids, str for the others) plus an index per
+    row; and the baskets as a table of normalized baskets (sorted tuples of
+    distinct item codes) plus an index per row.  Canonical
     order is (timestamp, shop_id, register_id, tx_id), which is one lexsort
     of the indices because the vocabularies are sorted.  The catalog turns
     each basket into its category mask; the log keeps the masks, not the
@@ -292,7 +291,7 @@ class TransactionLog:
     def __init__(
         self,
         ts: np.ndarray,
-        tx: Interned,
+        tx: tuple[ByteColumn, np.ndarray],
         person: Interned,
         shop: Interned,
         register: Interned,
@@ -310,7 +309,7 @@ class TransactionLog:
             if seen.max() > 1:
                 # the most frequent id, the first in canonical order on a tie
                 first = np.nonzero(seen[self.tx_idx] == seen.max())[0][0]
-                raise IngestError(f"duplicate tx_id {self.txs[self.tx_idx[first]]!r}")
+                raise IngestError(f"duplicate tx_id {self.txs.take([self.tx_idx[first]]).texts()[0]!r}")
         self.ts = ts[order].astype(np.int64)
         self.persons, self.person_idx = person[0], person[1][order].astype(np.int32)
         self.shops, self.shop_idx = shop[0], shop[1][order].astype(np.int32)
@@ -325,8 +324,6 @@ class TransactionLog:
         self.secs = (self.ts % 86400).astype(np.int32)
         self.daypart = dayparts_of_secs_array(self.secs)
         self._person_txs: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self._tx_ids: Optional[np.ndarray] = None  # tx id per row, built on first use
-        self._tx_rows: Optional[dict[str, int]] = None  # row per tx id, built on first use
 
     # -- derived columns ----------------------------------------------------
 
@@ -364,18 +361,24 @@ class TransactionLog:
 
     # -- tx ids ---------------------------------------------------------------
 
-    def tx_ids_at(self, rows: np.ndarray) -> list[str]:
+    def tx_ids_at(self, rows: np.ndarray) -> ByteColumn:
         """The tx id of each given row."""
-        if self._tx_ids is None:
-            self._tx_ids = np.asarray(self.txs, dtype=object)[self.tx_idx]
-        return self._tx_ids[rows].tolist()
+        return self.txs.take(self.tx_idx[rows])
 
-    def rows_of(self, tx_ids: Sequence[str]) -> np.ndarray:
+    def rows_of(self, tx_ids: ByteColumn) -> np.ndarray:
         """Row of each tx id; -1 where the log has no such transaction."""
-        if self._tx_rows is None:
-            self._tx_rows = dict(zip(self.tx_ids_at(np.arange(self.n)), range(self.n)))
-        row = self._tx_rows
-        return np.fromiter(map(row.get, tx_ids, itertools.repeat(-1)), np.int64, len(tx_ids))
+        values, lens = self.txs
+        code, found = np.searchsorted(values, tx_ids.values), np.full(tx_ids.lens.shape, -1)
+        todo = np.flatnonzero(code < values.shape[0])
+        while todo.shape[0]:  # ids that differ only in trailing NULs sit together, shortest first
+            todo = todo[values[code[todo]] == tx_ids.values[todo]]
+            hit = lens[code[todo]] == tx_ids.lens[todo]
+            found[todo[hit]] = code[todo[hit]]
+            code[todo] += 1
+            todo = todo[~hit & (code[todo] < values.shape[0])]
+        row = np.full(self.n + 1, -1)  # the last entry answers for a missing id
+        row[self.tx_idx] = np.arange(self.n)
+        return row[found]
 
 
 _ID_COLUMNS = ("tx_id", "person_id", "shop_id", "register_id")
@@ -394,7 +397,8 @@ class _ChunkParser:
     def _basket_codes(self, items: ByteColumn) -> np.ndarray:
         """Table index per row, -1 for an empty basket; each distinct items
         field is normalized once, in the order the fields first occur."""
-        raw, codes, first = _distinct(*items)
+        distinct, codes, first = _distinct(*items)
+        raw = distinct.texts()
         code = np.empty(first.shape[0], np.int64)
         for k in np.argsort(first).tolist():
             basket = tuple(sorted({x for x in raw[k].split(";") if x}))
@@ -413,7 +417,7 @@ class _ChunkParser:
             if cr.any():  # write_csv leaves a "\r" unquoted
                 k = cr.any(axis=1).nonzero()[0][:1]
                 raise IngestError(f"transactions CSV line {lines[k[0]]}: carriage return in "
-                                  f"{name} {_texts(values[k], lens[k])[0]!r}")
+                                  f"{name} {ByteColumn(values[k], lens[k]).texts()[0]!r}")
             missing |= lens == 0
         stamps, stamp_lens = columns["timestamp"]
         epoch, decoded = _canonical_epochs(stamps, stamp_lens)
@@ -421,7 +425,7 @@ class _ChunkParser:
         # reasons in priority order: missing field, timestamp, empty basket
         rejected = dict.fromkeys(np.flatnonzero(missing).tolist(), "missing required field")
         odd = np.flatnonzero(~missing & ~decoded)
-        for i, stamp in zip(odd.tolist(), _texts(stamps[odd], stamp_lens[odd])):
+        for i, stamp in zip(odd.tolist(), ByteColumn(stamps[odd], stamp_lens[odd]).texts()):
             try:
                 epoch[i] = _parse_timestamp(stamp)
             except ValueError as e:
@@ -445,8 +449,9 @@ class _ChunkParser:
             for code in basket if count else ():
                 if code not in self.catalog:
                     self.report.unknown_codes[code] += count
-        ids = [_distinct(*map(np.concatenate, zip(*self.ids[name])))[:2] for name in _ID_COLUMNS]
-        return TransactionLog(np.concatenate(self.ts), *ids, (table, b_idx), self.catalog, self.report)
+        tx, *ids = [_distinct(*map(np.concatenate, zip(*self.ids[name])))[:2] for name in _ID_COLUMNS]
+        ids = [(distinct.texts(), codes) for distinct, codes in ids]
+        return TransactionLog(np.concatenate(self.ts), tx, *ids, (table, b_idx), self.catalog, self.report)
 
 
 def _byte_column(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray,
@@ -464,28 +469,28 @@ def _byte_column(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray,
     values = sliding_window_view(buf, width)[s]
     short = np.flatnonzero(lens < width)  # the rows whose window runs past the field
     values[short] *= np.arange(width) < lens[short, None]
-    return values.view(f"S{width}")[:, 0], lens
+    return ByteColumn(values.view(f"S{width}")[:, 0], lens)
 
 
 def _str_column(fields: list[str], idx: np.ndarray, strip: bool) -> ByteColumn:
     """The fields numbered `idx`, `str.strip`ped if `strip`, as a byte column."""
-    encoded = [(fields[i].strip() if strip else fields[i]).encode("utf-8", "surrogatepass")
-               for i in idx.tolist()]
-    return np.array(encoded, "S"), np.fromiter(map(len, encoded), np.int64, len(encoded))
+    return ByteColumn.of([fields[i].strip() if strip else fields[i] for i in idx.tolist()])
 
 
-def _record_chunks(text: str) -> Iterator[tuple[Callable, np.ndarray, np.ndarray]]:
-    """The records of a CSV text as `csv.reader` reads them, a chunk at a time:
+def _record_chunks(data: bytes, name: str) -> Iterator[tuple[Callable, np.ndarray, np.ndarray]]:
+    """The records of CSV bytes as `csv.reader` reads them, a chunk at a time:
     (column, fields per record, blank-line mask), where `column(idx, strip)`
     gives the chunk's fields numbered `idx` (-1 is an empty field) as a byte
     column, stripped as `str.strip` does if `strip`.  ASCII text free of
     quotes, carriage returns and NULs is split on its bytes: a record ends at
     a newline, a field at a comma, and a blank line counts one empty field.
-    Other text goes through `csv.reader`.
+    Other text is decoded from UTF-8 (else an IngestError names the file
+    `name` and the line) and goes through `csv.reader`.
     """
-    if not text.isascii() or '"' in text or "\r" in text or "\x00" in text:
+    if not data.isascii() or b'"' in data or b"\r" in data or b"\x00" in data:
         # newline="" splits lines as a file opened for csv does
-        reader = csv.reader(io.StringIO(text, newline=""))
+        reader = csv.reader(io.StringIO(utf8_text(name, data), newline=""))
+        del data
         while True:
             try:
                 chunk = list(itertools.islice(reader, _PARSE_CHUNK))
@@ -495,8 +500,6 @@ def _record_chunks(text: str) -> Iterator[tuple[Callable, np.ndarray, np.ndarray
                 return
             widths = np.fromiter(map(len, chunk), np.int64, len(chunk))
             yield partial(_str_column, [*itertools.chain.from_iterable(chunk), ""]), widths, widths == 0
-    data = text.encode("ascii")
-    del text
     ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
     if not data.endswith(b"\n") and data:
         ends = np.append(ends, len(data))  # the last record lacks its newline
@@ -524,16 +527,16 @@ def parse_transactions(source: Source, catalog: ItemCatalog) -> TransactionLog:
     absent from the catalog degrade to the Other category and are tallied in
     the report.  Records are checked a chunk at a time, column by column.
     """
-    name, text = read_text(source, "transactions CSV")
-    chunks = _record_chunks(text)
-    del text
+    name, data = read_bytes(source, "transactions CSV")
+    chunks = _record_chunks(data, name)
+    del data
     parser = _ChunkParser(catalog)
     header: Optional[list[str]] = None
     line = 1  # of the chunk's first record
     for column, widths, blank in chunks:
         first = np.cumsum(widths) - widths  # each record's first field
         if header is None:
-            header = [] if blank[0] else _texts(*column(np.arange(widths[0]), False))
+            header = [] if blank[0] else column(np.arange(widths[0]), False).texts()
             col = header_order(header, TRANSACTION_COLUMNS, name)
             first, widths, blank = first[1:], widths[1:], blank[1:]
             line += 1
@@ -550,16 +553,14 @@ def parse_transactions(source: Source, catalog: ItemCatalog) -> TransactionLog:
 
 def serialize_transactions(log: TransactionLog, dest: Source) -> None:
     """Write the log in its canonical persisted form (stable byte-for-byte)."""
-    stamps = np.datetime_as_string(log.ts.astype("datetime64[s]"), unit="s").tolist()
-    baskets = [";".join(b) for b in log.basket_table]
-    write_csv(dest, TRANSACTION_COLUMNS, zip(
-        log.tx_ids_at(np.arange(log.n)),
-        labels_at(log.persons, log.person_idx),
-        stamps,
-        labels_at(log.shops, log.shop_idx),
-        labels_at(log.registers, log.register_idx),
-        labels_at(baskets, log.basket_idx),
-    ))
+    write_csv(dest, TRANSACTION_COLUMNS, [
+        (log.tx_ids_at(slice(None)), None),
+        (log.persons, log.person_idx),
+        (iso_stamps(log.ts), None),
+        (log.shops, log.shop_idx),
+        (log.registers, log.register_idx),
+        ([";".join(b) for b in log.basket_table], log.basket_idx),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -656,10 +657,9 @@ class Demographics:
         return cls(records)
 
     def to_csv(self, dest: Source) -> None:
-        write_csv(dest, DEMOGRAPHIC_COLUMNS, (
-            [r.person_id, r.gender or "", r.status or "", r.birth_year if r.birth_year is not None else ""]
-            for r in self.records()
-        ))
+        records = self.records()
+        write_csv(dest, DEMOGRAPHIC_COLUMNS, [
+            ([getattr(r, c) for r in records], None) for c in DEMOGRAPHIC_COLUMNS])
 
 
 def person_attribute(

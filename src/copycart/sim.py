@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._util import check_types, config_seed
+from ._util import ByteColumn, check_types, config_seed, decimal_digits
 from .errors import ConfigError
 from .model import (
     ADDITION_KEYS,
@@ -213,17 +213,11 @@ class Population:
             if rng is None:
                 rng = np.random.default_rng(0)
             known = rng.random(self.n) < known_fraction
-        recs = []
-        for i, pid in enumerate(self.person_ids):
-            recs.append(
-                PersonRecord(
-                    pid,
-                    gender=self.gender[i],
-                    status=self.status_of(i) if known[i] else None,
-                    birth_year=int(self.birth_year[i]),
-                )
-            )
-        return Demographics(recs)
+        return Demographics(
+            PersonRecord(pid, self.gender[i], self.status_of(i) if known[i] else None,
+                         int(self.birth_year[i]))
+            for i, pid in enumerate(self.person_ids)
+        )
 
 
 def generate_population(config: SimulationConfig) -> Population:
@@ -303,12 +297,11 @@ def _gaps(rng, config: SimulationConfig, size: int) -> np.ndarray:
 def intern_codes(labels: Sequence[str], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
     """Sorted vocabulary of the labels that `codes` uses, and each code's
     index into it.  `codes` indexes the distinct strings `labels`."""
-    used = np.nonzero(np.bincount(codes, minlength=len(labels)))[0]
-    names = [labels[k] for k in used.tolist()]
-    perm = sorted(range(len(names)), key=names.__getitem__)
+    used = np.flatnonzero(np.bincount(codes, minlength=len(labels))).tolist()
+    order = sorted(used, key=labels.__getitem__)
     rank = np.zeros(len(labels), np.int64)
-    rank[used[perm]] = np.arange(len(perm))
-    return [names[k] for k in perm], rank[codes]
+    rank[order] = np.arange(len(order))
+    return [labels[k] for k in order], rank[codes]
 
 
 def simulate_log(
@@ -436,9 +429,11 @@ def simulate_log(
 
     ts = (day0 + day_rows) * 86400 + secs_rows
     N = ts.shape[0]
-    # tx ids number the rows in (ts, shop, register) order
+    # tx ids number the rows in (ts, shop, register) order, all of one width, so sorted
     tx_code = np.empty(N, np.int64)
     tx_code[np.lexsort((reg_rows, shop_rows, ts))] = np.arange(N)
+    digits = decimal_digits(np.arange(N), max(8, len(str(N - 1))))
+    tx_ids = np.hstack((np.full((N, 1), ord("T"), np.uint8), digits)).view(f"S{digits.shape[1] + 1}")[:, 0]
     # basket code: the anchor's index in _ANCHOR_CODES, then one bit per item;
     # meals at lunch, a beverage otherwise
     veg_rows, cof_rows = bought[n_items:]
@@ -456,7 +451,7 @@ def simulate_log(
     catalog = simulation_catalog(config)
     log = TransactionLog(
         ts,
-        intern_codes([f"T{k:08d}" for k in range(N)], tx_code),
+        (ByteColumn(tx_ids, np.full(N, tx_ids.itemsize)), tx_code),
         intern_codes(population.person_ids, person_rows),
         intern_codes([f"S{j + 1:02d}" for j in range(config.n_shops)], shop_rows),
         intern_codes([f"R{j + 1}" for j in range(config.n_registers_per_shop)], reg_rows),

@@ -490,6 +490,7 @@ def test_stage_dumps_must_match_the_log(workdir, first_run):
     res = invoke("--config", workdir / "run.yaml", "--out", sub, "match")
     assert res.exit_code == 1
     assert "[errors.IngestError]" in res.output and "NO_SUCH_TX" in res.output
+    assert "names tx id 'NO_SUCH_TX', which the transaction log lacks" in res.output
 
     (sub / "dyads.csv").write_bytes((out_a / "dyads.csv").read_bytes())
     (sub / "matched_pairs").mkdir(exist_ok=True)

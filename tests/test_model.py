@@ -3,6 +3,8 @@
 import csv
 import io
 import itertools
+import os
+import tempfile
 import tracemalloc
 from unittest import mock
 
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from copycart import _util as U
 from copycart import model as M
 from copycart.dyads import DYAD_COLUMNS, DyadSet
 from copycart.errors import IngestError
@@ -33,7 +36,7 @@ CODES = sorted(CATEGORIES)
 
 def tx_ids(log):
     """The tx id of every row, in log order."""
-    return log.tx_ids_at(np.arange(log.n))
+    return log.tx_ids_at(np.arange(log.n)).texts()
 
 
 def baskets(log):
@@ -216,7 +219,7 @@ def test_parse_empty_basket_rejected():
 
 
 def test_parse_duplicate_tx_fatal():
-    with pytest.raises(IngestError):
+    with pytest.raises(IngestError, match="duplicate tx_id 'T1'"):
         parse_csv(
             "T1,P1,2018-01-05T09:00:00,S1,R1,COF\n"
             "T1,P2,2018-01-05T09:05:00,S1,R1,TEA\n"
@@ -340,9 +343,9 @@ def chunk_rows(text, strip=False):
     """The records `_record_chunks` finds, rebuilt one list per record from
     the byte column of every field of each chunk."""
     rows = []
-    for column, widths, blank in M._record_chunks(text):
-        assert M._texts(*column(np.array([-1]), strip)) == [""]
-        fields = M._texts(*column(np.arange(widths.sum()), strip))
+    for column, widths, blank in M._record_chunks(text.encode("utf-8"), "text"):
+        assert column(np.array([-1]), strip).texts() == [""]
+        fields = column(np.arange(widths.sum()), strip).texts()
         start = 0
         for w, b in zip(widths.tolist(), blank.tolist()):
             rows.append([] if b else fields[start : start + w])
@@ -488,6 +491,14 @@ def test_fields_that_differ_in_trailing_nuls_stay_apart():
     assert log.report.unknown_codes == {"COF\x00": 1}
 
 
+def test_rows_of_tells_tx_ids_apart_by_trailing_nuls():
+    tx = ["T1\x00", "T1", "T1\x00\x00", "U"]
+    log = parse_csv("".join(f'"{t}",P1,2018-01-05T12:00:0{i},S1,R1,COF\n' for i, t in enumerate(tx)))
+    wanted = ["T1", "T1\x00", "T1\x00\x00", "T1\x00\x00\x00", "U", "T", "", "U\x00"]
+    rows = log.rows_of(U.ByteColumn.of(wanted)).tolist()
+    assert [tx_ids(log)[r] if r >= 0 else None for r in rows] == wanted[:3] + [None, "U", None, None, None]
+
+
 def test_parse_memory_stays_bounded(tmp_path):
     # The parse of this 55k-row log peaked at 15.6 MB of traced memory when
     # the bound was set; one Python str per field, or offsets and byte views
@@ -502,6 +513,90 @@ def test_parse_memory_stays_bounded(tmp_path):
         tracemalloc.stop()
     assert log.n > 50_000 and log.report.n_rejected == 0
     assert peak < 32e6, f"parse peaked at {peak / 1e6:.1f} MB"
+
+
+def test_serialize_memory_stays_bounded(tmp_path):
+    # Writing this 55k-row log peaked at 10.7 MB of traced memory when the
+    # bound was set; gathering every row into one block, rather than a
+    # bounded block at a time, peaked at 21.4 MB.
+    log = simulate(SimulationConfig(seed=3, n_persons=500)).log
+    tracemalloc.start()
+    try:
+        M.serialize_transactions(log, tmp_path / "transactions.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert log.n > 50_000
+    assert peak < 20e6, f"serialize peaked at {peak / 1e6:.1f} MB"
+
+
+def test_iso_stamps_are_datetime_as_string():
+    rng = np.random.default_rng(11)
+    first, last = np.datetime64("0001-01-01T00:00:00", "s"), np.datetime64("9999-12-31T23:59:59", "s")
+    edges = ["0001-01-01T00:00:00", "0004-02-29T12:00:00", "1600-02-29T23:59:59", "1900-02-28T23:59:59",
+             "1900-03-01T00:00:00", "1969-12-31T23:59:59", "1970-01-01T00:00:00", "2000-02-29T06:07:08",
+             "2024-02-29T00:00:01", "9999-12-31T23:59:59"]
+    ts = np.concatenate([
+        rng.integers(first.astype(np.int64), last.astype(np.int64), 50_000, endpoint=True),
+        np.asarray(edges, "datetime64[s]").astype(np.int64),
+        np.datetime64("1969-07-20", "s").astype(np.int64) + np.arange(86400),  # every time of day
+    ])
+    stamps = M.iso_stamps(ts)
+    assert (stamps.lens == 19).all()
+    assert np.array_equal(stamps.values, np.datetime_as_string(ts.astype("datetime64[s]"), unit="s").astype("S19"))
+
+
+# fields that csv.writer quotes (",", '"', "\n"), writes bare ("\r", NUL) or
+# pads, non-ASCII text, and ids that differ only in trailing NULs
+CSV_FIELD = st.text(st.sampled_from(list('ab7 ,"\n\r\x00') + ["é", "\xa0"]), max_size=5)
+CSV_VALUE = st.one_of(CSV_FIELD, st.sampled_from(["", "T1", "T1\x00", "T1\x00\x00", " x ", None]))
+
+
+@st.composite
+def csv_tables(draw):
+    """(header, columns, rows): a table as `write_csv` takes it, and its
+    rows as csv.writer takes them."""
+    width, n = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    header = draw(st.lists(CSV_FIELD, min_size=width, max_size=width))
+    columns, fields = [], []
+    for _ in range(width):
+        kind = draw(st.sampled_from(["plain", "indexed", "bytes", "int", "float"]))
+        if kind in ("int", "float"):
+            values = np.asarray(draw(st.lists(
+                st.integers(-2**63, 2**63 - 1) if kind == "int" else st.floats(width=64),
+                min_size=n, max_size=n)), np.int64 if kind == "int" else np.float64)
+            columns.append((values, None))
+            fields.append(values.tolist())
+            continue
+        if kind == "plain":
+            values = draw(st.lists(CSV_VALUE, min_size=n, max_size=n))
+            columns.append((values, None))
+            fields.append(values)
+            continue
+        distinct = draw(st.lists(CSV_VALUE.filter(lambda v: v is not None) if kind == "bytes" else CSV_VALUE,
+                                 min_size=1, max_size=4))
+        index = np.asarray(draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n)), np.int64)
+        columns.append((U.ByteColumn.of(distinct) if kind == "bytes" else distinct, index))
+        fields.append([distinct[k] for k in index.tolist()])
+    return header, columns, [list(row) for row in zip(*fields)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_tables(), st.sampled_from([1, 16, 1 << 20]))
+def test_write_csv_writes_what_csv_writer_writes(table, block):
+    header, columns, rows = table
+    want = io.StringIO()
+    w = csv.writer(want, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    got = io.StringIO()
+    with mock.patch.object(U, "_WRITE_BLOCK", block), tempfile.TemporaryDirectory() as tmp:
+        U.write_csv(got, header, columns)
+        U.write_csv(os.path.join(tmp, "t.csv"), header, columns)
+        with open(os.path.join(tmp, "t.csv"), "rb") as fh:
+            written = fh.read()
+    assert got.getvalue() == want.getvalue()
+    assert written == want.getvalue().encode("utf-8")
 
 
 def test_derived_columns():

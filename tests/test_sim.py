@@ -19,6 +19,7 @@ from copycart.sim import (
     simulate,
     write_simulation,
 )
+from test_model import tx_ids
 
 
 def small_config(**kw):
@@ -136,13 +137,13 @@ def test_log_is_valid_and_well_formed():
     lunch = log.daypart == M.Daypart.LUNCH.value
     assert abs(((log.mask >> M.BIT_MEAL_VEG) & 1)[lunch].mean() - res.config.veg_share) < 0.06
     assert abs(((log.mask >> M.BIT_COFFEE) & 1)[~lunch].mean() - res.config.coffee_share) < 0.06
-    assert len(set(log.tx_ids_at(np.arange(log.n)))) == log.n
+    assert len(set(tx_ids(log))) == log.n
     # serialize/parse round trip preserves the log
     buf = io.StringIO()
     M.serialize_transactions(res.log, buf)
     again = M.parse_transactions(io.StringIO(buf.getvalue()), res.catalog)
     assert again.report.n_rejected == 0
-    assert again.tx_ids_at(np.arange(again.n)) == log.tx_ids_at(np.arange(log.n))
+    assert tx_ids(again) == tx_ids(log)
     assert (again.ts == log.ts).all()
 
 
@@ -205,21 +206,15 @@ def directional_rates(res):
     """
     dyads = extract_dyads(reconstruct_queues(res.log))
     pop = res.population
-    mate = {}
-    for a, b in pop.pairs:
-        mate[pop.person_ids[a]] = pop.person_ids[b]
-        mate[pop.person_ids[b]] = pop.person_ids[a]
-    persons = res.log.persons
-    genuine = np.asarray(
-        [
-            mate.get(persons[dyads.partner_person[k]]) == persons[dyads.focal_person[k]]
-            for k in range(dyads.n)
-        ]
-    )
-    leader_ids = {pop.person_ids[a] for a in pop.pairs[:, 0]}
-    partner_is_leader = np.asarray(
-        [persons[p] in leader_ids for p in dyads.partner_person]
-    )
+    index = {pid: i for i, pid in enumerate(pop.person_ids)}
+    in_pop = np.asarray([index[p] for p in res.log.persons])  # log person -> population index
+    partner, focal = in_pop[dyads.partner_person], in_pop[dyads.focal_person]
+    mate = np.full(pop.n, -1)
+    mate[pop.pairs[:, 0]], mate[pop.pairs[:, 1]] = pop.pairs[:, 1], pop.pairs[:, 0]
+    genuine = mate[partner] == focal
+    is_leader = np.zeros(pop.n, bool)
+    is_leader[pop.pairs[:, 0]] = True
+    partner_is_leader = is_leader[partner]
     treated = dyads.partner_has("dessert") & genuine
     focal_buys = dyads.focal_has("dessert")
     r_fwd = focal_buys[treated & partner_is_leader].mean()
