@@ -13,7 +13,7 @@ import os
 import typing
 import zlib
 from collections import Counter
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -136,8 +136,10 @@ def decimal_digits(values: np.ndarray, width: int) -> np.ndarray:
 
 
 # a column to write: (values, index), the field of row r being values[index[r]],
-# or values[r] when index is None
-Column = tuple[Union[ByteColumn, Sequence, np.ndarray], Optional[np.ndarray]]
+# or values[r] when index is None; values may also be a function giving the
+# fields of a slice of rows as a ByteColumn, leaving the row count to the
+# other columns
+Column = tuple[Union[ByteColumn, Sequence, np.ndarray, Callable[[slice], ByteColumn]], Optional[np.ndarray]]
 
 # bytes that can make csv.writer quote a field, or refuse it (NUL and "\r" it
 # writes bare today); each value holding one is written by csv.writer
@@ -178,43 +180,48 @@ def _rendered(values, sep: bytes, alone: bool) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _csv_rows(parts: list, n: int) -> Iterator[bytes]:
-    """Rows 0..n-1 of the rendered columns `parts`, gathered into a bounded
-    (rows, width) block at a time and trimmed by the fields' lengths."""
-    parts = [(block, np.arange(block.shape[1]) < lens[:, None], index) for block, lens, index in parts]
-    width = sum(block.shape[1] for block, _, _ in parts)
-    step = max(1, _WRITE_BLOCK // max(width, 1))
+    """Rows 0..n-1 of the columns `parts`, each a (width, fields) pair whose
+    `fields(rows)` renders a slice of rows as (block, lens) no wider than
+    about `width`; gathered a bounded (rows, width) block at a time and
+    trimmed by the fields' lengths."""
+    step = max(1, _WRITE_BLOCK // max(sum(width for width, _ in parts), 1))
     for a in range(0, n, step):
-        rows = np.arange(a, min(a + step, n))
-        fields = np.empty((rows.shape[0], width), np.uint8)
-        keep = np.empty(fields.shape, bool)
-        at = 0
-        for block, inside, index in parts:
-            k, cols = rows if index is None else index[rows], slice(at, at + block.shape[1])
-            np.take(block, k, axis=0, out=fields[:, cols], mode="clip")  # "clip" takes unbuffered
-            np.take(inside, k, axis=0, out=keep[:, cols], mode="clip")
-            at = cols.stop
-        yield fields[keep].tobytes()
+        blocks = [fields(slice(a, min(a + step, n))) for _, fields in parts]
+        keep = np.concatenate([np.arange(block.shape[1]) < lens[:, None] for block, lens in blocks], axis=1)
+        yield np.concatenate([block for block, _ in blocks], axis=1)[keep].tobytes()
 
 
 def write_csv(dest: Source, header: Sequence[str], columns: Sequence[Column]) -> None:
     """The header, then one row per entry of the columns, as CSV with "\\n"
     line ends, byte for byte as csv.writer writes it; a path is written as
-    UTF-8.  Each value is rendered once, and a numeric array without an
-    index is first reduced to its distinct bit patterns."""
+    UTF-8.  Each value is rendered once: a column with an index renders its
+    values up front, a ByteColumn or function without one a block of rows at
+    a time, and a numeric array without an index is first reduced to its
+    distinct bit patterns."""
 
-    def part(c: int, values, index: Optional[np.ndarray]) -> tuple:
+    def part(c: int, values, index: Optional[np.ndarray]) -> tuple[Optional[int], int, Callable]:
+        """(rows, width, fields) of column c, as `_csv_rows` takes them;
+        rows is None for a function."""
+        sep, alone = b"\n" if c == len(header) - 1 else b",", len(header) == 1
+        if isinstance(values, ByteColumn) and index is None:
+            return len(values.lens), *part(c, values.take, None)[1:]
+        if callable(values):
+            width = values(slice(0, 0)).values.itemsize + 1
+            return None, width, lambda rows: _rendered(values(rows), sep, alone)
         if isinstance(values, np.ndarray):  # numbers, written as Python writes them
             if index is None:
                 bits, index = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
                 values = bits.view(values.dtype)
             values = values.tolist()
-        sep = b"\n" if c == len(header) - 1 else b","
-        return (*_rendered(values, sep, len(header) == 1), index)
+        if index is None:
+            index = np.arange(len(values))
+        block, lens = _rendered(values, sep, alone)
+        return len(index), block.shape[1], lambda rows: (block[index[rows]], lens[index[rows]])
 
-    head = [part(c, [h], None) for c, h in enumerate(header)]
+    head = [part(c, [h], None)[1:] for c, h in enumerate(header)]
     body = [part(c, *column) for c, column in enumerate(columns)]
-    n = next((len(lens) if index is None else len(index) for _, lens, index in body), 0)
-    chunks = itertools.chain(_csv_rows(head, 1), _csv_rows(body, n))
+    n = next((rows for rows, _, _ in body if rows is not None), 0)
+    chunks = itertools.chain(_csv_rows(head, 1), _csv_rows([p[1:] for p in body], n))
     if not isinstance(dest, (str, os.PathLike)):
         dest.writelines(map(bytes.decode, chunks))
         return

@@ -281,11 +281,11 @@ class TransactionLog:
     `ts`; the tx, person, shop and register ids, each as a sorted vocabulary
     (a byte column for the tx ids, str for the others) plus an index per
     row; and the baskets as a table of normalized baskets (sorted tuples of
-    distinct item codes) plus an index per row.  Canonical
-    order is (timestamp, shop_id, register_id, tx_id), which is one lexsort
-    of the indices because the vocabularies are sorted.  The catalog turns
-    each basket into its category mask; the log keeps the masks, not the
-    catalog.  The log is immutable after construction.
+    distinct item codes) plus an index per row.  Canonical order is
+    (timestamp, shop_id, register_id, tx_id), one lexsort of the indices as
+    the vocabularies are sorted; columns already in it are kept, not copied.
+    The catalog turns each basket into its category mask; the log keeps the
+    masks, not the catalog.  The log is immutable after construction.
     """
 
     def __init__(
@@ -303,23 +303,23 @@ class TransactionLog:
         if not all(col[1].shape[0] == n for col in (tx, person, shop, register, basket)):
             raise ValueError("column length mismatch")
         order = np.lexsort((tx[1], register[1], shop[1], ts))
-        self.txs, self.tx_idx = tx[0], tx[1][order].astype(np.int64)
+        order = slice(None) if (order[1:] > order[:-1]).all() else order
+        self.txs, self.tx_idx = tx[0], tx[1][order].astype(np.int64, copy=False)
         if n:
             seen = np.bincount(self.tx_idx)
             if seen.max() > 1:
                 # the most frequent id, the first in canonical order on a tie
                 first = np.nonzero(seen[self.tx_idx] == seen.max())[0][0]
                 raise IngestError(f"duplicate tx_id {self.txs.take([self.tx_idx[first]]).texts()[0]!r}")
-        self.ts = ts[order].astype(np.int64)
-        self.persons, self.person_idx = person[0], person[1][order].astype(np.int32)
-        self.shops, self.shop_idx = shop[0], shop[1][order].astype(np.int32)
-        self.registers, self.register_idx = register[0], register[1][order].astype(np.int32)
-        self.basket_table, self.basket_idx = basket[0], basket[1][order].astype(np.int64)
+        self.ts = ts[order].astype(np.int64, copy=False)
+        self.persons, self.person_idx = person[0], person[1][order].astype(np.int32, copy=False)
+        self.shops, self.shop_idx = shop[0], shop[1][order].astype(np.int32, copy=False)
+        self.registers, self.register_idx = register[0], register[1][order].astype(np.int32, copy=False)
+        self.basket_table, self.basket_idx = basket[0], basket[1][order].astype(np.int64, copy=False)
         table = self.basket_table
         self.mask = np.asarray([catalog.mask_of(b) for b in table], np.uint16)[self.basket_idx]
         self.basket_sizes = np.asarray([len(b) for b in table], np.int64)[self.basket_idx]
         self.report = report if report is not None else IngestReport(n_records=n, n_parsed=n)
-
         self.date_ord = self.ts // 86400
         self.secs = (self.ts % 86400).astype(np.int32)
         self.daypart = dayparts_of_secs_array(self.secs)
@@ -553,10 +553,10 @@ def parse_transactions(source: Source, catalog: ItemCatalog) -> TransactionLog:
 
 def serialize_transactions(log: TransactionLog, dest: Source) -> None:
     """Write the log in its canonical persisted form (stable byte-for-byte)."""
-    write_csv(dest, TRANSACTION_COLUMNS, [
-        (log.tx_ids_at(slice(None)), None),
+    write_csv(dest, TRANSACTION_COLUMNS, [  # ids and stamps made a block of rows at a time
+        (log.tx_ids_at, None),
         (log.persons, log.person_idx),
-        (iso_stamps(log.ts), None),
+        (lambda rows: iso_stamps(log.ts[rows]), None),
         (log.shops, log.shop_idx),
         (log.registers, log.register_idx),
         ([";".join(b) for b in log.basket_table], log.basket_idx),

@@ -299,15 +299,15 @@ def intern_codes(labels: Sequence[str], codes: np.ndarray) -> tuple[list[str], n
     index into it.  `codes` indexes the distinct strings `labels`."""
     used = np.flatnonzero(np.bincount(codes, minlength=len(labels))).tolist()
     order = sorted(used, key=labels.__getitem__)
-    rank = np.zeros(len(labels), np.int64)
+    rank = np.zeros(len(labels), np.int32)
     rank[order] = np.arange(len(order))
     return [labels[k] for k in order], rank[codes]
 
 
-def simulate_log(
-    population: Population, config: SimulationConfig
-) -> tuple[TransactionLog, GroundTruth]:
-    """Generate the transaction log and the injected-effect bookkeeping."""
+def _draw_rows(population: Population, config: SimulationConfig) -> tuple[list, GroundTruth]:
+    """Every visit as a row, in draw order: the columns [ts, person, shop,
+    register, basket code], and the ground truth.  The per-visit arrays die
+    on return, before the log is built."""
     rng = np.random.default_rng(int(config.seed) + 1)
     n_days = config.n_days
     day0 = np.datetime64(START_DATE, "D").astype(np.int64)
@@ -409,6 +409,9 @@ def simulate_log(
         # bought, nil where the focal was the source
         gt_sum.append(float(np.sum((p_up - p_dst)[b_src & src_is_partner])))
         gt_n.append(int(np.sum(b_partner)))
+    # the pair draws are done; their scratch would live on through the assembly
+    del p_vis, leader, follower, leader_first, decay, susct, src_is_partner
+    del p_partner, p_focal, p_src, p_dst, p_up
 
     # -- solo visits -----------------------------------------------------------
     s_person, s_day = visits(config.solo_rate, sidx)
@@ -419,45 +422,13 @@ def simulate_log(
         bought[k].append(rng.random(S) < prob(k, s_person, s_shop, s_day, s_dp))
     bought = [np.concatenate(b) for b in bought]
 
-    # -- assemble rows -------------------------------------------------------
-    person_rows = np.concatenate([partner, focal, s_person])
-    day_rows = np.concatenate([p_day, p_day, s_day])
-    secs_rows = np.concatenate([t_partner, t_partner + gaps, s_t])
-    shop_rows = np.concatenate([v_shop, v_shop, s_shop])
-    reg_rows = np.concatenate([v_reg, v_reg, s_reg])
+    # -- assemble rows: the basket code is the anchor's index in _ANCHOR_CODES,
+    # then one bit per item; meals at lunch, a beverage otherwise
     dp_rows = np.concatenate([v_dp, v_dp, s_dp])
-
-    ts = (day0 + day_rows) * 86400 + secs_rows
-    N = ts.shape[0]
-    # tx ids number the rows in (ts, shop, register) order, all of one width, so sorted
-    tx_code = np.empty(N, np.int64)
-    tx_code[np.lexsort((reg_rows, shop_rows, ts))] = np.arange(N)
-    digits = decimal_digits(np.arange(N), max(8, len(str(N - 1))))
-    tx_ids = np.hstack((np.full((N, 1), ord("T"), np.uint8), digits)).view(f"S{digits.shape[1] + 1}")[:, 0]
-    # basket code: the anchor's index in _ANCHOR_CODES, then one bit per item;
-    # meals at lunch, a beverage otherwise
     veg_rows, cof_rows = bought[n_items:]
-    anchor = np.where(dp_rows == 1, np.where(veg_rows, 0, 1), np.where(cof_rows, 2, 3))
-    basket_code = anchor << n_items
+    basket = np.where(dp_rows == 1, np.where(veg_rows, 0, 1), np.where(cof_rows, 2, 3)) << n_items
     for k in range(n_items):
-        basket_code |= bought[k].astype(np.int64) << k
-    item_codes = [i.upper() for i in items]
-    table = [
-        tuple(sorted([_ANCHOR_CODES[code >> n_items]]
-                     + [c for k, c in enumerate(item_codes) if code >> k & 1]))
-        for code in range(len(_ANCHOR_CODES) << n_items)
-    ]
-
-    catalog = simulation_catalog(config)
-    log = TransactionLog(
-        ts,
-        (ByteColumn(tx_ids, np.full(N, tx_ids.itemsize)), tx_code),
-        intern_codes(population.person_ids, person_rows),
-        intern_codes([f"S{j + 1:02d}" for j in range(config.n_shops)], shop_rows),
-        intern_codes([f"R{j + 1}" for j in range(config.n_registers_per_shop)], reg_rows),
-        (table, basket_code),
-        catalog,
-    )
+        basket |= bought[k].astype(np.int64) << k
     truth = GroundTruth(  # the additions' effects; zip drops the anchors
         expected_rd={item: (s / n if n else 0.0) for item, s, n in zip(items, gt_sum, gt_n)},
         n_treated_events=dict(zip(items, gt_n)),
@@ -465,6 +436,39 @@ def simulate_log(
         decay_tau=config.decay_tau,
         coordination_mode=config.coordination_mode,
     )
+    ts = (day0 + np.concatenate([p_day, p_day, s_day])) * 86400
+    ts += np.concatenate([t_partner, t_partner + gaps, s_t])
+    return [ts, np.concatenate([partner, focal, s_person]), np.concatenate([v_shop, v_shop, s_shop]),
+            np.concatenate([v_reg, v_reg, s_reg]), basket], truth
+
+
+def simulate_log(population: Population, config: SimulationConfig) -> tuple[TransactionLog, GroundTruth]:
+    """Generate the transaction log and the injected-effect bookkeeping.  The
+    rows are put in canonical order here, so the log keeps these columns
+    rather than copies of them."""
+    (ts, person, shop, reg, basket), truth = _draw_rows(population, config)
+    # (ts, shop, register) order is canonical while the shop and register
+    # labels sort as their numbers do; tx ids number the rows, all of one
+    # width, so sorted
+    order = np.lexsort((reg, shop, ts))
+    for column in (ts, person, shop, reg, basket):
+        column[:] = column[order]
+    del order
+    N = ts.shape[0]
+    width = max(8, len(str(N - 1)))
+    tx_ids = np.hstack((np.full((N, 1), ord("T"), np.uint8), decimal_digits(np.arange(N), width)))
+    tx_ids = ByteColumn(tx_ids.view(f"S{width + 1}")[:, 0], np.full(N, width + 1))
+    person = intern_codes(population.person_ids, person)
+    shop = intern_codes([f"S{j + 1:02d}" for j in range(config.n_shops)], shop)
+    reg = intern_codes([f"R{j + 1}" for j in range(config.n_registers_per_shop)], reg)
+    n_items, item_codes = len(config.items), [i.upper() for i in config.items]
+    table = [
+        tuple(sorted([_ANCHOR_CODES[code >> n_items]]
+                     + [c for k, c in enumerate(item_codes) if code >> k & 1]))
+        for code in range(len(_ANCHOR_CODES) << n_items)
+    ]
+    log = TransactionLog(ts, (tx_ids, np.arange(N)), person, shop, reg, (table, basket),
+                         simulation_catalog(config))
     return log, truth
 
 
