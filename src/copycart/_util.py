@@ -135,6 +135,30 @@ def decimal_digits(values: np.ndarray, width: int) -> np.ndarray:
     return out + np.uint8(ord("0"))
 
 
+def dense_codes(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(code, count): each non-negative key's rank among the distinct keys,
+    and the rows holding each; a bincount when the keys span few values."""
+    if key.max(initial=0) >= 4 * key.shape[0]:
+        return np.unique(key, return_inverse=True, return_counts=True)[1:]
+    count = np.bincount(key)
+    held = count > 0
+    return (np.cumsum(held) - 1)[key], count[held]
+
+
+def run_starts(count: np.ndarray) -> np.ndarray:
+    """Where each of runs of the given lengths starts when they are laid end
+    to end, then where the last one ends."""
+    out = np.zeros(count.shape[0] + 1, np.int64)
+    np.cumsum(count, out=out[1:])
+    return out
+
+
+def stable_order(code: np.ndarray, n_codes: int) -> np.ndarray:
+    """Stable argsort of codes in [0, n_codes): a radix sort when they fit
+    16 bits."""
+    return np.argsort(code.astype(np.min_scalar_type(max(n_codes - 1, 0))), kind="stable")
+
+
 # a column to write: (values, index), the field of row r being values[index[r]],
 # or values[r] when index is None; values may also be a function giving the
 # fields of a slice of rows as a ByteColumn, leaving the row count to the

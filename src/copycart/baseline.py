@@ -17,8 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import context as ctx
-from ._util import t_two_sided_p
+from ._util import dense_codes, run_starts, stable_order, t_two_sided_p
 from .dyads import DyadSet
 from .errors import InsufficientDataError
 
@@ -46,21 +45,13 @@ def randomize_partners(dyads: DyadSet, seed: int) -> DyadSet:
     log = dyads.log
     if dyads.n == 0:
         return DyadSet(log, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64))
-    cells_all = ctx.encode_cells(log.shop_idx, log.date_ord, log.daypart)
-    cell_order = np.argsort(cells_all, kind="stable").astype(np.int64)
-    sorted_cells = cells_all[cell_order]
-    n_persons = len(log.persons)
-    combo = cells_all * n_persons + log.person_idx.astype(np.int64)
-    cp_order = np.argsort(combo, kind="stable").astype(np.int64)
-    sorted_combo = combo[cp_order]
-
-    d_cell = dyads.cell_keys()
-    ms = np.searchsorted(sorted_cells, d_cell, side="left")
-    me = np.searchsorted(sorted_cells, d_cell, side="right")
-    d_combo = d_cell * n_persons + dyads.focal_person.astype(np.int64)
-    fs = np.searchsorted(sorted_combo, d_combo, side="left")
-    fe = np.searchsorted(sorted_combo, d_combo, side="right")
-    n_cand = (me - ms) - (fe - fs) - 1  # minus the original partner tx
+    idx = log.cell_index()
+    cell = idx.cell[dyads.focal_i]
+    ms = idx.start[cell]
+    group = idx.group[dyads.focal_i]  # the focal person's rows in the cell
+    fs = idx.group_start[group]
+    n_focal = idx.group_start[group + 1] - fs
+    n_cand = idx.start[cell + 1] - ms - n_focal - 1  # minus the original partner tx
 
     ok = n_cand >= 1
     rng = np.random.default_rng(int(seed))
@@ -68,34 +59,30 @@ def randomize_partners(dyads: DyadSet, seed: int) -> DyadSet:
     if ok.any():
         draws[ok] = rng.integers(0, n_cand[ok])
 
-    # position of a row among its cell's members (ascending row ids): one
-    # search over (dense cell rank, row) keys, which fit int64 for any log
-    cell_rank = np.cumsum(np.r_[0, sorted_cells[1:] != sorted_cells[:-1]])
-    member_key = cell_rank * log.n + cell_order
     k_ok = np.nonzero(ok)[0]
-    ms_ok, fs_ok = ms[k_ok], fs[k_ok]
-    rank_ok = cell_rank[ms_ok]
-
-    def position(k_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return np.searchsorted(member_key, rank_ok[k_rows] * log.n + rows) - ms_ok[k_rows]
+    ms_ok, fs_ok, n_focal = ms[k_ok], fs[k_ok], n_focal[k_ok]
+    # a partner outside the focal's cell counts where its row would sit among the cell's rows
+    partner = dyads.partner_i[k_ok]
+    partner_pos = idx.position[partner]
+    for k in np.flatnonzero(idx.cell[partner] != cell[k_ok]).tolist():
+        c = cell[k_ok[k]]
+        partner_pos[k] = np.searchsorted(idx.order[idx.start[c] : idx.start[c + 1]], partner[k])
 
     # excluded positions per dyad, padded past any draw: the focal person's
     # rows in the cell, then the original partner
-    n_focal = fe[k_ok] - fs_ok
     width = int(n_focal.max()) + 1 if k_ok.shape[0] else 1
     excluded = np.full((k_ok.shape[0], width), log.n, np.int64)
     k_rows = np.repeat(np.arange(k_ok.shape[0]), n_focal)
     col = np.arange(k_rows.shape[0]) - np.repeat(np.cumsum(n_focal) - n_focal, n_focal)
-    excluded[k_rows, col] = position(k_rows, cp_order[fs_ok[k_rows] + col])
-    everyone = np.arange(k_ok.shape[0])
-    excluded[everyone, n_focal] = position(everyone, dyads.partner_i[k_ok])
+    excluded[k_rows, col] = idx.position[idx.by_person[fs_ok[k_rows] + col]]
+    excluded[np.arange(k_ok.shape[0]), n_focal] = partner_pos
     excluded.sort(axis=1)
 
     j = draws[k_ok]
     for c in range(width):
         j += excluded[:, c] <= j
     new_partner = dyads.partner_i.copy()
-    new_partner[k_ok] = cell_order[ms_ok + j]
+    new_partner[k_ok] = idx.order[ms_ok + j]
     return _with_partners(dyads, new_partner, ok)
 
 
@@ -150,34 +137,28 @@ def coordination_test(
     if not treated.any():
         raise InsufficientDataError(f"no treated dyads for {item!r}")
     outcome = dyads.focal_has(item).astype(np.float64)
-    persons = dyads.log.persons
-    pp = dyads.partner_person.astype(np.int64)
     key = dyads.pair_keys()
-    order = np.argsort(key, kind="stable")
-    keys_sorted = key[order]
-    starts = np.concatenate(
-        ([0], np.nonzero(keys_sorted[1:] != keys_sorted[:-1])[0] + 1, [dyads.n])
-    )
+    group, size = dense_codes(key)  # the pairs, numbered in key order
+    n_groups = size.shape[0]
+    # a pair is persons a < b by index; b_first: the partner is b
+    b_first = dyads.partner_person != key // len(dyads.log.persons)
+    all_b = np.bincount(group[b_first], minlength=n_groups)
+    all_a = size - all_b
+    # each pair's treated dyads by direction, in index order
+    t_key = 2 * group[treated] + b_first[treated]
+    t_rows = np.flatnonzero(treated)[stable_order(t_key, 2 * n_groups)]
+    n_dir = np.bincount(t_key, minlength=2 * n_groups)
+    t_start = run_starts(n_dir)
+    # persons are sorted, so a tie goes to a, the lower id
+    leader_is_a = all_a >= all_b
     rng = np.random.default_rng(int(seed))
     lead_rates, foll_rates = [], []
     n_lead = n_foll = n_pairs = 0
-    for g in range(starts.shape[0] - 1):
-        rows = order[starts[g] : starts[g + 1]]
-        a, b = divmod(int(key[rows[0]]), len(persons))
-        a_first = pp[rows] == a
-        t_rows = rows[treated[rows]]
-        dir_a = t_rows[pp[t_rows] == a]
-        dir_b = t_rows[pp[t_rows] != a]
-        if dir_a.shape[0] < MIN_PER_ORDER or dir_b.shape[0] < MIN_PER_ORDER:
-            continue
-        all_a = int(a_first.sum())
-        all_b = rows.shape[0] - all_a
-        if all_a != all_b:
-            leader_is_a = all_a > all_b
-        else:
-            leader_is_a = persons[a] <= persons[b]
-        lead_rows = dir_a if leader_is_a else dir_b
-        foll_rows = dir_b if leader_is_a else dir_a
+    for g in np.flatnonzero((n_dir.reshape(-1, 2) >= MIN_PER_ORDER).all(axis=1)).tolist():
+        dir_a = t_rows[t_start[2 * g] : t_start[2 * g + 1]]
+        dir_b = t_rows[t_start[2 * g + 1] : t_start[2 * g + 2]]
+        lead_rows = dir_a if leader_is_a[g] else dir_b
+        foll_rows = dir_b if leader_is_a[g] else dir_a
         if sample_per_pair:
             if lead_rows.shape[0] > sample_per_pair:
                 lead_rows = rng.choice(lead_rows, sample_per_pair, replace=False)

@@ -12,15 +12,18 @@ import numpy as np
 from ._util import Source, write_csv
 from .model import CATEGORY_BIT, CATEGORY_KEYS, Daypart, TransactionLog
 
-# cell key packing: (shop_idx << 40) | (date_ord << 2) | daypart
+# cell key packing: (shop_idx << 40) | ((date_ord + _DATE_BIAS) << 2) | daypart;
+# the bias keeps the days of years 1 to 9999 (-719162 to 2932896 from 1970)
+# positive in the 38 date bits, so a day before 1970 keeps its shop
 _DATE_SHIFT = 2
 _SHOP_SHIFT = 40
+_DATE_BIAS = 1 << 37
 
 
 def encode_cells(shop_idx: np.ndarray, date_ord: np.ndarray, daypart: np.ndarray) -> np.ndarray:
     return (
         (shop_idx.astype(np.int64) << _SHOP_SHIFT)
-        | (date_ord.astype(np.int64) << _DATE_SHIFT)
+        | ((date_ord.astype(np.int64) + _DATE_BIAS) << _DATE_SHIFT)
         | daypart.astype(np.int64)
     )
 
@@ -54,8 +57,8 @@ class ContextStats:
     def to_csv(self, dest: Source) -> None:
         # one row per (cell, CATEGORY_KEYS entry)
         cell = np.repeat(np.arange(self.n_cells), len(CATEGORY_KEYS))
-        days, day = np.unique((self._keys >> _DATE_SHIFT) & ((1 << (_SHOP_SHIFT - _DATE_SHIFT)) - 1),
-                              return_inverse=True)
+        date_bits = (self._keys >> _DATE_SHIFT) & ((1 << (_SHOP_SHIFT - _DATE_SHIFT)) - 1)
+        days, day = np.unique(date_bits - _DATE_BIAS, return_inverse=True)
         popularity = (self._counts / self._n[:, None]).ravel()
         write_csv(dest, ("shop_id", "date", "daypart", "category", "popularity", "available", "n"), [
             (self._shops, (self._keys >> _SHOP_SHIFT)[cell]),

@@ -23,7 +23,6 @@ from .model import (
     CATEGORY_BIT,
     Demographics,
     TransactionLog,
-    anchor_code_arrays,
     person_attribute,
 )
 
@@ -168,7 +167,7 @@ def extract_dyads(queues: Queues, max_gap_s: int = 300, require_anchor: bool = T
         & (log.daypart[a] != Daypart.OUT_OF_WINDOW.value)
     )
     if require_anchor:
-        anchored = anchor_code_arrays(log.mask, log.daypart) != 0
+        anchored = log.anchor_codes() != 0
         keep &= anchored[a] & anchored[b]
     return DyadSet(log, a[keep], b[keep], gap[keep])
 

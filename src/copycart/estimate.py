@@ -21,7 +21,7 @@ from .context import ContextStats
 from .dyads import DyadSet, tie_strength_per_dyad
 from .errors import InsufficientBinsError, NoPairsError
 from .matching import AdjustmentSpec, MatchedPairSet, build_matched_pairs
-from .model import Daypart, Demographics, person_attribute
+from .model import Daypart, Demographics, calendar_year, person_attribute
 
 RR_UNDEFINED = None  # sentinel for a zero control arm
 EXACT_BELOW = 25  # fewer discordant pairs than this get the exact McNemar p
@@ -197,8 +197,9 @@ GROUPINGS = DEMOGRAPHIC_GROUPINGS + (
 
 def _pair_labels(
     pairs: MatchedPairSet, grouping: str, demographics: Optional[Demographics]
-) -> list[str]:
-    """One stratum label per matched pair, resolved on the treated dyad."""
+) -> np.ndarray:
+    """One stratum label per matched pair, resolved on the treated dyad and
+    gathered from a table of the labels."""
     if grouping not in GROUPINGS:
         raise ValueError(f"unknown grouping {grouping!r}")
     if grouping in DEMOGRAPHIC_GROUPINGS and demographics is None:
@@ -207,24 +208,25 @@ def _pair_labels(
     log = d.log
     t = pairs.treated_idx
     if grouping == "addition_item":
-        return [pairs.item] * pairs.n
+        return np.full(pairs.n, pairs.item)
     if grouping == "daypart":
-        return [Daypart(int(v)).label for v in d.daypart[t]]
+        return np.asarray([p.label for p in Daypart])[d.daypart[t]]
     if grouping == "shop":
-        return [log.shops[s] for s in d.shop_idx[t]]
+        return np.asarray(log.shops)[d.shop_idx[t]]
     if grouping == "year":
-        return [str(y) for y in log.year[d.focal_i[t]]]
+        return calendar_year(log.ts[d.focal_i[t]]).astype(str)
     if grouping == "tie_strength_bins":
         edges = (0.0,) + TIE_EDGES + (1.0,)
-        k = np.searchsorted(TIE_EDGES, tie_strength_per_dyad(d)[t], side="left")
-        return [f"({edges[i]:g},{edges[i + 1]:g}]" for i in k.tolist()]
+        bins = np.asarray([f"({lo:g},{hi:g}]" for lo, hi in zip(edges, edges[1:])])
+        return bins[np.searchsorted(TIE_EDGES, tie_strength_per_dyad(d)[t], side="left")]
 
     def attr(side, kind):
         rows = d.partner_i[t] if side == "partner" else d.focal_i[t]
-        return [label or "unknown" for label in person_attribute(log, demographics, kind, rows)]
+        labels = person_attribute(log, demographics, kind, rows)
+        return np.where(labels.astype(bool), labels, "unknown").astype(str)
 
     if grouping == "status_pair":
-        return [f"{a}-{b}" for a, b in zip(attr("partner", "status"), attr("focal", "status"))]
+        return np.strings.add(np.strings.add(attr("partner", "status"), "-"), attr("focal", "status"))
     side, _, kind = grouping.partition("_")
     return attr(side, "age_tercile" if kind == "age" else kind)
 
@@ -244,9 +246,9 @@ def subgroup_estimates(
     Strata smaller than `min_pairs` carry only their pair count, every
     estimate None.  Stratum labels partition the pair set.
     """
-    labels = np.asarray(_pair_labels(pairs, grouping, demographics))
+    labels = _pair_labels(pairs, grouping, demographics)
     out: dict[str, dict] = {}
-    for label in sorted(set(labels.tolist())):
+    for label in np.unique(labels).tolist():
         sub = pairs.subset(labels == label)
         stratum = f"{grouping}:{label}"
         if sub.n < min_pairs:

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import Source, write_csv
+from ._util import Source, run_starts, write_csv
 from .errors import InsufficientLabelsError
 from .model import TransactionLog
 
@@ -35,29 +35,25 @@ MIN_PER_CLASS = 50  # labeled persons each class needs before training
 def feature_matrix(
     log: TransactionLog, person_ids: Optional[Sequence[str]] = None
 ) -> tuple[list[str], np.ndarray]:
-    """Feature rows for the given persons (default: everyone in the log)."""
+    """Feature rows for the given persons (default: everyone in the log),
+    from whole-log bincounts over (person, month/weekday/hour)."""
     order, start = log.person_transactions()
-    month = log.month - 1
-    weekday = log.weekday
-    hour = log.hour
-    ts = log.ts
     if person_ids is None:
         person_ids = log.persons
     index = {p: i for i, p in enumerate(log.persons)}
-    X = np.zeros((len(person_ids), N_FEATURES))
-    for r, pid in enumerate(person_ids):
-        p = index.get(pid)
-        if p is None:
-            raise KeyError(f"person {pid!r} has no transactions")
-        rows = order[start[p] : start[p + 1]]
-        n = rows.shape[0]
-        if n == 0:
-            raise KeyError(f"person {pid!r} has no transactions")
-        X[r, 0] = n
-        X[r, 1] = float(ts[rows[-1]] - ts[rows[0]]) / SECONDS_PER_YEAR
-        X[r, 2:14] = np.bincount(month[rows], minlength=12) / n
-        X[r, 14:21] = np.bincount(weekday[rows], minlength=7) / n
-        X[r, 21:45] = np.bincount(hour[rows], minlength=24) / n
+    people = np.fromiter((index.get(pid, -1) for pid in person_ids), np.int64, len(person_ids))
+    n = np.diff(start)[people]
+    absent = (people < 0) | (n == 0)
+    if absent.any():
+        raise KeyError(f"person {person_ids[int(np.argmax(absent))]!r} has no transactions")
+    X = np.empty((people.shape[0], N_FEATURES))
+    X[:, 0] = n
+    # a person's rows run by time, so the span is the last minus the first
+    X[:, 1] = (log.ts[order[start[people + 1] - 1]] - log.ts[order[start[people]]]) / SECONDS_PER_YEAR
+    person = log.person_idx.astype(np.int64)
+    for lo, column, width in ((2, log.month - 1, 12), (14, log.weekday, 7), (21, log.hour, 24)):
+        counts = np.bincount(person * width + column, minlength=len(log.persons) * width)
+        X[:, lo : lo + width] = counts.reshape(-1, width)[people] / n[:, None]
     return list(person_ids), X
 
 
@@ -66,40 +62,52 @@ def feature_matrix(
 # ---------------------------------------------------------------------------
 
 
-def _best_split(x: np.ndarray, y: np.ndarray) -> tuple[float, int]:
-    """Best threshold on one feature column sorted ascending, labels carried.
+def _best_split(codes: np.ndarray, y: np.ndarray, n_values: np.ndarray) -> tuple[float, int, int]:
+    """Best boundary over candidate features from per-value counts.
 
-    Returns (score, i): split after position i, maximizing
+    `codes` (rows, candidates) ranks each row's value among the distinct
+    values of each candidate feature, of which there are `n_values`.  A
+    boundary after rank k sends the values up to k left; it counts when
+    rows sit on both sides.  Returns (score, candidate, k), maximizing
     sum_side (n_side1^2 + n_side0^2) / n_side, an affine transform of the
-    negated weighted Gini impurity.  (-inf, -1) when no split separates
-    distinct values.
+    negated weighted Gini impurity; the first candidate, then the lowest
+    rank, wins a tie.  (-inf, -1, -1) when no boundary separates rows.
     """
-    n = x.shape[0]
-    if n < 2:
-        return (-np.inf, -1)
-    c1 = np.cumsum(y[:-1], dtype=np.int64)
-    nl = np.arange(1, n, dtype=np.int64)
+    m, tot1 = codes.shape[0], int(np.sum(y, dtype=np.int64))
+    # the candidates' ranks laid end to end; each block before a rank holds every row once
+    offset = run_starts(n_values)[:-1]
+    block = np.repeat(np.arange(n_values.shape[0]), n_values)
+    keys = codes + offset
+    count = np.bincount(keys.ravel(), minlength=block.shape[0])
+    nl = np.cumsum(count) - m * block
+    c1 = np.cumsum(np.bincount(keys[y == 1].ravel(), minlength=block.shape[0])) - tot1 * block
+    # a rank no row holds repeats the boundary before it
+    at = np.flatnonzero((count > 0) & (nl < m))
+    if not at.shape[0]:
+        return (-np.inf, -1, -1)
+    nl, c1 = nl[at], c1[at]
     l0 = nl - c1
-    tot1 = int(np.sum(y, dtype=np.int64))
-    tot0 = n - tot1
     r1 = tot1 - c1
-    r0 = tot0 - l0
-    nr = n - nl
+    r0 = (m - tot1) - l0
+    nr = m - nl
     score = (c1 * c1 + l0 * l0) / nl + (r1 * r1 + r0 * r0) / nr
-    score = np.where(x[:-1] < x[1:], score, -np.inf)
     i = int(np.argmax(score))
-    if not np.isfinite(score[i]):
-        return (-np.inf, -1)
-    return (float(score[i]), i)
+    f = int(block[at[i]])
+    return (float(score[i]), f, int(at[i] - offset[f]))
 
 
 def _grow_tree(
-    X: np.ndarray,
+    codes: np.ndarray,
+    values: Sequence[np.ndarray],
     y: np.ndarray,
     rows: np.ndarray,
     rng: np.random.Generator,
     min_split: int,
 ) -> dict:
+    """One tree on rank-coded features: `codes[:, f]` ranks each training
+    row's value of feature f among `values[f]`, its distinct values
+    ascending.  A split threshold is the value its boundary falls after."""
+    n_values = np.asarray([v.shape[0] for v in values], np.int64)
     feat, thr, left, right, label = [], [], [], [], []
 
     def build(rows: np.ndarray, depth: int) -> int:
@@ -114,21 +122,13 @@ def _grow_tree(
         if depth >= MAX_DEPTH or rows.shape[0] < min_split or ones in (0, rows.shape[0]):
             return node
         cand = rng.choice(N_FEATURES, size=N_CANDIDATES, replace=False)
-        best_score = -np.inf
-        best = None
-        for f in cand:
-            xv = X[rows, f]
-            srt = np.argsort(xv, kind="stable")
-            score, idx = _best_split(xv[srt], y[rows][srt])
-            if idx >= 0 and score > best_score:
-                best_score = score
-                best = (int(f), float(xv[srt[idx]]))
-        if best is None:
+        _, c, k = _best_split(codes[rows[:, None], cand], y[rows], n_values[cand])
+        if c < 0:
             return node
-        f, t = best
-        go = X[rows, f] <= t
+        f = int(cand[c])
+        go = codes[rows, f] <= k
         feat[node] = f
-        thr[node] = t
+        thr[node] = float(values[f][k])
         left[node] = build(rows[go], depth + 1)
         right[node] = build(rows[~go], depth + 1)
         return node
@@ -207,6 +207,8 @@ def train_status_model(
     labels = list(labels)
     if X.shape[0] != len(labels):
         raise ValueError("features and labels differ in length")
+    if np.isnan(X).any():
+        raise ValueError("features hold NaN")
     classes = sorted(set(labels))
     if len(classes) != 2:
         raise InsufficientLabelsError(f"need exactly 2 classes, got {classes}")
@@ -230,10 +232,13 @@ def train_status_model(
 
     Xt = X[train]
     yt = y[train]
+    # each training value's rank among its feature's distinct values
+    values, codes = zip(*(np.unique(col, return_inverse=True) for col in Xt.T))
+    codes = np.stack(codes, axis=1)
     trees = []
     for _ in range(n_trees):
         boot = rng.integers(0, Xt.shape[0], Xt.shape[0])
-        trees.append(_grow_tree(Xt, yt, boot, rng, min_split))
+        trees.append(_grow_tree(codes, values, yt, boot, rng, min_split))
 
     model = StatusModel(classes, trees)
     pred_labels, _ = model.predict(X[test])

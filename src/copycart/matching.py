@@ -17,11 +17,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import ByteColumn, Source, read_csv, write_csv
+from ._util import ByteColumn, Source, dense_codes, read_csv, run_starts, write_csv
 from .context import ContextStats
 from .dyads import DyadSet
 from .errors import IngestError, NoPairsError
-from .model import CATEGORY_KEYS, anchor_code_arrays
+from .model import CATEGORY_KEYS
 
 
 @dataclass(frozen=True)
@@ -159,10 +159,14 @@ class MatchedPairSet:
         log = dyads.log
         rows = log.rows_of(ByteColumn.of(txs)).reshape(-1, 2, 2)
         keys = np.where((rows >= 0).all(axis=2), rows[:, :, 0] * log.n + rows[:, :, 1], -1)
-        where = dict(zip((dyads.partner_i * log.n + dyads.focal_i).tolist(), range(dyads.n)))
-        dyad = np.fromiter(
-            map(where.get, keys.ravel().tolist(), itertools.repeat(-1)), np.int64, keys.size
-        ).reshape(-1, 2)
+        # the last dyad of the set holding each (partner, focal) key
+        key = dyads.partner_i * log.n + dyads.focal_i
+        order = np.argsort(key, kind="stable")
+        at = np.searchsorted(key[order], keys, side="right") - 1
+        hit = at >= 0
+        hit[hit] = key[order[at[hit]]] == keys[hit]
+        dyad = np.full(keys.shape, -1)
+        dyad[hit] = order[at[hit]]
         if (dyad < 0).any():
             k = int(np.argmax(dyad.ravel() < 0))
             raise IngestError(
@@ -245,7 +249,7 @@ def build_matched_pairs(
         return MatchedPairSet(dyads, item, empty, empty, np.empty(0), np.empty(0), 0, 0)
 
     treated = dyads.partner_has(item)
-    codes = anchor_code_arrays(log.mask, log.daypart)
+    codes = log.anchor_codes()
     ok = (codes[dyads.partner_i] != 0) & (codes[dyads.focal_i] != 0)
     n_cell, cnt = context.counts_for_cells(dyads.cell_keys(), item)
     ok &= cnt > 0  # item must be available in the dyad's cell
@@ -275,16 +279,16 @@ def build_matched_pairs(
 
     # pack both sides together so each column shares one cardinality
     packed = [np.concatenate([a, b]).astype(np.int64) for a, b in zip(cols_t, cols_c)]
-    key_all = _group_key(packed)
-    key_t = key_all[: t_rows.shape[0]]
-    key_c = key_all[t_rows.shape[0] :]
-
-    strata, key_t_inv = np.unique(key_t, return_inverse=True)
-    c_in = np.searchsorted(strata, key_c)
-    c_in = np.minimum(c_in, strata.shape[0] - 1)
-    c_valid = strata[c_in] == key_c
+    code = dense_codes(_group_key(packed))[0]
+    # the strata are the keys some treated dyad holds, numbered in key order
+    held = np.bincount(code[: t_rows.shape[0]], minlength=int(code.max()) + 1) > 0
+    stratum = np.cumsum(held) - 1
+    key_t_inv = stratum[code[: t_rows.shape[0]]]
+    code_c = code[t_rows.shape[0] :]
+    c_valid = held[code_c]
     c_rows = c_rows[c_valid]
-    key_c_inv = c_in[c_valid]
+    key_c_inv = stratum[code_c[c_valid]]
+    n_strata = int(stratum[-1]) + 1
 
     date = dyads.date_ord
     rank = log.tx_idx[dyads.focal_i]
@@ -295,9 +299,8 @@ def build_matched_pairs(
     s_t = key_t_inv[t_order]
     s_c = key_c_inv[c_order]
 
-    n_strata = strata.shape[0]
-    t_start = np.searchsorted(s_t, np.arange(n_strata + 1)).astype(np.int64)
-    c_start = np.searchsorted(s_c, np.arange(n_strata + 1)).astype(np.int64)
+    t_start = run_starts(np.bincount(s_t, minlength=n_strata))
+    c_start = run_starts(np.bincount(s_c, minlength=n_strata))
 
     t_pop = pop[t_rows]
     c_pop = pop[c_rows]

@@ -6,7 +6,6 @@ because every downstream stage works on whole-log vectors.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import datetime as dt
 import io
@@ -15,13 +14,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import partial
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._util import (ByteColumn, Source, decimal_digits, header_order, read_bytes, read_csv, utf8_text,
-                    write_csv)
+from ._util import (ByteColumn, Source, decimal_digits, dense_codes, header_order, read_bytes, read_csv,
+                    run_starts, stable_order, utf8_text, write_csv)
 from .errors import IngestError
 
 # ---------------------------------------------------------------------------
@@ -274,6 +273,35 @@ class IngestReport:
 Interned = tuple[list[str], np.ndarray]
 
 
+class CellIndex(NamedTuple):
+    """A log's rows by (shop, date, daypart) cell, the cells numbered in that
+    order; `TransactionLog.cell_index` builds it once per log."""
+
+    cell: np.ndarray  # the cell of each row
+    order: np.ndarray  # rows grouped by cell, ascending within a cell
+    start: np.ndarray  # cell c holds order[start[c]:start[c + 1]]
+    position: np.ndarray  # each row's place among its cell's rows in `order`
+    by_person: np.ndarray  # rows in (cell, person, row) order
+    group: np.ndarray  # each row's (cell, person) group, numbered in that order
+    group_start: np.ndarray  # group g holds by_person[group_start[g]:group_start[g + 1]]
+
+
+def calendar_year(ts: np.ndarray) -> np.ndarray:
+    """The calendar year of each epoch second."""
+    return ts.astype("datetime64[s]").astype("datetime64[Y]").astype(np.int64) + 1970
+
+
+def _ascending(keys: tuple[np.ndarray, ...]) -> bool:
+    """Whether the rows already sort by the key columns, most significant
+    first: each row is past its predecessor on some key and equal on every
+    key before it, or equal on all."""
+    later, tie = np.zeros(max(keys[0].shape[0] - 1, 0), bool), True
+    for key in keys:
+        later |= tie & (key[1:] > key[:-1])
+        tie = tie & (key[1:] == key[:-1])
+    return bool((later | tie).all())
+
+
 class TransactionLog:
     """Validated, canonically ordered transaction log.
 
@@ -283,7 +311,8 @@ class TransactionLog:
     row; and the baskets as a table of normalized baskets (sorted tuples of
     distinct item codes) plus an index per row.  Canonical order is
     (timestamp, shop_id, register_id, tx_id), one lexsort of the indices as
-    the vocabularies are sorted; columns already in it are kept, not copied.
+    the vocabularies are sorted; columns already in it, as one comparison of
+    adjacent rows finds, are kept, not copied.
     The catalog turns each basket into its category mask; the log keeps the
     masks, not the catalog.  The log is immutable after construction.
     """
@@ -302,8 +331,8 @@ class TransactionLog:
         n = ts.shape[0]
         if not all(col[1].shape[0] == n for col in (tx, person, shop, register, basket)):
             raise ValueError("column length mismatch")
-        order = np.lexsort((tx[1], register[1], shop[1], ts))
-        order = slice(None) if (order[1:] > order[:-1]).all() else order
+        keys = (ts, shop[1], register[1], tx[1])
+        order = slice(None) if _ascending(keys) else np.lexsort(keys[::-1])
         self.txs, self.tx_idx = tx[0], tx[1][order].astype(np.int64, copy=False)
         if n:
             seen = np.bincount(self.tx_idx)
@@ -324,6 +353,8 @@ class TransactionLog:
         self.secs = (self.ts % 86400).astype(np.int32)
         self.daypart = dayparts_of_secs_array(self.secs)
         self._person_txs: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._cells: Optional[CellIndex] = None
+        self._anchor_codes: Optional[np.ndarray] = None
 
     # -- derived columns ----------------------------------------------------
 
@@ -333,10 +364,6 @@ class TransactionLog:
 
     def __len__(self) -> int:
         return self.n
-
-    @property
-    def year(self) -> np.ndarray:
-        return self.ts.astype("datetime64[s]").astype("datetime64[Y]").astype(np.int64) + 1970
 
     @property
     def month(self) -> np.ndarray:
@@ -358,6 +385,36 @@ class TransactionLog:
             start = np.searchsorted(self.person_idx[order], np.arange(len(self.persons) + 1))
             self._person_txs = (order, start)
         return self._person_txs
+
+    def cell_index(self) -> CellIndex:
+        """The rows by (shop, date, daypart) cell, built on first use; two
+        threads that both find it missing build the same arrays."""
+        if self._cells is None:
+            row = np.int32 if self.n < 2**31 else np.int64  # halves the index held
+            day = self.date_ord - (self.date_ord.min() if self.n else 0)
+            span = int(day.max(initial=0)) + 1
+            cell, count = dense_codes((self.shop_idx.astype(np.int64) * span + day) * 4 + self.daypart)
+            cell = cell.astype(row)
+            start = run_starts(count)
+            order = stable_order(cell, count.shape[0]).astype(row)
+            position = np.empty(self.n, row)
+            position[order] = np.arange(self.n) - np.repeat(start[:-1], count)
+            by_person = stable_order(self.person_idx, len(self.persons))
+            by_person = by_person[stable_order(cell[by_person], count.shape[0])].astype(row)
+            new = np.ones(self.n, bool)
+            cells, persons = cell[by_person], self.person_idx[by_person]
+            new[1:] = (cells[1:] != cells[:-1]) | (persons[1:] != persons[:-1])
+            group = np.empty(self.n, row)
+            group[by_person] = np.cumsum(new) - 1
+            group_start = np.append(np.flatnonzero(new), self.n).astype(row)
+            self._cells = CellIndex(cell, order, start, position, by_person, group, group_start)
+        return self._cells
+
+    def anchor_codes(self) -> np.ndarray:
+        """`anchor_code_arrays` of every row, computed on first use."""
+        if self._anchor_codes is None:
+            self._anchor_codes = anchor_code_arrays(self.mask, self.daypart)
+        return self._anchor_codes
 
     # -- tx ids ---------------------------------------------------------------
 
@@ -622,7 +679,7 @@ class Demographics:
         order, start = log.person_transactions()
         # a person's rows are sorted by time, so the first row has the first year
         first_rows = order[start[:-1]]
-        min_year = dict(zip(log.persons, log.year[first_rows].tolist()))
+        min_year = dict(zip(log.persons, calendar_year(log.ts[first_rows]).tolist()))
         out = []
         degraded = 0
         for r in self._by_id.values():
@@ -664,26 +721,24 @@ class Demographics:
 
 def person_attribute(
     log: TransactionLog, demographics: Demographics, attribute: str, rows: np.ndarray
-) -> list[Optional[str]]:
-    """``status``, ``gender`` or ``age_tercile`` of the person at each log row.
+) -> np.ndarray:
+    """``status``, ``gender`` or ``age_tercile`` of the person at each log row,
+    as an object array.
 
     None where the person or the field is unknown; age is counted in the
-    calendar year of the row's transaction.
+    calendar year of the row's transaction.  Each person's field is looked
+    up once and gathered for the rows.
     """
     if attribute not in ATTRIBUTE_LABELS:
         raise ValueError(f"unknown attribute {attribute!r}")
-    years = log.year
-    out: list[Optional[str]] = []
-    for i in rows:
-        rec = demographics.get(log.persons[log.person_idx[i]])
-        if rec is None:
-            out.append(None)
-        elif attribute == "status":
-            out.append(rec.status)
-        elif attribute == "gender":
-            out.append(rec.gender)
-        elif rec.birth_year is None:
-            out.append(None)
-        else:
-            out.append(AGE_TERCILES[bisect.bisect_left(AGE_CUTS, int(years[i]) - rec.birth_year)])
-    return out
+    records = [demographics.get(p) for p in log.persons]
+    person = log.person_idx[rows]
+    if attribute != "age_tercile":
+        return np.asarray([getattr(r, attribute) if r else None for r in records], object)[person]
+    # a birth year past the int64 range keeps the tercile it would give
+    born = [min(max(r.birth_year, -(2**62)), 2**62) if r and r.birth_year is not None else None
+            for r in records]
+    known = np.asarray([b is not None for b in born], bool)[person]
+    age = calendar_year(log.ts[rows]) - np.asarray([b or 0 for b in born], np.int64)[person]
+    tercile = np.where(known, np.searchsorted(AGE_CUTS, age, side="left"), len(AGE_TERCILES))
+    return np.asarray(AGE_TERCILES + (None,), object)[tercile]

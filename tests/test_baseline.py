@@ -1,6 +1,9 @@
 """Partner randomization invariants and the order-asymmetry probe."""
 
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,14 +12,16 @@ from scipy.special import stdtr
 
 from copycart._util import t_two_sided_p
 from copycart.baseline import (
+    MIN_PER_ORDER,
     coordination_test,
     randomize_partners,
     welch_t,
 )
 from copycart.context import encode_cells
-from copycart.dyads import extract_dyads, reconstruct_queues
+from copycart.dyads import DyadSet, extract_dyads, filter_frequent_pairs, reconstruct_queues
 from copycart.errors import InsufficientDataError
 from copycart.estimate import naive_risk_difference
+from copycart.sim import SimulationConfig, simulate
 
 from test_dyads import lunch_rows
 from test_model import parse_csv, tx_ids
@@ -158,6 +163,38 @@ def test_randomize_partners_matches_scalar_reference(seed):
         assert np.array_equal(got.partner_i, partner[ok])
         assert np.array_equal(got.focal_i, dyads.focal_i[ok])
         assert np.array_equal(got.delay_s, log.ts[dyads.focal_i[ok]] - log.ts[partner[ok]])
+
+
+def test_randomize_partner_outside_the_focal_cell():
+    # a hand-made dyad set may pair rows of different cells; the partner's
+    # row then counts where it would sit among the focal cell's rows
+    log = busy_lunch_log(np.random.default_rng(9))
+    dyads = extract_dyads(reconstruct_queues(log), max_gap_s=3600)
+    cells = encode_cells(log.shop_idx, log.date_ord, log.daypart)
+    partner = np.roll(dyads.partner_i, 7)
+    odd = DyadSet(log, partner, dyads.focal_i, dyads.delay_s)
+    assert (cells[partner] != cells[dyads.focal_i]).sum() > 5
+    for seed in range(3):
+        got = randomize_partners(odd, seed=seed)
+        want, ok = randomize_oracle(odd, seed)
+        assert np.array_equal(got.partner_i, want[ok])
+
+
+def test_threads_share_one_cell_index():
+    # `run --threads` shuffles several items of one log at once; whichever
+    # thread builds the log's cell index, every shuffle draws the same partners
+    config = SimulationConfig(seed=3, n_persons=60, n_days=300)
+    alone = extract_dyads(reconstruct_queues(simulate(config).log))
+    want = [randomize_partners(alone, seed=s).partner_i for s in range(8)]
+    dyads = extract_dyads(reconstruct_queues(simulate(config).log))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda s: randomize_partners(dyads, seed=s).partner_i, range(8), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_randomize_empty_set():
@@ -331,3 +368,82 @@ def test_coordination_untreated_dyads_set_roles_not_rates():
     assert flipped["n_pairs"] == 2
     assert flipped["rate_leader_first"] == pytest.approx(0.05)
     assert flipped["rate_follower_first"] == pytest.approx(0.95)
+
+
+def coordination_oracle(dyads, item, sample_per_pair, seed):
+    """Reference: every person pair scanned in key order, one at a time."""
+    treated = dyads.partner_has(item)
+    outcome = dyads.focal_has(item).astype(np.float64)
+    persons = dyads.log.persons
+    pp = dyads.partner_person.astype(np.int64)
+    key = dyads.pair_keys()
+    order = np.argsort(key, kind="stable")
+    keys_sorted = key[order]
+    starts = np.concatenate(([0], np.nonzero(keys_sorted[1:] != keys_sorted[:-1])[0] + 1, [dyads.n]))
+    rng = np.random.default_rng(int(seed))
+    lead, foll = [], []
+    for g in range(starts.shape[0] - 1):
+        rows = order[starts[g] : starts[g + 1]]
+        a, b = divmod(int(key[rows[0]]), len(persons))
+        t_rows = rows[treated[rows]]
+        dir_a, dir_b = t_rows[pp[t_rows] == a], t_rows[pp[t_rows] != a]
+        if dir_a.shape[0] < MIN_PER_ORDER or dir_b.shape[0] < MIN_PER_ORDER:
+            continue
+        all_a = int((pp[rows] == a).sum())
+        all_b = rows.shape[0] - all_a
+        leader_is_a = all_a > all_b if all_a != all_b else persons[a] <= persons[b]
+        lead_rows, foll_rows = (dir_a, dir_b) if leader_is_a else (dir_b, dir_a)
+        if sample_per_pair:
+            if lead_rows.shape[0] > sample_per_pair:
+                lead_rows = rng.choice(lead_rows, sample_per_pair, replace=False)
+            if foll_rows.shape[0] > sample_per_pair:
+                foll_rows = rng.choice(foll_rows, sample_per_pair, replace=False)
+        lead.append(lead_rows)
+        foll.append(foll_rows)
+    rates = [float(outcome[r].mean()) for r in lead], [float(outcome[r].mean()) for r in foll]
+    return len(lead), sum(map(len, lead)), sum(map(len, foll)), rates
+
+
+@pytest.mark.parametrize("sample_per_pair", [10, None])
+def test_coordination_matches_per_pair_reference(sample_per_pair):
+    log = simulate(SimulationConfig(seed=3, n_persons=60, n_days=300, pair_fraction=1.0)).log
+    d = extract_dyads(reconstruct_queues(log))
+    # and tied all-dyad counts, where the lower person id leads
+    rng = np.random.default_rng(8)
+    spec = asym_pair("A", "B", 14, 9, 14, 4) + asym_pair("C", "D", 25, 20, 11, 2)
+    spec += [(p, f, bool(rng.random() < 0.5)) for p, f in [("E", "F"), ("F", "E")] * 12]
+    tied = directed_dyads(spec)
+    checked = 0
+    for dyads in (d, tied):
+        for item in ("dessert", "soup", "meal"):
+            for seed in range(3):
+                try:
+                    got = coordination_test(dyads, item, sample_per_pair, seed)
+                except InsufficientDataError:
+                    continue
+                n_pairs, n_lead, n_foll, (lead, foll) = coordination_oracle(dyads, item, sample_per_pair, seed)
+                assert (got["n_pairs"], got["n_leader_first"], got["n_follower_first"]) == (n_pairs, n_lead, n_foll)
+                assert got == coordination_test(dyads, item, sample_per_pair, seed)
+                t, p, df = welch_t(np.asarray(lead), np.asarray(foll))
+                assert (got["t"], got["p"], got["df"]) == (t, p, df)
+                assert got["rate_leader_first"] == float(np.mean(lead))
+                assert got["rate_follower_first"] == float(np.mean(foll))
+                checked += 1
+    assert checked >= 9
+
+
+def test_shuffle_memory_stays_bounded():
+    # Three shuffles of this 55k-row log's 16k dyads, the cell index built
+    # by the first, peaked at 4.9 MB of traced memory when the bound was
+    # set, 1.3 MB of it the index the log keeps; with two argsorts of every
+    # row's cell and (cell, person) keys in each call they peaked at 7.8 MB.
+    log = simulate(SimulationConfig(seed=3, n_persons=500)).log
+    dyads = filter_frequent_pairs(extract_dyads(reconstruct_queues(log)), 10)
+    tracemalloc.start()
+    try:
+        shuffled = [randomize_partners(dyads, seed=seed) for seed in range(3)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert log.n > 50_000 and min(s.n for s in shuffled) > 10_000
+    assert peak < 6.5e6, f"three shuffles peaked at {peak / 1e6:.1f} MB"

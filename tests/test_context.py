@@ -111,3 +111,24 @@ def test_counts_for_cells_recover_integers():
     # absent cell gives zeros
     n, cnt = stats.counts_for_cells(np.asarray([keys[0] + (1 << 50)]), "fruit")
     assert n[0] == 0 and cnt[0] == 0
+
+
+def test_days_before_1970_keep_their_shop():
+    # one lunch per shop on one day of 1965, and the first and last days a
+    # timestamp can name: each is its own cell, with its own date
+    log = parse_csv(
+        "T1,P1,1965-03-01T12:00:00,S1,R1,MEALV;FRU\n"
+        "T2,P2,1965-03-01T12:05:00,S2,R1,MEALS\n"
+        "T3,P3,0001-01-01T12:00:00,S2,R1,MEALS\n"
+        "T4,P4,9999-12-31T12:00:00,S2,R1,MEALS;FRU\n"
+    )
+    stats = compute_context(log)
+    assert stats.n_cells == 4
+    assert popularity(stats, log, "S1", "1965-03-01", M.Daypart.LUNCH, "fruit") == 1.0
+    assert popularity(stats, log, "S2", "1965-03-01", M.Daypart.LUNCH, "fruit") == 0.0
+    buf = io.StringIO()
+    stats.to_csv(buf)
+    fruit = [line.split(",")[:2] for line in buf.getvalue().splitlines() if ",fruit," in line]
+    assert fruit == [["S1", "1965-03-01"], ["S2", "0001-01-01"], ["S2", "1965-03-01"], ["S2", "9999-12-31"]]
+    assert np.array_equal(log.cell_index().cell, np.unique(encode_cells(log.shop_idx, log.date_ord, log.daypart),
+                                                          return_inverse=True)[1])

@@ -12,8 +12,11 @@ from copycart import model as M
 from copycart._util import derive_seed
 from copycart.dyads import extract_dyads, reconstruct_queues
 from copycart.errors import InsufficientBinsError, NoPairsError
+from copycart.dyads import tie_strength_per_dyad
 from copycart.estimate import (
+    GROUPINGS,
     PairedCounts,
+    _pair_labels,
     anchor_mimicry,
     dose_response,
     effect_estimate,
@@ -360,6 +363,77 @@ def test_subgroup_seeds_are_stable():
     a = subgroup_estimates(pairs, "daypart", None, n_rep=100, seed=7, min_pairs=1)
     b = subgroup_estimates(pairs, "daypart", None, n_rep=100, seed=7, min_pairs=1)
     assert a["lunch"] == b["lunch"]
+
+
+def attribute_per_row(log, demographics, attribute, rows):
+    """Reference: each row's person looked up on its own."""
+    out, years = [], M.calendar_year(log.ts)
+    for i in rows:
+        rec = demographics.get(log.persons[log.person_idx[i]])
+        if rec is None or attribute != "age_tercile":
+            out.append(rec and getattr(rec, attribute))
+        elif rec.birth_year is None:
+            out.append(None)
+        else:
+            age = int(years[i]) - rec.birth_year
+            out.append(M.AGE_TERCILES[sum(age > cut for cut in M.AGE_CUTS)])
+    return out
+
+
+def labels_per_pair(pairs, grouping, demographics):
+    """Reference: one stratum label per matched pair, built pair by pair."""
+    d, log = pairs.dyads, pairs.dyads.log
+    t = pairs.treated_idx
+    if grouping == "addition_item":
+        return [pairs.item] * pairs.n
+    if grouping == "daypart":
+        return [M.Daypart(int(v)).label for v in d.daypart[t]]
+    if grouping == "shop":
+        return [log.shops[s] for s in d.shop_idx[t]]
+    if grouping == "year":
+        return [str(y) for y in M.calendar_year(log.ts)[d.focal_i[t]]]
+    if grouping == "tie_strength_bins":
+        edges = (0.0, 0.25, 0.5, 0.75, 1.0)
+        k = [sum(v > e for e in edges[1:-1]) for v in tie_strength_per_dyad(d)[t]]
+        return [f"({edges[i]:g},{edges[i + 1]:g}]" for i in k]
+
+    def attr(side, kind):
+        rows = d.partner_i[t] if side == "partner" else d.focal_i[t]
+        return [label or "unknown" for label in attribute_per_row(log, demographics, kind, rows)]
+
+    if grouping == "status_pair":
+        return [f"{a}-{b}" for a, b in zip(attr("partner", "status"), attr("focal", "status"))]
+    side, _, kind = grouping.partition("_")
+    return attr(side, "age_tercile" if kind == "age" else kind)
+
+
+def test_labels_match_per_pair_reference():
+    from copycart.context import compute_context
+    from copycart.matching import build_matched_pairs
+    from copycart.sim import SimulationConfig, simulate
+
+    result = simulate(SimulationConfig(seed=2, n_persons=80, n_days=420, delta={"dessert": 0.2},
+                                       demographics_known_fraction=0.7))
+    log = result.log
+    records = result.demographics().records()
+    # a fifth of the persons unknown, and some birth years and genders unknown
+    demo = M.Demographics(
+        M.PersonRecord(r.person_id, None if k % 4 == 1 else r.gender, r.status,
+                       None if k % 3 == 2 else r.birth_year)
+        for k, r in enumerate(records) if k % 5 != 0
+    )
+    rows = np.random.default_rng(0).integers(0, log.n, 3000)
+    for attribute in M.ATTRIBUTE_LABELS:
+        got = M.person_attribute(log, demo, attribute, rows)
+        assert got.tolist() == attribute_per_row(log, demo, attribute, rows), attribute
+    assert None in got.tolist() and len(set(got.tolist())) == 4
+    pairs = build_matched_pairs(extract_dyads(reconstruct_queues(log)), "dessert", compute_context(log))
+    assert pairs.n > 200
+    for grouping in GROUPINGS:
+        want = labels_per_pair(pairs, grouping, demo)
+        assert _pair_labels(pairs, grouping, demo).tolist() == want, grouping
+        assert len(set(want)) > (grouping != "addition_item"), grouping
+    assert {"unknown-student", "staff-unknown"} <= set(labels_per_pair(pairs, "status_pair", demo))
 
 
 # -- anchor mimicry ----------------------------------------------------------

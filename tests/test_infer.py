@@ -8,8 +8,11 @@ import pytest
 from copycart.errors import InsufficientLabelsError
 from copycart.infer import (
     FEATURE_NAMES,
+    MAX_DEPTH,
+    N_CANDIDATES,
     N_FEATURES,
     _best_split,
+    _grow_tree,
     feature_matrix,
     train_status_model,
     write_predictions_csv,
@@ -211,23 +214,161 @@ def _split_oracle(x, y):
     return besti
 
 
+def ranked(x, extra=()):
+    """(distinct values, rank code column) of x, the values padded with
+    `extra` so that some ranks hold no row, as at a tree node."""
+    values = np.unique(np.concatenate([x, extra]))
+    return values, np.searchsorted(values, x)[:, None]
+
+
 def test_best_split_matches_exact_oracle():
     rng = np.random.default_rng(23)
     for _ in range(50):
         n = int(rng.integers(2, 40))
         x = np.sort(rng.integers(0, 10, n).astype(np.float64))
         y = rng.integers(0, 2, n).astype(np.int8)
-        score, i = _best_split(x, y)
-        # integer counts keep the float scores exact, so indices must agree
-        assert i == _split_oracle(x.tolist(), y.tolist())
+        values, codes = ranked(x, rng.integers(0, 10, 4))
+        score, c, k = _best_split(codes, y, np.asarray([values.shape[0]]))
+        i = _split_oracle(x.tolist(), y.tolist())
+        # integer counts keep the float scores exact, so the thresholds must agree
+        assert (c, k >= 0) == ((0, True) if i >= 0 else (-1, False))
+        assert i < 0 or values[k] == x[i]
 
 
 def test_best_split_trivial_cases():
-    x = np.array([1.0, 1.0, 1.0])
-    y = np.array([0, 1, 0], np.int8)
-    score, i = _best_split(x, y)
-    assert i == -1
-    x = np.array([0.0, 1.0])
-    y = np.array([0, 1], np.int8)
-    score, i = _best_split(x, y)
-    assert i == 0 and score == 2.0
+    _, codes = ranked(np.array([1.0, 1.0, 1.0]), [0.0, 2.0])
+    assert _best_split(codes, np.array([0, 1, 0], np.int8), np.asarray([3])) == (-np.inf, -1, -1)
+    _, codes = ranked(np.array([0.0, 1.0]))
+    score, c, k = _best_split(codes, np.array([0, 1], np.int8), np.asarray([2]))
+    assert (c, k) == (0, 0) and score == 2.0
+
+
+def test_best_split_first_candidate_wins_a_tie():
+    # two copies of one feature score alike; the first candidate keeps the split
+    x = np.array([0.0, 1.0, 2.0, 3.0])
+    values, codes = ranked(x)
+    score, c, k = _best_split(np.hstack([codes, codes]), np.array([0, 0, 1, 1], np.int8),
+                              np.asarray([4, 4]))
+    assert (c, values[k], score) == (0, 1.0, 4.0)
+
+
+# -- grown trees against the argsort split search ------------------------------
+
+
+def argsort_split(x, y):
+    """Reference: the best split after position i of one feature column
+    sorted ascending, scored at every position between distinct values."""
+    n = x.shape[0]
+    if n < 2:
+        return (-np.inf, -1)
+    c1 = np.cumsum(y[:-1], dtype=np.int64)
+    nl = np.arange(1, n, dtype=np.int64)
+    l0 = nl - c1
+    tot1 = int(np.sum(y, dtype=np.int64))
+    r1 = tot1 - c1
+    r0 = (n - tot1) - l0
+    nr = n - nl
+    score = (c1 * c1 + l0 * l0) / nl + (r1 * r1 + r0 * r0) / nr
+    score = np.where(x[:-1] < x[1:], score, -np.inf)
+    i = int(np.argmax(score))
+    return (-np.inf, -1) if not np.isfinite(score[i]) else (float(score[i]), i)
+
+
+def argsort_tree(X, y, rows, rng, min_split):
+    """Reference tree: per node, each candidate feature is argsorted and
+    scanned; the first strictly better candidate keeps the split."""
+    feat, thr, left, right, label = [], [], [], [], []
+
+    def build(rows, depth):
+        node = len(feat)
+        ones = int(y[rows].sum())
+        feat.append(-1)
+        thr.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        label.append(1 if ones * 2 > rows.shape[0] else 0)
+        if depth >= MAX_DEPTH or rows.shape[0] < min_split or ones in (0, rows.shape[0]):
+            return node
+        best_score, best = -np.inf, None
+        for f in rng.choice(N_FEATURES, size=N_CANDIDATES, replace=False):
+            xv = X[rows, f]
+            srt = np.argsort(xv, kind="stable")
+            score, idx = argsort_split(xv[srt], y[rows][srt])
+            if idx >= 0 and score > best_score:
+                best_score, best = score, (int(f), float(xv[srt[idx]]))
+        if best is None:
+            return node
+        f, t = best
+        go = X[rows, f] <= t
+        feat[node], thr[node] = f, t
+        left[node] = build(rows[go], depth + 1)
+        right[node] = build(rows[~go], depth + 1)
+        return node
+
+    build(rows, 0)
+    return {"feat": feat, "thr": thr, "left": left, "right": right, "label": label}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_grown_trees_match_argsort_split_search(seed):
+    rng = np.random.default_rng(seed)
+    X, labels = signal_population(n_per_class=80, seed=seed)
+    X[:, 0] //= 40  # coarse counts and rounded shares tie within a feature
+    X[:, 2:] = np.round(X[:, 2:], 1)
+    y = (np.asarray(labels) == "student").astype(np.uint8)
+    y ^= (rng.random(y.shape[0]) < 0.35).astype(np.uint8)  # label noise grows deep trees
+    values, codes = zip(*(np.unique(col, return_inverse=True) for col in X.T))
+    codes = np.stack(codes, axis=1)
+    for min_split in (2, 10):
+        boot = rng.integers(0, y.shape[0], y.shape[0])
+        rng_a, rng_b = np.random.default_rng([seed, min_split]), np.random.default_rng([seed, min_split])
+        got = _grow_tree(codes, values, y, boot, rng_a, min_split)
+        want = argsort_tree(X, y, boot, rng_b, min_split)
+        assert len(want["feat"]) > 30
+        for key in want:
+            assert got[key].tolist() == want[key], key
+        # the same draws in the same depth-first order
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_training_rejects_nan_features():
+    X, labels = signal_population()
+    X[3, 5] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        train_status_model(X, labels)
+
+
+# -- feature matrix against a per-person loop ----------------------------------
+
+
+def features_per_person(log, person_ids):
+    """Reference: one person at a time, from the person's rows."""
+    order, start = log.person_transactions()
+    index = {p: i for i, p in enumerate(log.persons)}
+    month, weekday, hour = log.month - 1, log.weekday, log.hour
+    X = np.zeros((len(person_ids), N_FEATURES))
+    for r, pid in enumerate(person_ids):
+        p = index[pid]
+        rows = order[start[p] : start[p + 1]]
+        n = rows.shape[0]
+        X[r, 0] = n
+        X[r, 1] = float(log.ts[rows[-1]] - log.ts[rows[0]]) / (365.25 * 86400.0)
+        X[r, 2:14] = np.bincount(month[rows], minlength=12) / n
+        X[r, 14:21] = np.bincount(weekday[rows], minlength=7) / n
+        X[r, 21:45] = np.bincount(hour[rows], minlength=24) / n
+    return X
+
+
+def test_feature_matrix_matches_per_person_loop():
+    from copycart.sim import SimulationConfig, simulate
+
+    log = simulate(SimulationConfig(seed=5, n_persons=80, n_days=420)).log
+    ids, X = feature_matrix(log)
+    assert ids == list(log.persons)
+    assert np.array_equal(X, features_per_person(log, ids))
+    some = list(log.persons[::-3]) + [log.persons[0]]  # any order, repeats allowed
+    ids, X = feature_matrix(log, some)
+    assert ids == some and np.array_equal(X, features_per_person(log, some))
+    assert feature_matrix(log, [])[1].shape == (0, N_FEATURES)
+    with pytest.raises(KeyError, match="nobody"):
+        feature_matrix(log, [log.persons[0], "nobody"])

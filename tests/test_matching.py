@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from copycart import model as M
 from copycart.context import ContextStats, compute_context, encode_cells
 from copycart.dyads import extract_dyads, reconstruct_queues
-from copycart.errors import NoPairsError
+from copycart.errors import IngestError, NoPairsError
 from copycart.matching import (
     AdjustmentSpec,
     MatchedPairSet,
@@ -266,6 +266,28 @@ def test_matched_csv_roundtrip():
     buf2 = io.StringIO()
     back.to_csv(buf2)
     assert buf2.getvalue() == text
+
+
+def test_matched_csv_names_dyads_by_lookup():
+    specs = [
+        ("2018-01-01", "A", "MEALV;DES", "B", "MEALS"),
+        ("2018-01-02", "A", "MEALV", "B", "MEALS"),
+        ("2018-01-03", "A", "MEALV;DES", "C", "MEALS"),
+        ("2018-01-04", "A", "MEALV", "C", "MEALS"),
+    ]
+    log, dyads = one_dyad_per_day(specs)
+    pairs = build_matched_pairs(dyads, "dessert", dessert_cells(log, specs, [0.20, 0.20, 0.30, 0.31]))
+    buf = io.StringIO()
+    pairs.to_csv(buf)
+    # dyads given in another order, one of them twice: the last copy is read
+    rev = dyads.subset(np.asarray([3, 2, 1, 0, 2]))
+    back = MatchedPairSet.from_csv(io.StringIO(buf.getvalue()), rev)["dessert"]
+    assert back.treated_idx.tolist() == [3, 4] and back.control_idx.tolist() == [2, 0]
+    lacking = dyads.subset(np.asarray([0, 2, 3]))  # no day-2 control dyad
+    with pytest.raises(IngestError, match=r"names dyad \(P001, F001\), which the dyad set lacks"):
+        MatchedPairSet.from_csv(io.StringIO(buf.getvalue()), lacking)
+    with pytest.raises(IngestError, match=r"names dyad \(P000, F000\), which the dyad set lacks"):
+        MatchedPairSet.from_csv(io.StringIO(buf.getvalue()), dyads.subset(np.zeros(4, bool)))
 
 
 def test_smd_cases():

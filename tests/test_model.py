@@ -300,6 +300,36 @@ def test_log_keeps_columns_given_in_canonical_order():
     assert not np.shares_memory(shuffled.ts, ts)
 
 
+def test_shuffled_rows_sort_to_the_canonical_log():
+    rng = np.random.default_rng(5)
+    # three stamps, two shops and two registers: most rows tie on all three,
+    # so the tx id orders them
+    rows = [f"T{i:03d},P{rng.integers(4)},2018-01-05T12:00:0{rng.integers(3)},S{rng.integers(2)},"
+            f"R{rng.integers(2)},{rng.choice(CODES)}" for i in range(60)]
+    log = parse_csv("\n".join(rows) + "\n")
+    keys = np.stack([log.ts, log.shop_idx, log.register_idx], axis=1)
+    assert (keys[1:] == keys[:-1]).all(axis=1).sum() > 30
+
+    def columns(rows):
+        return M.TransactionLog(
+            log.ts[rows], (log.txs, log.tx_idx[rows]), (log.persons, log.person_idx[rows]),
+            (log.shops, log.shop_idx[rows]), (log.registers, log.register_idx[rows]),
+            (log.basket_table, log.basket_idx[rows]), CATALOG)
+
+    with mock.patch.object(M.np, "lexsort", wraps=np.lexsort) as lexsort:
+        canonical = columns(np.arange(log.n))
+        assert lexsort.call_count == 0  # rows in canonical order are not sorted again
+        shuffled = columns(rng.permutation(log.n))
+        assert lexsort.call_count == 1
+    for got in (canonical, shuffled):
+        for name in ("ts", "tx_idx", "person_idx", "shop_idx", "register_idx", "basket_idx",
+                     "mask", "basket_sizes", "date_ord", "secs", "daypart"):
+            assert np.array_equal(getattr(got, name), getattr(log, name)), name
+    # a file in another row order numbers its baskets in another order
+    assert row_values(parse_csv("\n".join(rng.permutation(rows)) + "\n")) == row_values(log)
+    assert_log_invariants(log)
+
+
 def _stamp_text(y, mo, d, h, mi, s):
     return f"{y:04d}-{mo:02d}-{d:02d}T{h:02d}:{mi:02d}:{s:02d}"
 
@@ -632,7 +662,7 @@ def test_write_csv_writes_what_csv_writer_writes(table, block):
 
 def test_derived_columns():
     log = parse_csv("T1,P1,2018-03-15T12:30:45,S1,R1,MEALV\n")
-    assert log.year[0] == 2018
+    assert M.calendar_year(log.ts)[0] == 2018
     assert log.month[0] == 3
     assert log.weekday[0] == 3  # 2018-03-15 was a Thursday
     assert log.hour[0] == 12
