@@ -117,7 +117,7 @@ def dyad_stage(log: TransactionLog, cfg: RunConfig) -> tuple[ContextStats, int, 
 def select_items(dyads: DyadSet, cfg: RunConfig, items=()) -> list[str]:
     """The focus items: `items` when given, else every selected addition item."""
     if items:
-        return sorted(items)
+        return sorted(set(items))
     per_daypart = select_additions(dyads, cfg.min_fraction)
     return sorted({i for lst in per_daypart.values() for i in lst})
 

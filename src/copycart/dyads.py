@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import context as ctx
-from ._util import ByteColumn, Source, read_csv, write_csv
+from ._util import ByteColumn, Source, dense_codes, read_csv, run_starts, stable_order, write_csv
 from .errors import EmptyMatrixError, IngestError
 from .model import (
     ATTRIBUTE_LABELS,
@@ -37,16 +36,14 @@ class Queues:
 
 
 def reconstruct_queues(log: TransactionLog) -> Queues:
-    """Group the log into queues; within a queue sort by time then tx_id."""
-    if log.n == 0:
-        return Queues(log, np.empty(0, np.int64), np.zeros(1, np.int64))
-    order = np.lexsort((log.tx_idx, log.ts, log.date_ord, log.register_idx, log.shop_idx))
-    shop = log.shop_idx[order]
-    reg = log.register_idx[order]
-    day = log.date_ord[order]
-    brk = (shop[1:] != shop[:-1]) | (reg[1:] != reg[:-1]) | (day[1:] != day[:-1])
-    starts = np.concatenate(([0], np.nonzero(brk)[0] + 1, [log.n]))
-    return Queues(log, order.astype(np.int64), starts.astype(np.int64))
+    """Group the log into queues, numbered by (shop, register, date); a
+    stable sort keeps each queue's rows in canonical (ts, tx_id) order."""
+    # numbering the (shop, register) pairs first keeps the packed key in
+    # int64 however many shops and registers the log names
+    till, _ = dense_codes(log.shop_idx.astype(np.int64) * len(log.registers) + log.register_idx)
+    day = log.date_ord - (log.date_ord.min() if log.n else 0)
+    queue, count = dense_codes(till * (int(day.max(initial=0)) + 1) + day)
+    return Queues(log, stable_order(queue, count.shape[0]), run_starts(count))
 
 
 DYAD_COLUMNS = ("partner_tx", "focal_tx", "shop_id", "register_id", "date", "daypart", "delay_s")
@@ -94,9 +91,6 @@ class DyadSet:
     @property
     def focal_person(self) -> np.ndarray:
         return self.log.person_idx[self.focal_i]
-
-    def cell_keys(self) -> np.ndarray:
-        return ctx.encode_cells(self.shop_idx, self.date_ord, self.daypart)
 
     def partner_has(self, category: str) -> np.ndarray:
         bit = np.uint16(CATEGORY_BIT[category])

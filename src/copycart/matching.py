@@ -251,7 +251,7 @@ def build_matched_pairs(
     treated = dyads.partner_has(item)
     codes = log.anchor_codes()
     ok = (codes[dyads.partner_i] != 0) & (codes[dyads.focal_i] != 0)
-    n_cell, cnt = context.counts_for_cells(dyads.cell_keys(), item)
+    n_cell, cnt = context.counts_at(dyads.focal_i, item)
     ok &= cnt > 0  # item must be available in the dyad's cell
     if spec.exclude_own_transactions:
         own = treated.astype(np.int64) + dyads.focal_has(item).astype(np.int64)

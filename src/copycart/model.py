@@ -381,9 +381,9 @@ class TransactionLog:
         """(order, start): rows sorted by (person, ts); start[p]..start[p+1]
         slices the rows of person p."""
         if self._person_txs is None:
-            order = np.lexsort((self.ts, self.person_idx))
-            start = np.searchsorted(self.person_idx[order], np.arange(len(self.persons) + 1))
-            self._person_txs = (order, start)
+            # the rows are in time order, so a stable sort by person keeps it
+            count = np.bincount(self.person_idx, minlength=len(self.persons))
+            self._person_txs = (stable_order(self.person_idx, len(self.persons)), run_starts(count))
         return self._person_txs
 
     def cell_index(self) -> CellIndex:
@@ -399,7 +399,7 @@ class TransactionLog:
             order = stable_order(cell, count.shape[0]).astype(row)
             position = np.empty(self.n, row)
             position[order] = np.arange(self.n) - np.repeat(start[:-1], count)
-            by_person = stable_order(self.person_idx, len(self.persons))
+            by_person = self.person_transactions()[0]
             by_person = by_person[stable_order(cell[by_person], count.shape[0])].astype(row)
             new = np.ones(self.n, bool)
             cells, persons = cell[by_person], self.person_idx[by_person]
@@ -695,11 +695,13 @@ class Demographics:
     @classmethod
     def from_csv(cls, source: Source) -> "Demographics":
         table = read_csv(source, "demographics", DEMOGRAPHIC_COLUMNS)
-        records = []
+        records: dict[str, PersonRecord] = {}
         for k, row in enumerate(zip(*map(table.column, DEMOGRAPHIC_COLUMNS))):
             pid, gender, status, by_text = (f.strip() for f in row)
             if not pid:
                 raise table.error(k, "empty person_id")
+            if pid in records:
+                raise table.error(k, f"duplicate person_id {pid!r}")
             if gender and gender not in GENDERS:
                 raise table.error(k, f"bad gender {gender!r}")
             if status and status not in STATUSES:
@@ -710,8 +712,8 @@ class Demographics:
                     birth_year = int(by_text)
                 except ValueError:
                     raise table.error(k, f"bad birth_year {by_text!r}") from None
-            records.append(PersonRecord(pid, gender or None, status or None, birth_year))
-        return cls(records)
+            records[pid] = PersonRecord(pid, gender or None, status or None, birth_year)
+        return cls(records.values())
 
     def to_csv(self, dest: Source) -> None:
         records = self.records()

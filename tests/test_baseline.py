@@ -17,12 +17,12 @@ from copycart.baseline import (
     randomize_partners,
     welch_t,
 )
-from copycart.context import encode_cells
 from copycart.dyads import DyadSet, extract_dyads, filter_frequent_pairs, reconstruct_queues
 from copycart.errors import InsufficientDataError
 from copycart.estimate import naive_risk_difference
 from copycart.sim import SimulationConfig, simulate
 
+from test_context import cell_reference
 from test_dyads import lunch_rows
 from test_model import parse_csv, tx_ids
 
@@ -107,8 +107,8 @@ def randomize_oracle(dyads, seed):
     """Scalar reference: the same draws, mapped past the excluded rows one
     dyad at a time.  Returns (partner row per dyad, dyad kept)."""
     log = dyads.log
-    cells = encode_cells(log.shop_idx, log.date_ord, log.daypart)
-    d_cell = dyads.cell_keys()
+    cells = cell_reference(log)
+    d_cell = cells[dyads.focal_i]
     n_cand = np.zeros(dyads.n, np.int64)
     members, excluded = [], []
     for k in range(dyads.n):
@@ -153,10 +153,9 @@ def test_randomize_partners_matches_scalar_reference(seed):
     assert dyads.n > 20
     # some focal persons hold several rows of their dyad's cell
     n_p = len(log.persons)
-    row_keys = encode_cells(log.shop_idx, log.date_ord, log.daypart) * n_p + log.person_idx
+    row_keys = cell_reference(log) * n_p + log.person_idx
     keys, counts = np.unique(row_keys, return_counts=True)
-    focal_keys = dyads.cell_keys() * n_p + dyads.focal_person
-    assert counts[np.searchsorted(keys, focal_keys)].max() >= 3
+    assert counts[np.searchsorted(keys, row_keys[dyads.focal_i])].max() >= 3
     for shuffle_seed in range(3):
         got = randomize_partners(dyads, seed=shuffle_seed)
         partner, ok = randomize_oracle(dyads, shuffle_seed)
@@ -170,7 +169,7 @@ def test_randomize_partner_outside_the_focal_cell():
     # row then counts where it would sit among the focal cell's rows
     log = busy_lunch_log(np.random.default_rng(9))
     dyads = extract_dyads(reconstruct_queues(log), max_gap_s=3600)
-    cells = encode_cells(log.shop_idx, log.date_ord, log.daypart)
+    cells = cell_reference(log)
     partner = np.roll(dyads.partner_i, 7)
     odd = DyadSet(log, partner, dyads.focal_i, dyads.delay_s)
     assert (cells[partner] != cells[dyads.focal_i]).sum() > 5

@@ -480,6 +480,20 @@ def test_estimate_stage_matches_pipeline(workdir, first_run, stage):
         assert _json_objects(one.output) == [o for o in printed if o["item"] == "dessert"]
 
 
+@pytest.mark.parametrize("stage", ["match", "baseline"])
+def test_repeated_item_is_analyzed_once(workdir, first_run, stage):
+    _results, out_a = first_run
+    sub = workdir / f"twice_{stage}"
+    shutil.rmtree(sub, ignore_errors=True)
+    sub.mkdir()
+    shutil.copyfile(out_a / "dyads.csv", sub / "dyads.csv")
+    args = ("--config", workdir / "run.yaml", "--out", sub, stage, "--item", "dessert")
+    once, twice = invoke(*args), invoke(*args, "--item", "dessert")
+    assert once.exit_code == 0 and twice.exit_code == 0, twice.output
+    assert twice.output == once.output
+    assert once.output.count("dessert") == 1
+
+
 def test_stage_dumps_must_match_the_log(workdir, first_run):
     _results, out_a = first_run
     sub = workdir / "mismatched"

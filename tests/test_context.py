@@ -5,26 +5,35 @@ import io
 import numpy as np
 
 from copycart import model as M
-from copycart.context import compute_context, encode_cells
+from copycart.context import compute_context
 
 from test_model import CODES, baskets, parse_csv
 
 
-def cell_key(log, shop, date, daypart):
-    """Encoded (shop, date, daypart) cell; an unknown shop gets an index
-    past the log's shops, so it names no cell."""
-    shop_i = log.shops.index(shop) if shop in log.shops else len(log.shops)
+def cell_reference(log):
+    """Each row's (shop, date, daypart) cell, the cells numbered in that
+    order: a reference that reads the rows' own columns, never the log's
+    cell index."""
+    keys = np.stack([log.shop_idx, log.date_ord, log.daypart], axis=1)
+    return np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1)
+
+
+def cell_rows(log, shop, date, daypart):
+    """The rows of one (shop, date, daypart) cell, none for a cell the log lacks."""
+    shop_i = log.shops.index(shop) if shop in log.shops else -1
     date_ord = np.datetime64(date, "D").astype(np.int64)
-    return encode_cells(np.asarray([shop_i]), np.asarray([date_ord]), np.asarray([daypart.value]))
+    here = (log.shop_idx == shop_i) & (log.date_ord == date_ord)
+    return np.flatnonzero(here & (log.daypart == daypart.value))
 
 
 def popularity(stats, log, shop, date, daypart, category):
-    n, cnt = stats.counts_for_cells(cell_key(log, shop, date, daypart), category)
-    return float(cnt[0] / max(n[0], 1))
+    """A cell's popularity of the category; a cell without rows has none."""
+    n, cnt = stats.counts_at(cell_rows(log, shop, date, daypart)[:1], category)
+    return float(cnt.sum() / max(n.sum(), 1))
 
 
 def n_transactions(stats, log, shop, date, daypart):
-    return int(stats.counts_for_cells(cell_key(log, shop, date, daypart), "meal")[0][0])
+    return int(stats.counts_at(cell_rows(log, shop, date, daypart)[:1], "meal")[0].sum())
 
 
 def test_popularity_counted_by_hand():
@@ -56,7 +65,7 @@ def test_cells_are_split_by_shop_date_daypart():
     d5 = "2018-01-05"
     assert popularity(stats, log, "S1", d5, M.Daypart.BREAKFAST, "dessert") == 1.0
     assert popularity(stats, log, "S2", d5, M.Daypart.BREAKFAST, "dessert") == 0.0
-    # absent cell gives zero / unavailable
+    # a cell without transactions has no popularity
     assert popularity(stats, log, "S2", d5, M.Daypart.LUNCH, "meal") == 0.0
     assert n_transactions(stats, log, "S9", d5, M.Daypart.LUNCH) == 0
 
@@ -74,12 +83,12 @@ def test_popularities_in_unit_interval_random():
     log = parse_csv("\n".join(rows) + "\n")
     stats = compute_context(log)
     assert (stats._counts >= 0).all() and (stats._counts <= stats._n[:, None]).all()
-    # the lookup on the log's own cells agrees with a count over the rows
-    keys = encode_cells(log.shop_idx, log.date_ord, log.daypart)
-    n, cnt = stats.counts_for_cells(keys, "dessert")
+    # the lookup at every row agrees with a count over the row's cell
+    cell = cell_reference(log)
+    n, cnt = stats.counts_at(np.arange(log.n), "dessert")
     has = np.asarray(["DES" in b for b in baskets(log)])
     for i in range(0, log.n, 37):
-        same = keys == keys[i]
+        same = cell == cell[i]
         assert n[i] == same.sum() and cnt[i] == has[same].sum()
 
 
@@ -94,7 +103,7 @@ def test_csv_dump_shape():
     assert "S1,2018-01-05,lunch,meal,1.0,true,1" in lines
 
 
-def test_counts_for_cells_recover_integers():
+def test_counts_at_recover_integers():
     log = parse_csv(
         "T1,P1,2018-01-05T12:00:00,S1,R1,MEALV;FRU\n"
         "T2,P2,2018-01-05T12:05:00,S1,R1,MEALS\n"
@@ -103,14 +112,8 @@ def test_counts_for_cells_recover_integers():
         "T5,P5,2018-01-06T12:00:00,S1,R1,MEALS;FRU\n"
     )
     stats = compute_context(log)
-    keys = encode_cells(log.shop_idx, log.date_ord, log.daypart)
-    n, cnt = stats.counts_for_cells(keys[:1], "fruit")
-    assert n[0] == 4 and cnt[0] == 2
-    n, cnt = stats.counts_for_cells(keys[4:5], "fruit")
-    assert n[0] == 1 and cnt[0] == 1
-    # absent cell gives zeros
-    n, cnt = stats.counts_for_cells(np.asarray([keys[0] + (1 << 50)]), "fruit")
-    assert n[0] == 0 and cnt[0] == 0
+    n, cnt = stats.counts_at(np.asarray([0, 4]), "fruit")  # T1's lunch, then T5's
+    assert n.tolist() == [4, 1] and cnt.tolist() == [2, 1]
 
 
 def test_days_before_1970_keep_their_shop():
@@ -130,5 +133,3 @@ def test_days_before_1970_keep_their_shop():
     stats.to_csv(buf)
     fruit = [line.split(",")[:2] for line in buf.getvalue().splitlines() if ",fruit," in line]
     assert fruit == [["S1", "1965-03-01"], ["S2", "0001-01-01"], ["S2", "1965-03-01"], ["S2", "9999-12-31"]]
-    assert np.array_equal(log.cell_index().cell, np.unique(encode_cells(log.shop_idx, log.date_ord, log.daypart),
-                                                          return_inverse=True)[1])

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copycart import model as M
-from copycart.context import ContextStats, compute_context, encode_cells
+from copycart.context import ContextStats, compute_context
 from copycart.dyads import extract_dyads, reconstruct_queues
 from copycart.errors import IngestError, NoPairsError
 from copycart.matching import (
@@ -22,7 +22,7 @@ from copycart.matching import (
     smd,
 )
 
-from test_context import popularity
+from test_context import cell_reference, cell_rows, popularity
 from test_dyads import lunch_rows
 from test_model import parse_csv, tx_ids
 
@@ -31,27 +31,21 @@ RAW = AdjustmentSpec(exclude_own_transactions=False)
 
 
 def make_context(log, cells):
-    """Synthetic popularity table of 1000-transaction cells, unrelated to the
-    log's own baskets; cells = (shop, date, daypart, {cat: pop})."""
-    keys, rows = [], []
+    """Synthetic popularity table over the log's own cells, unrelated to its
+    baskets: each listed cell holds 1000 transactions, and a cell not listed
+    holds none; cells = (shop, date, daypart, {cat: pop})."""
+    cell = cell_reference(log)
+    n_tx = np.zeros(cell.max(initial=-1) + 1, np.int64)
+    counts = np.zeros((n_tx.shape[0], len(M.CATEGORY_KEYS)), np.int64)
     for shop, date, dp, popmap in cells:
-        shop_i = log.shops.index(shop)
-        date_ord = int(np.datetime64(date, "D").astype(np.int64))
-        keys.append(int(encode_cells(np.asarray([shop_i]), np.asarray([date_ord]), np.asarray([dp.value]))[0]))
         row = np.zeros(len(M.CATEGORY_KEYS))
         row[M.CATEGORY_BIT["meal"]] = 1.0
         row[M.CATEGORY_BIT["meal_vegetarian"]] = 0.5
         for cat, p in popmap.items():
             row[M.CATEGORY_BIT[cat]] = p
-        keys[-1] = keys[-1]
-        rows.append(row)
-    order = np.argsort(keys)
-    return ContextStats(
-        np.asarray(keys, np.int64)[order],
-        np.full(len(keys), 1000, np.int64),
-        np.rint(np.asarray(rows)[order] * 1000).astype(np.int64),
-        log.shops,
-    )
+        c = cell[cell_rows(log, shop, date, dp)[0]]
+        n_tx[c], counts[c] = 1000, np.rint(row * 1000)
+    return ContextStats(log, n_tx, counts)
 
 
 def one_dyad_per_day(specs):

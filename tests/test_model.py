@@ -694,6 +694,12 @@ def test_demographics_bad_values():
         M.Demographics.from_csv(io.StringIO("person_id,gender,status,birth_year\nP1,robot,,\n"))
 
 
+def test_demographics_repeated_person_is_an_ingest_error():
+    text = "person_id,gender,status,birth_year\nP1,female,student,1990\nP1,male,staff,1970\n"
+    with pytest.raises(IngestError, match="demographics line 3: duplicate person_id 'P1'"):
+        M.Demographics.from_csv(io.StringIO(text))
+
+
 def test_demographics_birth_year_degrades():
     log = parse_csv(
         "T1,P1,2018-01-05T12:00:00,S1,R1,MEALV\n"

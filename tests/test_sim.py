@@ -19,6 +19,7 @@ from copycart.sim import (
     simulate,
     write_simulation,
 )
+from test_context import cell_reference
 from test_model import tx_ids
 
 
@@ -314,14 +315,11 @@ def test_susceptible_follower_creates_order_asymmetry():
 def test_availability_dropout_empties_cells():
     res = simulate(small_config(availability_dropout=0.4, seed=31))
     log = res.log
-    from copycart.context import encode_cells
-
-    cells = encode_cells(log.shop_idx, log.date_ord, log.daypart)
+    cell = cell_reference(log)
     bit = np.uint16(M.CATEGORY_BIT["dessert"])
     has = ((log.mask >> bit) & np.uint16(1)).astype(bool)
-    keys, inv = np.unique(cells, return_inverse=True)
-    share_empty = np.mean(np.bincount(inv, weights=has) == 0)
-    big = np.bincount(inv).min()
+    share_empty = np.mean(np.bincount(cell, weights=has) == 0)
+    big = np.bincount(cell).min()
     assert share_empty > 0.2  # many cells never sell the item at all
     assert big >= 1
 

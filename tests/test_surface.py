@@ -23,7 +23,7 @@ PACKAGE = pathlib.Path(copycart.__file__).parent
 TESTS = pathlib.Path(__file__).parent
 
 ALLOWED = {
-    # a paper table that no stage reports yet; ROADMAP item 3 keeps it open
+    # a paper table that no stage reports yet; ROADMAP item 1 keeps it open
     "co_purchase_matrix",
 }
 
