@@ -126,6 +126,55 @@ class ByteColumn(NamedTuple):
         return ByteColumn(self.values[idx], self.lens[idx])
 
 
+# A recognizer of the plain decimal forms, `-?D+` and for floats also
+# `-?D+(.D+)?(e[-+]?D+)?`, run over a field's bytes one column at a time.
+# Byte classes: digit, "-", "+", ".", "e", any other.
+_BYTE_CLASS = np.full(256, 5, np.uint8)
+_BYTE_CLASS[np.frombuffer(b"0123456789-+.e", np.uint8)] = [0] * 10 + [1, 2, 3, 4]
+# states: 0 start, 1 sign, 2 integer digits, 3 point, 4 fraction digits,
+# 5 exponent mark, 6 exponent sign, 7 exponent digits, 8 rejected
+_PLAIN_STEP = np.array([
+    [2, 1, 8, 8, 8, 8],
+    [2, 8, 8, 8, 8, 8],
+    [2, 8, 8, 3, 5, 8],
+    [4, 8, 8, 8, 8, 8],
+    [4, 8, 8, 8, 5, 8],
+    [7, 6, 6, 8, 8, 8],
+    [7, 8, 8, 8, 8, 8],
+    [7, 8, 8, 8, 8, 8],
+    [8, 8, 8, 8, 8, 8],
+], np.uint8)
+_PLAIN_WIDTH = 32  # longer fields are left to `int` or `float`
+_PLAIN_INT_DIGITS = 18  # fits int64 whatever the digits
+
+
+def decode_numbers(fields: ByteColumn, parse: type) -> tuple[np.ndarray, int]:
+    """(values, k): each field as `parse`, `int` or `float`, reads it, into an
+    int64 or float64 array, and the first field it rejects (or that
+    overflows int64), -1 if none.  Fields of the plain decimal forms are cast
+    by numpy in one step, which reads them as `parse` does; any other field
+    goes through `parse` itself."""
+    values, lens = fields
+    n = lens.shape[0]
+    chars = np.ascontiguousarray(values).view(np.uint8).reshape(n, values.itemsize)
+    state = np.zeros(n, np.uint8)
+    for col in range(min(values.itemsize, _PLAIN_WIDTH)):
+        state = np.where(col < lens, _PLAIN_STEP[state, _BYTE_CLASS[chars[:, col]]], state)
+    if parse is int:
+        plain = (state == 2) & (lens - (chars[:, 0] == ord("-")) <= _PLAIN_INT_DIGITS)
+    else:
+        plain = np.isin(state, (2, 4, 7)) & (lens <= _PLAIN_WIDTH)
+    out = np.empty(n, np.int64 if parse is int else np.float64)
+    out[plain] = values[plain].astype(out.dtype)
+    other = np.flatnonzero(~plain)
+    for k, text in zip(other.tolist(), fields.take(other).texts()):
+        try:
+            out[k] = parse(text)
+        except (ValueError, OverflowError):
+            return out, k
+    return out, -1
+
+
 def decimal_digits(values: np.ndarray, width: int) -> np.ndarray:
     """(rows, width) uint8 ASCII digits of non-negative ints below 10**width,
     zero-padded on the left."""
@@ -312,18 +361,6 @@ class CsvTable:
 
     def column(self, name: str) -> list:
         return list(map(operator.itemgetter(self.index[name]), self.rows))
-
-    def numeric(self, name: str, parse: type) -> np.ndarray:
-        """A column parsed by `int` or `float` into an int64 or float64 array;
-        an IngestError names the first field that is no such number."""
-        text = self.column(name)
-        fields = iter(text)
-        try:
-            return np.fromiter(map(parse, fields), np.int64 if parse is int else np.float64, len(text))
-        except (ValueError, OverflowError):
-            k = len(text) - sum(1 for _ in fields) - 1  # the fields left follow the one that failed
-            kind = "an integer" if parse is int else "a number"
-            raise self.error(k, f"{name} {text[k]!r} is not {kind}") from None
 
 
 def read_csv(source: Source, what: str, columns: Optional[Sequence[str]] = None) -> CsvTable:

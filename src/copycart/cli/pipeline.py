@@ -14,7 +14,9 @@ import importlib.resources
 import json
 import math
 import os
-from typing import Optional
+import re
+import reprlib
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -69,11 +71,147 @@ def load_schema() -> dict:
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
+# (path, message) of where a JSON value first breaks a schema; None if nowhere
+Violation = Optional[tuple[str, str]]
+Check = Callable[[object, str], Violation]
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "null": lambda v: v is None,
+    "boolean": lambda v: isinstance(v, bool),
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+    "string": lambda v: isinstance(v, str),
+    "array": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+}
+# the keywords that constrain only values of one type
+_APPLIES_TO = {
+    **dict.fromkeys(("minimum", "exclusiveMinimum", "exclusiveMaximum"), _TYPES["number"]),
+    "pattern": _TYPES["string"],
+    **dict.fromkeys(("minItems", "maxItems", "items"), _TYPES["array"]),
+    **dict.fromkeys(("required", "properties", "additionalProperties", "dependencies"), _TYPES["object"]),
+}
+_ANNOTATIONS = frozenset(("$schema", "title", "definitions"))
+_DEFINITIONS = "#/definitions/"
+
+
+def _same(a, b) -> bool:
+    """JSON equality: true is not 1, and 1.0 is 1."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return type(a) is type(b) and a == b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(v, b[k]) for k, v in a.items())
+    return a == b
+
+
+def _first(violations) -> Violation:
+    return next(filter(None, violations), None)
+
+
+def _compile(schema: dict, defs: dict[str, Check]) -> Check:
+    """The check of one schema node: its keywords' checks in schema order.
+    `defs` maps each definition name to its check."""
+    if not isinstance(schema, dict):
+        raise ValueError(f"schema {schema!r} is not an object")
+    if "$ref" in schema:  # draft 7 ignores the keywords beside a $ref
+        ref = schema["$ref"]
+        name = ref[len(_DEFINITIONS):]
+        if not ref.startswith(_DEFINITIONS) or name not in defs:
+            raise ValueError(f"schema $ref {ref!r} names no definition")
+        return lambda v, p: defs[name](v, p)
+    checks = [_keyword(key, arg, schema, defs) for key, arg in schema.items() if key not in _ANNOTATIONS]
+    return lambda v, p: _first(check(v, p) for check in checks)
+
+
+def _keyword(key: str, arg, schema: dict, defs: dict[str, Check]) -> Check:
+    """The check of one draft-7 keyword of `schema`; a ValueError names a
+    keyword, or a form of one, that this checker does not implement."""
+    show, sub = reprlib.repr, (lambda s: _compile(s, defs))
+    check: Optional[Check] = None  # else the keyword's value fails when `bad`, as `say` tells
+    if key == "type":
+        kinds = [arg] if isinstance(arg, str) else list(arg)
+        if not set(kinds) <= _TYPES.keys():
+            raise ValueError(f"schema type {arg!r} is not implemented")
+        bad = lambda v: not any(_TYPES[k](v) for k in kinds)
+        say = lambda v: f"{show(v)} is not of type {', '.join(map(repr, kinds))}"
+    elif key == "const":
+        bad, say = lambda v: not _same(v, arg), lambda v: f"{show(arg)} was expected"
+    elif key == "enum":
+        bad = lambda v: not any(_same(v, e) for e in arg)
+        say = lambda v: f"{show(v)} is not one of {show(arg)}"
+    elif key == "minimum":  # each bound fails only on a comparison that holds, as NaN's never does
+        bad, say = lambda v: v < arg, lambda v: f"{v!r} is less than the minimum of {arg!r}"
+    elif key == "exclusiveMinimum":
+        bad, say = lambda v: v <= arg, lambda v: f"{v!r} is less than or equal to the minimum of {arg!r}"
+    elif key == "exclusiveMaximum":
+        bad, say = lambda v: v >= arg, lambda v: f"{v!r} is greater than or equal to the maximum of {arg!r}"
+    elif key == "pattern":
+        regex = re.compile(arg)
+        bad, say = lambda v: not regex.search(v), lambda v: f"{show(v)} does not match {arg!r}"
+    elif key == "minItems":
+        bad, say = lambda v: len(v) < arg, lambda v: f"{show(v)} is too short"
+    elif key == "maxItems":
+        bad, say = lambda v: len(v) > arg, lambda v: f"{show(v)} is too long"
+    elif key == "required":
+        missing = lambda v: next((name for name in arg if name not in v), None)
+        bad, say = lambda v: missing(v) is not None, lambda v: f"{missing(v)!r} is a required property"
+    elif key == "additionalProperties" and isinstance(arg, bool):
+        extra = lambda v: next((k for k in v if k not in schema.get("properties", {})), None)
+        bad = lambda v: not arg and extra(v) is not None
+        say = lambda v: f"Additional properties are not allowed ({extra(v)!r} was unexpected)"
+    elif key == "oneOf":
+        parts = list(map(sub, arg))
+        passed = lambda v: sum(part(v, "$") is None for part in parts)
+        bad = lambda v: passed(v) != 1
+        say = lambda v: f"{show(v)} is valid under {'more than one' if passed(v) else 'none'} of the given schemas"
+    elif key == "items" and isinstance(arg, dict):
+        item = sub(arg)
+        check = lambda v, p: _first(item(x, f"{p}[{i}]") for i, x in enumerate(v))
+    elif key == "properties":
+        props = {name: sub(s) for name, s in arg.items()}
+        check = lambda v, p: _first(c(v[k], f"{p}.{k}") for k, c in props.items() if k in v)
+    elif key == "additionalProperties" and isinstance(arg, dict):
+        known, rest = schema.get("properties", {}), sub(arg)
+        check = lambda v, p: _first(rest(x, f"{p}.{k}") for k, x in v.items() if k not in known)
+    elif key == "dependencies" and all(isinstance(s, dict) for s in arg.values()):
+        deps = {name: sub(s) for name, s in arg.items()}
+        check = lambda v, p: _first(c(v, p) for k, c in deps.items() if k in v)
+    elif key == "allOf":
+        parts = list(map(sub, arg))
+        check = lambda v, p: _first(part(v, p) for part in parts)
+    elif key == "if" and "else" not in schema:
+        cond, then = sub(arg), sub(schema.get("then", {}))
+        check = lambda v, p: then(v, p) if cond(v, p) is None else None
+    elif key == "then" and "if" in schema:
+        check = lambda v, p: None  # applied by its `if`
+    else:
+        raise ValueError(f"schema keyword {key!r} in this form is not implemented")
+    if check is None:
+        check = lambda v, p: (p, say(v)) if bad(v) else None
+    applies = _APPLIES_TO.get(key)
+    return check if applies is None else (lambda v, p: check(v, p) if applies(v) else None)
+
+
+def schema_violation(instance, schema: dict) -> Violation:
+    """Where `instance` first breaks the draft-7 `schema`: a `$.items[0].status`
+    path and a message, or None.  The checker implements only the keywords
+    the shipped schema uses; any other is a ValueError, even where `instance`
+    never reaches it."""
+    defs: dict[str, Check] = dict.fromkeys(schema.get("definitions", {}))
+    defs.update({name: _compile(s, defs) for name, s in schema.get("definitions", {}).items()})
+    return _compile(schema, defs)(instance, "$")
+
+
 def load_results(path: str) -> dict:
     """A results.json read back and checked against the shipped schema; an
     IngestError names the file when it is unreadable, not JSON or not a report."""
-    import jsonschema  # imported here: only `run` and `plot` check a report
-
     name, text = read_text(path, "results")
     try:
         results = json.loads(text)
@@ -81,10 +219,9 @@ def load_results(path: str) -> dict:
         raise IngestError(f"{name} line {err.lineno}: not JSON ({err.msg})") from None
     except RecursionError:
         raise IngestError(f"{name}: JSON nested too deeply to read") from None
-    try:
-        jsonschema.validate(results, load_schema())
-    except jsonschema.ValidationError as err:
-        raise IngestError(f"{name}: not a copycart report: {err.json_path}: {err.message}") from None
+    violation = schema_violation(results, load_schema())
+    if violation:
+        raise IngestError(f"{name}: not a copycart report: {violation[0]}: {violation[1]}")
     return results
 
 
@@ -159,10 +296,15 @@ def _status_stage(log, cfg: RunConfig, demo: Demographics) -> tuple[Demographics
 
 
 def match_item(dyads: DyadSet, item: str, ctx: ContextStats, cfg: RunConfig) -> MatchedPairSet:
-    """Matched pairs for one focus item, dumped to matched_pairs/<item>.csv when any."""
+    """Matched pairs for one focus item, dumped to matched_pairs/<item>.csv;
+    when there are none, an earlier run's dump of the item is removed, so no
+    later stage reads its pairs."""
     pairs = build_matched_pairs(dyads, item, ctx, cfg.adjustment)
+    path = os.path.join(cfg.out, DUMPS["pairs_dir"], f"{item}.csv")
     if pairs.n:
-        pairs.to_csv(os.path.join(cfg.out, DUMPS["pairs_dir"], f"{item}.csv"))
+        pairs.to_csv(path)
+    elif os.path.exists(path):
+        os.remove(path)
     return pairs
 
 
@@ -341,9 +483,9 @@ def run_pipeline(cfg: RunConfig) -> dict:
         "status_inference": status_summary,
         "balance_ok": all(r["balance"]["pass"] for r in item_reports if r["status"] == "ok"),
     })
-    import jsonschema  # imported here: only `run` and `plot` check a report
-
-    jsonschema.validate(results, load_schema())
+    violation = schema_violation(results, load_schema())
+    if violation:
+        raise ValueError(f"the report breaks the results schema at {violation[0]}: {violation[1]}")
     with open(paths["results"], "w", encoding="utf-8") as fh:
         json.dump(results, fh, indent=2, sort_keys=True)
         fh.write("\n")

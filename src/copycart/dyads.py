@@ -8,12 +8,11 @@ focal's the outcome side.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import ByteColumn, Source, dense_codes, read_csv, run_starts, stable_order, write_csv
+from ._util import Source, dense_codes, run_starts, stable_order, write_csv
 from .errors import EmptyMatrixError, IngestError
 from .model import (
     ATTRIBUTE_LABELS,
@@ -23,6 +22,7 @@ from .model import (
     Demographics,
     TransactionLog,
     person_attribute,
+    read_dump,
 )
 
 
@@ -126,15 +126,15 @@ class DyadSet:
 
     @classmethod
     def from_csv(cls, source: Source, log: TransactionLog) -> "DyadSet":
-        table = read_csv(source, "dyad dump", DYAD_COLUMNS)
-        delay = table.numeric("delay_s", int)
-        # partner, focal, partner, focal, ... as the dump lists them
-        txs = list(itertools.chain.from_iterable(zip(*map(table.column, DYAD_COLUMNS[:2]))))
-        rows = log.rows_of(ByteColumn.of(txs))
-        if (rows < 0).any():
-            missing = txs[int(np.argmax(rows < 0))]
-            raise IngestError(f"{table.name} names tx id {missing!r}, which the transaction log lacks")
-        return cls(log, rows[0::2], rows[1::2], delay)
+        dump = read_dump(source, "dyad dump", DYAD_COLUMNS, ("partner_tx", "focal_tx", "delay_s"))
+        delay = dump.numbers("delay_s", int)
+        rows = dump.rows_in(log, DYAD_COLUMNS[:2])
+        missing = np.flatnonzero((rows < 0).any(axis=0))
+        if missing.shape[0]:
+            k = int(missing[0])
+            column = DYAD_COLUMNS[int(rows[0, k] >= 0)]  # the partner's id first, as the dump lists them
+            raise IngestError(f"{dump.name} names tx id {dump.text(column, k)!r}, which the transaction log lacks")
+        return cls(log, rows[0], rows[1], delay)
 
 
 def extract_dyads(queues: Queues, max_gap_s: int = 300, require_anchor: bool = True) -> DyadSet:

@@ -10,18 +10,17 @@ remaining control with the nearest popularity.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import ByteColumn, Source, dense_codes, read_csv, run_starts, write_csv
+from ._util import Source, dense_codes, run_starts, write_csv
 from .context import ContextStats
 from .dyads import DyadSet
 from .errors import IngestError, NoPairsError
-from .model import CATEGORY_KEYS
+from .model import CATEGORY_KEYS, distinct_fields, read_dump
 
 
 @dataclass(frozen=True)
@@ -146,19 +145,21 @@ class MatchedPairSet:
     def from_csv(
         cls, source: Source, dyads: DyadSet
     ) -> dict[str, "MatchedPairSet"]:
-        """Read a matched-pair dump back; returns one set per item found."""
-        table = read_csv(source, "matched-pair dump", PAIR_COLUMNS)
-        pop_t = table.numeric("popularity_t", float)
-        pop_c = table.numeric("popularity_c", float)
-        items = table.column("item")
-        if not set(items) <= set(CATEGORY_KEYS):
-            k = next(k for k, item in enumerate(items) if item not in CATEGORY_KEYS)
-            raise table.error(k, f"item {items[k]!r} is not one of {CATEGORY_KEYS}")
-        # per pair: treated partner, treated focal, control partner, control focal
-        txs = list(itertools.chain.from_iterable(zip(*map(table.column, PAIR_COLUMNS[1:5]))))
+        """Read a matched-pair dump back; returns one set per item found, in
+        the order the items first appear."""
+        dump = read_dump(source, "matched-pair dump", PAIR_COLUMNS, PAIR_COLUMNS)
+        pop_t = dump.numbers("popularity_t", float)
+        pop_c = dump.numbers("popularity_c", float)
+        distinct, codes, first = distinct_fields(*dump.columns["item"])
+        items = distinct.texts()
+        unknown = [first[c] for c, item in enumerate(items) if item not in CATEGORY_KEYS]
+        if unknown:
+            k = min(unknown)
+            raise dump.error(k, f"item {items[codes[k]]!r} is not one of {CATEGORY_KEYS}")
+        # (treated, control) by (partner, focal) by pair
         log = dyads.log
-        rows = log.rows_of(ByteColumn.of(txs)).reshape(-1, 2, 2)
-        keys = np.where((rows >= 0).all(axis=2), rows[:, :, 0] * log.n + rows[:, :, 1], -1)
+        rows = dump.rows_in(log, PAIR_COLUMNS[1:5]).reshape(2, 2, -1)
+        keys = np.where((rows >= 0).all(axis=1), rows[:, 0] * log.n + rows[:, 1], -1)
         # the last dyad of the set holding each (partner, focal) key
         key = dyads.partner_i * log.n + dyads.focal_i
         order = np.argsort(key, kind="stable")
@@ -168,16 +169,15 @@ class MatchedPairSet:
         dyad = np.full(keys.shape, -1)
         dyad[hit] = order[at[hit]]
         if (dyad < 0).any():
-            k = int(np.argmax(dyad.ravel() < 0))
-            raise IngestError(
-                f"{table.name} names dyad ({txs[2 * k]}, {txs[2 * k + 1]}), which the dyad set lacks"
-            )
+            k, side = divmod(int(np.argmax(dyad.T.ravel() < 0)), 2)  # treated before control
+            partner, focal = PAIR_COLUMNS[1 + 2 * side : 3 + 2 * side]
+            raise IngestError(f"{dump.name} names dyad ({dump.text(partner, k)}, {dump.text(focal, k)}), "
+                              "which the dyad set lacks")
         out = {}
-        items_arr = np.asarray(items, dtype=object)
-        for item in dict.fromkeys(items):
-            sel = items_arr == item
-            ti, ci = dyad[sel, 0], dyad[sel, 1]
-            out[item] = cls(dyads, item, ti, ci, pop_t[sel], pop_c[sel], ti.shape[0], 0)
+        for c in np.argsort(first).tolist():
+            sel = codes == c
+            ti, ci = dyad[0, sel], dyad[1, sel]
+            out[items[c]] = cls(dyads, items[c], ti, ci, pop_t[sel], pop_c[sel], ti.shape[0], 0)
         return out
 
 

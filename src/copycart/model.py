@@ -19,8 +19,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._util import (ByteColumn, Source, decimal_digits, dense_codes, header_order, read_bytes, read_csv,
-                    run_starts, stable_order, utf8_text, write_csv)
+from ._util import (ByteColumn, Source, decimal_digits, decode_numbers, dense_codes, header_order, read_bytes,
+                    read_csv, run_starts, stable_order, utf8_text, write_csv)
 from .errors import IngestError
 
 # ---------------------------------------------------------------------------
@@ -226,7 +226,7 @@ def _canonical_epochs(stamps: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray,
     return epoch, decoded
 
 
-def _distinct(values: np.ndarray, lens: np.ndarray) -> tuple[ByteColumn, np.ndarray, np.ndarray]:
+def distinct_fields(values: np.ndarray, lens: np.ndarray) -> tuple[ByteColumn, np.ndarray, np.ndarray]:
     """(distinct, codes, first) of a byte column: its distinct fields in code
     point order, each row's index into them, and the row where each first
     occurs.  Rows sort stably by their bytes, which keeps that
@@ -454,7 +454,7 @@ class _ChunkParser:
     def _basket_codes(self, items: ByteColumn) -> np.ndarray:
         """Table index per row, -1 for an empty basket; each distinct items
         field is normalized once, in the order the fields first occur."""
-        distinct, codes, first = _distinct(*items)
+        distinct, codes, first = distinct_fields(*items)
         raw = distinct.texts()
         code = np.empty(first.shape[0], np.int64)
         for k in np.argsort(first).tolist():
@@ -506,7 +506,7 @@ class _ChunkParser:
             for code in basket if count else ():
                 if code not in self.catalog:
                     self.report.unknown_codes[code] += count
-        tx, *ids = [_distinct(*map(np.concatenate, zip(*self.ids[name])))[:2] for name in _ID_COLUMNS]
+        tx, *ids = [distinct_fields(*map(np.concatenate, zip(*self.ids[name])))[:2] for name in _ID_COLUMNS]
         ids = [(distinct.texts(), codes) for distinct, codes in ids]
         return TransactionLog(np.concatenate(self.ts), tx, *ids, (table, b_idx), self.catalog, self.report)
 
@@ -548,11 +548,14 @@ def _record_chunks(data: bytes, name: str) -> Iterator[tuple[Callable, np.ndarra
         # newline="" splits lines as a file opened for csv does
         reader = csv.reader(io.StringIO(utf8_text(name, data), newline=""))
         del data
+        line = 1  # of the chunk's first record
         while True:
+            chunk: list = []
             try:
-                chunk = list(itertools.islice(reader, _PARSE_CHUNK))
+                chunk.extend(itertools.islice(reader, _PARSE_CHUNK))
             except csv.Error as e:
-                raise IngestError(f"transactions CSV line {reader.line_num}: {e}") from None
+                raise IngestError(f"{name} line {line + len(chunk)}: {e}") from None
+            line += len(chunk)
             if not chunk:
                 return
             widths = np.fromiter(map(len, chunk), np.int64, len(chunk))
@@ -572,6 +575,69 @@ def _record_chunks(data: bytes, name: str) -> Iterator[tuple[Callable, np.ndarra
         starts, stops = np.append(lo, stops + 1), np.append(stops, hi)  # field -1 is empty
         blank = (widths == 1) & (starts[last] == stops[last])
         yield partial(_byte_column, buf, starts, stops), widths, blank
+
+
+class Dump(NamedTuple):
+    """The named columns of a stage dump, each field as bytes, and the line
+    of each row (blank lines and the header count)."""
+
+    name: str
+    columns: dict[str, ByteColumn]
+    lines: np.ndarray
+
+    def error(self, k: int, message: str) -> IngestError:
+        return IngestError(f"{self.name} line {self.lines[k]}: {message}")
+
+    def text(self, column: str, k: int) -> str:
+        return self.columns[column].take([k]).texts()[0]
+
+    def numbers(self, column: str, parse: type) -> np.ndarray:
+        """A column read by `int` or `float` into an int64 or float64 array;
+        an IngestError names the first field that is no such number."""
+        values, k = decode_numbers(self.columns[column], parse)
+        if k >= 0:
+            kind = "an integer" if parse is int else "a number"
+            raise self.error(k, f"{column} {self.text(column, k)!r} is not {kind}")
+        return values
+
+    def rows_in(self, log: "TransactionLog", columns: tuple[str, ...]) -> np.ndarray:
+        """(columns, rows) log rows of the tx ids in the given columns; -1
+        where the log has no such transaction."""
+        ids = [self.columns[c] for c in columns]
+        found = log.rows_of(ByteColumn(*(np.concatenate(part) for part in zip(*ids))))
+        return found.reshape(len(columns), -1)
+
+
+def read_dump(source: Source, what: str, header: tuple[str, ...], wanted: tuple[str, ...]) -> Dump:
+    """The `wanted` columns of a CSV dump whose first record names exactly the
+    `header` columns, in any order, and whose every other non-blank record is
+    as wide; an empty file is a header alone.  Unreadable or undecodable
+    bytes, a wrong header and a wrong field count are IngestErrors naming the
+    file and line."""
+    name, data = read_bytes(source, what)
+    chunks = _record_chunks(data, name)
+    del data
+    col: Optional[dict[str, int]] = None
+    parts: dict[str, list[ByteColumn]] = {c: [ByteColumn(np.empty(0, "S1"), np.empty(0, np.int64))] for c in wanted}
+    lines = [np.empty(0, np.int64)]
+    line = 1  # of the chunk's first record
+    for column, widths, blank in chunks:
+        first = np.cumsum(widths) - widths  # each record's first field
+        if col is None:
+            col = header_order([] if blank[0] else column(np.arange(widths[0]), False).texts(), header, name)
+            first, widths, blank = first[1:], widths[1:], blank[1:]
+            line += 1
+        kept = np.flatnonzero(~blank)
+        wrong = kept[widths[kept] != len(header)]
+        if wrong.shape[0]:
+            k = wrong[0]
+            raise IngestError(f"{name} line {k + line}: expected {len(header)} fields, got {widths[k]}")
+        for c in wanted:
+            parts[c].append(column(first[kept] + col[c], False))
+        lines.append(kept + line)
+        line += widths.shape[0]
+    columns = {c: ByteColumn(*map(np.concatenate, zip(*parts[c]))) for c in wanted}
+    return Dump(name, columns, np.concatenate(lines))
 
 
 def parse_transactions(source: Source, catalog: ItemCatalog) -> TransactionLog:

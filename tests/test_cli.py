@@ -11,12 +11,14 @@ import jsonschema
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import copycart
 import copycart.cli.pipeline as pipeline_mod
 from copycart.cli.config import RunConfig, load_yaml
 from copycart.cli.main import main
-from copycart.cli.pipeline import load_results, load_schema, run_pipeline
+from copycart.cli.pipeline import load_results, load_schema, run_pipeline, schema_violation
 from copycart.cli.plots import emit_plots
 from copycart.errors import ConfigError, IngestError
 from copycart.estimate import GROUPINGS, subgroup_estimates
@@ -24,6 +26,7 @@ from copycart.model import Demographics, PersonRecord
 from copycart.sim import SimulationConfig, simulate, write_simulation
 
 from test_estimate import pairs_from_outcomes
+from test_fuzz import DROP, json_paths
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -204,9 +207,9 @@ def test_cli_import_skips_scipy_stats():
 
 def test_cli_loads_only_what_its_stage_runs(tmp_path):
     # every CLI process pays for each import at its start: no stage needs
-    # scipy, only `run` and `plot` check a report against the schema, only
-    # `simulate` simulates and only `--threads` above 1 starts a pool.  Thirty
-    # habitual lunch-goers meet often enough for the coordination t-test.
+    # scipy or jsonschema, only `simulate` simulates and only `--threads`
+    # above 1 starts a pool.  Thirty habitual lunch-goers meet often enough
+    # for the coordination t-test.
     cfg = SimulationConfig(
         seed=5, n_persons=30, n_days=60, n_shops=1, n_registers_per_shop=1, pair_fraction=0.9,
         visit_rate=1.0, solo_rate=0.05, daypart_weights=(0, 1, 0),
@@ -233,9 +236,9 @@ import copycart.cli.main as cli
 def loaded():
     return [m for m in ("scipy", "jsonschema", "copycart.sim", "concurrent.futures") if m in sys.modules]
 assert not loaded(), loaded()
-for stage in ("dose", "coordinate"):
-    cli.main.main(args={args!r} + [stage, "--item", "dessert"], standalone_mode=False)
-assert not loaded(), loaded()
+for stage in (["run"], ["plot"], ["dose", "--item", "dessert"], ["coordinate", "--item", "dessert"]):
+    cli.main.main(args={args!r} + stage, standalone_mode=False)
+    assert not loaded(), (stage, loaded())
 """
     res = python_c(code)
     assert res.returncode == 0, res.stderr
@@ -248,6 +251,7 @@ assert not loaded(), loaded()
 def test_results_validate_against_shipped_schema(first_run):
     results, out = first_run
     jsonschema.validate(results, load_schema())
+    assert schema_violation(results, load_schema()) is None
     assert results["version"] == 1
     assert results["seed"] == 11
     assert results["counts"]["n_transactions"] > 0
@@ -285,6 +289,133 @@ def test_schema_requires_every_report_key(tmp_path, first_run, analysis, key):
     item[analysis] = report
     with pytest.raises(IngestError, match=f"{analysis}: '{key}' is a required property"):
         load(damaged)
+
+
+@pytest.mark.parametrize("schema, instance, valid", [
+    ({"const": 1}, True, False),  # true is not 1
+    ({"const": 1}, 1.0, True),  # but 1.0 is
+    ({"enum": [0, "a"]}, False, False),
+    ({"const": [1, {"a": True}]}, [1.0, {"a": True}], True),
+    ({"type": "integer"}, 1.0, True),
+    ({"type": "integer"}, 1.5, False),
+    ({"type": "integer"}, True, False),
+    ({"type": "number"}, False, False),
+    ({"type": ["object", "null"]}, None, True),
+    ({"type": ["object", "null"]}, [], False),
+    ({"minimum": 0}, True, True),  # a bound applies to numbers only, and a bool is none
+    ({"minimum": 0}, -1, False),
+    ({"minimum": 0}, "x", True),
+    ({"exclusiveMinimum": 0, "exclusiveMaximum": 1}, float("nan"), True),
+    ({"exclusiveMinimum": 0, "exclusiveMaximum": 1}, 0, False),
+    ({"exclusiveMinimum": 0, "exclusiveMaximum": 1}, 1.0, False),
+    ({"pattern": "^[a-z_]+$"}, "a b", False),
+    ({"pattern": "[a-z]"}, "1a1", True),  # a search, not a full match
+    ({"items": {"type": "number"}, "minItems": 2, "maxItems": 2}, [1, 2.5], True),
+    ({"items": {"type": "number"}, "minItems": 2, "maxItems": 2}, [1], False),
+    ({"items": {"type": "number"}, "minItems": 2, "maxItems": 2}, [1, "2"], False),
+    ({"items": {"type": "number"}, "minItems": 2}, {"a": 1}, True),
+    ({"required": ["a"], "properties": {"a": {"type": "string"}}}, {"a": 1}, False),
+    ({"required": ["a"]}, ["a"], True),
+    ({"additionalProperties": False, "properties": {"a": {}}}, {"a": 1, "b": 2}, False),
+    ({"additionalProperties": {"type": "object"}, "properties": {"a": {}}}, {"a": 1, "b": {}}, True),
+    ({"additionalProperties": {"type": "object"}}, {"b": 1}, False),
+    ({"dependencies": {"a": {"required": ["b"]}}}, {"a": 1}, False),
+    ({"dependencies": {"a": {"required": ["b"]}}}, {"b": 1}, True),
+    ({"allOf": [{"type": "array"}, {"maxItems": 1}]}, [1, 2], False),
+    ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 1, False),  # valid under both
+    ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 1.5, True),
+    ({"oneOf": [{"type": "number"}, {"type": "null"}]}, "x", False),
+    ({"if": {"properties": {"s": {"const": "ok"}}}, "then": {"required": ["e"]}}, {"s": "ok"}, False),
+    ({"if": {"properties": {"s": {"const": "ok"}}}, "then": {"required": ["e"]}}, {"s": "no"}, True),
+    ({"if": {"properties": {"s": {"const": "ok"}}}, "then": {"required": ["e"]}}, {}, False),
+    ({"if": {"type": "string"}}, 1, True),
+    ({"$ref": "#/definitions/d", "type": "string", "definitions": {"d": {"type": "integer"}}}, 3, True),
+    ({"$ref": "#/definitions/d", "definitions": {"d": {"$ref": "#/definitions/e"}, "e": {"const": 2}}}, 3, False),
+])
+def test_schema_check_keeps_draft_7_meaning(schema, instance, valid):
+    assert jsonschema.Draft7Validator(schema).is_valid(instance) is valid  # the oracle agrees
+    assert (schema_violation(instance, schema) is None) is valid
+
+
+@pytest.mark.parametrize("schema", [
+    {"format": "date"},
+    {"if": {}, "then": {}, "else": {}},
+    {"then": {}},
+    {"items": [{"type": "number"}]},
+    {"dependencies": {"a": ["b"]}},
+    {"additionalProperties": "no"},
+    {"type": "int"},
+    {"$ref": "#/properties/a"},
+    {"$ref": "#/definitions/missing"},
+    {"properties": {"a": {"uniqueItems": True}}},  # never reached by the instance
+    {"definitions": {"unused": {"maxLength": 3}}},
+    {"items": True},
+])
+def test_schema_check_rejects_keywords_it_does_not_implement(schema):
+    with pytest.raises(ValueError, match="not implemented|names no definition|is not an object"):
+        schema_violation({}, schema)
+
+
+def test_schema_check_names_the_first_violation(first_run):
+    results, _out = first_run
+    damaged = json.loads(json.dumps(results))
+    damaged["items"][0]["status"] = "bad"
+    damaged["items"][1]["estimate"]["rd_ci"] = [0.1]
+    assert schema_violation(damaged, load_schema()) == (
+        "$.items[0].status", "'bad' is not one of ['ok', 'no_pairs']")
+    damaged["items"][0]["status"] = "ok"
+    path, message = schema_violation(damaged, load_schema())
+    assert path == "$.items[1].estimate.rd_ci" and "valid under none" in message
+
+
+def test_run_refuses_a_report_that_breaks_the_schema(workdir, tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline_mod, "RESULTS_VERSION", 2)
+    cfg = RunConfig.from_dict(yaml.safe_load((workdir / "run.yaml").read_text()), out=str(tmp_path / "o"))
+    with pytest.raises(ValueError, match=r"breaks the results schema at \$\.version: 1 was expected"):
+        run_pipeline(dataclasses.replace(cfg, n_boot=20, subgroups=(), infer_status=False))
+    assert not (tmp_path / "o" / "results.json").exists()
+
+
+def _error_paths(errors):
+    """The path of each jsonschema error and of each error inside one."""
+    for err in errors:
+        yield err.json_path
+        yield from _error_paths(err.context)
+
+
+REPLACEMENTS = st.one_of(
+    st.just(DROP), st.none(), st.booleans(), st.integers(-2, 3), st.floats(),
+    st.sampled_from(["", "ok", "no_pairs", "pooled", "Dessert", "x y"]),
+    st.lists(st.floats(-1, 2), max_size=3),
+    st.dictionaries(st.sampled_from(["status", "curve", "bins", "rate_leader_first", "rd"]),
+                    st.one_of(st.none(), st.text(max_size=3), st.lists(st.integers(0, 1), max_size=2)),
+                    max_size=2),
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(data=st.data())
+def test_schema_check_agrees_with_jsonschema(first_run, data):
+    results, _out = first_run
+    report = json.loads(json.dumps(results))
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(json_paths(report))[1:]
+        if not paths:
+            break
+        *parents, key = data.draw(st.sampled_from(paths))
+        node = report
+        for parent in parents:
+            node = node[parent]
+        value = data.draw(REPLACEMENTS)
+        if value is DROP:
+            del node[key]
+        else:
+            node[key] = value
+    errors = list(jsonschema.Draft7Validator(load_schema()).iter_errors(report))
+    found = schema_violation(report, load_schema())
+    assert (found is None) == (not errors), (found, [e.message for e in errors])
+    if found:
+        assert found[0] in set(_error_paths(errors))
 
 
 def test_run_outputs_exist(first_run):
@@ -764,6 +895,44 @@ def test_no_pairs_item_still_succeeds(tmp_path):
     item = next(it for it in results["items"] if it["item"] == "dessert")
     assert item["status"] == "no_pairs"
     assert results["balance_ok"] is True  # vacuous: nothing estimable failed
+
+
+def test_match_that_finds_no_pairs_removes_the_earlier_dump(tmp_path):
+    # A sits ahead of B at lunch on twelve days and adds dessert on the first
+    # six.  Leaving A's and B's own baskets out, the cell's dessert share is
+    # 1.0 on those days (C and D both take it) and 0.5 on the others, so
+    # controls fall inside a caliper of 0.6 and outside the default 0.1.  C,
+    # who always takes dessert, leads twelve treated dyads without controls.
+    catalog = "item_code,category,subtype\nMEALS,anchor_meal,non_vegetarian\nDES,addition,dessert\n"
+    rows = ["tx_id,person_id,timestamp,shop_id,register_id,items"]
+    for day in range(1, 13):
+        stamp = f"2018-01-{day:02d}T12:0"
+        rows += [
+            f"A{day:02d},A,{stamp}0:00,S1,R1,MEALS{';DES' if day <= 6 else ''}",
+            f"B{day:02d},B,{stamp}1:00,S1,R1,MEALS",
+            f"C{day:02d},C,{stamp}0:00,S1,R2,MEALS;DES",
+            f"D{day:02d},D,{stamp}1:00,S1,R2,MEALS{';DES' if day <= 6 else ''}",
+        ]
+    (tmp_path / "catalog.csv").write_text(catalog, encoding="utf-8")
+    (tmp_path / "transactions.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    args = {}
+    for name, caliper in (("loose", 0.6), ("default", 0.1)):
+        conf = {
+            "input": {k: str(tmp_path / f"{k}.csv") for k in ("transactions", "catalog")},
+            "estimation": {"seed": 1, "n_boot": 20},
+            "adjustment": {"caliper": caliper},
+        }
+        (tmp_path / f"{name}.yaml").write_text(yaml.safe_dump(conf), encoding="utf-8")
+        args[name] = ["--config", tmp_path / f"{name}.yaml", "--out", tmp_path / "out"]
+    dump = tmp_path / "out" / "matched_pairs" / "dessert.csv"
+    assert invoke(*args["loose"], "dyads").exit_code == 0
+    assert invoke(*args["loose"], "match", "--item", "dessert").output == "dessert: 6 pairs (12 unmatched treated)\n"
+    assert dump.exists()
+    assert invoke(*args["default"], "match", "--item", "dessert").output == "dessert: no_pairs\n"
+    assert not dump.exists()
+    for stage in ("estimate", "sensitivity", "dose"):
+        res = invoke(*args["default"], stage, "--item", "dessert")
+        assert res.exit_code == 1 and "`copycart match` dumped no pairs for: dessert" in res.output
 
 
 def test_require_balance_exit_code(workdir, monkeypatch):

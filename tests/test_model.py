@@ -585,6 +585,65 @@ def test_serialize_memory_stays_bounded(tmp_path):
     assert peak < 10e6, f"serialize peaked at {peak / 1e6:.1f} MB"
 
 
+NUMBER_FIELDS = st.one_of(
+    st.integers(-(10**20), 10**20).map(str),
+    st.floats().map(repr),
+    st.from_regex(r"\A-?[0-9]{1,22}(\.[0-9]{1,20})?(e[-+]?[0-9]{1,4})?\Z"),
+    st.text(st.sampled_from("0123456789-+.eE_ \x00naif\u00e9"), max_size=36),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=st.lists(NUMBER_FIELDS, max_size=12), parse=st.sampled_from([int, float]))
+def test_decode_numbers_reads_each_field_as_int_and_float_do(fields, parse):
+    want, rejected = [], -1
+    for k, field in enumerate(fields):
+        try:
+            value = parse(field)
+            if parse is int and not -(2**63) <= value < 2**63:
+                raise OverflowError
+        except (ValueError, OverflowError):
+            rejected = k
+            break
+        want.append(value)
+    values, k = U.decode_numbers(U.ByteColumn.of(fields), parse)
+    assert k == rejected
+    want = np.array(want, values.dtype)
+    assert values[: len(want)].view(np.int64).tolist() == want.view(np.int64).tolist()  # -0.0 too
+
+
+@pytest.mark.parametrize("read, columns, row", [
+    (lambda src: M.parse_transactions(src, CATALOG), M.TRANSACTION_COLUMNS, "T2,P1,2018-01-05T12:00:30,S1,R1,COF"),
+    (lambda src: DyadSet.from_csv(src, parse_csv("T1,P1,2018-01-05T12:00:00,S1,R1,COF\n")),
+     DYAD_COLUMNS, "T1,T1,S1,R1,2018-01-05,lunch,0"),
+], ids=["transactions", "dyads"])
+def test_unclosed_quote_names_the_record_it_opens(read, columns, row):
+    # the quoted field runs past csv's field size limit many lines later
+    text = ",".join(columns) + "\n" + row + '\n"open' + "\n" + row * 10_000 + "\n"
+    with pytest.raises(IngestError, match="line 3: field larger than field limit"):
+        read(io.StringIO(text))
+
+
+def test_dyad_dump_read_memory_stays_bounded(tmp_path):
+    # Reading this 16k-row dump through csv.reader, one tuple per record and
+    # one str per field, peaked at 11.2 MB of traced memory; the bound was
+    # fixed before the byte columns' reader first ran.
+    log = simulate(SimulationConfig(seed=3, n_persons=500)).log
+    rng = np.random.default_rng(5)
+    partner, focal = rng.integers(0, log.n, (2, 16_384))
+    dyads = DyadSet(log, partner, focal, rng.integers(0, 300, 16_384))
+    dyads.to_csv(tmp_path / "dyads.csv")
+    tracemalloc.start()
+    try:
+        back = DyadSet.from_csv(tmp_path / "dyads.csv", log)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.partner_i, partner) and np.array_equal(back.focal_i, focal)
+    assert np.array_equal(back.delay_s, dyads.delay_s)
+    assert peak < 8e6, f"reading the dump peaked at {peak / 1e6:.1f} MB"
+
+
 def test_iso_stamps_are_datetime_as_string():
     rng = np.random.default_rng(11)
     first, last = np.datetime64("0001-01-01T00:00:00", "s"), np.datetime64("9999-12-31T23:59:59", "s")
