@@ -1,6 +1,7 @@
 """CLI and pipeline: config parsing, determinism, stage reruns, plots."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -8,6 +9,7 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -29,6 +31,7 @@ from test_estimate import pairs_from_outcomes
 from test_fuzz import DROP, json_paths
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+DIGESTS = os.path.join(GOLDEN_DIR, "digests.json")
 
 
 def invoke(*args):
@@ -425,6 +428,24 @@ def test_run_outputs_exist(first_run):
         assert (out / name).exists()
     assert (out / "matched_pairs" / "dessert.csv").exists()
     assert (out / "plots" / "forest_rd.svg").exists()
+
+
+def test_outputs_match_committed_digests(workdir, first_run, tmp_path):
+    # every simulated input and every file the run wrote, against the
+    # manifest; a change that moves an output on purpose replaces the
+    # manifest with the one this test writes, and names the files in CHANGES.md
+    _results, out = first_run
+    files = {f"{prefix}/{name}": hashlib.sha256(data).hexdigest()
+             for prefix, root in (("data", workdir / "data"), ("out", out))
+             for name, data in tree_bytes(root).items()}
+    got = {"numpy": np.__version__, "files": dict(sorted(files.items()))}
+    (tmp_path / "digests.json").write_text(json.dumps(got, indent=1) + "\n", encoding="utf-8")
+    with open(DIGESTS, encoding="utf-8") as fh:
+        want = json.load(fh)
+    moved = sorted(name for name in want["files"].keys() | files.keys()
+                   if want["files"].get(name) != files.get(name))
+    assert not moved, (f"{moved} differ from {DIGESTS}, made with numpy {want['numpy']}; this is numpy "
+                       f"{got['numpy']}, and this run's manifest is {tmp_path / 'digests.json'}")
 
 
 def test_injected_effect_recovered(first_run):
