@@ -24,6 +24,7 @@ from .. import baseline as B
 from .. import estimate as E
 from .. import sensitivity as S
 from ..context import ContextStats, compute_context
+from ..csvio import read_bytes, utf8_text, write_csv
 from ..dyads import DyadSet, extract_dyads, filter_frequent_pairs, reconstruct_queues, select_additions
 from ..errors import (
     IngestError,
@@ -34,7 +35,7 @@ from ..errors import (
 from ..infer import feature_matrix, train_status_model, write_predictions_csv
 from ..matching import MatchedPairSet, balance_report, build_matched_pairs
 from ..model import STUDIED_STATUSES, Demographics, ItemCatalog, TransactionLog, parse_transactions
-from .._util import derive_seed, read_text, write_csv
+from .._util import derive_seed
 from .config import RunConfig
 from .plots import emit_plots
 
@@ -212,9 +213,9 @@ def schema_violation(instance, schema: dict) -> Violation:
 def load_results(path: str) -> dict:
     """A results.json read back and checked against the shipped schema; an
     IngestError names the file when it is unreadable, not JSON or not a report."""
-    name, text = read_text(path, "results")
+    name, data = read_bytes(path, "results")
     try:
-        results = json.loads(text)
+        results = json.loads(utf8_text(name, data))
     except json.JSONDecodeError as err:
         raise IngestError(f"{name} line {err.lineno}: not JSON ({err.msg})") from None
     except RecursionError:

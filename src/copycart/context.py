@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._util import Source, write_csv
+from .csvio import Source, write_csv
 from .model import CATEGORY_BIT, CATEGORY_KEYS, Daypart, TransactionLog
 
 class ContextStats:

@@ -1,0 +1,411 @@
+"""The on-disk table format, both directions.
+
+Every CSV file the package reads, the log, the catalog, the demographics
+and the stage dumps, goes through one record loop, `read_records`: the
+bytes are split into byte columns a chunk of records at a time, as
+`csv.reader` would split them.  `write_csv` writes columns back byte for
+byte as `csv.writer` does.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import itertools
+import os
+from collections import Counter
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence, Union
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from .errors import IngestError
+
+if TYPE_CHECKING:
+    from .model import TransactionLog
+
+Source = Union[str, os.PathLike, io.TextIOBase]
+
+
+class ByteColumn(NamedTuple):
+    """Fields as zero-padded fixed-width UTF-8 bytes, and the length of each:
+    a field may end in NUL, which the padding hides."""
+
+    values: np.ndarray
+    lens: np.ndarray
+
+    @classmethod
+    def of(cls, texts: Sequence[str]) -> "ByteColumn":
+        """Each str as UTF-8 bytes."""
+        data = list(map(str.encode, texts))
+        return cls(np.array(data, "S"), np.fromiter(map(len, data), np.int64, len(data)))
+
+    def texts(self) -> list[str]:
+        """Each field as a str."""
+        out = list(map(bytes.decode, self.values.tolist()))
+        nuls = self.lens - np.strings.str_len(self.values)  # the trailing NULs `tolist` drops
+        for k in np.flatnonzero(nuls).tolist():
+            out[k] += "\0" * int(nuls[k])
+        return out
+
+    def take(self, idx) -> "ByteColumn":
+        """The fields numbered `idx`."""
+        return ByteColumn(self.values[idx], self.lens[idx])
+
+
+def distinct_fields(values: np.ndarray, lens: np.ndarray) -> tuple[ByteColumn, np.ndarray, np.ndarray]:
+    """(distinct, codes, first) of a byte column: its distinct fields in code
+    point order, each row's index into them, and the row where each first
+    occurs.  Rows sort stably by their bytes, which keeps that
+    order in UTF-8, then by length, since a tie differs only in trailing NULs."""
+    n = lens.shape[0]
+    key = values.view(np.uint8).reshape(n, values.itemsize)
+    if (lens != np.strings.str_len(values)).any():  # a field ends in NUL, as the padding does
+        size = (int(lens.max()).bit_length() + 7) // 8
+        key = np.hstack((key, lens.astype(">u8").view(np.uint8).reshape(n, 8)[:, 8 - size :]))
+    order = np.lexsort(key.T[::-1])  # a radix pass per byte column
+    rows = key[order].view(f"V{key.shape[1]}")[:, 0]
+    new = np.ones(n, bool)
+    new[1:] = rows[1:] != rows[:-1]
+    codes = np.empty(n, np.int64)
+    codes[order] = np.cumsum(new) - 1
+    first = order[new]
+    return ByteColumn(values[first], lens[first]), codes, first
+
+
+# A recognizer of the plain decimal forms, `-?D+` and for floats also
+# `-?D+(.D+)?(e[-+]?D+)?`, run over a field's bytes one column at a time.
+# Byte classes: digit, "-", "+", ".", "e", any other.
+_BYTE_CLASS = np.full(256, 5, np.uint8)
+_BYTE_CLASS[np.frombuffer(b"0123456789-+.e", np.uint8)] = [0] * 10 + [1, 2, 3, 4]
+# states: 0 start, 1 sign, 2 integer digits, 3 point, 4 fraction digits,
+# 5 exponent mark, 6 exponent sign, 7 exponent digits, 8 rejected
+_PLAIN_STEP = np.array([
+    [2, 1, 8, 8, 8, 8],
+    [2, 8, 8, 8, 8, 8],
+    [2, 8, 8, 3, 5, 8],
+    [4, 8, 8, 8, 8, 8],
+    [4, 8, 8, 8, 5, 8],
+    [7, 6, 6, 8, 8, 8],
+    [7, 8, 8, 8, 8, 8],
+    [7, 8, 8, 8, 8, 8],
+    [8, 8, 8, 8, 8, 8],
+], np.uint8)
+_PLAIN_WIDTH = 32  # longer fields are left to `int` or `float`
+_PLAIN_INT_DIGITS = 18  # fits int64 whatever the digits
+
+
+def decode_numbers(fields: ByteColumn, parse: type) -> tuple[np.ndarray, int]:
+    """(values, k): each field as `parse`, `int` or `float`, reads it, into an
+    int64 or float64 array, and the first field it rejects (or that
+    overflows int64), -1 if none.  Fields of the plain decimal forms are cast
+    by numpy in one step, which reads them as `parse` does; any other field
+    goes through `parse` itself."""
+    values, lens = fields
+    n = lens.shape[0]
+    chars = np.ascontiguousarray(values).view(np.uint8).reshape(n, values.itemsize)
+    state = np.zeros(n, np.uint8)
+    for col in range(min(values.itemsize, _PLAIN_WIDTH)):
+        state = np.where(col < lens, _PLAIN_STEP[state, _BYTE_CLASS[chars[:, col]]], state)
+    if parse is int:
+        plain = (state == 2) & (lens - (chars[:, 0] == ord("-")) <= _PLAIN_INT_DIGITS)
+    else:
+        plain = np.isin(state, (2, 4, 7)) & (lens <= _PLAIN_WIDTH)
+    out = np.empty(n, np.int64 if parse is int else np.float64)
+    out[plain] = values[plain].astype(out.dtype)
+    other = np.flatnonzero(~plain)
+    for k, text in zip(other.tolist(), fields.take(other).texts()):
+        try:
+            out[k] = parse(text)
+        except (ValueError, OverflowError):
+            return out, k
+    return out, -1
+
+
+# -- reading ------------------------------------------------------------------
+
+
+def read_bytes(source: Source, what: str) -> tuple[str, bytes]:
+    """(name, whole content) of a path, or of a text stream as UTF-8; the
+    name is the path, else the stream's name, else `what`.  A path that
+    cannot be read is an IngestError naming it."""
+    if not isinstance(source, (str, os.PathLike)):
+        return getattr(source, "name", what), source.read().encode("utf-8", "surrogatepass")
+    name = os.fspath(source)
+    try:
+        with open(source, "rb") as fh:
+            return name, fh.read()
+    except OSError as err:
+        raise IngestError(f"{name}: cannot read {what}: {err.strerror}") from None
+
+
+def utf8_text(name: str, data: bytes) -> str:
+    """`data` as UTF-8 text; an IngestError names the file and line where it is not."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise IngestError(f"{name} line {line}: not UTF-8 text ({err.reason})") from None
+
+
+def header_order(got: Sequence[str], want: Sequence[str], name: str) -> dict[str, int]:
+    """Where each column of `want` sits in the header `got`; an IngestError
+    unless `got` names exactly those columns, each once, in any order."""
+    got = [h.strip() for h in got]
+    if set(got) != set(want):
+        raise IngestError(f"{name} line 1: header must contain exactly {tuple(want)}, got {got}")
+    repeated = [h for h, k in Counter(got).items() if k > 1]
+    if repeated:
+        raise IngestError(f"{name} line 1: header repeats column {repeated[0]!r}")
+    return {c: got.index(c) for c in want}
+
+
+# records split and checked per parser step; bounds the offsets and bytes held
+_PARSE_CHUNK = 1 << 14
+
+# the ASCII bytes that `str.strip` takes off the ends of a field
+_SPACE = np.isin(np.arange(256), [9, 10, 11, 12, 13, 28, 29, 30, 31, 32])
+
+
+def _byte_column(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray,
+                 idx: np.ndarray, strip: bool) -> ByteColumn:
+    """The fields [start, stop) of `buf` numbered `idx`, gathered from a
+    strided view of `buf`; `strip` moves both offsets past ASCII whitespace."""
+    s, e = starts[idx], stops[idx]
+    for edge, step, at in ((s, 1, 0), (e, -1, -1)) if strip else ():
+        rows = np.flatnonzero((s < e) & _SPACE[buf[edge + at]])
+        while rows.shape[0]:
+            edge[rows] += step
+            rows = rows[(s[rows] < e[rows]) & _SPACE[buf[edge[rows] + at]]]
+    lens = e - s
+    width = max(int(lens.max(initial=0)), 1)
+    values = sliding_window_view(buf, width)[s]
+    short = np.flatnonzero(lens < width)  # the rows whose window runs past the field
+    values[short] *= np.arange(width) < lens[short, None]
+    return ByteColumn(values.view(f"S{width}")[:, 0], lens)
+
+
+def _str_column(fields: list[str], idx: np.ndarray, strip: bool) -> ByteColumn:
+    """The fields numbered `idx`, `str.strip`ped if `strip`, as a byte column."""
+    return ByteColumn.of([fields[i].strip() if strip else fields[i] for i in idx.tolist()])
+
+
+def _record_chunks(data: bytes, name: str) -> Iterator[tuple[Callable, np.ndarray, np.ndarray]]:
+    """The records of CSV bytes as `csv.reader` reads them, a chunk at a time:
+    (column, fields per record, blank-line mask), where `column(idx, strip)`
+    gives the chunk's fields numbered `idx` (-1 is an empty field) as a byte
+    column, stripped as `str.strip` does if `strip`.  ASCII text free of
+    quotes, carriage returns and NULs is split on its bytes: a record ends at
+    a newline, a field at a comma, and a blank line counts one empty field.
+    Other text is decoded from UTF-8 (else an IngestError names the file
+    `name` and the line) and goes through `csv.reader`.
+    """
+    if not data.isascii() or b'"' in data or b"\r" in data or b"\x00" in data:
+        # newline="" splits lines as a file opened for csv does
+        reader = csv.reader(io.StringIO(utf8_text(name, data), newline=""))
+        del data
+        line = 1  # of the chunk's first record
+        while True:
+            chunk: list = []
+            try:
+                chunk.extend(itertools.islice(reader, _PARSE_CHUNK))
+            except csv.Error as e:
+                raise IngestError(f"{name} line {line + len(chunk)}: {e}") from None
+            line += len(chunk)
+            if not chunk:
+                return
+            widths = np.fromiter(map(len, chunk), np.int64, len(chunk))
+            yield partial(_str_column, [*itertools.chain.from_iterable(chunk), ""]), widths, widths == 0
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    if not data.endswith(b"\n") and data:
+        ends = np.append(ends, len(data))  # the last record lacks its newline
+    # a newline there, then room for a window as wide as any line
+    pad = bytes(int(np.diff(ends, prepend=-1).max(initial=0)))
+    buf = np.frombuffer(b"".join((data, b"\n", pad)), np.uint8)
+    del data
+    for a in range(0, ends.shape[0], _PARSE_CHUNK):
+        lo, hi = (ends[a - 1] + 1 if a else 0), ends[a : a + _PARSE_CHUNK][-1] + 1
+        stops = np.flatnonzero((buf[lo:hi] == ord(",")) | (buf[lo:hi] == ord("\n"))) + lo
+        last = np.flatnonzero(buf[stops] == ord("\n"))  # each record's last field
+        widths = np.diff(last, prepend=-1)
+        starts, stops = np.append(lo, stops + 1), np.append(stops, hi)  # field -1 is empty
+        blank = (widths == 1) & (starts[last] == stops[last])
+        yield partial(_byte_column, buf, starts, stops), widths, blank
+
+
+def _records(chunks: Iterator[tuple], name: str, header: Optional[Sequence[str]]) -> Iterator[tuple]:
+    """`read_records`' loop over `_record_chunks`."""
+    col: Optional[dict[str, int]] = None
+    line = 1  # of the chunk's first record
+    for column, widths, blank in chunks:
+        first = np.cumsum(widths) - widths  # each record's first field
+        if header is not None and col is None:
+            col = header_order([] if blank[0] else column(np.arange(widths[0]), False).texts(), header, name)
+            first, widths, blank = first[1:], widths[1:], blank[1:]
+            line += 1
+        kept = np.flatnonzero(~blank)  # a blank line holds no record
+        yield column, col, first[kept], widths[kept], kept + line
+        line += widths.shape[0]
+
+
+def read_records(source: Source, what: str, header: Optional[Sequence[str]] = None) -> tuple[str, Iterator[tuple]]:
+    """(name, chunks): the file's name, as `read_bytes` gives it, and its
+    non-blank records a chunk at a time, as (column, col, first, widths,
+    lines).  `column(idx, strip)` cuts the chunk's fields as `_record_chunks`
+    does; `first`, `widths` and `lines` give each record's first field, its
+    field count and its line (blank lines and a header count).  With
+    `header`, the first record must name exactly those columns, in any
+    order, and `col` maps each to its field position; without, `col` is None
+    and every record is read.  Each record's width is left to the caller;
+    the file's bytes are held by the chunks alone."""
+    name, data = read_bytes(source, what)
+    return name, _records(_record_chunks(data, name), name, header)
+
+
+class Dump(NamedTuple):
+    """The named columns of a CSV table, each field as bytes, and the line
+    of each row (blank lines and the header count)."""
+
+    name: str
+    columns: dict[str, ByteColumn]
+    lines: np.ndarray
+
+    def error(self, k: int, message: str) -> IngestError:
+        return IngestError(f"{self.name} line {self.lines[k]}: {message}")
+
+    def text(self, column: str, k: int) -> str:
+        return self.columns[column].take([k]).texts()[0]
+
+    def numbers(self, column: str, parse: type) -> np.ndarray:
+        """A column read by `int` or `float` into an int64 or float64 array;
+        an IngestError names the first field that is no such number."""
+        values, k = decode_numbers(self.columns[column], parse)
+        if k >= 0:
+            kind = "an integer" if parse is int else "a number"
+            raise self.error(k, f"{column} {self.text(column, k)!r} is not {kind}")
+        return values
+
+    def rows_in(self, log: TransactionLog, columns: tuple[str, ...]) -> np.ndarray:
+        """(columns, rows) log rows of the tx ids in the given columns; -1
+        where the log has no such transaction."""
+        ids = [self.columns[c] for c in columns]
+        found = log.rows_of(ByteColumn(*(np.concatenate(part) for part in zip(*ids))))
+        return found.reshape(len(columns), -1)
+
+
+def read_dump(source: Source, what: str, header: tuple[str, ...], wanted: tuple[str, ...]) -> Dump:
+    """The `wanted` columns of a CSV table whose first record names exactly
+    the `header` columns, in any order, and whose every other non-blank
+    record is as wide; an empty file is a header alone.  Unreadable or
+    undecodable bytes, a wrong header and a wrong field count are
+    IngestErrors naming the file and line."""
+    name, records = read_records(source, what, header)
+    parts: dict[str, list[ByteColumn]] = {c: [ByteColumn(np.empty(0, "S1"), np.empty(0, np.int64))] for c in wanted}
+    lines = [np.empty(0, np.int64)]
+    for column, col, first, widths, at in records:
+        wrong = np.flatnonzero(widths != len(header))
+        if wrong.shape[0]:
+            k = wrong[0]
+            raise IngestError(f"{name} line {at[k]}: expected {len(header)} fields, got {widths[k]}")
+        for c in wanted:
+            parts[c].append(column(first + col[c], False))
+        lines.append(at)
+    columns = {c: ByteColumn(*map(np.concatenate, zip(*parts[c]))) for c in wanted}
+    return Dump(name, columns, np.concatenate(lines))
+
+
+# -- writing ------------------------------------------------------------------
+
+# a column to write: (values, index), the field of row r being values[index[r]],
+# or values[r] when index is None; values may also be a function giving the
+# fields of a slice of rows as a ByteColumn, leaving the row count to the
+# other columns
+Column = tuple[Union[ByteColumn, Sequence, np.ndarray, Callable[[slice], ByteColumn]], Optional[np.ndarray]]
+
+# bytes that can make csv.writer quote a field, or refuse it (NUL and "\r" it
+# writes bare today); each value holding one is written by csv.writer
+_SPECIAL = np.isin(np.arange(256), list(b',"\r\n\0'))
+_WRITE_BLOCK = 1 << 20  # bytes of (rows, width) block assembled per write
+
+
+def _rendered(values, sep: bytes, alone: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(block, lens): each value as csv.writer writes the field, then `sep`,
+    as a uint8 row of `block` holding `lens` bytes.  A str is written as it
+    is, None as an empty field, anything else as `str` gives it; `alone`
+    says the field is a whole row, so an empty one is written `""`."""
+    if not isinstance(values, ByteColumn):
+        values = ByteColumn.of(["" if v is None else str(v) for v in values])
+    chars, lens = values
+    n, width = lens.shape[0], chars.dtype.itemsize
+    chars = np.ascontiguousarray(chars).view(np.uint8).reshape(n, width)
+    special = alone & (lens == 0)
+    if chars.min(initial=255) <= ord(","):  # every special byte, and the NUL padding, is
+        special = special | (_SPECIAL[chars] & (np.arange(width) < lens[:, None])).any(axis=1)
+    quote = np.flatnonzero(special).tolist()
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    quoted = []
+    for field in values.take(quote).texts():
+        text.seek(0)
+        text.truncate()
+        writer.writerow([field])
+        quoted.append(text.getvalue()[:-1].encode())
+    block = np.zeros((n, max([width, *map(len, quoted)]) + 1), np.uint8)
+    block[:, :width] = chars
+    lens = lens.copy()
+    for k, field in zip(quote, quoted):
+        block[k, : len(field)] = np.frombuffer(field, np.uint8)
+        lens[k] = len(field)
+    block[np.arange(n), lens] = ord(sep)
+    return block, lens + 1
+
+
+def _csv_rows(parts: list, n: int) -> Iterator[bytes]:
+    """Rows 0..n-1 of the columns `parts`, each a (width, fields) pair whose
+    `fields(rows)` renders a slice of rows as (block, lens) no wider than
+    about `width`; gathered a bounded (rows, width) block at a time and
+    trimmed by the fields' lengths."""
+    step = max(1, _WRITE_BLOCK // max(sum(width for width, _ in parts), 1))
+    for a in range(0, n, step):
+        blocks = [fields(slice(a, min(a + step, n))) for _, fields in parts]
+        keep = np.concatenate([np.arange(block.shape[1]) < lens[:, None] for block, lens in blocks], axis=1)
+        yield np.concatenate([block for block, _ in blocks], axis=1)[keep].tobytes()
+
+
+def write_csv(dest: Source, header: Sequence[str], columns: Sequence[Column]) -> None:
+    """The header, then one row per entry of the columns, as CSV with "\\n"
+    line ends, byte for byte as csv.writer writes it; a path is written as
+    UTF-8.  Each value is rendered once: a column with an index renders its
+    values up front, a ByteColumn or function without one a block of rows at
+    a time, and a numeric array without an index is first reduced to its
+    distinct bit patterns."""
+
+    def part(c: int, values, index: Optional[np.ndarray]) -> tuple[Optional[int], int, Callable]:
+        """(rows, width, fields) of column c, as `_csv_rows` takes them;
+        rows is None for a function."""
+        sep, alone = b"\n" if c == len(header) - 1 else b",", len(header) == 1
+        if isinstance(values, ByteColumn) and index is None:
+            return len(values.lens), *part(c, values.take, None)[1:]
+        if callable(values):
+            width = values(slice(0, 0)).values.itemsize + 1
+            return None, width, lambda rows: _rendered(values(rows), sep, alone)
+        if isinstance(values, np.ndarray):  # numbers, written as Python writes them
+            if index is None:
+                bits, index = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+                values = bits.view(values.dtype)
+            values = values.tolist()
+        if index is None:
+            index = np.arange(len(values))
+        block, lens = _rendered(values, sep, alone)
+        return len(index), block.shape[1], lambda rows: (block[index[rows]], lens[index[rows]])
+
+    head = [part(c, [h], None)[1:] for c, h in enumerate(header)]
+    body = [part(c, *column) for c, column in enumerate(columns)]
+    n = next((rows for rows, _, _ in body if rows is not None), 0)
+    chunks = itertools.chain(_csv_rows(head, 1), _csv_rows([p[1:] for p in body], n))
+    if not isinstance(dest, (str, os.PathLike)):
+        dest.writelines(map(bytes.decode, chunks))
+        return
+    with open(dest, "wb") as fh:
+        fh.writelines(chunks)

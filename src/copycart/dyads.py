@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import Source, dense_codes, run_starts, stable_order, write_csv
+from ._util import dense_codes, run_starts, stable_order
+from .csvio import Source, read_dump, write_csv
 from .errors import EmptyMatrixError, IngestError
 from .model import (
     ATTRIBUTE_LABELS,
@@ -22,7 +23,6 @@ from .model import (
     Demographics,
     TransactionLog,
     person_attribute,
-    read_dump,
 )
 
 

@@ -12,7 +12,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import Source, run_starts, write_csv
+from ._util import run_starts
+from .csvio import Source, write_csv
 from .errors import InsufficientLabelsError
 from .model import TransactionLog
 

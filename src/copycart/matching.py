@@ -16,11 +16,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import Source, dense_codes, run_starts, write_csv
+from ._util import dense_codes, run_starts
 from .context import ContextStats
+from .csvio import Source, distinct_fields, read_dump, write_csv
 from .dyads import DyadSet
 from .errors import IngestError, NoPairsError
-from .model import CATEGORY_KEYS, distinct_fields, read_dump
+from .model import CATEGORY_KEYS
 
 
 @dataclass(frozen=True)

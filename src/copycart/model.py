@@ -1,26 +1,22 @@
 """Domain model: dayparts, item taxonomy, transaction log, demographics.
 
 The log is stored column-wise (numpy arrays over interned id vocabularies)
-because every downstream stage works on whole-log vectors.
+because every downstream stage works on whole-log vectors.  The files these
+types are read from and written to are CSV tables in the format of `csvio`.
 """
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
-import io
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import partial
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from ._util import (ByteColumn, Source, decimal_digits, decode_numbers, dense_codes, header_order, read_bytes,
-                    read_csv, run_starts, stable_order, utf8_text, write_csv)
+from ._util import decimal_digits, dense_codes, run_starts, stable_order
+from .csvio import ByteColumn, Source, distinct_fields, read_dump, read_records, write_csv
 from .errors import IngestError
 
 # ---------------------------------------------------------------------------
@@ -125,20 +121,20 @@ class ItemCatalog:
     def from_csv(cls, source: Source) -> "ItemCatalog":
         """Rows `item_code,category[,subtype]`, after an optional header."""
         categories: dict[str, ItemCategory] = {}
-        table = read_csv(source, "catalog")
-        for k, row in enumerate(table.rows):
-            if row is table.records[0] and row[0] == "item_code":  # a header on line 1
-                continue
-            if len(row) < 2:
-                raise table.error(k, "expected item_code,category[,subtype]")
-            code, kind = row[0].strip(), row[1].strip()
-            subtype = row[2].strip() if len(row) > 2 and row[2].strip() else None
-            if code in categories:
-                raise table.error(k, f"duplicate item code {code!r}")
-            try:
-                categories[code] = ItemCategory(kind, subtype)
-            except ValueError as e:
-                raise table.error(k, str(e)) from e
+        name, records = read_records(source, "catalog")
+        for column, _, first, widths, lines in records:
+            if lines[:1].tolist() == [1] and column(first[:1], False).texts() == ["item_code"]:  # a header
+                first, widths, lines = first[1:], widths[1:], lines[1:]
+            fields = [column(np.where(widths > j, first + j, -1), True).texts() for j in range(3)]
+            for line, width, code, kind, subtype in zip(lines.tolist(), widths.tolist(), *fields):
+                if width < 2:
+                    raise IngestError(f"{name} line {line}: expected item_code,category[,subtype]")
+                if code in categories:
+                    raise IngestError(f"{name} line {line}: duplicate item code {code!r}")
+                try:
+                    categories[code] = ItemCategory(kind, subtype or None)
+                except ValueError as e:
+                    raise IngestError(f"{name} line {line}: {e}") from e
         return cls(categories)
 
     def to_csv(self, dest: Source) -> None:
@@ -179,12 +175,6 @@ TRANSACTION_COLUMNS = ("tx_id", "person_id", "timestamp", "shop_id", "register_i
 
 _EPOCH = dt.datetime(1970, 1, 1)
 
-# records split and checked per parser step; bounds the offsets and bytes held
-_PARSE_CHUNK = 1 << 14
-
-# the ASCII bytes that `str.strip` takes off the ends of a field
-_SPACE = np.isin(np.arange(256), [9, 10, 11, 12, 13, 28, 29, 30, 31, 32])
-
 
 def _parse_timestamp(text: str) -> int:
     """ISO timestamp -> epoch seconds; naive, truncated to seconds."""
@@ -224,26 +214,6 @@ def _canonical_epochs(stamps: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray,
     epoch[rows] = np.where(ok, days * 86400 + hour * 3600 + minute * 60 + second, 0)
     decoded[rows] = ok
     return epoch, decoded
-
-
-def distinct_fields(values: np.ndarray, lens: np.ndarray) -> tuple[ByteColumn, np.ndarray, np.ndarray]:
-    """(distinct, codes, first) of a byte column: its distinct fields in code
-    point order, each row's index into them, and the row where each first
-    occurs.  Rows sort stably by their bytes, which keeps that
-    order in UTF-8, then by length, since a tie differs only in trailing NULs."""
-    n = lens.shape[0]
-    key = values.view(np.uint8).reshape(n, values.itemsize)
-    if (lens != np.strings.str_len(values)).any():  # a field ends in NUL, as the padding does
-        size = (int(lens.max()).bit_length() + 7) // 8
-        key = np.hstack((key, lens.astype(">u8").view(np.uint8).reshape(n, 8)[:, 8 - size :]))
-    order = np.lexsort(key.T[::-1])  # a radix pass per byte column
-    rows = key[order].view(f"V{key.shape[1]}")[:, 0]
-    new = np.ones(n, bool)
-    new[1:] = rows[1:] != rows[:-1]
-    codes = np.empty(n, np.int64)
-    codes[order] = np.cumsum(new) - 1
-    first = order[new]
-    return ByteColumn(values[first], lens[first]), codes, first
 
 
 def iso_stamps(ts: np.ndarray) -> ByteColumn:
@@ -511,135 +481,6 @@ class _ChunkParser:
         return TransactionLog(np.concatenate(self.ts), tx, *ids, (table, b_idx), self.catalog, self.report)
 
 
-def _byte_column(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray,
-                 idx: np.ndarray, strip: bool) -> ByteColumn:
-    """The fields [start, stop) of `buf` numbered `idx`, gathered from a
-    strided view of `buf`; `strip` moves both offsets past ASCII whitespace."""
-    s, e = starts[idx], stops[idx]
-    for edge, step, at in ((s, 1, 0), (e, -1, -1)) if strip else ():
-        rows = np.flatnonzero((s < e) & _SPACE[buf[edge + at]])
-        while rows.shape[0]:
-            edge[rows] += step
-            rows = rows[(s[rows] < e[rows]) & _SPACE[buf[edge[rows] + at]]]
-    lens = e - s
-    width = max(int(lens.max(initial=0)), 1)
-    values = sliding_window_view(buf, width)[s]
-    short = np.flatnonzero(lens < width)  # the rows whose window runs past the field
-    values[short] *= np.arange(width) < lens[short, None]
-    return ByteColumn(values.view(f"S{width}")[:, 0], lens)
-
-
-def _str_column(fields: list[str], idx: np.ndarray, strip: bool) -> ByteColumn:
-    """The fields numbered `idx`, `str.strip`ped if `strip`, as a byte column."""
-    return ByteColumn.of([fields[i].strip() if strip else fields[i] for i in idx.tolist()])
-
-
-def _record_chunks(data: bytes, name: str) -> Iterator[tuple[Callable, np.ndarray, np.ndarray]]:
-    """The records of CSV bytes as `csv.reader` reads them, a chunk at a time:
-    (column, fields per record, blank-line mask), where `column(idx, strip)`
-    gives the chunk's fields numbered `idx` (-1 is an empty field) as a byte
-    column, stripped as `str.strip` does if `strip`.  ASCII text free of
-    quotes, carriage returns and NULs is split on its bytes: a record ends at
-    a newline, a field at a comma, and a blank line counts one empty field.
-    Other text is decoded from UTF-8 (else an IngestError names the file
-    `name` and the line) and goes through `csv.reader`.
-    """
-    if not data.isascii() or b'"' in data or b"\r" in data or b"\x00" in data:
-        # newline="" splits lines as a file opened for csv does
-        reader = csv.reader(io.StringIO(utf8_text(name, data), newline=""))
-        del data
-        line = 1  # of the chunk's first record
-        while True:
-            chunk: list = []
-            try:
-                chunk.extend(itertools.islice(reader, _PARSE_CHUNK))
-            except csv.Error as e:
-                raise IngestError(f"{name} line {line + len(chunk)}: {e}") from None
-            line += len(chunk)
-            if not chunk:
-                return
-            widths = np.fromiter(map(len, chunk), np.int64, len(chunk))
-            yield partial(_str_column, [*itertools.chain.from_iterable(chunk), ""]), widths, widths == 0
-    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
-    if not data.endswith(b"\n") and data:
-        ends = np.append(ends, len(data))  # the last record lacks its newline
-    # a newline there, then room for a window as wide as any line
-    pad = bytes(int(np.diff(ends, prepend=-1).max(initial=0)))
-    buf = np.frombuffer(b"".join((data, b"\n", pad)), np.uint8)
-    del data
-    for a in range(0, ends.shape[0], _PARSE_CHUNK):
-        lo, hi = (ends[a - 1] + 1 if a else 0), ends[a : a + _PARSE_CHUNK][-1] + 1
-        stops = np.flatnonzero((buf[lo:hi] == ord(",")) | (buf[lo:hi] == ord("\n"))) + lo
-        last = np.flatnonzero(buf[stops] == ord("\n"))  # each record's last field
-        widths = np.diff(last, prepend=-1)
-        starts, stops = np.append(lo, stops + 1), np.append(stops, hi)  # field -1 is empty
-        blank = (widths == 1) & (starts[last] == stops[last])
-        yield partial(_byte_column, buf, starts, stops), widths, blank
-
-
-class Dump(NamedTuple):
-    """The named columns of a stage dump, each field as bytes, and the line
-    of each row (blank lines and the header count)."""
-
-    name: str
-    columns: dict[str, ByteColumn]
-    lines: np.ndarray
-
-    def error(self, k: int, message: str) -> IngestError:
-        return IngestError(f"{self.name} line {self.lines[k]}: {message}")
-
-    def text(self, column: str, k: int) -> str:
-        return self.columns[column].take([k]).texts()[0]
-
-    def numbers(self, column: str, parse: type) -> np.ndarray:
-        """A column read by `int` or `float` into an int64 or float64 array;
-        an IngestError names the first field that is no such number."""
-        values, k = decode_numbers(self.columns[column], parse)
-        if k >= 0:
-            kind = "an integer" if parse is int else "a number"
-            raise self.error(k, f"{column} {self.text(column, k)!r} is not {kind}")
-        return values
-
-    def rows_in(self, log: "TransactionLog", columns: tuple[str, ...]) -> np.ndarray:
-        """(columns, rows) log rows of the tx ids in the given columns; -1
-        where the log has no such transaction."""
-        ids = [self.columns[c] for c in columns]
-        found = log.rows_of(ByteColumn(*(np.concatenate(part) for part in zip(*ids))))
-        return found.reshape(len(columns), -1)
-
-
-def read_dump(source: Source, what: str, header: tuple[str, ...], wanted: tuple[str, ...]) -> Dump:
-    """The `wanted` columns of a CSV dump whose first record names exactly the
-    `header` columns, in any order, and whose every other non-blank record is
-    as wide; an empty file is a header alone.  Unreadable or undecodable
-    bytes, a wrong header and a wrong field count are IngestErrors naming the
-    file and line."""
-    name, data = read_bytes(source, what)
-    chunks = _record_chunks(data, name)
-    del data
-    col: Optional[dict[str, int]] = None
-    parts: dict[str, list[ByteColumn]] = {c: [ByteColumn(np.empty(0, "S1"), np.empty(0, np.int64))] for c in wanted}
-    lines = [np.empty(0, np.int64)]
-    line = 1  # of the chunk's first record
-    for column, widths, blank in chunks:
-        first = np.cumsum(widths) - widths  # each record's first field
-        if col is None:
-            col = header_order([] if blank[0] else column(np.arange(widths[0]), False).texts(), header, name)
-            first, widths, blank = first[1:], widths[1:], blank[1:]
-            line += 1
-        kept = np.flatnonzero(~blank)
-        wrong = kept[widths[kept] != len(header)]
-        if wrong.shape[0]:
-            k = wrong[0]
-            raise IngestError(f"{name} line {k + line}: expected {len(header)} fields, got {widths[k]}")
-        for c in wanted:
-            parts[c].append(column(first[kept] + col[c], False))
-        lines.append(kept + line)
-        line += widths.shape[0]
-    columns = {c: ByteColumn(*map(np.concatenate, zip(*parts[c]))) for c in wanted}
-    return Dump(name, columns, np.concatenate(lines))
-
-
 def parse_transactions(source: Source, catalog: ItemCatalog) -> TransactionLog:
     """Parse CSV transaction records into a validated log.
 
@@ -650,24 +491,11 @@ def parse_transactions(source: Source, catalog: ItemCatalog) -> TransactionLog:
     absent from the catalog degrade to the Other category and are tallied in
     the report.  Records are checked a chunk at a time, column by column.
     """
-    name, data = read_bytes(source, "transactions CSV")
-    chunks = _record_chunks(data, name)
-    del data
+    _, records = read_records(source, "transactions CSV", TRANSACTION_COLUMNS)
     parser = _ChunkParser(catalog)
-    header: Optional[list[str]] = None
-    line = 1  # of the chunk's first record
-    for column, widths, blank in chunks:
-        first = np.cumsum(widths) - widths  # each record's first field
-        if header is None:
-            header = [] if blank[0] else column(np.arange(widths[0]), False).texts()
-            col = header_order(header, TRANSACTION_COLUMNS, name)
-            first, widths, blank = first[1:], widths[1:], blank[1:]
-            line += 1
-        kept = np.flatnonzero(~blank)  # a blank line holds no record
-        lines = kept + line
-        line += widths.shape[0]
-        if kept.shape[0]:  # a record of the wrong width lacks every field
-            first = np.where(widths[kept] == len(col), first[kept], -1)
+    for column, col, first, widths, lines in records:
+        if lines.shape[0]:  # a record of the wrong width lacks every field
+            first = np.where(widths == len(col), first, -1)
             parser.add({c: column(np.where(first < 0, -1, first + k), c != "items")
                         for c, k in col.items()}, lines)
     column = None  # frees the split text before the log is built
@@ -760,24 +588,24 @@ class Demographics:
 
     @classmethod
     def from_csv(cls, source: Source) -> "Demographics":
-        table = read_csv(source, "demographics", DEMOGRAPHIC_COLUMNS)
+        dump = read_dump(source, "demographics", DEMOGRAPHIC_COLUMNS, DEMOGRAPHIC_COLUMNS)
         records: dict[str, PersonRecord] = {}
-        for k, row in enumerate(zip(*map(table.column, DEMOGRAPHIC_COLUMNS))):
-            pid, gender, status, by_text = (f.strip() for f in row)
+        fields = ([f.strip() for f in dump.columns[c].texts()] for c in DEMOGRAPHIC_COLUMNS)
+        for k, (pid, gender, status, by_text) in enumerate(zip(*fields)):
             if not pid:
-                raise table.error(k, "empty person_id")
+                raise dump.error(k, "empty person_id")
             if pid in records:
-                raise table.error(k, f"duplicate person_id {pid!r}")
+                raise dump.error(k, f"duplicate person_id {pid!r}")
             if gender and gender not in GENDERS:
-                raise table.error(k, f"bad gender {gender!r}")
+                raise dump.error(k, f"bad gender {gender!r}")
             if status and status not in STATUSES:
-                raise table.error(k, f"bad status {status!r}")
+                raise dump.error(k, f"bad status {status!r}")
             birth_year = None
             if by_text:
                 try:
                     birth_year = int(by_text)
                 except ValueError:
-                    raise table.error(k, f"bad birth_year {by_text!r}") from None
+                    raise dump.error(k, f"bad birth_year {by_text!r}") from None
             records[pid] = PersonRecord(pid, gender or None, status or None, birth_year)
         return cls(records.values())
 

@@ -27,7 +27,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._util import ByteColumn, check_types, config_seed, decimal_digits
+from ._util import check_types, config_seed, decimal_digits
+from .csvio import ByteColumn
 from .errors import ConfigError
 from .model import (
     ADDITION_KEYS,

@@ -13,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copycart import _util as U
+from copycart import csvio as C
 from copycart import model as M
 from copycart.dyads import DYAD_COLUMNS, DyadSet
 from copycart.errors import IngestError
-from copycart.sim import SimulationConfig, simulate, simulation_catalog
+from copycart.sim import SimulationConfig, simulate, simulation_catalog, write_simulation
+
+from test_fuzz import DAMAGE, damaged
 
 
 CATEGORIES = {
@@ -291,7 +293,7 @@ def test_serialize_roundtrip_byte_identical():
 
 
 def test_log_keeps_columns_given_in_canonical_order():
-    ts, tx = np.array([5, 5, 9]), (U.ByteColumn.of(["T1", "T2", "T3"]), np.arange(3))
+    ts, tx = np.array([5, 5, 9]), (C.ByteColumn.of(["T1", "T2", "T3"]), np.arange(3))
     ids, basket = (["A"], np.zeros(3, np.int32)), ([("COF",)], np.zeros(3, np.int64))
     log = M.TransactionLog(ts, tx, ids, ids, ids, basket, CATALOG)
     assert np.shares_memory(log.ts, ts) and np.shares_memory(log.tx_idx, tx[1])
@@ -383,7 +385,7 @@ def chunk_rows(text, strip=False):
     """The records `_record_chunks` finds, rebuilt one list per record from
     the byte column of every field of each chunk."""
     rows = []
-    for column, widths, blank in M._record_chunks(text.encode("utf-8"), "text"):
+    for column, widths, blank in C._record_chunks(text.encode("utf-8"), "text"):
         assert column(np.array([-1]), strip).texts() == [""]
         fields = column(np.arange(widths.sum()), strip).texts()
         start = 0
@@ -404,7 +406,7 @@ def test_record_chunks_read_as_csv_reader_does(text, chunk):
         want = list(csv.reader(io.StringIO(text, newline="")))
     except csv.Error:
         want = None
-    with mock.patch.object(M, "_PARSE_CHUNK", chunk):
+    with mock.patch.object(C, "_PARSE_CHUNK", chunk):
         if want is None:
             with pytest.raises(IngestError):
                 chunk_rows(text)
@@ -448,7 +450,7 @@ def test_parse_is_independent_of_chunk_size(quoted):
     whole = M.parse_transactions(io.StringIO(text), CATALOG)
     assert whole.report.n_rejected > 0 and whole.n > 40
     for chunk in (1, 7):
-        with mock.patch.object(M, "_PARSE_CHUNK", chunk):
+        with mock.patch.object(C, "_PARSE_CHUNK", chunk):
             chunked = M.parse_transactions(io.StringIO(text), CATALOG)
         assert row_values(chunked) == row_values(whole)
         assert chunked.report == whole.report
@@ -502,7 +504,7 @@ def test_byte_split_parses_as_csv_reader_does(log, chunk):
     text = "\n".join(",".join(r) for r in records) + end
     quoted = "\n".join(",".join(f'"{f}"' for f in r) for r in records) + end
     assert '"' not in text and text.isascii()
-    with mock.patch.object(M, "_PARSE_CHUNK", chunk):
+    with mock.patch.object(C, "_PARSE_CHUNK", chunk):
         assert parse_outcome(text) == parse_outcome(quoted)
 
 
@@ -535,7 +537,7 @@ def test_rows_of_tells_tx_ids_apart_by_trailing_nuls():
     tx = ["T1\x00", "T1", "T1\x00\x00", "U"]
     log = parse_csv("".join(f'"{t}",P1,2018-01-05T12:00:0{i},S1,R1,COF\n' for i, t in enumerate(tx)))
     wanted = ["T1", "T1\x00", "T1\x00\x00", "T1\x00\x00\x00", "U", "T", "", "U\x00"]
-    rows = log.rows_of(U.ByteColumn.of(wanted)).tolist()
+    rows = log.rows_of(C.ByteColumn.of(wanted)).tolist()
     assert [tx_ids(log)[r] if r >= 0 else None for r in rows] == wanted[:3] + [None, "U", None, None, None]
 
 
@@ -606,7 +608,7 @@ def test_decode_numbers_reads_each_field_as_int_and_float_do(fields, parse):
             rejected = k
             break
         want.append(value)
-    values, k = U.decode_numbers(U.ByteColumn.of(fields), parse)
+    values, k = C.decode_numbers(C.ByteColumn.of(fields), parse)
     assert k == rejected
     want = np.array(want, values.dtype)
     assert values[: len(want)].view(np.int64).tolist() == want.view(np.int64).tolist()  # -0.0 too
@@ -690,13 +692,13 @@ def csv_tables(draw):
             continue
         if kind == "function":  # the fields of a slice of rows; another column gives the count
             values = draw(st.lists(CSV_VALUE.filter(lambda v: v is not None), min_size=n, max_size=n))
-            columns.append((U.ByteColumn.of(values).take, None))
+            columns.append((C.ByteColumn.of(values).take, None))
             fields.append(values)
             continue
         distinct = draw(st.lists(CSV_VALUE.filter(lambda v: v is not None) if kind == "bytes" else CSV_VALUE,
                                  min_size=1, max_size=4))
         index = np.asarray(draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n)), np.int64)
-        columns.append((U.ByteColumn.of(distinct) if kind == "bytes" else distinct, index))
+        columns.append((C.ByteColumn.of(distinct) if kind == "bytes" else distinct, index))
         fields.append([distinct[k] for k in index.tolist()])
     return header, columns, [list(row) for row in zip(*fields)]
 
@@ -710,9 +712,9 @@ def test_write_csv_writes_what_csv_writer_writes(table, block):
     w.writerow(header)
     w.writerows(rows)
     got = io.StringIO()
-    with mock.patch.object(U, "_WRITE_BLOCK", block), tempfile.TemporaryDirectory() as tmp:
-        U.write_csv(got, header, columns)
-        U.write_csv(os.path.join(tmp, "t.csv"), header, columns)
+    with mock.patch.object(C, "_WRITE_BLOCK", block), tempfile.TemporaryDirectory() as tmp:
+        C.write_csv(got, header, columns)
+        C.write_csv(os.path.join(tmp, "t.csv"), header, columns)
         with open(os.path.join(tmp, "t.csv"), "rb") as fh:
             written = fh.read()
     assert got.getvalue() == want.getvalue()
@@ -779,3 +781,120 @@ def test_demographics_birth_year_degrades():
     assert out.get("P2").birth_year == 1990
     assert out.get("P3").birth_year is None
     assert out.n_birth_year_degraded == 2
+
+
+# -- catalog and demographics against a csv.reader reference -------------------
+
+
+def csv_reader_outcome(path, kind):
+    """What a catalog or demographics file reads as when its records come
+    from `csv.reader`, one tuple per record, rather than the shared record
+    loop: the catalog's `to_csv` text or the demographics' records, or the
+    message of the IngestError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        records = []
+        try:
+            records.extend(map(tuple, csv.reader(io.StringIO(C.utf8_text(path, data), newline=""))))
+        except csv.Error as err:
+            raise IngestError(f"{path} line {len(records) + 1}: {err}") from None
+        rows = [(line, row) for line, row in enumerate(records, 1) if row]
+        if kind == "catalog":
+            return reference_catalog(path, rows)
+        header = C.header_order(records[0] if records else M.DEMOGRAPHIC_COLUMNS, M.DEMOGRAPHIC_COLUMNS, path)
+        return reference_demographics(path, [(line, row) for line, row in rows if line > 1], header)
+    except IngestError as e:
+        return str(e)
+
+
+def reference_catalog(path, rows):
+    categories = {}
+    for line, row in rows:
+        if line == 1 and row[0] == "item_code":
+            continue
+        if len(row) < 2:
+            raise IngestError(f"{path} line {line}: expected item_code,category[,subtype]")
+        code = row[0].strip()
+        if code in categories:
+            raise IngestError(f"{path} line {line}: duplicate item code {code!r}")
+        try:
+            categories[code] = M.ItemCategory(row[1].strip(), row[2].strip() if len(row) > 2 else None)
+        except ValueError as e:
+            raise IngestError(f"{path} line {line}: {e}") from None
+    buf = io.StringIO()
+    M.ItemCatalog(categories).to_csv(buf)
+    return buf.getvalue()
+
+
+def reference_demographics(path, rows, header):
+    for line, row in rows:
+        if len(row) != len(header):
+            raise IngestError(f"{path} line {line}: expected {len(header)} fields, got {len(row)}")
+    records = {}
+    for line, row in rows:
+        pid, gender, status, born = (row[header[c]].strip() for c in M.DEMOGRAPHIC_COLUMNS)
+        where = f"{path} line {line}"
+        if not pid:
+            raise IngestError(f"{where}: empty person_id")
+        if pid in records:
+            raise IngestError(f"{where}: duplicate person_id {pid!r}")
+        if gender and gender not in M.GENDERS:
+            raise IngestError(f"{where}: bad gender {gender!r}")
+        if status and status not in M.STATUSES:
+            raise IngestError(f"{where}: bad status {status!r}")
+        try:
+            year = int(born) if born else None
+        except ValueError:
+            raise IngestError(f"{where}: bad birth_year {born!r}") from None
+        records[pid] = M.PersonRecord(pid, gender or None, status or None, year)
+    return [records[k] for k in sorted(records)]
+
+
+def reader_outcome(path, kind):
+    """The same as `csv_reader_outcome`, from the readers themselves."""
+    try:
+        if kind == "demographics":
+            return M.Demographics.from_csv(path).records()
+        buf = io.StringIO()
+        M.ItemCatalog.from_csv(path).to_csv(buf)
+        return buf.getvalue()
+    except IngestError as e:
+        return str(e)
+
+
+@pytest.fixture(scope="module")
+def simulated_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    write_simulation(simulate(SimulationConfig(seed=3, n_persons=40, n_days=5)), root)
+    return root
+
+
+@pytest.mark.parametrize("kind", ["catalog", "demographics"])
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(damage=st.lists(DAMAGE, min_size=1, max_size=3))
+def test_damaged_inputs_read_as_csv_reader_reads_them(simulated_inputs, kind, damage):
+    with open(simulated_inputs / f"{kind}.csv", "rb") as fh:
+        data = fh.read()
+    for one in damage:
+        data = damaged(data, **one)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, f"{kind}.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        assert reader_outcome(path, kind) == csv_reader_outcome(path, kind)
+
+
+@pytest.mark.parametrize("kind, row", [
+    ("catalog", "{},other,\n"), ("demographics", "{},female,staff,1990\n"),
+], ids=["catalog", "demographics"])
+def test_quote_free_inputs_take_fields_past_the_csv_field_limit(tmp_path, kind, row):
+    # a quote-free ASCII file is split on its bytes, as the log and the
+    # dumps are; a quoted one still goes through csv.reader and its limit
+    head = "" if kind == "catalog" else ",".join(M.DEMOGRAPHIC_COLUMNS) + "\n"
+    long = "x" * 200_000
+    (tmp_path / "quoted.csv").write_text(head + row.format(f'"{long}"'), encoding="utf-8")
+    assert "field larger than field limit" in reader_outcome(tmp_path / "quoted.csv", kind)
+    (tmp_path / "bare.csv").write_text(head + row.format(long), encoding="utf-8")
+    got = reader_outcome(tmp_path / "bare.csv", kind)
+    assert long in got if kind == "catalog" else got[0].person_id == long

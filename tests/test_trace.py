@@ -4,7 +4,8 @@
 skips a name that is missing, and the benchmark reads a span never recorded
 as zero seconds; so a renamed or moved layer would read as free.  This runs
 the tracer around the `dyads`, `match` and `estimate` stages of a small
-simulated log; `estimate` reads both kinds of dump back.
+simulated log; `dyads` reads the catalog and the demographics, and
+`estimate` reads both kinds of dump back.
 """
 
 import csv
@@ -20,8 +21,8 @@ from copycart.sim import SimulationConfig, simulate, write_simulation
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SPANS = {
-    "dyads": ("model.parse", "context.compute", "context.write", "dyads.queues", "dyads.extract",
-              "dyads.filter", "dyads.write"),
+    "dyads": ("model.catalog", "model.demographics", "model.parse", "context.compute", "context.write",
+              "dyads.queues", "dyads.extract", "dyads.filter", "dyads.write"),
     "match": ("model.parse", "context.compute", "matching.build"),
     "estimate": ("model.parse", "dyads.read", "matching.read", "estimate.effect"),
 }
@@ -42,8 +43,8 @@ def traced(stage, tmp_path):
 
 def test_tracer_records_every_dyad_and_match_span(tmp_path):
     write_simulation(simulate(SimulationConfig(seed=3, n_persons=200, n_days=60)), tmp_path / "in")
-    conf = {"input": {k: str(tmp_path / "in" / f"{k}.csv") for k in ("transactions", "catalog")},
-            "estimation": {"seed": 1}}
+    inputs = ("transactions", "catalog", "demographics")
+    conf = {"input": {k: str(tmp_path / "in" / f"{k}.csv") for k in inputs}, "estimation": {"seed": 1}}
     (tmp_path / "run.yaml").write_text(yaml.safe_dump(conf), encoding="utf-8")
     for stage, spans in SPANS.items():
         got = traced(stage, tmp_path)
