@@ -86,8 +86,11 @@ def _load_dyads(cfg: RunConfig, log) -> DyadSet:
 def _load_pairs(cfg: RunConfig, log, items) -> dict:
     dyads = _load_dyads(cfg, log)
     pairs_dir = os.path.join(cfg.out, pipeline.DUMPS["pairs_dir"])
+    paths = sorted(glob.glob(os.path.join(pairs_dir, "*.csv")))
+    if items:  # `match` dumps each item's pairs to <item>.csv
+        paths = [p for p in paths if os.path.basename(p) in {f"{i}.csv" for i in items}]
     out = {}
-    for path in sorted(glob.glob(os.path.join(pairs_dir, "*.csv"))):
+    for path in paths:
         out.update(MatchedPairSet.from_csv(path, dyads))
     if items:
         missing = ", ".join(i for i in items if i not in out)

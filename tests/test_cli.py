@@ -646,6 +646,19 @@ def test_repeated_item_is_analyzed_once(workdir, first_run, stage):
     assert once.output.count("dessert") == 1
 
 
+def test_item_reads_only_its_own_pair_file(workdir, first_run, tmp_path):
+    _results, out_a = first_run
+    (tmp_path / "matched_pairs").mkdir()
+    for name in ("dyads.csv", os.path.join("matched_pairs", "dessert.csv")):
+        shutil.copyfile(out_a / name, tmp_path / name)
+    (tmp_path / "matched_pairs" / "fruit.csv").write_bytes(b"not,a,pair,dump\n")
+    args = ("--config", workdir / "run.yaml", "--out", tmp_path, "estimate")
+    _assert_ingest_error(invoke(*args), "fruit.csv line 1: header")
+    one = invoke(*args, "--item", "dessert")
+    assert one.exit_code == 0, one.output
+    assert [o["item"] for o in _json_objects(one.output)] == ["dessert"]
+
+
 def test_stage_dumps_must_match_the_log(workdir, first_run):
     _results, out_a = first_run
     sub = workdir / "mismatched"
