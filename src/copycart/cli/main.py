@@ -106,7 +106,7 @@ def _load_pairs(cfg: RunConfig, log, items) -> dict:
 
 
 def _echo_json(obj) -> None:
-    click.echo(json.dumps(obj, indent=2, sort_keys=True))
+    click.echo(json.dumps(pipeline._jsonable(obj), indent=2, sort_keys=True))
 
 
 @main.command("simulate")

@@ -74,48 +74,23 @@ def distinct_fields(values: np.ndarray, lens: np.ndarray) -> tuple[ByteColumn, n
     return ByteColumn(values[first], lens[first]), codes, first
 
 
-# A recognizer of the plain decimal forms, `-?D+` and for floats also
-# `-?D+(.D+)?(e[-+]?D+)?`, run over a field's bytes one column at a time.
-# Byte classes: digit, "-", "+", ".", "e", any other.
-_BYTE_CLASS = np.full(256, 5, np.uint8)
-_BYTE_CLASS[np.frombuffer(b"0123456789-+.e", np.uint8)] = [0] * 10 + [1, 2, 3, 4]
-# states: 0 start, 1 sign, 2 integer digits, 3 point, 4 fraction digits,
-# 5 exponent mark, 6 exponent sign, 7 exponent digits, 8 rejected
-_PLAIN_STEP = np.array([
-    [2, 1, 8, 8, 8, 8],
-    [2, 8, 8, 8, 8, 8],
-    [2, 8, 8, 3, 5, 8],
-    [4, 8, 8, 8, 8, 8],
-    [4, 8, 8, 8, 5, 8],
-    [7, 6, 6, 8, 8, 8],
-    [7, 8, 8, 8, 8, 8],
-    [7, 8, 8, 8, 8, 8],
-    [8, 8, 8, 8, 8, 8],
-], np.uint8)
-_PLAIN_WIDTH = 32  # longer fields are left to `int` or `float`
-_PLAIN_INT_DIGITS = 18  # fits int64 whatever the digits
-
-
 def decode_numbers(fields: ByteColumn, parse: type) -> tuple[np.ndarray, int]:
     """(values, k): each field as `parse`, `int` or `float`, reads it, into an
     int64 or float64 array, and the first field it rejects (or that
-    overflows int64), -1 if none.  Fields of the plain decimal forms are cast
-    by numpy in one step, which reads them as `parse` does; any other field
-    goes through `parse` itself."""
+    overflows int64), -1 if none.  numpy casts the whole column in one step,
+    reading each field as `parse` does, unless a field ends in NUL (which the
+    padding hides) or the cast refuses one (a malformed or out-of-range
+    number, or non-ASCII digits or spaces, which `parse` may accept); then
+    every field goes through `parse` itself."""
     values, lens = fields
-    n = lens.shape[0]
-    chars = np.ascontiguousarray(values).view(np.uint8).reshape(n, values.itemsize)
-    state = np.zeros(n, np.uint8)
-    for col in range(min(values.itemsize, _PLAIN_WIDTH)):
-        state = np.where(col < lens, _PLAIN_STEP[state, _BYTE_CLASS[chars[:, col]]], state)
-    if parse is int:
-        plain = (state == 2) & (lens - (chars[:, 0] == ord("-")) <= _PLAIN_INT_DIGITS)
-    else:
-        plain = np.isin(state, (2, 4, 7)) & (lens <= _PLAIN_WIDTH)
-    out = np.empty(n, np.int64 if parse is int else np.float64)
-    out[plain] = values[plain].astype(out.dtype)
-    other = np.flatnonzero(~plain)
-    for k, text in zip(other.tolist(), fields.take(other).texts()):
+    dtype = np.int64 if parse is int else np.float64
+    if (lens == np.strings.str_len(values)).all():
+        try:
+            return values.astype(dtype), -1
+        except (ValueError, OverflowError):
+            pass
+    out = np.empty(lens.shape[0], dtype)
+    for k, text in enumerate(fields.texts()):
         try:
             out[k] = parse(text)
         except (ValueError, OverflowError):

@@ -415,8 +415,8 @@ class _ChunkParser:
     """Checks chunks of records column by column and keeps the accepted
     rows' timestamps, basket codes and id byte columns."""
 
-    def __init__(self, catalog: ItemCatalog):
-        self.catalog, self.report = catalog, IngestReport()
+    def __init__(self, name: str, catalog: ItemCatalog):
+        self.name, self.catalog, self.report = name, catalog, IngestReport()
         self.ids = {name: [(np.empty(0, "S1"), np.empty(0, np.int64))] for name in _ID_COLUMNS}
         self.ts, self.baskets = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
         self.table: dict[tuple[str, ...], int] = {}  # normalized basket -> table index
@@ -443,7 +443,7 @@ class _ChunkParser:
             cr = values.view(np.uint8).reshape(n, -1) == ord("\r")
             if cr.any():  # write_csv leaves a "\r" unquoted
                 k = cr.any(axis=1).nonzero()[0][:1]
-                raise IngestError(f"transactions CSV line {lines[k[0]]}: carriage return in "
+                raise IngestError(f"{self.name} line {lines[k[0]]}: carriage return in "
                                   f"{name} {ByteColumn(values[k], lens[k]).texts()[0]!r}")
             missing |= lens == 0
         stamps, stamp_lens = columns["timestamp"]
@@ -491,8 +491,8 @@ def parse_transactions(source: Source, catalog: ItemCatalog) -> TransactionLog:
     absent from the catalog degrade to the Other category and are tallied in
     the report.  Records are checked a chunk at a time, column by column.
     """
-    _, records = read_records(source, "transactions CSV", TRANSACTION_COLUMNS)
-    parser = _ChunkParser(catalog)
+    name, records = read_records(source, "transactions CSV", TRANSACTION_COLUMNS)
+    parser = _ChunkParser(name, catalog)
     for column, col, first, widths, lines in records:
         if lines.shape[0]:  # a record of the wrong width lacks every field
             first = np.where(widths == len(col), first, -1)

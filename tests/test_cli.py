@@ -808,6 +808,41 @@ def test_coordinate_subcommand(workdir, first_run):
     assert dessert["coordination"]["status"] == "insufficient_data"
 
 
+def test_staged_subcommand_prints_non_finite_numbers_as_null(tmp_path):
+    # two pairs share a register at lunch on 25 days; the partner always takes
+    # dessert and the focal only behind the pair's leader, so each pair's
+    # rates are 1 and 0 without spread and the order-asymmetry t is infinite
+    catalog = "item_code,category,subtype\nMEAL,anchor_meal,non_vegetarian\nDESSERT,addition,dessert\n"
+    rows = ["tx_id,person_id,timestamp,shop_id,register_id,items"]
+    for day in range(1, 26):
+        stamp = f"2018-01-{day:02d}T12:0"
+        for register, leader, follower in (("R1", "A", "B"), ("R2", "C", "D")):
+            first, second = (leader, follower) if day <= 13 else (follower, leader)
+            dessert = ";DESSERT" if first == leader else ""
+            rows += [
+                f"{first}{day:02d},{first},{stamp}0:00,S1,{register},MEAL;DESSERT",
+                f"{second}{day:02d},{second},{stamp}1:00,S1,{register},MEAL{dessert}",
+            ]
+    (tmp_path / "catalog.csv").write_text(catalog, encoding="utf-8")
+    (tmp_path / "transactions.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    conf = {
+        "input": {k: str(tmp_path / f"{k}.csv") for k in ("transactions", "catalog")},
+        "estimation": {"seed": 1, "n_boot": 20},
+    }
+    (tmp_path / "run.yaml").write_text(yaml.safe_dump(conf), encoding="utf-8")
+    args = ["--config", tmp_path / "run.yaml", "--out", tmp_path / "out"]
+    assert invoke(*args, "dyads").exit_code == 0
+    res = invoke(*args, "coordinate", "--item", "dessert")
+    assert res.exit_code == 0
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    report = json.loads(res.output, parse_constant=refuse)
+    assert report["t"] is None
+    assert (report["rate_leader_first"], report["rate_follower_first"], report["p"]) == (1.0, 0.0, 0.0)
+
+
 def test_plot_subcommand_rerenders_identically(workdir, first_run):
     _results, out_a = first_run
     before = tree_bytes(out_a / "plots")

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from copycart import csvio as C
@@ -432,6 +432,15 @@ def test_id_with_carriage_return_is_an_ingest_error(column):
         M.parse_transactions(io.StringIO(text), CATALOG)
 
 
+def test_carriage_return_error_names_the_file(tmp_path):
+    path = tmp_path / "cr.csv"
+    path.write_bytes((CSV_HEADER + 'T1,P1,2018-01-05T12:00:00,S1,R1,COF\n'
+                      '"X\rY",P1,2018-01-05T12:00:30,S1,R1,COF\n').encode())
+    with pytest.raises(IngestError) as err:
+        M.parse_transactions(path, CATALOG)
+    assert str(err.value).startswith(f"{path} line 3: carriage return in tx_id 'X\\rY'")
+
+
 @pytest.mark.parametrize("quoted", [False, True])
 def test_parse_is_independent_of_chunk_size(quoted):
     rng = np.random.default_rng(5)
@@ -591,12 +600,14 @@ NUMBER_FIELDS = st.one_of(
     st.integers(-(10**20), 10**20).map(str),
     st.floats().map(repr),
     st.from_regex(r"\A-?[0-9]{1,22}(\.[0-9]{1,20})?(e[-+]?[0-9]{1,4})?\Z"),
-    st.text(st.sampled_from("0123456789-+.eE_ \x00naif\u00e9"), max_size=36),
+    st.text(st.sampled_from("0123456789-+.eE_ \x00naif\u00e9\u0661\u2003\xa0"), max_size=36),
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(fields=st.lists(NUMBER_FIELDS, max_size=12), parse=st.sampled_from([int, float]))
+@example(fields=["1", "2\x00"], parse=int)  # the padding hides a trailing NUL
+@example(fields=["1", "\u0661\xa0"], parse=float)  # digits and spaces numpy refuses
 def test_decode_numbers_reads_each_field_as_int_and_float_do(fields, parse):
     want, rejected = [], -1
     for k, field in enumerate(fields):
