@@ -27,10 +27,7 @@ MIN_PER_ORDER = 10  # treated dyads a pair needs in each direction to count
 
 
 def _with_partners(dyads: DyadSet, partner_rows: np.ndarray, sel: np.ndarray) -> DyadSet:
-    log = dyads.log
-    focal = dyads.focal_i[sel]
-    partner = partner_rows[sel]
-    return DyadSet(log, partner, focal, log.ts[focal] - log.ts[partner])
+    return DyadSet(dyads.log, partner_rows[sel], dyads.focal_i[sel])
 
 
 def randomize_partners(dyads: DyadSet, seed: int) -> DyadSet:
@@ -44,7 +41,7 @@ def randomize_partners(dyads: DyadSet, seed: int) -> DyadSet:
     """
     log = dyads.log
     if dyads.n == 0:
-        return DyadSet(log, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64))
+        return DyadSet(log, np.empty(0, np.int64), np.empty(0, np.int64))
     idx = log.cell_index()
     cell = idx.cell[dyads.focal_i]
     ms = idx.start[cell]

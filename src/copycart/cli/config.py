@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -56,10 +57,11 @@ class RunConfig:
         elif not isinstance(self.adjustment, AdjustmentSpec):
             raise ConfigError(f"adjustment must be a mapping, got {self.adjustment!r}")
         check_types(RunConfig, vars(self))
-        if self.n_boot < 1:
-            raise ConfigError("n_boot must be positive")
         if not (0.0 < self.alpha < 1.0):
             raise ConfigError("alpha must lie in (0, 1)")
+        least = math.ceil(2 / self.alpha)  # each tail of a percentile interval needs a replicate
+        if self.n_boot < least:
+            raise ConfigError(f"n_boot {self.n_boot} is below ceil(2 / alpha) = {least} for alpha {self.alpha}")
         if self.max_gap_s < 1:
             raise ConfigError("max_gap_s must be positive")
         if self.min_pair_count < 1:

@@ -74,30 +74,6 @@ def distinct_fields(values: np.ndarray, lens: np.ndarray) -> tuple[ByteColumn, n
     return ByteColumn(values[first], lens[first]), codes, first
 
 
-def decode_numbers(fields: ByteColumn, parse: type) -> tuple[np.ndarray, int]:
-    """(values, k): each field as `parse`, `int` or `float`, reads it, into an
-    int64 or float64 array, and the first field it rejects (or that
-    overflows int64), -1 if none.  numpy casts the whole column in one step,
-    reading each field as `parse` does, unless a field ends in NUL (which the
-    padding hides) or the cast refuses one (a malformed or out-of-range
-    number, or non-ASCII digits or spaces, which `parse` may accept); then
-    every field goes through `parse` itself."""
-    values, lens = fields
-    dtype = np.int64 if parse is int else np.float64
-    if (lens == np.strings.str_len(values)).all():
-        try:
-            return values.astype(dtype), -1
-        except (ValueError, OverflowError):
-            pass
-    out = np.empty(lens.shape[0], dtype)
-    for k, text in enumerate(fields.texts()):
-        try:
-            out[k] = parse(text)
-        except (ValueError, OverflowError):
-            return out, k
-    return out, -1
-
-
 # -- reading ------------------------------------------------------------------
 
 
@@ -166,32 +142,38 @@ def _str_column(fields: list[str], idx: np.ndarray, strip: bool) -> ByteColumn:
     return ByteColumn.of([fields[i].strip() if strip else fields[i] for i in idx.tolist()])
 
 
-def _record_chunks(data: bytes, name: str) -> Iterator[tuple[Callable, np.ndarray, np.ndarray]]:
+def _record_chunks(
+    data: bytes, name: str
+) -> Iterator[tuple[Callable, np.ndarray, np.ndarray, Optional[np.ndarray]]]:
     """The records of CSV bytes as `csv.reader` reads them, a chunk at a time:
-    (column, fields per record, blank-line mask), where `column(idx, strip)`
-    gives the chunk's fields numbered `idx` (-1 is an empty field) as a byte
-    column, stripped as `str.strip` does if `strip`.  ASCII text free of
-    quotes, carriage returns and NULs is split on its bytes: a record ends at
-    a newline, a field at a comma, and a blank line counts one empty field.
-    Other text is decoded from UTF-8 (else an IngestError names the file
-    `name` and the line) and goes through `csv.reader`.
+    (column, fields per record, blank-line mask, lines), where `column(idx,
+    strip)` gives the chunk's fields numbered `idx` (-1 is an empty field)
+    as a byte column, stripped as `str.strip` does if `strip`.  ASCII text
+    free of quotes, carriage returns and NULs is split on its bytes: a record
+    ends at a newline, a field at a comma, and a blank line counts one empty
+    field; each record is one line, and `lines` is None.  Other text is
+    decoded from UTF-8 (else an IngestError names the file `name` and the
+    line) and goes through `csv.reader`, where a quoted field may span
+    lines; `lines` gives the line each record starts on.
     """
     if not data.isascii() or b'"' in data or b"\r" in data or b"\x00" in data:
         # newline="" splits lines as a file opened for csv does
         reader = csv.reader(io.StringIO(utf8_text(name, data), newline=""))
         del data
-        line = 1  # of the chunk's first record
         while True:
             chunk: list = []
+            ends = [reader.line_num]  # where the last chunk ended, then where each record ends
             try:
-                chunk.extend(itertools.islice(reader, _PARSE_CHUNK))
+                for record in itertools.islice(reader, _PARSE_CHUNK):
+                    chunk.append(record)
+                    ends.append(reader.line_num)
             except csv.Error as e:
-                raise IngestError(f"{name} line {line + len(chunk)}: {e}") from None
-            line += len(chunk)
+                raise IngestError(f"{name} line {ends[-1] + 1}: {e}") from None
             if not chunk:
                 return
             widths = np.fromiter(map(len, chunk), np.int64, len(chunk))
-            yield partial(_str_column, [*itertools.chain.from_iterable(chunk), ""]), widths, widths == 0
+            lines = np.array(ends[:-1], np.int64) + 1
+            yield partial(_str_column, [*itertools.chain.from_iterable(chunk), ""]), widths, widths == 0, lines
     ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
     if not data.endswith(b"\n") and data:
         ends = np.append(ends, len(data))  # the last record lacks its newline
@@ -206,21 +188,22 @@ def _record_chunks(data: bytes, name: str) -> Iterator[tuple[Callable, np.ndarra
         widths = np.diff(last, prepend=-1)
         starts, stops = np.append(lo, stops + 1), np.append(stops, hi)  # field -1 is empty
         blank = (widths == 1) & (starts[last] == stops[last])
-        yield partial(_byte_column, buf, starts, stops), widths, blank
+        yield partial(_byte_column, buf, starts, stops), widths, blank, None
 
 
 def _records(chunks: Iterator[tuple], name: str, header: Optional[Sequence[str]]) -> Iterator[tuple]:
     """`read_records`' loop over `_record_chunks`."""
     col: Optional[dict[str, int]] = None
-    line = 1  # of the chunk's first record
-    for column, widths, blank in chunks:
+    line = 1  # of the chunk's first record, where each record is one line
+    for column, widths, blank, lines in chunks:
         first = np.cumsum(widths) - widths  # each record's first field
         if header is not None and col is None:
             col = header_order([] if blank[0] else column(np.arange(widths[0]), False).texts(), header, name)
             first, widths, blank = first[1:], widths[1:], blank[1:]
+            lines = None if lines is None else lines[1:]
             line += 1
         kept = np.flatnonzero(~blank)  # a blank line holds no record
-        yield column, col, first[kept], widths[kept], kept + line
+        yield column, col, first[kept], widths[kept], kept + line if lines is None else lines[kept]
         line += widths.shape[0]
 
 
@@ -229,8 +212,8 @@ def read_records(source: Source, what: str, header: Optional[Sequence[str]] = No
     non-blank records a chunk at a time, as (column, col, first, widths,
     lines).  `column(idx, strip)` cuts the chunk's fields as `_record_chunks`
     does; `first`, `widths` and `lines` give each record's first field, its
-    field count and its line (blank lines and a header count).  With
-    `header`, the first record must name exactly those columns, in any
+    field count and the line it starts on (blank lines and a header count).
+    With `header`, the first record must name exactly those columns, in any
     order, and `col` maps each to its field position; without, `col` is None
     and every record is read.  Each record's width is left to the caller;
     the file's bytes are held by the chunks alone."""
@@ -251,15 +234,6 @@ class Dump(NamedTuple):
 
     def text(self, column: str, k: int) -> str:
         return self.columns[column].take([k]).texts()[0]
-
-    def numbers(self, column: str, parse: type) -> np.ndarray:
-        """A column read by `int` or `float` into an int64 or float64 array;
-        an IngestError names the first field that is no such number."""
-        values, k = decode_numbers(self.columns[column], parse)
-        if k >= 0:
-            kind = "an integer" if parse is int else "a number"
-            raise self.error(k, f"{column} {self.text(column, k)!r} is not {kind}")
-        return values
 
     def rows_in(self, log: TransactionLog, columns: tuple[str, ...]) -> np.ndarray:
         """(columns, rows) log rows of the tx ids in the given columns; -1

@@ -52,13 +52,10 @@ DYAD_COLUMNS = ("partner_tx", "focal_tx", "shop_id", "register_id", "date", "day
 class DyadSet:
     """Columnar set of dyads over one log."""
 
-    def __init__(
-        self, log: TransactionLog, partner_i: np.ndarray, focal_i: np.ndarray, delay_s: np.ndarray
-    ):
+    def __init__(self, log: TransactionLog, partner_i: np.ndarray, focal_i: np.ndarray):
         self.log = log
         self.partner_i = partner_i.astype(np.int64)
         self.focal_i = focal_i.astype(np.int64)
-        self.delay_s = delay_s.astype(np.int64)
 
     @property
     def n(self) -> int:
@@ -85,6 +82,11 @@ class DyadSet:
         return self.log.daypart[self.focal_i]
 
     @property
+    def delay_s(self) -> np.ndarray:
+        """Seconds from the partner's checkout to the focal's."""
+        return self.log.ts[self.focal_i] - self.log.ts[self.partner_i]
+
+    @property
     def partner_person(self) -> np.ndarray:
         return self.log.person_idx[self.partner_i]
 
@@ -109,7 +111,7 @@ class DyadSet:
         return lo * len(self.log.persons) + hi
 
     def subset(self, sel: np.ndarray) -> "DyadSet":
-        return DyadSet(self.log, self.partner_i[sel], self.focal_i[sel], self.delay_s[sel])
+        return DyadSet(self.log, self.partner_i[sel], self.focal_i[sel])
 
     def to_csv(self, dest: Source) -> None:
         log = self.log
@@ -126,15 +128,14 @@ class DyadSet:
 
     @classmethod
     def from_csv(cls, source: Source, log: TransactionLog) -> "DyadSet":
-        dump = read_dump(source, "dyad dump", DYAD_COLUMNS, ("partner_tx", "focal_tx", "delay_s"))
-        delay = dump.numbers("delay_s", int)
+        dump = read_dump(source, "dyad dump", DYAD_COLUMNS, DYAD_COLUMNS[:2])
         rows = dump.rows_in(log, DYAD_COLUMNS[:2])
         missing = np.flatnonzero((rows < 0).any(axis=0))
         if missing.shape[0]:
             k = int(missing[0])
             column = DYAD_COLUMNS[int(rows[0, k] >= 0)]  # the partner's id first, as the dump lists them
             raise IngestError(f"{dump.name} names tx id {dump.text(column, k)!r}, which the transaction log lacks")
-        return cls(log, rows[0], rows[1], delay)
+        return cls(log, rows[0], rows[1])
 
 
 def extract_dyads(queues: Queues, max_gap_s: int = 300, require_anchor: bool = True) -> DyadSet:
@@ -146,24 +147,23 @@ def extract_dyads(queues: Queues, max_gap_s: int = 300, require_anchor: bool = T
     """
     log = queues.log
     if log.n < 2:
-        return DyadSet(log, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64))
+        return DyadSet(log, np.empty(0, np.int64), np.empty(0, np.int64))
     order = queues.order
     a = order[:-1]
     b = order[1:]
     same_queue = np.ones(a.shape[0], bool)
     same_queue[queues.start[1:-1] - 1] = False  # boundary between queues
-    gap = log.ts[b] - log.ts[a]
     keep = (
         same_queue
         & (log.person_idx[a] != log.person_idx[b])
-        & (gap <= max_gap_s)
+        & (log.ts[b] - log.ts[a] <= max_gap_s)
         & (log.daypart[a] == log.daypart[b])
         & (log.daypart[a] != Daypart.OUT_OF_WINDOW.value)
     )
     if require_anchor:
         anchored = log.anchor_codes() != 0
         keep &= anchored[a] & anchored[b]
-    return DyadSet(log, a[keep], b[keep], gap[keep])
+    return DyadSet(log, a[keep], b[keep])
 
 
 def filter_frequent_pairs(dyads: DyadSet, min_count: int = 10) -> DyadSet:

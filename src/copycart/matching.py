@@ -70,7 +70,11 @@ PAIR_COLUMNS = (
 
 
 class MatchedPairSet:
-    """Result of 1:1 matching for one focus item over one dyad set."""
+    """Result of 1:1 matching for one focus item over one dyad set.
+
+    A freshly built set keeps the popularity each dyad was matched on and
+    the full eligibility pools, for the pair dump and the balance report; a
+    set read from a dump or cut by `subset` has neither."""
 
     def __init__(
         self,
@@ -78,26 +82,21 @@ class MatchedPairSet:
         item: str,
         treated_idx: np.ndarray,
         control_idx: np.ndarray,
-        pop_t: np.ndarray,
-        pop_c: np.ndarray,
         n_treated_total: int,
         n_unmatched: int,
+        popularity: Optional[np.ndarray] = None,
         eligible_treated: Optional[np.ndarray] = None,
         eligible_control: Optional[np.ndarray] = None,
-        eligible_pop: Optional[np.ndarray] = None,
     ):
         self.dyads = dyads
         self.item = item
         self.treated_idx = treated_idx.astype(np.int64)
         self.control_idx = control_idx.astype(np.int64)
-        self.pop_t = pop_t
-        self.pop_c = pop_c
         self.n_treated_total = int(n_treated_total)
         self.n_unmatched = int(n_unmatched)
-        # full eligibility pools, kept for before-matching balance
+        self.popularity = popularity  # per dyad of `dyads`
         self._eligible_treated = eligible_treated
         self._eligible_control = eligible_control
-        self._eligible_pop = eligible_pop
 
     @property
     def n(self) -> int:
@@ -119,18 +118,11 @@ class MatchedPairSet:
 
     def subset(self, sel: np.ndarray) -> "MatchedPairSet":
         ti = self.treated_idx[sel]
-        return MatchedPairSet(
-            self.dyads,
-            self.item,
-            ti,
-            self.control_idx[sel],
-            self.pop_t[sel],
-            self.pop_c[sel],
-            n_treated_total=ti.shape[0],
-            n_unmatched=0,
-        )
+        return MatchedPairSet(self.dyads, self.item, ti, self.control_idx[sel], ti.shape[0], 0)
 
     def to_csv(self, dest: Source) -> None:
+        if self.popularity is None:
+            raise ValueError("a pair dump requires a freshly built MatchedPairSet")
         d = self.dyads
         write_csv(dest, PAIR_COLUMNS, [
             ([self.item], np.zeros(self.n, np.int64)),
@@ -138,19 +130,17 @@ class MatchedPairSet:
             (d.log.tx_ids_at(d.focal_i[self.treated_idx]), None),
             (d.log.tx_ids_at(d.partner_i[self.control_idx]), None),
             (d.log.tx_ids_at(d.focal_i[self.control_idx]), None),
-            (self.pop_t, None),
-            (self.pop_c, None),
+            (self.popularity[self.treated_idx], None),
+            (self.popularity[self.control_idx], None),
         ])
 
     @classmethod
     def from_csv(
         cls, source: Source, dyads: DyadSet
     ) -> dict[str, "MatchedPairSet"]:
-        """Read a matched-pair dump back; returns one set per item found, in
-        the order the items first appear."""
-        dump = read_dump(source, "matched-pair dump", PAIR_COLUMNS, PAIR_COLUMNS)
-        pop_t = dump.numbers("popularity_t", float)
-        pop_c = dump.numbers("popularity_c", float)
+        """Read a matched-pair dump back by its item and tx ids; returns one
+        set per item found, in the order the items first appear."""
+        dump = read_dump(source, "matched-pair dump", PAIR_COLUMNS, PAIR_COLUMNS[:5])
         distinct, codes, first = distinct_fields(*dump.columns["item"])
         items = distinct.texts()
         unknown = [first[c] for c, item in enumerate(items) if item not in CATEGORY_KEYS]
@@ -178,7 +168,7 @@ class MatchedPairSet:
         for c in np.argsort(first).tolist():
             sel = codes == c
             ti, ci = dyad[0, sel], dyad[1, sel]
-            out[items[c]] = cls(dyads, items[c], ti, ci, pop_t[sel], pop_c[sel], ti.shape[0], 0)
+            out[items[c]] = cls(dyads, items[c], ti, ci, ti.shape[0], 0)
         return out
 
 
@@ -247,7 +237,7 @@ def build_matched_pairs(
     n = dyads.n
     if n == 0:
         empty = np.empty(0, np.int64)
-        return MatchedPairSet(dyads, item, empty, empty, np.empty(0), np.empty(0), 0, 0)
+        return MatchedPairSet(dyads, item, empty, empty, 0, 0, np.empty(0))
 
     treated = dyads.partner_has(item)
     codes = log.anchor_codes()
@@ -265,9 +255,7 @@ def build_matched_pairs(
     n_treated_total = int(t_rows.shape[0])
     if n_treated_total == 0 or c_rows.shape[0] == 0:
         empty = np.empty(0, np.int64)
-        return MatchedPairSet(
-            dyads, item, empty, empty, np.empty(0), np.empty(0), n_treated_total, n_treated_total
-        )
+        return MatchedPairSet(dyads, item, empty, empty, n_treated_total, n_treated_total, pop)
 
     cols_t = [dyads.partner_person[t_rows], dyads.shop_idx[t_rows], dyads.daypart[t_rows]]
     cols_c = [dyads.partner_person[c_rows], dyads.shop_idx[c_rows], dyads.daypart[c_rows]]
@@ -312,8 +300,6 @@ def build_matched_pairs(
     matched = hit >= 0
     ti = t_rows[matched]
     ci = c_rows[hit[matched]]
-    pt = t_pop[matched]
-    pc = c_pop[hit[matched]]
     # report pairs in global (date, focal tx_id) order of the treated dyad
     out_order = np.lexsort((rank[ti], date[ti]))
     return MatchedPairSet(
@@ -321,13 +307,11 @@ def build_matched_pairs(
         item,
         ti[out_order],
         ci[out_order],
-        pt[out_order],
-        pc[out_order],
-        n_treated_total=n_treated_total,
-        n_unmatched=n_treated_total - int(matched.sum()),
+        n_treated_total,
+        n_treated_total - int(matched.sum()),
+        pop,
         eligible_treated=np.sort(t_rows),
         eligible_control=np.sort(c_rows),
-        eligible_pop=pop,
     )
 
 
@@ -357,11 +341,11 @@ BALANCE_COVARIATES = (
 BALANCE_SMD_MAX = 0.2  # a matched covariate is balanced when |SMD| stays below this
 
 
-def _covariate(pairs: MatchedPairSet, name: str, rows: np.ndarray, pop: np.ndarray) -> np.ndarray:
+def _covariate(pairs: MatchedPairSet, name: str, rows: np.ndarray) -> np.ndarray:
     d = pairs.dyads
     log = d.log
     if name == "popularity":
-        return pop
+        return pairs.popularity[rows]
     if name == "delay_s":
         return d.delay_s[rows].astype(np.float64)
     if name == "time_of_day_s":
@@ -383,18 +367,11 @@ def balance_report(pairs: MatchedPairSet) -> dict:
         raise NoPairsError(f"no matched pairs for {pairs.item!r}")
     if pairs._eligible_treated is None:
         raise ValueError("balance requires a freshly built MatchedPairSet")
-    et = pairs._eligible_treated
-    ec = pairs._eligible_control
-    pop = pairs._eligible_pop
+    et, ec = pairs._eligible_treated, pairs._eligible_control
     out = {}
     for name in BALANCE_COVARIATES:
-        before = smd(
-            _covariate(pairs, name, et, pop[et]), _covariate(pairs, name, ec, pop[ec])
-        )
-        after = smd(
-            _covariate(pairs, name, pairs.treated_idx, pairs.pop_t),
-            _covariate(pairs, name, pairs.control_idx, pairs.pop_c),
-        )
+        before = smd(_covariate(pairs, name, et), _covariate(pairs, name, ec))
+        after = smd(_covariate(pairs, name, pairs.treated_idx), _covariate(pairs, name, pairs.control_idx))
         out[name] = {"before": before, "after": after}
     return {
         "item": pairs.item,

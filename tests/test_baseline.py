@@ -171,7 +171,7 @@ def test_randomize_partner_outside_the_focal_cell():
     dyads = extract_dyads(reconstruct_queues(log), max_gap_s=3600)
     cells = cell_reference(log)
     partner = np.roll(dyads.partner_i, 7)
-    odd = DyadSet(log, partner, dyads.focal_i, dyads.delay_s)
+    odd = DyadSet(log, partner, dyads.focal_i)
     assert (cells[partner] != cells[dyads.focal_i]).sum() > 5
     for seed in range(3):
         got = randomize_partners(odd, seed=seed)

@@ -81,8 +81,6 @@ def pairs_from_outcomes(o_t, o_c, delays=None, partner_persons=None, max_gap_s=3
         "dessert",
         np.arange(n, dtype=np.int64),
         np.arange(n, 2 * n, dtype=np.int64),
-        np.full(n, 0.5),
-        np.full(n, 0.5),
         n_treated_total=n,
         n_unmatched=0,
     )

@@ -42,7 +42,7 @@ def run_config(inputs) -> dict:
         "input": {name: os.path.join(inputs, f"{name}.csv")
                   for name in ("transactions", "catalog", "demographics")},
         "dyads": {"min_pair_count": 2},
-        "estimation": {"seed": 1, "n_boot": 20},
+        "estimation": {"seed": 1, "n_boot": 40},
         "analyses": {"baseline": False, "sensitivity": True, "dose_response": True},
     }
 

@@ -88,8 +88,7 @@ def test_caliper_selects_nearest_inside():
     # (0.30-0.20)/0.30 = 1/3 violates the 0.10 caliper; 0.21 is in and nearest
     assert pairs.n == 1
     assert tx_pairs(pairs) == [("P000", "P002")]
-    assert pairs.pop_t[0] == pytest.approx(0.20)
-    assert pairs.pop_c[0] == pytest.approx(0.21)
+    assert pairs.popularity[[pairs.treated_idx[0], pairs.control_idx[0]]] == pytest.approx([0.20, 0.21])
     assert pairs.n_treated_total == 1 and pairs.n_unmatched == 0
 
 
@@ -256,10 +255,10 @@ def test_matched_csv_roundtrip():
     back = MatchedPairSet.from_csv(io.StringIO(text), dyads)["dessert"]
     assert np.array_equal(back.treated_idx, pairs.treated_idx)
     assert np.array_equal(back.control_idx, pairs.control_idx)
-    assert np.array_equal(back.pop_t, pairs.pop_t)
-    buf2 = io.StringIO()
-    back.to_csv(buf2)
-    assert buf2.getvalue() == text
+    # the popularities are written for people; a set read back has none to write
+    assert back.popularity is None
+    with pytest.raises(ValueError, match="freshly built"):
+        back.to_csv(io.StringIO())
 
 
 def test_matched_csv_names_dyads_by_lookup():
@@ -373,7 +372,7 @@ def test_popularity_from_computed_context():
     assert dyads.n == 2
     pairs = build_matched_pairs(dyads, "dessert", ctx, RAW)
     assert pairs.n == 1
-    assert pairs.pop_t[0] == pairs.pop_c[0] == pytest.approx(0.5)
+    assert pairs.popularity[[pairs.treated_idx[0], pairs.control_idx[0]]] == pytest.approx([0.5, 0.5])
 
 
 def test_exclude_own_transactions_uses_leave_dyad_out_popularity():
@@ -404,7 +403,7 @@ def test_exclude_own_transactions_uses_leave_dyad_out_popularity():
         dyads, "dessert", ctx, AdjustmentSpec(exclude_own_transactions=True)
     )
     assert loo.n == 1
-    assert loo.pop_t[0] == loo.pop_c[0] == pytest.approx(0.5)
+    assert loo.popularity[[loo.treated_idx[0], loo.control_idx[0]]] == pytest.approx([0.5, 0.5])
 
 
 # -- greedy matcher against a brute-force oracle ------------------------------

@@ -4,13 +4,14 @@ import csv
 import io
 import itertools
 import os
+import re
 import tempfile
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copycart import csvio as C
@@ -371,28 +372,32 @@ def test_column_parser_agrees_with_row_parser(stamps):
     for i, stamp in enumerate(stamps):
         (quoted if "\r" in stamp else w).writerow([f"T{i:03d}", "P1", stamp, "S1", "R1", "COF"])
     log = M.parse_transactions(io.StringIO(buf.getvalue()), CATALOG)
-    accepted, errors = {}, []
+    accepted, errors, line = {}, [], 2
     for i, stamp in enumerate(stamps):
         try:
             accepted[f"T{i:03d}"] = M._parse_timestamp(stamp.strip())
         except ValueError as e:
-            errors.append((i + 2, f"malformed timestamp {stamp.strip()!r}: {e}"))
+            errors.append((line, f"malformed timestamp {stamp.strip()!r}: {e}"))
+        line += len(re.findall("\r\n?|\n", stamp)) + 1  # a quoted line end starts a line too
     assert dict(zip(tx_ids(log), log.ts.tolist())) == accepted
     assert log.report.errors == errors
 
 
 def chunk_rows(text, strip=False):
     """The records `_record_chunks` finds, rebuilt one list per record from
-    the byte column of every field of each chunk."""
-    rows = []
-    for column, widths, blank in C._record_chunks(text.encode("utf-8"), "text"):
+    the byte column of every field of each chunk, and the line each starts on."""
+    rows, lines = [], []
+    for column, widths, blank, starts in C._record_chunks(text.encode("utf-8"), "text"):
+        if starts is None:  # one line per record
+            starts = np.arange(len(rows), len(rows) + widths.shape[0]) + 1
         assert column(np.array([-1]), strip).texts() == [""]
         fields = column(np.arange(widths.sum()), strip).texts()
         start = 0
         for w, b in zip(widths.tolist(), blank.tolist()):
             rows.append([] if b else fields[start : start + w])
             start += w
-    return rows
+        lines += starts.tolist()
+    return rows, lines
 
 
 CSV_TEXT = st.text(st.sampled_from(list("ab7 ,\n\t\v\x1f") + ['"', "\r", "\x00", "é", "\xa0"]),
@@ -402,17 +407,22 @@ CSV_TEXT = st.text(st.sampled_from(list("ab7 ,\n\t\v\x1f") + ['"', "\r", "\x00",
 @settings(max_examples=300, deadline=None)
 @given(CSV_TEXT, st.sampled_from([1, 2, 1000]))
 def test_record_chunks_read_as_csv_reader_does(text, chunk):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    want, lines = [], []
     try:
-        want = list(csv.reader(io.StringIO(text, newline="")))
+        for row in reader:
+            want.append(row)
+            lines.append(reader.line_num)  # the line the record ends on, for now
     except csv.Error:
         want = None
+    lines = [1, *(end + 1 for end in lines[:-1])]  # each record starts after the last one ends
     with mock.patch.object(C, "_PARSE_CHUNK", chunk):
         if want is None:
             with pytest.raises(IngestError):
                 chunk_rows(text)
         else:
-            assert chunk_rows(text) == want
-            assert chunk_rows(text, strip=True) == [[f.strip() for f in row] for row in want]
+            assert chunk_rows(text) == (want, lines[: len(want)])
+            assert chunk_rows(text, strip=True)[0] == [[f.strip() for f in row] for row in want]
 
 
 def test_unreadable_csv_is_an_ingest_error():
@@ -596,35 +606,6 @@ def test_serialize_memory_stays_bounded(tmp_path):
     assert peak < 10e6, f"serialize peaked at {peak / 1e6:.1f} MB"
 
 
-NUMBER_FIELDS = st.one_of(
-    st.integers(-(10**20), 10**20).map(str),
-    st.floats().map(repr),
-    st.from_regex(r"\A-?[0-9]{1,22}(\.[0-9]{1,20})?(e[-+]?[0-9]{1,4})?\Z"),
-    st.text(st.sampled_from("0123456789-+.eE_ \x00naif\u00e9\u0661\u2003\xa0"), max_size=36),
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(fields=st.lists(NUMBER_FIELDS, max_size=12), parse=st.sampled_from([int, float]))
-@example(fields=["1", "2\x00"], parse=int)  # the padding hides a trailing NUL
-@example(fields=["1", "\u0661\xa0"], parse=float)  # digits and spaces numpy refuses
-def test_decode_numbers_reads_each_field_as_int_and_float_do(fields, parse):
-    want, rejected = [], -1
-    for k, field in enumerate(fields):
-        try:
-            value = parse(field)
-            if parse is int and not -(2**63) <= value < 2**63:
-                raise OverflowError
-        except (ValueError, OverflowError):
-            rejected = k
-            break
-        want.append(value)
-    values, k = C.decode_numbers(C.ByteColumn.of(fields), parse)
-    assert k == rejected
-    want = np.array(want, values.dtype)
-    assert values[: len(want)].view(np.int64).tolist() == want.view(np.int64).tolist()  # -0.0 too
-
-
 @pytest.mark.parametrize("read, columns, row", [
     (lambda src: M.parse_transactions(src, CATALOG), M.TRANSACTION_COLUMNS, "T2,P1,2018-01-05T12:00:30,S1,R1,COF"),
     (lambda src: DyadSet.from_csv(src, parse_csv("T1,P1,2018-01-05T12:00:00,S1,R1,COF\n")),
@@ -637,6 +618,24 @@ def test_unclosed_quote_names_the_record_it_opens(read, columns, row):
         read(io.StringIO(text))
 
 
+def test_dump_error_names_the_line_after_a_quoted_newline():
+    log = parse_csv("T1,P1,2018-01-05T12:00:00,S1,R1,COF\n")
+    text = ",".join(DYAD_COLUMNS) + '\nT1,T1,"S\n1",R1,2018-01-05,lunch,0\nT1,T1,S1\n'
+    with pytest.raises(IngestError, match="line 4: expected 7 fields, got 3"):
+        DyadSet.from_csv(io.StringIO(text), log)
+
+
+def test_rejected_record_names_its_line_after_a_quoted_newline():
+    log = parse_csv(
+        'T1,"P\n1",2018-01-05T09:00:00,S1,R1,COF\n'
+        "T2,P2,2018-13-05T09:01:00,S1,R1,COF\n"
+        "T3,P3,2018-01-05T09:02:00,S1,R1,COF\n"
+    )
+    assert log.n == 2
+    line, msg = log.report.errors[0]
+    assert line == 4 and "timestamp" in msg
+
+
 def test_dyad_dump_read_memory_stays_bounded(tmp_path):
     # Reading this 16k-row dump through csv.reader, one tuple per record and
     # one str per field, peaked at 11.2 MB of traced memory; the bound was
@@ -644,7 +643,7 @@ def test_dyad_dump_read_memory_stays_bounded(tmp_path):
     log = simulate(SimulationConfig(seed=3, n_persons=500)).log
     rng = np.random.default_rng(5)
     partner, focal = rng.integers(0, log.n, (2, 16_384))
-    dyads = DyadSet(log, partner, focal, rng.integers(0, 300, 16_384))
+    dyads = DyadSet(log, partner, focal)
     dyads.to_csv(tmp_path / "dyads.csv")
     tracemalloc.start()
     try:

@@ -3,9 +3,10 @@
 `perfbench/tracer.py` wraps the names `copycart.cli.pipeline` holds and
 skips a name that is missing, and the benchmark reads a span never recorded
 as zero seconds; so a renamed or moved layer would read as free.  This runs
-the tracer around the `dyads`, `match` and `estimate` stages of a small
-simulated log; `dyads` reads the catalog and the demographics, and
-`estimate` reads both kinds of dump back.
+the tracer around the `dyads`, `match`, `estimate`, `dose` and `baseline`
+stages of a small simulated log; `dyads` reads the catalog and the
+demographics, `estimate` and `dose` read both kinds of dump back, and
+`baseline` reads the dyads.
 """
 
 import csv
@@ -25,6 +26,8 @@ SPANS = {
               "dyads.queues", "dyads.extract", "dyads.filter", "dyads.write"),
     "match": ("model.parse", "context.compute", "matching.build"),
     "estimate": ("model.parse", "dyads.read", "matching.read", "estimate.effect"),
+    "dose": ("dyads.read", "matching.read", "estimate.dose"),
+    "baseline": ("dyads.read", "baseline.shuffle"),
 }
 
 
