@@ -712,14 +712,16 @@ def _assert_ingest_error(res, *fragments):
         assert fragment in res.output
 
 
-@pytest.mark.parametrize("damage", ["short"])
+# a row without its delay_s still fails on its width, though that column is
+# not read back
+@pytest.mark.parametrize("damage", ["short", "delay"])
 def test_malformed_dyad_dump_fails_cleanly(workdir, first_run, damage):
     _results, out_a = first_run
     sub = workdir / f"bad_dyads_{damage}"
     sub.mkdir(exist_ok=True)
     header, first, second, *rest = (out_a / "dyads.csv").read_text().splitlines(keepends=True)
     fields = second.rstrip("\n").split(",")
-    bad = fields[:5]
+    bad = fields[:5] if damage == "short" else fields[:6]
     (sub / "dyads.csv").write_text(
         header + first + ",".join(bad) + "\n" + "".join(rest), encoding="utf-8"
     )
@@ -727,7 +729,7 @@ def test_malformed_dyad_dump_fails_cleanly(workdir, first_run, damage):
     _assert_ingest_error(res, "dyads.csv line 3")
 
 
-@pytest.mark.parametrize("damage", ["short"])
+@pytest.mark.parametrize("damage", ["short", "popularity"])
 def test_malformed_pair_dump_fails_cleanly(workdir, first_run, damage):
     _results, out_a = first_run
     sub = workdir / f"bad_pairs_{damage}"
@@ -735,7 +737,7 @@ def test_malformed_pair_dump_fails_cleanly(workdir, first_run, damage):
     (sub / "dyads.csv").write_bytes((out_a / "dyads.csv").read_bytes())
     header, first, *rest = (out_a / "matched_pairs" / "dessert.csv").read_text().splitlines(True)
     fields = first.rstrip("\n").split(",")
-    bad = fields[:4]
+    bad = fields[:4] if damage == "short" else fields[:6]
     (sub / "matched_pairs" / "dessert.csv").write_text(
         header + ",".join(bad) + "\n" + "".join(rest), encoding="utf-8"
     )
