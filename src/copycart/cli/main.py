@@ -4,15 +4,16 @@
 stage from the dumps a previous stage left in the output directory, which
 keeps long analyses resumable and lets any stage be reproduced in isolation.
 Each subcommand calls the same stage function in `pipeline.py` that `run`
-does.  An analysis that `run` records as a status (no discordant pairs, too
-few delay bins or repeat encounters) fails the subcommand instead.
+does.  `match` and `run` replace every pair file in matched_pairs/, and a
+stage reads `matched_pairs/<item>.csv` as that item's pairs, so it never reads
+an earlier match's.  An analysis that `run` records as a status (no discordant
+pairs, too few delay bins or repeat encounters) fails the subcommand instead.
 Exit codes: 0 success, 1 module error, 2 usage error, 3 balance gate failed.
 """
 
 from __future__ import annotations
 
 import functools
-import glob
 import json
 import os
 import sys
@@ -83,26 +84,19 @@ def _load_dyads(cfg: RunConfig, log) -> DyadSet:
     return DyadSet.from_csv(path, log)
 
 
-def _load_pairs(cfg: RunConfig, log, items) -> dict:
-    dyads = _load_dyads(cfg, log)
-    pairs_dir = os.path.join(cfg.out, pipeline.DUMPS["pairs_dir"])
-    paths = sorted(glob.glob(os.path.join(pairs_dir, "*.csv")))
-    if items:  # `match` dumps each item's pairs to <item>.csv
-        paths = [p for p in paths if os.path.basename(p) in {f"{i}.csv" for i in items}]
-    out = {}
-    for path in paths:
-        out.update(MatchedPairSet.from_csv(path, dyads))
-    if items:
-        missing = ", ".join(i for i in items if i not in out)
-        if missing:
-            raise click.ClickException(
-                f"`copycart match` dumped no pairs for: {missing}; it found none, "
-                "or ran without that --item"
-                if os.path.isdir(pairs_dir)
-                else f"no matched pairs dumped for: {missing}; run `copycart match`"
-            )
-        out = {i: out[i] for i in items}
-    return out
+def _load_pairs(cfg: RunConfig, items) -> list[tuple[str, MatchedPairSet]]:
+    """(item, pairs) of each `--item`, else of every item `match` dumped, by item."""
+    dyads = _load_dyads(cfg, pipeline.ingest_inputs(cfg)[0])
+    dumped = pipeline.dumped_items(cfg)
+    if dumped is None:
+        raise click.ClickException(
+            f"no matched pairs dumped for: {', '.join(items) or 'any item'}; run `copycart match`")
+    missing = ", ".join(i for i in items if i not in dumped)
+    if missing:
+        raise click.ClickException(
+            f"`copycart match` dumped no pairs for: {missing}; it found none, or ran without that --item")
+    return [(item, MatchedPairSet.from_csv(pipeline.pair_path(cfg, item), dyads, item))
+            for item in sorted(set(items)) or dumped]
 
 
 def _echo_json(obj) -> None:
@@ -178,13 +172,11 @@ def match(ctx, items):
     log, _demo = pipeline.ingest_inputs(cfg)
     ctx_stats = pipeline.compute_context(log)
     dyads_set = _load_dyads(cfg, log)
-    os.makedirs(os.path.join(cfg.out, pipeline.DUMPS["pairs_dir"]), exist_ok=True)
+    pipeline.reset_pairs(cfg)
     for item in pipeline.select_items(dyads_set, cfg, items):
         pairs = pipeline.match_item(dyads_set, item, ctx_stats, cfg)
-        if pairs.n == 0:
-            click.echo(f"{item}: no_pairs")
-            continue
-        click.echo(f"{item}: {pairs.n} pairs ({pairs.n_unmatched} unmatched treated)")
+        click.echo(f"{item}: {pairs.n} pairs ({pairs.n_unmatched} unmatched treated)" if pairs.n
+                   else f"{item}: no_pairs")
 
 
 @main.command()
@@ -194,8 +186,7 @@ def match(ctx, items):
 def estimate(ctx, items):
     """Matched-pair effect estimates from dumped pairs."""
     cfg = _run_config(ctx)
-    log, _demo = pipeline.ingest_inputs(cfg)
-    for item, pairs in sorted(_load_pairs(cfg, log, items).items()):
+    for item, pairs in _load_pairs(cfg, items):
         _echo_json(pipeline.item_effect(pairs, item, cfg))
 
 
@@ -220,8 +211,7 @@ def baseline(ctx, items):
 def sensitivity(ctx, items):
     """Hidden-bias severity needed to overturn each significant estimate."""
     cfg = _run_config(ctx)
-    log, _demo = pipeline.ingest_inputs(cfg)
-    for item, pairs in sorted(_load_pairs(cfg, log, items).items()):
+    for item, pairs in _load_pairs(cfg, items):
         _echo_json(pipeline.item_sensitivity(pairs, item, cfg))
 
 
@@ -232,8 +222,7 @@ def sensitivity(ctx, items):
 def dose(ctx, items):
     """Effect by partner-to-focal delay bin, with the fitted trend."""
     cfg = _run_config(ctx)
-    log, _demo = pipeline.ingest_inputs(cfg)
-    for item, pairs in sorted(_load_pairs(cfg, log, items).items()):
+    for item, pairs in _load_pairs(cfg, items):
         _echo_json(pipeline.item_dose(pairs, item, cfg))
 
 

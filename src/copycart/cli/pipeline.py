@@ -296,16 +296,32 @@ def _status_stage(log, cfg: RunConfig, demo: Demographics) -> tuple[Demographics
 # item, so `run` and the staged subcommands draw the same numbers.
 
 
+def pair_path(cfg: RunConfig, item: str) -> str:
+    """Where `match` dumps an item's pairs: <out>/matched_pairs/<item>.csv."""
+    return os.path.join(cfg.out, DUMPS["pairs_dir"], f"{item}.csv")
+
+
+def dumped_items(cfg: RunConfig) -> Optional[list[str]]:
+    """The sorted stems of the `*.csv` files directly under matched_pairs/; None if it is no directory."""
+    try:
+        with os.scandir(os.path.join(cfg.out, DUMPS["pairs_dir"])) as entries:
+            return sorted(e.name[:-4] for e in entries if e.name.endswith(".csv") and e.is_file())
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+
+
+def reset_pairs(cfg: RunConfig) -> None:
+    """Empty matched_pairs/ of the pair files `dumped_items` lists, before a match dumps its own."""
+    os.makedirs(os.path.join(cfg.out, DUMPS["pairs_dir"]), exist_ok=True)
+    for item in dumped_items(cfg):
+        os.remove(pair_path(cfg, item))
+
+
 def match_item(dyads: DyadSet, item: str, ctx: ContextStats, cfg: RunConfig) -> MatchedPairSet:
-    """Matched pairs for one focus item, dumped to matched_pairs/<item>.csv;
-    when there are none, an earlier run's dump of the item is removed, so no
-    later stage reads its pairs."""
+    """Matched pairs for one focus item, dumped to `pair_path` when there are any."""
     pairs = build_matched_pairs(dyads, item, ctx, cfg.adjustment)
-    path = os.path.join(cfg.out, DUMPS["pairs_dir"], f"{item}.csv")
     if pairs.n:
-        pairs.to_csv(path)
-    elif os.path.exists(path):
-        os.remove(path)
+        pairs.to_csv(pair_path(cfg, item))
     return pairs
 
 
@@ -443,7 +459,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         demo, status_summary = _status_stage(log, cfg, demo)
 
     items = select_items(dyads, cfg)
-    os.makedirs(paths["pairs_dir"], exist_ok=True)
+    reset_pairs(cfg)
 
     def job(item):
         return _analyze_item(item, dyads, ctx, demo, cfg)

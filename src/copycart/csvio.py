@@ -92,11 +92,12 @@ def read_bytes(source: Source, what: str) -> tuple[str, bytes]:
 
 
 def utf8_text(name: str, data: bytes) -> str:
-    """`data` as UTF-8 text; an IngestError names the file and line where it is not."""
+    """`data` as UTF-8 text; an IngestError names the file and line where it
+    is not, counting line ends as `csv.reader` does: "\\r\\n", "\\n" or "\\r"."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as err:
-        line = data.count(b"\n", 0, err.start) + 1
+        line = len(data[: err.start + 1].splitlines())  # the bad byte is no line end
         raise IngestError(f"{name} line {line}: not UTF-8 text ({err.reason})") from None
 
 

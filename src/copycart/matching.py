@@ -18,7 +18,7 @@ import numpy as np
 
 from ._util import dense_codes, run_starts
 from .context import ContextStats
-from .csvio import Source, distinct_fields, read_dump, write_csv
+from .csvio import Source, read_dump, write_csv
 from .dyads import DyadSet
 from .errors import IngestError, NoPairsError
 from .model import CATEGORY_KEYS
@@ -135,18 +135,16 @@ class MatchedPairSet:
         ])
 
     @classmethod
-    def from_csv(
-        cls, source: Source, dyads: DyadSet
-    ) -> dict[str, "MatchedPairSet"]:
-        """Read a matched-pair dump back by its item and tx ids; returns one
-        set per item found, in the order the items first appear."""
+    def from_csv(cls, source: Source, dyads: DyadSet, item: str) -> "MatchedPairSet":
+        """Read the matched-pair dump of `item` back by its tx ids; every
+        row's `item` field must name `item`."""
         dump = read_dump(source, "matched-pair dump", PAIR_COLUMNS, PAIR_COLUMNS[:5])
-        distinct, codes, first = distinct_fields(*dump.columns["item"])
-        items = distinct.texts()
-        unknown = [first[c] for c, item in enumerate(items) if item not in CATEGORY_KEYS]
-        if unknown:
-            k = min(unknown)
-            raise dump.error(k, f"item {items[codes[k]]!r} is not one of {CATEGORY_KEYS}")
+        if item not in CATEGORY_KEYS:
+            raise IngestError(f"{dump.name}: item {item!r} is not one of {CATEGORY_KEYS}")
+        values, lens = dump.columns["item"]
+        other = np.flatnonzero((values != item.encode()) | (lens != len(item.encode())))
+        if other.shape[0]:
+            raise dump.error(other[0], f"item {dump.text('item', other[0])!r} in the pair file of {item!r}")
         # (treated, control) by (partner, focal) by pair
         log = dyads.log
         rows = dump.rows_in(log, PAIR_COLUMNS[1:5]).reshape(2, 2, -1)
@@ -164,12 +162,7 @@ class MatchedPairSet:
             partner, focal = PAIR_COLUMNS[1 + 2 * side : 3 + 2 * side]
             raise IngestError(f"{dump.name} names dyad ({dump.text(partner, k)}, {dump.text(focal, k)}), "
                               "which the dyad set lacks")
-        out = {}
-        for c in np.argsort(first).tolist():
-            sel = codes == c
-            ti, ci = dyad[0, sel], dyad[1, sel]
-            out[items[c]] = cls(dyads, items[c], ti, ci, ti.shape[0], 0)
-        return out
+        return cls(dyads, item, dyad[0], dyad[1], dyad.shape[1], 0)
 
 
 def _greedy_caliper_match(

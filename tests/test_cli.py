@@ -681,6 +681,78 @@ def test_item_reads_only_its_own_pair_file(workdir, first_run, tmp_path):
     assert [o["item"] for o in _json_objects(one.output)] == ["dessert"]
 
 
+@pytest.mark.parametrize("name, fragment", [
+    ("fruit.csv", "fruit.csv line 2: item 'dessert' in the pair file of 'fruit'"),
+    ("desserts.csv", "desserts.csv: item 'desserts' is not one of"),
+], ids=["other_item", "not_an_item"])
+def test_pair_file_is_read_as_the_item_its_name_gives(workdir, first_run, tmp_path, name, fragment):
+    _results, out_a = first_run
+    (tmp_path / "matched_pairs").mkdir()
+    shutil.copyfile(out_a / "dyads.csv", tmp_path / "dyads.csv")
+    shutil.copyfile(out_a / "matched_pairs" / "dessert.csv", tmp_path / "matched_pairs" / name)
+    res = invoke("--config", workdir / "run.yaml", "--out", tmp_path, "estimate")
+    _assert_ingest_error(res, fragment)
+
+
+def test_pairs_without_a_match_directory_name_the_stage_to_run(workdir, first_run, tmp_path):
+    _results, out_a = first_run
+    shutil.copyfile(out_a / "dyads.csv", tmp_path / "dyads.csv")
+    args = ("--config", workdir / "run.yaml", "--out", tmp_path)
+    for command in ("estimate", "sensitivity", "dose"):
+        res = invoke(*args, command)
+        assert res.exit_code == 1, res.output
+        assert "no matched pairs dumped for: any item; run `copycart match`" in res.output
+    (tmp_path / "matched_pairs").mkdir()  # what a match that found no pairs leaves
+    for command in ("estimate", "sensitivity", "dose"):
+        res = invoke(*args, command)
+        assert res.exit_code == 0 and res.output == "", res.output
+
+
+@pytest.fixture(scope="module")
+def dropout(tmp_path_factory):
+    """A log on which a larger `min_fraction` drops fruit and soup from the
+    focus items, and a config without and one with it."""
+    root = tmp_path_factory.mktemp("dropout")
+    write_simulation(simulate(SimulationConfig(seed=3, n_persons=300, n_days=120, delta={"dessert": 0.2})),
+                     root / "data")
+    for name, dyads in (("all", {"max_gap_s": 40}), ("dessert", {"max_gap_s": 40, "min_fraction": 0.2})):
+        conf = {
+            "input": {k: str(root / "data" / f"{k}.csv") for k in ("transactions", "catalog")},
+            "estimation": {"seed": 1, "n_boot": 50},
+            "dyads": dyads,
+        }
+        (root / f"{name}.yaml").write_text(yaml.safe_dump(conf), encoding="utf-8")
+    return root
+
+
+def test_match_leaves_only_its_own_pair_files(dropout, tmp_path):
+    def stage(config, *args):
+        res = invoke("--config", dropout / f"{config}.yaml", "--out", tmp_path, *args)
+        assert res.exit_code == 0, res.output
+        return res.output
+
+    stage("all", "dyads")
+    assert stage("all", "match").splitlines() == [
+        "dessert: 155 pairs (604 unmatched treated)",
+        "fruit: 82 pairs (377 unmatched treated)",
+        "soup: 63 pairs (319 unmatched treated)",
+    ]
+    assert stage("all", "match", "--item", "dessert") == "dessert: 155 pairs (604 unmatched treated)\n"
+    assert os.listdir(tmp_path / "matched_pairs") == ["dessert.csv"]
+    stage("all", "match")
+    stage("dessert", "dyads")
+    assert stage("dessert", "match") == "dessert: 155 pairs (604 unmatched treated)\n"
+    assert os.listdir(tmp_path / "matched_pairs") == ["dessert.csv"]
+    assert [o["item"] for o in _json_objects(stage("dessert", "estimate"))] == ["dessert"]
+
+
+def test_run_leaves_only_its_own_pair_files(dropout, tmp_path):
+    for config, files in (("all", ["dessert.csv", "fruit.csv", "soup.csv"]), ("dessert", ["dessert.csv"])):
+        res = invoke("--config", dropout / f"{config}.yaml", "--out", tmp_path, "run")
+        assert res.exit_code == 0, res.output
+        assert sorted(os.listdir(tmp_path / "matched_pairs")) == files
+
+
 def test_stage_dumps_must_match_the_log(workdir, first_run):
     _results, out_a = first_run
     sub = workdir / "mismatched"

@@ -252,7 +252,7 @@ def test_matched_csv_roundtrip():
         "item,treated_partner_tx,treated_focal_tx,control_partner_tx,"
         "control_focal_tx,popularity_t,popularity_c"
     )
-    back = MatchedPairSet.from_csv(io.StringIO(text), dyads)["dessert"]
+    back = MatchedPairSet.from_csv(io.StringIO(text), dyads, "dessert")
     assert np.array_equal(back.treated_idx, pairs.treated_idx)
     assert np.array_equal(back.control_idx, pairs.control_idx)
     # the popularities are written for people; a set read back has none to write
@@ -274,13 +274,13 @@ def test_matched_csv_names_dyads_by_lookup():
     pairs.to_csv(buf)
     # dyads given in another order, one of them twice: the last copy is read
     rev = dyads.subset(np.asarray([3, 2, 1, 0, 2]))
-    back = MatchedPairSet.from_csv(io.StringIO(buf.getvalue()), rev)["dessert"]
+    back = MatchedPairSet.from_csv(io.StringIO(buf.getvalue()), rev, "dessert")
     assert back.treated_idx.tolist() == [3, 4] and back.control_idx.tolist() == [2, 0]
     lacking = dyads.subset(np.asarray([0, 2, 3]))  # no day-2 control dyad
     with pytest.raises(IngestError, match=r"names dyad \(P001, F001\), which the dyad set lacks"):
-        MatchedPairSet.from_csv(io.StringIO(buf.getvalue()), lacking)
+        MatchedPairSet.from_csv(io.StringIO(buf.getvalue()), lacking, "dessert")
     with pytest.raises(IngestError, match=r"names dyad \(P000, F000\), which the dyad set lacks"):
-        MatchedPairSet.from_csv(io.StringIO(buf.getvalue()), dyads.subset(np.zeros(4, bool)))
+        MatchedPairSet.from_csv(io.StringIO(buf.getvalue()), dyads.subset(np.zeros(4, bool)), "dessert")
 
 
 def test_smd_cases():
@@ -327,7 +327,7 @@ def test_balance_report_fields_and_failure():
 
     buf = io.StringIO()
     pairs.to_csv(buf)
-    loaded = MatchedPairSet.from_csv(io.StringIO(buf.getvalue()), dyads)["dessert"]
+    loaded = MatchedPairSet.from_csv(io.StringIO(buf.getvalue()), dyads, "dessert")
     with pytest.raises(ValueError):
         balance_report(loaded)  # reloaded sets lack the eligibility pools
 

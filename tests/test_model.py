@@ -625,6 +625,13 @@ def test_dump_error_names_the_line_after_a_quoted_newline():
         DyadSet.from_csv(io.StringIO(text), log)
 
 
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_not_utf8_error_counts_line_ends_as_csv_reader_does(end):
+    data = end.join([b"a,b", b'"x",1', b"\xff,2", b""])
+    with pytest.raises(IngestError, match="f.csv line 3: not UTF-8 text"):
+        next(C._record_chunks(data, "f.csv"))
+
+
 def test_rejected_record_names_its_line_after_a_quoted_newline():
     log = parse_csv(
         'T1,"P\n1",2018-01-05T09:00:00,S1,R1,COF\n'
