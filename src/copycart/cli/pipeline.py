@@ -24,7 +24,7 @@ from .. import baseline as B
 from .. import estimate as E
 from .. import sensitivity as S
 from ..context import ContextStats, compute_context
-from ..csvio import read_bytes, utf8_text, write_csv
+from ..csvio import make_dirs, open_output, read_bytes, utf8_text, write_csv
 from ..dyads import DyadSet, extract_dyads, filter_frequent_pairs, reconstruct_queues, select_additions
 from ..errors import (
     IngestError,
@@ -241,7 +241,7 @@ def dyad_stage(log: TransactionLog, cfg: RunConfig) -> tuple[ContextStats, int, 
 
     Returns (context, raw dyad count, dyads kept by the frequent-pair filter).
     """
-    os.makedirs(cfg.out, exist_ok=True)
+    make_dirs(cfg.out)
     ctx = compute_context(log)
     ctx.to_csv(os.path.join(cfg.out, DUMPS["context"]))
     raw = extract_dyads(
@@ -281,7 +281,7 @@ def _status_stage(log, cfg: RunConfig, demo: Demographics) -> tuple[Demographics
     if unknown:
         u_ids, u_X = feature_matrix(log, unknown)
         labels, conf = model.predict(u_X)
-    os.makedirs(cfg.out, exist_ok=True)
+    make_dirs(cfg.out)
     write_predictions_csv(os.path.join(cfg.out, DUMPS["predictions"]), u_ids, labels, conf)
     summary = {
         "classes": model.classes,
@@ -312,7 +312,7 @@ def dumped_items(cfg: RunConfig) -> Optional[list[str]]:
 
 def reset_pairs(cfg: RunConfig) -> None:
     """Empty matched_pairs/ of the pair files `dumped_items` lists, before a match dumps its own."""
-    os.makedirs(os.path.join(cfg.out, DUMPS["pairs_dir"]), exist_ok=True)
+    make_dirs(os.path.join(cfg.out, DUMPS["pairs_dir"]))
     for item in dumped_items(cfg):
         os.remove(pair_path(cfg, item))
 
@@ -503,7 +503,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     violation = schema_violation(results, load_schema())
     if violation:
         raise ValueError(f"the report breaks the results schema at {violation[0]}: {violation[1]}")
-    with open(paths["results"], "w", encoding="utf-8") as fh:
+    with open_output(paths["results"], "results", "w") as fh:
         json.dump(results, fh, indent=2, sort_keys=True)
         fh.write("\n")
     _write_estimates_csv(paths["estimates"], results)

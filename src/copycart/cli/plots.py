@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import os
 
+from ..csvio import make_dirs, open_output
+
 WIDTH = 640
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 150.0, 30.0, 52.0, 42.0
 ROW_H = 26.0
@@ -221,12 +223,12 @@ def _forest_rows(results: dict, want_rr: bool):
 
 def emit_plots(results: dict, out_dir: str) -> dict:
     """Write every plot the results support; report written/skipped per name."""
-    os.makedirs(out_dir, exist_ok=True)
+    make_dirs(out_dir)
     report = {}
 
     def put(name: str, svg: str):
         path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open_output(path, "plot", "w") as fh:
             fh.write(svg)
         report[name] = "written"
 

@@ -91,6 +91,25 @@ def read_bytes(source: Source, what: str) -> tuple[str, bytes]:
         raise IngestError(f"{name}: cannot read {what}: {err.strerror}") from None
 
 
+def make_dirs(path: Union[str, os.PathLike]) -> None:
+    """Create the output directory `path` and its parents, as `os.makedirs`
+    does; a path that cannot be a directory is an IngestError naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        raise IngestError(f"{os.fspath(path)}: cannot write directory: {err.strerror}") from None
+
+
+def open_output(path: Union[str, os.PathLike], what: str, mode: str = "wb"):
+    """`path` opened to write, a text mode as UTF-8 with "\\n" line ends; a
+    path that cannot be written is an IngestError naming it."""
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
+    try:
+        return open(path, mode, **text)
+    except OSError as err:
+        raise IngestError(f"{os.fspath(path)}: cannot write {what}: {err.strerror}") from None
+
+
 def utf8_text(name: str, data: bytes) -> str:
     """`data` as UTF-8 text; an IngestError names the file and line where it
     is not, counting line ends as `csv.reader` does: "\\r\\n", "\\n" or "\\r"."""
@@ -357,5 +376,5 @@ def write_csv(dest: Source, header: Sequence[str], columns: Sequence[Column]) ->
     if not isinstance(dest, (str, os.PathLike)):
         dest.writelines(map(bytes.decode, chunks))
         return
-    with open(dest, "wb") as fh:
+    with open_output(dest, "CSV") as fh:
         fh.writelines(chunks)

@@ -10,7 +10,7 @@ class ConfigError(CopycartError):
 
 
 class IngestError(CopycartError):
-    """Fatal problem while parsing an input file (e.g. duplicate tx_id)."""
+    """Fatal problem with an input or output file (e.g. a duplicate tx_id, or an unwritable path)."""
 
 
 class NoPairsError(CopycartError):

@@ -28,7 +28,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ._util import check_types, config_seed, decimal_digits
-from .csvio import ByteColumn
+from .csvio import ByteColumn, make_dirs, open_output
 from .errors import ConfigError
 from .model import (
     ADDITION_KEYS,
@@ -494,7 +494,7 @@ def simulate(config: SimulationConfig) -> SimResult:
 
 def write_simulation(result: SimResult, out_dir: Union[str, os.PathLike]) -> dict:
     """Write transactions/catalog/demographics CSVs plus ground_truth.json."""
-    os.makedirs(out_dir, exist_ok=True)
+    make_dirs(out_dir)
     paths = {
         "transactions": os.path.join(out_dir, "transactions.csv"),
         "catalog": os.path.join(out_dir, "catalog.csv"),
@@ -504,7 +504,7 @@ def write_simulation(result: SimResult, out_dir: Union[str, os.PathLike]) -> dic
     serialize_transactions(result.log, paths["transactions"])
     result.catalog.to_csv(paths["catalog"])
     result.demographics().to_csv(paths["demographics"])
-    with open(paths["ground_truth"], "w", encoding="utf-8") as fh:
+    with open_output(paths["ground_truth"], "ground truth", "w") as fh:
         json.dump(asdict(result.ground_truth), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return paths

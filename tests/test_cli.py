@@ -212,11 +212,14 @@ def test_n_boot_below_two_over_alpha_is_a_config_error(tmp_path):
     assert estimates and all(lo < hi for lo, hi in (e["rd_ci"] for e in estimates))
 
 
-def python_c(code: str) -> subprocess.CompletedProcess:
-    """`code` run by a fresh interpreter that imports this copycart."""
+def python_c(code: str, **env: str) -> subprocess.CompletedProcess:
+    """`code` run by a fresh interpreter that imports this copycart, in this
+    environment plus `env`, less the OPENBLAS_NUM_THREADS that importing
+    copycart.cli set here."""
     src = os.path.dirname(os.path.dirname(copycart.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    inherited = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env = dict(inherited, PYTHONPATH=path, **env)
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
 
 
@@ -232,9 +235,9 @@ def test_cli_import_skips_scipy_stats():
 
 def test_cli_loads_only_what_its_stage_runs(tmp_path):
     # every CLI process pays for each import at its start: no stage needs
-    # scipy or jsonschema, only `simulate` simulates and only `--threads`
-    # above 1 starts a pool.  Thirty habitual lunch-goers meet often enough
-    # for the coordination t-test.
+    # scipy or jsonschema, only `simulate` simulates, only `--threads` above 1
+    # starts a pool, and no stage calls BLAS, so OpenBLAS starts no threads.
+    # Thirty habitual lunch-goers meet often enough for the coordination t-test.
     cfg = SimulationConfig(
         seed=5, n_persons=30, n_days=60, n_shops=1, n_registers_per_shop=1, pair_fraction=0.9,
         visit_rate=1.0, solo_rate=0.05, daypart_weights=(0, 1, 0),
@@ -256,18 +259,26 @@ def test_cli_loads_only_what_its_stage_runs(tmp_path):
     assert isinstance(report["p"], float) and 0.0 < report["p"] < 1.0
     assert json.loads(invoke(*args, "coordinate", "--item", "dessert").output)["p"] == report["p"]
     code = f"""
-import sys
+import os, sys
 import copycart.cli.main as cli
 def loaded():
     return [m for m in ("scipy", "jsonschema", "copycart.sim", "concurrent.futures") if m in sys.modules]
+def threads():
+    return len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else 1
 assert not loaded(), loaded()
+assert threads() == 1, threads()
 for stage in (["run"], ["plot"], ["dose", "--item", "dessert"], ["coordinate", "--item", "dessert"]):
     cli.main.main(args={args!r} + stage, standalone_mode=False)
     assert not loaded(), (stage, loaded())
+    assert threads() == 1, (stage, threads())
 """
     res = python_c(code)
     assert res.returncode == 0, res.stderr
     assert '"p_rd":' in res.stdout and '"p":' in res.stdout  # both t tests ran
+    # a thread count the user set is kept
+    code = "import os, copycart.cli; assert os.environ['OPENBLAS_NUM_THREADS'] == '3'"
+    res = python_c(code, OPENBLAS_NUM_THREADS="3")
+    assert res.returncode == 0, res.stderr
 
 
 # -- full pipeline -----------------------------------------------------------
@@ -1030,6 +1041,38 @@ def test_config_file_that_cannot_be_read_exits_cleanly(tmp_path, text, fragment)
     assert isinstance(res.exception, SystemExit)  # a message, not a traceback
     if fragment != "transactions must be a string":
         assert f"cannot read config file {path}" in res.output
+
+
+@pytest.mark.parametrize("blocked, kind, args", [
+    ("", "file", ["dyads"]),
+    ("", "file", ["run"]),
+    ("", "file", ["infer-status"]),
+    ("", "file", ["--seed", 1, "simulate", "--set", "n_persons=60", "--set", "n_days=10"]),
+    ("matched_pairs", "file", ["match"]),
+    ("matched_pairs", "file", ["run"]),
+    ("plots", "file", ["plot"]),
+    ("dyads.csv", "dir", ["dyads"]),
+], ids=["out_file-dyads", "out_file-run", "out_file-infer_status", "out_file-simulate",
+        "pairs_dir_file-match", "pairs_dir_file-run", "plots_dir_file-plot", "dyads_csv_dir-dyads"])
+def test_output_path_that_cannot_be_written_exits_cleanly(workdir, first_run, tmp_path, blocked, kind, args):
+    # a file where a directory is written, or the reverse, was a FileExistsError
+    # or IsADirectoryError traceback
+    out = tmp_path / "out"
+    if blocked:
+        shutil.copytree(first_run[1], out)
+    path = out / blocked if blocked else out
+    if path.is_dir():
+        shutil.rmtree(path)
+    elif path.exists():
+        path.unlink()
+    if kind == "dir":
+        path.mkdir()
+    else:
+        path.write_bytes(b"")
+    res = invoke("--config", workdir / "run.yaml", "--out", out, *args)
+    assert res.exit_code == 1, res.output
+    assert f"[errors.IngestError] {path}: cannot write" in res.output
+    assert isinstance(res.exception, SystemExit)  # a message, not a traceback
 
 
 # -- degenerate inputs ---------------------------------------------------------
