@@ -96,6 +96,8 @@ def t_two_sided_p(t: float, df: float) -> float:
 def decimal_digits(values: np.ndarray, width: int) -> np.ndarray:
     """(rows, width) uint8 ASCII digits of non-negative ints below 10**width,
     zero-padded on the left."""
+    if width <= 9:  # below 2**32, where numpy divides about twice as fast
+        values = values.astype(np.uint32)
     out = np.empty((values.shape[0], width), np.uint8)
     for col in range(width - 1, -1, -1):
         values, out[:, col] = np.divmod(values, 10)

@@ -14,7 +14,7 @@ import io
 import itertools
 import os
 from collections import Counter
-from functools import partial
+from functools import partial, reduce
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -298,11 +298,12 @@ _SPECIAL = np.isin(np.arange(256), list(b',"\r\n\0'))
 _WRITE_BLOCK = 1 << 20  # bytes of (rows, width) block assembled per write
 
 
-def _rendered(values, sep: bytes, alone: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(block, lens): each value as csv.writer writes the field, then `sep`,
-    as a uint8 row of `block` holding `lens` bytes.  A str is written as it
-    is, None as an empty field, anything else as `str` gives it; `alone`
-    says the field is a whole row, so an empty one is written `""`."""
+def _rendered(values, sep: bytes, alone: bool) -> np.ndarray:
+    """Each value as csv.writer writes the field, then `sep`, as an `S`
+    array: a cell ends in its separator, so the padding hides none of its
+    bytes.  A str is written as it is, None as an empty field, anything else
+    as `str` gives it; `alone` says the field is a whole row, so an empty
+    one is written `""`."""
     if not isinstance(values, ByteColumn):
         values = ByteColumn.of(["" if v is None else str(v) for v in values])
     chars, lens = values
@@ -327,19 +328,18 @@ def _rendered(values, sep: bytes, alone: bool) -> tuple[np.ndarray, np.ndarray]:
         block[k, : len(field)] = np.frombuffer(field, np.uint8)
         lens[k] = len(field)
     block[np.arange(n), lens] = ord(sep)
-    return block, lens + 1
+    return block.view(f"S{block.shape[1]}")[:, 0]
 
 
 def _csv_rows(parts: list, n: int) -> Iterator[bytes]:
-    """Rows 0..n-1 of the columns `parts`, each a (width, fields) pair whose
-    `fields(rows)` renders a slice of rows as (block, lens) no wider than
-    about `width`; gathered a bounded (rows, width) block at a time and
-    trimmed by the fields' lengths."""
+    """Rows 0..n-1 of the columns `parts`, each a (width, cells) pair whose
+    `cells(rows)` renders a slice of rows as `_rendered` does, no wider than
+    about `width`; a bounded block of rows at a time, each row its cells
+    joined."""
     step = max(1, _WRITE_BLOCK // max(sum(width for width, _ in parts), 1))
     for a in range(0, n, step):
-        blocks = [fields(slice(a, min(a + step, n))) for _, fields in parts]
-        keep = np.concatenate([np.arange(block.shape[1]) < lens[:, None] for block, lens in blocks], axis=1)
-        yield np.concatenate([block for block, _ in blocks], axis=1)[keep].tobytes()
+        rows = reduce(np.strings.add, [cells(slice(a, min(a + step, n))) for _, cells in parts])
+        yield b"".join(rows.tolist())
 
 
 def write_csv(dest: Source, header: Sequence[str], columns: Sequence[Column]) -> None:
@@ -351,7 +351,7 @@ def write_csv(dest: Source, header: Sequence[str], columns: Sequence[Column]) ->
     distinct bit patterns."""
 
     def part(c: int, values, index: Optional[np.ndarray]) -> tuple[Optional[int], int, Callable]:
-        """(rows, width, fields) of column c, as `_csv_rows` takes them;
+        """(rows, width, cells) of column c, as `_csv_rows` takes them;
         rows is None for a function."""
         sep, alone = b"\n" if c == len(header) - 1 else b",", len(header) == 1
         if isinstance(values, ByteColumn) and index is None:
@@ -366,8 +366,8 @@ def write_csv(dest: Source, header: Sequence[str], columns: Sequence[Column]) ->
             values = values.tolist()
         if index is None:
             index = np.arange(len(values))
-        block, lens = _rendered(values, sep, alone)
-        return len(index), block.shape[1], lambda rows: (block[index[rows]], lens[index[rows]])
+        cells = _rendered(values, sep, alone)
+        return len(index), cells.itemsize, lambda rows: cells[index[rows]]
 
     head = [part(c, [h], None)[1:] for c, h in enumerate(header)]
     body = [part(c, *column) for c, column in enumerate(columns)]

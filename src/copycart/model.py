@@ -223,7 +223,7 @@ def iso_stamps(ts: np.ndarray) -> ByteColumn:
     distinct, day = np.unique(days, return_inverse=True)
     dates = np.datetime_as_string(distinct.astype("datetime64[D]")).astype("S10")
     out = np.empty((ts.shape[0], 19), np.uint8)
-    out[:, :10] = dates.view(np.uint8).reshape(-1, 10)[day]
+    out[:, :10] = dates.view(np.uint8).reshape(-1, 10).take(day, axis=0)
     out[:, 10:] = np.frombuffer(b"T00:00:00", np.uint8)
     hhmmss = secs // 3600 * 10000 + secs // 60 % 60 * 100 + secs % 60
     out[:, [11, 12, 14, 15, 17, 18]] = decimal_digits(hhmmss, 6)

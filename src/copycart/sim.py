@@ -51,6 +51,7 @@ _ANCHOR_CODES = ("MEAL_V", "MEAL_NV", "COFFEE", "TEA")
 # anchor subtypes drawn like additions: a vegetarian meal, coffee over tea
 ANCHORS = ("meal_vegetarian", "coffee")
 START_DATE = "2018-01-08"  # day 0 of every simulated log, a Monday
+_DAY0 = int(np.datetime64(START_DATE, "D").astype(np.int64))  # its days since 1970-01-01
 PROPENSITY_SD = 0.15  # spread of a person's purchase probability around the base
 GAP_MAX_S = 300  # the longest partner-to-focal gap, the dyad extractor's default
 
@@ -101,6 +102,13 @@ class SimulationConfig:
             raise ConfigError("population and shop counts must be positive")
         if self.n_days < 1:
             raise ConfigError("n_days must be positive")
+        # `simulate_log`'s sort key packs a (ts, shop, register) slot and the
+        # row; a log has at most 2 * n_persons * n_days rows, a pair visit
+        # and a solo visit per person a day
+        slots = 86400 * self.n_days * self.n_shops * self.n_registers_per_shop
+        if slots * 2 * self.n_persons * self.n_days >= 2**63:
+            raise ConfigError("n_days, n_shops, n_registers_per_shop and n_persons are too large "
+                              "together: the log's sort key would overflow int64")
         for name in (
             "demographics_known_fraction",
             "pair_fraction",
@@ -311,9 +319,8 @@ def _draw_rows(population: Population, config: SimulationConfig) -> tuple[list, 
     on return, before the log is built."""
     rng = np.random.default_rng(int(config.seed) + 1)
     n_days = config.n_days
-    day0 = np.datetime64(START_DATE, "D").astype(np.int64)
     month_of_day = (
-        (day0 + np.arange(n_days)).astype("datetime64[D]").astype("datetime64[M]").astype(np.int64)
+        (_DAY0 + np.arange(n_days)).astype("datetime64[D]").astype("datetime64[M]").astype(np.int64)
         % 12
         + 1
     )
@@ -327,29 +334,31 @@ def _draw_rows(population: Population, config: SimulationConfig) -> tuple[list, 
     student_code, staff_code = (statuses.index(s) if s in statuses else -1 for s in STUDIED_STATUSES)
     sidx = population.status_idx
 
-    # base purchase probability per (daypart, good); an addition missing
+    # base purchase probability per (good, daypart); an addition missing
     # from `base_probs` is never bought there
     base = np.asarray([
-        [config.base_probs.get(dp, {}).get(item, 0.0) for item in items]
-        + [config.veg_share, config.coffee_share]  # in ANCHORS order
-        for dp in DAYPART_LABELS
-    ])
+        [config.base_probs.get(dp, {}).get(item, 0.0) for dp in DAYPART_LABELS] for item in items
+    ] + [[config.veg_share] * 3, [config.coffee_share] * 3])  # in ANCHORS order
 
-    # addition-cell availability and popularity shocks, one value per
-    # (shop, day, daypart, item)
-    shock = np.zeros((config.n_shops, n_days, 3, n_items))
+    # popularity shocks and unavailability per (item, cell), drawn per
+    # (shop, day, daypart, item); the cell numbers (shop, day, daypart) as
+    # `cells` does.  None when there are none
+    cube, n_cells = (config.n_shops, n_days, 3, n_items), config.n_shops * n_days * 3
+    shock = unavailable = None
     if config.popularity_shock_sd > 0:
-        shock = rng.normal(0.0, config.popularity_shock_sd, shock.shape)
-    available = np.ones((config.n_shops, n_days, 3, n_items), bool)
+        shock = rng.normal(0.0, config.popularity_shock_sd, cube).reshape(n_cells, n_items).T.copy()
     if config.availability_dropout > 0:
-        available = rng.random(available.shape) >= config.availability_dropout
+        unavailable = (rng.random(cube) < config.availability_dropout).reshape(n_cells, n_items).T.copy()
+
+    def cells(shop: np.ndarray, day: np.ndarray, dp: np.ndarray) -> np.ndarray:
+        return (shop * n_days + day) * 3 + dp
 
     def visits(rate: float, status_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(unit, day) of every visit; students mostly stay away in summer."""
         u = rng.random((status_codes.shape[0], n_days))
         if student_code >= 0:
-            rate = rate * np.where((status_codes == student_code)[:, None] & summer, 0.1, 1.0)
-        return np.nonzero(u < rate)
+            rate = np.where((status_codes == student_code)[:, None] & summer, rate * 0.1, rate)
+        return np.divmod(np.flatnonzero(u < rate), n_days)
 
     dp_cum = np.cumsum(config.daypart_weights)
 
@@ -359,13 +368,14 @@ def _draw_rows(population: Population, config: SimulationConfig) -> tuple[list, 
         reg = rng.integers(0, config.n_registers_per_shop, n)
         return shop, reg, np.minimum(np.searchsorted(dp_cum, rng.random(n), side="right"), 2)
 
-    def prob(k: int, persons: np.ndarray, shop, day, dp) -> np.ndarray:
+    def prob(k: int, persons: np.ndarray, dp: np.ndarray, cell: np.ndarray) -> np.ndarray:
         """Probability that each visit buys good k."""
-        p = base[dp, k] + PROPENSITY_SD * population.propensity_z[goods[k]][persons]
-        if k < n_items:
-            p = p + shock[shop, day, dp, k]
-            p[~available[shop, day, dp, k]] = 0.0
-        return np.clip(p, 0.0, 1.0)
+        p = base[k][dp] + PROPENSITY_SD * population.propensity_z[goods[k]][persons]
+        if k < n_items and shock is not None:
+            p += shock[k][cell]
+        if k < n_items and unavailable is not None:
+            p[unavailable[k][cell]] = 0.0
+        return np.clip(p, 0.0, 1.0, out=p)
 
     # -- pair visits: partner, then focal after a gap -------------------------
     pairs = population.pairs
@@ -375,6 +385,7 @@ def _draw_rows(population: Population, config: SimulationConfig) -> tuple[list, 
     v_shop, v_reg, v_dp = place(V)
     gaps = _gaps(rng, config, V)
     t_partner = _visit_seconds(rng, v_dp, sidx[leader] == staff_code, GAP_MAX_S + 2)
+    v_cell = cells(v_shop, p_day, v_dp)
     leader_first = rng.random(V) < config.leader_first_prob
     partner = np.where(leader_first, leader, follower)
     focal = np.where(leader_first, follower, leader)
@@ -385,51 +396,59 @@ def _draw_rows(population: Population, config: SimulationConfig) -> tuple[list, 
     # order, and the gap and the leader play no part.
     decay = np.ones(V)
     susct = np.ones(V)
+    src_is_partner = None  # the partner is every visit's source
     if config.coordination_mode == "pre_agreement":
         src_is_partner = rng.random(V) < 0.5
     else:
-        src_is_partner = np.ones(V, bool)
         if config.decay_tau is not None:
             decay = np.exp(-gaps / config.decay_tau)
         # the focal is the follower when the leader goes first
         susct = np.where(leader_first, 1.0, 1.0 - config.susceptibility_asymmetry)
+
+    def by_source(of_partner: np.ndarray, of_focal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(source's, other's) from (partner's, focal's), and back."""
+        if src_is_partner is None:
+            return of_partner, of_focal
+        return (np.where(src_is_partner, of_partner, of_focal),
+                np.where(src_is_partner, of_focal, of_partner))
+
     bought = []  # per good: partner, focal, solo purchases
     gt_sum, gt_n = [], []
     for k, good in enumerate(goods):
         d = float(deltas.get(good, 0.0))
-        p_partner = prob(k, partner, v_shop, p_day, v_dp)
-        p_focal = prob(k, focal, v_shop, p_day, v_dp)
-        p_src = np.where(src_is_partner, p_partner, p_focal)
-        p_dst = np.where(src_is_partner, p_focal, p_partner)
+        p_src, p_dst = by_source(prob(k, partner, v_dp, v_cell), prob(k, focal, v_dp, v_cell))
         b_src = rng.random(V) < p_src
         p_up = np.clip(p_dst + d * b_src * decay * susct, 0.0, 1.0)
         b_dst = rng.random(V) < p_up
-        b_partner = np.where(src_is_partner, b_src, b_dst)
-        bought.append([b_partner, np.where(src_is_partner, b_dst, b_src)])
+        b_partner, b_focal = by_source(b_src, b_dst)
+        bought.append([b_partner, b_focal])
         # ground truth: the focal's mean uplift over the visits whose partner
         # bought, nil where the focal was the source
-        gt_sum.append(float(np.sum((p_up - p_dst)[b_src & src_is_partner])))
+        lifted = b_src if src_is_partner is None else b_src & src_is_partner
+        gt_sum.append(float(np.sum((p_up - p_dst)[lifted])))
         gt_n.append(int(np.sum(b_partner)))
     # the pair draws are done; their scratch would live on through the assembly
-    del p_vis, leader, follower, leader_first, decay, susct, src_is_partner
-    del p_partner, p_focal, p_src, p_dst, p_up
+    del p_vis, v_cell, leader, follower, leader_first, decay, susct, src_is_partner
+    del p_src, p_dst, p_up, lifted
 
     # -- solo visits -----------------------------------------------------------
     s_person, s_day = visits(config.solo_rate, sidx)
     S = s_person.shape[0]
     s_shop, s_reg, s_dp = place(S)
     s_t = _visit_seconds(rng, s_dp, sidx[s_person] == staff_code, 2)
+    s_cell = cells(s_shop, s_day, s_dp)
     for k in range(len(goods)):
-        bought[k].append(rng.random(S) < prob(k, s_person, s_shop, s_day, s_dp))
+        bought[k].append(rng.random(S) < prob(k, s_person, s_dp, s_cell))
+    del s_cell
     bought = [np.concatenate(b) for b in bought]
 
     # -- assemble rows: the basket code is the anchor's index in _ANCHOR_CODES,
     # then one bit per item; meals at lunch, a beverage otherwise
     dp_rows = np.concatenate([v_dp, v_dp, s_dp])
     veg_rows, cof_rows = bought[n_items:]
-    basket = np.where(dp_rows == 1, np.where(veg_rows, 0, 1), np.where(cof_rows, 2, 3)) << n_items
+    basket = (np.where(dp_rows == 1, veg_rows, cof_rows + np.uint16(2)) ^ np.uint16(1)) << n_items
     for k in range(n_items):
-        basket |= bought[k].astype(np.int64) << k
+        basket |= bought[k].view(np.uint8) << k
     truth = GroundTruth(  # the additions' effects; zip drops the anchors
         expected_rd={item: (s / n if n else 0.0) for item, s, n in zip(items, gt_sum, gt_n)},
         n_treated_events=dict(zip(items, gt_n)),
@@ -437,7 +456,7 @@ def _draw_rows(population: Population, config: SimulationConfig) -> tuple[list, 
         decay_tau=config.decay_tau,
         coordination_mode=config.coordination_mode,
     )
-    ts = (day0 + np.concatenate([p_day, p_day, s_day])) * 86400
+    ts = (_DAY0 + np.concatenate([p_day, p_day, s_day])) * 86400
     ts += np.concatenate([t_partner, t_partner + gaps, s_t])
     return [ts, np.concatenate([partner, focal, s_person]), np.concatenate([v_shop, v_shop, s_shop]),
             np.concatenate([v_reg, v_reg, s_reg]), basket], truth
@@ -447,15 +466,27 @@ def simulate_log(population: Population, config: SimulationConfig) -> tuple[Tran
     """Generate the transaction log and the injected-effect bookkeeping.  The
     rows are put in canonical order here, so the log keeps these columns
     rather than copies of them."""
-    (ts, person, shop, reg, basket), truth = _draw_rows(population, config)
+    columns, truth = _draw_rows(population, config)  # ts, person, shop, register, basket
+    N = columns[0].shape[0]
     # (ts, shop, register) order is canonical while the shop and register
     # labels sort as their numbers do; tx ids number the rows, all of one
-    # width, so sorted
-    order = np.lexsort((reg, shop, ts))
-    for column in (ts, person, shop, reg, basket):
-        column[:] = column[order]
+    # width, so sorted.  One int64 key packs the three and the row, so it is
+    # unique and its plain sort is the stable three-key order; the config's
+    # checks keep it below 2**63
+    order = columns[0] - _DAY0 * 86400
+    order *= config.n_shops
+    order += columns[2]
+    order *= config.n_registers_per_shop
+    order += columns[3]
+    order *= N
+    order += np.arange(N)
+    order.sort()
+    order %= N
+    for k in range(len(columns)):  # each unsorted column dies as it is replaced
+        columns[k] = columns[k][order]
     del order
-    N = ts.shape[0]
+    ts, person, shop, reg, basket = columns
+    del columns  # so each id column's codes die as they are interned
     width = max(8, len(str(N - 1)))
     tx_ids = np.hstack((np.full((N, 1), ord("T"), np.uint8), decimal_digits(np.arange(N), width)))
     tx_ids = ByteColumn(tx_ids.view(f"S{width + 1}")[:, 0], np.full(N, width + 1))

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from copycart import csvio as C
@@ -720,8 +720,20 @@ def csv_tables(draw):
     return header, columns, [list(row) for row in zip(*fields)]
 
 
+# fields whose bytes end in NUL before their separator, in every column but
+# the last, of each kind of column
+_NUL_ENDS = (
+    ["id", "who", "at", "n"],
+    [(C.ByteColumn.of(["T1\x00", "T1"]), np.array([0, 1, 0])), (["x\x00\x00", "", "\x00"], None),
+     (C.ByteColumn.of(["a", "b\x00", "\x00"]).take, None), (np.array([1, -2, 3]), None)],
+    [["T1\x00", "x\x00\x00", "a", 1], ["T1", "", "b\x00", -2], ["T1\x00", "\x00", "\x00", 3]],
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(csv_tables(), st.sampled_from([1, 16, 1 << 20]))
+@example(_NUL_ENDS, 1)
+@example(_NUL_ENDS, 1 << 20)
 def test_write_csv_writes_what_csv_writer_writes(table, block):
     header, columns, rows = table
     want = io.StringIO()

@@ -1,8 +1,10 @@
 """Synthetic queue generator: structure, injected effects, determinism."""
 
 import dataclasses
+import hashlib
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -58,6 +60,16 @@ def test_config_rejects_infeasible_pair_graph():
         SimulationConfig(seed=1, n_persons=10, pairs=[(0, 11)])
     with pytest.raises(ConfigError):
         SimulationConfig(seed=1, n_persons=10, pairs=[(0, 1), (1, 2)])
+
+
+def test_config_bounds_the_sort_key():
+    # a log has at most 2 * n_persons * n_days rows, so the packed
+    # (ts, shop, register, row) key stays below this product
+    others = dict(n_days=250, n_shops=2, n_registers_per_shop=3)
+    largest = (2**63 - 1) // (172800 * 250**2 * 2 * 3)
+    assert SimulationConfig(seed=1, n_persons=largest, **others).n_persons == largest
+    with pytest.raises(ConfigError, match="n_days, n_shops, n_registers_per_shop and n_persons"):
+        SimulationConfig(seed=1, n_persons=largest + 1, **others)
 
 
 def test_config_round_trips_through_dict():
@@ -146,6 +158,32 @@ def test_log_is_valid_and_well_formed():
     assert again.report.n_rejected == 0
     assert tx_ids(again) == tx_ids(log)
     assert (again.ts == log.ts).all()
+
+
+def test_tied_rows_come_in_canonical_order():
+    # one shop and one register: thousands of rows tie on (ts, shop, register)
+    cfg = SimulationConfig(seed=1, n_shops=1, n_registers_per_shop=1, n_persons=4000, n_days=3,
+                           visit_rate=1.0, solo_rate=1.0)
+    with mock.patch.object(M.np, "lexsort", wraps=np.lexsort) as lexsort:
+        log = simulate(cfg).log
+        assert lexsort.call_count == 0  # the log kept the simulator's order
+    assert log.n == 21594
+    keys = np.stack([log.ts, log.shop_idx, log.register_idx], axis=1)
+    assert (keys[1:] == keys[:-1]).all(axis=1).sum() > 2000
+    want = np.lexsort((log.tx_idx, log.register_idx, log.shop_idx, log.ts))
+    assert np.array_equal(want, np.arange(log.n))
+    buf = io.StringIO()
+    M.serialize_transactions(log, buf)
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == "caec6f1fc5de57c66d92d80dd66c5b3cbf50e084a70ea12dd044a4e38fb7efe9"
+
+
+def test_no_visits_write_a_header_only_log(tmp_path):
+    res = simulate(small_config(visit_rate=0.0, solo_rate=0.0))
+    assert res.log.n == 0
+    paths = write_simulation(res, tmp_path)
+    with open(paths["transactions"], "rb") as fh:
+        assert fh.read() == (",".join(M.TRANSACTION_COLUMNS) + "\n").encode()
 
 
 def test_pair_visit_rows_are_adjacent_with_capped_gap():
