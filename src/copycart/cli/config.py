@@ -15,6 +15,8 @@ from ..errors import ConfigError
 from ..estimate import DEMOGRAPHIC_GROUPINGS, GROUPINGS
 from ..matching import AdjustmentSpec
 
+N_BOOT_MAX = 10**6  # one draw's four replicate tables then hold 32 MB of int64
+
 
 @dataclass
 class RunConfig:
@@ -42,8 +44,7 @@ class RunConfig:
     subgroups: tuple[str, ...] = ()
     anchor_mimicry: bool = False
     infer_status: bool = False
-    # execution
-    threads: int = 1
+    # gate
     require_balance: bool = False
 
     def __post_init__(self):
@@ -60,8 +61,13 @@ class RunConfig:
         if not (0.0 < self.alpha < 1.0):
             raise ConfigError("alpha must lie in (0, 1)")
         least = math.ceil(2 / self.alpha)  # each tail of a percentile interval needs a replicate
+        if least > N_BOOT_MAX:
+            raise ConfigError(f"alpha {self.alpha} is too small for any accepted n_boot: "
+                              f"ceil(2 / alpha) = {least} is above {N_BOOT_MAX}")
         if self.n_boot < least:
             raise ConfigError(f"n_boot {self.n_boot} is below ceil(2 / alpha) = {least} for alpha {self.alpha}")
+        if self.n_boot > N_BOOT_MAX:
+            raise ConfigError(f"n_boot {self.n_boot} is above {N_BOOT_MAX}")
         if self.max_gap_s < 1:
             raise ConfigError("max_gap_s must be positive")
         if self.min_pair_count < 1:
@@ -70,8 +76,6 @@ class RunConfig:
             raise ConfigError("min_fraction must lie in [0, 1]")
         if self.min_stratum < 0:
             raise ConfigError("min_stratum must not be negative")
-        if self.threads < 1:
-            raise ConfigError("threads must be positive")
         self.subgroups = tuple(self.subgroups)
         for g in self.subgroups:
             if g not in GROUPINGS:

@@ -52,17 +52,15 @@ def guarded(fn):
               help="YAML run configuration.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--out", type=click.Path(), default=None, help="Output directory.")
-@click.option("--threads", type=int, default=None, help="Worker threads for per-item analyses.")
+# perfbench/run.py passes `--threads 1` to every child; once it stops, this goes.
+@click.option("--threads", type=click.IntRange(1, 1), hidden=True, expose_value=False)
 @click.option("--require-balance", is_flag=True, default=False,
               help="Exit nonzero when any matched set fails the balance check.")
 @click.pass_context
-def main(ctx, config_path, seed, out, threads, require_balance):
+def main(ctx, config_path, seed, out, require_balance):
     """Mimicry analysis for sequential point-of-sale logs."""
     ctx.ensure_object(dict)
-    ctx.obj.update(
-        config_path=config_path, seed=seed, out=out, threads=threads,
-        require_balance=require_balance,
-    )
+    ctx.obj.update(config_path=config_path, seed=seed, out=out, require_balance=require_balance)
 
 
 def _run_config(ctx) -> RunConfig:
@@ -72,7 +70,6 @@ def _run_config(ctx) -> RunConfig:
         data,
         seed=o["seed"],
         out=o["out"],
-        threads=o["threads"],
         require_balance=True if o["require_balance"] else None,
     )
 

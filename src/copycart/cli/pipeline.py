@@ -4,8 +4,7 @@ Each stage and each per-item analysis is one function here.  `run_pipeline`
 chains them, and every staged subcommand in `main.py` calls the same function
 on the dumps an earlier stage wrote, so a staged rerun reproduces a run byte
 for byte.  All randomness derives from the single config seed and the
-analysis's name, never from scheduling, so per-item threads cannot change any
-number.
+analysis's name.
 """
 
 from __future__ import annotations
@@ -461,16 +460,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     items = select_items(dyads, cfg)
     reset_pairs(cfg)
 
-    def job(item):
-        return _analyze_item(item, dyads, ctx, demo, cfg)
-
-    if cfg.threads > 1 and len(items) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            item_reports = list(pool.map(job, items))
-    else:
-        item_reports = [job(item) for item in items]
+    item_reports = [_analyze_item(item, dyads, ctx, demo, cfg) for item in items]
 
     anchor = None
     if cfg.anchor_mimicry:

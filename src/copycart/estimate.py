@@ -348,10 +348,8 @@ def dose_response(
     idx = np.minimum(delays // DOSE_BIN_S, n_bins - 1).astype(np.int64)
     bins = []
     mids, rds, rrs, rr_mids = [], [], [], []
-    for b in range(n_bins):
+    for b in np.unique(idx).tolist():  # max_delay_s has no bound, so empty bins are not visited
         sel = idx == b
-        if not sel.any():
-            continue
         mid = b * DOSE_BIN_S + DOSE_BIN_S / 2.0
         stratum = f"delay<= {mid + DOSE_BIN_S / 2:g}s"
         est = effect_estimate(

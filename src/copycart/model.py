@@ -357,8 +357,7 @@ class TransactionLog:
         return self._person_txs
 
     def cell_index(self) -> CellIndex:
-        """The rows by (shop, date, daypart) cell, built on first use; two
-        threads that both find it missing build the same arrays."""
+        """The rows by (shop, date, daypart) cell, built on first use."""
         if self._cells is None:
             row = np.int32 if self.n < 2**31 else np.int64  # halves the index held
             day = self.date_ord - (self.date_ord.min() if self.n else 0)

@@ -462,17 +462,23 @@ def _draw_rows(population: Population, config: SimulationConfig) -> tuple[list, 
             np.concatenate([v_reg, v_reg, s_reg]), basket], truth
 
 
+def _numbered(prefix: str, n: int, least: int) -> list[str]:
+    """`prefix` and 1..n, zero-padded to one width of at least `least` digits."""
+    width = max(least, len(str(n)))
+    return [f"{prefix}{j:0{width}d}" for j in range(1, n + 1)]
+
+
 def simulate_log(population: Population, config: SimulationConfig) -> tuple[TransactionLog, GroundTruth]:
     """Generate the transaction log and the injected-effect bookkeeping.  The
     rows are put in canonical order here, so the log keeps these columns
     rather than copies of them."""
     columns, truth = _draw_rows(population, config)  # ts, person, shop, register, basket
     N = columns[0].shape[0]
-    # (ts, shop, register) order is canonical while the shop and register
-    # labels sort as their numbers do; tx ids number the rows, all of one
-    # width, so sorted.  One int64 key packs the three and the row, so it is
-    # unique and its plain sort is the stable three-key order; the config's
-    # checks keep it below 2**63
+    # (ts, shop, register) order is canonical, since the shop and register
+    # labels are zero-padded to sort as their numbers do; tx ids number the
+    # rows, all of one width, so sorted.  One int64 key packs the three and
+    # the row, so it is unique and its plain sort is the stable three-key
+    # order; the config's checks keep it below 2**63
     order = columns[0] - _DAY0 * 86400
     order *= config.n_shops
     order += columns[2]
@@ -491,8 +497,8 @@ def simulate_log(population: Population, config: SimulationConfig) -> tuple[Tran
     tx_ids = np.hstack((np.full((N, 1), ord("T"), np.uint8), decimal_digits(np.arange(N), width)))
     tx_ids = ByteColumn(tx_ids.view(f"S{width + 1}")[:, 0], np.full(N, width + 1))
     person = intern_codes(population.person_ids, person)
-    shop = intern_codes([f"S{j + 1:02d}" for j in range(config.n_shops)], shop)
-    reg = intern_codes([f"R{j + 1}" for j in range(config.n_registers_per_shop)], reg)
+    shop = intern_codes(_numbered("S", config.n_shops, 2), shop)
+    reg = intern_codes(_numbered("R", config.n_registers_per_shop, 1), reg)
     n_items, item_codes = len(config.items), [i.upper() for i in config.items]
     table = [
         tuple(sorted([_ANCHOR_CODES[code >> n_items]]

@@ -1,9 +1,7 @@
 """Partner randomization invariants and the order-asymmetry probe."""
 
 import math
-import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -177,23 +175,6 @@ def test_randomize_partner_outside_the_focal_cell():
         got = randomize_partners(odd, seed=seed)
         want, ok = randomize_oracle(odd, seed)
         assert np.array_equal(got.partner_i, want[ok])
-
-
-def test_threads_share_one_cell_index():
-    # `run --threads` shuffles several items of one log at once; whichever
-    # thread builds the log's cell index, every shuffle draws the same partners
-    config = SimulationConfig(seed=3, n_persons=60, n_days=300)
-    alone = extract_dyads(reconstruct_queues(simulate(config).log))
-    want = [randomize_partners(alone, seed=s).partner_i for s in range(8)]
-    dyads = extract_dyads(reconstruct_queues(simulate(config).log))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            got = list(pool.map(lambda s: randomize_partners(dyads, seed=s).partner_i, range(8), timeout=120))
-    finally:
-        sys.setswitchinterval(interval)
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_randomize_empty_set():

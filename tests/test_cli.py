@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import copycart
 import copycart.cli.pipeline as pipeline_mod
-from copycart.cli.config import RunConfig, load_yaml
+from copycart.cli.config import N_BOOT_MAX, RunConfig, load_yaml
 from copycart.cli.main import main
 from copycart.cli.pipeline import load_results, load_schema, run_pipeline, schema_violation
 from copycart.cli.plots import emit_plots
@@ -158,24 +158,25 @@ def test_run_without_seed_fails(workdir):
     assert "seed" in res.output
 
 
-@pytest.mark.parametrize("patch", [
-    {"threads": "two"},
-    {"estimation": {"n_boot": "ten"}},
-    {"estimation": {"alpha": "x"}},
-    {"dyads": {"max_gap_s": None}},
-    {"adjustment": {"caliper": 1.5}},
-    {"adjustment": 5},
-    {"adjustment": {"bogus": 1}},
-    {"analyses": {"baseline": "no"}},
-    {"dyads": {"require_anchor": "false"}},
-    {"adjustment": {"match_focal_identity": "no"}},
-    {"dyads": {"min_fraction": 2}},
-    {"dyads": {"min_fraction": -0.5}},
-    {"estimation": {"min_stratum": -3}},
+@pytest.mark.parametrize("patch, message", [
+    ({"threads": 2}, "unknown config key 'threads'"),
+    ({"estimation": {"n_boot": "ten"}}, ""),
+    ({"estimation": {"alpha": "x"}}, ""),
+    ({"dyads": {"max_gap_s": None}}, ""),
+    ({"adjustment": {"caliper": 1.5}}, ""),
+    ({"adjustment": 5}, ""),
+    ({"adjustment": {"bogus": 1}}, ""),
+    ({"analyses": {"baseline": "no"}}, ""),
+    ({"dyads": {"require_anchor": "false"}}, ""),
+    ({"adjustment": {"match_focal_identity": "no"}}, ""),
+    ({"dyads": {"min_fraction": 2}}, ""),
+    ({"dyads": {"min_fraction": -0.5}}, ""),
+    ({"estimation": {"min_stratum": -3}}, ""),
+    ({"estimation": {"n_boot": 10**12}}, "n_boot 1000000000000 is above 1000000"),
 ], ids=["threads", "n_boot", "alpha", "max_gap_s", "caliper", "adjustment_scalar",
         "adjustment_key", "baseline_string", "require_anchor_string", "adjustment_bool_string",
-        "min_fraction_above_1", "min_fraction_negative", "min_stratum_negative"])
-def test_config_type_errors_exit_cleanly(workdir, tmp_path, patch):
+        "min_fraction_above_1", "min_fraction_negative", "min_stratum_negative", "n_boot_above_bound"])
+def test_config_type_errors_exit_cleanly(workdir, tmp_path, patch, message):
     conf = yaml.safe_load((workdir / "run.yaml").read_text())
     for key, value in patch.items():
         if isinstance(value, dict) and key in conf:
@@ -186,7 +187,7 @@ def test_config_type_errors_exit_cleanly(workdir, tmp_path, patch):
     path.write_text(yaml.safe_dump(conf), encoding="utf-8")
     res = invoke("--config", path, "--out", tmp_path / "o", "run")
     assert res.exit_code == 1
-    assert "[errors.ConfigError]" in res.output
+    assert f"[errors.ConfigError] {message}" in res.output
     assert isinstance(res.exception, SystemExit)  # a message, not a traceback
 
 
@@ -212,6 +213,32 @@ def test_n_boot_below_two_over_alpha_is_a_config_error(tmp_path):
     assert estimates and all(lo < hi for lo, hi in (e["rd_ci"] for e in estimates))
 
 
+def test_n_boot_has_an_upper_bound():
+    # `n_boot: 10**12` ended in numpy's "Unable to allocate 29.1 TiB" traceback;
+    # only constructed here, since a draw at the bound holds 32 MB
+    base = dict(transactions="t.csv", catalog="c.csv", seed=1)
+    assert RunConfig(**base, n_boot=N_BOOT_MAX).n_boot == N_BOOT_MAX
+    with pytest.raises(ConfigError, match=f"n_boot {N_BOOT_MAX + 1} is above {N_BOOT_MAX}"):
+        RunConfig(**base, n_boot=N_BOOT_MAX + 1)
+    assert RunConfig(**base, alpha=2 / N_BOOT_MAX, n_boot=N_BOOT_MAX).alpha == 2 / N_BOOT_MAX
+    with pytest.raises(ConfigError, match="alpha 1e-06 is too small for any accepted n_boot"):
+        RunConfig(**base, alpha=1e-6, n_boot=N_BOOT_MAX)
+
+
+def test_threads_flag_accepts_only_1(workdir, first_run, tmp_path):
+    # `--threads 1` is still accepted and changes nothing; the config key is
+    # the `threads` case of test_config_type_errors_exit_cleanly
+    _results, out_a = first_run
+    assert "--threads" not in invoke("--help").output
+    for value in (0, 2):
+        res = invoke("--threads", value, "--config", workdir / "run.yaml", "--out", tmp_path / "o", "run")
+        assert res.exit_code == 2 and "Invalid value for '--threads'" in res.output
+    assert not (tmp_path / "o").exists()
+    res = invoke("--threads", 1, "--config", workdir / "run.yaml", "--out", tmp_path / "b", "run")
+    assert res.exit_code == 0, res.output
+    assert tree_bytes(out_a) == tree_bytes(tmp_path / "b")
+
+
 def python_c(code: str, **env: str) -> subprocess.CompletedProcess:
     """`code` run by a fresh interpreter that imports this copycart, in this
     environment plus `env`, less the OPENBLAS_NUM_THREADS that importing
@@ -235,8 +262,8 @@ def test_cli_import_skips_scipy_stats():
 
 def test_cli_loads_only_what_its_stage_runs(tmp_path):
     # every CLI process pays for each import at its start: no stage needs
-    # scipy or jsonschema, only `simulate` simulates, only `--threads` above 1
-    # starts a pool, and no stage calls BLAS, so OpenBLAS starts no threads.
+    # scipy or jsonschema, only `simulate` simulates, no stage starts a thread
+    # pool, and no stage calls BLAS, so OpenBLAS starts no threads.
     # Thirty habitual lunch-goers meet often enough for the coordination t-test.
     cfg = SimulationConfig(
         seed=5, n_persons=30, n_days=60, n_shops=1, n_registers_per_shop=1, pair_fraction=0.9,
@@ -525,16 +552,6 @@ def test_rerun_is_byte_identical(workdir, first_run):
     a, b = tree_bytes(out_a), tree_bytes(out_b)
     assert set(a) == set(b)
     assert all(a[k] == b[k] for k in a)
-
-
-def test_threads_do_not_change_results(workdir, first_run):
-    _results, out_a = first_run
-    out_c = workdir / "out_c"
-    res = invoke("--config", workdir / "run.yaml", "--out", out_c, "--threads", 3, "run")
-    assert res.exit_code == 0, res.output
-    a, c = tree_bytes(out_a), tree_bytes(out_c)
-    assert set(a) == set(c)
-    assert all(a[k] == c[k] for k in a)
 
 
 def _intervals(results):

@@ -530,6 +530,9 @@ def test_dose_response_bins_and_errors():
     assert [b["midpoint_s"] for b in res["bins"]] == [15.0, 45.0, 75.0]
     assert [b["n_pairs"] for b in res["bins"]] == [2, 2, 2]
     assert {"item", "slope_rd", "p_rd", "slope_rr", "p_rr", "bins"} <= set(res)
+    # a huge max_delay_s visits only the four bins that hold pairs
+    res = dose_response(pairs2, max_delay_s=10**9, n_rep=5, seed=0)
+    assert [b["midpoint_s"] for b in res["bins"]] == [15.0, 45.0, 105.0, 285.0]
 
 
 def test_dose_response_deterministic():

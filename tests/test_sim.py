@@ -161,21 +161,30 @@ def test_log_is_valid_and_well_formed():
 
 
 def test_tied_rows_come_in_canonical_order():
-    # one shop and one register: thousands of rows tie on (ts, shop, register)
-    cfg = SimulationConfig(seed=1, n_shops=1, n_registers_per_shop=1, n_persons=4000, n_days=3,
-                           visit_rate=1.0, solo_rate=1.0)
-    with mock.patch.object(M.np, "lexsort", wraps=np.lexsort) as lexsort:
-        log = simulate(cfg).log
-        assert lexsort.call_count == 0  # the log kept the simulator's order
+    # one shop and one register: thousands of rows tie on (ts, shop, register);
+    # with ten registers or a hundred shops, tied rows stay in order only while
+    # the labels sort as their numbers do (`R10` after `R02`, not before `R2`)
+    logs = []
+    for shops, registers in ((1, 1), (1, 10), (100, 1)):
+        cfg = SimulationConfig(seed=1, n_shops=shops, n_registers_per_shop=registers, n_persons=4000,
+                               n_days=3, visit_rate=1.0, solo_rate=1.0)
+        with mock.patch.object(M.np, "lexsort", wraps=np.lexsort) as lexsort:
+            log = simulate(cfg).log
+            assert lexsort.call_count == 0, (shops, registers)  # the log kept the simulator's order
+        want = np.lexsort((log.tx_idx, log.register_idx, log.shop_idx, log.ts))
+        assert np.array_equal(want, np.arange(log.n))
+        ids = tx_ids(log)
+        assert ids == sorted(ids), (shops, registers)
+        logs.append(log)
+    log = logs[0]
     assert log.n == 21594
     keys = np.stack([log.ts, log.shop_idx, log.register_idx], axis=1)
     assert (keys[1:] == keys[:-1]).all(axis=1).sum() > 2000
-    want = np.lexsort((log.tx_idx, log.register_idx, log.shop_idx, log.ts))
-    assert np.array_equal(want, np.arange(log.n))
     buf = io.StringIO()
     M.serialize_transactions(log, buf)
     digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
     assert digest == "caec6f1fc5de57c66d92d80dd66c5b3cbf50e084a70ea12dd044a4e38fb7efe9"
+    assert logs[1].registers[-2:] == ["R09", "R10"] and logs[2].shops[-2:] == ["S099", "S100"]
 
 
 def test_no_visits_write_a_header_only_log(tmp_path):
