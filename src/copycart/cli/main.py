@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 module error, 2 usage error, 3 balance gate failed.
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import os
 import sys
@@ -286,5 +287,17 @@ def plot(ctx):
         click.echo(f"{name}: {report[name]}")
 
 
-if __name__ == "__main__":
+def entry():
+    """The process entry: `copycart` and `python -m copycart.cli.main`.
+
+    The objects the imports built live as long as the process, so they are
+    frozen out of every later collection, the one at exit included.
+    In-process callers of `main` (tests, tracers) keep their collector as
+    it is.
+    """
+    gc.freeze()
     main()
+
+
+if __name__ == "__main__":
+    entry()

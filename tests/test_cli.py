@@ -1,6 +1,7 @@
 """CLI and pipeline: config parsing, determinism, stage reruns, plots."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -306,6 +307,33 @@ for stage in (["run"], ["plot"], ["dose", "--item", "dessert"], ["coordinate", "
     code = "import os, copycart.cli; assert os.environ['OPENBLAS_NUM_THREADS'] == '3'"
     res = python_c(code, OPENBLAS_NUM_THREADS="3")
     assert res.returncode == 0, res.stderr
+
+
+def test_process_entry_freezes_the_import_heap():
+    # `python -m copycart.cli.main` freezes what its imports built, so no
+    # collection walks it, the one at exit included
+    code = """
+import gc, runpy, sys
+sys.argv[1:] = ["--help"]
+try:
+    runpy.run_module("copycart.cli.main", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+assert gc.get_freeze_count() > 0
+"""
+    res = python_c(code)
+    assert res.returncode == 0, res.stderr
+    assert "Usage:" in res.stdout
+
+
+def test_import_and_in_process_main_freeze_nothing(tmp_path):
+    # this session imported copycart.cli.main; CliRunner and perfbench's
+    # tracer call `main` in-process, where a freeze would pin their garbage
+    assert gc.get_freeze_count() == 0
+    res = invoke("--seed", 3, "--out", tmp_path / "sim", "simulate", "--set", "n_persons=20",
+                 "--set", "n_days=5")
+    assert res.exit_code == 0, res.output
+    assert gc.get_freeze_count() == 0
 
 
 # -- full pipeline -----------------------------------------------------------
