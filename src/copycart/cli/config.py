@@ -90,7 +90,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict, **overrides) -> "RunConfig":
-        """Flatten the nested config sections and apply flag overrides."""
+        """Flatten the nested config sections, refusing a key given in both forms, and apply flag overrides."""
         flat: dict = {}
         sections = {
             "input": ("transactions", "catalog", "demographics"),
@@ -111,14 +111,17 @@ class RunConfig:
             if key in sections:
                 if not isinstance(value, dict):
                     raise ConfigError(f"config section {key!r} must be a mapping")
-                for k, v in value.items():
-                    if k not in sections[key]:
-                        raise ConfigError(f"unknown key {k!r} in config section {key!r}")
-                    flat[k] = v
+                entries = value.items()
             elif key in known:
-                flat[key] = value
+                entries = [(key, value)]
             else:
                 raise ConfigError(f"unknown config key {key!r}")
+            for k, v in entries:
+                if key in sections and k not in sections[key]:
+                    raise ConfigError(f"unknown key {k!r} in config section {key!r}")
+                if k in flat:
+                    raise ConfigError(f"config key {k!r} is given both at the top level and in its section")
+                flat[k] = v
         for k, v in overrides.items():
             if v is not None:
                 flat[k] = v

@@ -3,8 +3,9 @@
 Each stage and each per-item analysis is one function here.  `run_pipeline`
 chains them, and every staged subcommand in `main.py` calls the same function
 on the dumps an earlier stage wrote, so a staged rerun reproduces a run byte
-for byte.  All randomness derives from the single config seed and the
-analysis's name.
+for byte.  This module owns the dump layout: where each dump lives, and
+every read of one back, with the hint a missing dump gives.  All randomness
+derives from the single config seed and the analysis's name.
 """
 
 from __future__ import annotations
@@ -50,6 +51,11 @@ DUMPS = {
     "plots_dir": "plots",
     "predictions": "predictions.csv",
 }
+
+
+def dump_path(out: str, name: str) -> str:
+    """Where a run under `out` writes the dump `DUMPS[name]`."""
+    return os.path.join(out, DUMPS[name])
 
 
 def _jsonable(value):
@@ -225,6 +231,14 @@ def load_results(path: str) -> dict:
     return results
 
 
+def replot(out: str) -> dict[str, str]:
+    """Re-render the plots of the results.json under `out`; what `emit_plots` reports."""
+    path = dump_path(out, "results")
+    if not os.path.exists(path):
+        raise IngestError(f"missing {path}; run `copycart run` first")
+    return emit_plots(load_results(path), dump_path(out, "plots_dir"))
+
+
 def ingest_inputs(cfg: RunConfig) -> tuple[TransactionLog, Optional[Demographics]]:
     """The log, its baskets reduced to category masks by the catalog, and the demographics."""
     cfg.require_demographics()
@@ -242,13 +256,22 @@ def dyad_stage(log: TransactionLog, cfg: RunConfig) -> tuple[ContextStats, int, 
     """
     make_dirs(cfg.out)
     ctx = compute_context(log)
-    ctx.to_csv(os.path.join(cfg.out, DUMPS["context"]))
+    ctx.to_csv(dump_path(cfg.out, "context"))
     raw = extract_dyads(
         reconstruct_queues(log), max_gap_s=cfg.max_gap_s, require_anchor=cfg.require_anchor
     )
     dyads = filter_frequent_pairs(raw, cfg.min_pair_count)
-    dyads.to_csv(os.path.join(cfg.out, DUMPS["dyads"]))
+    dyads.to_csv(dump_path(cfg.out, "dyads"))
     return ctx, raw.n, dyads
+
+
+def load_dyads(cfg: RunConfig) -> tuple[TransactionLog, DyadSet]:
+    """The log, and the dyads.csv that `copycart dyads` wrote from it."""
+    log = ingest_inputs(cfg)[0]
+    path = dump_path(cfg.out, "dyads")
+    if not os.path.exists(path):
+        raise IngestError(f"missing stage dump {path}; run `copycart dyads` first")
+    return log, DyadSet.from_csv(path, log)
 
 
 def select_items(dyads: DyadSet, cfg: RunConfig, items=()) -> list[str]:
@@ -281,7 +304,7 @@ def _status_stage(log, cfg: RunConfig, demo: Demographics) -> tuple[Demographics
         u_ids, u_X = feature_matrix(log, unknown)
         labels, conf = model.predict(u_X)
     make_dirs(cfg.out)
-    write_predictions_csv(os.path.join(cfg.out, DUMPS["predictions"]), u_ids, labels, conf)
+    write_predictions_csv(dump_path(cfg.out, "predictions"), u_ids, labels, conf)
     summary = {
         "classes": model.classes,
         "metrics": model.metrics,
@@ -297,13 +320,13 @@ def _status_stage(log, cfg: RunConfig, demo: Demographics) -> tuple[Demographics
 
 def pair_path(cfg: RunConfig, item: str) -> str:
     """Where `match` dumps an item's pairs: <out>/matched_pairs/<item>.csv."""
-    return os.path.join(cfg.out, DUMPS["pairs_dir"], f"{item}.csv")
+    return os.path.join(dump_path(cfg.out, "pairs_dir"), f"{item}.csv")
 
 
 def dumped_items(cfg: RunConfig) -> Optional[list[str]]:
     """The sorted stems of the `*.csv` files directly under matched_pairs/; None if it is no directory."""
     try:
-        with os.scandir(os.path.join(cfg.out, DUMPS["pairs_dir"])) as entries:
+        with os.scandir(dump_path(cfg.out, "pairs_dir")) as entries:
             return sorted(e.name[:-4] for e in entries if e.name.endswith(".csv") and e.is_file())
     except (FileNotFoundError, NotADirectoryError):
         return None
@@ -311,9 +334,23 @@ def dumped_items(cfg: RunConfig) -> Optional[list[str]]:
 
 def reset_pairs(cfg: RunConfig) -> None:
     """Empty matched_pairs/ of the pair files `dumped_items` lists, before a match dumps its own."""
-    make_dirs(os.path.join(cfg.out, DUMPS["pairs_dir"]))
+    make_dirs(dump_path(cfg.out, "pairs_dir"))
     for item in dumped_items(cfg):
         os.remove(pair_path(cfg, item))
+
+
+def load_pairs(cfg: RunConfig, items=()) -> list[tuple[str, MatchedPairSet]]:
+    """(item, pairs) of each of `items`, else of every item `match` dumped, by item."""
+    dyads = load_dyads(cfg)[1]
+    dumped = dumped_items(cfg)
+    if dumped is None:
+        raise IngestError(f"no matched pairs dumped for: {', '.join(items) or 'any item'}; run `copycart match`")
+    missing = ", ".join(i for i in items if i not in dumped)
+    if missing:
+        raise IngestError(f"`copycart match` dumped no pairs for: {missing}; "
+                          "it found none, or ran without that --item")
+    return [(item, MatchedPairSet.from_csv(pair_path(cfg, item), dyads, item))
+            for item in sorted(set(items)) or dumped]
 
 
 def match_item(dyads: DyadSet, item: str, ctx: ContextStats, cfg: RunConfig) -> MatchedPairSet:
@@ -330,11 +367,12 @@ def item_effect(pairs: MatchedPairSet, item: str, cfg: RunConfig) -> dict:
 
 
 def item_baseline(dyads: DyadSet, item: str, ctx: ContextStats, cfg: RunConfig) -> dict:
-    """Effect after shuffling partners within comparable queues."""
+    """Effect after shuffling partners within comparable queues; a NoPairsError
+    when the shuffled dyads match no pair."""
     rnd = B.randomize_partners(dyads, int(derive_seed(cfg.seed, "item", item, "shuffle")))
     pairs = build_matched_pairs(rnd, item, ctx, cfg.adjustment)
     if pairs.n == 0:
-        return {"status": "no_pairs"}
+        raise NoPairsError(f"no matched pairs for {item!r} after the partner shuffle")
     seed = int(derive_seed(cfg.seed, "item", item, "baseline"))
     return E.effect_estimate(pairs, cfg.n_boot, seed, cfg.alpha, "baseline")
 
@@ -378,7 +416,10 @@ def _analyze_item(item, dyads, ctx, demo, cfg: RunConfig) -> dict:
         "subgroups": None,
     }
     if cfg.baseline:
-        report["baseline"] = item_baseline(dyads, item, ctx, cfg)
+        try:
+            report["baseline"] = item_baseline(dyads, item, ctx, cfg)
+        except NoPairsError:
+            report["baseline"] = {"status": "no_pairs"}
     if cfg.sensitivity:
         try:
             report["sensitivity"] = item_sensitivity(pairs, item, cfg)
@@ -450,7 +491,6 @@ def _write_estimates_csv(path, results: dict) -> None:
 def run_pipeline(cfg: RunConfig) -> dict:
     """Run every stage; write the dumps, plots and results.json; return the report."""
     log, demo = ingest_inputs(cfg)
-    paths = {k: os.path.join(cfg.out, v) for k, v in DUMPS.items()}
     ctx, n_raw, dyads = dyad_stage(log, cfg)
 
     status_summary = None
@@ -493,9 +533,9 @@ def run_pipeline(cfg: RunConfig) -> dict:
     violation = schema_violation(results, load_schema())
     if violation:
         raise ValueError(f"the report breaks the results schema at {violation[0]}: {violation[1]}")
-    with open_output(paths["results"], "results", "w") as fh:
+    with open_output(dump_path(cfg.out, "results"), "results", "w") as fh:
         json.dump(results, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_estimates_csv(paths["estimates"], results)
-    emit_plots(results, paths["plots_dir"])
+    _write_estimates_csv(dump_path(cfg.out, "estimates"), results)
+    emit_plots(results, dump_path(cfg.out, "plots_dir"))
     return results

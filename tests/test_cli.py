@@ -1,5 +1,6 @@
 """CLI and pipeline: config parsing, determinism, stage reruns, plots."""
 
+import csv
 import dataclasses
 import gc
 import hashlib
@@ -122,6 +123,17 @@ def test_config_nested_sections_and_overrides():
     assert cfg.adjustment.match_focal_identity is True
     # keys left out of the section keep the CLI defaults
     assert cfg.adjustment.exclude_own_transactions is True
+
+
+@pytest.mark.parametrize("data", [
+    {"max_gap_s": 40, "dyads": {"max_gap_s": 300}},
+    {"dyads": {"max_gap_s": 300}, "max_gap_s": 40},
+], ids=["flat_first", "section_first"])
+def test_config_key_given_twice_is_an_error(data):
+    # whichever form came later used to win without a word
+    base = {"transactions": "t.csv", "catalog": "c.csv", "seed": 1}
+    with pytest.raises(ConfigError, match="'max_gap_s' is given both at the top level and in its section"):
+        RunConfig.from_dict(dict(base, **data))
 
 
 def test_config_subgroups_all_run():
@@ -764,6 +776,27 @@ def test_pairs_without_a_match_directory_name_the_stage_to_run(workdir, first_ru
         assert res.exit_code == 0 and res.output == "", res.output
 
 
+@pytest.mark.parametrize("stage", ["match", "estimate", "sensitivity", "dose", "baseline", "coordinate", "plot"])
+def test_stage_without_its_dump_is_an_ingest_error(workdir, tmp_path, stage):
+    out = tmp_path / "empty"
+    out.mkdir()
+    res = invoke("--config", workdir / "run.yaml", "--out", out, stage)
+    assert res.exit_code == 1, res.output
+    hint = (f"missing {out / 'results.json'}; run `copycart run` first" if stage == "plot"
+            else f"missing stage dump {out / 'dyads.csv'}; run `copycart dyads` first")
+    assert f"Error: [errors.IngestError] {hint}\n" in res.output
+    assert isinstance(res.exception, SystemExit)  # a message, not a traceback
+
+
+def test_infer_status_without_demographics_is_a_config_error(workdir, tmp_path):
+    conf = {"input": {k: str(workdir / "data" / f"{k}.csv") for k in ("transactions", "catalog")},
+            "estimation": {"seed": 1}}
+    (tmp_path / "run.yaml").write_text(yaml.safe_dump(conf), encoding="utf-8")
+    res = invoke("--config", tmp_path / "run.yaml", "--out", tmp_path / "o", "infer-status")
+    assert res.exit_code == 1, res.output
+    assert "Error: [errors.ConfigError] infer-status needs a demographics input\n" in res.output
+
+
 @pytest.fixture(scope="module")
 def dropout(tmp_path_factory):
     """A log on which a larger `min_fraction` drops fruit and soup from the
@@ -1050,8 +1083,8 @@ def test_simulate_needs_seed(tmp_path):
 
 
 @pytest.mark.parametrize("setting", [
-    "delta=dessert", "n_persons=sixty", 'delta={"dessert": "x"}', "start_date=2019-01-07",
-], ids=["delta_string", "n_persons_string", "delta_entry_string", "start_date_not_a_setting"])
+    "delta=dessert", "n_persons=sixty", 'delta={"dessert": "x"}', "start_date=2019-01-07", "foo",
+], ids=["delta_string", "n_persons_string", "delta_entry_string", "start_date_not_a_setting", "no_value"])
 def test_simulate_setting_of_wrong_type_exits_cleanly(tmp_path, setting):
     res = invoke("--seed", 3, "--out", tmp_path / "d", "simulate",
                  "--set", "n_persons=60", "--set", setting)
@@ -1174,6 +1207,89 @@ def test_no_pairs_item_still_succeeds(tmp_path):
     item = next(it for it in results["items"] if it["item"] == "dessert")
     assert item["status"] == "no_pairs"
     assert results["balance_ok"] is True  # vacuous: nothing estimable failed
+
+
+def test_run_records_each_analysis_status(tmp_path):
+    # A sits ahead of B at lunch on twelve days and adds dessert on the first
+    # six; B never takes it, and X, alone at the next register, always does.
+    # Six pairs match, all concordant (no discordant pair) at one delay (one
+    # dose bin).  The shuffle can only give B X as partner, so every shuffled
+    # dyad is treated and none matches.  No dyad holds a vegetarian meal or a
+    # beverage, so neither anchor attribute has pairs.
+    catalog = "item_code,category,subtype\nMEALS,anchor_meal,non_vegetarian\nDES,addition,dessert\n"
+    rows = ["tx_id,person_id,timestamp,shop_id,register_id,items"]
+    for day in range(1, 13):
+        stamp = f"2018-01-{day:02d}T12:0"
+        rows += [
+            f"A{day:02d},A,{stamp}0:00,S1,R1,MEALS{';DES' if day <= 6 else ''}",
+            f"B{day:02d},B,{stamp}1:00,S1,R1,MEALS",
+            f"X{day:02d},X,{stamp}0:00,S1,R2,MEALS;DES",
+        ]
+    (tmp_path / "catalog.csv").write_text(catalog, encoding="utf-8")
+    (tmp_path / "transactions.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    conf = {
+        "input": {k: str(tmp_path / f"{k}.csv") for k in ("transactions", "catalog")},
+        "estimation": {"seed": 5, "n_boot": 50},
+        "analyses": {"dose_response": True, "coordination": True, "anchor_mimicry": True},
+    }
+    results = run_pipeline(RunConfig.from_dict(conf, out=str(tmp_path / "out")))
+    jsonschema.validate(results, load_schema())
+    (item,) = results["items"]
+    assert (item["item"], item["status"], item["estimate"]["n_pairs"]) == ("dessert", "ok", 6)
+    assert item["baseline"] == {"status": "no_pairs"}
+    assert item["sensitivity"] == {"status": "no_discordant"}
+    assert item["dose_response"] == {
+        "status": "InsufficientBinsError", "detail": "only 1 non-empty delay bins; need at least 3"}
+    assert item["coordination"] == {
+        "status": "insufficient_data",
+        "detail": "need 2 pairs with 10 treated dyads in each direction, found 0"}
+    assert results["anchor_mimicry"] == {"meal_vegetarian": {"status": "no_pairs"},
+                                         "beverage_kind": {"status": "no_pairs"}}
+
+    # each staged subcommand fails where `run` records the status
+    (tmp_path / "run.yaml").write_text(yaml.safe_dump(conf), encoding="utf-8")
+    for stage, message in (
+        ("baseline", "[errors.NoPairsError] no matched pairs for 'dessert' after the partner shuffle"),
+        ("sensitivity", "[errors.NoPairsError]"),
+        ("dose", "[errors.InsufficientBinsError] only 1 non-empty delay bins"),
+        ("coordinate", "[errors.InsufficientDataError]"),
+    ):
+        res = invoke("--config", tmp_path / "run.yaml", "--out", tmp_path / "out", stage)
+        assert res.exit_code == 1 and message in res.output, (stage, res.output)
+
+
+def test_inferred_statuses_reach_the_strata(tmp_path):
+    # with 30% of the statuses unknown, `infer_status` predicts every one of
+    # them, so the partner_status strata hold no unknown partner
+    write_simulation(simulate(SimulationConfig(seed=3, n_persons=300, n_days=60, demographics_known_fraction=0.7)),
+                     tmp_path / "in")
+    conf = {
+        "input": {k: str(tmp_path / "in" / f"{k}.csv") for k in ("transactions", "catalog", "demographics")},
+        "estimation": {"seed": 5, "n_boot": 40},
+        "analyses": {"infer_status": True, "subgroups": ["partner_status"]},
+    }
+    with open(tmp_path / "in" / "transactions.csv", encoding="utf-8", newline="") as fh:
+        persons = {row["person_id"] for row in csv.DictReader(fh)}
+    with open(tmp_path / "in" / "demographics.csv", encoding="utf-8", newline="") as fh:
+        unlabeled = persons - {row["person_id"] for row in csv.DictReader(fh) if row["status"]}
+
+    def strata(infer):
+        cfg = RunConfig.from_dict(conf, out=str(tmp_path / f"out_{infer}"))
+        results = run_pipeline(dataclasses.replace(cfg, infer_status=infer))
+        items = [it for it in results["items"] if it["status"] == "ok"]
+        assert items
+        for it in items:
+            got = it["subgroups"]["partner_status"]
+            assert sum(s["n_pairs"] for s in got.values()) == it["estimate"]["n_pairs"]
+        return results, {label for it in items for label in it["subgroups"]["partner_status"]}
+
+    assert "unknown" in strata(False)[1]  # what inference has to fill
+    results, labels = strata(True)
+    assert "unknown" not in labels
+    assert results["status_inference"]["n_predicted"] == len(unlabeled) > 0
+    with open(tmp_path / "out_True" / "predictions.csv", encoding="utf-8", newline="") as fh:
+        predicted = [row["person_id"] for row in csv.DictReader(fh)]
+    assert sorted(predicted) == sorted(unlabeled)
 
 
 def test_match_that_finds_no_pairs_removes_the_earlier_dump(tmp_path):
