@@ -265,12 +265,19 @@ def dyad_stage(log: TransactionLog, cfg: RunConfig) -> tuple[ContextStats, int, 
     return ctx, raw.n, dyads
 
 
-def load_dyads(cfg: RunConfig) -> tuple[TransactionLog, DyadSet]:
-    """The log, and the dyads.csv that `copycart dyads` wrote from it."""
-    log = ingest_inputs(cfg)[0]
+def _dyads_dump(cfg: RunConfig) -> str:
+    """Where the dyads.csv under --out is; an IngestError if there is none."""
     path = dump_path(cfg.out, "dyads")
     if not os.path.exists(path):
         raise IngestError(f"missing stage dump {path}; run `copycart dyads` first")
+    return path
+
+
+def load_dyads(cfg: RunConfig) -> tuple[TransactionLog, DyadSet]:
+    """The log, and the dyads.csv that `copycart dyads` wrote from it; the
+    dump is looked for before the log is parsed."""
+    path = _dyads_dump(cfg)
+    log = ingest_inputs(cfg)[0]
     return log, DyadSet.from_csv(path, log)
 
 
@@ -340,8 +347,9 @@ def reset_pairs(cfg: RunConfig) -> None:
 
 
 def load_pairs(cfg: RunConfig, items=()) -> list[tuple[str, MatchedPairSet]]:
-    """(item, pairs) of each of `items`, else of every item `match` dumped, by item."""
-    dyads = load_dyads(cfg)[1]
+    """(item, pairs) of each of `items`, else of every item `match` dumped, by
+    item; every dump is looked for before the log is parsed."""
+    dyads_path = _dyads_dump(cfg)
     dumped = dumped_items(cfg)
     if dumped is None:
         raise IngestError(f"no matched pairs dumped for: {', '.join(items) or 'any item'}; run `copycart match`")
@@ -349,6 +357,7 @@ def load_pairs(cfg: RunConfig, items=()) -> list[tuple[str, MatchedPairSet]]:
     if missing:
         raise IngestError(f"`copycart match` dumped no pairs for: {missing}; "
                           "it found none, or ran without that --item")
+    dyads = DyadSet.from_csv(dyads_path, ingest_inputs(cfg)[0])
     return [(item, MatchedPairSet.from_csv(pair_path(cfg, item), dyads, item))
             for item in sorted(set(items)) or dumped]
 

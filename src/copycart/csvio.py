@@ -135,6 +135,9 @@ def header_order(got: Sequence[str], want: Sequence[str], name: str) -> dict[str
 # records split and checked per parser step; bounds the offsets and bytes held
 _PARSE_CHUNK = 1 << 14
 
+# bytes searched for line ends at a time
+_SCAN_BLOCK = 1 << 20
+
 # the ASCII bytes that `str.strip` takes off the ends of a field
 _SPACE = np.isin(np.arange(256), [9, 10, 11, 12, 13, 28, 29, 30, 31, 32])
 
@@ -194,19 +197,24 @@ def _record_chunks(
             widths = np.fromiter(map(len, chunk), np.int64, len(chunk))
             lines = np.array(ends[:-1], np.int64) + 1
             yield partial(_str_column, [*itertools.chain.from_iterable(chunk), ""]), widths, widths == 0, lines
-    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    whole = np.frombuffer(data, np.uint8)
+    ends = np.concatenate([np.empty(0, np.int64)] + [  # a block's mask at a time, not the file's
+        np.flatnonzero(whole[a : a + _SCAN_BLOCK] == ord("\n")) + a for a in range(0, len(data), _SCAN_BLOCK)])
     if not data.endswith(b"\n") and data:
         ends = np.append(ends, len(data))  # the last record lacks its newline
-    # a newline there, then room for a window as wide as any line
-    pad = bytes(int(np.diff(ends, prepend=-1).max(initial=0)))
-    buf = np.frombuffer(b"".join((data, b"\n", pad)), np.uint8)
-    del data
     for a in range(0, ends.shape[0], _PARSE_CHUNK):
         lo, hi = (ends[a - 1] + 1 if a else 0), ends[a : a + _PARSE_CHUNK][-1] + 1
-        stops = np.flatnonzero((buf[lo:hi] == ord(",")) | (buf[lo:hi] == ord("\n"))) + lo
+        # fields are cut by windows as wide as the chunk's longest line: from
+        # the file's own bytes where one fits before the file ends, else from
+        # a copy of the chunk, its last record ended by a newline, with room
+        # for a window after it
+        width = int(np.diff(ends[a : a + _PARSE_CHUNK], prepend=lo - 1).max())
+        buf = whole[lo:] if hi + width <= len(data) else np.frombuffer(
+            b"".join((data[lo:hi], b"\n", bytes(width))), np.uint8)
+        stops = np.flatnonzero((buf[: hi - lo] == ord(",")) | (buf[: hi - lo] == ord("\n")))
         last = np.flatnonzero(buf[stops] == ord("\n"))  # each record's last field
         widths = np.diff(last, prepend=-1)
-        starts, stops = np.append(lo, stops + 1), np.append(stops, hi)  # field -1 is empty
+        starts, stops = np.append(0, stops + 1), np.append(stops, hi - lo)  # field -1 is empty
         blank = (widths == 1) & (starts[last] == stops[last])
         yield partial(_byte_column, buf, starts, stops), widths, blank, None
 

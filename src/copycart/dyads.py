@@ -54,8 +54,8 @@ class DyadSet:
 
     def __init__(self, log: TransactionLog, partner_i: np.ndarray, focal_i: np.ndarray):
         self.log = log
-        self.partner_i = partner_i.astype(np.int64)
-        self.focal_i = focal_i.astype(np.int64)
+        self.partner_i = partner_i.astype(np.int64, copy=False)
+        self.focal_i = focal_i.astype(np.int64, copy=False)
 
     @property
     def n(self) -> int:
@@ -104,11 +104,11 @@ class DyadSet:
 
     def pair_keys(self) -> np.ndarray:
         """Unordered person-pair key per dyad."""
-        a = self.partner_person.astype(np.int64)
-        b = self.focal_person.astype(np.int64)
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        return lo * len(self.log.persons) + hi
+        a, b = self.partner_person, self.focal_person  # gathered afresh, so free to overwrite
+        key = np.minimum(a, b, dtype=np.int64)
+        key *= len(self.log.persons)
+        key += np.maximum(a, b, out=a)
+        return key
 
     def subset(self, sel: np.ndarray) -> "DyadSet":
         return DyadSet(self.log, self.partner_i[sel], self.focal_i[sel])
@@ -171,8 +171,14 @@ def filter_frequent_pairs(dyads: DyadSet, min_count: int = 10) -> DyadSet:
     if dyads.n == 0 or min_count <= 1:
         return dyads
     keys = dyads.pair_keys()
-    _, inv, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    return dyads.subset(counts[inv] >= min_count)
+    order = np.argsort(keys)
+    keys.sort()  # each pair's dyads in one run
+    start = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+    del keys
+    counts = np.diff(start, append=order.shape[0])
+    keep = np.empty(order.shape[0], bool)
+    keep[order] = np.repeat(counts >= min_count, counts)
+    return dyads.subset(keep)
 
 
 def select_additions(dyads: DyadSet, min_fraction: float = 0.01) -> dict[Daypart, list[str]]:

@@ -416,7 +416,7 @@ class _ChunkParser:
 
     def __init__(self, name: str, catalog: ItemCatalog):
         self.name, self.catalog, self.report = name, catalog, IngestReport()
-        self.ids = {name: [(np.empty(0, "S1"), np.empty(0, np.int64))] for name in _ID_COLUMNS}
+        self.ids = {name: [(np.empty(0, "S1"), np.empty(0, np.uint8))] for name in _ID_COLUMNS}
         self.ts, self.baskets = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
         self.table: dict[tuple[str, ...], int] = {}  # normalized basket -> table index
 
@@ -463,21 +463,29 @@ class _ChunkParser:
         self.report.n_parsed += n - len(rejected)
         keep = np.ones(n, bool)
         keep[list(rejected)] = False
-        for name, (values, lens) in ids.items():
-            self.ids[name].append((values[keep], lens[keep]))
+        for name, (values, lens) in ids.items():  # a field is no longer than its column is wide
+            self.ids[name].append((values[keep], lens[keep].astype(np.min_scalar_type(values.itemsize))))
         self.ts.append(epoch[keep])
         self.baskets.append(basket[keep])
 
     def log(self) -> TransactionLog:
+        """The accepted rows as a log.  Each column's chunks are dropped as it
+        is built, so no two whole copies of the rows are held at once."""
         table = list(self.table)
-        b_idx = np.concatenate(self.baskets)
+        b_idx, self.baskets = np.concatenate(self.baskets), []
         for basket, count in zip(table, np.bincount(b_idx, minlength=len(table)).tolist()):
             for code in basket if count else ():
                 if code not in self.catalog:
                     self.report.unknown_codes[code] += count
-        tx, *ids = [distinct_fields(*map(np.concatenate, zip(*self.ids[name])))[:2] for name in _ID_COLUMNS]
-        ids = [(distinct.texts(), codes) for distinct, codes in ids]
-        return TransactionLog(np.concatenate(self.ts), tx, *ids, (table, b_idx), self.catalog, self.report)
+        ids = []
+        for name in _ID_COLUMNS:
+            distinct, codes, _ = distinct_fields(*map(np.concatenate, zip(*self.ids.pop(name))))
+            if name != "tx_id":
+                ids.append((distinct.texts(), codes))
+            else:  # the log's tx ids keep int64 lengths, as a ByteColumn's are
+                ids.append((ByteColumn(distinct.values, distinct.lens.astype(np.int64)), codes))
+        ts, self.ts = np.concatenate(self.ts), []
+        return TransactionLog(ts, *ids, (table, b_idx), self.catalog, self.report)
 
 
 def parse_transactions(source: Source, catalog: ItemCatalog) -> TransactionLog:

@@ -788,6 +788,30 @@ def test_stage_without_its_dump_is_an_ingest_error(workdir, tmp_path, stage):
     assert isinstance(res.exception, SystemExit)  # a message, not a traceback
 
 
+@pytest.mark.parametrize("args, dumps, hint", [
+    (["match"], [], "missing stage dump {out}/dyads.csv; run `copycart dyads` first"),
+    (["estimate"], [], "missing stage dump {out}/dyads.csv; run `copycart dyads` first"),
+    (["dose"], ["dyads.csv"], "no matched pairs dumped for: any item; run `copycart match`"),
+    (["sensitivity", "--item", "dessert"], ["dyads.csv", "matched_pairs/fruit.csv"],
+     "`copycart match` dumped no pairs for: dessert; it found none, or ran without that --item"),
+], ids=["match", "estimate", "no_pairs_dir", "no_item_pairs"])
+def test_missing_dump_is_reported_before_the_log_is_read(tmp_path, args, dumps, hint):
+    # the transactions file is missing too; a stage names the dump it lacks first
+    (tmp_path / "catalog.csv").write_text("item_code,category\nCOF,other\n", encoding="utf-8")
+    conf = {"input": {"transactions": str(tmp_path / "absent.csv"), "catalog": str(tmp_path / "catalog.csv")},
+            "estimation": {"seed": 1}}
+    (tmp_path / "run.yaml").write_text(yaml.safe_dump(conf), encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    for dump in dumps:
+        (out / dump).parent.mkdir(exist_ok=True)
+        (out / dump).write_text("", encoding="utf-8")
+    res = invoke("--config", tmp_path / "run.yaml", "--out", out, *args)
+    assert res.exit_code == 1, res.output
+    assert f"Error: [errors.IngestError] {hint.format(out=out)}\n" in res.output
+    assert isinstance(res.exception, SystemExit)
+
+
 def test_infer_status_without_demographics_is_a_config_error(workdir, tmp_path):
     conf = {"input": {k: str(workdir / "data" / f"{k}.csv") for k in ("transactions", "catalog")},
             "estimation": {"seed": 1}}

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from copycart import csvio as C
 from copycart import model as M
-from copycart.dyads import DYAD_COLUMNS, DyadSet
+from copycart.dyads import DYAD_COLUMNS, DyadSet, extract_dyads, filter_frequent_pairs, reconstruct_queues
 from copycart.errors import IngestError
 from copycart.sim import SimulationConfig, simulate, simulation_catalog, write_simulation
 
@@ -452,7 +452,7 @@ def test_carriage_return_error_names_the_file(tmp_path):
 
 
 @pytest.mark.parametrize("quoted", [False, True])
-def test_parse_is_independent_of_chunk_size(quoted):
+def test_parse_is_independent_of_chunk_size(quoted, tmp_path):
     rng = np.random.default_rng(5)
     rows = []
     for i in range(80):
@@ -466,13 +466,22 @@ def test_parse_is_independent_of_chunk_size(quoted):
             row = row[:4]
         rows.append(",".join(f'"{f}"' if quoted else f for f in row) if rng.random() < 0.95 else "")
     text = CSV_HEADER + "\n".join(rows) + "\n"
-    whole = M.parse_transactions(io.StringIO(text), CATALOG)
-    assert whole.report.n_rejected > 0 and whole.n > 40
-    for chunk in (1, 7):
-        with mock.patch.object(C, "_PARSE_CHUNK", chunk):
-            chunked = M.parse_transactions(io.StringIO(text), CATALOG)
-        assert row_values(chunked) == row_values(whole)
-        assert chunked.report == whole.report
+    # the log's longest line last, with and without its newline, and before
+    # a short last line: a chunk's fields are cut from the file's own bytes
+    # only where a window as wide as its longest line fits in them
+    longest = ",".join(f'"{f}"' if quoted else f for f in
+                       ["T999", "P1", "2018-01-05T12:00:00", "S1", "R1", ";".join(CODES * 4)])
+    for text in (text, text + longest + "\n", text + longest, text + longest + "\nT998,P1\n"):
+        path = tmp_path / "transactions.csv"
+        path.write_bytes(text.encode())
+        whole = M.parse_transactions(io.StringIO(text), CATALOG)
+        assert whole.report.n_rejected > 0 and whole.n > 40
+        for chunk in (1, 7):
+            with mock.patch.object(C, "_PARSE_CHUNK", chunk):
+                chunked = M.parse_transactions(io.StringIO(text), CATALOG)
+                from_path = M.parse_transactions(path, CATALOG)
+            assert row_values(chunked) == row_values(from_path) == row_values(whole)
+            assert chunked.report == from_path.report == whole.report
 
 
 PAD = st.sampled_from(["", "", "", " ", "\t", " \v "])
@@ -514,8 +523,16 @@ def parse_outcome(text):
     return row_values(log), log.report
 
 
+def _row(tx, items):
+    return [tx, "P1", "2018-01-05T12:00:00", "S1", "R1", items]
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_logs(), st.sampled_from([2, 1000]))
+# the second chunk's last items field starts nearer the end of the file than
+# the chunk's longest items field is wide
+@example(([list(M.TRANSACTION_COLUMNS), _row("T1", "COF"), _row("T2", ";".join(CODES * 20)),
+           _row("T3", "TEA"), _row("T4", "TEA")], True), 2)
 def test_byte_split_parses_as_csv_reader_does(log, chunk):
     # the same records with every field quoted go through `csv.reader`
     records, final_newline = log
@@ -574,6 +591,41 @@ def test_parse_memory_stays_bounded(tmp_path):
         tracemalloc.stop()
     assert log.n > 50_000 and log.report.n_rejected == 0
     assert peak < 32e6, f"parse peaked at {peak / 1e6:.1f} MB"
+
+
+def test_parse_of_the_default_log_stays_within_a_multiple_of_its_file(tmp_path):
+    # The parse of this 220k-row, 12 MB log peaked at 3.4 times the file's
+    # size in traced memory when padding a copy of the whole file, masking
+    # its every byte for line ends and holding every chunk's columns beside
+    # the log built from them; the bound was fixed before the first run
+    # without them.
+    config = SimulationConfig(seed=7)
+    path = tmp_path / "transactions.csv"
+    M.serialize_transactions(simulate(config).log, path)
+    tracemalloc.start()
+    try:
+        log = M.parse_transactions(path, simulation_catalog(config))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert log.n > 200_000 and log.report.n_rejected == 0
+    assert peak < 2.7 * os.path.getsize(path), f"parse peaked at {peak / os.path.getsize(path):.2f} times the file"
+
+
+def test_frequent_pair_filter_memory_stays_bounded():
+    # Filtering the 26k raw dyads of this 55k-row log with np.unique's
+    # inverse and counts peaked at 1.52 MB of traced memory; the bound was
+    # fixed before the first run of a sort and run lengths.
+    log = simulate(SimulationConfig(seed=3, n_persons=500)).log
+    raw = extract_dyads(reconstruct_queues(log))
+    tracemalloc.start()
+    try:
+        kept = filter_frequent_pairs(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert raw.n > 20_000 and 0 < kept.n < raw.n
+    assert peak < 1.2e6, f"the filter peaked at {peak / 1e6:.2f} MB"
 
 
 def test_simulate_memory_stays_bounded():
