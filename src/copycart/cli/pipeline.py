@@ -301,24 +301,23 @@ def _status_stage(log, cfg: RunConfig, demo: Demographics) -> tuple[Demographics
         for r in demo.records()
         if r.status in STUDIED_STATUSES and r.person_id in in_log
     ]
-    ids, X = feature_matrix(log, labeled)
-    model = train_status_model(
-        X, [demo.status_of(p) for p in ids], seed=int(derive_seed(cfg.seed, "infer"))
-    )
     unknown = [p for p in log.persons if demo.status_of(p) is None]
-    u_ids, labels, conf = [], [], []
-    if unknown:
-        u_ids, u_X = feature_matrix(log, unknown)
-        labels, conf = model.predict(u_X)
+    # one pass over the log's bincounts for both sets of persons
+    _, X = feature_matrix(log, labeled + unknown)
+    n = len(labeled)
+    model = train_status_model(
+        X[:n], [demo.status_of(p) for p in labeled], seed=int(derive_seed(cfg.seed, "infer"))
+    )
+    labels, conf = model.predict(X[n:])
     make_dirs(cfg.out)
-    write_predictions_csv(dump_path(cfg.out, "predictions"), u_ids, labels, conf)
+    write_predictions_csv(dump_path(cfg.out, "predictions"), unknown, labels, conf)
     summary = {
         "classes": model.classes,
         "metrics": model.metrics,
-        "n_labeled": len(ids),
-        "n_predicted": len(u_ids),
+        "n_labeled": n,
+        "n_predicted": len(unknown),
     }
-    return demo.with_status_overrides(dict(zip(u_ids, labels))), summary
+    return demo.with_status_overrides(dict(zip(unknown, labels))), summary
 
 
 # Per-item analyses. Each derives its own seed from the run seed and the

@@ -2,8 +2,9 @@
 
 Persons are described only by when they transact (volume, active span,
 month/weekday/hour distributions), never by what they buy, so downstream
-purchase analyses stay uncontaminated.  A small bagged decision-tree
-ensemble trained on the labeled subsample votes a status for everyone else.
+purchase analyses stay uncontaminated.  Two-class Gaussian naive Bayes,
+trained on the labeled subsample, gives everyone else the class with the
+larger posterior.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import run_starts
 from .csvio import Source, write_csv
 from .errors import InsufficientLabelsError
 from .model import TransactionLog
@@ -28,8 +28,7 @@ FEATURE_NAMES = (
 N_FEATURES = len(FEATURE_NAMES)  # 45
 
 HOLDOUT = 0.2  # share of each class held out to measure the model
-MAX_DEPTH = 12
-N_CANDIDATES = 6  # features drawn at random for each split
+VAR_SMOOTHING = 1e-9  # added to every variance, times the largest feature variance (at least 1)
 MIN_PER_CLASS = 50  # labeled persons each class needs before training
 
 
@@ -52,134 +51,41 @@ def feature_matrix(
     # a person's rows run by time, so the span is the last minus the first
     X[:, 1] = (log.ts[order[start[people + 1] - 1]] - log.ts[order[start[people]]]) / SECONDS_PER_YEAR
     person = log.person_idx.astype(np.int64)
-    for lo, column, width in ((2, log.month - 1, 12), (14, log.weekday, 7), (21, log.hour, 24)):
-        counts = np.bincount(person * width + column, minlength=len(log.persons) * width)
+    # each whole-log column is made only when its counts are taken
+    for lo, column, width in ((2, lambda: log.month - 1, 12), (14, lambda: log.weekday, 7),
+                              (21, lambda: log.hour, 24)):
+        key = person * width
+        key += column()
+        counts = np.bincount(key, minlength=len(log.persons) * width)
         X[:, lo : lo + width] = counts.reshape(-1, width)[people] / n[:, None]
     return list(person_ids), X
 
 
-# ---------------------------------------------------------------------------
-# bagged trees
-# ---------------------------------------------------------------------------
-
-
-def _best_split(codes: np.ndarray, y: np.ndarray, n_values: np.ndarray) -> tuple[float, int, int]:
-    """Best boundary over candidate features from per-value counts.
-
-    `codes` (rows, candidates) ranks each row's value among the distinct
-    values of each candidate feature, of which there are `n_values`.  A
-    boundary after rank k sends the values up to k left; it counts when
-    rows sit on both sides.  Returns (score, candidate, k), maximizing
-    sum_side (n_side1^2 + n_side0^2) / n_side, an affine transform of the
-    negated weighted Gini impurity; the first candidate, then the lowest
-    rank, wins a tie.  (-inf, -1, -1) when no boundary separates rows.
-    """
-    m, tot1 = codes.shape[0], int(np.sum(y, dtype=np.int64))
-    # the candidates' ranks laid end to end; each block before a rank holds every row once
-    offset = run_starts(n_values)[:-1]
-    block = np.repeat(np.arange(n_values.shape[0]), n_values)
-    keys = codes + offset
-    count = np.bincount(keys.ravel(), minlength=block.shape[0])
-    nl = np.cumsum(count) - m * block
-    c1 = np.cumsum(np.bincount(keys[y == 1].ravel(), minlength=block.shape[0])) - tot1 * block
-    # a rank no row holds repeats the boundary before it
-    at = np.flatnonzero((count > 0) & (nl < m))
-    if not at.shape[0]:
-        return (-np.inf, -1, -1)
-    nl, c1 = nl[at], c1[at]
-    l0 = nl - c1
-    r1 = tot1 - c1
-    r0 = (m - tot1) - l0
-    nr = m - nl
-    score = (c1 * c1 + l0 * l0) / nl + (r1 * r1 + r0 * r0) / nr
-    i = int(np.argmax(score))
-    f = int(block[at[i]])
-    return (float(score[i]), f, int(at[i] - offset[f]))
-
-
-def _grow_tree(
-    codes: np.ndarray,
-    values: Sequence[np.ndarray],
-    y: np.ndarray,
-    rows: np.ndarray,
-    rng: np.random.Generator,
-    min_split: int,
-) -> dict:
-    """One tree on rank-coded features: `codes[:, f]` ranks each training
-    row's value of feature f among `values[f]`, its distinct values
-    ascending.  A split threshold is the value its boundary falls after."""
-    n_values = np.asarray([v.shape[0] for v in values], np.int64)
-    feat, thr, left, right, label = [], [], [], [], []
-
-    def build(rows: np.ndarray, depth: int) -> int:
-        node = len(feat)
-        ones = int(y[rows].sum())
-        maj = 1 if ones * 2 > rows.shape[0] else 0
-        feat.append(-1)
-        thr.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        label.append(maj)
-        if depth >= MAX_DEPTH or rows.shape[0] < min_split or ones in (0, rows.shape[0]):
-            return node
-        cand = rng.choice(N_FEATURES, size=N_CANDIDATES, replace=False)
-        _, c, k = _best_split(codes[rows[:, None], cand], y[rows], n_values[cand])
-        if c < 0:
-            return node
-        f = int(cand[c])
-        go = codes[rows, f] <= k
-        feat[node] = f
-        thr[node] = float(values[f][k])
-        left[node] = build(rows[go], depth + 1)
-        right[node] = build(rows[~go], depth + 1)
-        return node
-
-    build(rows, 0)
-    return {
-        "feat": np.asarray(feat, np.int64),
-        "thr": np.asarray(thr, np.float64),
-        "left": np.asarray(left, np.int64),
-        "right": np.asarray(right, np.int64),
-        "label": np.asarray(label, np.int64),
-    }
-
-
-def _tree_votes(tree: dict, X: np.ndarray) -> np.ndarray:
-    """Class index per row, walking all rows one level at a time."""
-    n = X.shape[0]
-    node = np.zeros(n, np.int64)
-    rows = np.arange(n)
-    feat = tree["feat"]
-    while True:
-        f = feat[node]
-        live = f >= 0
-        if not live.any():
-            break
-        fl = f[live]
-        goes_left = X[rows[live], fl] <= tree["thr"][node[live]]
-        node[live] = np.where(goes_left, tree["left"][node[live]], tree["right"][node[live]])
-    return tree["label"][node]
-
-
 class StatusModel:
-    """Bagged binary decision trees with majority-vote prediction."""
+    """Two-class Gaussian naive Bayes: a log prior per class, and a mean and a
+    variance per class and feature."""
 
-    def __init__(self, classes: list[str], trees: list[dict]):
+    def __init__(self, classes: list[str], log_prior: np.ndarray, mean: np.ndarray, var: np.ndarray):
         self.classes = list(classes)
-        self.trees = trees
+        self.log_prior = log_prior  # (2,)
+        self.mean = mean  # (2, features)
+        self.var = var  # (2, features), every entry positive
         self.metrics: dict = {}  # held-out per-class precision, recall and support
 
     def predict(self, X: np.ndarray) -> tuple[list[str], np.ndarray]:
-        """(labels, confidences); confidence is the winning vote fraction."""
+        """(labels, confidences); confidence is the winning class's posterior."""
         X = np.atleast_2d(np.asarray(X, np.float64))
-        votes = np.zeros(X.shape[0], np.int64)
-        for tree in self.trees:
-            votes += _tree_votes(tree, X)
-        n_trees = len(self.trees)
-        second = votes * 2 > n_trees  # ties go to the first class
+        jll = [
+            self.log_prior[c]
+            - 0.5 * np.sum(np.log(2.0 * np.pi * self.var[c]))
+            - 0.5 * np.sum((X - self.mean[c]) ** 2 / self.var[c], axis=1)
+            for c in range(2)
+        ]
+        d = jll[1] - jll[0]
+        second = d > 0  # ties go to the first class
         labels = [self.classes[1] if s else self.classes[0] for s in second]
-        conf = np.where(second, votes, n_trees - votes) / n_trees
-        return labels, conf
+        # the logistic of |d|, written with tanh so that no exp underflows
+        return labels, 0.5 + 0.5 * np.tanh(np.abs(d) / 2.0)
 
 
 def _per_class_metrics(y_true: np.ndarray, y_pred: np.ndarray, classes: list[str]) -> dict:
@@ -200,8 +106,6 @@ def train_status_model(
     features: np.ndarray,
     labels: Sequence[str],
     seed: int = 0,
-    n_trees: int = 100,
-    min_split: int = 10,
 ) -> StatusModel:
     """Train on a stratified split and report held-out per-class metrics."""
     X = np.asarray(features, np.float64)
@@ -231,17 +135,14 @@ def train_status_model(
     train_mask[test] = False
     train = np.nonzero(train_mask)[0]
 
-    Xt = X[train]
-    yt = y[train]
-    # each training value's rank among its feature's distinct values
-    values, codes = zip(*(np.unique(col, return_inverse=True) for col in Xt.T))
-    codes = np.stack(codes, axis=1)
-    trees = []
-    for _ in range(n_trees):
-        boot = rng.integers(0, Xt.shape[0], Xt.shape[0])
-        trees.append(_grow_tree(codes, values, yt, boot, rng, min_split))
+    Xt, yt = X[train], y[train]
+    smoothing = VAR_SMOOTHING * max(float(Xt.var(axis=0).max()), 1.0)
+    parts = [Xt[yt == c] for c in range(2)]
+    log_prior = np.log([p.shape[0] / Xt.shape[0] for p in parts])
+    mean = np.stack([p.mean(axis=0) for p in parts])
+    var = np.stack([p.var(axis=0) for p in parts]) + smoothing
 
-    model = StatusModel(classes, trees)
+    model = StatusModel(classes, log_prior, mean, var)
     pred_labels, _ = model.predict(X[test])
     y_pred = np.asarray([classes.index(l) for l in pred_labels], np.uint8)
     model.metrics = _per_class_metrics(y[test], y_pred, classes)

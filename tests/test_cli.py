@@ -136,6 +136,31 @@ def test_config_key_given_twice_is_an_error(data):
         RunConfig.from_dict(dict(base, **data))
 
 
+def test_library_defaults_match_the_run_config():
+    """A library call without options analyses as a run with the default config does."""
+    import inspect
+
+    from copycart import dyads as D
+    from copycart import estimate as E
+    from copycart.matching import AdjustmentSpec
+
+    cfg = RunConfig(transactions="t.csv", catalog="c.csv", seed=1)
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    assert default(D.extract_dyads, "max_gap_s") == cfg.max_gap_s
+    assert default(D.extract_dyads, "require_anchor") == cfg.require_anchor
+    assert default(D.filter_frequent_pairs, "min_count") == cfg.min_pair_count
+    assert default(D.select_additions, "min_fraction") == cfg.min_fraction
+    for fn in (E.effect_estimate, E.subgroup_estimates, E.dose_response, E.anchor_mimicry):
+        assert default(fn, "n_rep") == cfg.n_boot, fn.__name__
+        assert default(fn, "alpha") == cfg.alpha, fn.__name__
+    assert default(E.subgroup_estimates, "min_pairs") == cfg.min_stratum
+    assert default(E.dose_response, "max_delay_s") == cfg.max_gap_s
+    assert default(E.anchor_mimicry, "spec") == AdjustmentSpec() == cfg.adjustment
+
+
 def test_config_subgroups_all_run():
     cfg = RunConfig(transactions="t.csv", catalog="c.csv", seed=1, subgroups=GROUPINGS)
     pairs = pairs_from_outcomes([1, 0, 1, 1], [0, 0, 1, 0], partner_persons=["PA", "PB"] * 2)

@@ -1,4 +1,4 @@
-"""Temporal features and the bagged-tree status classifier."""
+"""Temporal features and the naive Bayes status classifier."""
 
 import io
 
@@ -8,11 +8,7 @@ import pytest
 from copycart.errors import InsufficientLabelsError
 from copycart.infer import (
     FEATURE_NAMES,
-    MAX_DEPTH,
-    N_CANDIDATES,
     N_FEATURES,
-    _best_split,
-    _grow_tree,
     feature_matrix,
     train_status_model,
     write_predictions_csv,
@@ -120,12 +116,11 @@ def signal_population(n_per_class=120, seed=0, shuffle_labels=False):
 
 def test_separable_population_perfect_holdout():
     X, labels = signal_population()
-    model = train_status_model(X, labels, seed=5, n_trees=20)
+    model = train_status_model(X, labels, seed=5)
     for cls in ("student", "staff"):
         assert model.metrics[cls]["precision"] == 1.0
         assert model.metrics[cls]["recall"] == 1.0
     assert model.classes == ["staff", "student"]
-    assert len(model.trees) == 20
     got, conf = model.predict(X)
     assert got == labels
     assert np.all(conf >= 0.5) and np.all(conf <= 1.0)
@@ -133,7 +128,7 @@ def test_separable_population_perfect_holdout():
 
 def test_label_permutation_near_prior():
     X, labels = signal_population(seed=9, shuffle_labels=True)
-    model = train_status_model(X, labels, seed=2, n_trees=20)
+    model = train_status_model(X, labels, seed=2)
     m = model.metrics
     total = m["student"]["support"] + m["staff"]["support"]
     correct = (
@@ -155,32 +150,34 @@ def test_training_requirements():
 
 def test_training_deterministic():
     X, labels = signal_population(seed=4)
-    a = train_status_model(X, labels, seed=11, n_trees=8)
-    b = train_status_model(X, labels, seed=11, n_trees=8)
-    assert same_trees(a, b)
+    a = train_status_model(X, labels, seed=11)
+    b = train_status_model(X, labels, seed=11)
+    for name in ("log_prior", "mean", "var"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert (a.classes, a.metrics) == (b.classes, b.metrics)
-    c = train_status_model(X, labels, seed=12, n_trees=8)
-    assert not same_trees(c, a)
+    # another seed holds out other rows, so the fit moves
+    c = train_status_model(X, labels, seed=12)
+    assert not np.array_equal(c.mean, a.mean)
 
 
-def same_trees(a, b):
-    return len(a.trees) == len(b.trees) and all(
-        ta.keys() == tb.keys() and all(np.array_equal(ta[k], tb[k]) for k in ta)
-        for ta, tb in zip(a.trees, b.trees)
-    )
-
-
-def test_single_tree_exemplar_confidence():
+def test_exemplar_confidence():
+    # a class's own exemplar, far from the other class's mean, is certain
     X, labels = signal_population(seed=8)
-    model = train_status_model(X, labels, seed=1, n_trees=1, min_split=2)
+    model = train_status_model(X, labels, seed=1)
     got, conf = model.predict(X[:1])
     assert conf[0] == 1.0
     assert got[0] == labels[0]
+    # a row on the boundary ties, and the tie goes to the first class
+    model.mean[1] = model.mean[0]
+    model.var[1] = model.var[0]
+    model.log_prior[1] = model.log_prior[0]
+    got, conf = model.predict(X[:3])
+    assert got == ["staff"] * 3 and np.all(conf == 0.5)
 
 
 def test_predict_status_on_feature_vector():
     X, labels = signal_population(seed=10)
-    model = train_status_model(X, labels, seed=7, n_trees=10)
+    model = train_status_model(X, labels, seed=7)
     log = parse_csv("T1,P,2018-03-07T09:30:00,S1,R1,MEALV\n")
     got, conf = model.predict(person_features(log, "P").reshape(1, -1))
     assert got[0] in ("student", "staff") and 0.5 <= conf[0] <= 1.0
@@ -192,143 +189,78 @@ def test_predictions_csv():
     assert buf.getvalue() == "person_id,label,confidence\nP1,student,0.9\nP2,staff,0.65\n"
 
 
-# -- split search against exact fractions -------------------------------------
+# -- the fit against a per-row scipy reference ----------------------------------
 
 
-def _split_oracle(x, y):
-    # exhaustive scan with exact fractions
-    from fractions import Fraction
+def posterior_per_row(model, X):
+    """Reference: per row, sum scipy's normal log densities over the fitted
+    means and variances, add the log prior, and normalise."""
+    from scipy.stats import norm
 
-    n = len(x)
-    best, besti = None, -1
-    for i in range(n - 1):
-        if not x[i] < x[i + 1]:
-            continue
-        l = list(y[: i + 1])
-        r = list(y[i + 1 :])
-        l1, l0 = sum(l), len(l) - sum(l)
-        r1, r0 = sum(r), len(r) - sum(r)
-        score = Fraction(l1 * l1 + l0 * l0, len(l)) + Fraction(r1 * r1 + r0 * r0, len(r))
-        if best is None or score > best:
-            best, besti = score, i
-    return besti
+    labels, conf = [], []
+    for x in X:
+        jll = [
+            model.log_prior[c] + norm.logpdf(x, model.mean[c], np.sqrt(model.var[c])).sum()
+            for c in range(2)
+        ]
+        win = 1 if jll[1] > jll[0] else 0
+        labels.append(model.classes[win])
+        conf.append(1.0 / (1.0 + np.exp(jll[1 - win] - jll[win])))
+    return labels, np.asarray(conf)
 
 
-def ranked(x, extra=()):
-    """(distinct values, rank code column) of x, the values padded with
-    `extra` so that some ranks hold no row, as at a tree node."""
-    values = np.unique(np.concatenate([x, extra]))
-    return values, np.searchsorted(values, x)[:, None]
-
-
-def test_best_split_matches_exact_oracle():
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        n = int(rng.integers(2, 40))
-        x = np.sort(rng.integers(0, 10, n).astype(np.float64))
-        y = rng.integers(0, 2, n).astype(np.int8)
-        values, codes = ranked(x, rng.integers(0, 10, 4))
-        score, c, k = _best_split(codes, y, np.asarray([values.shape[0]]))
-        i = _split_oracle(x.tolist(), y.tolist())
-        # integer counts keep the float scores exact, so the thresholds must agree
-        assert (c, k >= 0) == ((0, True) if i >= 0 else (-1, False))
-        assert i < 0 or values[k] == x[i]
-
-
-def test_best_split_trivial_cases():
-    _, codes = ranked(np.array([1.0, 1.0, 1.0]), [0.0, 2.0])
-    assert _best_split(codes, np.array([0, 1, 0], np.int8), np.asarray([3])) == (-np.inf, -1, -1)
-    _, codes = ranked(np.array([0.0, 1.0]))
-    score, c, k = _best_split(codes, np.array([0, 1], np.int8), np.asarray([2]))
-    assert (c, k) == (0, 0) and score == 2.0
-
-
-def test_best_split_first_candidate_wins_a_tie():
-    # two copies of one feature score alike; the first candidate keeps the split
-    x = np.array([0.0, 1.0, 2.0, 3.0])
-    values, codes = ranked(x)
-    score, c, k = _best_split(np.hstack([codes, codes]), np.array([0, 0, 1, 1], np.int8),
-                              np.asarray([4, 4]))
-    assert (c, values[k], score) == (0, 1.0, 4.0)
-
-
-# -- grown trees against the argsort split search ------------------------------
-
-
-def argsort_split(x, y):
-    """Reference: the best split after position i of one feature column
-    sorted ascending, scored at every position between distinct values."""
-    n = x.shape[0]
-    if n < 2:
-        return (-np.inf, -1)
-    c1 = np.cumsum(y[:-1], dtype=np.int64)
-    nl = np.arange(1, n, dtype=np.int64)
-    l0 = nl - c1
-    tot1 = int(np.sum(y, dtype=np.int64))
-    r1 = tot1 - c1
-    r0 = (n - tot1) - l0
-    nr = n - nl
-    score = (c1 * c1 + l0 * l0) / nl + (r1 * r1 + r0 * r0) / nr
-    score = np.where(x[:-1] < x[1:], score, -np.inf)
-    i = int(np.argmax(score))
-    return (-np.inf, -1) if not np.isfinite(score[i]) else (float(score[i]), i)
-
-
-def argsort_tree(X, y, rows, rng, min_split):
-    """Reference tree: per node, each candidate feature is argsorted and
-    scanned; the first strictly better candidate keeps the split."""
-    feat, thr, left, right, label = [], [], [], [], []
-
-    def build(rows, depth):
-        node = len(feat)
-        ones = int(y[rows].sum())
-        feat.append(-1)
-        thr.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        label.append(1 if ones * 2 > rows.shape[0] else 0)
-        if depth >= MAX_DEPTH or rows.shape[0] < min_split or ones in (0, rows.shape[0]):
-            return node
-        best_score, best = -np.inf, None
-        for f in rng.choice(N_FEATURES, size=N_CANDIDATES, replace=False):
-            xv = X[rows, f]
-            srt = np.argsort(xv, kind="stable")
-            score, idx = argsort_split(xv[srt], y[rows][srt])
-            if idx >= 0 and score > best_score:
-                best_score, best = score, (int(f), float(xv[srt[idx]]))
-        if best is None:
-            return node
-        f, t = best
-        go = X[rows, f] <= t
-        feat[node], thr[node] = f, t
-        left[node] = build(rows[go], depth + 1)
-        right[node] = build(rows[~go], depth + 1)
-        return node
-
-    build(rows, 0)
-    return {"feat": feat, "thr": thr, "left": left, "right": right, "label": label}
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_grown_trees_match_argsort_split_search(seed):
+@pytest.mark.parametrize("seed", range(4))
+def test_predictions_match_scipy_reference(seed):
     rng = np.random.default_rng(seed)
-    X, labels = signal_population(n_per_class=80, seed=seed)
-    X[:, 0] //= 40  # coarse counts and rounded shares tie within a feature
-    X[:, 2:] = np.round(X[:, 2:], 1)
-    y = (np.asarray(labels) == "student").astype(np.uint8)
-    y ^= (rng.random(y.shape[0]) < 0.35).astype(np.uint8)  # label noise grows deep trees
-    values, codes = zip(*(np.unique(col, return_inverse=True) for col in X.T))
-    codes = np.stack(codes, axis=1)
-    for min_split in (2, 10):
-        boot = rng.integers(0, y.shape[0], y.shape[0])
-        rng_a, rng_b = np.random.default_rng([seed, min_split]), np.random.default_rng([seed, min_split])
-        got = _grow_tree(codes, values, y, boot, rng_a, min_split)
-        want = argsort_tree(X, y, boot, rng_b, min_split)
-        assert len(want["feat"]) > 30
-        for key in want:
-            assert got[key].tolist() == want[key], key
-        # the same draws in the same depth-first order
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    X, labels = signal_population(seed=seed)
+    # label noise and blurred signatures leave rows of every confidence
+    X[:, 2:] += rng.normal(0, 0.2, (X.shape[0], X.shape[1] - 2))
+    flip = {"student": "staff", "staff": "student"}
+    labels = [flip[l] if rng.random() < 0.3 else l for l in labels]
+    model = train_status_model(X, labels, seed=seed)
+    got, conf = model.predict(X)
+    want, want_conf = posterior_per_row(model, X)
+    assert got == want
+    np.testing.assert_allclose(conf, want_conf, rtol=0, atol=1e-12)
+    assert 0.5 <= conf.min() < 0.9 and conf.max() > 0.99
+
+
+def test_fit_is_the_class_moments_of_the_training_rows():
+    X, labels = signal_population(seed=6)
+    # 120 students and 70 staff, so the priors differ
+    keep = [i for i, l in enumerate(labels) if l == "student" or i < 140]
+    X, labels = X[keep], [labels[i] for i in keep]
+    model = train_status_model(X, labels, seed=3)
+    # each class holds out the first 20% of a permutation drawn from the seed
+    rng = np.random.default_rng(3)
+    y = np.asarray(labels)
+    train = np.ones(y.shape[0], bool)
+    for name in model.classes:
+        rows = np.flatnonzero(y == name)
+        train[rows[rng.permutation(rows.shape[0])[: round(0.2 * rows.shape[0])]]] = False
+    smoothing = 1e-9 * X[train].var(axis=0).max()
+    for c, name in enumerate(model.classes):
+        rows = X[train & (y == name)]
+        np.testing.assert_allclose(model.mean[c], rows.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(model.var[c], rows.var(axis=0) + smoothing, rtol=1e-12)
+        assert model.log_prior[c] == pytest.approx(np.log(rows.shape[0] / train.sum()))
+        assert model.metrics[name]["support"] == (~train & (y == name)).sum()
+
+
+def test_constant_features_train_and_predict():
+    rng = np.random.default_rng(2)
+    labels = ["staff", "student"] * 60
+    with np.errstate(all="raise"):
+        # every feature constant: the classes differ in nothing but the prior
+        model = train_status_model(np.ones((120, N_FEATURES)), labels)
+        _, conf = model.predict(rng.random((5, N_FEATURES)))
+        assert np.all(np.isfinite(conf)) and np.all((conf >= 0.5) & (conf <= 1.0))
+        # one feature constant within one class
+        X, labels = signal_population(seed=3)
+        X[np.asarray(labels) == "staff", 5] = 0.25
+        model = train_status_model(X, labels, seed=4)
+        _, conf = model.predict(np.vstack([X, rng.random((5, N_FEATURES))]))
+        assert np.all(np.isfinite(conf)) and np.all((conf >= 0.5) & (conf <= 1.0))
 
 
 def test_training_rejects_nan_features():
@@ -372,3 +304,62 @@ def test_feature_matrix_matches_per_person_loop():
     assert feature_matrix(log, [])[1].shape == (0, N_FEATURES)
     with pytest.raises(KeyError, match="nobody"):
         feature_matrix(log, [log.persons[0], "nobody"])
+
+
+# -- the classes' visit windows overlap -----------------------------------------
+
+
+def overlapping_visit_seconds(o):
+    """`sim._visit_seconds` with staff drawing from the first 0.45 + o of the
+    daypart span and students from the last 0.45 + o; at o = 0 it is the
+    simulator's own arithmetic."""
+    from copycart import sim
+
+    def visit_seconds(rng, daypart_idx, is_staff, room):
+        lo = sim._WINDOWS[daypart_idx, 0]
+        hi = sim._WINDOWS[daypart_idx, 1]
+        span = hi - lo - room
+        u = rng.random(daypart_idx.shape[0])
+        u = np.where(is_staff, u * (0.45 + o), (0.55 - o) + u * (0.45 + o))
+        return lo + np.floor(u * span).astype(np.int64)
+
+    return visit_seconds
+
+
+def log_bytes(config):
+    from copycart.model import serialize_transactions
+    from copycart.sim import simulate
+
+    buf = io.StringIO()
+    serialize_transactions(simulate(config).log, buf)
+    return buf.getvalue()
+
+
+def worst_holdout_score(config):
+    """As acceptance 8 trains: labeled students and staff, seed 5."""
+    from copycart.sim import simulate
+
+    res = simulate(config)
+    demo = res.demographics()
+    in_log = set(res.log.persons)
+    labeled = [r.person_id for r in demo.records()
+               if r.status in ("student", "staff") and r.person_id in in_log]
+    ids, X = feature_matrix(res.log, labeled)
+    model = train_status_model(X, [demo.status_of(p) for p in ids], seed=5)
+    return min(min(m["precision"], m["recall"]) for m in model.metrics.values())
+
+
+def test_status_inference_where_visit_windows_overlap(monkeypatch):
+    """150 days hold no summer, so only the hours tell the classes apart.
+    The gates are the bagged-tree forest's own worst scores on these seeds."""
+    from copycart import sim
+    from copycart.sim import SimulationConfig
+
+    unpatched = log_bytes(SimulationConfig(seed=901, n_days=150))
+    monkeypatch.setattr(sim, "_visit_seconds", overlapping_visit_seconds(0.0))
+    assert log_bytes(SimulationConfig(seed=901, n_days=150)) == unpatched
+    for o, gate in ((0.45, 0.76), (0.40, 0.94)):
+        monkeypatch.setattr(sim, "_visit_seconds", overlapping_visit_seconds(o))
+        for seed in (901, 7, 13):
+            worst = worst_holdout_score(SimulationConfig(seed=seed, n_days=150))
+            assert worst >= gate, (o, seed, worst)
