@@ -13,7 +13,6 @@ asymmetry, person-to-person influence does.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .errors import InsufficientDataError
 __all__ = ["randomize_partners", "coordination_test", "welch_t"]
 
 MIN_PER_ORDER = 10  # treated dyads a pair needs in each direction to count
+SAMPLE_PER_PAIR = 10  # treated dyads a direction's rate is taken over, drawn when it has more
 
 
 def _with_partners(dyads: DyadSet, partner_rows: np.ndarray, sel: np.ndarray) -> DyadSet:
@@ -110,7 +110,6 @@ def welch_t(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 def coordination_test(
     dyads: DyadSet,
     item: str,
-    sample_per_pair: Optional[int] = 10,
     seed: int = 0,
 ) -> dict:
     """Order-asymmetry test over habitual pairs' treated dyads, as the
@@ -119,8 +118,8 @@ def coordination_test(
     For each unordered person pair with at least ``MIN_PER_ORDER`` treated
     dyads in each direction, the pair's leader is whoever goes first more
     often over ALL of the pair's dyads (ties broken by lexicographic person
-    id), and the focal purchase rate is computed per direction over
-    ``sample_per_pair`` treated dyads drawn without replacement (seeded).
+    id), and the focal purchase rate is computed per direction over at
+    most ``SAMPLE_PER_PAIR`` treated dyads drawn without replacement (seeded).
     The two collections of per-pair rates are compared with a Welch t-test.
 
     Leadership must come from all dyads, not treated ones: treated counts
@@ -156,11 +155,10 @@ def coordination_test(
         dir_b = t_rows[t_start[2 * g + 1] : t_start[2 * g + 2]]
         lead_rows = dir_a if leader_is_a[g] else dir_b
         foll_rows = dir_b if leader_is_a[g] else dir_a
-        if sample_per_pair:
-            if lead_rows.shape[0] > sample_per_pair:
-                lead_rows = rng.choice(lead_rows, sample_per_pair, replace=False)
-            if foll_rows.shape[0] > sample_per_pair:
-                foll_rows = rng.choice(foll_rows, sample_per_pair, replace=False)
+        if lead_rows.shape[0] > SAMPLE_PER_PAIR:
+            lead_rows = rng.choice(lead_rows, SAMPLE_PER_PAIR, replace=False)
+        if foll_rows.shape[0] > SAMPLE_PER_PAIR:
+            foll_rows = rng.choice(foll_rows, SAMPLE_PER_PAIR, replace=False)
         lead_rates.append(float(outcome[lead_rows].mean()))
         foll_rates.append(float(outcome[foll_rows].mean()))
         n_lead += lead_rows.shape[0]

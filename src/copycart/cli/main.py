@@ -6,11 +6,10 @@ keeps long analyses resumable and lets any stage be reproduced in isolation.
 A subcommand parses its arguments, calls a function of `pipeline.py` (the
 same stage function `run` calls) and echoes the result; `pipeline.py` reads
 every dump back and says which stage to run when one is missing.  `match`
-and `run` replace every pair file in matched_pairs/, and a stage reads
-`matched_pairs/<item>.csv` as that item's pairs, so it never reads an earlier
-match's.  An analysis that `run` records as a status (no pairs after the
-partner shuffle, no discordant pairs, too few delay bins or repeat
-encounters) fails the subcommand instead.
+and `run` write every item's pairs to one matched_pairs.csv, whose `item`
+column says whose pairs each row holds.  An analysis that `run` records as
+a status (no pairs after the partner shuffle, no discordant pairs, too few
+delay bins or repeat encounters) fails the subcommand instead.
 Exit codes: 0 success, 1 module error, 2 usage error, 3 balance gate failed.
 A module error is any `CopycartError`; the group prints it, from whichever
 subcommand, as `Error: [module.ErrorType] message`.
@@ -139,11 +138,9 @@ def match(ctx, items):
     cfg = _run_config(ctx)
     log, dyads_set = pipeline.load_dyads(cfg)
     ctx_stats = pipeline.compute_context(log)
-    pipeline.reset_pairs(cfg)
-    for item in pipeline.select_items(dyads_set, cfg, items):
-        pairs = pipeline.match_item(dyads_set, item, ctx_stats, cfg)
-        click.echo(f"{item}: {pairs.n} pairs ({pairs.n_unmatched} unmatched treated)" if pairs.n
-                   else f"{item}: no_pairs")
+    items = pipeline.select_items(dyads_set, cfg, items)
+    pipeline.match_stage(dyads_set, items, ctx_stats, cfg, lambda p: click.echo(
+        f"{p.item}: {p.n} pairs ({p.n_unmatched} unmatched treated)" if p.n else f"{p.item}: no_pairs"))
 
 
 @main.command()

@@ -47,7 +47,7 @@ DUMPS = {
     "estimates": "estimates.csv",
     "context": "context.csv",
     "dyads": "dyads.csv",
-    "pairs_dir": "matched_pairs",
+    "pairs": "matched_pairs.csv",
     "plots_dir": "plots",
     "predictions": "predictions.csv",
 }
@@ -324,49 +324,39 @@ def _status_stage(log, cfg: RunConfig, demo: Demographics) -> tuple[Demographics
 # item, so `run` and the staged subcommands draw the same numbers.
 
 
-def pair_path(cfg: RunConfig, item: str) -> str:
-    """Where `match` dumps an item's pairs: <out>/matched_pairs/<item>.csv."""
-    return os.path.join(dump_path(cfg.out, "pairs_dir"), f"{item}.csv")
-
-
-def dumped_items(cfg: RunConfig) -> Optional[list[str]]:
-    """The sorted stems of the `*.csv` files directly under matched_pairs/; None if it is no directory."""
-    try:
-        with os.scandir(dump_path(cfg.out, "pairs_dir")) as entries:
-            return sorted(e.name[:-4] for e in entries if e.name.endswith(".csv") and e.is_file())
-    except (FileNotFoundError, NotADirectoryError):
-        return None
-
-
-def reset_pairs(cfg: RunConfig) -> None:
-    """Empty matched_pairs/ of the pair files `dumped_items` lists, before a match dumps its own."""
-    make_dirs(dump_path(cfg.out, "pairs_dir"))
-    for item in dumped_items(cfg):
-        os.remove(pair_path(cfg, item))
-
-
 def load_pairs(cfg: RunConfig, items=()) -> list[tuple[str, MatchedPairSet]]:
-    """(item, pairs) of each of `items`, else of every item `match` dumped, by
-    item; every dump is looked for before the log is parsed."""
+    """(item, pairs) of each of `items`, else of every item in the pair
+    dump, by item; both dumps are looked for, and the pair dump's items
+    checked, before the log is parsed."""
     dyads_path = _dyads_dump(cfg)
-    dumped = dumped_items(cfg)
-    if dumped is None:
+    path = dump_path(cfg.out, "pairs")
+    if not os.path.exists(path):
         raise IngestError(f"no matched pairs dumped for: {', '.join(items) or 'any item'}; run `copycart match`")
-    missing = ", ".join(i for i in items if i not in dumped)
-    if missing:
-        raise IngestError(f"`copycart match` dumped no pairs for: {missing}; "
-                          "it found none, or ran without that --item")
-    dyads = DyadSet.from_csv(dyads_path, ingest_inputs(cfg)[0])
-    return [(item, MatchedPairSet.from_csv(pair_path(cfg, item), dyads, item))
-            for item in sorted(set(items)) or dumped]
+
+    def dyads_for(dumped: list[str]) -> DyadSet:
+        missing = ", ".join(i for i in items if i not in dumped)
+        if missing:
+            raise IngestError(f"`copycart match` dumped no pairs for: {missing}; "
+                              "it found none, or ran without that --item")
+        return DyadSet.from_csv(dyads_path, ingest_inputs(cfg)[0])
+
+    pairs = MatchedPairSet.from_csv(path, dyads_for)
+    return [(item, pairs[item]) for item in sorted(set(items)) or pairs]
 
 
-def match_item(dyads: DyadSet, item: str, ctx: ContextStats, cfg: RunConfig) -> MatchedPairSet:
-    """Matched pairs for one focus item, dumped to `pair_path` when there are any."""
-    pairs = build_matched_pairs(dyads, item, ctx, cfg.adjustment)
-    if pairs.n:
-        pairs.to_csv(pair_path(cfg, item))
-    return pairs
+def match_stage(dyads: DyadSet, items: list[str], ctx: ContextStats, cfg: RunConfig,
+                analyze: Callable[[MatchedPairSet], object]) -> list:
+    """`analyze(pairs)` of each item's matched pairs, in the order of `items`;
+    each item's pairs go to matched_pairs.csv as its analysis returns."""
+    done = []
+
+    def analyzed(pairs: MatchedPairSet) -> MatchedPairSet:
+        done.append(analyze(pairs))
+        return pairs
+
+    MatchedPairSet.to_csv(dump_path(cfg.out, "pairs"),
+                          (analyzed(build_matched_pairs(dyads, item, ctx, cfg.adjustment)) for item in items))
+    return done
 
 
 def item_effect(pairs: MatchedPairSet, item: str, cfg: RunConfig) -> dict:
@@ -401,12 +391,12 @@ def item_coordination(dyads: DyadSet, item: str, cfg: RunConfig) -> dict:
     return B.coordination_test(dyads, item, seed=seed)
 
 
-def _analyze_item(item, dyads, ctx, demo, cfg: RunConfig) -> dict:
-    """All enabled analyses for one focus item.
+def _analyze_item(pairs: MatchedPairSet, dyads, ctx, demo, cfg: RunConfig) -> dict:
+    """All enabled analyses for the matched pairs of one focus item.
 
     An analysis that cannot run records its status instead of failing the run.
     """
-    pairs = match_item(dyads, item, ctx, cfg)
+    item = pairs.item
     if pairs.n == 0:
         return {"item": item, "status": "no_pairs", "n_treated_total": pairs.n_treated_total}
     report = {
@@ -505,10 +495,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
     if cfg.infer_status:
         demo, status_summary = _status_stage(log, cfg, demo)
 
-    items = select_items(dyads, cfg)
-    reset_pairs(cfg)
-
-    item_reports = [_analyze_item(item, dyads, ctx, demo, cfg) for item in items]
+    item_reports = match_stage(dyads, select_items(dyads, cfg), ctx, cfg,
+                               lambda pairs: _analyze_item(pairs, dyads, ctx, demo, cfg))
 
     anchor = None
     if cfg.anchor_mimicry:

@@ -15,7 +15,7 @@ import itertools
 import os
 from collections import Counter
 from functools import partial, reduce
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -350,12 +350,15 @@ def _csv_rows(parts: list, n: int) -> Iterator[bytes]:
         yield b"".join(rows.tolist())
 
 
-def write_csv(dest: Source, header: Sequence[str], columns: Sequence[Column]) -> None:
-    """The header, then one row per entry of the columns, as CSV with "\\n"
-    line ends, byte for byte as csv.writer writes it; a path is written as
-    UTF-8.  Each value is rendered once: a column with an index renders its
-    values up front, a ByteColumn or function without one a block of rows at
-    a time, and a numeric array without an index is first reduced to its
+def write_csv(dest: Source, header: Sequence[str], columns: Sequence[Column],
+              more: Iterable[Sequence[Column]] = ()) -> None:
+    """The header, then one row per entry of the columns, then those of each
+    further set of columns `more` gives, as CSV with "\\n" line ends, byte for
+    byte as csv.writer writes it; a path is written as UTF-8.  A set of
+    columns from `more` is taken only once the rows before it are written.
+    Each value is rendered once: a column with an index renders its values
+    up front, a ByteColumn or function without one a block of rows at a
+    time, and a numeric array without an index is first reduced to its
     distinct bit patterns."""
 
     def part(c: int, values, index: Optional[np.ndarray]) -> tuple[Optional[int], int, Callable]:
@@ -377,10 +380,13 @@ def write_csv(dest: Source, header: Sequence[str], columns: Sequence[Column]) ->
         cells = _rendered(values, sep, alone)
         return len(index), cells.itemsize, lambda rows: cells[index[rows]]
 
+    def block(columns: Sequence[Column]) -> Iterator[bytes]:
+        body = [part(c, *column) for c, column in enumerate(columns)]
+        n = next((rows for rows, _, _ in body if rows is not None), 0)
+        return _csv_rows([p[1:] for p in body], n)
+
     head = [part(c, [h], None)[1:] for c, h in enumerate(header)]
-    body = [part(c, *column) for c, column in enumerate(columns)]
-    n = next((rows for rows, _, _ in body if rows is not None), 0)
-    chunks = itertools.chain(_csv_rows(head, 1), _csv_rows([p[1:] for p in body], n))
+    chunks = itertools.chain(_csv_rows(head, 1), block(columns), itertools.chain.from_iterable(map(block, more)))
     if not isinstance(dest, (str, os.PathLike)):
         dest.writelines(map(bytes.decode, chunks))
         return

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from ._util import dense_codes, run_starts
 from .context import ContextStats
-from .csvio import Source, read_dump, write_csv
+from .csvio import Source, distinct_fields, read_dump, write_csv
 from .dyads import DyadSet
 from .errors import IngestError, NoPairsError
 from .model import CATEGORY_KEYS
@@ -120,31 +120,42 @@ class MatchedPairSet:
         ti = self.treated_idx[sel]
         return MatchedPairSet(self.dyads, self.item, ti, self.control_idx[sel], ti.shape[0], 0)
 
-    def to_csv(self, dest: Source) -> None:
-        if self.popularity is None:
-            raise ValueError("a pair dump requires a freshly built MatchedPairSet")
-        d = self.dyads
-        write_csv(dest, PAIR_COLUMNS, [
-            ([self.item], np.zeros(self.n, np.int64)),
-            (d.log.tx_ids_at(d.partner_i[self.treated_idx]), None),
-            (d.log.tx_ids_at(d.focal_i[self.treated_idx]), None),
-            (d.log.tx_ids_at(d.partner_i[self.control_idx]), None),
-            (d.log.tx_ids_at(d.focal_i[self.control_idx]), None),
-            (self.popularity[self.treated_idx], None),
-            (self.popularity[self.control_idx], None),
-        ])
+    @classmethod
+    def to_csv(cls, dest: Source, sets: Iterable["MatchedPairSet"]) -> None:
+        """The pair dump: the `PAIR_COLUMNS` header, then the pairs of each
+        freshly built set in the order `sets` gives them, a set taken only
+        once the rows before it are written."""
+
+        def columns(pairs: "MatchedPairSet") -> list:
+            if pairs.popularity is None:
+                raise ValueError("a pair dump requires a freshly built MatchedPairSet")
+            d, treated, control = pairs.dyads, pairs.treated_idx, pairs.control_idx
+            return [
+                ([pairs.item], np.zeros(pairs.n, np.int64)),
+                (d.log.tx_ids_at(d.partner_i[treated]), None),
+                (d.log.tx_ids_at(d.focal_i[treated]), None),
+                (d.log.tx_ids_at(d.partner_i[control]), None),
+                (d.log.tx_ids_at(d.focal_i[control]), None),
+                (pairs.popularity[treated], None),
+                (pairs.popularity[control], None),
+            ]
+
+        write_csv(dest, PAIR_COLUMNS, (), map(columns, sets))
 
     @classmethod
-    def from_csv(cls, source: Source, dyads: DyadSet, item: str) -> "MatchedPairSet":
-        """Read the matched-pair dump of `item` back by its tx ids; every
-        row's `item` field must name `item`."""
+    def from_csv(cls, source: Source, dyads_for: Callable[[list[str]], DyadSet]) -> dict[str, "MatchedPairSet"]:
+        """The pairs of each item in a pair dump, read back by their tx ids,
+        by item in sorted order; an item's pairs keep the dump's row order.
+        Every row's `item` must be a category key.  `dyads_for` is given the
+        dump's items once they are checked, and gives the dyad set its rows
+        name."""
         dump = read_dump(source, "matched-pair dump", PAIR_COLUMNS, PAIR_COLUMNS[:5])
-        if item not in CATEGORY_KEYS:
-            raise IngestError(f"{dump.name}: item {item!r} is not one of {CATEGORY_KEYS}")
-        values, lens = dump.columns["item"]
-        other = np.flatnonzero((values != item.encode()) | (lens != len(item.encode())))
-        if other.shape[0]:
-            raise dump.error(other[0], f"item {dump.text('item', other[0])!r} in the pair file of {item!r}")
+        names, item_of, first = distinct_fields(*dump.columns["item"])
+        items = names.texts()
+        bad = min((k for k, item in zip(first.tolist(), items) if item not in CATEGORY_KEYS), default=None)
+        if bad is not None:
+            raise dump.error(bad, f"item {dump.text('item', bad)!r} is not one of {CATEGORY_KEYS}")
+        dyads = dyads_for(items)
         # (treated, control) by (partner, focal) by pair
         log = dyads.log
         rows = dump.rows_in(log, PAIR_COLUMNS[1:5]).reshape(2, 2, -1)
@@ -162,7 +173,8 @@ class MatchedPairSet:
             partner, focal = PAIR_COLUMNS[1 + 2 * side : 3 + 2 * side]
             raise IngestError(f"{dump.name} names dyad ({dump.text(partner, k)}, {dump.text(focal, k)}), "
                               "which the dyad set lacks")
-        return cls(dyads, item, dyad[0], dyad[1], dyad.shape[1], 0)
+        split = (dyad[:, item_of == code] for code in range(len(items)))
+        return {item: cls(dyads, item, *pairs, pairs.shape[1], 0) for item, pairs in zip(items, split)}
 
 
 def _greedy_caliper_match(

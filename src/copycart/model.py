@@ -360,22 +360,22 @@ class TransactionLog:
         """The rows by (shop, date, daypart) cell, built on first use."""
         if self._cells is None:
             row = np.int32 if self.n < 2**31 else np.int64  # halves the index held
-            day = self.date_ord - (self.date_ord.min() if self.n else 0)
-            span = int(day.max(initial=0)) + 1
-            cell, count = dense_codes((self.shop_idx.astype(np.int64) * span + day) * 4 + self.daypart)
+            first = int(self.date_ord.min()) if self.n else 0
+            span = int(self.date_ord.max(initial=first)) - first + 1
+            cell, count = dense_codes((self.shop_idx.astype(np.int64) * span + self.date_ord - first) * 4
+                                      + self.daypart)
             cell = cell.astype(row)
             start = run_starts(count)
             order = stable_order(cell, count.shape[0]).astype(row)
             position = np.empty(self.n, row)
-            position[order] = np.arange(self.n) - np.repeat(start[:-1], count)
+            position[order] = np.arange(self.n, dtype=row) - np.repeat(start[:-1].astype(row), count)
             by_person = self.person_transactions()[0]
             by_person = by_person[stable_order(cell[by_person], count.shape[0])].astype(row)
-            new = np.ones(self.n, bool)
-            cells, persons = cell[by_person], self.person_idx[by_person]
-            new[1:] = (cells[1:] != cells[:-1]) | (persons[1:] != persons[:-1])
+            new = np.ones(self.n + 1, bool)  # where each (cell, person) group starts in by_person, then its end
+            new[1:-1] = (np.diff(cell[by_person]) != 0) | (np.diff(self.person_idx[by_person]) != 0)
             group = np.empty(self.n, row)
-            group[by_person] = np.cumsum(new) - 1
-            group_start = np.append(np.flatnonzero(new), self.n).astype(row)
+            group[by_person] = np.cumsum(new[:-1], dtype=row) - 1
+            group_start = np.flatnonzero(new).astype(row)
             self._cells = CellIndex(cell, order, start, position, by_person, group, group_start)
         return self._cells
 

@@ -50,6 +50,8 @@ _WINDOWS = np.asarray(list(DAYPART_WINDOWS.values()))
 _ANCHOR_CODES = ("MEAL_V", "MEAL_NV", "COFFEE", "TEA")
 # anchor subtypes drawn like additions: a vegetarian meal, coffee over tea
 ANCHORS = ("meal_vegetarian", "coffee")
+VEG_SHARE = 0.35  # base probability that a meal is vegetarian
+COFFEE_SHARE = 0.65  # base probability that a drink is coffee, not tea
 START_DATE = "2018-01-08"  # day 0 of every simulated log, a Monday
 _DAY0 = int(np.datetime64(START_DATE, "D").astype(np.int64))  # its days since 1970-01-01
 PROPENSITY_SD = 0.15  # spread of a person's purchase probability around the base
@@ -80,8 +82,6 @@ class SimulationConfig:
     daypart_weights: tuple[float, float, float] = (0.25, 0.5, 0.25)
     # purchasing
     base_probs: dict[str, dict[str, float]] = field(default_factory=_default_base_probs)
-    veg_share: float = 0.35
-    coffee_share: float = 0.65
     homophily: float = 0.0
     delta: dict[str, float] = field(default_factory=dict)
     decay_tau: Optional[float] = None
@@ -114,8 +114,6 @@ class SimulationConfig:
             "pair_fraction",
             "visit_rate",
             "solo_rate",
-            "veg_share",
-            "coffee_share",
             "homophily",
             "leader_first_prob",
             "susceptibility_asymmetry",
@@ -338,7 +336,7 @@ def _draw_rows(population: Population, config: SimulationConfig) -> tuple[list, 
     # from `base_probs` is never bought there
     base = np.asarray([
         [config.base_probs.get(dp, {}).get(item, 0.0) for dp in DAYPART_LABELS] for item in items
-    ] + [[config.veg_share] * 3, [config.coffee_share] * 3])  # in ANCHORS order
+    ] + [[VEG_SHARE] * 3, [COFFEE_SHARE] * 3])  # in ANCHORS order
 
     # popularity shocks and unavailability per (item, cell), drawn per
     # (shop, day, daypart, item); the cell numbers (shop, day, daypart) as

@@ -9,6 +9,7 @@ from scipy import stats as sps
 from scipy.special import stdtr
 
 from copycart._util import t_two_sided_p
+import copycart.baseline as baseline_mod
 from copycart.baseline import (
     MIN_PER_ORDER,
     coordination_test,
@@ -266,12 +267,18 @@ def asym_pair(a, b, n_lead, k_lead, n_foll, k_foll):
     return spec
 
 
-def test_coordination_detects_asymmetry():
+@pytest.fixture
+def every_dyad(monkeypatch):
+    """`coordination_test` takes each direction's rate over all its treated dyads."""
+    monkeypatch.setattr(baseline_mod, "SAMPLE_PER_PAIR", 10**9)
+
+
+def test_coordination_detects_asymmetry(every_dyad):
     # three pairs, each strongly leader-skewed: rates (.75,.70,.80) vs (.25,.17,.30)
     spec = asym_pair("A", "B", 20, 15, 12, 3)
     spec += asym_pair("C", "D", 20, 14, 12, 2)
     spec += asym_pair("E", "F", 20, 16, 10, 3)
-    res = coordination_test(directed_dyads(spec), "dessert", sample_per_pair=None)
+    res = coordination_test(directed_dyads(spec), "dessert")
     assert res["n_pairs"] == 3
     assert res["n_leader_first"] == 60 and res["n_follower_first"] == 34
     assert res["rate_leader_first"] == pytest.approx((0.75 + 0.70 + 0.80) / 3)
@@ -279,18 +286,18 @@ def test_coordination_detects_asymmetry():
     assert res["t"] > 0 and res["p"] < 0.05
 
 
-def test_coordination_symmetric_rates_accept():
+def test_coordination_symmetric_rates_accept(every_dyad):
     # identical per-direction rates in every pair: t = 0, p = 1
     spec = asym_pair("A", "B", 20, 10, 20, 10) + asym_pair("C", "D", 20, 10, 20, 10)
-    res = coordination_test(directed_dyads(spec), "dessert", sample_per_pair=None)
+    res = coordination_test(directed_dyads(spec), "dessert")
     assert res["rate_leader_first"] == res["rate_follower_first"] == pytest.approx(0.5)
     assert res["t"] == pytest.approx(0.0, abs=1e-12)
     assert res["p"] == pytest.approx(1.0)
 
 
-def test_coordination_role_tiebreak_lexicographic():
+def test_coordination_role_tiebreak_lexicographic(every_dyad):
     spec = asym_pair("A", "B", 10, 10, 10, 0) + asym_pair("C", "D", 10, 9, 10, 1)
-    res = coordination_test(directed_dyads(spec), "dessert", sample_per_pair=None)
+    res = coordination_test(directed_dyads(spec), "dessert")
     # equal direction counts: lower id leads, so leader-first rates are (1, .9)
     assert res["rate_leader_first"] == pytest.approx(0.95)
     assert res["rate_follower_first"] == pytest.approx(0.05)
@@ -318,20 +325,20 @@ def test_coordination_subsample_and_determinism():
     spec += [("C", "D", bool(rng.random() < 0.7)) for _ in range(40)]
     spec += [("D", "C", bool(rng.random() < 0.3)) for _ in range(30)]
     d = directed_dyads(spec)
-    a = coordination_test(d, "dessert", sample_per_pair=10, seed=3)
-    b = coordination_test(d, "dessert", sample_per_pair=10, seed=3)
+    a = coordination_test(d, "dessert", seed=3)
+    b = coordination_test(d, "dessert", seed=3)
     assert a == b
     assert a["n_leader_first"] == 20 and a["n_follower_first"] == 20
-    c = coordination_test(d, "dessert", sample_per_pair=10, seed=4)
+    c = coordination_test(d, "dessert", seed=4)
     assert c != a
 
 
-def test_coordination_untreated_dyads_set_roles_not_rates():
+def test_coordination_untreated_dyads_set_roles_not_rates(every_dyad):
     # untreated dyads (partner without the item) count toward leadership but
     # never toward qualification or the purchase rates
     spec = asym_pair("A", "B", 10, 10, 10, 0) + asym_pair("C", "D", 10, 9, 10, 1)
     d = directed_dyads(spec)
-    tied_roles = coordination_test(d, "dessert", sample_per_pair=None)
+    tied_roles = coordination_test(d, "dessert")
     # direction counts tie on treated dyads alone: lexicographic leaders A, C
     assert tied_roles["rate_leader_first"] == pytest.approx(0.95)
     rows = []
@@ -343,7 +350,7 @@ def test_coordination_untreated_dyads_set_roles_not_rates():
     log = parse_csv("".join(directed_rows(spec)) + "".join(rows))
     bigger = extract_dyads(reconstruct_queues(log))
     assert bigger.n == len(spec) + 12
-    flipped = coordination_test(bigger, "dessert", sample_per_pair=None)
+    flipped = coordination_test(bigger, "dessert")
     # same treated rates, but B and D now lead on all-dyad counts (16 vs 10)
     assert flipped["n_pairs"] == 2
     assert flipped["rate_leader_first"] == pytest.approx(0.05)
@@ -385,7 +392,9 @@ def coordination_oracle(dyads, item, sample_per_pair, seed):
 
 
 @pytest.mark.parametrize("sample_per_pair", [10, None])
-def test_coordination_matches_per_pair_reference(sample_per_pair):
+def test_coordination_matches_per_pair_reference(monkeypatch, sample_per_pair):
+    if sample_per_pair is None:  # every treated dyad is rated
+        monkeypatch.setattr(baseline_mod, "SAMPLE_PER_PAIR", 10**9)
     log = simulate(SimulationConfig(seed=3, n_persons=60, n_days=300, pair_fraction=1.0)).log
     d = extract_dyads(reconstruct_queues(log))
     # and tied all-dyad counts, where the lower person id leads
@@ -398,12 +407,12 @@ def test_coordination_matches_per_pair_reference(sample_per_pair):
         for item in ("dessert", "soup", "meal"):
             for seed in range(3):
                 try:
-                    got = coordination_test(dyads, item, sample_per_pair, seed)
+                    got = coordination_test(dyads, item, seed)
                 except InsufficientDataError:
                     continue
                 n_pairs, n_lead, n_foll, (lead, foll) = coordination_oracle(dyads, item, sample_per_pair, seed)
                 assert (got["n_pairs"], got["n_leader_first"], got["n_follower_first"]) == (n_pairs, n_lead, n_foll)
-                assert got == coordination_test(dyads, item, sample_per_pair, seed)
+                assert got == coordination_test(dyads, item, seed)
                 t, p, df = welch_t(np.asarray(lead), np.asarray(foll))
                 assert (got["t"], got["p"], got["df"]) == (t, p, df)
                 assert got["rate_leader_first"] == float(np.mean(lead))

@@ -26,6 +26,7 @@ from copycart.cli.pipeline import load_results, load_schema, run_pipeline, schem
 from copycart.cli.plots import emit_plots
 from copycart.errors import ConfigError, IngestError
 from copycart.estimate import GROUPINGS, subgroup_estimates
+from copycart.matching import PAIR_COLUMNS
 from copycart.model import Demographics, PersonRecord
 from copycart.sim import SimulationConfig, simulate, write_simulation
 
@@ -551,7 +552,7 @@ def test_run_outputs_exist(first_run):
     for name in ("results.json", "estimates.csv", "context.csv", "dyads.csv",
                  "predictions.csv"):
         assert (out / name).exists()
-    assert (out / "matched_pairs" / "dessert.csv").exists()
+    assert (out / "matched_pairs.csv").read_text().count("\ndessert,") > 0
     assert (out / "plots" / "forest_rd.svg").exists()
 
 
@@ -671,9 +672,7 @@ def test_match_stage_rerun_reproduces_pairs(workdir, first_run):
     (sub / "dyads.csv").write_bytes((out_a / "dyads.csv").read_bytes())
     res = invoke("--config", workdir / "run.yaml", "--out", sub, "match")
     assert res.exit_code == 0, res.output
-    for name in os.listdir(out_a / "matched_pairs"):
-        assert (sub / "matched_pairs" / name).read_bytes() == \
-            (out_a / "matched_pairs" / name).read_bytes()
+    assert (sub / "matched_pairs.csv").read_bytes() == (out_a / "matched_pairs.csv").read_bytes()
 
 
 def _json_objects(text):
@@ -704,7 +703,7 @@ def test_estimate_stage_matches_pipeline(workdir, first_run, stage):
     # each staged subcommand, given the dumps `run` left, rewrites those
     # dumps byte for byte and prints what results.json reports
     results, out_a = first_run
-    pairs = {os.path.join("matched_pairs", n) for n in os.listdir(out_a / "matched_pairs")}
+    pairs = {"matched_pairs.csv"}
     reads = {"dyads": set(), "match": {"dyads.csv"}, "infer-status": set()}.get(
         stage, {"dyads.csv"} | pairs)
     writes = {"dyads": {"context.csv", "dyads.csv"}, "match": pairs,
@@ -761,32 +760,6 @@ def test_repeated_item_is_analyzed_once(workdir, first_run, stage):
     assert once.output.count("dessert") == 1
 
 
-def test_item_reads_only_its_own_pair_file(workdir, first_run, tmp_path):
-    _results, out_a = first_run
-    (tmp_path / "matched_pairs").mkdir()
-    for name in ("dyads.csv", os.path.join("matched_pairs", "dessert.csv")):
-        shutil.copyfile(out_a / name, tmp_path / name)
-    (tmp_path / "matched_pairs" / "fruit.csv").write_bytes(b"not,a,pair,dump\n")
-    args = ("--config", workdir / "run.yaml", "--out", tmp_path, "estimate")
-    _assert_ingest_error(invoke(*args), "fruit.csv line 1: header")
-    one = invoke(*args, "--item", "dessert")
-    assert one.exit_code == 0, one.output
-    assert [o["item"] for o in _json_objects(one.output)] == ["dessert"]
-
-
-@pytest.mark.parametrize("name, fragment", [
-    ("fruit.csv", "fruit.csv line 2: item 'dessert' in the pair file of 'fruit'"),
-    ("desserts.csv", "desserts.csv: item 'desserts' is not one of"),
-], ids=["other_item", "not_an_item"])
-def test_pair_file_is_read_as_the_item_its_name_gives(workdir, first_run, tmp_path, name, fragment):
-    _results, out_a = first_run
-    (tmp_path / "matched_pairs").mkdir()
-    shutil.copyfile(out_a / "dyads.csv", tmp_path / "dyads.csv")
-    shutil.copyfile(out_a / "matched_pairs" / "dessert.csv", tmp_path / "matched_pairs" / name)
-    res = invoke("--config", workdir / "run.yaml", "--out", tmp_path, "estimate")
-    _assert_ingest_error(res, fragment)
-
-
 def test_pairs_without_a_match_directory_name_the_stage_to_run(workdir, first_run, tmp_path):
     _results, out_a = first_run
     shutil.copyfile(out_a / "dyads.csv", tmp_path / "dyads.csv")
@@ -795,7 +768,9 @@ def test_pairs_without_a_match_directory_name_the_stage_to_run(workdir, first_ru
         res = invoke(*args, command)
         assert res.exit_code == 1, res.output
         assert "no matched pairs dumped for: any item; run `copycart match`" in res.output
-    (tmp_path / "matched_pairs").mkdir()  # what a match that found no pairs leaves
+    # what a match that found no pairs leaves
+    header = (out_a / "matched_pairs.csv").read_text().splitlines(keepends=True)[0]
+    (tmp_path / "matched_pairs.csv").write_text(header, encoding="utf-8")
     for command in ("estimate", "sensitivity", "dose"):
         res = invoke(*args, command)
         assert res.exit_code == 0 and res.output == "", res.output
@@ -817,7 +792,7 @@ def test_stage_without_its_dump_is_an_ingest_error(workdir, tmp_path, stage):
     (["match"], [], "missing stage dump {out}/dyads.csv; run `copycart dyads` first"),
     (["estimate"], [], "missing stage dump {out}/dyads.csv; run `copycart dyads` first"),
     (["dose"], ["dyads.csv"], "no matched pairs dumped for: any item; run `copycart match`"),
-    (["sensitivity", "--item", "dessert"], ["dyads.csv", "matched_pairs/fruit.csv"],
+    (["sensitivity", "--item", "dessert"], ["dyads.csv", "matched_pairs.csv"],
      "`copycart match` dumped no pairs for: dessert; it found none, or ran without that --item"),
 ], ids=["match", "estimate", "no_pairs_dir", "no_item_pairs"])
 def test_missing_dump_is_reported_before_the_log_is_read(tmp_path, args, dumps, hint):
@@ -829,7 +804,6 @@ def test_missing_dump_is_reported_before_the_log_is_read(tmp_path, args, dumps, 
     out = tmp_path / "out"
     out.mkdir()
     for dump in dumps:
-        (out / dump).parent.mkdir(exist_ok=True)
         (out / dump).write_text("", encoding="utf-8")
     res = invoke("--config", tmp_path / "run.yaml", "--out", out, *args)
     assert res.exit_code == 1, res.output
@@ -863,32 +837,23 @@ def dropout(tmp_path_factory):
     return root
 
 
-def test_match_leaves_only_its_own_pair_files(dropout, tmp_path):
-    def stage(config, *args):
-        res = invoke("--config", dropout / f"{config}.yaml", "--out", tmp_path, *args)
+def test_match_of_one_item_leaves_only_its_rows(dropout, tmp_path):
+    def stage(*args):
+        res = invoke("--config", dropout / "all.yaml", "--out", tmp_path, *args)
         assert res.exit_code == 0, res.output
         return res.output
 
-    stage("all", "dyads")
-    assert stage("all", "match").splitlines() == [
+    stage("dyads")
+    assert stage("match").splitlines() == [
         "dessert: 155 pairs (604 unmatched treated)",
         "fruit: 82 pairs (377 unmatched treated)",
         "soup: 63 pairs (319 unmatched treated)",
     ]
-    assert stage("all", "match", "--item", "dessert") == "dessert: 155 pairs (604 unmatched treated)\n"
-    assert os.listdir(tmp_path / "matched_pairs") == ["dessert.csv"]
-    stage("all", "match")
-    stage("dessert", "dyads")
-    assert stage("dessert", "match") == "dessert: 155 pairs (604 unmatched treated)\n"
-    assert os.listdir(tmp_path / "matched_pairs") == ["dessert.csv"]
-    assert [o["item"] for o in _json_objects(stage("dessert", "estimate"))] == ["dessert"]
-
-
-def test_run_leaves_only_its_own_pair_files(dropout, tmp_path):
-    for config, files in (("all", ["dessert.csv", "fruit.csv", "soup.csv"]), ("dessert", ["dessert.csv"])):
-        res = invoke("--config", dropout / f"{config}.yaml", "--out", tmp_path, "run")
-        assert res.exit_code == 0, res.output
-        assert sorted(os.listdir(tmp_path / "matched_pairs")) == files
+    rows = (tmp_path / "matched_pairs.csv").read_text().splitlines(keepends=True)
+    assert [row.split(",")[0] for row in rows] == ["item"] + ["dessert"] * 155 + ["fruit"] * 82 + ["soup"] * 63
+    assert stage("match", "--item", "dessert") == "dessert: 155 pairs (604 unmatched treated)\n"
+    assert (tmp_path / "matched_pairs.csv").read_text() == "".join(rows[:156])
+    assert [o["item"] for o in _json_objects(stage("estimate"))] == ["dessert"]
 
 
 def test_stage_dumps_must_match_the_log(workdir, first_run):
@@ -904,11 +869,10 @@ def test_stage_dumps_must_match_the_log(workdir, first_run):
     assert "names tx id 'NO_SUCH_TX', which the transaction log lacks" in res.output
 
     (sub / "dyads.csv").write_bytes((out_a / "dyads.csv").read_bytes())
-    (sub / "matched_pairs").mkdir(exist_ok=True)
-    header, first, *_rest = (out_a / "matched_pairs" / "dessert.csv").read_text().splitlines(True)
+    header, first, *_rest = (out_a / "matched_pairs.csv").read_text().splitlines(True)
     fields = first.split(",")
     fields[1] = "NO_SUCH_TX"
-    (sub / "matched_pairs" / "dessert.csv").write_text(header + ",".join(fields), encoding="utf-8")
+    (sub / "matched_pairs.csv").write_text(header + ",".join(fields), encoding="utf-8")
     res = invoke("--config", workdir / "run.yaml", "--out", sub, "estimate")
     assert res.exit_code == 1
     assert "[errors.IngestError]" in res.output and "NO_SUCH_TX" in res.output
@@ -943,16 +907,16 @@ def test_malformed_dyad_dump_fails_cleanly(workdir, first_run, damage):
 def test_malformed_pair_dump_fails_cleanly(workdir, first_run, damage):
     _results, out_a = first_run
     sub = workdir / f"bad_pairs_{damage}"
-    (sub / "matched_pairs").mkdir(parents=True, exist_ok=True)
+    sub.mkdir(exist_ok=True)
     (sub / "dyads.csv").write_bytes((out_a / "dyads.csv").read_bytes())
-    header, first, *rest = (out_a / "matched_pairs" / "dessert.csv").read_text().splitlines(True)
+    header, first, *rest = (out_a / "matched_pairs.csv").read_text().splitlines(True)
     fields = first.rstrip("\n").split(",")
     bad = fields[:4] if damage == "short" else fields[:6]
-    (sub / "matched_pairs" / "dessert.csv").write_text(
+    (sub / "matched_pairs.csv").write_text(
         header + ",".join(bad) + "\n" + "".join(rest), encoding="utf-8"
     )
     res = invoke("--config", workdir / "run.yaml", "--out", sub, "estimate")
-    _assert_ingest_error(res, "dessert.csv line 2")
+    _assert_ingest_error(res, "matched_pairs.csv line 2")
 
 
 def test_staged_stages_ignore_derived_dump_columns(workdir, first_run):
@@ -961,13 +925,13 @@ def test_staged_stages_ignore_derived_dump_columns(workdir, first_run):
     results, out_a = first_run
     sub = workdir / "edited"
     shutil.rmtree(sub, ignore_errors=True)
-    shutil.copytree(out_a / "matched_pairs", sub / "matched_pairs")
+    sub.mkdir()
     header, *rows = (out_a / "dyads.csv").read_text().splitlines(keepends=True)
     shifted = (f"{head},{int(delay) + 1000}\n" for head, delay in (row.rsplit(",", 1) for row in rows))
     (sub / "dyads.csv").write_text(header + "".join(shifted), encoding="utf-8")
-    header, *rows = (out_a / "matched_pairs" / "dessert.csv").read_text().splitlines(keepends=True)
+    header, *rows = (out_a / "matched_pairs.csv").read_text().splitlines(keepends=True)
     junk = (",".join(row.split(",")[:5] + ["high", "n/a"]) + "\n" for row in rows)
-    (sub / "matched_pairs" / "dessert.csv").write_text(header + "".join(junk), encoding="utf-8")
+    (sub / "matched_pairs.csv").write_text(header + "".join(junk), encoding="utf-8")
     items = {it["item"]: it for it in results["items"]}
     for stage in ("estimate", "dose"):
         res = invoke("--config", workdir / "run.yaml", "--out", sub, stage)
@@ -978,7 +942,7 @@ def test_staged_stages_ignore_derived_dump_columns(workdir, first_run):
             assert pipeline_mod._jsonable(obj) == items[obj["item"]][STAGE_JSON[stage]]
     res = invoke("--config", workdir / "run.yaml", "--out", sub, "match")
     assert res.exit_code == 0, res.output
-    assert tree_bytes(sub / "matched_pairs") == tree_bytes(out_a / "matched_pairs")
+    assert (sub / "matched_pairs.csv").read_bytes() == (out_a / "matched_pairs.csv").read_bytes()
 
 
 def test_jsonl_input_is_rejected(workdir, tmp_path):
@@ -1025,13 +989,13 @@ def test_unreadable_input_fails_cleanly(workdir, tmp_path, name, damage, fragmen
 
 
 @pytest.mark.parametrize("dump, stage", [
-    ("dyads.csv", "match"), (os.path.join("matched_pairs", "dessert.csv"), "estimate"),
+    ("dyads.csv", "match"), ("matched_pairs.csv", "estimate"),
 ], ids=["dyads", "pairs"])
 @pytest.mark.parametrize("damage", ["header", "bytes"])
 def test_unreadable_dump_fails_cleanly(workdir, first_run, tmp_path, dump, stage, damage):
     _results, out_a = first_run
     sub = tmp_path / "sub"
-    (sub / "matched_pairs").mkdir(parents=True)
+    sub.mkdir()
     for name in ("dyads.csv", dump):
         shutil.copyfile(out_a / name, sub / name)
     header, *rows = (sub / dump).read_bytes().splitlines(keepends=True)
@@ -1041,7 +1005,7 @@ def test_unreadable_dump_fails_cleanly(workdir, first_run, tmp_path, dump, stage
         rows[1], where = rows[1].replace(b",", b"\xff,", 1), "line 3: not UTF-8"
     (sub / dump).write_bytes(header + b"".join(rows))
     res = invoke("--config", workdir / "run.yaml", "--out", sub, stage)
-    _assert_ingest_error(res, f"{os.path.basename(dump)} {where}")
+    _assert_ingest_error(res, f"{dump} {where}")
 
 
 def test_ingest_reports_counts_and_writes_nothing(workdir, first_run, tmp_path):
@@ -1175,8 +1139,8 @@ def test_config_file_that_cannot_be_read_exits_cleanly(tmp_path, text, fragment)
     ("", "file", ["run"]),
     ("", "file", ["infer-status"]),
     ("", "file", ["--seed", 1, "simulate", "--set", "n_persons=60", "--set", "n_days=10"]),
-    ("matched_pairs", "file", ["match"]),
-    ("matched_pairs", "file", ["run"]),
+    ("matched_pairs.csv", "dir", ["match"]),
+    ("matched_pairs.csv", "dir", ["run"]),
     ("plots", "file", ["plot"]),
     ("dyads.csv", "dir", ["dyads"]),
 ], ids=["out_file-dyads", "out_file-run", "out_file-infer_status", "out_file-simulate",
@@ -1368,12 +1332,12 @@ def test_match_that_finds_no_pairs_removes_the_earlier_dump(tmp_path):
         }
         (tmp_path / f"{name}.yaml").write_text(yaml.safe_dump(conf), encoding="utf-8")
         args[name] = ["--config", tmp_path / f"{name}.yaml", "--out", tmp_path / "out"]
-    dump = tmp_path / "out" / "matched_pairs" / "dessert.csv"
+    dump = tmp_path / "out" / "matched_pairs.csv"
     assert invoke(*args["loose"], "dyads").exit_code == 0
     assert invoke(*args["loose"], "match", "--item", "dessert").output == "dessert: 6 pairs (12 unmatched treated)\n"
-    assert dump.exists()
+    assert dump.read_text().count("\ndessert,") == 6
     assert invoke(*args["default"], "match", "--item", "dessert").output == "dessert: no_pairs\n"
-    assert not dump.exists()
+    assert dump.read_text() == ",".join(PAIR_COLUMNS) + "\n"
     for stage in ("estimate", "sensitivity", "dose"):
         res = invoke(*args["default"], stage, "--item", "dessert")
         assert res.exit_code == 1 and "`copycart match` dumped no pairs for: dessert" in res.output

@@ -4,13 +4,17 @@ a traceback.
 
 Every command runs in-process through click's runner on a tiny simulated
 log.  The generated values are wrong types and malformed text only, never
-large magnitudes, so no example can ask for a big simulation.
+large magnitudes, so no example can ask for a big simulation.  The examples
+of a test share one directory, so that no example makes and deletes a tree
+of its own: each example writes every file it damages or generates, and
+leaves every other file as it found it.
 """
 
 import functools
 import json
 import operator
 import os
+import pathlib
 import shutil
 import tempfile
 
@@ -60,8 +64,14 @@ def base(tmp_path_factory):
     (root / "run.yaml").write_text(yaml.safe_dump(run_config(root / "in")), encoding="utf-8")
     res = invoke("--config", root / "run.yaml", "--out", root / "out", "run")
     assert res.exit_code == 0, res.output
-    assert (root / "out" / "matched_pairs" / "dessert.csv").exists()
+    assert (root / "out" / "matched_pairs.csv").exists()
     return root
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    """The directory the examples of a test write their files into."""
+    return tmp_path_factory.mktemp("examples")
 
 
 # -- malformed files -----------------------------------------------------------
@@ -72,9 +82,23 @@ FILES = {
     "in/catalog.csv": "ingest",
     "in/demographics.csv": "ingest",
     "out/dyads.csv": "match",
-    "out/matched_pairs/dessert.csv": "estimate",
+    "out/matched_pairs.csv": "estimate",
     "out/results.json": "plot",
 }
+
+# what a command of FILES writes under out/; none of them reads it back
+WRITES = {"match": ("matched_pairs.csv",), "plot": ("plots/",)}
+
+
+def kept_files(root: pathlib.Path, command: str) -> dict[str, bytes]:
+    """The bytes of every file under `root`/in and `root`/out but those `command` writes."""
+    files = {}
+    for path in sorted(root.glob("*/**/*")):
+        name = path.relative_to(root).as_posix()
+        if path.is_file() and not name.removeprefix("out/").startswith(WRITES.get(command, ())):
+            files[name] = path.read_bytes()
+    return files
+
 
 TEXT = st.text(st.sampled_from('ab ,;:"{}[]\\é\r'), max_size=6)
 
@@ -111,22 +135,29 @@ def damaged(data: bytes, kind, line, at, junk, text, fields) -> bytes:
     return b"\n".join(lines)
 
 
-@pytest.mark.parametrize("name", sorted(FILES))
+@pytest.fixture(scope="module")
+def tree(base, name, tmp_path_factory):
+    """A copy of the base tree that every example damaging `name` reuses,
+    and the bytes its command must leave as they are."""
+    root = tmp_path_factory.mktemp("damaged")
+    shutil.copytree(base / "in", root / "in")
+    shutil.copytree(base / "out", root / "out")
+    (root / "run.yaml").write_text(yaml.safe_dump(run_config(root / "in")), encoding="utf-8")
+    return root, kept_files(base, FILES[name])
+
+
+@pytest.mark.parametrize("name", sorted(FILES), scope="module")
 @FUZZ
 @given(damage=DAMAGE)
-def test_malformed_file_exits_cleanly(base, name, damage):
-    with tempfile.TemporaryDirectory() as tmp:
-        shutil.copytree(base / "in", os.path.join(tmp, "in"))
-        shutil.copytree(base / "out", os.path.join(tmp, "out"))
-        path = os.path.join(tmp, name)
-        with open(path, "rb") as fh:
-            data = fh.read()
-        with open(path, "wb") as fh:
-            fh.write(damaged(data, **damage))
-        config = os.path.join(tmp, "run.yaml")
-        with open(config, "w", encoding="utf-8") as fh:
-            yaml.safe_dump(run_config(os.path.join(tmp, "in")), fh)
-        assert_clean_exit(invoke("--config", config, "--out", os.path.join(tmp, "out"), FILES[name]))
+def test_malformed_file_exits_cleanly(tree, name, damage):
+    root, kept = tree
+    try:
+        (root / name).write_bytes(damaged(kept[name], **damage))
+        assert_clean_exit(invoke("--config", root / "run.yaml", "--out", root / "out", FILES[name]))
+    finally:
+        (root / name).write_bytes(kept[name])
+    # so the next example reads no byte but those it damages and the base tree's
+    assert kept_files(root, FILES[name]) == kept
 
 
 # -- config values of the wrong type -------------------------------------------
@@ -152,29 +183,23 @@ RUN_KEYS = [
 
 @FUZZ
 @given(key=st.sampled_from(RUN_KEYS), value=WRONG)
-def test_run_config_of_wrong_type_exits_cleanly(base, key, value):
+def test_run_config_of_wrong_type_exits_cleanly(base, scratch, key, value):
     conf = run_config(base / "in")
     section, name = key
     if section is None:
         conf[name] = value
     else:
         conf.setdefault(section, {})[name] = value
-    with tempfile.TemporaryDirectory() as tmp:
-        config = os.path.join(tmp, "run.yaml")
-        with open(config, "w", encoding="utf-8") as fh:
-            yaml.safe_dump(conf, fh)
-        assert_clean_exit(invoke("--config", config, "--out", os.path.join(tmp, "o"), "ingest"))
+    (scratch / "run.yaml").write_text(yaml.safe_dump(conf), encoding="utf-8")
+    assert_clean_exit(invoke("--config", scratch / "run.yaml", "--out", scratch / "o", "ingest"))
 
 
 @FUZZ
 @given(damage=DAMAGE)
-def test_malformed_config_file_exits_cleanly(base, damage):
+def test_malformed_config_file_exits_cleanly(base, scratch, damage):
     data = yaml.safe_dump(run_config(base / "in")).encode("utf-8")
-    with tempfile.TemporaryDirectory() as tmp:
-        config = os.path.join(tmp, "run.yaml")
-        with open(config, "wb") as fh:
-            fh.write(damaged(data, **damage))
-        assert_clean_exit(invoke("--config", config, "--out", os.path.join(tmp, "o"), "ingest"))
+    (scratch / "run.yaml").write_bytes(damaged(data, **damage))
+    assert_clean_exit(invoke("--config", scratch / "run.yaml", "--out", scratch / "o", "ingest"))
 
 
 SIM_KEYS = sorted(SimulationConfig.__dataclass_fields__)
@@ -185,11 +210,10 @@ SIM_KEYS = sorted(SimulationConfig.__dataclass_fields__)
     key=st.sampled_from(SIM_KEYS),
     value=st.one_of(WRONG.map(json.dumps), TEXT),  # JSON of a wrong type, or raw text
 )
-def test_simulate_setting_of_wrong_type_exits_cleanly(key, value):
-    with tempfile.TemporaryDirectory() as tmp:
-        res = invoke("--seed", 3, "--out", tmp, "simulate", "--set", "n_persons=60",
-                     "--set", "n_days=10", "--set", f"{key}={value}")
-        assert_clean_exit(res)
+def test_simulate_setting_of_wrong_type_exits_cleanly(scratch, key, value):
+    res = invoke("--seed", 3, "--out", scratch / "sim", "simulate", "--set", "n_persons=60",
+                 "--set", "n_days=10", "--set", f"{key}={value}")
+    assert_clean_exit(res)
 
 
 # -- unusable command-line values and reports -----------------------------------
@@ -265,7 +289,7 @@ DROP = object()
 
 @FUZZ
 @given(data=st.data())
-def test_plot_of_a_report_of_the_wrong_shape_exits_cleanly(base, data):
+def test_plot_of_a_report_of_the_wrong_shape_exits_cleanly(base, scratch, data):
     with open(base / "out" / "results.json", encoding="utf-8") as fh:
         results = json.load(fh)
     *parents, key = data.draw(st.sampled_from(list(json_paths(results))[1:]))
@@ -275,7 +299,5 @@ def test_plot_of_a_report_of_the_wrong_shape_exits_cleanly(base, data):
         del node[key]
     else:
         node[key] = value
-    with tempfile.TemporaryDirectory() as tmp:
-        with open(os.path.join(tmp, "results.json"), "w", encoding="utf-8") as fh:
-            json.dump(results, fh)
-        assert_clean_exit(invoke("--out", tmp, "plot"))
+    (scratch / "results.json").write_text(json.dumps(results), encoding="utf-8")
+    assert_clean_exit(invoke("--out", scratch, "plot"))

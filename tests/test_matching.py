@@ -234,6 +234,18 @@ def test_matching_deterministic_and_order_independent():
     assert tx_pairs(flipped) == tx_pairs(first)
 
 
+def dumped(*sets) -> str:
+    """The pair dump of `sets`, as text."""
+    buf = io.StringIO()
+    MatchedPairSet.to_csv(buf, sets)
+    return buf.getvalue()
+
+
+def read_back(text, dyads):
+    """The dessert pairs of a pair dump, read back over `dyads`."""
+    return MatchedPairSet.from_csv(io.StringIO(text), lambda items: dyads)["dessert"]
+
+
 def test_matched_csv_roundtrip():
     specs = [
         ("2018-01-01", "A", "MEALV;DES", "B", "MEALS"),
@@ -245,20 +257,18 @@ def test_matched_csv_roundtrip():
     ctx = dessert_cells(log, specs, [0.20, 0.20, 0.30, 0.31])
     pairs = build_matched_pairs(dyads, "dessert", ctx)
     assert pairs.n == 2
-    buf = io.StringIO()
-    pairs.to_csv(buf)
-    text = buf.getvalue()
+    text = dumped(pairs)
     assert text.splitlines()[0] == (
         "item,treated_partner_tx,treated_focal_tx,control_partner_tx,"
         "control_focal_tx,popularity_t,popularity_c"
     )
-    back = MatchedPairSet.from_csv(io.StringIO(text), dyads, "dessert")
+    back = read_back(text, dyads)
     assert np.array_equal(back.treated_idx, pairs.treated_idx)
     assert np.array_equal(back.control_idx, pairs.control_idx)
     # the popularities are written for people; a set read back has none to write
     assert back.popularity is None
     with pytest.raises(ValueError, match="freshly built"):
-        back.to_csv(io.StringIO())
+        dumped(back)
 
 
 def test_matched_csv_names_dyads_by_lookup():
@@ -269,18 +279,42 @@ def test_matched_csv_names_dyads_by_lookup():
         ("2018-01-04", "A", "MEALV", "C", "MEALS"),
     ]
     log, dyads = one_dyad_per_day(specs)
-    pairs = build_matched_pairs(dyads, "dessert", dessert_cells(log, specs, [0.20, 0.20, 0.30, 0.31]))
-    buf = io.StringIO()
-    pairs.to_csv(buf)
+    text = dumped(build_matched_pairs(dyads, "dessert", dessert_cells(log, specs, [0.20, 0.20, 0.30, 0.31])))
     # dyads given in another order, one of them twice: the last copy is read
-    rev = dyads.subset(np.asarray([3, 2, 1, 0, 2]))
-    back = MatchedPairSet.from_csv(io.StringIO(buf.getvalue()), rev, "dessert")
+    back = read_back(text, dyads.subset(np.asarray([3, 2, 1, 0, 2])))
     assert back.treated_idx.tolist() == [3, 4] and back.control_idx.tolist() == [2, 0]
     lacking = dyads.subset(np.asarray([0, 2, 3]))  # no day-2 control dyad
     with pytest.raises(IngestError, match=r"names dyad \(P001, F001\), which the dyad set lacks"):
-        MatchedPairSet.from_csv(io.StringIO(buf.getvalue()), lacking, "dessert")
+        read_back(text, lacking)
     with pytest.raises(IngestError, match=r"names dyad \(P000, F000\), which the dyad set lacks"):
-        MatchedPairSet.from_csv(io.StringIO(buf.getvalue()), dyads.subset(np.zeros(4, bool)), "dessert")
+        read_back(text, dyads.subset(np.zeros(4, bool)))
+
+
+def test_pair_dump_row_whose_item_is_not_a_category_names_its_line():
+    specs = [
+        ("2018-01-01", "A", "MEALV;DES", "B", "MEALS"),
+        ("2018-01-02", "A", "MEALV", "B", "MEALS"),
+        ("2018-01-03", "A", "MEALV;DES", "C", "MEALS"),
+        ("2018-01-04", "A", "MEALV", "C", "MEALS"),
+    ]
+    log, dyads = one_dyad_per_day(specs)
+    text = dumped(build_matched_pairs(dyads, "dessert", dessert_cells(log, specs, [0.20, 0.20, 0.30, 0.31])))
+    header, first, second = text.splitlines(keepends=True)
+    asked = []
+
+    def dyads_for(items):
+        asked.append(items)
+        return dyads
+
+    for bad in ("desserts", "", "Dessert"):
+        with pytest.raises(IngestError, match=f"matched-pair dump line 3: item '{bad}' is not one of"):
+            MatchedPairSet.from_csv(io.StringIO(header + first + second.replace("dessert", bad, 1)), dyads_for)
+    assert asked == []  # checked before the dyads are asked for
+    # the rows of each item are read as that item's pairs
+    both = MatchedPairSet.from_csv(io.StringIO(header + second.replace("dessert", "fruit", 1) + first), dyads_for)
+    assert asked == [["dessert", "fruit"]]
+    assert {item: (p.item, p.treated_idx.tolist(), p.control_idx.tolist()) for item, p in both.items()} == {
+        "dessert": ("dessert", [0], [1]), "fruit": ("fruit", [2], [3])}
 
 
 def test_smd_cases():
@@ -325,9 +359,7 @@ def test_balance_report_fields_and_failure():
     # identical delays/sizes across arms are balanced exactly
     assert d["covariates"]["delay_s"]["after"] == 0.0
 
-    buf = io.StringIO()
-    pairs.to_csv(buf)
-    loaded = MatchedPairSet.from_csv(io.StringIO(buf.getvalue()), dyads, "dessert")
+    loaded = read_back(dumped(pairs), dyads)
     with pytest.raises(ValueError):
         balance_report(loaded)  # reloaded sets lack the eligibility pools
 

@@ -16,6 +16,8 @@ from copycart.errors import ConfigError
 from copycart.estimate import anchor_mimicry, effect_estimate
 from copycart.matching import AdjustmentSpec, build_matched_pairs
 from copycart.sim import (
+    COFFEE_SHARE,
+    VEG_SHARE,
     SimulationConfig,
     generate_population,
     simulate,
@@ -148,8 +150,8 @@ def test_log_is_valid_and_well_formed():
     assert (log.daypart != M.Daypart.OUT_OF_WINDOW.value).all()
     # the anchor subtypes come in their configured shares
     lunch = log.daypart == M.Daypart.LUNCH.value
-    assert abs(((log.mask >> M.BIT_MEAL_VEG) & 1)[lunch].mean() - res.config.veg_share) < 0.06
-    assert abs(((log.mask >> M.BIT_COFFEE) & 1)[~lunch].mean() - res.config.coffee_share) < 0.06
+    assert abs(((log.mask >> M.BIT_MEAL_VEG) & 1)[lunch].mean() - VEG_SHARE) < 0.06
+    assert abs(((log.mask >> M.BIT_COFFEE) & 1)[~lunch].mean() - COFFEE_SHARE) < 0.06
     assert len(set(tx_ids(log))) == log.n
     # serialize/parse round trip preserves the log
     buf = io.StringIO()

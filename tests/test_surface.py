@@ -7,8 +7,9 @@ function counts as used when its name is loaded as a variable or an
 attribute anywhere, a method only when an attribute of its name is loaded,
 so a local variable of the same name does not hide an unused method.
 
-A defaulted parameter that no call passes is a constant; it belongs beside
-the code that reads it as a named module constant.
+A defaulted parameter that no call in the package passes is a constant; it
+belongs beside the code that reads it as a named module constant, which a
+test that needs another value patches.
 
 A parameter that its own function never reads is one that callers pass for
 nothing; the name checks above cannot see it, since some call passes it.
@@ -76,7 +77,8 @@ def test_every_function_is_loaded_somewhere_in_src():
 
 
 def _passed_arguments() -> dict[str, set]:
-    """Callee name -> the keywords and positional indices some call passes.
+    """Callee name -> the keywords and positional indices some call in
+    `src/copycart` passes; what only tests pass is a constant to the package.
 
     A call is matched to its callee by name: `f(...)` and `x.f(...)` both
     count for every function or method called `f`, and `C(...)` for `C`'s
@@ -84,7 +86,7 @@ def _passed_arguments() -> dict[str, set]:
     the pair ("*", index)), `**kwargs` every keyword (kept as "**").
     """
     passed: dict[str, set] = {}
-    for path in sorted(PACKAGE.rglob("*.py")) + sorted(TESTS.rglob("*.py")):
+    for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for call in ast.walk(tree):
             if not isinstance(call, ast.Call):
