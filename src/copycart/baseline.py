@@ -2,7 +2,8 @@
 
 ``randomize_partners`` replaces each dyad's partner transaction with a
 uniform draw from the same (shop, date, daypart) cell, excluding the
-original partner transaction and every transaction of the focal person.
+original partner transaction and every transaction of the focal person:
+it draws a row of the cell and draws again while the row is excluded.
 Any mimicry estimate recomputed on such a set should vanish.
 
 ``coordination_test`` asks whether the focal-purchase rate depends on who
@@ -33,53 +34,32 @@ def _with_partners(dyads: DyadSet, partner_rows: np.ndarray, sel: np.ndarray) ->
 def randomize_partners(dyads: DyadSet, seed: int) -> DyadSet:
     """Re-draw every partner uniformly from the focal transaction's cell.
 
-    A dyad with no eligible candidate is dropped.  The draw is a single
-    uniform index j per dyad into the cell's members with the excluded rows
-    left out: walking the excluded positions in ascending order, each one at
-    or below j moves j up by one.  No rejection loop is involved.  The new
-    partners break queue adjacency by design.
+    The candidates are the cell's rows less the focal person's and the
+    original partner.  A dyad with no candidate is dropped.  Each round
+    draws one row of the cell for every dyad still open and keeps it if it
+    is a candidate, so a kept row is a uniform draw over the candidates.  A
+    dyad whose cell holds `size` rows, `n_cand` of them candidates, keeps its
+    draw in a round with probability n_cand / size, and stays open after r
+    rounds with probability (1 - n_cand / size) ** r.  The new partners
+    break queue adjacency by design.
     """
-    log = dyads.log
-    if dyads.n == 0:
-        return DyadSet(log, np.empty(0, np.int64), np.empty(0, np.int64))
-    idx = log.cell_index()
-    cell = idx.cell[dyads.focal_i]
-    ms = idx.start[cell]
-    group = idx.group[dyads.focal_i]  # the focal person's rows in the cell
-    fs = idx.group_start[group]
-    n_focal = idx.group_start[group + 1] - fs
-    n_cand = idx.start[cell + 1] - ms - n_focal - 1  # minus the original partner tx
-
+    log, idx = dyads.log, dyads.log.cell_index()
+    focal, partner = dyads.focal_i, dyads.partner_i
+    cell, person = idx.cell[focal], log.person_idx[focal]
+    start = idx.start[cell]
+    size = idx.start[cell + 1] - start
+    # the focal person's rows leave the cell's, then the original partner if it is another row of the cell
+    other = (idx.cell[partner] == cell) & (log.person_idx[partner] != person)
+    n_cand = size - idx.n_own[focal] - other
     ok = n_cand >= 1
     rng = np.random.default_rng(int(seed))
-    draws = np.zeros(dyads.n, np.int64)
-    if ok.any():
-        draws[ok] = rng.integers(0, n_cand[ok])
-
-    k_ok = np.nonzero(ok)[0]
-    ms_ok, fs_ok, n_focal = ms[k_ok], fs[k_ok], n_focal[k_ok]
-    # a partner outside the focal's cell counts where its row would sit among the cell's rows
-    partner = dyads.partner_i[k_ok]
-    partner_pos = idx.position[partner]
-    for k in np.flatnonzero(idx.cell[partner] != cell[k_ok]).tolist():
-        c = cell[k_ok[k]]
-        partner_pos[k] = np.searchsorted(idx.order[idx.start[c] : idx.start[c + 1]], partner[k])
-
-    # excluded positions per dyad, padded past any draw: the focal person's
-    # rows in the cell, then the original partner
-    width = int(n_focal.max()) + 1 if k_ok.shape[0] else 1
-    excluded = np.full((k_ok.shape[0], width), log.n, np.int64)
-    k_rows = np.repeat(np.arange(k_ok.shape[0]), n_focal)
-    col = np.arange(k_rows.shape[0]) - np.repeat(np.cumsum(n_focal) - n_focal, n_focal)
-    excluded[k_rows, col] = idx.position[idx.by_person[fs_ok[k_rows] + col]]
-    excluded[np.arange(k_ok.shape[0]), n_focal] = partner_pos
-    excluded.sort(axis=1)
-
-    j = draws[k_ok]
-    for c in range(width):
-        j += excluded[:, c] <= j
-    new_partner = dyads.partner_i.copy()
-    new_partner[k_ok] = idx.order[ms_ok + j]
+    new_partner = partner.copy()
+    todo = np.flatnonzero(ok)
+    while todo.shape[0]:
+        pick = idx.order[start[todo] + rng.integers(0, size[todo])]
+        kept = (pick != partner[todo]) & (log.person_idx[pick] != person[todo])
+        new_partner[todo[kept]] = pick[kept]
+        todo = todo[~kept]
     return _with_partners(dyads, new_partner, ok)
 
 

@@ -331,7 +331,7 @@ def _rendered(values, sep: bytes, alone: bool) -> np.ndarray:
         quoted.append(text.getvalue()[:-1].encode())
     block = np.zeros((n, max([width, *map(len, quoted)]) + 1), np.uint8)
     block[:, :width] = chars
-    lens = lens.copy()
+    lens = lens.astype(np.int64)  # a quoted field may outgrow the lengths' narrow type
     for k, field in zip(quote, quoted):
         block[k, : len(field)] = np.frombuffer(field, np.uint8)
         lens[k] = len(field)

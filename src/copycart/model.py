@@ -250,10 +250,13 @@ class CellIndex(NamedTuple):
     cell: np.ndarray  # the cell of each row
     order: np.ndarray  # rows grouped by cell, ascending within a cell
     start: np.ndarray  # cell c holds order[start[c]:start[c + 1]]
-    position: np.ndarray  # each row's place among its cell's rows in `order`
-    by_person: np.ndarray  # rows in (cell, person, row) order
-    group: np.ndarray  # each row's (cell, person) group, numbered in that order
-    group_start: np.ndarray  # group g holds by_person[group_start[g]:group_start[g + 1]]
+    n_own: np.ndarray  # how many rows of each row's cell its person holds
+
+
+def row_dtype(n: int) -> type:
+    """The integer type of row numbers and per-row codes in a log of n rows:
+    int32 below 2**31 rows, which halves what int64 holds."""
+    return np.int32 if n < 2**31 else np.int64
 
 
 def calendar_year(ts: np.ndarray) -> np.ndarray:
@@ -303,7 +306,8 @@ class TransactionLog:
             raise ValueError("column length mismatch")
         keys = (ts, shop[1], register[1], tx[1])
         order = slice(None) if _ascending(keys) else np.lexsort(keys[::-1])
-        self.txs, self.tx_idx = tx[0], tx[1][order].astype(np.int64, copy=False)
+        row = row_dtype(n)
+        self.txs, self.tx_idx = tx[0], tx[1][order].astype(row, copy=False)
         if n:
             seen = np.bincount(self.tx_idx)
             if seen.max() > 1:
@@ -314,12 +318,12 @@ class TransactionLog:
         self.persons, self.person_idx = person[0], person[1][order].astype(np.int32, copy=False)
         self.shops, self.shop_idx = shop[0], shop[1][order].astype(np.int32, copy=False)
         self.registers, self.register_idx = register[0], register[1][order].astype(np.int32, copy=False)
-        self.basket_table, self.basket_idx = basket[0], basket[1][order].astype(np.int64, copy=False)
+        self.basket_table, self.basket_idx = basket[0], basket[1][order].astype(row, copy=False)
         table = self.basket_table
         self.mask = np.asarray([catalog.mask_of(b) for b in table], np.uint16)[self.basket_idx]
-        self.basket_sizes = np.asarray([len(b) for b in table], np.int64)[self.basket_idx]
+        self.basket_sizes = np.asarray([len(b) for b in table], np.int32)[self.basket_idx]
         self.report = report if report is not None else IngestReport(n_records=n, n_parsed=n)
-        self.date_ord = self.ts // 86400
+        self.date_ord = (self.ts // 86400).astype(np.int32)
         self.secs = (self.ts % 86400).astype(np.int32)
         self.daypart = dayparts_of_secs_array(self.secs)
         self._person_txs: Optional[tuple[np.ndarray, np.ndarray]] = None
@@ -353,13 +357,14 @@ class TransactionLog:
         if self._person_txs is None:
             # the rows are in time order, so a stable sort by person keeps it
             count = np.bincount(self.person_idx, minlength=len(self.persons))
-            self._person_txs = (stable_order(self.person_idx, len(self.persons)), run_starts(count))
+            order = stable_order(self.person_idx, len(self.persons)).astype(row_dtype(self.n))
+            self._person_txs = (order, run_starts(count))
         return self._person_txs
 
     def cell_index(self) -> CellIndex:
         """The rows by (shop, date, daypart) cell, built on first use."""
         if self._cells is None:
-            row = np.int32 if self.n < 2**31 else np.int64  # halves the index held
+            row = row_dtype(self.n)
             first = int(self.date_ord.min()) if self.n else 0
             span = int(self.date_ord.max(initial=first)) - first + 1
             cell, count = dense_codes((self.shop_idx.astype(np.int64) * span + self.date_ord - first) * 4
@@ -367,16 +372,15 @@ class TransactionLog:
             cell = cell.astype(row)
             start = run_starts(count)
             order = stable_order(cell, count.shape[0]).astype(row)
-            position = np.empty(self.n, row)
-            position[order] = np.arange(self.n, dtype=row) - np.repeat(start[:-1].astype(row), count)
-            by_person = self.person_transactions()[0]
-            by_person = by_person[stable_order(cell[by_person], count.shape[0])].astype(row)
-            new = np.ones(self.n + 1, bool)  # where each (cell, person) group starts in by_person, then its end
-            new[1:-1] = (np.diff(cell[by_person]) != 0) | (np.diff(self.person_idx[by_person]) != 0)
-            group = np.empty(self.n, row)
-            group[by_person] = np.cumsum(new[:-1], dtype=row) - 1
-            group_start = np.flatnonzero(new).astype(row)
-            self._cells = CellIndex(cell, order, start, position, by_person, group, group_start)
+            # a stable sort by person lays each (cell, person) group's rows side by side
+            grouped = order[stable_order(self.person_idx[order], len(self.persons))]
+            new = np.ones(self.n + 1, bool)  # where each group starts in `grouped`, then the end
+            new[1:-1] = np.diff(cell[grouped]) != 0
+            new[1:-1] |= np.diff(self.person_idx[grouped]) != 0
+            size = np.diff(np.arange(self.n + 1, dtype=row)[new])
+            n_own = np.empty(self.n, row)  # each group's size by its number, not np.repeat's int64 counts
+            n_own[grouped] = size[np.cumsum(new[:-1], dtype=row) - 1]
+            self._cells = CellIndex(cell, order, start, n_own)
         return self._cells
 
     def anchor_codes(self) -> np.ndarray:
@@ -480,10 +484,7 @@ class _ChunkParser:
         ids = []
         for name in _ID_COLUMNS:
             distinct, codes, _ = distinct_fields(*map(np.concatenate, zip(*self.ids.pop(name))))
-            if name != "tx_id":
-                ids.append((distinct.texts(), codes))
-            else:  # the log's tx ids keep int64 lengths, as a ByteColumn's are
-                ids.append((ByteColumn(distinct.values, distinct.lens.astype(np.int64)), codes))
+            ids.append((distinct.texts() if name != "tx_id" else distinct, codes))
         ts, self.ts = np.concatenate(self.ts), []
         return TransactionLog(ts, *ids, (table, b_idx), self.catalog, self.report)
 

@@ -41,6 +41,7 @@ from .model import (
     ItemCategory,
     PersonRecord,
     TransactionLog,
+    row_dtype,
     serialize_transactions,
 )
 
@@ -503,8 +504,9 @@ def simulate_log(population: Population, config: SimulationConfig) -> tuple[Tran
                      + [c for k, c in enumerate(item_codes) if code >> k & 1]))
         for code in range(len(_ANCHOR_CODES) << n_items)
     ]
-    log = TransactionLog(ts, (tx_ids, np.arange(N)), person, shop, reg, (table, basket),
-                         simulation_catalog(config))
+    row = row_dtype(N)  # the log keeps codes of its row type as they are
+    log = TransactionLog(ts, (tx_ids, np.arange(N, dtype=row)), person, shop, reg,
+                         (table, basket.astype(row)), simulation_catalog(config))
     return log, truth
 
 

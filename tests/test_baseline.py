@@ -102,32 +102,37 @@ def test_randomization_preserves_measures_under_identity():
     )
 
 
-def randomize_oracle(dyads, seed):
-    """Scalar reference: the same draws, mapped past the excluded rows one
-    dyad at a time.  Returns (partner row per dyad, dyad kept)."""
+def candidate_rows(dyads, k):
+    """The rows dyad k may draw, read from the rows' own columns: its focal
+    row's cell less the focal person's rows and the original partner."""
     log = dyads.log
     cells = cell_reference(log)
-    d_cell = cells[dyads.focal_i]
-    n_cand = np.zeros(dyads.n, np.int64)
-    members, excluded = [], []
-    for k in range(dyads.n):
-        in_cell = np.nonzero(cells == d_cell[k])[0]  # ascending row ids
-        focal_rows = in_cell[log.person_idx[in_cell] == dyads.focal_person[k]]
-        members.append(in_cell)
-        excluded.append(np.sort(np.append(focal_rows, dyads.partner_i[k])))
-        n_cand[k] = in_cell.shape[0] - focal_rows.shape[0] - 1
-    ok = n_cand >= 1
+    in_cell = np.flatnonzero(cells == cells[dyads.focal_i[k]])
+    own = log.person_idx[in_cell] == dyads.focal_person[k]
+    return set(in_cell[~own].tolist()) - {int(dyads.partner_i[k])}
+
+
+def randomize_oracle(dyads, seed):
+    """Scalar reference: the same draws, round by round.  Each round every
+    open dyad, in dyad order, draws a row of its focal cell and keeps it if
+    it is a candidate.  Returns (partner row per dyad, dyad kept)."""
+    cells = cell_reference(dyads.log)
+    members = [np.flatnonzero(cells == cells[f]) for f in dyads.focal_i]  # ascending row ids
+    candidates = [candidate_rows(dyads, k) for k in range(dyads.n)]
+    ok = np.array([len(c) >= 1 for c in candidates], bool)
     rng = np.random.default_rng(int(seed))
-    draws = np.zeros(dyads.n, np.int64)
-    if ok.any():
-        draws[ok] = rng.integers(0, n_cand[ok])
     new_partner = dyads.partner_i.copy()
-    for k in np.nonzero(ok)[0]:
-        j = int(draws[k])
-        for p in np.searchsorted(members[k], excluded[k]):
-            if p <= j:
-                j += 1
-        new_partner[k] = members[k][j]
+    todo = np.flatnonzero(ok).tolist()
+    while todo:
+        draws = rng.integers(0, [members[k].shape[0] for k in todo])
+        left = []
+        for k, j in zip(todo, draws.tolist()):
+            row = int(members[k][j])
+            if row in candidates[k]:
+                new_partner[k] = row
+            else:
+                left.append(k)
+        todo = left
     return new_partner, ok
 
 
@@ -164,8 +169,8 @@ def test_randomize_partners_matches_scalar_reference(seed):
 
 
 def test_randomize_partner_outside_the_focal_cell():
-    # a hand-made dyad set may pair rows of different cells; the partner's
-    # row then counts where it would sit among the focal cell's rows
+    # a hand-made dyad set may pair rows of different cells; a partner
+    # outside the focal cell removes no row of it from the draw
     log = busy_lunch_log(np.random.default_rng(9))
     dyads = extract_dyads(reconstruct_queues(log), max_gap_s=3600)
     cells = cell_reference(log)
@@ -176,6 +181,38 @@ def test_randomize_partner_outside_the_focal_cell():
         got = randomize_partners(odd, seed=seed)
         want, ok = randomize_oracle(odd, seed)
         assert np.array_equal(got.partner_i, want[ok])
+    # every candidate row, and only a candidate row, is drawn
+    candidates = [candidate_rows(odd, k) for k in range(odd.n)]
+    kept = [k for k in range(odd.n) if candidates[k]]
+    drawn = [set() for _ in range(odd.n)]
+    for seed in range(400):
+        for k, row in zip(kept, randomize_partners(odd, seed=seed).partner_i.tolist()):
+            drawn[k].add(row)
+    assert drawn == candidates
+
+
+def test_randomize_partner_of_the_focal_persons_own_row():
+    # the partner is a row of the focal person, so the candidate count is
+    # reduced by it once: the other person's row is left, and drawn
+    log = parse_csv(lunch_rows([("F0", "B", 0, "MEALS"), ("F1", "B", 600, "MEALS"), ("X0", "C", 1200, "MEALV")]))
+    row = {tx: k for k, tx in enumerate(tx_ids(log))}
+    own = DyadSet(log, np.array([row["F0"]]), np.array([row["F1"]]))
+    for seed in range(20):
+        r = randomize_partners(own, seed=seed)
+        assert r.n == 1 and tx_ids(log)[int(r.partner_i[0])] == "X0"
+
+
+def test_randomize_partner_when_the_focal_person_fills_the_cell():
+    # one row of the cell is not the focal person's, so most draws are
+    # redrawn; that row is every seed's partner
+    entries = [(f"F{i:02d}", "B", 60 * i, "MEALS") for i in range(40)] + [("X0", "C", 3000, "MEALV")]
+    elsewhere = lunch_rows([("P0", "A", 0, "MEALV;DES")], day="2018-01-06")
+    log = parse_csv(lunch_rows(entries) + elsewhere)
+    row = {tx: k for k, tx in enumerate(tx_ids(log))}
+    crowded = DyadSet(log, np.array([row["P0"]]), np.array([row["F20"]]))
+    for seed in range(30):
+        r = randomize_partners(crowded, seed=seed)
+        assert r.n == 1 and tx_ids(log)[int(r.partner_i[0])] == "X0"
 
 
 def test_randomize_empty_set():

@@ -1,5 +1,6 @@
 """The log's three groupings against references that re-sort the rows:
-checkout queues, each person's rows, and the context table's cells."""
+checkout queues, each person's rows, and the cell index behind the context
+table's cells."""
 
 import csv
 import io
@@ -48,6 +49,22 @@ def test_queues_are_the_five_key_sort(log):
     assert np.array_equal(q.order, want)
     # an empty log has no queue, so its one bound is 0
     assert np.array_equal(q.start, np.unique(np.concatenate(([0], np.flatnonzero(brk) + 1, [log.n]))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_logs())
+def test_cell_index_is_the_cell_row_sort(log):
+    # cells numbered in (shop, date, daypart) order, rows ascending in each,
+    # and each row's count of its person's rows in its cell
+    keys = np.stack([log.shop_idx, log.date_ord, log.daypart], axis=1)
+    distinct, cell = np.unique(keys, axis=0, return_inverse=True)
+    cell = cell.reshape(-1)
+    want = np.argsort(cell, kind="stable")
+    index = log.cell_index()
+    assert np.array_equal(index.cell, cell) and np.array_equal(index.order, want)
+    assert np.array_equal(index.start, np.searchsorted(cell[want], np.arange(distinct.shape[0] + 1)))
+    same = (cell[:, None] == cell) & (log.person_idx[:, None] == log.person_idx)
+    assert np.array_equal(index.n_own, same.sum(axis=1))
 
 
 @settings(max_examples=150, deadline=None)

@@ -294,10 +294,12 @@ def test_serialize_roundtrip_byte_identical():
 
 
 def test_log_keeps_columns_given_in_canonical_order():
-    ts, tx = np.array([5, 5, 9]), (C.ByteColumn.of(["T1", "T2", "T3"]), np.arange(3))
-    ids, basket = (["A"], np.zeros(3, np.int32)), ([("COF",)], np.zeros(3, np.int64))
+    # int32 codes, the row type of a log this size
+    ts, tx = np.array([5, 5, 9]), (C.ByteColumn.of(["T1", "T2", "T3"]), np.arange(3, dtype=np.int32))
+    ids, basket = (["A"], np.zeros(3, np.int32)), ([("COF",)], np.zeros(3, np.int32))
     log = M.TransactionLog(ts, tx, ids, ids, ids, basket, CATALOG)
     assert np.shares_memory(log.ts, ts) and np.shares_memory(log.tx_idx, tx[1])
+    assert np.shares_memory(log.basket_idx, basket[1])
     shuffled = M.TransactionLog(ts[::-1], (tx[0], tx[1][::-1]), ids, ids, ids, basket, CATALOG)
     assert shuffled.ts.tolist() == [5, 5, 9] and shuffled.tx_idx.tolist() == [0, 1, 2]
     assert not np.shares_memory(shuffled.ts, ts)
