@@ -18,7 +18,6 @@ from functools import partial, reduce
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import IngestError
 
@@ -65,12 +64,43 @@ def distinct_fields(values: np.ndarray, lens: np.ndarray) -> tuple[ByteColumn, n
         size = (int(lens.max()).bit_length() + 7) // 8
         key = np.hstack((key, lens.astype(">u8").view(np.uint8).reshape(n, 8)[:, 8 - size :]))
     order = np.lexsort(key.T[::-1])  # a radix pass per byte column
-    rows = key[order].view(f"V{key.shape[1]}")[:, 0]
+    rows, sizes = values[order], lens[order]  # equal padded bytes and length: the same field
     new = np.ones(n, bool)
-    new[1:] = rows[1:] != rows[:-1]
+    new[1:] = (rows[1:] != rows[:-1]) | (sizes[1:] != sizes[:-1])
     codes = np.empty(n, np.int64)
     codes[order] = np.cumsum(new) - 1
     first = order[new]
+    return ByteColumn(values[first], lens[first]), codes, first
+
+
+# the odd multiplier that mixes each word into `grouped_fields`' row hash
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def grouped_fields(values: np.ndarray, lens: np.ndarray) -> tuple[ByteColumn, np.ndarray, np.ndarray]:
+    """`distinct_fields`' triple, its groups in no set order.  Each field's
+    8-byte words and its length are mixed into one hash, and one sort of the
+    hashes groups the rows.  Every row is checked against its group's first
+    row; should two fields share a hash, the triple is `distinct_fields`'."""
+    n, width = lens.shape[0], values.itemsize
+    words = np.zeros((n, -(-width // 8) * 8), np.uint8)
+    words[:, :width] = values.view(np.uint8).reshape(n, width)
+    words = words.view(np.uint64)
+    mixed = np.zeros(n, np.uint64)
+    for word in (*words.T, lens.astype(np.uint64)):  # the length meets a hash of the bytes, not a word
+        mixed ^= word
+        mixed *= _MIX
+        mixed ^= mixed >> np.uint64(29)
+    order = np.argsort(mixed)
+    mixed = mixed[order]
+    new = np.ones(n, bool)
+    new[1:] = mixed[1:] != mixed[:-1]
+    first = np.minimum.reduceat(order, np.flatnonzero(new))
+    codes = np.empty(n, np.int64)
+    codes[order] = np.cumsum(new) - 1
+    at = first[codes]
+    if not ((words == words[at]).all() and (lens == lens[at]).all()):
+        return distinct_fields(values, lens)
     return ByteColumn(values[first], lens[first]), codes, first
 
 
@@ -145,7 +175,9 @@ _SPACE = np.isin(np.arange(256), [9, 10, 11, 12, 13, 28, 29, 30, 31, 32])
 def _byte_column(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray,
                  idx: np.ndarray, strip: bool) -> ByteColumn:
     """The fields [start, stop) of `buf` numbered `idx`, gathered from a
-    strided view of `buf`; `strip` moves both offsets past ASCII whitespace."""
+    strided view of `buf` whose windows are as wide as the longest field
+    into a copy that shares no memory with `buf`; `strip` moves both offsets
+    past ASCII whitespace."""
     s, e = starts[idx], stops[idx]
     for edge, step, at in ((s, 1, 0), (e, -1, -1)) if strip else ():
         rows = np.flatnonzero((s < e) & _SPACE[buf[edge + at]])
@@ -154,10 +186,11 @@ def _byte_column(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray,
             rows = rows[(s[rows] < e[rows]) & _SPACE[buf[edge[rows] + at]]]
     lens = e - s
     width = max(int(lens.max(initial=0)), 1)
-    values = sliding_window_view(buf, width)[s]
-    short = np.flatnonzero(lens < width)  # the rows whose window runs past the field
-    values[short] *= np.arange(width) < lens[short, None]
-    return ByteColumn(values.view(f"S{width}")[:, 0], lens)
+    values = np.ndarray((buf.shape[0] - width + 1,), f"S{width}", buf, strides=(1,))[s]
+    if (lens < width).any():  # zero each window past its field, in place in the fresh copy
+        window = values.view(np.uint8).reshape(-1, width)
+        window *= np.tri(width + 1, width, -1, np.uint8).take(lens, axis=0)  # row k: k ones
+    return ByteColumn(values, lens)
 
 
 def _str_column(fields: list[str], idx: np.ndarray, strip: bool) -> ByteColumn:

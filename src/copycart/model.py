@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 from ._util import decimal_digits, dense_codes, run_starts, stable_order
-from .csvio import ByteColumn, Source, distinct_fields, read_dump, read_records, write_csv
+from .csvio import ByteColumn, Source, distinct_fields, grouped_fields, read_dump, read_records, write_csv
 from .errors import IngestError
 
 # ---------------------------------------------------------------------------
@@ -427,7 +427,7 @@ class _ChunkParser:
     def _basket_codes(self, items: ByteColumn) -> np.ndarray:
         """Table index per row, -1 for an empty basket; each distinct items
         field is normalized once, in the order the fields first occur."""
-        distinct, codes, first = distinct_fields(*items)
+        distinct, codes, first = grouped_fields(*items)
         raw = distinct.texts()
         code = np.empty(first.shape[0], np.int64)
         for k in np.argsort(first).tolist():

@@ -484,6 +484,9 @@ def test_parse_is_independent_of_chunk_size(quoted, tmp_path):
                 from_path = M.parse_transactions(path, CATALOG)
             assert row_values(chunked) == row_values(from_path) == row_values(whole)
             assert chunked.report == from_path.report == whole.report
+        with mock.patch.object(C, "_MIX", np.uint64(0)):  # every basket hashes alike
+            collided = M.parse_transactions(path, CATALOG)
+        assert row_values(collided) == row_values(whole) and collided.report == whole.report
 
 
 PAD = st.sampled_from(["", "", "", " ", "\t", " \v "])
@@ -569,6 +572,93 @@ def test_fields_that_differ_in_trailing_nuls_stay_apart():
     assert [row[1] for row in row_values(log)] == ["P1", "P1\x00"]
     assert baskets(log) == [("COF",), ("COF\x00",)]
     assert log.report.unknown_codes == {"COF\x00": 1}
+
+
+def test_baskets_that_share_their_first_word_stay_apart():
+    # the basket column is grouped by a hash of its 8-byte words and length
+    log = parse_csv("T1,P1,2018-01-05T12:00:00,S1,R1,ABCDEFGH;COF\n"
+                    "T2,P1,2018-01-05T12:00:01,S1,R1,ABCDEFGH;TEA\n"
+                    "T3,P1,2018-01-05T12:00:02,S1,R1,ABCDEFGH;COF\n")
+    assert baskets(log) == [("ABCDEFGH", "COF"), ("ABCDEFGH", "TEA"), ("ABCDEFGH", "COF")]
+    log = parse_csv('T1,P1,2018-01-05T12:00:00,S1,R1,ABCDEFGH\n'
+                    'T2,P1,2018-01-05T12:00:01,S1,R1,"ABCDEFGH\x00"\n')
+    assert baskets(log) == [("ABCDEFGH",), ("ABCDEFGH\x00",)]
+
+
+@st.composite
+def byte_columns(draw):
+    """(fields, width): bytes no longer than `width`, with empty fields,
+    embedded and trailing NULs, and fields that share their first 8-byte
+    word; few distinct fields, so most recur."""
+    width = draw(st.sampled_from([1, 7, 8, 9, 16, 17]))
+    tail = st.lists(st.sampled_from(b"\x00ab"), max_size=width).map(bytes)
+    field = st.builds(lambda head, rest: (head + rest)[:width], st.sampled_from([b"", b"ABCDEFGH"]), tail)
+    pool = draw(st.lists(field, min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool), max_size=30)), width
+
+
+def as_byte_column(fields, width):
+    return np.array(fields, f"S{width}").reshape(-1), np.array(list(map(len, fields)), np.int64)
+
+
+_TRAILING_NULS = ([b"T1\x00", b"T1", b"a\x00b", b"T1\x00\x00", b"a", b"T1", b"", b"a\x00b\x00"], 9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(byte_columns())
+@example(_TRAILING_NULS)
+@example(([], 8))
+@example(([b"\x00"], 1))
+def test_distinct_fields_match_a_python_reference(column):
+    fields, width = column
+    distinct = sorted(set(fields))  # bytes sort shortest first on a shared prefix
+    got, codes, first = C.distinct_fields(*as_byte_column(fields, width))
+    assert got.texts() == [f.decode() for f in distinct]
+    assert codes.tolist() == [distinct.index(f) for f in fields]
+    assert first.tolist() == [fields.index(f) for f in distinct]
+
+
+@settings(max_examples=200, deadline=None)
+@given(byte_columns(), st.booleans())
+@example(_TRAILING_NULS, False)
+@example(([], 8), False)
+@example(([b"a"], 1), False)
+def test_grouped_fields_group_as_distinct_fields_do(column, collide):
+    values, lens = as_byte_column(*column)
+    _, codes, first = C.distinct_fields(values, lens)
+    with mock.patch.object(C, "_MIX", np.uint64(0) if collide else C._MIX):  # 0: every row hashes alike
+        got, got_codes, got_first = C.grouped_fields(values, lens)
+    # the same rows together, each group named by the same first row
+    assert got_first[got_codes].tolist() == first[codes].tolist()
+    assert sorted(got_first.tolist()) == sorted(first.tolist())
+    assert got.texts() == C.ByteColumn(values, lens).take(got_first).texts()
+
+
+@pytest.mark.parametrize("chunk", [2, 1000])
+def test_byte_column_is_a_copy_of_the_files_bytes(chunk):
+    # every chunk but the last is cut from the file's own buffer, and the
+    # last from a padded copy of it; the window past each field is zeroed
+    # in what is returned, never in either buffer
+    data = "".join(f"T{i},{'x' * (i % 5)},S{i % 3}\n" for i in range(9)).encode()
+    whole = np.frombuffer(data, np.uint8)
+    fields, from_file = [], []
+    with mock.patch.object(C, "_PARSE_CHUNK", chunk):
+        for column, widths, _, _ in C._record_chunks(data, "text"):
+            buf = column.args[0]
+            from_file.append(np.shares_memory(buf, whole))
+            got = column(np.arange(widths.sum()), False)
+            assert not np.shares_memory(got.values, buf) and not np.shares_memory(got.values, whole)
+            fields += got.texts()
+    assert from_file == [True] * (len(from_file) - 1) + [False]
+    assert fields == [f for i in range(9) for f in (f"T{i}", "x" * (i % 5), f"S{i % 3}")]
+
+
+def test_byte_column_reads_a_window_that_ends_at_the_buffers_last_byte():
+    # the widest field's window is the last one the strided view holds
+    buf = np.frombuffer(b"ab, cde ", np.uint8)
+    starts, stops = np.array([0, 3]), np.array([2, 8])
+    assert C._byte_column(buf, starts, stops, np.array([0, 1, 0]), False).texts() == ["ab", " cde ", "ab"]
+    assert C._byte_column(buf, starts, stops, np.array([1, 0]), True).texts() == ["cde", "ab"]
 
 
 def test_rows_of_tells_tx_ids_apart_by_trailing_nuls():
