@@ -7,9 +7,9 @@ A subcommand parses its arguments, calls a function of `pipeline.py` (the
 same stage function `run` calls) and echoes the result; `pipeline.py` reads
 every dump back and says which stage to run when one is missing.  `match`
 and `run` write every item's pairs to one matched_pairs.csv, whose `item`
-column says whose pairs each row holds.  An analysis that `run` records as
-a status (no pairs after the partner shuffle, no discordant pairs, too few
-delay bins or repeat encounters) fails the subcommand instead.
+column says whose pairs each row holds.  When an analysis cannot run (no
+pairs after the partner shuffle, no discordant pairs, too few delay bins or
+repeat encounters), its subcommand prints the status `run` records and exits 0.
 Exit codes: 0 success, 1 module error, 2 usage error, 3 balance gate failed.
 A module error is any `CopycartError`; the group prints it, from whichever
 subcommand, as `Error: [module.ErrorType] message`.
@@ -162,7 +162,7 @@ def baseline(ctx, items):
     log, dyads_set = pipeline.load_dyads(cfg)
     ctx_stats = pipeline.compute_context(log)
     for item in pipeline.select_items(dyads_set, cfg, items):
-        _echo_json(pipeline.item_baseline(dyads_set, item, ctx_stats, cfg))
+        _echo_json(pipeline.attempt(lambda: pipeline.item_baseline(dyads_set, item, ctx_stats, cfg)))
 
 
 @main.command()
@@ -172,7 +172,7 @@ def sensitivity(ctx, items):
     """Hidden-bias severity needed to overturn each significant estimate."""
     cfg = _run_config(ctx)
     for item, pairs in pipeline.load_pairs(cfg, items):
-        _echo_json(pipeline.item_sensitivity(pairs, item, cfg))
+        _echo_json(pipeline.attempt(lambda: pipeline.item_sensitivity(pairs, item, cfg)))
 
 
 @main.command()
@@ -182,7 +182,7 @@ def dose(ctx, items):
     """Effect by partner-to-focal delay bin, with the fitted trend."""
     cfg = _run_config(ctx)
     for item, pairs in pipeline.load_pairs(cfg, items):
-        _echo_json(pipeline.item_dose(pairs, item, cfg))
+        _echo_json(pipeline.attempt(lambda: pipeline.item_dose(pairs, item, cfg)))
 
 
 @main.command()
@@ -193,7 +193,7 @@ def coordinate(ctx, items):
     cfg = _run_config(ctx)
     dyads_set = pipeline.load_dyads(cfg)[1]
     for item in pipeline.select_items(dyads_set, cfg, items):
-        _echo_json(pipeline.item_coordination(dyads_set, item, cfg))
+        _echo_json(pipeline.attempt(lambda: pipeline.item_coordination(dyads_set, item, cfg)))
 
 
 @main.command("infer-status")

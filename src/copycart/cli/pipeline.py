@@ -3,9 +3,10 @@
 Each stage and each per-item analysis is one function here.  `run_pipeline`
 chains them, and every staged subcommand in `main.py` calls the same function
 on the dumps an earlier stage wrote, so a staged rerun reproduces a run byte
-for byte.  This module owns the dump layout: where each dump lives, and
-every read of one back, with the hint a missing dump gives.  All randomness
-derives from the single config seed and the analysis's name.
+for byte and prints what `run` records, statuses too (`attempt`).  This
+module owns the dump layout: where each dump lives, and every read of one
+back, with the hint a missing dump gives.  All randomness derives from the
+single config seed and the analysis's name.
 """
 
 from __future__ import annotations
@@ -39,7 +40,10 @@ from .._util import derive_seed
 from .config import RunConfig
 from .plots import emit_plots
 
-RESULTS_VERSION = 1
+RESULTS_VERSION = 2
+
+# what an optional analysis raises when the data cannot support it
+CANNOT_RUN = (NoPairsError, InsufficientBinsError, InsufficientDataError)
 
 # what a run writes under --out; the staged subcommands read the dumps back
 DUMPS = {
@@ -100,7 +104,7 @@ _APPLIES_TO = {
     **dict.fromkeys(("minimum", "exclusiveMinimum", "exclusiveMaximum"), _TYPES["number"]),
     "pattern": _TYPES["string"],
     **dict.fromkeys(("minItems", "maxItems", "items"), _TYPES["array"]),
-    **dict.fromkeys(("required", "properties", "additionalProperties", "dependencies"), _TYPES["object"]),
+    **dict.fromkeys(("required", "properties", "additionalProperties"), _TYPES["object"]),
 }
 _ANNOTATIONS = frozenset(("$schema", "title", "definitions"))
 _DEFINITIONS = "#/definitions/"
@@ -186,9 +190,6 @@ def _keyword(key: str, arg, schema: dict, defs: dict[str, Check]) -> Check:
     elif key == "additionalProperties" and isinstance(arg, dict):
         known, rest = schema.get("properties", {}), sub(arg)
         check = lambda v, p: _first(rest(x, f"{p}.{k}") for k, x in v.items() if k not in known)
-    elif key == "dependencies" and all(isinstance(s, dict) for s in arg.values()):
-        deps = {name: sub(s) for name, s in arg.items()}
-        check = lambda v, p: _first(c(v, p) for k, c in deps.items() if k in v)
     elif key == "allOf":
         parts = list(map(sub, arg))
         check = lambda v, p: _first(part(v, p) for part in parts)
@@ -391,6 +392,16 @@ def item_coordination(dyads: DyadSet, item: str, cfg: RunConfig) -> dict:
     return B.coordination_test(dyads, item, seed=seed)
 
 
+def attempt(analysis: Callable[[], dict]) -> dict:
+    """`analysis()`, or, when the data cannot support it, the status node
+    `{"status": <error type>, "detail": <message>}` that `run` records and a
+    staged subcommand prints."""
+    try:
+        return analysis()
+    except CANNOT_RUN as err:
+        return {"status": type(err).__name__, "detail": str(err)}
+
+
 def _analyze_item(pairs: MatchedPairSet, dyads, ctx, demo, cfg: RunConfig) -> dict:
     """All enabled analyses for the matched pairs of one focus item.
 
@@ -414,25 +425,13 @@ def _analyze_item(pairs: MatchedPairSet, dyads, ctx, demo, cfg: RunConfig) -> di
         "subgroups": None,
     }
     if cfg.baseline:
-        try:
-            report["baseline"] = item_baseline(dyads, item, ctx, cfg)
-        except NoPairsError:
-            report["baseline"] = {"status": "no_pairs"}
+        report["baseline"] = attempt(lambda: item_baseline(dyads, item, ctx, cfg))
     if cfg.sensitivity:
-        try:
-            report["sensitivity"] = item_sensitivity(pairs, item, cfg)
-        except NoPairsError:
-            report["sensitivity"] = {"status": "no_discordant"}
+        report["sensitivity"] = attempt(lambda: item_sensitivity(pairs, item, cfg))
     if cfg.dose_response:
-        try:
-            report["dose_response"] = item_dose(pairs, item, cfg)
-        except (NoPairsError, InsufficientBinsError) as err:
-            report["dose_response"] = {"status": type(err).__name__, "detail": str(err)}
+        report["dose_response"] = attempt(lambda: item_dose(pairs, item, cfg))
     if cfg.coordination:
-        try:
-            report["coordination"] = item_coordination(dyads, item, cfg)
-        except InsufficientDataError as err:
-            report["coordination"] = {"status": "insufficient_data", "detail": str(err)}
+        report["coordination"] = attempt(lambda: item_coordination(dyads, item, cfg))
     if cfg.subgroups:
         report["subgroups"] = {
             grouping: E.subgroup_estimates(
@@ -500,15 +499,11 @@ def run_pipeline(cfg: RunConfig) -> dict:
 
     anchor = None
     if cfg.anchor_mimicry:
-        anchor = {}
-        for attr in ("meal_vegetarian", "beverage_kind"):
-            try:
-                anchor[attr] = E.anchor_mimicry(
-                    dyads, ctx, attr, spec=cfg.adjustment, n_rep=cfg.n_boot, seed=cfg.seed,
-                    alpha=cfg.alpha,
-                )
-            except NoPairsError:
-                anchor[attr] = {"status": "no_pairs"}
+        anchor = {
+            attr: attempt(lambda: E.anchor_mimicry(dyads, ctx, attr, spec=cfg.adjustment, n_rep=cfg.n_boot,
+                                                   seed=cfg.seed, alpha=cfg.alpha))
+            for attr in ("meal_vegetarian", "beverage_kind")
+        }
 
     results = _jsonable({
         "version": RESULTS_VERSION,

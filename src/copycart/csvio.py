@@ -179,11 +179,12 @@ def _byte_column(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray,
     into a copy that shares no memory with `buf`; `strip` moves both offsets
     past ASCII whitespace."""
     s, e = starts[idx], stops[idx]
-    for edge, step, at in ((s, 1, 0), (e, -1, -1)) if strip else ():
-        rows = np.flatnonzero((s < e) & _SPACE[buf[edge + at]])
-        while rows.shape[0]:
-            edge[rows] += step
-            rows = rows[(s[rows] < e[rows]) & _SPACE[buf[edge[rows] + at]]]
+    if strip:  # one gather of each field's first and last byte finds the rows to strip
+        rows = np.flatnonzero((s < e) & (_SPACE[buf[s]] | _SPACE[buf[e - 1]]))
+        for edge, step, at in ((s, 1, 0), (e, -1, -1)):
+            live = rows
+            while (live := live[(s[live] < e[live]) & _SPACE[buf[edge[live] + at]]]).shape[0]:
+                edge[live] += step
     lens = e - s
     width = max(int(lens.max(initial=0)), 1)
     values = np.ndarray((buf.shape[0] - width + 1,), f"S{width}", buf, strides=(1,))[s]

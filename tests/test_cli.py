@@ -381,7 +381,7 @@ def test_results_validate_against_shipped_schema(first_run):
     results, out = first_run
     jsonschema.validate(results, load_schema())
     assert schema_violation(results, load_schema()) is None
-    assert results["version"] == 1
+    assert results["version"] == 2
     assert results["seed"] == 11
     assert results["counts"]["n_transactions"] > 0
     assert results["counts"]["n_dyads_raw"] >= results["counts"]["n_dyads"] > 0
@@ -412,12 +412,44 @@ def test_schema_requires_every_report_key(tmp_path, first_run, analysis, key):
     item["coordination"] = dict(COORDINATION_REPORT)
     report = item[analysis]
     assert key in report and load(damaged) == damaged
-    item[analysis] = {"status": "insufficient_data", "detail": "too few"}
-    load(damaged)  # a status block in place of the report still passes
+    item[analysis] = {"status": "InsufficientDataError", "detail": "too few"}
+    load(damaged)  # a status in place of the report still passes
     del report[key]
     item[analysis] = report
-    with pytest.raises(IngestError, match=f"{analysis}: '{key}' is a required property"):
+    with pytest.raises(IngestError, match=f"\\.{analysis}: .* is valid under none of the given schemas"):
         load(damaged)
+
+
+@pytest.mark.parametrize("node", ["baseline", "sensitivity", "dose_response", "coordination",
+                                  "meal_vegetarian", "beverage_kind"])
+@pytest.mark.parametrize("value, valid", [
+    ({"status": "NoPairsError", "detail": "too few"}, True),
+    ({"bogus": 1}, False),
+    ({"status": "no_pairs", "detail": "too few"}, False),  # not an error type's name
+    ({"status": "NoPairsError"}, False),
+    ({"status": "NoPairsError", "detail": "too few", "item": "dessert"}, False),
+])
+def test_analysis_node_is_its_report_or_a_status(tmp_path, first_run, node, value, valid):
+    # each analysis node and each anchor is its report or the one status
+    # shape, under both checkers and on the way back in
+    results, _out = first_run
+    damaged = json.loads(json.dumps(results))
+    dessert = next(it for it in damaged["items"] if it["item"] == "dessert")
+    (dessert if node in dessert else damaged["anchor_mimicry"])[node] = value
+    assert (schema_violation(damaged, load_schema()) is None) is valid
+    assert jsonschema.Draft7Validator(load_schema()).is_valid(damaged) is valid
+    path = tmp_path / "results.json"
+    path.write_text(json.dumps(damaged), encoding="utf-8")
+    if valid:
+        assert load_results(str(path)) == damaged
+    else:
+        with pytest.raises(IngestError, match=f"not a copycart report: .*{node}"):
+            load_results(str(path))
+
+
+def test_status_names_the_errors_of_an_analysis_that_cannot_run():
+    status = load_schema()["definitions"]["status"]["properties"]["status"]
+    assert status["enum"] == [err.__name__ for err in pipeline_mod.CANNOT_RUN]
 
 
 @pytest.mark.parametrize("schema, instance, valid", [
@@ -448,8 +480,8 @@ def test_schema_requires_every_report_key(tmp_path, first_run, analysis, key):
     ({"additionalProperties": False, "properties": {"a": {}}}, {"a": 1, "b": 2}, False),
     ({"additionalProperties": {"type": "object"}, "properties": {"a": {}}}, {"a": 1, "b": {}}, True),
     ({"additionalProperties": {"type": "object"}}, {"b": 1}, False),
-    ({"dependencies": {"a": {"required": ["b"]}}}, {"a": 1}, False),
-    ({"dependencies": {"a": {"required": ["b"]}}}, {"b": 1}, True),
+    ({"oneOf": [{"required": ["a"]}, {"type": "array"}]}, [], False),  # `required` passes a non-object
+    ({"oneOf": [{"type": "object", "required": ["a"]}, {"type": "array"}]}, [], True),
     ({"allOf": [{"type": "array"}, {"maxItems": 1}]}, [1, 2], False),
     ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 1, False),  # valid under both
     ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 1.5, True),
@@ -479,6 +511,7 @@ def test_schema_check_keeps_draft_7_meaning(schema, instance, valid):
     {"properties": {"a": {"uniqueItems": True}}},  # never reached by the instance
     {"definitions": {"unused": {"maxLength": 3}}},
     {"items": True},
+    {"dependencies": {"a": {"required": ["b"]}}},
 ])
 def test_schema_check_rejects_keywords_it_does_not_implement(schema):
     with pytest.raises(ValueError, match="not implemented|names no definition|is not an object"):
@@ -498,9 +531,9 @@ def test_schema_check_names_the_first_violation(first_run):
 
 
 def test_run_refuses_a_report_that_breaks_the_schema(workdir, tmp_path, monkeypatch):
-    monkeypatch.setattr(pipeline_mod, "RESULTS_VERSION", 2)
+    monkeypatch.setattr(pipeline_mod, "RESULTS_VERSION", 3)
     cfg = RunConfig.from_dict(yaml.safe_load((workdir / "run.yaml").read_text()), out=str(tmp_path / "o"))
-    with pytest.raises(ValueError, match=r"breaks the results schema at \$\.version: 1 was expected"):
+    with pytest.raises(ValueError, match=r"breaks the results schema at \$\.version: 2 was expected"):
         run_pipeline(dataclasses.replace(cfg, n_boot=40, subgroups=(), infer_status=False))
     assert not (tmp_path / "o" / "results.json").exists()
 
@@ -514,9 +547,10 @@ def _error_paths(errors):
 
 REPLACEMENTS = st.one_of(
     st.just(DROP), st.none(), st.booleans(), st.integers(-2, 3), st.floats(),
-    st.sampled_from(["", "ok", "no_pairs", "pooled", "Dessert", "x y"]),
+    st.sampled_from(["", "ok", "no_pairs", "pooled", "Dessert", "x y",
+                     *(err.__name__ for err in pipeline_mod.CANNOT_RUN)]),
     st.lists(st.floats(-1, 2), max_size=3),
-    st.dictionaries(st.sampled_from(["status", "curve", "bins", "rate_leader_first", "rd"]),
+    st.dictionaries(st.sampled_from(["status", "detail", "curve", "bins", "rate_leader_first", "rd"]),
                     st.one_of(st.none(), st.text(max_size=3), st.lists(st.integers(0, 1), max_size=2)),
                     max_size=2),
 )
@@ -693,11 +727,12 @@ STAGE_JSON = {
     "sensitivity": "sensitivity",
     "dose": "dose_response",
     "baseline": "baseline",
+    "coordinate": "coordination",
 }
 
 
 @pytest.mark.parametrize(
-    "stage", ["dyads", "match", "estimate", "sensitivity", "dose", "baseline", "infer-status"]
+    "stage", ["dyads", "match", "estimate", "sensitivity", "dose", "baseline", "coordinate", "infer-status"]
 )
 def test_estimate_stage_matches_pipeline(workdir, first_run, stage):
     # each staged subcommand, given the dumps `run` left, rewrites those
@@ -736,14 +771,12 @@ def test_estimate_stage_matches_pipeline(workdir, first_run, stage):
         summary, tail = res.output.split("predictions:")
         assert _json_objects(summary) == [results["status_inference"]]
         assert tail.strip() == str(staged / "predictions.csv")
-    else:
-        printed = _json_objects(res.output)
-        assert [o["item"] for o in printed] == ok
-        for obj in printed:
-            assert pipeline_mod._jsonable(obj) == items[obj["item"]][STAGE_JSON[stage]]
+    else:  # a report, or the status of an analysis that cannot run
+        key = STAGE_JSON[stage]
+        assert _json_objects(res.output) == [items[i][key] for i in ok]
         one = invoke("--config", workdir / "run.yaml", "--out", staged, stage, "--item", "dessert")
         assert one.exit_code == 0, one.output
-        assert _json_objects(one.output) == [o for o in printed if o["item"] == "dessert"]
+        assert _json_objects(one.output) == [items["dessert"][key]]
 
 
 @pytest.mark.parametrize("stage", ["match", "baseline"])
@@ -1021,15 +1054,15 @@ def test_ingest_reports_counts_and_writes_nothing(workdir, first_run, tmp_path):
 
 
 def test_coordinate_subcommand(workdir, first_run):
-    # too few repeat encounters at this scale: the standalone command fails
-    # loudly while the pipeline records the status and carries on
+    # too few repeat encounters at this scale: the standalone command prints
+    # the status the pipeline records, and exits 0
     results, out_a = first_run
     res = invoke("--config", workdir / "run.yaml", "--out", out_a, "coordinate",
                  "--item", "dessert")
-    assert res.exit_code == 1
-    assert "InsufficientDataError" in res.output
+    assert res.exit_code == 0, res.output
     dessert = next(it for it in results["items"] if it["item"] == "dessert")
-    assert dessert["coordination"]["status"] == "insufficient_data"
+    assert dessert["coordination"]["status"] == "InsufficientDataError"
+    assert _json_objects(res.output) == [dessert["coordination"]]
 
 
 def test_staged_subcommand_prints_non_finite_numbers_as_null(tmp_path):
@@ -1249,26 +1282,26 @@ def test_run_records_each_analysis_status(tmp_path):
     jsonschema.validate(results, load_schema())
     (item,) = results["items"]
     assert (item["item"], item["status"], item["estimate"]["n_pairs"]) == ("dessert", "ok", 6)
-    assert item["baseline"] == {"status": "no_pairs"}
-    assert item["sensitivity"] == {"status": "no_discordant"}
+    assert item["baseline"] == {
+        "status": "NoPairsError", "detail": "no matched pairs for 'dessert' after the partner shuffle"}
+    assert item["sensitivity"] == {
+        "status": "NoPairsError", "detail": "sensitivity undefined without discordant pairs"}
     assert item["dose_response"] == {
         "status": "InsufficientBinsError", "detail": "only 1 non-empty delay bins; need at least 3"}
     assert item["coordination"] == {
-        "status": "insufficient_data",
+        "status": "InsufficientDataError",
         "detail": "need 2 pairs with 10 treated dyads in each direction, found 0"}
-    assert results["anchor_mimicry"] == {"meal_vegetarian": {"status": "no_pairs"},
-                                         "beverage_kind": {"status": "no_pairs"}}
+    assert results["anchor_mimicry"] == {
+        attr: {"status": "NoPairsError", "detail": f"no matched pairs for anchor attribute {attr!r}"}
+        for attr in ("meal_vegetarian", "beverage_kind")}
 
-    # each staged subcommand fails where `run` records the status
+    # each staged subcommand prints the status `run` records, and exits 0
     (tmp_path / "run.yaml").write_text(yaml.safe_dump(conf), encoding="utf-8")
-    for stage, message in (
-        ("baseline", "[errors.NoPairsError] no matched pairs for 'dessert' after the partner shuffle"),
-        ("sensitivity", "[errors.NoPairsError]"),
-        ("dose", "[errors.InsufficientBinsError] only 1 non-empty delay bins"),
-        ("coordinate", "[errors.InsufficientDataError]"),
-    ):
+    for stage, key in (("baseline", "baseline"), ("sensitivity", "sensitivity"), ("dose", "dose_response"),
+                       ("coordinate", "coordination")):
         res = invoke("--config", tmp_path / "run.yaml", "--out", tmp_path / "out", stage)
-        assert res.exit_code == 1 and message in res.output, (stage, res.output)
+        assert res.exit_code == 0, (stage, res.output)
+        assert _json_objects(res.output) == [item[key]], stage
 
 
 def test_inferred_statuses_reach_the_strata(tmp_path):
