@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from ._util import dense_codes, run_starts, stable_order, t_two_sided_p
+from ._util import run_starts, stable_order, t_two_sided_p
 from .dyads import DyadSet
 from .errors import InsufficientDataError
 
@@ -25,10 +25,6 @@ __all__ = ["randomize_partners", "coordination_test", "welch_t"]
 
 MIN_PER_ORDER = 10  # treated dyads a pair needs in each direction to count
 SAMPLE_PER_PAIR = 10  # treated dyads a direction's rate is taken over, drawn when it has more
-
-
-def _with_partners(dyads: DyadSet, partner_rows: np.ndarray, sel: np.ndarray) -> DyadSet:
-    return DyadSet(dyads.log, partner_rows[sel], dyads.focal_i[sel])
 
 
 def randomize_partners(dyads: DyadSet, seed: int) -> DyadSet:
@@ -60,7 +56,7 @@ def randomize_partners(dyads: DyadSet, seed: int) -> DyadSet:
         kept = (pick != partner[todo]) & (log.person_idx[pick] != person[todo])
         new_partner[todo[kept]] = pick[kept]
         todo = todo[~kept]
-    return _with_partners(dyads, new_partner, ok)
+    return DyadSet(log, new_partner[ok], focal[ok])
 
 
 def welch_t(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -113,15 +109,14 @@ def coordination_test(
     if not treated.any():
         raise InsufficientDataError(f"no treated dyads for {item!r}")
     outcome = dyads.focal_has(item).astype(np.float64)
-    key = dyads.pair_keys()
-    group, size = dense_codes(key)  # the pairs, numbered in key order
+    group, size = dyads.pair_groups()
     n_groups = size.shape[0]
     # a pair is persons a < b by index; b_first: the partner is b
-    b_first = dyads.partner_person != key // len(dyads.log.persons)
+    b_first = dyads.partner_person > dyads.focal_person
     all_b = np.bincount(group[b_first], minlength=n_groups)
     all_a = size - all_b
     # each pair's treated dyads by direction, in index order
-    t_key = 2 * group[treated] + b_first[treated]
+    t_key = 2 * group[treated].astype(np.int64) + b_first[treated]
     t_rows = np.flatnonzero(treated)[stable_order(t_key, 2 * n_groups)]
     n_dir = np.bincount(t_key, minlength=2 * n_groups)
     t_start = run_starts(n_dir)

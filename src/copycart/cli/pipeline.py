@@ -83,7 +83,9 @@ def load_schema() -> dict:
 
 # (path, message) of where a JSON value first breaks a schema; None if nowhere
 Violation = Optional[tuple[str, str]]
-Check = Callable[[object, str], Violation]
+# a check finds the path and a function that words the message, so a
+# violation that a `oneOf` branch discards is never worded
+Check = Callable[[object, str], Optional[tuple[str, Callable[[], str]]]]
 
 
 def _is_number(value) -> bool:
@@ -121,8 +123,8 @@ def _same(a, b) -> bool:
     return a == b
 
 
-def _first(violations) -> Violation:
-    return next(filter(None, violations), None)
+def _first(found):
+    return next(filter(None, found), None)
 
 
 def _compile(schema: dict, defs: dict[str, Check]) -> Check:
@@ -201,7 +203,7 @@ def _keyword(key: str, arg, schema: dict, defs: dict[str, Check]) -> Check:
     else:
         raise ValueError(f"schema keyword {key!r} in this form is not implemented")
     if check is None:
-        check = lambda v, p: (p, say(v)) if bad(v) else None
+        check = lambda v, p: (p, lambda: say(v)) if bad(v) else None
     applies = _APPLIES_TO.get(key)
     return check if applies is None else (lambda v, p: check(v, p) if applies(v) else None)
 
@@ -213,7 +215,8 @@ def schema_violation(instance, schema: dict) -> Violation:
     never reaches it."""
     defs: dict[str, Check] = dict.fromkeys(schema.get("definitions", {}))
     defs.update({name: _compile(s, defs) for name, s in schema.get("definitions", {}).items()})
-    return _compile(schema, defs)(instance, "$")
+    found = _compile(schema, defs)(instance, "$")
+    return None if found is None else (found[0], found[1]())
 
 
 def load_results(path: str) -> dict:

@@ -23,6 +23,7 @@ from .model import (
     Demographics,
     TransactionLog,
     person_attribute,
+    row_dtype,
 )
 
 
@@ -102,13 +103,21 @@ class DyadSet:
         bit = np.uint16(CATEGORY_BIT[category])
         return ((self.log.mask[self.focal_i] >> bit) & np.uint16(1)).astype(bool)
 
-    def pair_keys(self) -> np.ndarray:
-        """Unordered person-pair key per dyad."""
+    def pair_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """(group, size): each dyad's unordered person pair, numbered in
+        (lower, higher) person order, and the number of dyads of each pair."""
         a, b = self.partner_person, self.focal_person  # gathered afresh, so free to overwrite
         key = np.minimum(a, b, dtype=np.int64)
         key *= len(self.log.persons)
         key += np.maximum(a, b, out=a)
-        return key
+        order = np.argsort(key)
+        key.sort()  # each pair's dyads in one run
+        rank = np.zeros(self.n, row_dtype(self.n))
+        np.cumsum(key[1:] != key[:-1], dtype=rank.dtype, out=rank[1:])
+        del key
+        group = np.empty_like(rank)
+        group[order] = rank
+        return group, np.bincount(rank)
 
     def subset(self, sel: np.ndarray) -> "DyadSet":
         return DyadSet(self.log, self.partner_i[sel], self.focal_i[sel])
@@ -170,15 +179,8 @@ def filter_frequent_pairs(dyads: DyadSet, min_count: int = 10) -> DyadSet:
     """Keep dyads whose unordered person pair occurs in >= min_count dyads."""
     if dyads.n == 0 or min_count <= 1:
         return dyads
-    keys = dyads.pair_keys()
-    order = np.argsort(keys)
-    keys.sort()  # each pair's dyads in one run
-    start = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
-    del keys
-    counts = np.diff(start, append=order.shape[0])
-    keep = np.empty(order.shape[0], bool)
-    keep[order] = np.repeat(counts >= min_count, counts)
-    return dyads.subset(keep)
+    group, size = dyads.pair_groups()
+    return dyads.subset(size[group] >= min_count)
 
 
 def select_additions(dyads: DyadSet, min_fraction: float = 0.01) -> dict[Daypart, list[str]]:
@@ -204,16 +206,13 @@ def select_additions(dyads: DyadSet, min_fraction: float = 0.01) -> dict[Daypart
 def tie_strength_per_dyad(dyads: DyadSet) -> np.ndarray:
     """Tie strength of each dyad's own unordered pair: the fraction of dyads
     containing both persons among dyads containing either."""
-    keys = dyads.pair_keys()
-    uniq, inv, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    group, size = dyads.pair_groups()
+    both = size[group]
     n_persons = len(dyads.log.persons)
     member = np.bincount(dyads.partner_person, minlength=n_persons) + np.bincount(
         dyads.focal_person, minlength=n_persons
     )
-    lo = (uniq // n_persons).astype(np.int64)
-    hi = (uniq % n_persons).astype(np.int64)
-    either = member[lo] + member[hi] - counts
-    return (counts / either)[inv]
+    return both / (member[dyads.partner_person] + member[dyads.focal_person] - both)
 
 
 @dataclass

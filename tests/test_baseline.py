@@ -84,8 +84,6 @@ def test_randomize_partner_no_candidates():
 
 def test_randomization_preserves_measures_under_identity():
     # feeding back the original partners reproduces the naive contrast
-    from copycart.baseline import _with_partners
-
     rows = []
     base = np.datetime64("2018-01-01")
     for k in range(8):
@@ -96,7 +94,7 @@ def test_randomization_preserves_measures_under_identity():
         )
     dyads = extract_dyads(reconstruct_queues(parse_csv("".join(rows))))
     assert dyads.n == 8
-    same = _with_partners(dyads, dyads.partner_i, np.ones(dyads.n, bool))
+    same = DyadSet(dyads.log, dyads.partner_i, dyads.focal_i)
     assert naive_risk_difference(same, "dessert") == pytest.approx(
         naive_risk_difference(dyads, "dessert")
     )
@@ -400,7 +398,8 @@ def coordination_oracle(dyads, item, sample_per_pair, seed):
     outcome = dyads.focal_has(item).astype(np.float64)
     persons = dyads.log.persons
     pp = dyads.partner_person.astype(np.int64)
-    key = dyads.pair_keys()
+    fp = dyads.focal_person.astype(np.int64)
+    key = np.minimum(pp, fp) * len(persons) + np.maximum(pp, fp)
     order = np.argsort(key, kind="stable")
     keys_sorted = key[order]
     starts = np.concatenate(([0], np.nonzero(keys_sorted[1:] != keys_sorted[:-1])[0] + 1, [dyads.n]))

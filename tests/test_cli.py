@@ -6,6 +6,7 @@ import gc
 import hashlib
 import json
 import os
+import reprlib
 import shutil
 import subprocess
 import sys
@@ -528,6 +529,17 @@ def test_schema_check_names_the_first_violation(first_run):
     damaged["items"][0]["status"] = "ok"
     path, message = schema_violation(damaged, load_schema())
     assert path == "$.items[1].estimate.rd_ci" and "valid under none" in message
+
+
+def test_schema_check_words_no_message_for_a_valid_report(first_run, monkeypatch):
+    # each analysis node's `oneOf` fails one branch on a valid report; that
+    # branch's violation is discarded, so no message is worded
+    results, _out = first_run
+    shown = []
+    real = reprlib.repr
+    monkeypatch.setattr(reprlib, "repr", lambda value: shown.append(value) or real(value))
+    assert schema_violation(results, load_schema()) is None
+    assert shown == []
 
 
 def test_run_refuses_a_report_that_breaks_the_schema(workdir, tmp_path, monkeypatch):

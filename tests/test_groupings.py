@@ -1,17 +1,17 @@
 """The log's three groupings against references that re-sort the rows:
 checkout queues, each person's rows, and the cell index behind the context
-table's cells."""
+table's cells; and the dyads' person pairs against a dict of pairs."""
 
 import csv
 import io
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from copycart import model as M
 from copycart.context import compute_context
-from copycart.dyads import reconstruct_queues
+from copycart.dyads import DyadSet, reconstruct_queues
 
 from test_model import parse_csv
 
@@ -122,3 +122,34 @@ def test_groupings_of_an_empty_log():
     assert reconstruct_queues(log).start.tolist() == [0]
     assert log.person_transactions()[1].tolist() == [0]
 
+
+# one row per person, so a dyad is any two of the rows; P0 to P4 by index
+PERSON_ROWS = parse_csv("".join(f"T{i},P{i},2018-01-05T12:00:{i:02d},S1,R1,MEALV\n" for i in range(5)))
+
+
+def pair_groups_reference(dyads):
+    """Each dyad's unordered pair, numbered in (lower, higher) person order,
+    and the dyads of each pair, grouped by a dict keyed by the pair."""
+    pairs = {}
+    for k, (p, f) in enumerate(zip(dyads.partner_person.tolist(), dyads.focal_person.tolist())):
+        pairs.setdefault((min(p, f), max(p, f)), []).append(k)
+    group = [0] * dyads.n
+    for g, pair in enumerate(sorted(pairs)):
+        for k in pairs[pair]:
+            group[k] = g
+    return group, [len(pairs[pair]) for pair in sorted(pairs)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=30))
+@example([])  # no dyad: no pair
+@example([(3, 1)])  # a single dyad
+@example([(0, 1), (1, 0), (0, 1)])  # a pair seen in both directions
+@example([(2, 0), (2, 4), (1, 2), (4, 2)])  # a person in several pairs
+def test_pair_groups_are_a_dict_of_person_pairs(rows):
+    partner, focal = (np.array([r[side] for r in rows], np.int64) for side in (0, 1))
+    dyads = DyadSet(PERSON_ROWS, partner, focal)
+    group, size = dyads.pair_groups()
+    want_group, want_size = pair_groups_reference(dyads)
+    assert group.dtype == M.row_dtype(dyads.n)
+    assert group.tolist() == want_group and size.tolist() == want_size
