@@ -21,8 +21,6 @@ from ._util import run_starts, stable_order, t_two_sided_p
 from .dyads import DyadSet
 from .errors import InsufficientDataError
 
-__all__ = ["randomize_partners", "coordination_test", "welch_t"]
-
 MIN_PER_ORDER = 10  # treated dyads a pair needs in each direction to count
 SAMPLE_PER_PAIR = 10  # treated dyads a direction's rate is taken over, drawn when it has more
 

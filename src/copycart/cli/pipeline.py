@@ -287,10 +287,7 @@ def load_dyads(cfg: RunConfig) -> tuple[TransactionLog, DyadSet]:
 
 def select_items(dyads: DyadSet, cfg: RunConfig, items=()) -> list[str]:
     """The focus items: `items` when given, else every selected addition item."""
-    if items:
-        return sorted(set(items))
-    per_daypart = select_additions(dyads, cfg.min_fraction)
-    return sorted({i for lst in per_daypart.values() for i in lst})
+    return sorted(set(items)) if items else select_additions(dyads, cfg.min_fraction)
 
 
 def _status_stage(log, cfg: RunConfig, demo: Demographics) -> tuple[Demographics, dict]:

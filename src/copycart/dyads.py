@@ -9,6 +9,7 @@ focal's the outcome side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -57,13 +58,11 @@ class DyadSet:
         self.log = log
         self.partner_i = partner_i.astype(np.int64, copy=False)
         self.focal_i = focal_i.astype(np.int64, copy=False)
+        self._pair_groups: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def n(self) -> int:
         return self.partner_i.shape[0]
-
-    def __len__(self) -> int:
-        return self.n
 
     # cell/context attributes come from the focal transaction
     @property
@@ -105,19 +104,24 @@ class DyadSet:
 
     def pair_groups(self) -> tuple[np.ndarray, np.ndarray]:
         """(group, size): each dyad's unordered person pair, numbered in
-        (lower, higher) person order, and the number of dyads of each pair."""
-        a, b = self.partner_person, self.focal_person  # gathered afresh, so free to overwrite
-        key = np.minimum(a, b, dtype=np.int64)
-        key *= len(self.log.persons)
-        key += np.maximum(a, b, out=a)
-        order = np.argsort(key)
-        key.sort()  # each pair's dyads in one run
-        rank = np.zeros(self.n, row_dtype(self.n))
-        np.cumsum(key[1:] != key[:-1], dtype=rank.dtype, out=rank[1:])
-        del key
-        group = np.empty_like(rank)
-        group[order] = rank
-        return group, np.bincount(rank)
+        (lower, higher) person order, and the number of dyads of each pair;
+        built on first use."""
+        if self._pair_groups is None:
+            a, b = self.partner_person, self.focal_person  # gathered afresh, so free to overwrite
+            key = np.minimum(a, b, dtype=np.int64)
+            key *= len(self.log.persons)
+            key += np.maximum(a, b, out=a)
+            order = np.argsort(key)
+            key.sort()  # each pair's dyads in one run
+            rank = np.zeros(self.n, row_dtype(self.n))
+            np.cumsum(key[1:] != key[:-1], dtype=rank.dtype, out=rank[1:])
+            del key
+            group = np.empty_like(rank)
+            group[order] = rank
+            size = np.bincount(rank)
+            group.flags.writeable = size.flags.writeable = False  # every caller reads these arrays
+            self._pair_groups = group, size
+        return self._pair_groups
 
     def subset(self, sel: np.ndarray) -> "DyadSet":
         return DyadSet(self.log, self.partner_i[sel], self.focal_i[sel])
@@ -183,24 +187,17 @@ def filter_frequent_pairs(dyads: DyadSet, min_count: int = 10) -> DyadSet:
     return dyads.subset(size[group] >= min_count)
 
 
-def select_additions(dyads: DyadSet, min_fraction: float = 0.01) -> dict[Daypart, list[str]]:
-    """Addition categories whose treated fraction reaches the threshold,
-    per daypart (fraction of the daypart's dyads whose partner bought it)."""
-    out: dict[Daypart, list[str]] = {}
+def select_additions(dyads: DyadSet, min_fraction: float = 0.01) -> list[str]:
+    """The addition categories, sorted, whose treated fraction reaches the
+    threshold in some studied daypart (the fraction of the daypart's dyads
+    whose partner bought it)."""
     dp = dyads.daypart
-    for daypart in (Daypart.BREAKFAST, Daypart.LUNCH, Daypart.AFTERNOON):
-        sel = dp == daypart.value
-        total = int(sel.sum())
-        if total == 0:
-            continue
-        chosen = []
-        for key in ADDITION_KEYS:
-            frac = float(dyads.partner_has(key)[sel].sum()) / total
-            if frac >= min_fraction:
-                chosen.append(key)
-        if chosen:
-            out[daypart] = chosen
-    return out
+    # dyads per studied daypart, as OUT_OF_WINDOW is the last code
+    per_daypart = lambda rows: np.bincount(rows, minlength=len(Daypart))[: Daypart.OUT_OF_WINDOW]
+    total = per_daypart(dp)
+    seen = total > 0
+    return sorted(key for key in ADDITION_KEYS
+                  if (per_daypart(dp[dyads.partner_has(key)])[seen] / total[seen] >= min_fraction).any())
 
 
 def tie_strength_per_dyad(dyads: DyadSet) -> np.ndarray:

@@ -9,7 +9,7 @@ larger posterior.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,14 +32,10 @@ VAR_SMOOTHING = 1e-9  # added to every variance, times the largest feature varia
 MIN_PER_CLASS = 50  # labeled persons each class needs before training
 
 
-def feature_matrix(
-    log: TransactionLog, person_ids: Optional[Sequence[str]] = None
-) -> tuple[list[str], np.ndarray]:
-    """Feature rows for the given persons (default: everyone in the log),
-    from whole-log bincounts over (person, month/weekday/hour)."""
+def feature_matrix(log: TransactionLog, person_ids: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """Feature rows for the given persons, from whole-log bincounts over
+    (person, month/weekday/hour)."""
     order, start = log.person_transactions()
-    if person_ids is None:
-        person_ids = log.persons
     index = {p: i for i, p in enumerate(log.persons)}
     people = np.fromiter((index.get(pid, -1) for pid in person_ids), np.int64, len(person_ids))
     n = np.diff(start)[people]

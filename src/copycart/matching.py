@@ -102,9 +102,6 @@ class MatchedPairSet:
     def n(self) -> int:
         return self.treated_idx.shape[0]
 
-    def __len__(self) -> int:
-        return self.n
-
     def outcomes(self) -> tuple[np.ndarray, np.ndarray]:
         """(treated-arm, control-arm) focal purchase indicators, uint8."""
         has = self.dyads.focal_has(self.item)

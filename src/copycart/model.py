@@ -336,9 +336,6 @@ class TransactionLog:
     def n(self) -> int:
         return self.ts.shape[0]
 
-    def __len__(self) -> int:
-        return self.n
-
     @property
     def month(self) -> np.ndarray:
         return self.ts.astype("datetime64[s]").astype("datetime64[M]").astype(np.int64) % 12 + 1

@@ -348,6 +348,17 @@ for stage in (["run"], ["plot"], ["dose", "--item", "dessert"], ["coordinate", "
     assert res.returncode == 0, res.stderr
 
 
+def test_cli_package_import_loads_no_stage():
+    # `copycart.cli` only sets the OpenBLAS default; each stage's imports are
+    # paid by the module that runs it
+    code = (
+        "import sys, copycart.cli; "
+        "sys.exit([m for m in ('numpy', 'copycart.cli.pipeline') if m in sys.modules] or None)"
+    )
+    res = python_c(code)
+    assert res.returncode == 0, res.stderr
+
+
 def test_process_entry_freezes_the_import_heap():
     # `python -m copycart.cli.main` freezes what its imports built, so no
     # collection walks it, the one at exit included

@@ -164,21 +164,24 @@ def test_filter_frequent_pairs_threshold():
 
 
 def test_select_additions():
-    entries = []
-    for i in range(50):
-        items = "MEALV;SOUP" if i == 0 else "MEALV"
-        entries.append((f"A{i:03d}", "A", 0, items))
-        entries.append((f"B{i:03d}", "B", 30, "MEALS"))
-    rows = "".join(
-        lunch_rows([entries[2 * i], entries[2 * i + 1]], day=f"2018-{i // 25 + 1:02d}-{i % 25 + 1:02d}")
-        for i in range(50)
-    )
-    log = parse_csv(rows)
-    d = extract_dyads(reconstruct_queues(log))
-    assert d.n == 50
-    sel = select_additions(d)
-    assert sel == {M.Daypart.LUNCH: ["soup"]}  # 1/50 = 2% >= 1%
-    assert select_additions(d, min_fraction=0.03) == {}
+    # 50 lunch dyads, two with a soup partner (4%), then 50 breakfast dyads,
+    # one with a dessert partner (2%)
+    rows = []
+    for i in range(100):
+        if i < 50:  # at noon
+            at, partner, focal = 0, "MEALV" + (";SOUP" if i < 2 else ""), "MEALS"
+        else:  # at 09:00
+            at, partner, focal = -3 * 3600, "COF" + (";DES" if i == 50 else ""), "COF"
+        entries = [(f"A{i:03d}", "A", at, partner), (f"B{i:03d}", "B", at + 30, focal)]
+        rows.append(lunch_rows(entries, day=f"2018-{i // 25 + 1:02d}-{i % 25 + 1:02d}"))
+    d = extract_dyads(reconstruct_queues(parse_csv("".join(rows))))
+    assert d.n == 100
+    assert np.bincount(d.daypart).tolist() == [50, 50]
+    assert select_additions(d) == ["dessert", "soup"]  # 2% and 4% >= 1%
+    # soup reaches 3% at lunch only, though it is 2% of all dyads; dessert reaches it nowhere
+    assert select_additions(d, min_fraction=0.03) == ["soup"]
+    assert select_additions(d, min_fraction=0.05) == []
+    assert select_additions(d.subset(np.zeros(d.n, bool))) == []
 
 
 def tie_strength(dyads, pair):

@@ -153,3 +153,16 @@ def test_pair_groups_are_a_dict_of_person_pairs(rows):
     want_group, want_size = pair_groups_reference(dyads)
     assert group.dtype == M.row_dtype(dyads.n)
     assert group.tolist() == want_group and size.tolist() == want_size
+
+
+def test_pair_groups_are_built_once_per_set():
+    # the filter, tie strength and every item's coordination test read one grouping
+    dyads = DyadSet(PERSON_ROWS, np.array([0, 1, 2, 0]), np.array([1, 0, 3, 1]))
+    group, size = dyads.pair_groups()
+    assert group.tolist() == [0, 0, 1, 0] and size.tolist() == [3, 1]
+    again = dyads.pair_groups()
+    assert again[0] is group and again[1] is size
+    assert not group.flags.writeable and not size.flags.writeable
+    # a subset is another set, with its own grouping
+    sub = dyads.subset(np.array([False, False, True, True]))
+    assert sub.pair_groups()[0].tolist() == [1, 0] and sub.pair_groups()[1].tolist() == [1, 1]

@@ -71,7 +71,7 @@ def test_distributions_sum_to_one():
         hh = int(rng.integers(6, 20))
         rows.append(f"T{k},{p},{day}T{hh:02d}:{int(rng.integers(0, 60)):02d}:00,S1,R1,MEALV")
     log = parse_csv("\n".join(rows) + "\n")
-    ids, X = feature_matrix(log)
+    ids, X = feature_matrix(log, log.persons)
     assert X.shape == (17, 45)
     for sl in (slice(2, 14), slice(14, 21), slice(21, 45)):
         np.testing.assert_allclose(X[:, sl].sum(axis=1), 1.0, atol=1e-9)
@@ -82,8 +82,8 @@ def test_distributions_sum_to_one():
 def test_features_ignore_basket_content():
     a = parse_csv("T1,P,2018-03-07T12:30:00,S1,R1,MEALV\nT2,P,2018-04-07T12:30:00,S1,R1,COF\n")
     b = parse_csv("T1,P,2018-03-07T12:30:00,S1,R1,DES\nT2,P,2018-04-07T12:30:00,S1,R1,TEA;SOUP\n")
-    _, Xa = feature_matrix(a)
-    _, Xb = feature_matrix(b)
+    _, Xa = feature_matrix(a, a.persons)
+    _, Xb = feature_matrix(b, b.persons)
     np.testing.assert_array_equal(Xa, Xb)
 
 
@@ -295,7 +295,7 @@ def test_feature_matrix_matches_per_person_loop():
     from copycart.sim import SimulationConfig, simulate
 
     log = simulate(SimulationConfig(seed=5, n_persons=80, n_days=420)).log
-    ids, X = feature_matrix(log)
+    ids, X = feature_matrix(log, log.persons)
     assert ids == list(log.persons)
     assert np.array_equal(X, features_per_person(log, ids))
     some = list(log.persons[::-3]) + [log.persons[0]]  # any order, repeats allowed

@@ -177,7 +177,6 @@ def test_every_import_is_read():
     for path in sorted(PACKAGE.rglob("*.py")) + sorted(TESTS.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         imported: dict[str, int] = {}
-        exported: set[str] = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
@@ -186,10 +185,6 @@ def test_every_import_is_read():
                     # `import a.b` binds `a`
                     name = alias.asname or alias.name.split(".")[0]
                     imported.setdefault(name, node.lineno)
-            elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-            ):
-                exported.update(ast.literal_eval(node.value))
         loaded = {
             node.id
             for node in ast.walk(tree)
@@ -198,6 +193,6 @@ def test_every_import_is_read():
         unread += [
             f"{path.relative_to(PACKAGE.parent.parent)}:{line} {name}"
             for name, line in imported.items()
-            if name not in loaded | exported
+            if name not in loaded
         ]
     assert not unread, "imported names that their module never reads:\n" + "\n".join(unread)
