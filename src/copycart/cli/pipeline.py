@@ -362,7 +362,7 @@ def match_stage(dyads: DyadSet, items: list[str], ctx: ContextStats, cfg: RunCon
 
 def item_effect(pairs: MatchedPairSet, item: str, cfg: RunConfig) -> dict:
     seed = int(derive_seed(cfg.seed, "item", item))
-    return E.effect_estimate(pairs, cfg.n_boot, seed, cfg.alpha)
+    return E.effect_estimate(E.paired_counts(pairs), item, cfg.n_boot, seed, cfg.alpha)
 
 
 def item_baseline(dyads: DyadSet, item: str, ctx: ContextStats, cfg: RunConfig) -> dict:
@@ -373,7 +373,7 @@ def item_baseline(dyads: DyadSet, item: str, ctx: ContextStats, cfg: RunConfig) 
     if pairs.n == 0:
         raise NoPairsError(f"no matched pairs for {item!r} after the partner shuffle")
     seed = int(derive_seed(cfg.seed, "item", item, "baseline"))
-    return E.effect_estimate(pairs, cfg.n_boot, seed, cfg.alpha, "baseline")
+    return E.effect_estimate(E.paired_counts(pairs), item, cfg.n_boot, seed, cfg.alpha, "baseline")
 
 
 def item_sensitivity(pairs: MatchedPairSet, item: str, cfg: RunConfig) -> dict:

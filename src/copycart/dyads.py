@@ -226,18 +226,16 @@ def co_purchase_matrix(
 ) -> CoPurchaseMatrix:
     """Frequency matrix of (focal attribute x partner attribute) over dyads,
     as percentages of all dyads where both sides are known."""
-    pl = person_attribute(dyads.log, demographics, attribute, dyads.partner_i)
-    fl = person_attribute(dyads.log, demographics, attribute, dyads.focal_i)
     labels = list(ATTRIBUTE_LABELS[attribute])
-    index = {lab: i for i, lab in enumerate(labels)}
-    counts = np.zeros((len(labels), len(labels)), np.int64)
-    skipped = 0
-    for p, f in zip(pl, fl):
-        if p is None or f is None:
-            skipped += 1
-        else:
-            counts[index[f], index[p]] += 1
+    k = len(labels)
+
+    def codes(rows: np.ndarray) -> np.ndarray:  # k where the attribute is unknown
+        values = person_attribute(dyads.log, demographics, attribute, rows)
+        return np.select([values == label for label in labels], range(k), k)
+
+    table = np.bincount(codes(dyads.focal_i) * (k + 1) + codes(dyads.partner_i), minlength=(k + 1) ** 2)
+    counts = table.reshape(k + 1, k + 1)[:k, :k]
     used = int(counts.sum())
     if used == 0:
         raise EmptyMatrixError(f"no dyad has {attribute} resolved on both sides")
-    return CoPurchaseMatrix(attribute, labels, counts * 100.0 / used, used, skipped)
+    return CoPurchaseMatrix(attribute, labels, counts * 100.0 / used, used, dyads.n - used)

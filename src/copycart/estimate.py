@@ -3,9 +3,10 @@
 Risk difference and risk ratio come from the paired contingency table;
 uncertainty from a percentile bootstrap over pairs, drawn as multinomial
 resamples of the four paired cells; the paired test is McNemar's chi-square
-with an exact binomial p-value at small discordant counts.  Subgroup,
-anchor-attribute, and dose-response analyses reuse the same estimator on
-restricted pair sets.
+with an exact binomial p-value at small discordant counts.  Subgroup and
+dose-response analyses number each pair's stratum or delay bin, count every
+stratum's four cells in one table, and estimate each row of it; the
+anchor-attribute analysis estimates the pairs it matches.
 """
 
 from __future__ import annotations
@@ -53,14 +54,18 @@ class PairedCounts:
         return self.n10 + self.n01
 
 
+def cell_counts(pairs: MatchedPairSet, code: np.ndarray, n_codes: int) -> np.ndarray:
+    """(n_codes, 4) table of (n11, n10, n01, n00): row c counts the pairs
+    whose `code` is c, from one gather of both arms' focal purchases."""
+    treated, control = pairs.dyads.focal_has(pairs.item)[np.stack((pairs.treated_idx, pairs.control_idx))]
+    cell = 3 - 2 * treated - control  # 0 n11, 1 n10, 2 n01, 3 n00
+    return np.bincount(4 * code + cell, minlength=4 * n_codes).reshape(n_codes, 4)
+
+
 def paired_counts(pairs: MatchedPairSet) -> PairedCounts:
     if pairs.n == 0:
         raise NoPairsError(f"no matched pairs for {pairs.item!r}")
-    o_t, o_c = pairs.outcomes()
-    n11 = int(np.sum((o_t == 1) & (o_c == 1)))
-    n10 = int(o_t.sum()) - n11
-    n01 = int(o_c.sum()) - n11
-    return PairedCounts(n11, n10, n01, pairs.n - n11 - n10 - n01)
+    return PairedCounts(*cell_counts(pairs, np.zeros(pairs.n, np.int64), 1)[0].tolist())
 
 
 def risk_difference(counts: PairedCounts) -> float:
@@ -131,22 +136,25 @@ def paired_chi2(counts: PairedCounts) -> tuple[Optional[float], Optional[float]]
 
 
 def effect_estimate(
-    pairs: MatchedPairSet,
+    counts: PairedCounts,
+    item: str,
     n_rep: int = 1000,
     seed: int = 0,
     alpha: float = 0.05,
     stratum: str = "pooled",
 ) -> dict:
-    """The estimate report of results.json for one pair set: point estimates,
-    (1 - alpha) bootstrap percentile CIs, and the paired test.
+    """The estimate report of results.json for the pairs of one item's
+    stratum, from their paired counts: point estimates, (1 - alpha)
+    bootstrap percentile CIs, and the paired test.
 
     Resampling the n pairs with replacement is a Multinomial(n, cell shares)
     draw over (n11, n10, n01, n00), so one draw of `n_rep` tables gives both
     intervals.  Replicates with an empty control arm have no risk ratio; if
     more than 5% of them do, the ratio's interval is None.
     """
-    counts = paired_counts(pairs)
     n = counts.n_pairs
+    if n == 0:
+        raise NoPairsError(f"no matched pairs for {item!r}")
     cells = np.array([counts.n11, counts.n10, counts.n01, counts.n00]) / n
     rng = np.random.default_rng(derive_seed(seed, "boot"))
     n11, n10, n01, _n00 = rng.multinomial(n, cells, size=n_rep).T
@@ -160,7 +168,7 @@ def effect_estimate(
         rr_ci = np.percentile(rr_vals, levels, method="linear").tolist()
     chi2, p = paired_chi2(counts)
     return {
-        "item": pairs.item,
+        "item": item,
         "stratum": stratum,
         "n_pairs": n,
         "rd": risk_difference(counts),
@@ -246,19 +254,19 @@ def subgroup_estimates(
     Strata smaller than `min_pairs` carry only their pair count, every
     estimate None.  Stratum labels partition the pair set.
     """
-    labels = _pair_labels(pairs, grouping, demographics)
+    labels, code = np.unique(_pair_labels(pairs, grouping, demographics), return_inverse=True)
     out: dict[str, dict] = {}
-    for label in np.unique(labels).tolist():
-        sub = pairs.subset(labels == label)
+    for label, row in zip(labels.tolist(), cell_counts(pairs, code, labels.shape[0]).tolist()):
+        counts = PairedCounts(*row)
         stratum = f"{grouping}:{label}"
-        if sub.n < min_pairs:
+        if counts.n_pairs < min_pairs:
             out[label] = {
-                "item": pairs.item, "stratum": stratum, "n_pairs": sub.n,
+                "item": pairs.item, "stratum": stratum, "n_pairs": counts.n_pairs,
                 "rd": None, "rd_ci": None, "rr": None, "rr_ci": None, "chi2": None, "p": None,
             }
         else:
             out[label] = effect_estimate(
-                sub, n_rep, derive_seed(seed, grouping, label), alpha, stratum
+                counts, pairs.item, n_rep, derive_seed(seed, grouping, label), alpha, stratum
             )
     return out
 
@@ -294,7 +302,7 @@ def anchor_mimicry(
     if pairs.n == 0:
         raise NoPairsError(f"no matched pairs for anchor attribute {anchor_attribute!r}")
     seed = derive_seed(seed, "anchor", anchor_attribute)
-    return effect_estimate(pairs, n_rep, seed, alpha, f"anchor:{anchor_attribute}")
+    return effect_estimate(paired_counts(pairs), item, n_rep, seed, alpha, f"anchor:{anchor_attribute}")
 
 
 # ---------------------------------------------------------------------------
@@ -341,19 +349,19 @@ def dose_response(
     """The `dose_response` report of results.json: effect estimates per
     `DOSE_BIN_S` delay bin and the OLS trend over bin midpoints; delays past
     `max_delay_s` fold into the last bin."""
-    delays = pairs.treated_delays()
     if pairs.n == 0:
         raise NoPairsError("dose-response needs matched pairs")
     n_bins = max(1, int(math.ceil(max_delay_s / DOSE_BIN_S)))
-    idx = np.minimum(delays // DOSE_BIN_S, n_bins - 1).astype(np.int64)
+    delays = pairs.dyads.delay_s[pairs.treated_idx]
+    # max_delay_s has no bound, so only the occupied bins are numbered
+    occupied, code = np.unique(np.minimum(delays // DOSE_BIN_S, n_bins - 1), return_inverse=True)
     bins = []
     mids, rds, rrs, rr_mids = [], [], [], []
-    for b in np.unique(idx).tolist():  # max_delay_s has no bound, so empty bins are not visited
-        sel = idx == b
+    for b, row in zip(occupied.tolist(), cell_counts(pairs, code, occupied.shape[0]).tolist()):
         mid = b * DOSE_BIN_S + DOSE_BIN_S / 2.0
         stratum = f"delay<= {mid + DOSE_BIN_S / 2:g}s"
         est = effect_estimate(
-            pairs.subset(sel), n_rep, derive_seed(seed, "dose", b), alpha, stratum
+            PairedCounts(*row), pairs.item, n_rep, derive_seed(seed, "dose", b), alpha, stratum
         )
         bins.append({"midpoint_s": mid, **est})
         mids.append(mid)

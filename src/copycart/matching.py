@@ -74,7 +74,7 @@ class MatchedPairSet:
 
     A freshly built set keeps the popularity each dyad was matched on and
     the full eligibility pools, for the pair dump and the balance report; a
-    set read from a dump or cut by `subset` has neither."""
+    set read from a dump has neither."""
 
     def __init__(
         self,
@@ -101,21 +101,6 @@ class MatchedPairSet:
     @property
     def n(self) -> int:
         return self.treated_idx.shape[0]
-
-    def outcomes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(treated-arm, control-arm) focal purchase indicators, uint8."""
-        has = self.dyads.focal_has(self.item)
-        return (
-            has[self.treated_idx].astype(np.uint8),
-            has[self.control_idx].astype(np.uint8),
-        )
-
-    def treated_delays(self) -> np.ndarray:
-        return self.dyads.delay_s[self.treated_idx]
-
-    def subset(self, sel: np.ndarray) -> "MatchedPairSet":
-        ti = self.treated_idx[sel]
-        return MatchedPairSet(self.dyads, self.item, ti, self.control_idx[sel], ti.shape[0], 0)
 
     @classmethod
     def to_csv(cls, dest: Source, sets: Iterable["MatchedPairSet"]) -> None:

@@ -28,6 +28,7 @@ from copycart.estimate import (
     naive_risk_difference,
     ols_line,
     paired_chi2,
+    paired_counts,
     risk_difference,
     risk_ratio,
 )
@@ -57,7 +58,7 @@ def matched_estimate(cfg, item="dessert", randomize=None, n_boot=1000):
         dyads = randomize_partners(dyads, randomize)
     ctx = compute_context(res.log)
     pairs = build_matched_pairs(dyads, item, ctx, SPEC)
-    est = effect_estimate(pairs, n_boot, seed=boot_seed(cfg))
+    est = effect_estimate(paired_counts(pairs), item, n_boot, seed=boot_seed(cfg))
     return res, dyads, pairs, est
 
 

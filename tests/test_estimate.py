@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
@@ -192,23 +192,24 @@ def test_zero_discordant_has_no_test():
 
 def test_bootstrap_deterministic_and_seed_sensitive():
     pairs = pairs_from_outcomes([1, 0, 1, 1, 0, 1, 0, 1] * 8, [0, 0, 1, 0, 1, 0, 0, 1] * 8)
-    a = effect_estimate(pairs, n_rep=400, seed=9)
-    b = effect_estimate(pairs, n_rep=400, seed=9)
+    counts = paired_counts(pairs)
+    a = effect_estimate(counts, "dessert", n_rep=400, seed=9)
+    b = effect_estimate(counts, "dessert", n_rep=400, seed=9)
     assert a == b
-    c = effect_estimate(pairs, n_rep=400, seed=10)
+    c = effect_estimate(counts, "dessert", n_rep=400, seed=10)
     assert a["rd_ci"] != c["rd_ci"]
 
 
 def test_bootstrap_degenerate_pairs_zero_width():
     pairs = pairs_from_outcomes([1] * 12, [0] * 12)
-    est = effect_estimate(pairs, n_rep=200, seed=1)
+    est = effect_estimate(paired_counts(pairs), "dessert", n_rep=200, seed=1)
     assert est["rd_ci"] == [1.0, 1.0]
     assert est["rd"] == 1.0
 
 
 def test_bootstrap_rr_undefined_interval():
     pairs = pairs_from_outcomes([1, 1, 1], [0, 0, 0])
-    est = effect_estimate(pairs, n_rep=100, seed=2)
+    est = effect_estimate(paired_counts(pairs), "dessert", n_rep=100, seed=2)
     assert est["rr"] is None and est["rr_ci"] is None
     assert est["rd_ci"] == [1.0, 1.0]
 
@@ -224,7 +225,7 @@ def test_bootstrap_replicates_match_multinomial_moments():
     o_c = [1] * 9 + [0] * 14 + [1] * 6 + [0] * 11
     pairs = pairs_from_outcomes(o_t, o_c)
     n, n_rep = 40, 4000
-    est = effect_estimate(pairs, n_rep=n_rep, seed=5)
+    est = effect_estimate(paired_counts(pairs), "dessert", n_rep=n_rep, seed=5)
     # the one draw the estimate takes all its intervals from
     rng = np.random.default_rng(derive_seed(5, "boot"))
     cells = rng.multinomial(n, np.array([9, 14, 6, 11]) / n, size=n_rep)
@@ -247,8 +248,8 @@ def test_effect_estimate_consistency():
     o_t = (rng.random(200) < 0.6).astype(np.uint8)
     o_c = (rng.random(200) < 0.4).astype(np.uint8)
     pairs = pairs_from_outcomes(o_t, o_c)
-    est = effect_estimate(pairs, n_rep=500, seed=11)
     c = paired_counts(pairs)
+    est = effect_estimate(c, "dessert", n_rep=500, seed=11)
     assert est["n_pairs"] == c.n_pairs
     assert (est["chi2"], est["p"]) == paired_chi2(c)
     assert est["rd"] == risk_difference(c)
@@ -256,9 +257,9 @@ def test_effect_estimate_consistency():
     assert est["rd_ci"][0] <= est["rd"] <= est["rd_ci"][1]
     assert est["rr_ci"][0] <= est["rr"] <= est["rr_ci"][1]
     assert est["rd_ci"][0] < est["rd_ci"][1]
-    again = effect_estimate(pairs, n_rep=500, seed=11)
+    again = effect_estimate(c, "dessert", n_rep=500, seed=11)
     assert again == est
-    other = effect_estimate(pairs, n_rep=500, seed=12)
+    other = effect_estimate(c, "dessert", n_rep=500, seed=12)
     assert other["rd_ci"] != est["rd_ci"] or other["rr_ci"] != est["rr_ci"]
 
 
@@ -266,27 +267,26 @@ def test_alpha_sets_the_interval_level():
     rng = np.random.default_rng(42)
     o_t = (rng.random(200) < 0.6).astype(np.uint8)
     o_c = (rng.random(200) < 0.4).astype(np.uint8)
-    pairs = pairs_from_outcomes(o_t, o_c)
-    wide = effect_estimate(pairs, n_rep=500, seed=11, alpha=0.05)
-    narrow = effect_estimate(pairs, n_rep=500, seed=11, alpha=0.10)
+    c = paired_counts(pairs_from_outcomes(o_t, o_c))
+    wide = effect_estimate(c, "dessert", n_rep=500, seed=11, alpha=0.05)
+    narrow = effect_estimate(c, "dessert", n_rep=500, seed=11, alpha=0.10)
     assert (narrow["rd"], narrow["rr"], narrow["p"]) == (wide["rd"], wide["rr"], wide["p"])
     for ci in ("rd_ci", "rr_ci"):
         (lo, hi), (w_lo, w_hi) = narrow[ci], wide[ci]
         assert w_lo <= lo <= hi <= w_hi and hi - lo < w_hi - w_lo, ci
     # the same draw, cut at the 5th and 95th percentiles
     rng = np.random.default_rng(derive_seed(11, "boot"))
-    c = paired_counts(pairs)
     cells = rng.multinomial(c.n_pairs, np.array([c.n11, c.n10, c.n01, c.n00]) / c.n_pairs, 500)
     rd_vals = (cells[:, 1] - cells[:, 2]) / c.n_pairs
     assert narrow["rd_ci"] == np.percentile(rd_vals, [5, 95]).tolist()
 
 
 def test_effect_estimate_dict_shape():
-    pairs = pairs_from_outcomes([1, 0, 1, 1], [0, 0, 1, 0])
-    d = effect_estimate(pairs, n_rep=50, seed=0)
+    counts = paired_counts(pairs_from_outcomes([1, 0, 1, 1], [0, 0, 1, 0]))
+    d = effect_estimate(counts, "dessert", n_rep=50, seed=0)
     assert set(d) == ESTIMATE_KEYS
     assert d["item"] == "dessert" and d["stratum"] == "pooled" and d["n_pairs"] == 4
-    assert effect_estimate(pairs, n_rep=50, seed=0, stratum="baseline") == dict(
+    assert effect_estimate(counts, "dessert", n_rep=50, seed=0, stratum="baseline") == dict(
         d, stratum="baseline"
     )
 
@@ -318,7 +318,7 @@ def test_subgroup_partner_status_partition():
     assert set(subs) == {"student", "staff"}
     assert subs["student"]["n_pairs"] + subs["staff"]["n_pairs"] == pairs.n
     assert subs["student"]["stratum"] == "partner_status:student"
-    stu = pairs.subset(np.asarray([p == "ST1" for p in persons]))
+    stu = pairs_from_outcomes(o_t[::2], o_c[::2])  # the ST1 pairs
     assert subs["student"]["rd"] == risk_difference(paired_counts(stu))
     capped = subgroup_estimates(pairs, "partner_status", demo, n_rep=50, seed=4, min_pairs=5)
     assert capped["student"]["rd"] is None and capped["student"]["n_pairs"] < 5
@@ -432,6 +432,78 @@ def test_labels_match_per_pair_reference():
         assert _pair_labels(pairs, grouping, demo).tolist() == want, grouping
         assert len(set(want)) > (grouping != "addition_item"), grouping
     assert {"unknown-student", "staff-unknown"} <= set(labels_per_pair(pairs, "status_pair", demo))
+
+
+# -- strata and bins against pair sets built per stratum --------------------
+
+STATUS_OF = {"ST1": "student", "SF1": "staff"}  # partner UN1 has no record: unknown
+
+
+def stratum_reference(o_t, o_c, sel, seed, stratum, n_rep):
+    """`effect_estimate` on a pair set built from the selected pairs alone,
+    whose paired counts are first checked against a tally of the outcomes."""
+    t, c = o_t[sel], o_c[sel]
+    counts = paired_counts(pairs_from_outcomes(t, c))
+    tally = [int(np.sum(t & c)), int(np.sum(t & ~c)), int(np.sum(~t & c)), int(np.sum(~t & ~c))]
+    assert [counts.n11, counts.n10, counts.n01, counts.n00] == tally
+    return effect_estimate(counts, "dessert", n_rep, seed, 0.05, stratum)
+
+
+@st.composite
+def stratified_pairs(draw):
+    """(o_t, o_c, partner persons, delays, min_pairs, max_delay_s) of n pairs."""
+    n = draw(st.integers(1, 20))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    persons = column(st.sampled_from(["ST1", "SF1", "UN1"]))
+    delays = column(st.integers(1, 299))
+    min_pairs = draw(st.integers(1, n + 1))
+    return (column(st.booleans()), column(st.booleans()), persons, delays, min_pairs,
+            draw(st.sampled_from([90, 150, 300])))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(case=stratified_pairs())
+@example(case=([True, False, True, True], [False, False, True, False], ["ST1"] * 4,
+               [10, 40, 70, 100], 1, 300))  # a single stratum
+@example(case=([True, False, True, False, True], [True, True, False, False, False],
+               ["ST1", "SF1", "UN1", "ST1", "SF1"], [5, 35, 65, 95, 125], 3, 300))  # every stratum undersized
+@example(case=([True, True, False, True, False], [False, True, False, False, True],
+               ["ST1", "SF1", "ST1", "SF1", "UN1"], [10, 40, 70, 250, 299], 2, 90))  # delays past max_delay_s
+def test_strata_and_bins_match_pair_sets_built_per_stratum(case):
+    o_t, o_c, persons, delays, min_pairs, max_delay_s = case
+    o_t, o_c, delays = np.asarray(o_t), np.asarray(o_c), np.asarray(delays)
+    pairs = pairs_from_outcomes(o_t, o_c, delays=delays, partner_persons=persons)
+    demo = M.Demographics([M.PersonRecord(p, status=s) for p, s in STATUS_OF.items()])
+    n_rep, seed = 20, 5
+
+    labels = np.asarray([STATUS_OF.get(p, "unknown") for p in persons])
+    subs = subgroup_estimates(pairs, "partner_status", demo, n_rep, seed, min_pairs, 0.05)
+    assert list(subs) == sorted(set(labels.tolist()))
+    for label, got in subs.items():
+        sel = labels == label
+        stratum = f"partner_status:{label}"
+        if sel.sum() < min_pairs:
+            want = dict.fromkeys(ESTIMATE_KEYS) | {"item": "dessert", "stratum": stratum, "n_pairs": sel.sum()}
+        else:
+            want = stratum_reference(o_t, o_c, sel, derive_seed(seed, "partner_status", label), stratum, n_rep)
+        assert got == want, label
+
+    # a delay past max_delay_s falls in the last bin
+    bin_of = np.minimum(delays // 30, math.ceil(max_delay_s / 30) - 1)
+    occupied = sorted(set(bin_of.tolist()))
+    if len(occupied) < 3:
+        with pytest.raises(InsufficientBinsError):
+            dose_response(pairs, max_delay_s, n_rep, seed, 0.05)
+        return
+    want = []
+    for b in occupied:
+        stratum = f"delay<= {30 * b + 30}s"
+        est = stratum_reference(o_t, o_c, bin_of == b, derive_seed(seed, "dose", b), stratum, n_rep)
+        want.append({"midpoint_s": 30 * b + 15.0, **est})
+    assert dose_response(pairs, max_delay_s, n_rep, seed, 0.05)["bins"] == want
 
 
 # -- anchor mimicry ----------------------------------------------------------

@@ -31,7 +31,7 @@ def test_bootstrap_counts_consistency():
     assert (tables >= 0).all()
     assert (tables.sum(axis=1) == 500).all()
     rd_vals = (tables[:, 1] - tables[:, 2]) / 500
-    est = effect_estimate(pairs, n_rep=200, seed=42)
+    est = effect_estimate(paired_counts(pairs), "dessert", n_rep=200, seed=42)
     assert rd_vals.min() <= est["rd_ci"][0] <= est["rd_ci"][1] <= rd_vals.max()
 
 
@@ -46,7 +46,7 @@ def test_bootstrap_counts_brute_force_first_replicate():
     o_c = [1] * n11 + [0] * n10 + [1] * n01 + [0] * n00
     resample = paired_counts(pairs_from_outcomes(o_t, o_c))
     assert (resample.n11, resample.n10, resample.n01, resample.n00) == (n11, n10, n01, n00)
-    est = effect_estimate(pairs, n_rep=1, seed=9)
+    est = effect_estimate(paired_counts(pairs), "dessert", n_rep=1, seed=9)
     rd0 = risk_difference(resample)
     assert est["rd_ci"] == pytest.approx([rd0, rd0], abs=1e-12)
     rr0 = risk_ratio(resample)

@@ -376,7 +376,7 @@ def test_balance_report_passing_case():
     assert pairs.n == 6
     assert balance_report(pairs)["pass"]
     with pytest.raises(NoPairsError):
-        balance_report(pairs.subset(np.zeros(pairs.n, bool)))
+        balance_report(build_matched_pairs(dyads.subset(np.zeros(dyads.n, bool)), "dessert", ctx, RAW))
 
 
 def test_adjustment_spec_validation():

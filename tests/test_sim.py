@@ -13,7 +13,7 @@ from copycart import model as M
 from copycart.context import compute_context
 from copycart.dyads import extract_dyads, filter_frequent_pairs, reconstruct_queues
 from copycart.errors import ConfigError
-from copycart.estimate import anchor_mimicry, effect_estimate
+from copycart.estimate import anchor_mimicry, effect_estimate, paired_counts
 from copycart.matching import AdjustmentSpec, build_matched_pairs
 from copycart.sim import (
     COFFEE_SHARE,
@@ -304,7 +304,7 @@ def test_matched_estimate_recovers_injected_effect():
     pairs = build_matched_pairs(
         dyads, "dessert", ctx, AdjustmentSpec(exclude_own_transactions=True)
     )
-    est = effect_estimate(pairs, n_rep=400, seed=1)
+    est = effect_estimate(paired_counts(pairs), "dessert", n_rep=400, seed=1)
     assert abs(est["rd"] - res.ground_truth.expected_rd["dessert"]) < 0.02
 
 
