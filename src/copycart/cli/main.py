@@ -75,16 +75,14 @@ def _echo_json(obj) -> None:
 
 
 @main.command("simulate")
-@click.option("--sim-config", type=click.Path(exists=True), default=None,
-              help="YAML of generator settings.")
 @click.option("--set", "assignments", multiple=True, metavar="KEY=VALUE",
               help="Override one generator setting (JSON-parsed value).")
 @click.pass_context
-def simulate_cmd(ctx, sim_config, assignments):
+def simulate_cmd(ctx, assignments):
     """Generate a synthetic transaction log with known ground truth."""
     from ..sim import SimulationConfig, simulate, write_simulation  # only this command simulates
 
-    data = load_yaml(sim_config) if sim_config else {}
+    data = {}
     for item in assignments:
         key, _, raw = item.partition("=")
         if not _:

@@ -57,6 +57,8 @@ START_DATE = "2018-01-08"  # day 0 of every simulated log, a Monday
 _DAY0 = int(np.datetime64(START_DATE, "D").astype(np.int64))  # its days since 1970-01-01
 PROPENSITY_SD = 0.15  # spread of a person's purchase probability around the base
 GAP_MAX_S = 300  # the longest partner-to-focal gap, the dyad extractor's default
+GAP_MEDIAN_S = 40.0  # median of the lognormal partner-to-focal gap
+GAP_SIGMA = 0.75  # log-scale spread of the lognormal gap
 
 
 def _default_base_probs() -> dict:
@@ -90,11 +92,7 @@ class SimulationConfig:
     coordination_mode: str = "none"
     leader_first_prob: float = 0.5
     susceptibility_asymmetry: float = 0.0
-    availability_dropout: float = 0.0
-    popularity_shock_sd: float = 0.0
     gap_dist: str = "lognormal"
-    gap_median_s: float = 40.0
-    gap_sigma: float = 0.75
 
     def __post_init__(self):
         self.seed = config_seed(self.seed)
@@ -118,7 +116,6 @@ class SimulationConfig:
             "homophily",
             "leader_first_prob",
             "susceptibility_asymmetry",
-            "availability_dropout",
         ):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
@@ -153,10 +150,6 @@ class SimulationConfig:
             raise ConfigError(f"unknown coordination_mode {self.coordination_mode!r}")
         if self.gap_dist not in ("lognormal", "uniform"):
             raise ConfigError(f"unknown gap_dist {self.gap_dist!r}")
-        if not 0.0 < self.gap_median_s < math.inf:
-            raise ConfigError(f"gap_median_s must be a positive number, got {self.gap_median_s}")
-        if not 0.0 <= self.gap_sigma < math.inf:
-            raise ConfigError(f"gap_sigma must be a non-negative number, got {self.gap_sigma}")
         if self.pairs is not None:
             seen = set()
             for a, b in self.pairs:
@@ -214,12 +207,11 @@ class Population:
     def status_of(self, i: int) -> str:
         return self.statuses[self.status_idx[i]]
 
-    def demographics(self, known_fraction: float = 1.0, rng=None) -> Demographics:
-        """Person table; a 1-known_fraction share gets no status label."""
+    def demographics(self, known_fraction: float, rng: np.random.Generator) -> Demographics:
+        """Person table; a 1-known_fraction share, drawn from `rng`, gets no
+        status label."""
         known = np.ones(self.n, bool)
         if known_fraction < 1.0:
-            if rng is None:
-                rng = np.random.default_rng(0)
             known = rng.random(self.n) < known_fraction
         return Demographics(
             PersonRecord(pid, self.gender[i], self.status_of(i) if known[i] else None,
@@ -298,7 +290,7 @@ def _visit_seconds(rng, daypart_idx, is_staff, room):
 def _gaps(rng, config: SimulationConfig, size: int) -> np.ndarray:
     if config.gap_dist == "uniform":
         return rng.integers(5, GAP_MAX_S + 1, size)
-    raw = np.exp(rng.normal(math.log(config.gap_median_s), config.gap_sigma, size))
+    raw = np.exp(rng.normal(math.log(GAP_MEDIAN_S), GAP_SIGMA, size))
     return np.clip(np.rint(raw), 1, GAP_MAX_S).astype(np.int64)
 
 
@@ -339,19 +331,6 @@ def _draw_rows(population: Population, config: SimulationConfig) -> tuple[list, 
         [config.base_probs.get(dp, {}).get(item, 0.0) for dp in DAYPART_LABELS] for item in items
     ] + [[VEG_SHARE] * 3, [COFFEE_SHARE] * 3])  # in ANCHORS order
 
-    # popularity shocks and unavailability per (item, cell), drawn per
-    # (shop, day, daypart, item); the cell numbers (shop, day, daypart) as
-    # `cells` does.  None when there are none
-    cube, n_cells = (config.n_shops, n_days, 3, n_items), config.n_shops * n_days * 3
-    shock = unavailable = None
-    if config.popularity_shock_sd > 0:
-        shock = rng.normal(0.0, config.popularity_shock_sd, cube).reshape(n_cells, n_items).T.copy()
-    if config.availability_dropout > 0:
-        unavailable = (rng.random(cube) < config.availability_dropout).reshape(n_cells, n_items).T.copy()
-
-    def cells(shop: np.ndarray, day: np.ndarray, dp: np.ndarray) -> np.ndarray:
-        return (shop * n_days + day) * 3 + dp
-
     def visits(rate: float, status_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(unit, day) of every visit; students mostly stay away in summer."""
         u = rng.random((status_codes.shape[0], n_days))
@@ -367,13 +346,9 @@ def _draw_rows(population: Population, config: SimulationConfig) -> tuple[list, 
         reg = rng.integers(0, config.n_registers_per_shop, n)
         return shop, reg, np.minimum(np.searchsorted(dp_cum, rng.random(n), side="right"), 2)
 
-    def prob(k: int, persons: np.ndarray, dp: np.ndarray, cell: np.ndarray) -> np.ndarray:
+    def prob(k: int, persons: np.ndarray, dp: np.ndarray) -> np.ndarray:
         """Probability that each visit buys good k."""
         p = base[k][dp] + PROPENSITY_SD * population.propensity_z[goods[k]][persons]
-        if k < n_items and shock is not None:
-            p += shock[k][cell]
-        if k < n_items and unavailable is not None:
-            p[unavailable[k][cell]] = 0.0
         return np.clip(p, 0.0, 1.0, out=p)
 
     # -- pair visits: partner, then focal after a gap -------------------------
@@ -384,7 +359,6 @@ def _draw_rows(population: Population, config: SimulationConfig) -> tuple[list, 
     v_shop, v_reg, v_dp = place(V)
     gaps = _gaps(rng, config, V)
     t_partner = _visit_seconds(rng, v_dp, sidx[leader] == staff_code, GAP_MAX_S + 2)
-    v_cell = cells(v_shop, p_day, v_dp)
     leader_first = rng.random(V) < config.leader_first_prob
     partner = np.where(leader_first, leader, follower)
     focal = np.where(leader_first, follower, leader)
@@ -415,7 +389,7 @@ def _draw_rows(population: Population, config: SimulationConfig) -> tuple[list, 
     gt_sum, gt_n = [], []
     for k, good in enumerate(goods):
         d = float(deltas.get(good, 0.0))
-        p_src, p_dst = by_source(prob(k, partner, v_dp, v_cell), prob(k, focal, v_dp, v_cell))
+        p_src, p_dst = by_source(prob(k, partner, v_dp), prob(k, focal, v_dp))
         b_src = rng.random(V) < p_src
         p_up = np.clip(p_dst + d * b_src * decay * susct, 0.0, 1.0)
         b_dst = rng.random(V) < p_up
@@ -427,7 +401,7 @@ def _draw_rows(population: Population, config: SimulationConfig) -> tuple[list, 
         gt_sum.append(float(np.sum((p_up - p_dst)[lifted])))
         gt_n.append(int(np.sum(b_partner)))
     # the pair draws are done; their scratch would live on through the assembly
-    del p_vis, v_cell, leader, follower, leader_first, decay, susct, src_is_partner
+    del p_vis, leader, follower, leader_first, decay, susct, src_is_partner
     del p_src, p_dst, p_up, lifted
 
     # -- solo visits -----------------------------------------------------------
@@ -435,10 +409,8 @@ def _draw_rows(population: Population, config: SimulationConfig) -> tuple[list, 
     S = s_person.shape[0]
     s_shop, s_reg, s_dp = place(S)
     s_t = _visit_seconds(rng, s_dp, sidx[s_person] == staff_code, 2)
-    s_cell = cells(s_shop, s_day, s_dp)
     for k in range(len(goods)):
-        bought[k].append(rng.random(S) < prob(k, s_person, s_dp, s_cell))
-    del s_cell
+        bought[k].append(rng.random(S) < prob(k, s_person, s_dp))
     bought = [np.concatenate(b) for b in bought]
 
     # -- assemble rows: the basket code is the anchor's index in _ANCHOR_CODES,

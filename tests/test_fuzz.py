@@ -248,7 +248,6 @@ def test_item_without_dumped_pairs_names_the_stage_that_ran(base):
 
 
 @pytest.mark.parametrize("setting", [
-    "gap_sigma=-1", "gap_median_s=0", "gap_median_s=NaN",
     # a status `ingest` would reject, and an effect on an item that is never sold
     'status_mix={"student": 0.5, "postdoc": 0.5}', 'delta={"desert": 0.15}',
 ])
@@ -259,6 +258,26 @@ def test_out_of_range_gap_setting_is_a_config_error(setting):
     assert_clean_exit(res)
     assert res.exit_code == 1
     assert "[errors.ConfigError] " + setting.split("=")[0] in res.output
+
+
+@pytest.mark.parametrize("key", ["popularity_shock_sd", "availability_dropout", "gap_median_s", "gap_sigma"])
+def test_removed_simulate_setting_is_refused_by_name(key):
+    with tempfile.TemporaryDirectory() as tmp:
+        res = invoke("--seed", 3, "--out", tmp, "simulate", "--set", "n_persons=60",
+                     "--set", "n_days=10", "--set", f"{key}=0.03")
+    assert_clean_exit(res)
+    assert res.exit_code == 1
+    assert f"[errors.ConfigError] unknown simulation config keys: ['{key}']" in res.output
+
+
+def test_simulate_takes_no_settings_file():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.yaml")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("n_persons: 60\nn_days: 10\n")
+        res = invoke("--seed", 3, "--out", tmp, "simulate", "--sim-config", path)
+    assert_clean_exit(res)
+    assert res.exit_code == 2
 
 
 @pytest.mark.parametrize(
