@@ -132,13 +132,11 @@ def config_seed(seed) -> int:
     """The mandatory root seed as an int; ConfigError unless it is a u64."""
     if seed is None:
         raise ConfigError("seed is mandatory; there is no wall-clock default")
-    try:
-        seed = int(seed)
-    except (TypeError, ValueError):
-        raise ConfigError(f"seed must be an integer, got {seed!r}") from None
+    if not _is_a(seed, int):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
     if not (0 <= seed < 2**64):
         raise ConfigError("seed must be a u64")
-    return seed
+    return int(seed)
 
 
 _KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}

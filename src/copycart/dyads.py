@@ -1,4 +1,4 @@
-"""Queue reconstruction, dyad extraction, filters, ties, co-purchase tables.
+"""Queue reconstruction, dyad extraction, filters and ties.
 
 A dyad is an ordered (partner, focal) pair of consecutive transactions by
 different persons at one register on one date, at most ``max_gap_s`` apart,
@@ -15,17 +15,8 @@ import numpy as np
 
 from ._util import dense_codes, run_starts, stable_order
 from .csvio import Source, read_dump, write_csv
-from .errors import EmptyMatrixError, IngestError
-from .model import (
-    ATTRIBUTE_LABELS,
-    Daypart,
-    ADDITION_KEYS,
-    CATEGORY_BIT,
-    Demographics,
-    TransactionLog,
-    person_attribute,
-    row_dtype,
-)
+from .errors import IngestError
+from .model import ADDITION_KEYS, CATEGORY_BIT, Daypart, TransactionLog, row_dtype
 
 
 @dataclass
@@ -210,32 +201,3 @@ def tie_strength_per_dyad(dyads: DyadSet) -> np.ndarray:
         dyads.focal_person, minlength=n_persons
     )
     return both / (member[dyads.partner_person] + member[dyads.focal_person] - both)
-
-
-@dataclass
-class CoPurchaseMatrix:
-    attribute: str
-    labels: list[str]
-    matrix: np.ndarray  # percentages, focal rows x partner columns
-    n_used: int
-    n_skipped: int
-
-
-def co_purchase_matrix(
-    dyads: DyadSet, demographics: Demographics, attribute: str
-) -> CoPurchaseMatrix:
-    """Frequency matrix of (focal attribute x partner attribute) over dyads,
-    as percentages of all dyads where both sides are known."""
-    labels = list(ATTRIBUTE_LABELS[attribute])
-    k = len(labels)
-
-    def codes(rows: np.ndarray) -> np.ndarray:  # k where the attribute is unknown
-        values = person_attribute(dyads.log, demographics, attribute, rows)
-        return np.select([values == label for label in labels], range(k), k)
-
-    table = np.bincount(codes(dyads.focal_i) * (k + 1) + codes(dyads.partner_i), minlength=(k + 1) ** 2)
-    counts = table.reshape(k + 1, k + 1)[:k, :k]
-    used = int(counts.sum())
-    if used == 0:
-        raise EmptyMatrixError(f"no dyad has {attribute} resolved on both sides")
-    return CoPurchaseMatrix(attribute, labels, counts * 100.0 / used, used, dyads.n - used)

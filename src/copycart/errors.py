@@ -17,10 +17,6 @@ class NoPairsError(CopycartError):
     """An estimator was asked to run on an empty matched-pair or dyad set."""
 
 
-class EmptyMatrixError(CopycartError):
-    """Co-purchase matrix requested but no dyad has the attribute resolved."""
-
-
 class InsufficientBinsError(CopycartError):
     """Dose-response regression needs at least 3 non-empty delay bins."""
 

@@ -6,6 +6,7 @@ import gc
 import hashlib
 import json
 import os
+import pathlib
 import reprlib
 import shutil
 import subprocess
@@ -213,9 +214,13 @@ def test_run_without_seed_fails(workdir):
     ({"dyads": {"min_fraction": -0.5}}, ""),
     ({"estimation": {"min_stratum": -3}}, ""),
     ({"estimation": {"n_boot": 10**12}}, "n_boot 1000000000000 is above 1000000"),
+    ({"estimation": {"seed": 1.5}}, "seed must be an integer, got 1.5"),
+    ({"estimation": {"seed": True}}, "seed must be an integer, got True"),
+    ({"estimation": {"seed": "7"}}, "seed must be an integer, got '7'"),
 ], ids=["threads", "n_boot", "alpha", "max_gap_s", "caliper", "adjustment_scalar",
         "adjustment_key", "baseline_string", "require_anchor_string", "adjustment_bool_string",
-        "min_fraction_above_1", "min_fraction_negative", "min_stratum_negative", "n_boot_above_bound"])
+        "min_fraction_above_1", "min_fraction_negative", "min_stratum_negative", "n_boot_above_bound",
+        "seed_float", "seed_bool", "seed_string"])
 def test_config_type_errors_exit_cleanly(workdir, tmp_path, patch, message):
     conf = yaml.safe_load((workdir / "run.yaml").read_text())
     for key, value in patch.items():
@@ -229,6 +234,16 @@ def test_config_type_errors_exit_cleanly(workdir, tmp_path, patch, message):
     assert res.exit_code == 1
     assert f"[errors.ConfigError] {message}" in res.output
     assert isinstance(res.exception, SystemExit)  # a message, not a traceback
+
+
+@pytest.mark.parametrize("seed", ["1.5", "true", '"7"'])
+def test_simulate_seed_of_wrong_type_is_a_config_error(tmp_path, seed):
+    # each once ran as seed 1, 1 and 7; no `--seed`, which would override `--set seed`
+    res = invoke("--out", tmp_path, "simulate", "--set", "n_persons=60", "--set", "n_days=10",
+                 "--set", f"seed={seed}")
+    assert res.exit_code == 1
+    assert "[errors.ConfigError] seed must be an integer" in res.output
+    assert isinstance(res.exception, SystemExit)
 
 
 def test_n_boot_below_two_over_alpha_is_a_config_error(tmp_path):
@@ -1467,7 +1482,7 @@ def test_plots_match_goldens(tmp_path):
     for name in ("forest_rd.svg", "forest_rr.svg", "dose_dessert.svg",
                  "sensitivity_dessert.svg"):
         got = (tmp_path / name).read_bytes()
-        want = open(os.path.join(GOLDEN_DIR, name), "rb").read()
+        want = pathlib.Path(GOLDEN_DIR, name).read_bytes()
         assert got == want, f"{name} drifted from golden copy"
 
 

@@ -1,4 +1,4 @@
-"""Queue reconstruction, dyad extraction, filters, ties, co-purchase."""
+"""Queue reconstruction, dyad extraction, filters and ties."""
 
 import io
 
@@ -8,14 +8,12 @@ import pytest
 from copycart import model as M
 from copycart.dyads import (
     DyadSet,
-    co_purchase_matrix,
     extract_dyads,
     filter_frequent_pairs,
     reconstruct_queues,
     select_additions,
     tie_strength_per_dyad,
 )
-from copycart.errors import EmptyMatrixError
 
 from test_model import CATALOG, parse_csv, tx_ids
 
@@ -208,40 +206,6 @@ def test_tie_strength_cases():
     only = _pair_fixture({("A", "B"): 5})
     d2 = extract_dyads(reconstruct_queues(only))
     assert tie_strength_per_dyad(d2).tolist() == [1.0] * 5
-
-
-def test_co_purchase_matrix_gender():
-    log = _pair_fixture({("F1", "F2"): 2, ("F1", "M1"): 1, ("M2", "F2"): 1})
-    d = extract_dyads(reconstruct_queues(log))
-    demo = M.Demographics(
-        [
-            M.PersonRecord("F1", gender="female"),
-            M.PersonRecord("F2", gender="female"),
-            M.PersonRecord("M1", gender="male"),
-            M.PersonRecord("M2", gender="male"),
-        ]
-    )
-    m = co_purchase_matrix(d, demo, "gender")
-    assert m.labels == ["female", "male"]
-    # rows are focal, columns are partner
-    assert m.matrix[0, 0] == pytest.approx(50.0)  # F focal, F partner
-    assert m.matrix[1, 0] == pytest.approx(25.0)  # M focal, F partner
-    assert m.matrix[0, 1] == pytest.approx(25.0)  # F focal, M partner
-    assert m.matrix[1, 1] == 0.0
-    assert m.matrix.sum() == pytest.approx(100.0, abs=1e-9)
-
-
-def test_co_purchase_matrix_age_and_skips():
-    log = _pair_fixture({("A", "B"): 1})
-    d = extract_dyads(reconstruct_queues(log))
-    demo = M.Demographics(
-        [M.PersonRecord("A", birth_year=1996), M.PersonRecord("B", birth_year=1980)]
-    )
-    m = co_purchase_matrix(d, demo, "age_tercile")
-    # tx year 2018: ages 22 and 38
-    assert m.matrix[m.labels.index(">32"), m.labels.index("<=22")] == 100.0
-    with pytest.raises(EmptyMatrixError):
-        co_purchase_matrix(d, M.Demographics([]), "gender")
 
 
 def test_dyad_csv_roundtrip():

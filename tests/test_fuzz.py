@@ -251,7 +251,7 @@ def test_item_without_dumped_pairs_names_the_stage_that_ran(base):
     # a status `ingest` would reject, and an effect on an item that is never sold
     'status_mix={"student": 0.5, "postdoc": 0.5}', 'delta={"desert": 0.15}',
 ])
-def test_out_of_range_gap_setting_is_a_config_error(setting):
+def test_simulate_setting_outside_what_ingest_reads_is_a_config_error(setting):
     with tempfile.TemporaryDirectory() as tmp:
         res = invoke("--seed", 3, "--out", tmp, "simulate", "--set", "n_persons=60",
                      "--set", "n_days=10", "--set", setting)

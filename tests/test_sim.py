@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import pathlib
 from unittest import mock
 
 import numpy as np
@@ -380,12 +381,12 @@ def test_write_simulation_is_deterministic(tmp_path):
     p1 = write_simulation(simulate(cfg), tmp_path / "a")
     p2 = write_simulation(simulate(cfg), tmp_path / "b")
     for key in ("transactions", "catalog", "demographics", "ground_truth"):
-        b1 = open(p1[key], "rb").read()
-        b2 = open(p2[key], "rb").read()
+        b1 = pathlib.Path(p1[key]).read_bytes()
+        b2 = pathlib.Path(p2[key]).read_bytes()
         assert b1 == b2, key
     # a different seed changes the transcript
     p3 = write_simulation(simulate(small_config(seed=6, **draws)), tmp_path / "c")
-    assert open(p3["transactions"], "rb").read() != open(p1["transactions"], "rb").read()
+    assert pathlib.Path(p3["transactions"]).read_bytes() != pathlib.Path(p1["transactions"]).read_bytes()
 
 
 def test_written_files_parse_back(tmp_path):
@@ -396,7 +397,7 @@ def test_written_files_parse_back(tmp_path):
     assert log.report.n_rejected == 0 and log.n == res.log.n
     demo = M.Demographics.from_csv(paths["demographics"])
     assert len(demo.records()) == res.population.n
-    gt = json.load(open(paths["ground_truth"]))
+    gt = json.loads(pathlib.Path(paths["ground_truth"]).read_text())
     assert set(gt) == {
         "expected_rd",
         "n_treated_events",

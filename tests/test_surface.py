@@ -1,11 +1,12 @@
-"""Every function and method in the package is reached from the package
-itself, and every defaulted parameter is passed by some call.
+"""Every function, method and class in the package is reached from the
+package itself, and every defaulted parameter is passed by some call.
 
-A name that `src/copycart` defines but never loads is code only tests call;
-its scalar or test-only form belongs in the tests.  The check is by name: a
-function counts as used when its name is loaded as a variable or an
-attribute anywhere, a method only when an attribute of its name is loaded,
-so a local variable of the same name does not hide an unused method.
+A name that `src/copycart` defines but never loads is code only tests call
+(or a result type only tests build, an error only tests raise); its scalar
+or test-only form belongs in the tests.  The check is by name: a function or
+class counts as used when its name is loaded as a variable or an attribute
+anywhere, a method only when an attribute of its name is loaded, so a local
+variable of the same name does not hide an unused method.
 
 A defaulted parameter that no call in the package passes is a constant; it
 belongs beside the code that reads it as a named module constant, which a
@@ -22,11 +23,6 @@ import copycart
 
 PACKAGE = pathlib.Path(copycart.__file__).parent
 TESTS = pathlib.Path(__file__).parent
-
-ALLOWED = {
-    # a paper table that no stage reports yet; ROADMAP item 1 keeps it open
-    "co_purchase_matrix",
-}
 
 
 def _is_cli_command(fn) -> bool:
@@ -57,7 +53,7 @@ def test_every_function_is_loaded_somewhere_in_src():
             for item in cls.body
         }
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 dunder = node.name.startswith("__") and node.name.endswith("__")
                 if not dunder and not _is_cli_command(node):
                     kind = methods if id(node) in method_nodes else functions
@@ -68,12 +64,10 @@ def test_every_function_is_loaded_somewhere_in_src():
                 attributes.add(node.attr)
     loaded = names | attributes
     unused = sorted(
-        [f"{where} {name}" for name, where in functions.items() if name not in loaded | ALLOWED]
-        + [f"{where} {name}" for name, where in methods.items() if name not in attributes | ALLOWED]
+        [f"{where} {name}" for name, where in functions.items() if name not in loaded]
+        + [f"{where} {name}" for name, where in methods.items() if name not in attributes]
     )
     assert not unused, "defined in src/copycart but never loaded there:\n" + "\n".join(unused)
-    stale = sorted(ALLOWED & loaded)
-    assert not stale, f"allowlisted names are now used and can leave ALLOWED: {stale}"
 
 
 def _passed_arguments() -> dict[str, set]:
