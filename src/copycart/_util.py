@@ -144,8 +144,8 @@ _KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number", str:
 
 def _is_a(value, hint) -> bool:
     """Whether `value` has the annotated type `hint`.  A bool is neither an
-    integer nor a number, an integer is a number, and a list or a tuple
-    stands for either."""
+    integer nor a number, an integer is a number, and a list, as YAML gives
+    one, stands for a tuple."""
     if hint is int or hint is float:
         kind = numbers.Integral if hint is int else numbers.Real
         return isinstance(value, kind) and not isinstance(value, bool)
@@ -156,10 +156,10 @@ def _is_a(value, hint) -> bool:
         return isinstance(value, dict) and all(
             _is_a(k, args[0]) and _is_a(v, args[1]) for k, v in value.items()
         )
-    if origin is list or origin is tuple:
+    if origin is tuple:
         if not isinstance(value, (list, tuple)):
             return False
-        if origin is tuple and args[-1] is not Ellipsis:
+        if args[-1] is not Ellipsis:
             return len(value) == len(args) and all(map(_is_a, value, args))
         return all(_is_a(v, args[0]) for v in value)
     return isinstance(value, hint)

@@ -137,8 +137,8 @@ def match(ctx, items):
     log, dyads_set = pipeline.load_dyads(cfg)
     ctx_stats = pipeline.compute_context(log)
     items = pipeline.select_items(dyads_set, cfg, items)
-    pipeline.match_stage(dyads_set, items, ctx_stats, cfg, lambda p: click.echo(
-        f"{p.item}: {p.n} pairs ({p.n_unmatched} unmatched treated)" if p.n else f"{p.item}: no_pairs"))
+    for p in pipeline.match_stage(dyads_set, items, ctx_stats, cfg):
+        click.echo(f"{p.item}: {p.n} pairs ({p.n_unmatched} unmatched treated)" if p.n else f"{p.item}: no_pairs")
 
 
 @main.command()

@@ -345,19 +345,12 @@ def load_pairs(cfg: RunConfig, items=()) -> list[tuple[str, MatchedPairSet]]:
     return [(item, pairs[item]) for item in sorted(set(items)) or pairs]
 
 
-def match_stage(dyads: DyadSet, items: list[str], ctx: ContextStats, cfg: RunConfig,
-                analyze: Callable[[MatchedPairSet], object]) -> list:
-    """`analyze(pairs)` of each item's matched pairs, in the order of `items`;
-    each item's pairs go to matched_pairs.csv as its analysis returns."""
-    done = []
-
-    def analyzed(pairs: MatchedPairSet) -> MatchedPairSet:
-        done.append(analyze(pairs))
-        return pairs
-
-    MatchedPairSet.to_csv(dump_path(cfg.out, "pairs"),
-                          (analyzed(build_matched_pairs(dyads, item, ctx, cfg.adjustment)) for item in items))
-    return done
+def match_stage(dyads: DyadSet, items: list[str], ctx: ContextStats, cfg: RunConfig) -> list[MatchedPairSet]:
+    """The matched pairs of each item, in the order of `items`; writes them
+    all to matched_pairs.csv."""
+    sets = [build_matched_pairs(dyads, item, ctx, cfg.adjustment) for item in items]
+    MatchedPairSet.to_csv(dump_path(cfg.out, "pairs"), sets)
+    return sets
 
 
 def item_effect(pairs: MatchedPairSet, item: str, cfg: RunConfig) -> dict:
@@ -494,8 +487,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
     if cfg.infer_status:
         demo, status_summary = _status_stage(log, cfg, demo)
 
-    item_reports = match_stage(dyads, select_items(dyads, cfg), ctx, cfg,
-                               lambda pairs: _analyze_item(pairs, dyads, ctx, demo, cfg))
+    item_reports = [_analyze_item(pairs, dyads, ctx, demo, cfg)
+                    for pairs in match_stage(dyads, select_items(dyads, cfg), ctx, cfg)]
 
     anchor = None
     if cfg.anchor_mimicry:

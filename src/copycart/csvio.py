@@ -388,12 +388,11 @@ def write_csv(dest: Source, header: Sequence[str], columns: Sequence[Column],
               more: Iterable[Sequence[Column]] = ()) -> None:
     """The header, then one row per entry of the columns, then those of each
     further set of columns `more` gives, as CSV with "\\n" line ends, byte for
-    byte as csv.writer writes it; a path is written as UTF-8.  A set of
-    columns from `more` is taken only once the rows before it are written.
-    Each value is rendered once: a column with an index renders its values
-    up front, a ByteColumn or function without one a block of rows at a
-    time, and a numeric array without an index is first reduced to its
-    distinct bit patterns."""
+    byte as csv.writer writes it; a path is written as UTF-8.  Each value
+    is rendered once: a column with an index renders its values up front,
+    a ByteColumn or function without one a block of rows at a time, and a
+    numeric array without an index is first reduced to its distinct bit
+    patterns."""
 
     def part(c: int, values, index: Optional[np.ndarray]) -> tuple[Optional[int], int, Callable]:
         """(rows, width, cells) of column c, as `_csv_rows` takes them;

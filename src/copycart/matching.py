@@ -105,8 +105,7 @@ class MatchedPairSet:
     @classmethod
     def to_csv(cls, dest: Source, sets: Iterable["MatchedPairSet"]) -> None:
         """The pair dump: the `PAIR_COLUMNS` header, then the pairs of each
-        freshly built set in the order `sets` gives them, a set taken only
-        once the rows before it are written."""
+        freshly built set in the order `sets` gives them."""
 
         def columns(pairs: "MatchedPairSet") -> list:
             if pairs.popularity is None:

@@ -79,7 +79,6 @@ class SimulationConfig:
     )
     demographics_known_fraction: float = 1.0
     pair_fraction: float = 0.8
-    pairs: Optional[list[tuple[int, int]]] = None  # explicit [(i, j), ...] person indices
     visit_rate: float = 0.4
     solo_rate: float = 0.2
     daypart_weights: tuple[float, float, float] = (0.25, 0.5, 0.25)
@@ -150,14 +149,6 @@ class SimulationConfig:
             raise ConfigError(f"unknown coordination_mode {self.coordination_mode!r}")
         if self.gap_dist not in ("lognormal", "uniform"):
             raise ConfigError(f"unknown gap_dist {self.gap_dist!r}")
-        if self.pairs is not None:
-            seen = set()
-            for a, b in self.pairs:
-                if not (0 <= a < self.n_persons and 0 <= b < self.n_persons) or a == b:
-                    raise ConfigError(f"infeasible pair ({a}, {b})")
-                if a in seen or b in seen:
-                    raise ConfigError(f"person {a if a in seen else b} appears in two pairs")
-                seen.update((a, b))
 
     @property
     def items(self) -> list[str]:
@@ -235,16 +226,13 @@ def generate_population(config: SimulationConfig) -> Population:
         rows = status_idx == s
         birth_year[rows] = rng.integers(lo, hi + 1, int(rows.sum()))
 
-    if config.pairs is not None:
-        pairs = np.asarray(config.pairs, np.int64).reshape(-1, 2)
-    else:
-        # pairs form within a status
-        chunks = []
-        for members in (np.nonzero(status_idx == s)[0] for s in range(len(statuses))):
-            perm = members[rng.permutation(members.shape[0])]
-            take = int(perm.shape[0] * config.pair_fraction) // 2 * 2
-            chunks.append(perm[:take].reshape(-1, 2))
-        pairs = np.concatenate(chunks) if chunks else np.empty((0, 2), np.int64)
+    # pairs form within a status
+    chunks = []
+    for members in (np.nonzero(status_idx == s)[0] for s in range(len(statuses))):
+        perm = members[rng.permutation(members.shape[0])]
+        take = int(perm.shape[0] * config.pair_fraction) // 2 * 2
+        chunks.append(perm[:take].reshape(-1, 2))
+    pairs = np.concatenate(chunks) if chunks else np.empty((0, 2), np.int64)
 
     h = config.homophily
     prop = {}

@@ -747,6 +747,35 @@ def test_match_stage_rerun_reproduces_pairs(workdir, first_run):
     assert (sub / "matched_pairs.csv").read_bytes() == (out_a / "matched_pairs.csv").read_bytes()
 
 
+def test_every_item_is_matched_and_dumped_before_any_is_analysed(workdir, tmp_path, monkeypatch):
+    cfg = RunConfig.from_dict(yaml.safe_load((workdir / "run.yaml").read_text()), out=str(tmp_path / "o"))
+    cfg = dataclasses.replace(cfg, n_boot=40, subgroups=(), infer_status=False, anchor_mimicry=False)
+    matched, analysed = [], []
+    real_match, real_analyze = pipeline_mod.match_stage, pipeline_mod._analyze_item
+
+    def match_stage(dyads, items, *args):
+        sets = real_match(dyads, items, *args)
+        matched.append((items, sets))
+        return sets
+
+    def analyze_item(pairs, *args):
+        if not analysed:
+            assert matched, "an item was analysed before match_stage returned"
+            with open(pipeline_mod.dump_path(cfg.out, "pairs"), encoding="utf-8", newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert len(rows) == 1 + sum(s.n for s in matched[0][1])
+        analysed.append(pairs)
+        return real_analyze(pairs, *args)
+
+    monkeypatch.setattr(pipeline_mod, "match_stage", match_stage)
+    monkeypatch.setattr(pipeline_mod, "_analyze_item", analyze_item)
+    results = run_pipeline(cfg)
+    [(items, sets)] = matched
+    assert len(items) > 1
+    assert [s.item for s in sets] == items == [r["item"] for r in results["items"]]
+    assert [id(s) for s in analysed] == [id(s) for s in sets]
+
+
 def _json_objects(text):
     """The JSON documents a staged subcommand prints one after another."""
     decoder, objs, i = json.JSONDecoder(), [], 0

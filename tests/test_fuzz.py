@@ -260,7 +260,7 @@ def test_simulate_setting_outside_what_ingest_reads_is_a_config_error(setting):
     assert "[errors.ConfigError] " + setting.split("=")[0] in res.output
 
 
-@pytest.mark.parametrize("key", ["popularity_shock_sd", "availability_dropout", "gap_median_s", "gap_sigma"])
+@pytest.mark.parametrize("key", ["popularity_shock_sd", "availability_dropout", "gap_median_s", "gap_sigma", "pairs"])
 def test_removed_simulate_setting_is_refused_by_name(key):
     with tempfile.TemporaryDirectory() as tmp:
         res = invoke("--seed", 3, "--out", tmp, "simulate", "--set", "n_persons=60",

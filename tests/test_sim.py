@@ -55,15 +55,6 @@ def test_config_rejects_bad_values():
         SimulationConfig(seed=1, delta={"desert": 0.15})
 
 
-def test_config_rejects_infeasible_pair_graph():
-    with pytest.raises(ConfigError):
-        SimulationConfig(seed=1, n_persons=10, pairs=[(0, 0)])
-    with pytest.raises(ConfigError):
-        SimulationConfig(seed=1, n_persons=10, pairs=[(0, 11)])
-    with pytest.raises(ConfigError):
-        SimulationConfig(seed=1, n_persons=10, pairs=[(0, 1), (1, 2)])
-
-
 def test_config_bounds_the_sort_key():
     # a log has at most 2 * n_persons * n_days rows, so the packed
     # (ts, shop, register, row) key stays below this product
@@ -110,12 +101,6 @@ def test_assortative_pairs_share_status():
     pop = generate_population(SimulationConfig(seed=4, n_persons=600))
     a, b = pop.pairs[:, 0], pop.pairs[:, 1]
     assert (pop.status_idx[a] == pop.status_idx[b]).all()
-
-
-def test_explicit_pair_list_is_used_verbatim():
-    cfg = small_config(pairs=[(0, 1), (5, 3)])
-    pop = generate_population(cfg)
-    assert pop.pairs.tolist() == [[0, 1], [5, 3]]
 
 
 def test_demographics_cover_population_and_respect_known_fraction():
