@@ -28,7 +28,6 @@ class RunConfig:
     # dyad extraction
     max_gap_s: int = 300
     min_pair_count: int = 10
-    require_anchor: bool = True
     min_fraction: float = 0.01
     # pairing
     adjustment: AdjustmentSpec = field(default_factory=AdjustmentSpec)
@@ -50,10 +49,14 @@ class RunConfig:
     def __post_init__(self):
         self.seed = config_seed(self.seed)
         if isinstance(self.adjustment, dict):
+            known = {f.name for f in dataclasses.fields(AdjustmentSpec)}
+            for key in self.adjustment:
+                if key not in known:
+                    raise ConfigError(f"unknown key {key!r} in config section 'adjustment'")
             check_types(AdjustmentSpec, self.adjustment, "adjustment: ")
             try:
                 self.adjustment = AdjustmentSpec(**self.adjustment)
-            except (TypeError, ValueError) as err:  # TypeError: an unknown key
+            except ValueError as err:
                 raise ConfigError(f"adjustment: {err}") from None
         elif not isinstance(self.adjustment, AdjustmentSpec):
             raise ConfigError(f"adjustment must be a mapping, got {self.adjustment!r}")
@@ -94,7 +97,7 @@ class RunConfig:
         flat: dict = {}
         sections = {
             "input": ("transactions", "catalog", "demographics"),
-            "dyads": ("max_gap_s", "min_pair_count", "require_anchor", "min_fraction"),
+            "dyads": ("max_gap_s", "min_pair_count", "min_fraction"),
             "estimation": ("n_boot", "seed", "alpha", "min_stratum"),
             "analyses": (
                 "baseline",

@@ -261,9 +261,7 @@ def dyad_stage(log: TransactionLog, cfg: RunConfig) -> tuple[ContextStats, int, 
     make_dirs(cfg.out)
     ctx = compute_context(log)
     ctx.to_csv(dump_path(cfg.out, "context"))
-    raw = extract_dyads(
-        reconstruct_queues(log), max_gap_s=cfg.max_gap_s, require_anchor=cfg.require_anchor
-    )
+    raw = extract_dyads(reconstruct_queues(log), max_gap_s=cfg.max_gap_s)
     dyads = filter_frequent_pairs(raw, cfg.min_pair_count)
     dyads.to_csv(dump_path(cfg.out, "dyads"))
     return ctx, raw.n, dyads

@@ -142,12 +142,13 @@ class DyadSet:
         return cls(log, rows[0], rows[1])
 
 
-def extract_dyads(queues: Queues, max_gap_s: int = 300, require_anchor: bool = True) -> DyadSet:
+def extract_dyads(queues: Queues, max_gap_s: int = 300) -> DyadSet:
     """Consecutive same-queue transactions by different persons within the gap.
 
     The middle of three transactions may serve as focal of one dyad and
-    partner of the next.  Both sides must fall in the same studied daypart;
-    with ``require_anchor`` both baskets must contain the daypart's anchor.
+    partner of the next.  Both sides must fall in the same daypart, and both
+    baskets must contain the daypart's anchor; as nothing anchors outside the
+    studied windows, that daypart is a studied one.
     """
     log = queues.log
     if log.n < 2:
@@ -157,16 +158,15 @@ def extract_dyads(queues: Queues, max_gap_s: int = 300, require_anchor: bool = T
     b = order[1:]
     same_queue = np.ones(a.shape[0], bool)
     same_queue[queues.start[1:-1] - 1] = False  # boundary between queues
+    anchored = log.anchor_codes() != 0
     keep = (
         same_queue
         & (log.person_idx[a] != log.person_idx[b])
         & (log.ts[b] - log.ts[a] <= max_gap_s)
         & (log.daypart[a] == log.daypart[b])
-        & (log.daypart[a] != Daypart.OUT_OF_WINDOW.value)
+        & anchored[a]
+        & anchored[b]
     )
-    if require_anchor:
-        anchored = log.anchor_codes() != 0
-        keep &= anchored[a] & anchored[b]
     return DyadSet(log, a[keep], b[keep])
 
 

@@ -26,7 +26,8 @@ from .model import CATEGORY_KEYS
 
 @dataclass(frozen=True)
 class AdjustmentSpec:
-    """Which confounders are held fixed when pairing dyads.
+    """How dyads are paired: exactly on (partner, shop, daypart), within a
+    relative popularity ``caliper``.
 
     With ``exclude_own_transactions`` the popularity each dyad is matched on
     leaves the dyad's own two transactions out of its cell share.  Raw cell
@@ -36,10 +37,7 @@ class AdjustmentSpec:
     popularity.  Availability is still judged on the whole cell.
     """
 
-    match_focal_identity: bool = False
-    match_exact_anchor: bool = False
     caliper: float = 0.10
-    caliper_absolute: bool = False
     exclude_own_transactions: bool = True
 
     def __post_init__(self):
@@ -164,9 +162,8 @@ def _greedy_caliper_match(
     t_pop: np.ndarray,
     c_pop: np.ndarray,
     caliper: float,
-    relative: bool,
 ) -> np.ndarray:
-    """Greedy 1:1 caliper matching within pre-built strata.
+    """Greedy 1:1 relative-caliper matching within pre-built strata.
 
     Treated and control popularities arrive flattened and grouped by
     stratum: slice s is t_pop[t_start[s]:t_start[s+1]] and
@@ -194,12 +191,9 @@ def _greedy_caliper_match(
         pt = t_pop[ti][seg]
         cp = c_pop[cj]
         d = np.abs(pt - cp)
-        if relative:
-            m = np.maximum(pt, cp)
-            safe = np.where(m > 0.0, m, 1.0)
-            ok = np.where(m > 0.0, d / safe <= caliper, d == 0.0)
-        else:
-            ok = d <= caliper
+        m = np.maximum(pt, cp)
+        safe = np.where(m > 0.0, m, 1.0)
+        ok = np.where(m > 0.0, d / safe <= caliper, d == 0.0)
         ok &= ~used[cj]
         seg, cj, d = seg[ok], cj[ok], d[ok]
         if seg.shape[0]:
@@ -226,6 +220,7 @@ def build_matched_pairs(
         return MatchedPairSet(dyads, item, empty, empty, 0, 0, np.empty(0))
 
     treated = dyads.partner_has(item)
+    # `extract_dyads` keeps only anchored dyads, but a dyad dump read back need not
     codes = log.anchor_codes()
     ok = (codes[dyads.partner_i] != 0) & (codes[dyads.focal_i] != 0)
     n_cell, cnt = context.counts_at(dyads.focal_i, item)
@@ -243,17 +238,9 @@ def build_matched_pairs(
         empty = np.empty(0, np.int64)
         return MatchedPairSet(dyads, item, empty, empty, n_treated_total, n_treated_total, pop)
 
-    cols_t = [dyads.partner_person[t_rows], dyads.shop_idx[t_rows], dyads.daypart[t_rows]]
-    cols_c = [dyads.partner_person[c_rows], dyads.shop_idx[c_rows], dyads.daypart[c_rows]]
-    if spec.match_focal_identity:
-        cols_t.append(dyads.focal_person[t_rows])
-        cols_c.append(dyads.focal_person[c_rows])
-    if spec.match_exact_anchor:
-        cols_t += [codes[dyads.partner_i[t_rows]], codes[dyads.focal_i[t_rows]]]
-        cols_c += [codes[dyads.partner_i[c_rows]], codes[dyads.focal_i[c_rows]]]
-
     # pack both sides together so each column shares one cardinality
-    packed = [np.concatenate([a, b]).astype(np.int64) for a, b in zip(cols_t, cols_c)]
+    rows = np.concatenate([t_rows, c_rows])
+    packed = [dyads.partner_person[rows], dyads.shop_idx[rows], dyads.daypart[rows]]
     code = dense_codes(_group_key(packed))[0]
     # the strata are the keys some treated dyad holds, numbered in key order
     held = np.bincount(code[: t_rows.shape[0]], minlength=int(code.max()) + 1) > 0
@@ -279,9 +266,7 @@ def build_matched_pairs(
 
     t_pop = pop[t_rows]
     c_pop = pop[c_rows]
-    hit = _greedy_caliper_match(
-        t_start, c_start, t_pop, c_pop, float(spec.caliper), not spec.caliper_absolute
-    )
+    hit = _greedy_caliper_match(t_start, c_start, t_pop, c_pop, float(spec.caliper))
 
     matched = hit >= 0
     ti = t_rows[matched]

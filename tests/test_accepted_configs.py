@@ -76,14 +76,10 @@ def cases(draw) -> tuple[str, dict]:
         "n_boot": math.ceil(2 / alpha),
         "max_gap_s": draw(or_extreme(st.integers(2, 900), 1, 10**12)),
         "min_pair_count": draw(or_extreme(st.integers(2, 12), 1, 10**9)),
-        "require_anchor": draw(st.booleans()),
         "min_fraction": draw(or_extreme(st.floats(0, 0.2), 0.0, 1.0)),
         "min_stratum": draw(or_extreme(st.integers(0, 60), 10**9)),
         "adjustment": {
-            "match_focal_identity": draw(st.booleans()),
-            "match_exact_anchor": draw(st.booleans()),
             "caliper": draw(st.floats(0, 1, exclude_min=True, exclude_max=True)),
-            "caliper_absolute": draw(st.booleans()),
             "exclude_own_transactions": draw(st.booleans()),
         },
         **{switch: draw(st.booleans()) for switch in SWITCHES},

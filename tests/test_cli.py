@@ -113,7 +113,7 @@ def test_config_nested_sections_and_overrides():
             "dyads": {"max_gap_s": 120, "min_pair_count": 5},
             "estimation": {"seed": 3, "n_boot": 50},
             "analyses": {"subgroups": ["daypart"], "baseline": False},
-            "adjustment": {"match_focal_identity": True},
+            "adjustment": {"caliper": 0.2},
         },
         seed=99,
         out="elsewhere",
@@ -123,7 +123,7 @@ def test_config_nested_sections_and_overrides():
     assert cfg.max_gap_s == 120 and cfg.min_pair_count == 5
     assert cfg.n_boot == 50 and cfg.baseline is False
     assert cfg.subgroups == ("daypart",)
-    assert cfg.adjustment.match_focal_identity is True
+    assert cfg.adjustment.caliper == 0.2
     # keys left out of the section keep the CLI defaults
     assert cfg.adjustment.exclude_own_transactions is True
 
@@ -137,6 +137,17 @@ def test_config_key_given_twice_is_an_error(data):
     base = {"transactions": "t.csv", "catalog": "c.csv", "seed": 1}
     with pytest.raises(ConfigError, match="'max_gap_s' is given both at the top level and in its section"):
         RunConfig.from_dict(dict(base, **data))
+
+
+def test_readme_config_block_holds_the_defaults():
+    """README's `## Configuration` block loads, and sets every key other than
+    the inputs and the seed to its default, so it names no removed key."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Configuration\n", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    cfg = RunConfig.from_dict(yaml.safe_load(block))
+    default = RunConfig(transactions=cfg.transactions, catalog=cfg.catalog,
+                        demographics=cfg.demographics, seed=cfg.seed)
+    assert dataclasses.asdict(cfg) == dataclasses.asdict(default)
 
 
 def test_library_defaults_match_the_run_config():
@@ -153,7 +164,6 @@ def test_library_defaults_match_the_run_config():
         return inspect.signature(fn).parameters[name].default
 
     assert default(D.extract_dyads, "max_gap_s") == cfg.max_gap_s
-    assert default(D.extract_dyads, "require_anchor") == cfg.require_anchor
     assert default(D.filter_frequent_pairs, "min_count") == cfg.min_pair_count
     assert default(D.select_additions, "min_fraction") == cfg.min_fraction
     for fn in (E.effect_estimate, E.subgroup_estimates, E.dose_response, E.anchor_mimicry):
@@ -206,10 +216,11 @@ def test_run_without_seed_fails(workdir):
     ({"dyads": {"max_gap_s": None}}, ""),
     ({"adjustment": {"caliper": 1.5}}, ""),
     ({"adjustment": 5}, ""),
-    ({"adjustment": {"bogus": 1}}, ""),
+    ({"adjustment": {"bogus": 1}}, "unknown key 'bogus' in config section 'adjustment'"),
     ({"analyses": {"baseline": "no"}}, ""),
-    ({"dyads": {"require_anchor": "false"}}, ""),
-    ({"adjustment": {"match_focal_identity": "no"}}, ""),
+    ({"dyads": {"require_anchor": "false"}}, "unknown key 'require_anchor' in config section 'dyads'"),
+    ({"require_balance": "false"}, ""),
+    ({"adjustment": {"exclude_own_transactions": "no"}}, ""),
     ({"dyads": {"min_fraction": 2}}, ""),
     ({"dyads": {"min_fraction": -0.5}}, ""),
     ({"estimation": {"min_stratum": -3}}, ""),
@@ -218,7 +229,8 @@ def test_run_without_seed_fails(workdir):
     ({"estimation": {"seed": True}}, "seed must be an integer, got True"),
     ({"estimation": {"seed": "7"}}, "seed must be an integer, got '7'"),
 ], ids=["threads", "n_boot", "alpha", "max_gap_s", "caliper", "adjustment_scalar",
-        "adjustment_key", "baseline_string", "require_anchor_string", "adjustment_bool_string",
+        "adjustment_key", "baseline_string", "require_anchor_string", "require_balance_string",
+        "adjustment_bool_string",
         "min_fraction_above_1", "min_fraction_negative", "min_stratum_negative", "n_boot_above_bound",
         "seed_float", "seed_bool", "seed_string"])
 def test_config_type_errors_exit_cleanly(workdir, tmp_path, patch, message):

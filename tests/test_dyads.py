@@ -100,24 +100,29 @@ def test_extract_dyads_invariants_at_a_longer_gap():
 
 
 def test_extract_dyads_anchor_requirement():
-    # B has no meal at lunch: (A,B) and (B,C) are dropped when anchors required
+    # B has no meal at lunch: (A,B) and (B,C) are dropped
     log = parse_csv(
         lunch_rows([("T1", "A", 0, "MEALV"), ("T2", "B", 100, "DES"), ("T3", "C", 200, "MEALV")])
     )
     assert extract_dyads(reconstruct_queues(log)).n == 0
-    d = extract_dyads(reconstruct_queues(log), require_anchor=False)
-    assert d.n == 2
+    # with a meal in B's basket both are kept
+    log = parse_csv(
+        lunch_rows([("T1", "A", 0, "MEALV"), ("T2", "B", 100, "MEALS;DES"), ("T3", "C", 200, "MEALV")])
+    )
+    assert extract_dyads(reconstruct_queues(log)).n == 2
 
 
 def test_extract_dyads_daypart_rules():
-    # 10:59 -> 11:01 straddles breakfast/lunch: dropped; 21:00 out of window
+    # 10:59 -> 11:01 straddles breakfast/lunch, though each basket holds its
+    # daypart's anchor: dropped; 21:00 is out of window, where nothing anchors
     log = parse_csv(
         "T1,A,2018-01-05T10:59:00,S1,R1,COF\n"
         "T2,B,2018-01-05T11:01:00,S1,R1,MEALV\n"
         "T3,C,2018-01-05T21:00:00,S1,R1,COF\n"
         "T4,D,2018-01-05T21:01:00,S1,R1,TEA\n"
     )
-    assert extract_dyads(reconstruct_queues(log), require_anchor=False).n == 0
+    assert (log.anchor_codes() != 0).tolist() == [True, True, False, False]
+    assert extract_dyads(reconstruct_queues(log)).n == 0
 
 
 def test_dyad_count_bound_and_queue_boundaries():

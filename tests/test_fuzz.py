@@ -172,12 +172,11 @@ WRONG = st.one_of(
 
 RUN_KEYS = [
     ("input", "transactions"), ("input", "catalog"), ("input", "demographics"),
-    ("dyads", "max_gap_s"), ("dyads", "min_pair_count"), ("dyads", "require_anchor"),
-    ("dyads", "min_fraction"), ("estimation", "n_boot"), ("estimation", "seed"),
-    ("estimation", "alpha"), ("estimation", "min_stratum"), ("analyses", "baseline"),
-    ("analyses", "subgroups"), ("analyses", "infer_status"), ("adjustment", "caliper"),
-    ("adjustment", "match_focal_identity"), (None, "adjustment"), (None, "threads"),
-    (None, "input"), (None, "dyads"),
+    ("dyads", "max_gap_s"), ("dyads", "min_pair_count"), ("dyads", "min_fraction"),
+    ("estimation", "n_boot"), ("estimation", "seed"), ("estimation", "alpha"),
+    ("estimation", "min_stratum"), ("analyses", "baseline"), ("analyses", "subgroups"),
+    ("analyses", "infer_status"), ("adjustment", "caliper"), ("adjustment", "exclude_own_transactions"),
+    (None, "adjustment"), (None, "threads"), (None, "input"), (None, "dyads"),
 ]
 
 
@@ -200,6 +199,21 @@ def test_malformed_config_file_exits_cleanly(base, scratch, damage):
     data = yaml.safe_dump(run_config(base / "in")).encode("utf-8")
     (scratch / "run.yaml").write_bytes(damaged(data, **damage))
     assert_clean_exit(invoke("--config", scratch / "run.yaml", "--out", scratch / "o", "ingest"))
+
+
+@pytest.mark.parametrize("section, key", [
+    ("dyads", "require_anchor"), (None, "require_anchor"), ("adjustment", "caliper_absolute"),
+    ("adjustment", "match_focal_identity"), ("adjustment", "match_exact_anchor"),
+], ids=lambda v: v or "flat")
+def test_removed_run_setting_is_refused_by_name(base, tmp_path, section, key):
+    conf = run_config(base / "in")
+    (conf if section is None else conf.setdefault(section, {}))[key] = True
+    (tmp_path / "run.yaml").write_text(yaml.safe_dump(conf), encoding="utf-8")
+    res = invoke("--config", tmp_path / "run.yaml", "--out", tmp_path / "o", "ingest")
+    assert_clean_exit(res)
+    assert res.exit_code == 1
+    message = f"unknown key '{key}' in config section '{section}'" if section else f"unknown config key '{key}'"
+    assert f"[errors.ConfigError] {message}" in res.output
 
 
 SIM_KEYS = sorted(SimulationConfig.__dataclass_fields__)

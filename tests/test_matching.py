@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from copycart import model as M
 from copycart.context import ContextStats, compute_context
-from copycart.dyads import extract_dyads, reconstruct_queues
+from copycart.dyads import DyadSet, extract_dyads, reconstruct_queues
 from copycart.errors import IngestError, NoPairsError
 from copycart.matching import (
     AdjustmentSpec,
@@ -92,7 +92,7 @@ def test_caliper_selects_nearest_inside():
     assert pairs.n_treated_total == 1 and pairs.n_unmatched == 0
 
 
-def test_caliper_relative_boundary_and_absolute_mode():
+def test_caliper_relative_boundary():
     specs = [
         ("2018-01-01", "A", "MEALV;DES", "B", "MEALS"),
         ("2018-01-02", "A", "MEALV", "B", "MEALS"),
@@ -103,14 +103,10 @@ def test_caliper_relative_boundary_and_absolute_mode():
     assert build_matched_pairs(dyads, "dessert", ctx, RAW).n == 1
     tight = replace(RAW, caliper=0.09)
     assert build_matched_pairs(dyads, "dessert", ctx, tight).n == 0
-    loose_abs = replace(RAW, caliper=0.09, caliper_absolute=True)
-    assert build_matched_pairs(dyads, "dessert", ctx, loose_abs).n == 1
     # 0.05/0.5 rounds just below 0.1 in binary; 0.125/0.5 = 0.25 is exact,
-    # so these check that both boundaries are inclusive
+    # so this checks that the boundary is inclusive
     ctx = dessert_cells(log, specs, [0.5, 0.375])
     assert build_matched_pairs(dyads, "dessert", ctx, replace(RAW, caliper=0.25)).n == 1
-    exact_abs = replace(RAW, caliper=0.125, caliper_absolute=True)
-    assert build_matched_pairs(dyads, "dessert", ctx, exact_abs).n == 1
 
 
 def test_exact_keys_separate_strata():
@@ -143,32 +139,6 @@ def test_daypart_separates_strata():
         ],
     )
     assert build_matched_pairs(dyads, "dessert", ctx).n == 0
-
-
-def test_match_focal_identity_flag():
-    specs = [
-        ("2018-01-01", "A", "MEALV;DES", "B", "MEALS"),
-        ("2018-01-02", "A", "MEALV", "C", "MEALS"),  # exact pop, other focal
-        ("2018-01-03", "A", "MEALV", "B", "MEALS"),  # same focal, pop off by 5%
-    ]
-    log, dyads = one_dyad_per_day(specs)
-    ctx = dessert_cells(log, specs, [0.20, 0.20, 0.19])
-    assert tx_pairs(build_matched_pairs(dyads, "dessert", ctx)) == [("P000", "P001")]
-    strict = AdjustmentSpec(match_focal_identity=True)
-    assert tx_pairs(build_matched_pairs(dyads, "dessert", ctx, strict)) == [("P000", "P002")]
-
-
-def test_match_exact_anchor_flag():
-    specs = [
-        ("2018-01-01", "A", "MEALV;DES", "B", "MEALV"),
-        ("2018-01-02", "A", "MEALS", "B", "MEALV"),  # non-veg partner anchor
-        ("2018-01-03", "A", "MEALV", "B", "MEALV"),
-    ]
-    log, dyads = one_dyad_per_day(specs)
-    ctx = dessert_cells(log, specs, [0.20, 0.20, 0.19])
-    assert tx_pairs(build_matched_pairs(dyads, "dessert", ctx)) == [("P000", "P001")]
-    strict = AdjustmentSpec(match_exact_anchor=True)
-    assert tx_pairs(build_matched_pairs(dyads, "dessert", ctx, strict)) == [("P000", "P002")]
 
 
 def test_greedy_order_no_reuse_injective():
@@ -204,12 +174,12 @@ def test_unavailable_item_excludes_dyads():
 
 
 def test_anchorless_dyads_never_match():
-    # focal without the lunch anchor: dyad is ineligible even if extraction
-    # was run permissively
+    # focal without the lunch anchor: the dyad is ineligible even when it
+    # comes from outside `extract_dyads`, as a dyad dump read back does
     specs = [("2018-01-01", "A", "MEALV;DES", "B", "MEALS")]
     rows = lunch_rows([("P0", "A", 0, "MEALV;DES"), ("F0", "B", 60, "DES")], day="2018-01-01")
     log = parse_csv(rows)
-    dyads = extract_dyads(reconstruct_queues(log), require_anchor=False)
+    dyads = DyadSet(log, np.array([0]), np.array([1]))
     assert dyads.n == 1
     ctx = dessert_cells(log, specs, [0.5])
     pairs = build_matched_pairs(dyads, "dessert", ctx)
@@ -460,7 +430,7 @@ def _random_strata(rng, n_strata):
     )
 
 
-def _match_oracle(t_start, c_start, t_pop, c_pop, caliper, relative):
+def _match_oracle(t_start, c_start, t_pop, c_pop, caliper):
     # independent greedy reimplementation in plain python
     out = [-1] * len(t_pop)
     used = set()
@@ -473,13 +443,10 @@ def _match_oracle(t_start, c_start, t_pop, c_pop, caliper, relative):
                     continue
                 d = abs(pt - c_pop[j])
                 m = max(pt, c_pop[j])
-                if relative:
-                    if m > 0:
-                        if d / m > caliper:
-                            continue
-                    elif d != 0:
+                if m > 0:
+                    if d / m > caliper:
                         continue
-                elif d > caliper:
+                elif d != 0:
                     continue
                 if d < bestd:
                     bestd, best = d, j
@@ -489,20 +456,19 @@ def _match_oracle(t_start, c_start, t_pop, c_pop, caliper, relative):
     return np.asarray(out, np.int64)
 
 
-@pytest.mark.parametrize("relative", [True, False])
-def test_greedy_match_against_oracle(relative):
+def test_greedy_match_against_oracle():
     rng = np.random.default_rng(11)
     for _ in range(20):
         t_start, c_start, t_pop, c_pop = _random_strata(rng, 8)
-        got = _greedy_caliper_match(t_start, c_start, t_pop, c_pop, 0.3, relative)
-        want = _match_oracle(t_start, c_start, t_pop, c_pop, 0.3, relative)
+        got = _greedy_caliper_match(t_start, c_start, t_pop, c_pop, 0.3)
+        want = _match_oracle(t_start, c_start, t_pop, c_pop, 0.3)
         assert np.array_equal(got, want)
 
 
 def test_greedy_match_no_reuse_and_caliper():
     rng = np.random.default_rng(13)
     t_start, c_start, t_pop, c_pop = _random_strata(rng, 30)
-    got = _greedy_caliper_match(t_start, c_start, t_pop, c_pop, 0.1, True)
+    got = _greedy_caliper_match(t_start, c_start, t_pop, c_pop, 0.1)
     taken = got[got >= 0]
     assert len(set(taken.tolist())) == len(taken)
     for i, j in enumerate(got):
@@ -531,9 +497,9 @@ def tied_strata(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(tied_strata(), st.sampled_from([0.02, 0.1, 0.5]), st.booleans())
-def test_greedy_match_heavy_ties_against_oracle(strata, caliper, relative):
+@given(tied_strata(), st.sampled_from([0.02, 0.1, 0.5]))
+def test_greedy_match_heavy_ties_against_oracle(strata, caliper):
     t_start, c_start, t_pop, c_pop = strata
-    got = _greedy_caliper_match(t_start, c_start, t_pop, c_pop, caliper, relative)
-    want = _match_oracle(t_start, c_start, t_pop, c_pop, caliper, relative)
+    got = _greedy_caliper_match(t_start, c_start, t_pop, c_pop, caliper)
+    want = _match_oracle(t_start, c_start, t_pop, c_pop, caliper)
     assert np.array_equal(got, want)
