@@ -456,10 +456,16 @@ def _match_oracle(t_start, c_start, t_pop, c_pop, caliper):
     return np.asarray(out, np.int64)
 
 
-def test_greedy_match_against_oracle():
+@pytest.mark.parametrize("zeros", [False, True])
+def test_greedy_match_against_oracle(zeros):
+    # with zeros, some popularities are 0, where the relative caliper
+    # admits only an exact tie
     rng = np.random.default_rng(11)
     for _ in range(20):
         t_start, c_start, t_pop, c_pop = _random_strata(rng, 8)
+        if zeros:
+            t_pop[rng.random(len(t_pop)) < 0.3] = 0.0
+            c_pop[rng.random(len(c_pop)) < 0.3] = 0.0
         got = _greedy_caliper_match(t_start, c_start, t_pop, c_pop, 0.3)
         want = _match_oracle(t_start, c_start, t_pop, c_pop, 0.3)
         assert np.array_equal(got, want)
